@@ -180,63 +180,48 @@ func (c *Coordinator) live() []*member {
 // Run executes one sweep across the registered workers and merges the
 // shards into a SweepResults byte-identical to a single-process run
 // (see the package comment for the contract). It matches
-// service.RunFunc; progress (when non-nil) receives (resolved, total)
-// unique-simulation counts as shards land.
+// service.RunFunc: the sweep runs through the one sweep loop
+// (scenario.RunSweep) with the coordinator's ring dispatch as its
+// executor, so progress (when non-nil) receives (resolved, total)
+// unique-simulation counts as shards land, and SweepResults.Workers is
+// the number of workers that contributed a shard.
 func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, progress func(done, total int)) (*scenario.SweepResults, error) {
-	part, err := spec.Partition()
-	if err != nil {
-		return nil, err
-	}
-	spec = spec.Canonical()
-	sweepKey := api.SpecKey(spec)
-	n := len(part.Keys)
-	results := make([]*scenario.Result, n)
+	return scenario.RunSweep(ctx, spec.Canonical(), nil, c.execute, progress, nil)
+}
 
-	// resolvedSims counts distinct simulations among resolved scenarios —
-	// the same progress unit a single-process RunProgress reports.
-	resolvedSims := func() int {
-		seen := map[string]bool{}
-		for i, res := range results {
-			if res != nil {
-				seen[part.RunKeys[i]] = true
-			}
-		}
-		return len(seen)
+// execute is the coordinator's scenario.Executor. Each round it
+// consistent-hashes the unresolved simulation groups onto the live ring
+// and sends every worker its share as one shard, in parallel; each
+// answered shard lands whole. A worker lost mid-round is removed and its
+// share re-hashed over the survivors in the next round, after a
+// doubling backoff; a deterministic failure fails the sweep at once. It
+// returns how many workers contributed.
+func (c *Coordinator) execute(ctx context.Context, spec scenario.Spec, part scenario.Partition, indices []int, land scenario.LandFunc) (int, error) {
+	sweepKey := api.SpecKey(spec)
+	// unresolved maps each affinity key still to dispatch to its requested
+	// indices; group atomicity is free because shards are unions of whole
+	// groups.
+	unresolved := map[string][]int{}
+	for _, i := range indices {
+		unresolved[part.Keys[i]] = append(unresolved[part.Keys[i]], i)
 	}
-	report := func() {
-		if progress != nil {
-			progress(resolvedSims(), part.Simulations)
-		}
-	}
-	report()
 
 	contributed := map[string]bool{}
-	for round := 0; ; round++ {
-		// Groups still unresolved, in expansion order; group atomicity is
-		// free because shards are unions of whole groups.
-		var unresolved []string
-		for _, key := range part.GroupOrder {
-			if results[part.Groups[key][0]] == nil {
-				unresolved = append(unresolved, key)
-			}
-		}
-		if len(unresolved) == 0 {
-			break
-		}
+	for round := 0; len(unresolved) > 0; round++ {
 		if round > 0 {
 			if round >= c.cfg.MaxRounds {
-				return nil, fmt.Errorf("fabric: %d scenario groups unresolved after %d dispatch rounds",
+				return 0, fmt.Errorf("fabric: %d scenario groups unresolved after %d dispatch rounds",
 					len(unresolved), round)
 			}
 			select {
 			case <-ctx.Done():
-				return nil, fmt.Errorf("fabric: sweep cancelled: %w", ctx.Err())
+				return 0, fmt.Errorf("fabric: sweep cancelled: %w", ctx.Err())
 			case <-time.After(c.cfg.Backoff << (round - 1)):
 			}
 		}
 		members := c.live()
 		if len(members) == 0 {
-			return nil, errors.New("fabric: no live workers registered")
+			return 0, errors.New("fabric: no live workers registered")
 		}
 
 		// Consistent-hash each unresolved group onto the current ring.
@@ -246,9 +231,11 @@ func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, progress func
 		}
 		rg := newRing(urls)
 		assign := map[string][]int{}
-		for _, key := range unresolved {
-			u := rg.lookup(key)
-			assign[u] = append(assign[u], part.Groups[key]...)
+		for _, key := range part.GroupOrder {
+			if idxs, ok := unresolved[key]; ok {
+				u := rg.lookup(key)
+				assign[u] = append(assign[u], idxs...)
+			}
 		}
 
 		type shard struct {
@@ -265,13 +252,13 @@ func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, progress func
 			shards = append(shards, shard{m: m, indices: idxs})
 		}
 
-		// Dispatch every shard of this round in parallel. Shards are
-		// disjoint index sets, so workers fill disjoint slots of results;
-		// mu guards the shared bookkeeping around them.
+		// Dispatch every shard of this round in parallel; mu serializes
+		// landing and the round's bookkeeping.
 		var (
 			wg       sync.WaitGroup
 			mu       sync.Mutex
 			permErrs []error
+			landErr  error
 		)
 		for si, sh := range shards {
 			si, sh := si, sh
@@ -290,8 +277,9 @@ func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, progress func
 				mu.Lock()
 				defer mu.Unlock()
 				switch {
-				case ctx.Err() != nil:
-					// The sweep itself is cancelled; the outer check owns it.
+				case ctx.Err() != nil || landErr != nil:
+					// The sweep itself is cancelled, or landing failed; the
+					// checks after the round own it.
 					return
 				case err != nil && api.IsTransient(err):
 					// Worker lost (connection refused/reset, shard timeout,
@@ -317,27 +305,28 @@ func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, progress func
 						return
 					}
 				}
-				for j, idx := range sh.indices {
-					res := resp.Results[j]
-					results[idx] = &res
+				if landErr = land(sh.indices, resp.Results); landErr != nil {
+					return
 				}
+				for _, idx := range sh.indices {
+					delete(unresolved, part.Keys[idx])
+				}
+				c.mu.Lock()
 				sh.m.shards++
+				c.mu.Unlock()
 				contributed[sh.m.url] = true
-				report()
 			}()
 		}
 		wg.Wait()
+		if landErr != nil {
+			return 0, landErr
+		}
 		if len(permErrs) > 0 {
-			return nil, errors.Join(permErrs...)
+			return 0, errors.Join(permErrs...)
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("fabric: sweep cancelled: %w", err)
+			return 0, fmt.Errorf("fabric: sweep cancelled: %w", err)
 		}
 	}
-
-	merged := make([]scenario.Result, n)
-	for i, res := range results {
-		merged[i] = *res
-	}
-	return scenario.Assemble(spec, merged, len(contributed))
+	return len(contributed), nil
 }

@@ -342,3 +342,46 @@ func TestFabricHandlerWorkers(t *testing.T) {
 		t.Errorf("fall-through status = %d, want the inner handler's 404", resp.StatusCode)
 	}
 }
+
+// TestFabricWorkersDuringSweeps: the membership listing is safe to poll
+// while sweeps dispatch — the per-worker shard counter it reports is
+// written by shard goroutines, so under -race any unsynchronized access
+// fails this test.
+func TestFabricWorkersDuringSweeps(t *testing.T) {
+	ctx := context.Background()
+	coord := newCoordinator(t, newWorker(t, nil), newWorker(t, nil))
+	spec := scenario.Spec{Name: "poll", Nodes: 32, Days: 2, WarmupDays: 1, Seed: 3,
+		Axes: scenario.Axes{Frequency: []string{"stock", "capped"}}}
+
+	stop := make(chan struct{})
+	polled := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-stop:
+				polled <- n
+				return
+			default:
+			}
+			for _, w := range coord.Workers().Workers {
+				n += w.Shards
+			}
+		}
+	}()
+	const sweeps = 40
+	for i := 0; i < sweeps; i++ {
+		if _, err := coord.Run(ctx, spec, nil); err != nil {
+			t.Fatalf("sweep %d: %v", i, err)
+		}
+	}
+	close(stop)
+	<-polled
+	total := 0
+	for _, w := range coord.Workers().Workers {
+		total += w.Shards
+	}
+	if total < sweeps {
+		t.Errorf("workers report %d shards over %d sweeps, want at least one per sweep", total, sweeps)
+	}
+}

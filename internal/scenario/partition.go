@@ -1,13 +1,17 @@
 package scenario
 
-// This file is the sweep fabric's view of a spec: how an expanded grid
-// partitions into shard-affinity groups (Partition) and how per-shard
-// results merge back into one SweepResults (Assemble). Both sides are
-// pure functions of the canonical spec, so a coordinator and its
-// workers agree on scenario identity without ever shipping expanded
-// scenarios over the wire — only indices travel.
+// This file is the one sweep loop and the spec views it stands on: how
+// an expanded grid partitions into shard-affinity groups (Partition),
+// how a sweep resolves its scenarios through an executor (RunSweep) and
+// how per-scenario results merge back into one SweepResults (Assemble).
+// Partition and Assemble are pure functions of the canonical spec, so a
+// coordinator and its workers agree on scenario identity without ever
+// shipping expanded scenarios over the wire — only indices travel.
 
-import "fmt"
+import (
+	"context"
+	"fmt"
+)
 
 // Partition describes how a sweep's expanded grid shards across
 // replicas.
@@ -34,6 +38,8 @@ type Partition struct {
 	// needs (distinct run keys) — the denominator a coordinator reports
 	// progress against, matching a single-process run's Simulations.
 	Simulations int
+
+	scenarios []Scenario // the expansion the partition describes
 }
 
 // Partition expands and validates the spec and returns its sharding
@@ -44,9 +50,10 @@ func (s Spec) Partition() (Partition, error) {
 		return Partition{}, err
 	}
 	p := Partition{
-		Keys:    make([]string, len(scenarios)),
-		RunKeys: make([]string, len(scenarios)),
-		Groups:  make(map[string][]int, len(scenarios)),
+		Keys:      make([]string, len(scenarios)),
+		RunKeys:   make([]string, len(scenarios)),
+		Groups:    make(map[string][]int, len(scenarios)),
+		scenarios: scenarios,
 	}
 	runKeys := map[string]bool{}
 	for i, sc := range scenarios {
@@ -76,29 +83,102 @@ func (s Spec) Partition() (Partition, error) {
 // simulation digests, and every rendered table — is byte-identical to a
 // single-process Runner.Run of the same spec.
 func Assemble(spec Spec, results []Result, workers int) (*SweepResults, error) {
-	scenarios, err := spec.Expand()
+	part, err := spec.Partition()
 	if err != nil {
 		return nil, err
 	}
-	if len(results) != len(scenarios) {
+	return part.assemble(spec, results, workers)
+}
+
+// assemble is Assemble over an already computed partition of spec.
+func (p Partition) assemble(spec Spec, results []Result, workers int) (*SweepResults, error) {
+	if len(results) != len(p.scenarios) {
 		return nil, fmt.Errorf("scenario: assembling %d results against %d expanded scenarios",
-			len(results), len(scenarios))
+			len(results), len(p.scenarios))
 	}
-	runKeys := map[string]bool{}
-	for i, sc := range scenarios {
+	for i, sc := range p.scenarios {
 		if got := results[i].Scenario.Index; got != i {
 			return nil, fmt.Errorf("scenario: result %d carries scenario index %d", i, got)
 		}
 		if results[i].SimDigest == "" {
 			return nil, fmt.Errorf("scenario: result %d (%s) lacks a simulation digest", i, sc.Name)
 		}
-		runKeys[sc.runKey()] = true
 		// Cross-scenario fields are recomputed below; clear whatever a
 		// partial view may have left.
 		results[i].AvoidedCarbon = 0
 		results[i].HasBaseline = false
 	}
 	spec = spec.withDefaults()
-	fillAvoidedCarbon(spec, scenarios, results)
-	return &SweepResults{Spec: spec, Results: results, Simulations: len(runKeys), Workers: workers}, nil
+	fillAvoidedCarbon(spec, p.scenarios, results)
+	return &SweepResults{Spec: spec, Results: results, Simulations: p.Simulations, Workers: workers}, nil
+}
+
+// LandFunc receives resolved scenarios: their expansion indices,
+// ascending, and their results in the same order.
+type LandFunc func(indices []int, results []Result) error
+
+// Executor resolves the scenarios of spec (partitioned as part) at the
+// given ascending expansion indices, landing every simulation's whole
+// set of them as it resolves: Runner.Execute lands one simulation per
+// call, the fabric coordinator one shard per call. Landings never
+// overlap; after a land error the executor lands nothing more, stops and
+// returns that error unwrapped. It returns its width: the pool size, or
+// how many fabric workers contributed.
+type Executor func(ctx context.Context, spec Spec, part Partition, indices []int, land LandFunc) (width int, err error)
+
+// RunSweep is the one sweep loop that in-process, durable and fabric
+// sweeps share. It seeds the result slots from have (known results by
+// expansion index), hands every unresolved index to exec in one call,
+// and passes each landing to land (when non-nil) before filling its
+// slots and reporting progress as distinct landed run keys over
+// Partition.Simulations. It then assembles the sweep, with the
+// executor's width capped at the simulation count as Workers.
+func RunSweep(ctx context.Context, spec Spec, have map[int]Result, exec Executor,
+	progress func(done, total int), land LandFunc) (*SweepResults, error) {
+	part, err := spec.Partition()
+	if err != nil {
+		return nil, err
+	}
+	slots := make([]Result, len(part.Keys)) // a filled slot carries its SimDigest
+	for i, res := range have {
+		if i >= 0 && i < len(slots) && res.Scenario.Index == i && res.SimDigest != "" {
+			slots[i] = res
+		}
+	}
+	var missing []int
+	resolved := map[string]bool{} // run keys with landed scenarios
+	for i := range slots {
+		if slots[i].SimDigest != "" {
+			resolved[part.RunKeys[i]] = true
+		} else {
+			missing = append(missing, i)
+		}
+	}
+	report := func() {
+		if progress != nil {
+			progress(len(resolved), part.Simulations)
+		}
+	}
+	report()
+	width, err := exec(ctx, spec, part, missing, func(indices []int, results []Result) error {
+		if land != nil {
+			if err := land(indices, results); err != nil {
+				return err
+			}
+		}
+		for j, i := range indices {
+			slots[i] = results[j]
+			resolved[part.RunKeys[i]] = true
+		}
+		report()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if width > part.Simulations {
+		width = part.Simulations
+	}
+	// assemble refuses a slot left unfilled: it lacks a digest.
+	return part.assemble(spec, slots, width)
 }

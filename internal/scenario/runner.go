@@ -6,13 +6,13 @@ import (
 	"fmt"
 	"hash/fnv"
 	"runtime"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/greenhpc/archertwin/internal/core"
 	"github.com/greenhpc/archertwin/internal/emissions"
-	"github.com/greenhpc/archertwin/internal/grid"
 	"github.com/greenhpc/archertwin/internal/report"
 	"github.com/greenhpc/archertwin/internal/rng"
 	"github.com/greenhpc/archertwin/internal/timeseries"
@@ -76,8 +76,9 @@ type SweepResults struct {
 	// Simulations is how many distinct simulations actually ran;
 	// scenarios differing only in grid mix share one (see Runner.Run).
 	Simulations int
-	// Workers is the effective pool size used (after resolving 0 to
-	// GOMAXPROCS and clamping to the simulation count).
+	// Workers is the executor's width clamped to the simulation count:
+	// the pool size (0 resolved to GOMAXPROCS) for a local run, the
+	// number of contributing workers for a fabric run.
 	Workers int
 }
 
@@ -281,24 +282,13 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*SweepResults, error) {
 	return r.RunProgress(ctx, spec, nil)
 }
 
-// RunProgress is Run with per-sweep progress reporting: progress (when
-// non-nil) is called with (resolved, total) unique-simulation counts —
-// once after memo resolution and again as each executed simulation
-// completes. It may be called concurrently from worker goroutines and
-// must be safe for that; the twinserver uses it to serve live sweep
-// status.
+// RunProgress is Run with per-sweep progress reporting: it runs the
+// sweep loop (RunSweep) over Execute, so progress (when non-nil) gets
+// (resolved, total) unique-simulation counts once up front and again as
+// each simulation lands. It may be called from worker goroutines, never
+// concurrently; the twinserver uses it to serve live sweep status.
 func (r *Runner) RunProgress(ctx context.Context, spec Spec, progress func(done, total int)) (*SweepResults, error) {
-	scenarios, err := spec.Expand()
-	if err != nil {
-		return nil, err
-	}
-	results, simulations, workers, err := r.runSelected(ctx, spec, scenarios, progress)
-	if err != nil {
-		return nil, err
-	}
-	spec = spec.withDefaults()
-	fillAvoidedCarbon(spec, scenarios, results)
-	return &SweepResults{Spec: spec, Results: results, Simulations: simulations, Workers: workers}, nil
+	return RunSweep(ctx, spec, nil, r.Execute, progress, nil)
 }
 
 // RunScenarios executes only the scenarios at the given expanded-grid
@@ -306,7 +296,8 @@ func (r *Runner) RunProgress(ctx context.Context, spec Spec, progress func(done,
 // of the distributed sweep fabric: a coordinator partitions the grid
 // and each replica runs its slice through this entry point. It returns
 // one Result per index, in index order, plus the number of distinct
-// simulations the slice resolved.
+// simulations the slice resolved; progress (when non-nil) counts those
+// as they land.
 //
 // Each Result is byte-identical to the corresponding entry of a full
 // Run: per-scenario seeds derive from the scenario's own axes
@@ -315,172 +306,59 @@ func (r *Runner) RunProgress(ctx context.Context, spec Spec, progress func(done,
 // HasBaseline) is left unfilled — a slice cannot see its counterparts;
 // Assemble owns that at merge time.
 func (r *Runner) RunScenarios(ctx context.Context, spec Spec, indices []int, progress func(done, total int)) ([]Result, int, error) {
-	all, err := spec.Expand()
+	part, err := spec.Partition()
 	if err != nil {
 		return nil, 0, err
 	}
 	if len(indices) == 0 {
 		return nil, 0, fmt.Errorf("scenario: empty scenario selection")
 	}
-	selected := make([]Scenario, 0, len(indices))
+	runKeys := map[string]bool{}
 	last := -1
 	for _, idx := range indices {
 		if idx <= last {
 			return nil, 0, fmt.Errorf("scenario: selection indices must be ascending and unique (%d after %d)", idx, last)
 		}
-		if idx < 0 || idx >= len(all) {
-			return nil, 0, fmt.Errorf("scenario: selection index %d outside expansion of %d scenarios", idx, len(all))
+		if idx < 0 || idx >= len(part.Keys) {
+			return nil, 0, fmt.Errorf("scenario: selection index %d outside expansion of %d scenarios", idx, len(part.Keys))
 		}
-		selected = append(selected, all[idx])
+		runKeys[part.RunKeys[idx]] = true
 		last = idx
 	}
-	results, sims, _, err := r.runSelected(ctx, spec, selected, progress)
-	return results, sims, err
+	results := make([]Result, len(indices))
+	sims := 0
+	if _, err := r.Execute(ctx, spec, part, indices, func(idxs []int, res []Result) error {
+		for j, idx := range idxs {
+			results[sort.SearchInts(indices, idx)] = res[j]
+		}
+		if sims++; progress != nil {
+			progress(sims, len(runKeys))
+		}
+		return nil
+	}); err != nil {
+		return nil, 0, err
+	}
+	return results, sims, nil
 }
 
-// runSelected is the execution core shared by full sweeps and shard
-// slices: it simulates the given (already expanded) scenarios and
-// returns their Results aligned with the input slice, the distinct
-// simulation count, and the effective worker-pool size. Cross-scenario
-// aggregation is the caller's job.
-func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenario, progress func(done, total int)) ([]Result, int, int, error) {
+// Execute is the Runner's Executor: it simulates the scenarios at the
+// given expansion indices on the worker pool and lands each distinct
+// simulation's scenarios as soon as it resolves — at once for a memo
+// hit, otherwise when its simulation finishes — accounted against the
+// scenario's grid trace and carrying the simulation digest.
+// Cross-scenario aggregation is left to Assemble. It returns the pool
+// width.
+func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices []int, land LandFunc) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	spec = spec.withDefaults()
-
-	// Group scenarios by run key (simulation key plus any active mid-sweep
-	// divergence value); build each scenario's grid model up front.
-	type group struct {
-		cfg     core.Config
-		key     string
-		sc      Scenario
-		members []int
-	}
-	var groups []group
-	byKey := map[string]int{}
-	models := make([]grid.IntensityModel, len(scenarios))
-	for i, sc := range scenarios {
-		cfg, gm, err := sc.BuildConfig(spec)
-		if err != nil {
-			return nil, 0, 0, fmt.Errorf("scenario %d (%s): %w", sc.Index, sc.Name, err)
-		}
-		models[i] = gm
-		gi, ok := byKey[sc.runKey()]
-		if !ok {
-			gi = len(groups)
-			byKey[sc.runKey()] = gi
-			groups = append(groups, group{cfg: cfg, key: memoKey(spec, sc, cfg), sc: sc})
-		}
-		groups[gi].members = append(groups[gi].members, i)
-	}
-
-	// Collect mid-sweep divergence families: groups sharing a simulation
-	// key differ only in their mid value, so they replay the same timeline
-	// up to the divergence point. Each family's shared prefix is simulated
-	// once to that point, snapshotted (core.Snapshot), and every branch —
-	// including the unchanged "none" branch, so all branches go through the
-	// same machinery — forks from the snapshot (core.Fork) and runs only
-	// the remainder. Bit-identity of forked and cold branches is proven by
-	// the core fork suite and pinned end-to-end by the golden fork test.
-	// Forking is skipped when NoFork is set or a test has substituted
-	// runCfg (the substitute only knows how to run whole configs cold).
-	type family struct {
-		prefixCfg core.Config
-		snapKey   string
-		branches  []int
-		snap      *core.Snapshot
-		fromMemo  bool
-		err       error
-	}
-	famOf := make([]int, len(groups))
-	for g := range famOf {
-		famOf[g] = -1
-	}
-	var families []*family
-	if !r.NoFork && r.runCfg == nil && len(spec.Axes.MidFrequency) > 0 {
-		bySim := map[string]int{}
-		for g, grp := range groups {
-			fi, ok := bySim[grp.sc.simKey()]
-			if !ok {
-				prefixSc := grp.sc
-				prefixSc.MidFrequency = MidNone
-				prefixCfg, _, err := prefixSc.BuildConfig(spec)
-				if err != nil {
-					return nil, 0, 0, fmt.Errorf("scenario %d (%s): fork prefix: %w",
-						scenarios[grp.members[0]].Index, grp.sc.Name, err)
-				}
-				fi = len(families)
-				bySim[grp.sc.simKey()] = fi
-				families = append(families, &family{
-					prefixCfg: prefixCfg,
-					snapKey:   fmt.Sprintf("snap|%s|d%d", memoKey(spec, prefixSc, prefixCfg), spec.DivergeDay),
-				})
-			}
-			famOf[g] = fi
-			families[fi].branches = append(families[fi].branches, g)
-		}
-		// A single-branch family would pay the prefix run without sharing
-		// it; run that group cold instead.
-		for _, f := range families {
-			if len(f.branches) < 2 {
-				for _, g := range f.branches {
-					famOf[g] = -1
-				}
-			}
-		}
-	}
-
-	// Resolve memoized simulations; only the rest go to the pool. A memo
-	// hit refreshes the entry's recency, so a server's steadily re-run
-	// sweeps stay warm while one-off configs age out. Fork-point snapshots
-	// resolve from the same store, so a repeated divergence study skips
-	// even the prefix replay.
-	sims := make([]*core.Results, len(groups))
-	digests := make([]string, len(groups))
-	errs := make([]error, len(groups))
-	var pending []int
-	r.mu.Lock()
-	if r.memo == nil {
-		r.memo = newMemoLRU(r.memoCap(), r.memoBudget())
-	}
-	for g := range groups {
-		if e, ok := r.memo.get(groups[g].key); ok {
-			sims[g] = e.res
-			digests[g] = e.digest
-			continue
-		}
-		pending = append(pending, g)
-	}
-	for _, f := range families {
-		if e, ok := r.memo.get(f.snapKey); ok && e.snap != nil {
-			f.snap, f.fromMemo = e.snap, true
-		}
-	}
-	r.mu.Unlock()
-
-	var resolved atomic.Int64
-	resolved.Store(int64(len(groups) - len(pending)))
-	report := func() {
-		if progress != nil {
-			progress(int(resolved.Load()), len(groups))
-		}
-	}
-	report()
-
 	workers := r.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(groups) {
-		workers = len(groups)
-	}
-
-	runCfg := r.runCfg
-	if runCfg == nil {
-		runCfg = core.RunConfigContext
-	}
-	var executed atomic.Int64
+	outer := ctx // ctx is also cancelled by the first land error
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
 
 	// runPhase drains one batch of tasks through a bounded worker pool.
 	// Cancellation abandons the unfed remainder (their error slots stay
@@ -517,49 +395,258 @@ func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenari
 		wg.Wait()
 	}
 
-	// Phase one: cold simulations, plus one prefix run per fork family
-	// that has pending branches and no memoized snapshot. The prefix runs
-	// to the divergence point and checkpoints there; it counts as an
-	// executed simulation (a memo miss) like any other.
+	spec = spec.withDefaults()
+	scenarios := make([]Scenario, len(indices))
+	for j, idx := range indices {
+		scenarios[j] = part.scenarios[idx]
+	}
+
+	// One trace seed for the whole sweep: the grid's underlying weather is
+	// common random numbers across every scenario (Scaled rescales the
+	// same noise), so scenarios at equal grid means see identical carbon
+	// intensity, and emissions deltas across simulation axes carry no
+	// grid-sampling noise. The trace spans the whole run (not just the
+	// measurement window) because carbon-aware simulations consume it from
+	// day zero; one trace per distinct grid mean is built on the pool
+	// before anything is accounted, and shared by reference.
+	traceSeed := rng.DeriveSeed(spec.Seed, "grid-trace")
+	traceOf := map[float64]int{}
+	var (
+		traceTasks []func()
+		traces     []*timeseries.RegularSeries
+		traceErrs  []error
+	)
+
+	// Group scenarios by run key (simulation key plus any active mid-sweep
+	// divergence value).
+	type group struct {
+		cfg     core.Config
+		key     string
+		sc      Scenario
+		members []int
+	}
+	var groups []group
+	byKey := map[string]int{}
+	for i, sc := range scenarios {
+		cfg, gm, err := sc.BuildConfig(spec)
+		if err != nil {
+			return 0, fmt.Errorf("scenario %d (%s): %w", sc.Index, sc.Name, err)
+		}
+		if _, ok := traceOf[sc.GridMean]; !ok {
+			t, sc, cc := len(traceTasks), sc, core.CarbonConfig{Model: gm, TraceSeed: traceSeed}
+			traceOf[sc.GridMean] = t
+			traceTasks = append(traceTasks, func() {
+				var err error
+				if traces[t], err = cc.Trace(sweepStart, sweepStart.AddDate(0, 0, spec.Days)); err != nil {
+					traceErrs[t] = &ScenarioError{Index: sc.Index, Name: sc.Name, Err: err}
+				}
+			})
+		}
+		gi, ok := byKey[sc.runKey()]
+		if !ok {
+			gi = len(groups)
+			byKey[sc.runKey()] = gi
+			groups = append(groups, group{cfg: cfg, key: memoKey(spec, sc, cfg), sc: sc})
+		}
+		groups[gi].members = append(groups[gi].members, i)
+	}
+	traces = make([]*timeseries.RegularSeries, len(traceTasks))
+	traceErrs = make([]error, len(traceTasks))
+
+	// Collect mid-sweep divergence families: groups sharing a simulation
+	// key differ only in their mid value, so they replay the same timeline
+	// up to the divergence point. Each family's shared prefix is simulated
+	// once to that point, snapshotted (core.Snapshot), and every branch —
+	// including the unchanged "none" branch, so all branches go through the
+	// same machinery — forks from the snapshot (core.Fork) and runs only
+	// the remainder. Bit-identity of forked and cold branches is proven by
+	// the core fork suite and pinned end-to-end by the golden fork test.
+	// Forking is skipped when NoFork is set or a test has substituted
+	// runCfg (the substitute only knows how to run whole configs cold).
+	type family struct {
+		prefixCfg core.Config
+		snapKey   string
+		branches  []int
+		snap      *core.Snapshot
+		fromMemo  bool
+		err       error
+	}
+	famOf := make([]int, len(groups))
+	for g := range famOf {
+		famOf[g] = -1
+	}
+	var families []*family
+	if !r.NoFork && r.runCfg == nil && len(spec.Axes.MidFrequency) > 0 {
+		bySim := map[string]int{}
+		for g, grp := range groups {
+			fi, ok := bySim[grp.sc.simKey()]
+			if !ok {
+				prefixSc := grp.sc
+				prefixSc.MidFrequency = MidNone
+				prefixCfg, _, err := prefixSc.BuildConfig(spec)
+				if err != nil {
+					return 0, fmt.Errorf("scenario %d (%s): fork prefix: %w",
+						scenarios[grp.members[0]].Index, grp.sc.Name, err)
+				}
+				fi = len(families)
+				bySim[grp.sc.simKey()] = fi
+				families = append(families, &family{
+					prefixCfg: prefixCfg,
+					snapKey:   fmt.Sprintf("snap|%s|d%d", memoKey(spec, prefixSc, prefixCfg), spec.DivergeDay),
+				})
+			}
+			famOf[g] = fi
+			families[fi].branches = append(families[fi].branches, g)
+		}
+		// A single-branch family would pay the prefix run without sharing
+		// it; run that group cold instead.
+		for _, f := range families {
+			if len(f.branches) < 2 {
+				for _, g := range f.branches {
+					famOf[g] = -1
+				}
+			}
+		}
+	}
+
+	// Resolve memoized simulations; only the rest go to the pool. A memo
+	// hit refreshes the entry's recency, so a server's steadily re-run
+	// sweeps stay warm while one-off configs age out. Fork-point snapshots
+	// resolve from the same store, so a repeated divergence study skips
+	// even the prefix replay.
+	sims := make([]*core.Results, len(groups))
+	digests := make([]string, len(groups))
+	costs := make([]int64, len(groups))
+	var hits, pending []int
+	r.mu.Lock()
+	if r.memo == nil {
+		r.memo = newMemoLRU(r.memoCap(), r.memoBudget())
+	}
+	for g := range groups {
+		if e, ok := r.memo.get(groups[g].key); ok {
+			sims[g] = e.res
+			digests[g] = e.digest
+			hits = append(hits, g)
+			continue
+		}
+		pending = append(pending, g)
+	}
+	for _, f := range families {
+		if e, ok := r.memo.get(f.snapKey); ok && e.snap != nil {
+			f.snap, f.fromMemo = e.snap, true
+		}
+	}
+	r.mu.Unlock()
+
+	// Landing. errs holds each scenario's failure (by position in
+	// scenarios); a group lands only when every member accounted cleanly.
+	// landMu only serializes land calls, as Executor promises; the first
+	// land error cancels the rest of the call.
+	errs := make([]error, len(scenarios))
+	var (
+		landMu  sync.Mutex
+		landErr error
+	)
+	fail := func(g int, err error) {
+		for _, m := range groups[g].members {
+			errs[m] = err
+		}
+	}
+	resolve := func(g int) {
+		if ctx.Err() != nil {
+			return
+		}
+		members := groups[g].members
+		idxs := make([]int, len(members))
+		results := make([]Result, len(members))
+		for j, m := range members {
+			sc := scenarios[m]
+			var err error
+			if results[j], err = account(sc, traces[traceOf[sc.GridMean]], sims[g]); err != nil {
+				errs[m] = err
+				return
+			}
+			idxs[j], results[j].SimDigest = sc.Index, digests[g]
+		}
+		landMu.Lock()
+		defer landMu.Unlock()
+		if landErr != nil {
+			return
+		}
+		if landErr = land(idxs, results); landErr != nil {
+			cancel()
+		}
+	}
+	// finish records an executed simulation and lands its group. The
+	// digest is computed once here, then the result is compacted
+	// (Results.Compact: capture intermediates dropped, spare series
+	// capacity released — digest unchanged by contract) and priced at its
+	// compacted footprint for the memo.
+	finish := func(g int, sim *core.Results, err error) {
+		if err != nil {
+			fail(g, err)
+			return
+		}
+		digests[g] = sim.Digest()
+		sim.Compact()
+		costs[g] = sim.MemoryFootprint()
+		sims[g] = sim
+		resolve(g)
+	}
+
+	runCfg := r.runCfg
+	if runCfg == nil {
+		runCfg = core.RunConfigContext
+	}
+	var executed atomic.Int64
+
+	// Phase zero builds the grid traces. Phase one lands the memo hits
+	// first, then runs the cold simulations, plus one prefix run per fork
+	// family that has pending branches and no memoized snapshot. The
+	// prefix runs to the divergence point and checkpoints there; it counts
+	// as an executed simulation (a memo miss) like any other.
+	runPhase(traceTasks)
+	for _, err := range traceErrs {
+		if err != nil {
+			return 0, err
+		}
+	}
 	var coldTasks, forkTasks []func()
+	for _, g := range hits {
+		g := g
+		coldTasks = append(coldTasks, func() { resolve(g) })
+	}
 	for _, g := range pending {
 		g := g
 		if fi := famOf[g]; fi >= 0 {
 			f := families[fi]
 			forkTasks = append(forkTasks, func() {
 				if err := ctx.Err(); err != nil {
-					errs[g] = err
+					fail(g, err)
 					return
 				}
 				if f.err != nil {
-					errs[g] = fmt.Errorf("fork prefix: %w", f.err)
+					fail(g, fmt.Errorf("fork prefix: %w", f.err))
 					return
 				}
 				executed.Add(1)
+				var res *core.Results
 				sim, err := core.Fork(f.snap, groups[g].cfg)
 				if err == nil {
-					sims[g], errs[g] = sim.RunContext(ctx)
-				} else {
-					errs[g] = err
+					res, err = sim.RunContext(ctx)
 				}
-				if errs[g] == nil {
-					resolved.Add(1)
-					report()
-				}
+				finish(g, res, err)
 			})
 			continue
 		}
 		coldTasks = append(coldTasks, func() {
 			if err := ctx.Err(); err != nil {
-				errs[g] = err
+				fail(g, err)
 				return
 			}
 			executed.Add(1)
-			sims[g], errs[g] = runCfg(ctx, groups[g].cfg)
-			if errs[g] == nil {
-				resolved.Add(1)
-				report()
-			}
+			res, err := runCfg(ctx, groups[g].cfg)
+			finish(g, res, err)
 		})
 	}
 	needPrefix := make([]bool, len(families))
@@ -597,27 +684,15 @@ func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenari
 	// divergence tail. A failed prefix fails each of its branches.
 	runPhase(forkTasks)
 
-	// Memoize fresh successes, evicting the least-recently-used entries
-	// beyond the entry-count and byte bounds — each entry pins a full
-	// results series, and a long-lived service sweeping ever-new configs
-	// must not grow memory without bound, yet must keep admitting so its
-	// hot set stays warm. Digests are computed once here, outside the
-	// lock, then each result is compacted (Results.Compact: capture
-	// intermediates dropped, spare series capacity released — digest
-	// unchanged by contract) and priced at its compacted footprint.
-	// Misses count executed simulations; hits count scenarios served from
-	// an already-computed simulation.
-	costs := make([]int64, len(groups))
-	for _, g := range pending {
-		if errs[g] == nil && sims[g] != nil {
-			digests[g] = sims[g].Digest()
-			sims[g].Compact()
-			costs[g] = sims[g].MemoryFootprint()
-		}
-	}
+	// Memoize fresh successes in group order, evicting the least-recently-
+	// used entries beyond the entry-count and byte bounds — each entry pins
+	// a full results series, and a long-lived service sweeping ever-new
+	// configs must not grow memory without bound, yet must keep admitting
+	// so its hot set stays warm. Misses count executed simulations; hits
+	// count scenarios served from an already-computed simulation.
 	r.mu.Lock()
 	for _, g := range pending {
-		if errs[g] == nil && sims[g] != nil {
+		if sims[g] != nil {
 			r.memo.put(&memoEntry{key: groups[g].key, res: sims[g], digest: digests[g], cost: costs[g]})
 		}
 	}
@@ -637,59 +712,28 @@ func (r *Runner) runSelected(ctx context.Context, spec Spec, scenarios []Scenari
 	}
 	r.mu.Unlock()
 
+	if landErr != nil {
+		return 0, landErr
+	}
 	// A cancelled sweep reports the cancellation, not the per-scenario
 	// fallout of abandoning the queue.
-	if err := ctx.Err(); err != nil {
-		return nil, 0, 0, fmt.Errorf("scenario: sweep cancelled: %w", err)
+	if err := outer.Err(); err != nil {
+		return 0, fmt.Errorf("scenario: sweep cancelled: %w", err)
 	}
 
 	// Report every failing scenario, in scenario-index order, rather than
 	// just the first: a sweep that half-fails should say exactly which
 	// half and why.
 	var failed []error
-	for _, sc := range scenarios {
-		g := byKey[sc.runKey()]
-		if errs[g] != nil {
-			failed = append(failed, &ScenarioError{Index: sc.Index, Name: sc.Name, Err: errs[g]})
+	for m, err := range errs {
+		if err != nil {
+			failed = append(failed, &ScenarioError{Index: scenarios[m].Index, Name: scenarios[m].Name, Err: err})
 		}
 	}
 	if len(failed) > 0 {
-		return nil, 0, 0, errors.Join(failed...)
+		return 0, errors.Join(failed...)
 	}
-
-	// One trace seed for the whole sweep: the grid's underlying weather is
-	// common random numbers across every scenario (Scaled rescales the
-	// same noise), so scenarios at equal grid means see identical carbon
-	// intensity, and emissions deltas across simulation axes carry no
-	// grid-sampling noise. The trace spans the whole run (not just the
-	// measurement window) because carbon-aware simulations consume it from
-	// day zero; one trace per distinct grid mean is shared by reference.
-	traceSeed := rng.DeriveSeed(spec.Seed, "grid-trace")
-	start := sweepStart
-	end := sweepStart.AddDate(0, 0, spec.Days)
-	traces := map[float64]*timeseries.RegularSeries{}
-	results := make([]Result, len(scenarios))
-	for g, grp := range groups {
-		for _, i := range grp.members {
-			tr, ok := traces[scenarios[i].GridMean]
-			if !ok {
-				cc := core.CarbonConfig{Model: models[i], TraceSeed: traceSeed}
-				var err error
-				tr, err = cc.Trace(start, end)
-				if err != nil {
-					return nil, 0, 0, &ScenarioError{Index: scenarios[i].Index, Name: scenarios[i].Name, Err: err}
-				}
-				traces[scenarios[i].GridMean] = tr
-			}
-			var err error
-			results[i], err = account(scenarios[i], tr, sims[g])
-			if err != nil {
-				return nil, 0, 0, &ScenarioError{Index: scenarios[i].Index, Name: scenarios[i].Name, Err: err}
-			}
-			results[i].SimDigest = digests[g]
-		}
-	}
-	return results, len(groups), workers, nil
+	return workers, nil
 }
 
 // account derives one scenario's Result from its (possibly shared)

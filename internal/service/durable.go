@@ -3,12 +3,12 @@ package service
 // Durable mode. With Config.Journal set, the service journals every
 // registry transition before acknowledging it — a submission is not
 // accepted until its SweepSubmitted record is committed, a scenario's
-// result is journaled (with its simulation digest) as each partition
-// group completes, and terminal states land as SweepTerminal records.
-// Recover replays the log on startup: finished sweeps re-register with
-// their results reassembled from the journal, unfinished ones resume
-// with only their missing scenario indices re-executed through the same
-// RunScenarios partition layer the fabric shards through — so a
+// result is journaled (with its simulation digest) as each simulation
+// lands, and terminal states land as SweepTerminal records. Recover
+// replays the log on startup: finished sweeps re-register with their
+// results reassembled from the journal, unfinished ones resume through
+// the same sweep loop (scenario.RunSweep) with the journaled results
+// seeded in, so only their missing scenario indices re-execute — a
 // restarted twinserver picks up mid-sweep instead of recomputing, and
 // the recovered results are byte-identical (digests and tables) to an
 // uninterrupted run.
@@ -17,8 +17,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"github.com/greenhpc/archertwin/internal/journal"
@@ -76,141 +74,27 @@ func (s *Service) journalSubmit(ctx context.Context, sw *Sweep) error {
 	}
 }
 
-// runDurable executes one sweep with journaled checkpoints: recovered
-// results (from a previous incarnation's journal) fill their slots
-// verbatim, the missing partition groups run through RunScenarios, and
-// each group's results are journaled and committed as it lands — the
-// resume granularity after the next crash.
+// runDurable executes one sweep with journaled checkpoints: it runs the
+// sweep loop (scenario.RunSweep) over the Runner's executor, seeded with
+// the results a previous incarnation journaled, and journals and commits
+// each simulation's scenario results as it lands — the resume
+// granularity after the next crash.
 func (s *Service) runDurable(ctx context.Context, sw *Sweep) (*scenario.SweepResults, error) {
-	spec := sw.Spec
-	part, err := spec.Partition()
-	if err != nil {
-		return nil, err
-	}
-	n := len(part.Keys)
-	results := make([]*scenario.Result, n)
-	for idx, res := range sw.recovered {
-		if idx >= 0 && idx < n && res.Scenario.Index == idx && res.SimDigest != "" {
-			r := res
-			results[idx] = &r
-		}
-	}
-
-	// Progress counts distinct resolved simulations, the same unit a
-	// direct RunProgress reports.
-	var pmu sync.Mutex
-	resolved := map[string]bool{}
-	for i, r := range results {
-		if r != nil {
-			resolved[part.RunKeys[i]] = true
-		}
-	}
-	report := func() {
-		pmu.Lock()
-		done := len(resolved)
-		pmu.Unlock()
-		sw.setProgress(done, part.Simulations)
-	}
-	report()
-
-	var missing [][]int
-	for _, key := range part.GroupOrder {
-		var need []int
-		for _, i := range part.Groups[key] {
-			if results[i] == nil {
-				need = append(need, i)
+	return scenario.RunSweep(ctx, sw.Spec, sw.recovered, s.cfg.Runner.Execute, sw.setProgress,
+		func(indices []int, results []scenario.Result) error {
+			recs := make([]journal.Record, len(results))
+			for j, r := range results {
+				recs[j] = &journal.ScenarioDone{Sweep: sw.ID, Index: indices[j], Result: r}
 			}
-		}
-		if len(need) > 0 {
-			missing = append(missing, need)
-		}
-	}
-
-	if len(missing) > 0 {
-		// Groups run concurrently up to the Runner's pool width; each
-		// group is one simulation (or checkpoint/fork family), so
-		// journaling per group bounds lost work to one simulation.
-		width := s.cfg.Runner.Workers
-		if width <= 0 {
-			width = runtime.GOMAXPROCS(0)
-		}
-		groupCtx, cancelGroups := context.WithCancel(ctx)
-		defer cancelGroups()
-		var (
-			wg       sync.WaitGroup
-			sem      = make(chan struct{}, width)
-			errMu    sync.Mutex
-			firstErr error
-		)
-		fail := func(err error) {
-			errMu.Lock()
-			if firstErr == nil {
-				firstErr = err
+			err := s.cfg.Journal.Append(recs...)
+			if err == nil {
+				err = s.cfg.Journal.Commit(ctx)
 			}
-			errMu.Unlock()
-			cancelGroups()
-		}
-		for _, g := range missing {
-			g := g
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				select {
-				case sem <- struct{}{}:
-					defer func() { <-sem }()
-				case <-groupCtx.Done():
-					return
-				}
-				res, _, err := s.cfg.Runner.RunScenarios(groupCtx, spec, g, nil)
-				if err != nil {
-					fail(err)
-					return
-				}
-				recs := make([]journal.Record, len(res))
-				for j, r := range res {
-					recs[j] = &journal.ScenarioDone{Sweep: sw.ID, Index: g[j], Result: r}
-				}
-				if err := s.cfg.Journal.Append(recs...); err == nil {
-					err = s.cfg.Journal.Commit(groupCtx)
-				}
-				if err != nil {
-					fail(fmt.Errorf("service: journaling scenario results: %w", err))
-					return
-				}
-				pmu.Lock()
-				for j := range res {
-					r := res[j]
-					results[g[j]] = &r
-					resolved[part.RunKeys[g[j]]] = true
-				}
-				pmu.Unlock()
-				report()
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-
-	merged := make([]scenario.Result, n)
-	for i, r := range results {
-		if r == nil {
-			return nil, fmt.Errorf("service: scenario %d unresolved after durable run", i)
-		}
-		merged[i] = *r
-	}
-	workers := s.cfg.Runner.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > part.Simulations {
-		workers = part.Simulations
-	}
-	return scenario.Assemble(spec, merged, workers)
+			if err != nil {
+				return fmt.Errorf("service: journaling scenario results: %w", err)
+			}
+			return nil
+		})
 }
 
 // journalTerminal records a sweep reaching a terminal state. During a
