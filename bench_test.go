@@ -405,7 +405,7 @@ func BenchmarkTimeseriesAppendAndMean(b *testing.B) {
 	// Pre-sized like every producer in the hot path; it also keeps the
 	// gated B/op deterministic (an unsized series reports N-dependent
 	// slice-growth amortisation, which flaps around capacity doublings).
-	s := timeseries.NewWithCapacity("x", "u", b.N)
+	s := timeseries.New("x", "u", time.Minute, b.N)
 	t := epoch
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

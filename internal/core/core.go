@@ -213,7 +213,7 @@ func (c *CarbonConfig) step() time.Duration {
 // Trace generates the carbon-intensity series for [from, to) — the same
 // series the simulator sees, so out-of-band accounting (the scenario
 // runner) and in-simulation forecasting always agree.
-func (c *CarbonConfig) Trace(from, to time.Time) (*timeseries.RegularSeries, error) {
+func (c *CarbonConfig) Trace(from, to time.Time) (*timeseries.Series, error) {
 	return c.Model.Trace(from, to, c.step(), rng.New(c.TraceSeed))
 }
 
@@ -414,12 +414,11 @@ type Results struct {
 	Config Config
 
 	// Power is the cabinet power series in kW (nodes + switches), the
-	// twin's equivalent of the paper's PMDB figures. A dropout-free meter
-	// records into a compact timeseries.RegularSeries; with dropout the
-	// irregular Series is behind the View instead.
-	Power timeseries.View
+	// twin's equivalent of the paper's PMDB figures, sampled at the
+	// meter's fixed interval.
+	Power *timeseries.Series
 	// Util is the node utilisation series.
-	Util timeseries.View
+	Util *timeseries.Series
 
 	// Windows holds per-window means, in the order of Config.Windows.
 	Windows []WindowResult
@@ -454,7 +453,7 @@ type Results struct {
 	// (gCO2/kWh), when Config.Carbon is set. Account it against Power via
 	// emissions.AccountSeries to capture the temporal correlation the
 	// carbon-aware policies create.
-	CarbonTrace timeseries.View
+	CarbonTrace *timeseries.Series
 }
 
 // WindowByLabel returns the window result with the given label.
@@ -485,7 +484,7 @@ type Simulator struct {
 	recorder     workload.Recorder
 	failStream   *rng.Stream
 	nodeFailures int
-	carbonTrace  *timeseries.RegularSeries
+	carbonTrace  *timeseries.Series
 
 	// pumpEvent is the arrival pump's event callback, created once so the
 	// O(100k) arrivals of a run do not allocate a closure each. The pending
@@ -620,7 +619,7 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	var carbonTrace *timeseries.RegularSeries
+	var carbonTrace *timeseries.Series
 	if cfg.Carbon != nil {
 		carbonTrace, err = cfg.Carbon.Trace(cfg.Start, cfg.End)
 		if err != nil {
@@ -827,20 +826,18 @@ func (s *Simulator) RunContext(ctx context.Context) (*Results, error) {
 	s.fac.AccrueAll(s.cfg.End)
 
 	res := &Results{
-		Config:     s.cfg,
-		Power:      s.meter.Power(),
-		Util:       s.meter.Utilisation(),
-		Sched:      s.sch.Stats(),
-		Usage:      make(map[string]telemetry.ClassUsage),
-		TotalUsage: s.accountant.Total(),
-		Overrides:  s.provider.Overrides(),
-		Reverts:    s.provider.Reverts(),
-		MixScale:   s.mixScale,
-		Cabinets:   s.cabinets,
-		JobLog:     s.jobLog,
-	}
-	if s.carbonTrace != nil {
-		res.CarbonTrace = s.carbonTrace
+		Config:      s.cfg,
+		Power:       s.meter.Power(),
+		Util:        s.meter.Utilisation(),
+		Sched:       s.sch.Stats(),
+		Usage:       make(map[string]telemetry.ClassUsage),
+		TotalUsage:  s.accountant.Total(),
+		Overrides:   s.provider.Overrides(),
+		Reverts:     s.provider.Reverts(),
+		MixScale:    s.mixScale,
+		Cabinets:    s.cabinets,
+		JobLog:      s.jobLog,
+		CarbonTrace: s.carbonTrace,
 	}
 	if s.cfg.RecordTrace {
 		res.Trace = s.recorder.Records()

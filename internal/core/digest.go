@@ -34,7 +34,7 @@ func (r *Results) Digest() string {
 		u64(uint64(len(s)))
 		h.Write([]byte(s))
 	}
-	series := func(v timeseries.View) {
+	series := func(v *timeseries.Series) {
 		if v == nil {
 			u64(0)
 			return

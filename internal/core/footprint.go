@@ -76,12 +76,11 @@ func (r *Results) MemoryFootprint() int64 {
 // the Runner calls it at memo admission, after the digest is computed.
 // The digest of a compacted result set is identical to the original.
 func (r *Results) Compact() {
-	type clipper interface{ Clip() }
-	if c, ok := r.Power.(clipper); ok {
-		c.Clip()
+	if r.Power != nil {
+		r.Power.Clip()
 	}
-	if c, ok := r.Util.(clipper); ok {
-		c.Clip()
+	if r.Util != nil {
+		r.Util.Clip()
 	}
 	r.Trace = nil
 	r.Cabinets = nil

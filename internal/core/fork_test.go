@@ -18,7 +18,7 @@ import (
 
 // forkTestConfig builds a small simulation exercising the given feature
 // set. carbonPolicy is "", "delay-flexible" or "carbon-budget".
-func forkTestConfig(seed uint64, nodes, days int, failures, dropout, cabinets, joblog, trace bool, carbonPolicy string) Config {
+func forkTestConfig(seed uint64, nodes, days int, failures, cabinets, joblog, trace bool, carbonPolicy string) Config {
 	cfg := ScaledConfig(nodes, t0, days)
 	cfg.Seed = seed
 	perfDet := cpu.PerformanceDeterminism
@@ -30,9 +30,6 @@ func forkTestConfig(seed uint64, nodes, days int, failures, dropout, cabinets, j
 	cfg.Windows = []Window{{Label: "whole-run", From: t0, To: cfg.End}}
 	if failures {
 		cfg.Failures = FailureConfig{MTBFPerNode: 200 * 24 * time.Hour, RepairTime: 6 * time.Hour}
-	}
-	if dropout {
-		cfg.Meter.DropoutProb = 0.02
 	}
 	cfg.CabinetMeters = cabinets
 	if joblog {
@@ -126,7 +123,6 @@ func TestForkSameConfigBitIdentical(t *testing.T) {
 		cfg := forkTestConfig(
 			r.Uint64(), nodes, days,
 			trial%2 == 0,      // failures
-			trial%3 == 0,      // meter dropout
 			trial%3 == 1,      // cabinet meters
 			trial%2 == 1,      // job log
 			trial%4 == 0,      // trace recording
@@ -153,7 +149,7 @@ func TestForkSameConfigBitIdentical(t *testing.T) {
 // whose timeline diverges at the fork point is bit-identical to running
 // that branch configuration cold from the start.
 func TestForkDivergedTimelineMatchesColdBranch(t *testing.T) {
-	cfg := forkTestConfig(7, 32, 5, true, false, false, true, false, "delay-flexible")
+	cfg := forkTestConfig(7, 32, 5, true, false, true, false, "delay-flexible")
 	at := t0.AddDate(0, 0, 3) // diverge at day 3 of 5
 
 	// The branch flips the BIOS mode back at the divergence point —
@@ -185,7 +181,7 @@ func TestForkDivergedTimelineMatchesColdBranch(t *testing.T) {
 // window, so one snapshot carries a pending (unstarted) reservation and
 // the other a started one with captured and draining node ledgers.
 func TestForkSlurmFeaturesBitIdentical(t *testing.T) {
-	cfg := forkTestConfig(13, 24, 3, true, false, false, false, false, "")
+	cfg := forkTestConfig(13, 24, 3, true, false, false, false, "")
 	cfg.Priorities = []workload.PriorityClass{
 		{Level: 0, Share: 0.6}, {Level: 2, Share: 0.3}, {Level: 5, Share: 0.1},
 	}
@@ -196,7 +192,7 @@ func TestForkSlurmFeaturesBitIdentical(t *testing.T) {
 		{Name: "maint", Nodes: []int{0, 1, 2, 3, 4, 5}, From: t0.Add(30 * time.Hour), To: t0.Add(40 * time.Hour)},
 	}
 
-	plain := forkTestConfig(13, 24, 3, true, false, false, false, false, "")
+	plain := forkTestConfig(13, 24, 3, true, false, false, false, "")
 	cold := digestOf(t, cfg)
 	if cold == digestOf(t, plain) {
 		t.Fatal("Slurm features changed nothing; the fork test is vacuous")
@@ -223,7 +219,7 @@ func TestForkSlurmFeaturesBitIdentical(t *testing.T) {
 // particular that no sync.Pool-backed event item discarded by the fork's
 // engine reset is still referenced by another simulation.
 func TestForkSharesNoStateWithParent(t *testing.T) {
-	cfg := forkTestConfig(11, 24, 3, true, true, true, true, true, "carbon-budget")
+	cfg := forkTestConfig(11, 24, 3, true, true, true, true, "carbon-budget")
 	at := t0.Add(36 * time.Hour)
 	parent, err := NewSimulator(cfg)
 	if err != nil {
@@ -270,7 +266,7 @@ func TestForkSharesNoStateWithParent(t *testing.T) {
 // TestForkValidation checks that Fork rejects configurations that
 // contradict the snapshot's prefix.
 func TestForkValidation(t *testing.T) {
-	cfg := forkTestConfig(3, 16, 3, false, false, false, false, false, "")
+	cfg := forkTestConfig(3, 16, 3, false, false, false, false, "")
 	at := t0.Add(36 * time.Hour) // the day-1 change is strictly in the past
 	parent, err := NewSimulator(cfg)
 	if err != nil {
@@ -322,7 +318,7 @@ func TestForkValidation(t *testing.T) {
 
 // TestSnapshotAfterRunRejected pins the quiescence contract.
 func TestSnapshotAfterRunRejected(t *testing.T) {
-	cfg := forkTestConfig(5, 16, 3, false, false, false, false, false, "")
+	cfg := forkTestConfig(5, 16, 3, false, false, false, false, "")
 	sim, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -351,7 +347,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		policies := []string{"", "delay-flexible", "carbon-budget"}
 		fl := int(flavour) % 3
 		cfg := forkTestConfig(seed, nodes, days,
-			fl == 1, fl == 2, false, false, false, policies[fl])
+			fl == 1, false, false, false, policies[fl])
 		span := cfg.End.Sub(cfg.Start)
 		at := cfg.Start.Add(time.Duration(frac * float64(span))).Truncate(time.Minute)
 		cold := digestOf(t, cfg)

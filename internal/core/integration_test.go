@@ -165,29 +165,6 @@ func TestIntegrationReclockDuringTimeline(t *testing.T) {
 	}
 }
 
-func TestIntegrationMeterDropout(t *testing.T) {
-	cfg := ScaledConfig(60, t0, 7)
-	cfg.Meter.DropoutProb = 0.2
-	sim, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expected samples: 7 days at 15-minute cadence minus ~20%.
-	full := 7 * 24 * 4
-	got := res.Power.Len()
-	if got >= full || got < int(float64(full)*0.7) {
-		t.Fatalf("samples = %d of %d possible with 20%% dropout", got, full)
-	}
-	// Means still computable and sane.
-	if res.Power.Mean() <= 0 {
-		t.Fatal("no usable power data")
-	}
-}
-
 func TestIntegrationEnergyConservation(t *testing.T) {
 	// Compute-node energy accrued by the facility must be at least the
 	// job-attributed energy (jobs exclude idle-node burn), and within

@@ -39,7 +39,6 @@ type Snapshot struct {
 	partShape     string
 	oversub       float64
 	meterInterval time.Duration
-	meterDropout  bool
 	timeline      []policy.Change
 
 	fac   *facility.Snapshot
@@ -97,7 +96,6 @@ func (s *Simulator) Snapshot() (*Snapshot, error) {
 		partShape:     s.cfg.Facility.PartitionShape(),
 		oversub:       s.cfg.OverSubscription,
 		meterInterval: s.cfg.Meter.Interval,
-		meterDropout:  s.cfg.Meter.DropoutProb > 0,
 		timeline:      append([]policy.Change(nil), s.cfg.Timeline.Changes...),
 
 		fac:   s.fac.Snapshot(),
@@ -194,8 +192,6 @@ func validateFork(snap *Snapshot, cfg Config) error {
 		return fmt.Errorf("core: fork oversubscription %g != snapshot %g", cfg.OverSubscription, snap.oversub)
 	case cfg.Meter.Interval != snap.meterInterval:
 		return fmt.Errorf("core: fork meter interval %v != snapshot %v", cfg.Meter.Interval, snap.meterInterval)
-	case (cfg.Meter.DropoutProb > 0) != snap.meterDropout:
-		return fmt.Errorf("core: fork meter dropout differs from snapshot")
 	case cfg.RecordTrace != snap.hasTrace:
 		return fmt.Errorf("core: fork trace recording differs from snapshot")
 	case (cfg.JobLogCap != 0) != snap.hasJobLog:

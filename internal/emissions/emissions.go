@@ -106,7 +106,7 @@ func (p Params) Account(power units.Power, window time.Duration, ci units.Carbon
 // The reported CI is the energy-weighted mean intensity the load actually
 // experienced; comparing it against the trace's plain mean measures how
 // much of the window's carbon the schedule avoided (or hit).
-func (p Params) AccountSeries(powerKW, ci timeseries.View, from, to time.Time) Window {
+func (p Params) AccountSeries(powerKW, ci *timeseries.Series, from, to time.Time) Window {
 	var energyKWh, scope2g float64
 	nCI := ci.Len()
 	// The intensity segments sweep forward in time, so one accumulator

@@ -198,8 +198,8 @@ func TestAccountSeriesMatchesAccountWhenConstant(t *testing.T) {
 	p := ARCHER2Defaults()
 	from := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	to := from.Add(48 * time.Hour)
-	power := timeseries.New("cabinet_power", "kW")
-	ci := timeseries.New("carbon_intensity", "gCO2/kWh")
+	power := timeseries.New("cabinet_power", "kW", 30*time.Minute, 0)
+	ci := timeseries.New("carbon_intensity", "gCO2/kWh", 30*time.Minute, 0)
 	for ts := from.Add(-time.Hour); ts.Before(to.Add(time.Hour)); ts = ts.Add(30 * time.Minute) {
 		power.MustAppend(ts, 3220)
 		ci.MustAppend(ts, 150)
@@ -227,9 +227,9 @@ func TestAccountSeriesCapturesTemporalCorrelation(t *testing.T) {
 	p := ARCHER2Defaults()
 	from := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	to := from.Add(48 * time.Hour)
-	ci := timeseries.New("ci", "gCO2/kWh")
-	anti := timeseries.New("p", "kW")
-	corr := timeseries.New("p", "kW")
+	ci := timeseries.New("ci", "gCO2/kWh", 30*time.Minute, 0)
+	anti := timeseries.New("p", "kW", 30*time.Minute, 0)
+	corr := timeseries.New("p", "kW", 30*time.Minute, 0)
 	for ts := from; ts.Before(to); ts = ts.Add(30 * time.Minute) {
 		highGrid := (ts.Sub(from)/(6*time.Hour))%2 == 0
 		g, pw := 250.0, 1000.0
@@ -260,7 +260,7 @@ func TestAccountSeriesCapturesTemporalCorrelation(t *testing.T) {
 func TestAccountSeriesDegenerate(t *testing.T) {
 	p := ARCHER2Defaults()
 	from := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
-	w := p.AccountSeries(timeseries.New("p", "kW"), timeseries.New("ci", "g"), from, from.Add(time.Hour))
+	w := p.AccountSeries(timeseries.New("p", "kW", time.Hour, 0), timeseries.New("ci", "g", time.Hour, 0), from, from.Add(time.Hour))
 	if w.Scope2 != 0 || w.Energy != 0 || w.CI != 0 {
 		t.Errorf("degenerate account not zero: %+v", w)
 	}

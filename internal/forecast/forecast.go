@@ -92,42 +92,33 @@ type Point struct {
 
 // Forecaster answers carbon-intensity forecast queries against a trace.
 type Forecaster struct {
-	trace timeseries.View
+	trace *timeseries.Series
 	em    ErrorModel
-	// step is the trace's sampling step, recovered from the first two
-	// samples; window searches walk the trace at this granularity.
-	step time.Duration
 }
 
-// New builds a forecaster over a carbon-intensity trace (gCO2/kWh,
-// uniformly sampled — grid.IntensityModel.Trace output) with the given
-// error model. It returns an error for empty traces or invalid models.
-func New(trace timeseries.View, em ErrorModel) (*Forecaster, error) {
+// New builds a forecaster over a carbon-intensity trace (gCO2/kWh, a
+// grid.IntensityModel.Trace output) with the given error model. Window
+// searches walk the trace at its sampling step. It returns an error for
+// empty traces or invalid models.
+func New(trace *timeseries.Series, em ErrorModel) (*Forecaster, error) {
 	if err := em.Validate(); err != nil {
 		return nil, err
 	}
 	if trace == nil || trace.Len() == 0 {
 		return nil, fmt.Errorf("forecast: empty intensity trace")
 	}
-	step := time.Hour
-	if trace.Len() > 1 {
-		step = trace.At(1).T.Sub(trace.At(0).T)
-		if step <= 0 {
-			return nil, fmt.Errorf("forecast: trace step %v not positive", step)
-		}
-	}
-	return &Forecaster{trace: trace, em: em, step: step}, nil
+	return &Forecaster{trace: trace, em: em}, nil
 }
 
 // Perfect builds a perfect-information forecaster: every query returns
 // the true trace value. It is the reference the error model is tested
 // against (a zero ErrorModel is equivalent by construction).
-func Perfect(trace timeseries.View) (*Forecaster, error) {
+func Perfect(trace *timeseries.Series) (*Forecaster, error) {
 	return New(trace, ErrorModel{})
 }
 
 // Step returns the trace sampling step used for window searches.
-func (f *Forecaster) Step() time.Duration { return f.step }
+func (f *Forecaster) Step() time.Duration { return f.trace.Step() }
 
 // Span returns the trace's covered time span.
 func (f *Forecaster) Span() (from, to time.Time) {
@@ -164,7 +155,7 @@ func (f *Forecaster) Now(t time.Time) (units.CarbonIntensity, bool) {
 // issue+horizon, at the trace step.
 func (f *Forecaster) Horizon(issue time.Time, horizon time.Duration) []Point {
 	var out []Point
-	for t := issue; !t.After(issue.Add(horizon)); t = t.Add(f.step) {
+	for t := issue; !t.After(issue.Add(horizon)); t = t.Add(f.Step()) {
 		ci, ok := f.At(issue, t)
 		if !ok {
 			continue
@@ -179,11 +170,11 @@ func (f *Forecaster) Horizon(issue time.Time, horizon time.Duration) []Point {
 // has no forecastable samples.
 func (f *Forecaster) MeanOver(issue, start time.Time, dur time.Duration) (units.CarbonIntensity, bool) {
 	if dur <= 0 {
-		dur = f.step
+		dur = f.Step()
 	}
 	var sum float64
 	n := 0
-	for t := start; t.Before(start.Add(dur)); t = t.Add(f.step) {
+	for t := start; t.Before(start.Add(dur)); t = t.Add(f.Step()) {
 		ci, ok := f.At(issue, t)
 		if !ok {
 			continue
@@ -209,7 +200,7 @@ func (f *Forecaster) BestStart(issue time.Time, maxDelay, dur time.Duration) (ti
 	best := issue
 	var bestCI units.CarbonIntensity
 	found := false
-	for t := issue; !t.After(issue.Add(maxDelay)); t = t.Add(f.step) {
+	for t := issue; !t.After(issue.Add(maxDelay)); t = t.Add(f.Step()) {
 		ci, ok := f.MeanOver(issue, t, dur)
 		if !ok {
 			continue

@@ -13,7 +13,7 @@ import (
 var t0 = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 
 // gbTrace generates a week of GB2022 intensity at 30-minute steps.
-func gbTrace(t *testing.T) *timeseries.RegularSeries {
+func gbTrace(t *testing.T) *timeseries.Series {
 	t.Helper()
 	tr, err := grid.GB2022().Trace(t0, t0.AddDate(0, 0, 7), 30*time.Minute, rng.New(1))
 	if err != nil {
@@ -125,7 +125,7 @@ func TestHindcastIsTruth(t *testing.T) {
 // BestStart must find an intensity trough: on a synthetic trace with a
 // known minimum, the chosen start hits it exactly.
 func TestBestStartFindsTrough(t *testing.T) {
-	s := timeseries.New("ci", "gCO2/kWh")
+	s := timeseries.New("ci", "gCO2/kWh", 30*time.Minute, 0)
 	for i := 0; i < 48; i++ {
 		v := 200.0
 		if i >= 20 && i < 26 {
@@ -148,7 +148,7 @@ func TestBestStartFindsTrough(t *testing.T) {
 		t.Errorf("best mean CI %v, want 50", ci)
 	}
 	// Ties resolve earliest: a flat trace starts immediately.
-	flat := timeseries.New("ci", "gCO2/kWh")
+	flat := timeseries.New("ci", "gCO2/kWh", 30*time.Minute, 0)
 	for i := 0; i < 48; i++ {
 		flat.MustAppend(t0.Add(time.Duration(i)*30*time.Minute), 100)
 	}
@@ -160,7 +160,7 @@ func TestBestStartFindsTrough(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := New(timeseries.New("ci", "g"), ErrorModel{}); err == nil {
+	if _, err := New(timeseries.New("ci", "g", time.Hour, 0), ErrorModel{}); err == nil {
 		t.Error("empty trace accepted")
 	}
 	if _, err := New(gbTrace(t), ErrorModel{Sigma0: -1}); err == nil {

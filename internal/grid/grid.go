@@ -90,17 +90,16 @@ func (m IntensityModel) deterministic(t time.Time) float64 {
 
 // Trace generates an intensity series from `from` to `to` (exclusive) at
 // the given step, using stream r for the wind term. The trace is exactly
-// step-periodic, so it is stored as a compact timeseries.RegularSeries
-// (implicit timestamps) — a year at the GB settlement cadence is one
-// 140 kB float block instead of 560 kB of timestamped samples.
-func (m IntensityModel) Trace(from, to time.Time, step time.Duration, r *rng.Stream) (*timeseries.RegularSeries, error) {
+// step-periodic with implicit timestamps — a year at the GB settlement
+// cadence is one 140 kB float block.
+func (m IntensityModel) Trace(from, to time.Time, step time.Duration, r *rng.Stream) (*timeseries.Series, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	if step <= 0 || !to.After(from) {
 		return nil, fmt.Errorf("grid: invalid trace window [%v, %v) step %v", from, to, step)
 	}
-	s := timeseries.NewRegular("carbon_intensity", "gCO2/kWh", step,
+	s := timeseries.New("carbon_intensity", "gCO2/kWh", step,
 		int(to.Sub(from)/step)+1)
 	// Exact OU discretisation: x' = x*a + sigma*sqrt(1-a^2)*N(0,1).
 	a := math.Exp(-step.Seconds() / m.NoiseTau.Seconds())
@@ -121,7 +120,7 @@ func (m IntensityModel) Trace(from, to time.Time, step time.Duration, r *rng.Str
 }
 
 // MeanIntensity returns the series mean as a typed carbon intensity.
-func MeanIntensity(s timeseries.View) units.CarbonIntensity {
+func MeanIntensity(s *timeseries.Series) units.CarbonIntensity {
 	return units.GramsPerKWh(s.Mean())
 }
 

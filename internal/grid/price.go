@@ -69,26 +69,16 @@ func (m PriceModel) PriceAt(t time.Time, intensity float64, events []StressEvent
 }
 
 // PriceTrace derives a price series from an intensity trace and stress
-// events. The output carries the input's timestamps, so it mirrors the
-// input's storage layout: a regular intensity trace (the generator's
-// output) yields a compact regular price trace, any other input an
-// explicit-timestamp Series.
-func (m PriceModel) PriceTrace(intensity timeseries.View, events []StressEvent) (timeseries.View, error) {
+// events, one price sample per intensity sample on the same cadence.
+func (m PriceModel) PriceTrace(intensity *timeseries.Series, events []StressEvent) (*timeseries.Series, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
 	n := intensity.Len()
-	var out timeseries.Appender
-	if reg, ok := intensity.(*timeseries.RegularSeries); ok && n > 0 {
-		out = timeseries.NewRegular("electricity_price", "per_kWh", reg.Step(), n)
-	} else {
-		out = timeseries.NewWithCapacity("electricity_price", "per_kWh", n)
-	}
+	out := timeseries.New("electricity_price", "per_kWh", intensity.Step(), n)
 	for i := 0; i < n; i++ {
 		smp := intensity.At(i)
-		if err := out.Append(smp.T, float64(m.PriceAt(smp.T, smp.V, events))); err != nil {
-			return nil, err
-		}
+		out.MustAppend(smp.T, float64(m.PriceAt(smp.T, smp.V, events)))
 	}
 	return out, nil
 }
@@ -96,7 +86,7 @@ func (m PriceModel) PriceTrace(intensity timeseries.View, events []StressEvent) 
 // EnergyCost integrates a power series (kW) against a price series using
 // sample-and-hold on both, over [from, to). The two series need not share
 // timestamps. Returns the total cost and the total energy.
-func EnergyCost(powerKW, price timeseries.View, from, to time.Time, step time.Duration) (units.Cost, units.Energy, error) {
+func EnergyCost(powerKW, price *timeseries.Series, from, to time.Time, step time.Duration) (units.Cost, units.Energy, error) {
 	if step <= 0 || !to.After(from) {
 		return 0, 0, fmt.Errorf("grid: invalid cost window [%v, %v) step %v", from, to, step)
 	}
@@ -121,58 +111,11 @@ func AnnualCostEstimate(meanPower units.Power, tariff units.CostPerKWh) units.Co
 	return tariff.Over(meanPower.EnergyOver(365 * 24 * time.Hour))
 }
 
-// CheapestWindows returns the n cheapest `width`-long windows in a price
-// series (non-overlapping, greedy) — the scheduling primitive behind
-// "train the surrogate when power is cheap/clean".
-func CheapestWindows(price timeseries.View, width time.Duration, n int) []time.Time {
-	if price.Len() == 0 || n <= 0 || width <= 0 {
-		return nil
-	}
-	from, to, _ := price.Span()
-	type cand struct {
-		at   time.Time
-		mean float64
-	}
-	var cands []cand
-	for t := from; t.Add(width).Before(to) || t.Add(width).Equal(to); t = t.Add(width / 2) {
-		cands = append(cands, cand{at: t, mean: price.TimeWeightedMean(t, t.Add(width))})
-	}
-	// Selection sort for the n cheapest non-overlapping windows.
-	var out []time.Time
-	used := make([]bool, len(cands))
-	for len(out) < n {
-		best := -1
-		for i, c := range cands {
-			if used[i] {
-				continue
-			}
-			if best == -1 || c.mean < cands[best].mean {
-				best = i
-			}
-		}
-		if best == -1 {
-			break
-		}
-		used[best] = true
-		overlap := false
-		for _, picked := range out {
-			if cands[best].at.Before(picked.Add(width)) && picked.Before(cands[best].at.Add(width)) {
-				overlap = true
-				break
-			}
-		}
-		if !overlap {
-			out = append(out, cands[best].at)
-		}
-	}
-	return out
-}
-
 // TraceWithPrices is a convenience bundling intensity, price and events
 // over a window.
 type TraceWithPrices struct {
-	Intensity timeseries.View
-	Price     timeseries.View
+	Intensity *timeseries.Series
+	Price     *timeseries.Series
 	Events    []StressEvent
 }
 

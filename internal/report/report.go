@@ -261,7 +261,7 @@ func (d *DeltaTable) MarshalJSON() ([]byte, error) {
 // ASCII chart plus window-mean annotations.
 type Figure struct {
 	Title  string
-	Series timeseries.View
+	Series *timeseries.Series
 	Notes  []string
 }
 

@@ -86,7 +86,7 @@ func TestComparison(t *testing.T) {
 }
 
 func TestFigure(t *testing.T) {
-	s := timeseries.New("power", "kW")
+	s := timeseries.New("power", "kW", time.Hour, 0)
 	t0 := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
 	for i := 0; i < 100; i++ {
 		v := 3220.0

@@ -413,7 +413,7 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	traceOf := map[float64]int{}
 	var (
 		traceTasks []func()
-		traces     []*timeseries.RegularSeries
+		traces     []*timeseries.Series
 		traceErrs  []error
 	)
 
@@ -450,7 +450,7 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		}
 		groups[gi].members = append(groups[gi].members, i)
 	}
-	traces = make([]*timeseries.RegularSeries, len(traceTasks))
+	traces = make([]*timeseries.Series, len(traceTasks))
 	traceErrs = make([]error, len(traceTasks))
 
 	// Collect mid-sweep divergence families: groups sharing a simulation
@@ -739,7 +739,7 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 // account derives one scenario's Result from its (possibly shared)
 // simulation by integrating the simulated power series against the
 // scenario's intensity trace over the measurement window.
-func account(sc Scenario, trace timeseries.View, res *core.Results) (Result, error) {
+func account(sc Scenario, trace *timeseries.Series, res *core.Results) (Result, error) {
 	w, ok := res.WindowByLabel("measure")
 	if !ok {
 		return Result{}, fmt.Errorf("scenario: measurement window missing")

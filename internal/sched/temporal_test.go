@@ -12,7 +12,7 @@ import (
 // squareTrace builds an intensity trace alternating high/low every
 // `period`, starting high at t0, for `days` days at 30-minute steps.
 func squareTrace(days int, period time.Duration, high, low float64) *timeseries.Series {
-	s := timeseries.New("ci", "gCO2/kWh")
+	s := timeseries.New("ci", "gCO2/kWh", 30*time.Minute, 0)
 	end := t0.AddDate(0, 0, days)
 	for ts := t0; ts.Before(end); ts = ts.Add(30 * time.Minute) {
 		v := high

@@ -17,13 +17,13 @@ import (
 // facility-level figures then aggregate.
 
 // CabinetMeters samples per-cabinet power. Cabinet meters tick on an
-// exact interval with no dropout, so each cabinet's trace lives in a
-// compact timeseries.RegularSeries (implicit timestamps) — at ARCHER2
-// scale that is 23 cabinet-year series whose timestamps would otherwise
-// all encode the same clock.
+// exact interval, so each cabinet's trace is a fixed-cadence
+// timeseries.Series (implicit timestamps) — at ARCHER2 scale that is 23
+// cabinet-year series whose timestamps would otherwise all encode the
+// same clock.
 type CabinetMeters struct {
 	fac      *facility.Facility
-	series   []*timeseries.RegularSeries
+	series   []*timeseries.Series
 	nodesOf  [][]int
 	interval time.Duration
 
@@ -44,7 +44,7 @@ func NewCabinetMeters(eng *des.Engine, fac *facility.Facility, interval time.Dur
 	nCab := fac.Config().Cabinets
 	cm := &CabinetMeters{
 		fac:      fac,
-		series:   make([]*timeseries.RegularSeries, nCab),
+		series:   make([]*timeseries.Series, nCab),
 		nodesOf:  make([][]int, nCab),
 		interval: interval,
 	}
@@ -53,7 +53,7 @@ func NewCabinetMeters(eng *des.Engine, fac *facility.Facility, interval time.Dur
 		capacity = int(horizon/interval) + 1
 	}
 	for c := 0; c < nCab; c++ {
-		cm.series[c] = timeseries.NewRegular(fmt.Sprintf("cabinet_%02d_power", c), "kW", interval, capacity)
+		cm.series[c] = timeseries.New(fmt.Sprintf("cabinet_%02d_power", c), "kW", interval, capacity)
 	}
 	for i := 0; i < fac.NodeCount(); i++ {
 		c := fac.CabinetOfNode(i)
@@ -81,7 +81,7 @@ func (cm *CabinetMeters) sample(now time.Time) {
 func (cm *CabinetMeters) Cabinets() int { return len(cm.series) }
 
 // Series returns cabinet c's power series (kW).
-func (cm *CabinetMeters) Series(c int) timeseries.View { return cm.series[c] }
+func (cm *CabinetMeters) Series(c int) *timeseries.Series { return cm.series[c] }
 
 // MemoryFootprint returns the meters' retained bytes (series plus the
 // node-index fan-out), for core.Results.MemoryFootprint accounting.

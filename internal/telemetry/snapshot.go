@@ -16,25 +16,20 @@ import (
 
 // MeterSnapshot is a Meter's state at a checkpoint.
 type MeterSnapshot struct {
-	power   timeseries.Appender
-	util    timeseries.Appender
-	dropped int
-	hasRng  bool
-	rng     [4]uint64
+	power  *timeseries.Series
+	util   *timeseries.Series
+	hasRng bool
+	rng    [4]uint64
 
 	tickAt      time.Time
 	tickSeq     uint64
 	tickPending bool
 }
 
-// Snapshot captures the meter's series tails, noise/dropout RNG position
-// and pending sample tick.
+// Snapshot captures the meter's series tails, noise RNG position and
+// pending sample tick.
 func (m *Meter) Snapshot() *MeterSnapshot {
-	s := &MeterSnapshot{
-		power:   timeseries.CloneAppender(m.power),
-		util:    timeseries.CloneAppender(m.util),
-		dropped: m.dropped,
-	}
+	s := &MeterSnapshot{power: m.power.Clone(), util: m.util.Clone()}
 	if m.r != nil {
 		s.hasRng, s.rng = true, m.r.State()
 	}
@@ -49,9 +44,8 @@ func (m *Meter) Snapshot() *MeterSnapshot {
 // engine reset; the pending tick is handed to add for globally ordered
 // re-scheduling.
 func (m *Meter) Restore(s *MeterSnapshot, add func(seq uint64, schedule func())) {
-	m.power = timeseries.CloneAppender(s.power)
-	m.util = timeseries.CloneAppender(s.util)
-	m.dropped = s.dropped
+	m.power = s.power.Clone()
+	m.util = s.util.Clone()
 	if s.hasRng && m.r != nil {
 		m.r.SetState(s.rng)
 	}
@@ -70,7 +64,7 @@ func (s *MeterSnapshot) MemoryFootprint() int64 {
 
 // CabinetSnapshot is a CabinetMeters' state at a checkpoint.
 type CabinetSnapshot struct {
-	series []*timeseries.RegularSeries
+	series []*timeseries.Series
 
 	tickAt      time.Time
 	tickSeq     uint64
@@ -80,7 +74,7 @@ type CabinetSnapshot struct {
 // Snapshot captures every cabinet series tail and the pending sample
 // tick.
 func (cm *CabinetMeters) Snapshot() *CabinetSnapshot {
-	s := &CabinetSnapshot{series: make([]*timeseries.RegularSeries, len(cm.series))}
+	s := &CabinetSnapshot{series: make([]*timeseries.Series, len(cm.series))}
 	for i, cs := range cm.series {
 		s.series[i] = cs.Clone()
 	}

@@ -1,8 +1,8 @@
 // Package telemetry is the twin's measurement pipeline, standing in for
 // the HPE PMDB cabinet power monitoring used in the paper: periodic
-// sampling of cabinet power and utilisation into time series (with
-// optional meter noise and sample dropout), and per-job energy accounting
-// in the style of Slurm's sacct energy counters.
+// sampling of cabinet power and utilisation into fixed-cadence time series
+// (with optional meter noise), and per-job energy accounting in the style
+// of Slurm's sacct energy counters.
 package telemetry
 
 import (
@@ -23,8 +23,6 @@ type MeterConfig struct {
 	// NoiseSigma is multiplicative gaussian meter noise (e.g. 0.003 for
 	// 0.3%); 0 disables noise.
 	NoiseSigma float64
-	// DropoutProb is the probability a sample is lost (telemetry gap).
-	DropoutProb float64
 }
 
 // DefaultMeterConfig returns PMDB-like sampling.
@@ -34,11 +32,10 @@ func DefaultMeterConfig() MeterConfig {
 
 // Meter samples a facility on the simulation clock.
 type Meter struct {
-	cfg     MeterConfig
-	power   timeseries.Appender
-	util    timeseries.Appender
-	dropped int
-	r       *rng.Stream
+	cfg   MeterConfig
+	power *timeseries.Series
+	util  *timeseries.Series
+	r     *rng.Stream
 
 	// eng/until/tick and the live ticker are retained so a checkpoint can
 	// capture the pending sample tick and a fork can resume the tick
@@ -50,15 +47,9 @@ type Meter struct {
 }
 
 // NewMeter attaches a meter to the facility on engine eng, sampling from
-// start+Interval until `until`. The stream r drives noise and dropout; it
-// may be nil when both are disabled.
-//
-// Storage layout follows the dropout setting: a dropout-free meter ticks
-// on an exact cadence and records into the compact timeseries.RegularSeries
-// (8 bytes per sample, implicit timestamps); with dropout enabled, lost
-// ticks leave gaps, so the explicit-timestamp Series is used instead.
-// Either way the sampled (time, value) stream — and every digest over
-// it — is identical.
+// start+Interval until `until`. The stream r drives meter noise; it may
+// be nil when noise is disabled. The meter ticks on an exact cadence, so
+// both series record 8 bytes per sample with implicit timestamps.
 func NewMeter(eng *des.Engine, fac *facility.Facility, cfg MeterConfig, until time.Time, r *rng.Stream) *Meter {
 	// Pre-size for the whole run horizon: a 13-month run at the PMDB
 	// cadence is ~38k samples per series, appended one per tick — sizing
@@ -67,20 +58,14 @@ func NewMeter(eng *des.Engine, fac *facility.Facility, cfg MeterConfig, until ti
 	if horizon := until.Sub(eng.Now()); horizon > 0 && cfg.Interval > 0 {
 		capacity = int(horizon/cfg.Interval) + 1
 	}
-	m := &Meter{cfg: cfg, r: r}
-	if cfg.DropoutProb > 0 {
-		m.power = timeseries.NewWithCapacity("cabinet_power", "kW", capacity)
-		m.util = timeseries.NewWithCapacity("utilisation", "fraction", capacity)
-	} else {
-		m.power = timeseries.NewRegular("cabinet_power", "kW", cfg.Interval, capacity)
-		m.util = timeseries.NewRegular("utilisation", "fraction", cfg.Interval, capacity)
+	m := &Meter{
+		cfg:   cfg,
+		power: timeseries.New("cabinet_power", "kW", cfg.Interval, capacity),
+		util:  timeseries.New("utilisation", "fraction", cfg.Interval, capacity),
+		r:     r,
 	}
 	m.eng, m.until = eng, until
 	m.tick = func(now time.Time) {
-		if m.cfg.DropoutProb > 0 && m.r != nil && m.r.Float64() < m.cfg.DropoutProb {
-			m.dropped++
-			return
-		}
 		p := fac.CabinetPower().Kilowatts()
 		if m.cfg.NoiseSigma > 0 && m.r != nil {
 			p *= 1 + m.r.Normal(0, m.cfg.NoiseSigma)
@@ -93,13 +78,10 @@ func NewMeter(eng *des.Engine, fac *facility.Facility, cfg MeterConfig, until ti
 }
 
 // Power returns the cabinet power series (kW).
-func (m *Meter) Power() timeseries.View { return m.power }
+func (m *Meter) Power() *timeseries.Series { return m.power }
 
 // Utilisation returns the utilisation series.
-func (m *Meter) Utilisation() timeseries.View { return m.util }
-
-// DroppedSamples returns how many samples were lost to dropout.
-func (m *Meter) DroppedSamples() int { return m.dropped }
+func (m *Meter) Utilisation() *timeseries.Series { return m.util }
 
 // ClassUsage aggregates delivered work and energy per workload class.
 type ClassUsage struct {

@@ -54,8 +54,8 @@ func TestMeterSampling(t *testing.T) {
 	if got := m.Utilisation().Mean(); got != 0 {
 		t.Fatalf("idle utilisation = %v", got)
 	}
-	if m.DroppedSamples() != 0 {
-		t.Fatalf("dropped = %d", m.DroppedSamples())
+	if from, _, _ := m.Power().Span(); !from.Equal(t0.Add(15*time.Minute)) || m.Power().Step() != 15*time.Minute {
+		t.Fatalf("series starts %v every %v, want %v every 15m", from, m.Power().Step(), t0.Add(15*time.Minute))
 	}
 }
 
@@ -72,22 +72,6 @@ func TestMeterNoise(t *testing.T) {
 	// Relative noise ~1%.
 	if rel := sum.StdDev / sum.Mean; rel > 0.03 {
 		t.Fatalf("noise too large: %v", rel)
-	}
-}
-
-func TestMeterDropout(t *testing.T) {
-	fac := smallFacility(t)
-	eng := des.NewEngine(t0)
-	m := NewMeter(eng, fac, MeterConfig{Interval: time.Minute, DropoutProb: 0.5},
-		t0.Add(10*time.Hour), rng.New(11).Split("meter"))
-	eng.Run()
-	total := m.Power().Len() + m.DroppedSamples()
-	if total != 599 {
-		t.Fatalf("total tick count = %d, want 599", total)
-	}
-	frac := float64(m.DroppedSamples()) / float64(total)
-	if math.Abs(frac-0.5) > 0.08 {
-		t.Fatalf("dropout fraction = %v, want ~0.5", frac)
 	}
 }
 

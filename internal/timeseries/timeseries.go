@@ -1,24 +1,19 @@
-// Package timeseries implements the time-series containers used by the
-// facility telemetry pipeline: append-only sampled values with window
-// statistics, resampling, step-change detection and export helpers.
+// Package timeseries implements the time-series container used by the
+// facility telemetry pipeline: append-only fixed-cadence samples with
+// window statistics, step-change detection and export helpers.
 //
-// Two storage layouts share one read API (View):
+// Every series the twin produces is sampled on a fixed cadence — PMDB
+// cabinet power and utilisation every 15 minutes, per-cabinet meters, grid
+// intensity and price traces — so a Series stores an epoch, a step and a
+// contiguous []float64 block. Sample i's timestamp is implicit,
+// epoch + i*step, which costs 8 bytes per sample instead of the 32 an
+// explicit (time, value) pair takes.
 //
-//   - Series stores explicit (time, value) samples and handles irregular
-//     spacing — dropout gaps, event-driven appends, ragged imports.
-//   - RegularSeries (regular.go) stores an epoch, a fixed step and a
-//     contiguous []float64 block; timestamps are implicit. Fixed-cadence
-//     producers (telemetry meters, grid traces) use it for roughly a
-//     quarter of the Series footprint per sample.
-//
-// Both kinds maintain streaming moments (stats.Moments) on append, so
-// Mean and the moment half of Summary are O(1) and allocation-free. The
-// running sum accumulates in append order, which makes Mean bit-identical
-// to a stats.Mean pass over the same values — the determinism the golden
+// A Series maintains streaming moments (stats.Moments) on append, so Mean
+// and the moment half of Summary are O(1) and allocation-free. The running
+// sum accumulates in append order, which makes Mean bit-identical to a
+// stats.Mean pass over the same values — the determinism the golden
 // digests pin.
-//
-// Timestamps are time.Time; samples must be appended in non-decreasing
-// time order, which is what a simulation clock naturally produces.
 //
 // A series is the twin's equivalent of one PMDB cabinet-power trace: the
 // paper's Figures 1-3 are window means over exactly such series, and the
@@ -30,7 +25,6 @@ import (
 	"io"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -45,243 +39,161 @@ type Sample struct {
 	V float64
 }
 
-// View is the read API shared by Series and RegularSeries. Everything a
-// consumer of telemetry does — window means, sample-and-hold lookups,
-// emissions integration, rendering, fingerprinting — goes through this
-// interface, so producers are free to pick the storage layout that fits
-// their cadence. Methods on a View never mutate the series.
-type View interface {
-	// Label returns the series name and unit.
-	Label() (name, unit string)
-	// Len returns the number of samples.
-	Len() int
-	// At returns sample i (0 <= i < Len).
-	At(i int) Sample
-	// Span returns the first and last timestamps; ok is false when empty.
-	Span() (from, to time.Time, ok bool)
-	// ValueAt returns the sample-and-hold value in force at t.
-	ValueAt(t time.Time) (float64, bool)
-	// Mean returns the arithmetic mean of all values in O(1).
-	Mean() float64
-	// MeanBetween returns the arithmetic mean of samples in [from, to).
-	MeanBetween(from, to time.Time) float64
-	// CountBetween returns the number of samples in [from, to).
-	CountBetween(from, to time.Time) int
-	// TimeWeightedMean integrates sample-and-hold over [from, to).
-	TimeWeightedMean(from, to time.Time) float64
-	// Summary returns summary statistics over all values.
-	Summary() stats.Summary
-	// Accumulator returns a forward-sweeping window-mean accumulator.
-	Accumulator() *WindowAccumulator
-	// Slice returns an independent sub-series with from <= t < to.
-	Slice(from, to time.Time) View
-	// DetectStep locates the largest relative level shift.
-	DetectStep(minSeg int, threshold float64) (StepChange, bool)
-	// WriteCSV writes "time,value" rows with an optional header.
-	WriteCSV(w io.Writer, header bool) error
-	// RenderASCII draws the series as an ASCII chart.
-	RenderASCII(rows, cols int) string
-	// MemoryFootprint returns the series' retained bytes (see the
-	// accounting contract on core.Results.MemoryFootprint).
-	MemoryFootprint() int64
-}
-
-// Appender is a View that accepts timestamped appends — what the
-// telemetry meters hold, so a meter can be wired to either storage
-// layout at construction time.
-type Appender interface {
-	View
-	// Append adds a sample, returning an error when t violates the
-	// series' ordering (Series) or cadence (RegularSeries) contract.
-	Append(t time.Time, v float64) error
-	// MustAppend is Append for callers that guarantee valid timestamps
-	// (e.g. the DES clock); it panics on an invalid one.
-	MustAppend(t time.Time, v float64)
-}
-
-// CloneAppender deep-copies an appender of either storage layout,
-// preserving its concrete type. It is the checkpoint path's way to copy a
-// meter's series without knowing which layout the meter chose.
-func CloneAppender(a Appender) Appender {
-	switch s := a.(type) {
-	case *Series:
-		return s.Clone()
-	case *RegularSeries:
-		return s.Clone()
-	}
-	panic(fmt.Sprintf("timeseries: CloneAppender: unsupported appender %T", a))
-}
-
-// Series is an ordered collection of explicit samples with a name and a
-// unit label — the irregular-spacing storage layout.
+// Series is a named, fixed-cadence sequence of values. Appends must land
+// exactly on the cadence: the first Append pins the epoch, every later
+// Append must carry timestamp epoch + Len()*step.
 type Series struct {
 	Name string
 	Unit string
 
-	samples []Sample
-	mom     stats.Moments
+	step   time.Duration
+	epoch  time.Time // timestamp of values[0]; meaningless until Len() > 0
+	values []float64
+	mom    stats.Moments
 }
 
-// New creates an empty series.
-func New(name, unit string) *Series {
-	return &Series{Name: name, Unit: unit}
-}
-
-// NewWithCapacity creates an empty series pre-sized for `capacity`
-// samples. Producers that know their horizon — a telemetry meter sampling
-// every Interval until the run end, a grid trace at a fixed step — should
-// size up front so a year of samples is one allocation instead of a
-// doubling cascade.
-func NewWithCapacity(name, unit string, capacity int) *Series {
-	s := New(name, unit)
+// New creates an empty series sampled every step, pre-sized for
+// `capacity` samples. Producers that know their horizon — a telemetry
+// meter sampling until the run end, a grid trace over a fixed window —
+// should size up front so a year of samples is one allocation instead of
+// a doubling cascade. It panics on a non-positive step.
+func New(name, unit string, step time.Duration, capacity int) *Series {
+	if step <= 0 {
+		panic("timeseries: non-positive step")
+	}
+	s := &Series{Name: name, Unit: unit, step: step}
 	if capacity > 0 {
-		s.samples = make([]Sample, 0, capacity)
+		s.values = make([]float64, 0, capacity)
 	}
 	return s
 }
 
-// Label returns the series name and unit.
-func (s *Series) Label() (name, unit string) { return s.Name, s.Unit }
+// Step returns the sampling cadence.
+func (s *Series) Step() time.Duration { return s.step }
 
-// Reserve grows the sample capacity to hold at least n further samples
-// without reallocation.
-func (s *Series) Reserve(n int) {
-	if free := cap(s.samples) - len(s.samples); free < n {
-		grown := make([]Sample, len(s.samples), len(s.samples)+n)
-		copy(grown, s.samples)
-		s.samples = grown
+// Len returns the number of samples.
+func (s *Series) Len() int { return len(s.values) }
+
+// Clone returns a deep copy of the series: its own value backing array
+// and moment accumulator, sharing no mutable state with the original.
+// Checkpoints clone telemetry tails so a forked simulation can keep
+// appending without disturbing the parent.
+func (s *Series) Clone() *Series {
+	c := &Series{Name: s.Name, Unit: s.Unit, step: s.step, epoch: s.epoch, mom: s.mom}
+	if len(s.values) > 0 {
+		c.values = make([]float64, len(s.values))
+		copy(c.values, s.values)
 	}
+	return c
 }
 
-// Clip shrinks the backing array to exactly the held samples, releasing
-// over-reserved capacity (a meter sized for a horizon the run did not
-// reach). Used by core.Results.Compact before long-term retention.
-func (s *Series) Clip() {
-	if cap(s.samples) > len(s.samples) {
-		clipped := make([]Sample, len(s.samples))
-		copy(clipped, s.samples)
-		s.samples = clipped
-	}
+// timeAt returns the implicit timestamp of sample i.
+func (s *Series) timeAt(i int) time.Time {
+	return s.epoch.Add(time.Duration(i) * s.step)
 }
 
-// Append adds a sample. It returns an error if t is before the last sample's
-// timestamp (equal timestamps are allowed: meters may batch-report).
+// At returns sample i with its implicit timestamp.
+func (s *Series) At(i int) Sample {
+	return Sample{T: s.timeAt(i), V: s.values[i]}
+}
+
+// Append adds a sample. The first append pins the series epoch; every
+// later append must land exactly on the cadence (epoch + Len()*step) or
+// an error is returned.
 func (s *Series) Append(t time.Time, v float64) error {
-	if n := len(s.samples); n > 0 && t.Before(s.samples[n-1].T) {
-		return fmt.Errorf("timeseries %q: sample at %v precedes last sample %v",
-			s.Name, t, s.samples[n-1].T)
+	if len(s.values) == 0 {
+		s.epoch = t
+	} else if expected := s.timeAt(len(s.values)); !t.Equal(expected) {
+		return fmt.Errorf("timeseries %q: sample at %v off the %v cadence (expected %v)",
+			s.Name, t, s.step, expected)
 	}
-	s.samples = append(s.samples, Sample{T: t, V: v})
+	s.values = append(s.values, v)
 	s.mom.Add(v)
 	return nil
 }
 
-// MustAppend is Append for callers that guarantee ordering (e.g. the DES
-// clock); it panics on out-of-order samples.
+// MustAppend is Append for producers on an exact clock (the DES engine's
+// Every ticks); it panics on an off-cadence timestamp.
 func (s *Series) MustAppend(t time.Time, v float64) {
 	if err := s.Append(t, v); err != nil {
 		panic(err)
 	}
 }
 
-// AppendN appends a batch of samples in one capacity check, validating
-// time order across the batch boundary and within the batch. It returns
-// an error (leaving s unchanged) on the first ordering violation.
-func (s *Series) AppendN(batch []Sample) error {
-	last := time.Time{}
-	haveLast := false
-	if n := len(s.samples); n > 0 {
-		last, haveLast = s.samples[n-1].T, true
-	}
-	for i, smp := range batch {
-		if haveLast && smp.T.Before(last) {
-			return fmt.Errorf("timeseries %q: batch sample %d at %v precedes %v",
-				s.Name, i, smp.T, last)
-		}
-		last, haveLast = smp.T, true
-	}
-	s.Reserve(len(batch))
-	s.samples = append(s.samples, batch...)
-	for _, smp := range batch {
-		s.mom.Add(smp.V)
-	}
-	return nil
-}
-
-// Clone returns a deep copy of the series: its own sample backing array
-// and moment accumulator, sharing no mutable state with the original.
-// Checkpoints clone telemetry tails so a forked simulation can keep
-// appending without disturbing the parent.
-func (s *Series) Clone() *Series {
-	c := &Series{Name: s.Name, Unit: s.Unit, mom: s.mom}
-	if len(s.samples) > 0 {
-		c.samples = make([]Sample, len(s.samples))
-		copy(c.samples, s.samples)
-	}
-	return c
-}
-
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.samples) }
-
-// At returns sample i.
-func (s *Series) At(i int) Sample { return s.samples[i] }
-
-// Samples returns the backing sample slice (shared, not a copy). Callers
-// must not mutate it.
-func (s *Series) Samples() []Sample { return s.samples }
-
-// Values returns a copy of all sample values.
-func (s *Series) Values() []float64 {
-	vs := make([]float64, len(s.samples))
-	for i, smp := range s.samples {
-		vs[i] = smp.V
-	}
-	return vs
-}
-
 // Span returns the first and last timestamps. ok is false for an empty
 // series.
 func (s *Series) Span() (from, to time.Time, ok bool) {
-	if len(s.samples) == 0 {
+	if len(s.values) == 0 {
 		return time.Time{}, time.Time{}, false
 	}
-	return s.samples[0].T, s.samples[len(s.samples)-1].T, true
+	return s.epoch, s.timeAt(len(s.values) - 1), true
 }
 
-// searchCeil returns the index of the first sample at or after t.
+// searchCeil returns the index of the first sample at or after t, found
+// arithmetically: every implicit timestamp is an integer multiple of step
+// past the epoch. t.Sub saturates at the largest time.Duration for bounds
+// centuries away, so the ceiling is taken from the quotient and remainder
+// rather than by adding step-1, which would overflow.
 func (s *Series) searchCeil(t time.Time) int {
-	return sort.Search(len(s.samples), func(i int) bool {
-		return !s.samples[i].T.Before(t)
-	})
+	n := len(s.values)
+	d := t.Sub(s.epoch)
+	if n == 0 || d <= 0 {
+		return 0
+	}
+	i := d / s.step
+	if d%s.step != 0 {
+		i++
+	}
+	if i > time.Duration(n) {
+		return n
+	}
+	return int(i)
 }
 
-// Slice returns a new series containing samples with from <= t < to.
-// The returned series shares no mutable state with s beyond the sample
-// values themselves.
-func (s *Series) Slice(from, to time.Time) View {
+// ValueAt returns the sample-and-hold value in force at time t: the value
+// of the latest sample with timestamp <= t. ok is false if t precedes the
+// epoch.
+func (s *Series) ValueAt(t time.Time) (float64, bool) {
+	n := len(s.values)
+	if n == 0 {
+		return 0, false
+	}
+	d := t.Sub(s.epoch)
+	if d < 0 {
+		return 0, false
+	}
+	i := d / s.step
+	if i >= time.Duration(n) {
+		i = time.Duration(n - 1)
+	}
+	return s.values[i], true
+}
+
+// Slice returns an independent sub-series with from <= t < to, still on
+// the cadence (a contiguous block of a fixed-cadence series is one too).
+func (s *Series) Slice(from, to time.Time) *Series {
 	lo, hi := s.searchCeil(from), s.searchCeil(to)
-	out := New(s.Name, s.Unit)
+	out := &Series{Name: s.Name, Unit: s.Unit, step: s.step}
 	if hi > lo {
-		out.samples = append(out.samples, s.samples[lo:hi]...)
-		for _, smp := range out.samples {
-			out.mom.Add(smp.V)
+		out.epoch = s.timeAt(lo)
+		out.values = append(out.values, s.values[lo:hi]...)
+		for _, v := range out.values {
+			out.mom.Add(v)
 		}
 	}
 	return out
 }
 
-// Mean returns the arithmetic mean of all values (unweighted by spacing),
-// or 0 for an empty series. O(1) from the streaming moments, bit-identical
-// to a stats.Mean pass over Values() (same accumulation order).
+// Mean returns the arithmetic mean of all values, or 0 for an empty
+// series. O(1) from the streaming moments, bit-identical to a stats.Mean
+// pass over the values (same accumulation order).
 func (s *Series) Mean() float64 { return s.mom.Mean() }
 
 // MeanBetween returns the mean of samples with from <= t < to, summing
 // the window's values in sample order (bit-identical to Slice + Mean)
 // without materialising a sub-series.
 func (s *Series) MeanBetween(from, to time.Time) float64 {
-	lo, hi := s.searchCeil(from), s.searchCeil(to)
-	return meanRange(s, lo, hi)
+	return meanRange(s.values, s.searchCeil(from), s.searchCeil(to))
 }
 
 // CountBetween returns the number of samples with from <= t < to
@@ -293,48 +205,55 @@ func (s *Series) CountBetween(from, to time.Time) int {
 	return 0
 }
 
-// Summary returns summary statistics over all values: N, Mean, StdDev,
-// Min and Max come from the streaming moments in O(1); the percentile
-// fields are interpolated from a pooled sorted scratch copy, so repeated
-// calls allocate nothing.
-func (s *Series) Summary() stats.Summary { return summarize(s, s.mom) }
+// meanRange sums values[lo:hi] in index order and divides by the count —
+// the same accumulation a stats.Mean pass over the materialised window
+// performs, so window means are bit-identical to Slice-then-Mean without
+// the copy.
+func meanRange(values []float64, lo, hi int) float64 {
+	if hi <= lo {
+		return 0
+	}
+	sum := 0.0
+	for _, v := range values[lo:hi] {
+		sum += v
+	}
+	return sum / float64(hi-lo)
+}
 
 // TimeWeightedMean integrates the series with a step-function (sample-and-
-// hold) interpretation over [from, to] and divides by the duration. Samples
+// hold) interpretation over [from, to) and divides by the duration. Samples
 // outside the window bound the edge segments. It returns 0 when the window
 // is empty or no sample precedes or lies within it.
 func (s *Series) TimeWeightedMean(from, to time.Time) float64 {
-	if !to.After(from) || len(s.samples) == 0 {
+	if !to.After(from) || len(s.values) == 0 {
 		return 0
 	}
 	return timeWeightedMean(s, s.searchCeil(from), from, to)
 }
 
-// timeWeightedMean is the shared sample-and-hold integration: v's samples
-// from index i (the first at or after `from`) bound the segments, exactly
-// the arithmetic — and arithmetic order — the original Series
-// implementation used, so every implementation routed through here is
-// bit-identical to it.
-func timeWeightedMean(v View, i int, from, to time.Time) float64 {
-	n := v.Len()
+// timeWeightedMean is the shared sample-and-hold integration behind
+// Series.TimeWeightedMean and WindowAccumulator: s's samples from index i
+// (the first at or after `from`) bound the segments.
+func timeWeightedMean(s *Series, i int, from, to time.Time) float64 {
+	n := s.Len()
 	var integral float64
 	cursor := from
 	var current float64
 	haveCurrent := false
 	if i > 0 {
-		current = v.At(i - 1).V
+		current = s.values[i-1]
 		haveCurrent = true
 	}
 	for ; i < n; i++ {
-		smp := v.At(i)
-		if !smp.T.Before(to) {
+		at := s.timeAt(i)
+		if !at.Before(to) {
 			break
 		}
 		if haveCurrent {
-			integral += current * smp.T.Sub(cursor).Seconds()
+			integral += current * at.Sub(cursor).Seconds()
 		}
-		cursor = smp.T
-		current = smp.V
+		cursor = at
+		current = s.values[i]
 		haveCurrent = true
 	}
 	if !haveCurrent {
@@ -344,8 +263,8 @@ func timeWeightedMean(v View, i int, from, to time.Time) float64 {
 	denom := to.Sub(from).Seconds()
 	// If the first in-window sample started after `from` with no prior value,
 	// only average over the covered portion.
-	if first := v.At(0).T; first.After(from) {
-		denom = to.Sub(first).Seconds()
+	if s.epoch.After(from) {
+		denom = to.Sub(s.epoch).Seconds()
 		if denom <= 0 {
 			return 0
 		}
@@ -353,19 +272,41 @@ func timeWeightedMean(v View, i int, from, to time.Time) float64 {
 	return integral / denom
 }
 
-// meanRange sums values[lo:hi] in index order and divides by the count —
-// the same accumulation a stats.Mean pass over the materialised window
-// performs, so window means are bit-identical to the old Slice-then-Mean
-// path without the copy.
-func meanRange(v View, lo, hi int) float64 {
-	if hi <= lo {
+// WindowAccumulator computes time-weighted window means over a series of
+// consecutive (non-decreasing) windows in one forward pass: the cursor
+// remembers where the previous window started, so sweeping M windows over
+// an N-sample series is O(N+M) instead of M index searches plus rescans.
+// Each call returns exactly what Series.TimeWeightedMean would — same
+// arithmetic, same order — so swapping it into an accounting loop (see
+// emissions.AccountSeries) changes cost, not results. Windows passed to
+// successive calls must have non-decreasing `from`; the series must not
+// be appended to while accumulating.
+type WindowAccumulator struct {
+	s *Series
+	// lo is the index of the first sample at or after the previous
+	// window's `from` (the search result the cursor replaces).
+	lo int
+}
+
+// Accumulator returns a WindowAccumulator positioned at the series start.
+func (s *Series) Accumulator() *WindowAccumulator {
+	return &WindowAccumulator{s: s}
+}
+
+// TimeWeightedMean is Series.TimeWeightedMean for the next window in the
+// sweep. It is bit-identical to the direct method for every window.
+func (a *WindowAccumulator) TimeWeightedMean(from, to time.Time) float64 {
+	s := a.s
+	n := s.Len()
+	if !to.After(from) || n == 0 {
 		return 0
 	}
-	sum := 0.0
-	for i := lo; i < hi; i++ {
-		sum += v.At(i).V
+	// Advance the cursor to the first sample at or after `from` — the
+	// same index searchCeil finds, reached monotonically.
+	for a.lo < n && s.timeAt(a.lo).Before(from) {
+		a.lo++
 	}
-	return sum / float64(hi-lo)
+	return timeWeightedMean(s, a.lo, from, to)
 }
 
 // summaryScratch pools the sorted-value scratch buffers Summary uses for
@@ -376,28 +317,23 @@ var summaryScratch = sync.Pool{New: func() any {
 	return &buf
 }}
 
-// summarize builds a stats.Summary for v: the moment half in O(1) from
-// the streaming moments, the percentiles from a pooled sorted copy.
-func summarize(v View, mom stats.Moments) stats.Summary {
+// Summary returns summary statistics over all values: N, Mean, StdDev,
+// Min and Max come from the streaming moments in O(1); the percentile
+// fields are interpolated from a pooled sorted scratch copy, so repeated
+// calls allocate nothing.
+func (s *Series) Summary() stats.Summary {
 	out := stats.Summary{
-		N:      mom.N,
-		Mean:   mom.Mean(),
-		StdDev: mom.StdDev(),
-		Min:    mom.Min,
-		Max:    mom.Max,
+		N:      s.mom.N,
+		Mean:   s.mom.Mean(),
+		StdDev: s.mom.StdDev(),
+		Min:    s.mom.Min,
+		Max:    s.mom.Max,
 	}
-	n := v.Len()
-	if n == 0 {
+	if len(s.values) == 0 {
 		return out
 	}
 	bufp := summaryScratch.Get().(*[]float64)
-	buf := (*bufp)[:0]
-	if cap(buf) < n {
-		buf = make([]float64, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		buf = append(buf, v.At(i).V)
-	}
+	buf := append((*bufp)[:0], s.values...)
 	slices.Sort(buf)
 	out.P25 = stats.PercentileOfSorted(buf, 25)
 	out.Median = stats.PercentileOfSorted(buf, 50)
@@ -405,81 +341,6 @@ func summarize(v View, mom stats.Moments) stats.Summary {
 	*bufp = buf[:0]
 	summaryScratch.Put(bufp)
 	return out
-}
-
-// WindowAccumulator computes time-weighted window means over a series of
-// consecutive (non-decreasing) windows in one forward pass: the cursor
-// remembers where the previous window started, so sweeping M windows over
-// an N-sample series is O(N+M) instead of M binary searches plus rescans.
-// Each call returns exactly what View.TimeWeightedMean would — same
-// arithmetic, same order — so swapping it into an accounting loop (see
-// emissions.AccountSeries) changes cost, not results. Windows passed to
-// successive calls must have non-decreasing `from`; the series must not
-// be appended to while accumulating.
-type WindowAccumulator struct {
-	v View
-	// lo is the index of the first sample at or after the previous
-	// window's `from` (the search result the cursor replaces).
-	lo int
-}
-
-// Accumulator returns a WindowAccumulator positioned at the series start.
-func (s *Series) Accumulator() *WindowAccumulator {
-	return &WindowAccumulator{v: s}
-}
-
-// TimeWeightedMean is View.TimeWeightedMean for the next window in the
-// sweep. It is bit-identical to the direct method for every window.
-func (a *WindowAccumulator) TimeWeightedMean(from, to time.Time) float64 {
-	v := a.v
-	n := v.Len()
-	if !to.After(from) || n == 0 {
-		return 0
-	}
-	// Advance the cursor to the first sample at or after `from` — the
-	// same index a binary search finds, reached monotonically.
-	for a.lo < n && v.At(a.lo).T.Before(from) {
-		a.lo++
-	}
-	return timeWeightedMean(v, a.lo, from, to)
-}
-
-// Resample returns a new series sampled every step using sample-and-hold
-// interpolation, starting at from (inclusive) and ending before to.
-func (s *Series) Resample(from, to time.Time, step time.Duration) *Series {
-	if step <= 0 {
-		panic("timeseries: non-positive resample step")
-	}
-	out := New(s.Name, s.Unit)
-	for t := from; t.Before(to); t = t.Add(step) {
-		v, ok := s.ValueAt(t)
-		if ok {
-			out.MustAppend(t, v)
-		}
-	}
-	return out
-}
-
-// ValueAt returns the sample-and-hold value in force at time t: the value of
-// the latest sample with timestamp <= t. ok is false if t precedes the first
-// sample.
-func (s *Series) ValueAt(t time.Time) (float64, bool) {
-	i := sort.Search(len(s.samples), func(i int) bool {
-		return s.samples[i].T.After(t)
-	})
-	if i == 0 {
-		return 0, false
-	}
-	return s.samples[i-1].V, true
-}
-
-// MemoryFootprint returns the series' retained bytes: struct header,
-// label strings and the full backing capacity (capacity, not length —
-// over-reservation is real memory).
-func (s *Series) MemoryFootprint() int64 {
-	return int64(unsafe.Sizeof(*s)) +
-		int64(len(s.Name)) + int64(len(s.Unit)) +
-		int64(cap(s.samples))*int64(unsafe.Sizeof(Sample{}))
 }
 
 // StepChange describes a detected level shift in a series.
@@ -496,18 +357,14 @@ type StepChange struct {
 // shifts, not subtle trends. Returns ok=false when fewer than 2*minSeg
 // samples exist or no shift exceeds threshold (relative).
 func (s *Series) DetectStep(minSeg int, threshold float64) (StepChange, bool) {
-	return detectStep(s, minSeg, threshold)
-}
-
-func detectStep(v View, minSeg int, threshold float64) (StepChange, bool) {
-	n := v.Len()
+	n := s.Len()
 	if minSeg < 1 || n < 2*minSeg {
 		return StepChange{}, false
 	}
 	// Prefix sums for O(n) scanning.
 	prefix := make([]float64, n+1)
-	for i := 0; i < n; i++ {
-		prefix[i+1] = prefix[i] + v.At(i).V
+	for i, v := range s.values {
+		prefix[i+1] = prefix[i] + v
 	}
 	best := StepChange{}
 	bestAbs := 0.0
@@ -522,7 +379,7 @@ func detectStep(v View, minSeg int, threshold float64) (StepChange, bool) {
 		if math.Abs(rel) > bestAbs && math.Abs(rel) >= threshold {
 			bestAbs = math.Abs(rel)
 			best = StepChange{
-				At:          v.At(k).T,
+				At:          s.timeAt(k),
 				BeforeMean:  mb,
 				AfterMean:   ma,
 				RelativeChg: rel,
@@ -535,19 +392,13 @@ func detectStep(v View, minSeg int, threshold float64) (StepChange, bool) {
 
 // WriteCSV writes "time,value" rows with an optional header.
 func (s *Series) WriteCSV(w io.Writer, header bool) error {
-	return writeCSV(s, w, header)
-}
-
-func writeCSV(v View, w io.Writer, header bool) error {
-	name, unit := v.Label()
 	if header {
-		if _, err := fmt.Fprintf(w, "time,%s_%s\n", csvSafe(name), csvSafe(unit)); err != nil {
+		if _, err := fmt.Fprintf(w, "time,%s_%s\n", csvSafe(s.Name), csvSafe(s.Unit)); err != nil {
 			return err
 		}
 	}
-	for i, n := 0, v.Len(); i < n; i++ {
-		smp := v.At(i)
-		if _, err := fmt.Fprintf(w, "%s,%.6g\n", smp.T.UTC().Format(time.RFC3339), smp.V); err != nil {
+	for i, v := range s.values {
+		if _, err := fmt.Fprintf(w, "%s,%.6g\n", s.timeAt(i).UTC().Format(time.RFC3339), v); err != nil {
 			return err
 		}
 	}
@@ -568,21 +419,17 @@ func csvSafe(s string) string {
 // line, in the spirit of the paper's Figures 1-3. It returns "" for series
 // with fewer than two samples.
 func (s *Series) RenderASCII(rows, cols int) string {
-	return renderASCII(s, s.mom, rows, cols)
-}
-
-func renderASCII(v View, mom stats.Moments, rows, cols int) string {
-	n := v.Len()
+	n := s.Len()
 	if n < 2 || rows < 3 || cols < 8 {
 		return ""
 	}
-	min, max := mom.Min, mom.Max
+	min, max := s.mom.Min, s.mom.Max
 	if max == min {
 		max = min + 1
 	}
 	pad := (max - min) * 0.05
 	min, max = min-pad, max+pad
-	mean := mom.Mean()
+	mean := s.mom.Mean()
 
 	grid := make([][]byte, rows)
 	for i := range grid {
@@ -591,9 +438,9 @@ func renderASCII(v View, mom stats.Moments, rows, cols int) string {
 	// Bucket samples into columns and plot column means.
 	colSum := make([]float64, cols)
 	colN := make([]int, cols)
-	for i := 0; i < n; i++ {
+	for i, v := range s.values {
 		c := i * cols / n
-		colSum[c] += v.At(i).V
+		colSum[c] += v
 		colN[c]++
 	}
 	rowOf := func(val float64) int {
@@ -618,13 +465,32 @@ func renderASCII(v View, mom stats.Moments, rows, cols int) string {
 		}
 		grid[rowOf(colSum[c]/float64(colN[c]))][c] = '*'
 	}
-	name, unit := v.Label()
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s [%s]  (mean %.4g, - marks mean)\n", name, unit, mean)
+	fmt.Fprintf(&b, "%s [%s]  (mean %.4g, - marks mean)\n", s.Name, s.Unit, mean)
 	fmt.Fprintf(&b, "%10.4g |%s|\n", max, string(grid[0]))
 	for r := 1; r < rows-1; r++ {
 		fmt.Fprintf(&b, "%10s |%s|\n", "", string(grid[r]))
 	}
 	fmt.Fprintf(&b, "%10.4g |%s|\n", min, string(grid[rows-1]))
 	return b.String()
+}
+
+// Clip shrinks the backing array to exactly the held values, releasing
+// over-reserved capacity (a meter sized for a horizon the run did not
+// reach). Used by core.Results.Compact before long-term retention.
+func (s *Series) Clip() {
+	if cap(s.values) > len(s.values) {
+		clipped := make([]float64, len(s.values))
+		copy(clipped, s.values)
+		s.values = clipped
+	}
+}
+
+// MemoryFootprint returns the series' retained bytes: struct header,
+// label strings and the full backing capacity (capacity, not length —
+// over-reservation is real memory).
+func (s *Series) MemoryFootprint() int64 {
+	return int64(unsafe.Sizeof(*s)) +
+		int64(len(s.Name)) + int64(len(s.Unit)) +
+		int64(cap(s.values))*8
 }

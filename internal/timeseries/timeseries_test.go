@@ -3,33 +3,41 @@ package timeseries
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/greenhpc/archertwin/internal/stats"
 )
 
 var t0 = time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)
 
-func mk(vals ...float64) *Series {
-	s := New("power", "kW")
+// mkStep builds a series of vals sampled every step from t0.
+func mkStep(step time.Duration, vals ...float64) *Series {
+	s := New("power", "kW", step, len(vals))
 	for i, v := range vals {
-		s.MustAppend(t0.Add(time.Duration(i)*time.Hour), v)
+		s.MustAppend(t0.Add(time.Duration(i)*step), v)
 	}
 	return s
 }
 
+// mk builds an hourly series from t0.
+func mk(vals ...float64) *Series { return mkStep(time.Hour, vals...) }
+
 func TestAppendOrdering(t *testing.T) {
-	s := New("x", "u")
+	s := New("x", "u", time.Hour, 0)
 	if err := s.Append(t0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(t0, 2); err != nil { // equal timestamps allowed
+	if err := s.Append(t0.Add(time.Hour), 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(t0.Add(-time.Second), 3); err == nil {
-		t.Fatal("out-of-order append accepted")
+	// Out of order, and a repeated timestamp, both break the cadence.
+	for _, bad := range []time.Time{t0.Add(-time.Second), t0.Add(time.Hour)} {
+		if err := s.Append(bad, 3); err == nil {
+			t.Fatalf("append at %v accepted", bad)
+		}
 	}
 	if s.Len() != 2 {
 		t.Fatalf("len = %d", s.Len())
@@ -55,7 +63,7 @@ func TestMeanAndSpan(t *testing.T) {
 	if !ok || !from.Equal(t0) || !to.Equal(t0.Add(3*time.Hour)) {
 		t.Fatalf("span = %v %v %v", from, to, ok)
 	}
-	if _, _, ok := New("e", "u").Span(); ok {
+	if _, _, ok := New("e", "u", time.Hour, 0).Span(); ok {
 		t.Fatal("empty span reported ok")
 	}
 }
@@ -75,15 +83,12 @@ func TestSliceAndMeanBetween(t *testing.T) {
 }
 
 func TestValueAt(t *testing.T) {
-	s := mk(10, 20, 30)
-	if _, ok := s.ValueAt(t0.Add(-time.Second)); ok {
-		t.Fatal("value before first sample reported ok")
-	}
+	s := mkStep(15*time.Minute, 10, 20, 30)
 	cases := []struct {
 		at   time.Duration
 		want float64
 	}{
-		{0, 10}, {30 * time.Minute, 10}, {time.Hour, 20}, {5 * time.Hour, 30},
+		{0, 10}, {14 * time.Minute, 10}, {15 * time.Minute, 20}, {29 * time.Minute, 20}, {30 * time.Minute, 30},
 	}
 	for _, c := range cases {
 		v, ok := s.ValueAt(t0.Add(c.at))
@@ -106,7 +111,7 @@ func TestTimeWeightedMean(t *testing.T) {
 	if math.Abs(got-want) > 1e-9 {
 		t.Fatalf("asymmetric TW mean = %v, want %v", got, want)
 	}
-	if got := New("e", "u").TimeWeightedMean(t0, t0.Add(time.Hour)); got != 0 {
+	if got := New("e", "u", time.Hour, 0).TimeWeightedMean(t0, t0.Add(time.Hour)); got != 0 {
 		t.Fatalf("empty TW mean = %v", got)
 	}
 	if got := s.TimeWeightedMean(t0, t0); got != 0 {
@@ -123,23 +128,9 @@ func TestTimeWeightedMeanWindowBeforeData(t *testing.T) {
 	}
 }
 
-func TestResample(t *testing.T) {
-	s := mk(10, 20, 30)
-	r := s.Resample(t0, t0.Add(3*time.Hour), 30*time.Minute)
-	if r.Len() != 6 {
-		t.Fatalf("resample len = %d", r.Len())
-	}
-	want := []float64{10, 10, 20, 20, 30, 30}
-	for i, w := range want {
-		if r.At(i).V != w {
-			t.Errorf("resample[%d] = %v, want %v", i, r.At(i).V, w)
-		}
-	}
-}
-
 func TestDetectStep(t *testing.T) {
 	// 3220 -> 3010 style step.
-	s := New("p", "kW")
+	s := New("p", "kW", time.Hour, 0)
 	for i := 0; i < 50; i++ {
 		s.MustAppend(t0.Add(time.Duration(i)*time.Hour), 3220)
 	}
@@ -181,7 +172,8 @@ func TestWriteCSV(t *testing.T) {
 	if !strings.HasPrefix(out, "time,power_kW\n") {
 		t.Fatalf("csv header missing: %q", out)
 	}
-	if !strings.Contains(out, "2021-12-01T00:00:00Z,1.5") {
+	if !strings.Contains(out, "2021-12-01T00:00:00Z,1.5") ||
+		!strings.Contains(out, "2021-12-01T01:00:00Z,2.5") {
 		t.Fatalf("csv row missing: %q", out)
 	}
 	if lines := strings.Count(out, "\n"); lines != 3 {
@@ -190,7 +182,7 @@ func TestWriteCSV(t *testing.T) {
 }
 
 func TestRenderASCII(t *testing.T) {
-	s := New("p", "kW")
+	s := New("p", "kW", time.Hour, 0)
 	for i := 0; i < 200; i++ {
 		v := 3220.0
 		if i >= 100 {
@@ -213,7 +205,7 @@ func TestRenderASCII(t *testing.T) {
 // Property: Slice(from,to) contains exactly the samples in [from, to).
 func TestPropertySliceBounds(t *testing.T) {
 	f := func(raw []float64, a, b uint8) bool {
-		s := New("x", "u")
+		s := New("x", "u", time.Minute, 0)
 		for i, v := range raw {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				v = 0
@@ -233,8 +225,8 @@ func TestPropertySliceBounds(t *testing.T) {
 		}
 		// Count check.
 		want := 0
-		for _, smp := range s.Samples() {
-			if !smp.T.Before(from) && smp.T.Before(to) {
+		for i := 0; i < s.Len(); i++ {
+			if at := s.At(i).T; !at.Before(from) && at.Before(to) {
 				want++
 			}
 		}
@@ -251,7 +243,7 @@ func TestPropertyTWMeanBounded(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		s := New("x", "u")
+		s := New("x", "u", time.Minute, 0)
 		min, max := math.Inf(1), math.Inf(-1)
 		for i, v := range raw {
 			if math.IsNaN(v) || math.IsInf(v, 0) || math.Abs(v) > 1e12 {
@@ -273,94 +265,376 @@ func TestPropertyTWMeanBounded(t *testing.T) {
 	}
 }
 
-func TestAppendNMatchesSequentialAppend(t *testing.T) {
-	seq := New("seq", "u")
-	batch := New("batch", "u")
-	var samples []Sample
-	for i := 0; i < 100; i++ {
-		ts := t0.Add(time.Duration(i/3) * time.Minute) // repeated stamps allowed
-		seq.MustAppend(ts, float64(i))
-		samples = append(samples, Sample{T: ts, V: float64(i)})
-	}
-	if err := batch.AppendN(samples[:50]); err != nil {
-		t.Fatal(err)
-	}
-	if err := batch.AppendN(samples[50:]); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.Samples(), batch.Samples()) {
-		t.Error("AppendN contents differ from sequential Append")
-	}
-}
-
-func TestAppendNRejectsDisorder(t *testing.T) {
-	s := New("x", "u")
-	s.MustAppend(t0.Add(time.Hour), 1)
-	// Batch starting before the last appended sample.
-	if err := s.AppendN([]Sample{{T: t0, V: 2}}); err == nil {
-		t.Error("batch preceding the series tail was accepted")
-	}
-	if s.Len() != 1 {
-		t.Errorf("failed AppendN mutated the series: len = %d", s.Len())
-	}
-	// Disorder inside the batch itself.
-	err := s.AppendN([]Sample{
-		{T: t0.Add(3 * time.Hour), V: 1},
-		{T: t0.Add(2 * time.Hour), V: 2},
-	})
-	if err == nil {
-		t.Error("out-of-order batch was accepted")
-	}
-	if s.Len() != 1 {
-		t.Errorf("failed AppendN mutated the series: len = %d", s.Len())
-	}
-}
-
-func TestNewWithCapacityAndReserve(t *testing.T) {
-	s := NewWithCapacity("x", "u", 1000)
-	for i := 0; i < 1000; i++ {
-		s.MustAppend(t0.Add(time.Duration(i)*time.Second), float64(i))
-	}
-	if s.Len() != 1000 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	s.Reserve(500)
-	before := s.Samples()
-	for i := 0; i < 500; i++ {
-		s.MustAppend(t0.Add(time.Duration(1000+i)*time.Second), float64(i))
-	}
-	// Reserve must have pre-grown the backing array: appending within the
-	// reservation keeps the same storage.
-	if len(before) > 0 && len(s.Samples()) > 0 && &s.Samples()[0] != &before[0] {
-		t.Error("Reserve did not pre-grow the backing array")
-	}
-}
-
 // The windowed accumulator must be bit-identical to per-window
 // TimeWeightedMean calls for any monotone window sweep, including windows
 // before the first sample, beyond the last, and zero-width ones.
 func TestWindowAccumulatorMatchesTimeWeightedMean(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	s := New("x", "u")
-	at := t0
+	s := New("x", "u", 17*time.Minute, 0)
 	for i := 0; i < 500; i++ {
-		at = at.Add(time.Duration(r.Intn(40)) * time.Minute) // ties allowed
-		s.MustAppend(at, r.NormFloat64()*10)
+		s.MustAppend(t0.Add(time.Duration(i)*17*time.Minute), r.NormFloat64()*10)
 	}
-	first, last, _ := s.Span()
+	_, last, _ := s.Span()
 
 	acc := s.Accumulator()
-	from := first.Add(-3 * time.Hour)
-	for i := 0; i < 300; i++ {
+	from := t0.Add(-3 * time.Hour)
+	for from.Before(last.Add(3 * time.Hour)) {
 		to := from.Add(time.Duration(r.Intn(5*3600)) * time.Second)
 		want := s.TimeWeightedMean(from, to)
 		got := acc.TimeWeightedMean(from, to)
 		if math.Float64bits(want) != math.Float64bits(got) {
-			t.Fatalf("window %d [%v, %v): accumulator %v != series %v", i, from, to, want, got)
+			t.Fatalf("window [%v, %v): accumulator %v != series %v", from, to, got, want)
 		}
 		from = to
 	}
-	if from.Before(last) {
-		t.Log("sweep ended before series end; still exercised interior windows")
+}
+
+func TestRegularAppendCadence(t *testing.T) {
+	s := New("x", "u", time.Hour, 0)
+	if err := s.Append(t0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(t0.Add(time.Hour), 2); err != nil {
+		t.Fatal(err)
+	}
+	// Off-cadence: early, late, duplicate.
+	for _, bad := range []time.Duration{90 * time.Minute, 3 * time.Hour, time.Hour} {
+		if err := s.Append(t0.Add(bad), 9); err == nil {
+			t.Fatalf("off-cadence append at +%v accepted", bad)
+		}
+	}
+	if s.Len() != 2 {
+		t.Fatalf("len = %d", s.Len())
+	}
+	if from, to, ok := s.Span(); !ok || !from.Equal(t0) || !to.Equal(t0.Add(time.Hour)) {
+		t.Fatalf("span = %v %v %v", from, to, ok)
+	}
+}
+
+func TestRegularMustAppendPanics(t *testing.T) {
+	s := mk(1, 2)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("off-cadence MustAppend did not panic")
+		}
+	}()
+	s.MustAppend(t0.Add(30*time.Minute), 0)
+}
+
+func TestRegularValueAtEdges(t *testing.T) {
+	s := mk(10, 20, 30)
+	if _, ok := s.ValueAt(t0.Add(-time.Second)); ok {
+		t.Fatal("value before epoch reported ok")
+	}
+	cases := []struct {
+		at   time.Duration
+		want float64
+	}{
+		{0, 10}, {30 * time.Minute, 10}, {time.Hour, 20}, {5 * time.Hour, 30},
+	}
+	for _, c := range cases {
+		v, ok := s.ValueAt(t0.Add(c.at))
+		if !ok || v != c.want {
+			t.Errorf("ValueAt(+%v) = %v,%v want %v", c.at, v, ok, c.want)
+		}
+	}
+	// Far past the last sample the last value holds.
+	if v, ok := s.ValueAt(t0.AddDate(300, 0, 0)); !ok || v != 30 {
+		t.Errorf("ValueAt(+300y) = %v,%v want 30", v, ok)
+	}
+	if _, ok := New("e", "u", time.Hour, 0).ValueAt(t0); ok {
+		t.Fatal("empty series reported a value")
+	}
+}
+
+func TestRegularSliceStaysRegular(t *testing.T) {
+	s := mk(10, 20, 30, 40, 50)
+	sl := s.Slice(t0.Add(time.Hour), t0.Add(3*time.Hour))
+	if sl.Len() != 2 {
+		t.Fatalf("slice len = %d", sl.Len())
+	}
+	if sl.Step() != time.Hour {
+		t.Fatalf("slice step = %v", sl.Step())
+	}
+	if from, _, _ := sl.Span(); !from.Equal(t0.Add(time.Hour)) {
+		t.Fatalf("slice epoch = %v", from)
+	}
+	if got := sl.Mean(); got != 25 {
+		t.Fatalf("slice mean = %v", got)
+	}
+	if empty := s.Slice(t0.Add(10*time.Hour), t0.Add(20*time.Hour)); empty.Len() != 0 {
+		t.Fatalf("out-of-range slice len = %d", empty.Len())
+	}
+}
+
+func TestRegularCSVAndRender(t *testing.T) {
+	s := New("cab,01", "k\nW", time.Hour, 0)
+	for i := 0; i < 100; i++ {
+		v := 3220.0
+		if i >= 50 {
+			v = 2530
+		}
+		s.MustAppend(t0.Add(time.Duration(i)*time.Hour), v)
+	}
+	var b strings.Builder
+	if err := s.WriteCSV(&b, true); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(b.String(), "time,cab_01_k_W\n") ||
+		!strings.Contains(b.String(), "2021-12-05T03:00:00Z,2530") {
+		t.Fatalf("csv output wrong: %q", b.String()[:80])
+	}
+	if out := s.RenderASCII(10, 60); !strings.Contains(out, "*") {
+		t.Fatalf("render missing marks:\n%s", out)
+	}
+	if step, ok := s.DetectStep(10, 0.05); !ok || !step.At.Equal(t0.Add(50*time.Hour)) {
+		t.Fatalf("step = %+v ok=%v", step, ok)
+	}
+}
+
+func TestRegularClipAndFootprint(t *testing.T) {
+	s := New("x", "u", time.Hour, 1000)
+	for i := 0; i < 10; i++ {
+		s.MustAppend(t0.Add(time.Duration(i)*time.Hour), float64(i))
+	}
+	before := s.MemoryFootprint()
+	s.Clip()
+	after := s.MemoryFootprint()
+	if after >= before {
+		t.Fatalf("Clip did not shrink footprint: %d -> %d", before, after)
+	}
+	if s.Len() != 10 || s.At(9).V != 9 {
+		t.Fatal("Clip lost samples")
+	}
+	// A sample costs 8 bytes: timestamps are implicit.
+	if got := before - after; got != 990*8 {
+		t.Fatalf("Clip released %d bytes, want %d", got, 990*8)
+	}
+}
+
+// refSeries is the reference model the property test checks Series
+// against: explicit samples, linear-scan index searches and in-order sums.
+type refSeries []Sample
+
+// ceil returns the index of the first sample at or after t.
+func (r refSeries) ceil(t time.Time) int {
+	for i, smp := range r {
+		if !smp.T.Before(t) {
+			return i
+		}
+	}
+	return len(r)
+}
+
+func (r refSeries) values(lo, hi int) []float64 {
+	var out []float64
+	for _, smp := range r[lo:max(lo, hi)] {
+		out = append(out, smp.V)
+	}
+	return out
+}
+
+func (r refSeries) valueAt(t time.Time) (float64, bool) {
+	i := 0
+	for i < len(r) && !r[i].T.After(t) {
+		i++
+	}
+	if i == 0 {
+		return 0, false
+	}
+	return r[i-1].V, true
+}
+
+func (r refSeries) meanBetween(from, to time.Time) float64 {
+	return stats.Mean(r.values(r.ceil(from), r.ceil(to)))
+}
+
+func (r refSeries) countBetween(from, to time.Time) int {
+	return max(0, r.ceil(to)-r.ceil(from))
+}
+
+// timeWeightedMean integrates sample-and-hold over [from, to), averaging
+// over the covered portion when the window starts before the data.
+func (r refSeries) timeWeightedMean(from, to time.Time) float64 {
+	if !to.After(from) || len(r) == 0 {
+		return 0
+	}
+	i := r.ceil(from)
+	var integral, current float64
+	cursor, have := from, i > 0
+	if have {
+		current = r[i-1].V
+	}
+	for ; i < len(r) && r[i].T.Before(to); i++ {
+		if have {
+			integral += current * r[i].T.Sub(cursor).Seconds()
+		}
+		cursor, current, have = r[i].T, r[i].V, true
+	}
+	if !have {
+		return 0
+	}
+	integral += current * to.Sub(cursor).Seconds()
+	denom := to.Sub(from).Seconds()
+	if r[0].T.After(from) {
+		if denom = to.Sub(r[0].T).Seconds(); denom <= 0 {
+			return 0
+		}
+	}
+	return integral / denom
+}
+
+// TestPropertySeriesMatchesReference is the reference-model property test:
+// on random fixed-cadence data, Series must agree bit-exactly with the
+// linear-scan refSeries on every read-API query — same indices found, same
+// arithmetic performed — including windows whose bounds lie centuries
+// from the epoch, where time.Time.Sub saturates.
+func TestPropertySeriesMatchesReference(t *testing.T) {
+	rnd := rand.New(rand.NewSource(42))
+	// bound draws a window bound: usually near the data, sometimes more
+	// than 300 years before or after it.
+	bound := func(span, step time.Duration) time.Time {
+		switch rnd.Intn(10) {
+		case 0:
+			return t0.AddDate(-300-rnd.Intn(200), 0, 0)
+		case 1:
+			return t0.AddDate(300+rnd.Intn(200), 0, 0)
+		}
+		return t0.Add(time.Duration(rnd.Int63n(int64(span+4*step))) - 2*step)
+	}
+	for trial := 0; trial < 50; trial++ {
+		step := time.Duration(1+rnd.Intn(120)) * time.Minute
+		n := 2 + rnd.Intn(400)
+		var ref refSeries
+		s := New("x", "u", step, 0)
+		for i := 0; i < n; i++ {
+			at := t0.Add(time.Duration(i) * step)
+			v := rnd.NormFloat64() * 1000
+			ref = append(ref, Sample{T: at, V: v})
+			s.MustAppend(at, v)
+		}
+		span := time.Duration(n) * step
+
+		all := ref.values(0, n)
+		if a, b := stats.Mean(all), s.Mean(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("trial %d: Mean %v != %v", trial, b, a)
+		}
+		want, got := stats.Summarize(all), s.Summary()
+		if math.Abs(got.StdDev-want.StdDev) > 1e-9*want.StdDev {
+			t.Fatalf("trial %d: Summary StdDev %v != %v", trial, got.StdDev, want.StdDev)
+		}
+		got.StdDev = want.StdDev // moment identity, not bitwise two-pass
+		if got != want {
+			t.Fatalf("trial %d: Summary %+v != %+v", trial, got, want)
+		}
+
+		acc := s.Accumulator()
+		from := t0.Add(-time.Duration(rnd.Intn(3)) * step)
+		for q := 0; q < 200; q++ {
+			at := bound(span, step)
+			va, oka := ref.valueAt(at)
+			vb, okb := s.ValueAt(at)
+			if oka != okb || math.Float64bits(va) != math.Float64bits(vb) {
+				t.Fatalf("trial %d: ValueAt(%v) = (%v,%v) != (%v,%v)", trial, at, vb, okb, va, oka)
+			}
+
+			to := bound(span, step)
+			if rnd.Intn(2) == 0 && !to.After(at) {
+				at, to = to, at
+			}
+			if a, b := ref.meanBetween(at, to), s.MeanBetween(at, to); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("trial %d: MeanBetween(%v,%v) = %v != %v", trial, at, to, b, a)
+			}
+			if a, b := ref.countBetween(at, to), s.CountBetween(at, to); a != b {
+				t.Fatalf("trial %d: CountBetween(%v,%v) = %d != %d", trial, at, to, b, a)
+			}
+			if a, b := ref.timeWeightedMean(at, to), s.TimeWeightedMean(at, to); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("trial %d: TimeWeightedMean(%v,%v) = %v != %v", trial, at, to, b, a)
+			}
+			sl := s.Slice(at, to)
+			lo := ref.ceil(at)
+			if sl.Len() != ref.countBetween(at, to) {
+				t.Fatalf("trial %d: Slice(%v,%v) len %d != %d", trial, at, to, sl.Len(), ref.countBetween(at, to))
+			}
+			for i := 0; i < sl.Len(); i++ {
+				if a, b := ref[lo+i], sl.At(i); !a.T.Equal(b.T) || math.Float64bits(a.V) != math.Float64bits(b.V) {
+					t.Fatalf("trial %d: slice[%d] = %v != %v", trial, i, b, a)
+				}
+			}
+
+			// Monotone window sweep through the accumulator.
+			wTo := from.Add(time.Duration(rnd.Int63n(int64(3 * step))))
+			if a, b := ref.timeWeightedMean(from, wTo), acc.TimeWeightedMean(from, wTo); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("trial %d: accumulator window (%v,%v) = %v != %v", trial, from, wTo, b, a)
+			}
+			from = wTo
+		}
+	}
+}
+
+// Window bounds more than ~292 years past the epoch saturate
+// time.Time.Sub at the largest time.Duration; the index search must clamp
+// instead of overflowing to a negative index.
+func TestFarWindowBounds(t *testing.T) {
+	s := mkStep(15*time.Minute, 1, 2, 3, 4, 5, 6, 7, 8)
+	far := t0.AddDate(300, 0, 0)
+	if got := s.MeanBetween(t0, far); got != 4.5 {
+		t.Errorf("MeanBetween(t0, +300y) = %v, want 4.5", got)
+	}
+	if got := s.CountBetween(t0, far); got != 8 {
+		t.Errorf("CountBetween(t0, +300y) = %d, want 8", got)
+	}
+	if got := s.Slice(t0, far).Len(); got != 8 {
+		t.Errorf("Slice(t0, +300y).Len() = %d, want 8", got)
+	}
+	if got := s.TimeWeightedMean(far, far.Add(time.Hour)); got != 8 {
+		t.Errorf("TimeWeightedMean(+300y, +300y+1h) = %v, want 8", got)
+	}
+}
+
+// The alloc-regression satellite: Mean, Summary and MeanBetween must not
+// allocate (Mean is O(1) from moments; Summary's percentile scratch is
+// pooled).
+func TestMeanAndSummaryAllocFree(t *testing.T) {
+	s := mkStep(time.Minute, make([]float64, 4096)...)
+	if n := testing.AllocsPerRun(100, func() { _ = s.Mean() }); n != 0 {
+		t.Errorf("Mean allocates %v per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.Summary() }); n != 0 {
+		t.Errorf("Summary allocates %v per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = s.MeanBetween(t0, t0.Add(time.Hour)) }); n != 0 {
+		t.Errorf("MeanBetween allocates %v per call", n)
+	}
+}
+
+// The append path must be allocation-free once capacity is reserved.
+func TestRegularAppendAllocFree(t *testing.T) {
+	s := New("x", "u", time.Second, 200)
+	i := 0
+	if n := testing.AllocsPerRun(100, func() {
+		s.MustAppend(t0.Add(time.Duration(i)*time.Second), float64(i))
+		i++
+	}); n != 0 {
+		t.Errorf("pre-sized append allocates %v per call", n)
+	}
+}
+
+// Inverted windows (from after to) must degrade to empty results — never
+// panic, never go negative.
+func TestInvertedWindowsAreEmpty(t *testing.T) {
+	s := mk(1, 2, 3, 4, 5)
+	from, to := t0.Add(4*time.Hour), t0.Add(time.Hour) // inverted
+	if got := s.Slice(from, to); got.Len() != 0 {
+		t.Errorf("inverted Slice has %d samples", got.Len())
+	}
+	if got := s.CountBetween(from, to); got != 0 {
+		t.Errorf("inverted CountBetween = %d", got)
+	}
+	if got := s.MeanBetween(from, to); got != 0 {
+		t.Errorf("inverted MeanBetween = %v", got)
+	}
+	if got := s.TimeWeightedMean(from, to); got != 0 {
+		t.Errorf("inverted TimeWeightedMean = %v", got)
 	}
 }
