@@ -80,3 +80,40 @@ func TestDocsLinksResolve(t *testing.T) {
 		t.Fatal("link check matched no links at all; is the matcher broken?")
 	}
 }
+
+// benchPattern matches a quoted `go test -bench '...'` benchmark pattern.
+var benchPattern = regexp.MustCompile(`go test -bench '([^']+)'`)
+
+// TestPerfDocsBenchGateMatchesCI pins docs/performance.md to the CI bench
+// gate: the blessing command must use the gate's exact benchmark pattern
+// (a benchmark left out of a blessed baseline silently loses its gate),
+// and the gate description must name every gated benchmark.
+func TestPerfDocsBenchGateMatchesCI(t *testing.T) {
+	read := func(path string) string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	ci := benchPattern.FindAllStringSubmatch(read(".github/workflows/ci.yml"), -1)
+	if len(ci) != 1 {
+		t.Fatalf("ci.yml: found %d quoted bench patterns, want the gate's one", len(ci))
+	}
+	doc := read("docs/performance.md")
+	blessed := benchPattern.FindAllStringSubmatch(doc, -1)
+	if len(blessed) != 1 || blessed[0][1] != ci[0][1] {
+		t.Fatalf("docs/performance.md blessing pattern %q, want the CI gate's %q", blessed, ci[0][1])
+	}
+	start := strings.Index(doc, "## How the CI gate works")
+	end := strings.Index(doc, "## Blessing a new baseline")
+	if start < 0 || end < start {
+		t.Fatal("docs/performance.md: gate sections not found")
+	}
+	gate := doc[start:end]
+	for _, name := range strings.Split(ci[0][1], "|") {
+		if !strings.Contains(gate, "`"+name+"`") {
+			t.Errorf("docs/performance.md gate description omits gated benchmark %s", name)
+		}
+	}
+}

@@ -245,6 +245,30 @@ func (n *Node) StartWork(a cpu.Activity, at time.Time) {
 	n.updateCounters(n.state != Down, wasBusy)
 }
 
+// StartJob puts the node to work for a job: it is SetMode, SetFrequency
+// and StartWork in that order, fused into one validation, one accrual and
+// one power refresh. The die factors are redrawn only when the mode
+// changes. The sequential form accrues once at the pre-job power and then
+// again over a zero-length interval, so the fused form is bit-identical.
+// An unsupported setting returns an error and leaves the node unchanged.
+func (n *Node) StartJob(m cpu.Mode, fs cpu.FreqSetting, a cpu.Activity, at time.Time) error {
+	if err := n.Spec.ValidateSetting(fs); err != nil {
+		return err
+	}
+	n.Accrue(at)
+	if m != n.mode {
+		n.mode = m
+		n.redraw()
+	}
+	wasBusy := n.busy
+	n.setting = fs
+	n.activity = a
+	n.busy = true
+	n.refreshPower()
+	n.updateCounters(n.state != Down, wasBusy)
+	return nil
+}
+
 // StopWork marks the node idle, accruing the work period's energy.
 func (n *Node) StopWork(at time.Time) {
 	n.Accrue(at)

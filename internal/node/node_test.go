@@ -199,3 +199,82 @@ func TestNodeDeterminism(t *testing.T) {
 		t.Fatal("same-seed nodes diverge")
 	}
 }
+
+// TestStartJobMatchesSequentialCalls drives two same-seed nodes through a
+// random sequence of job starts, stops and state changes. One starts jobs
+// with StartJob, the other with SetMode, SetFrequency and StartWork; after
+// every step their full state (RNG position included), cached power,
+// energy and fleet counters must agree bit for bit. Mode flips exercise
+// the die-factor redraw, and zero-length intervals the second accrual the
+// fused form drops.
+func TestStartJobMatchesSequentialCalls(t *testing.T) {
+	spec := cpu.EPYC7742()
+	mk := func() (*Node, *FleetCounters) {
+		n := New(3, spec, rng.New(7).Split("node"), t0)
+		c := &FleetCounters{}
+		n.AttachCounters(c)
+		return n, c
+	}
+	fused, fc := mk()
+	seq, sc := mk()
+	settings := []cpu.FreqSetting{
+		{Base: units.Gigahertz(1.5)},
+		{Base: units.Gigahertz(2.0)},
+		{Base: units.Gigahertz(2.25)},
+		{Base: units.Gigahertz(2.25), Boost: true},
+	}
+	invalid := []cpu.FreqSetting{
+		{Base: units.Gigahertz(1.7)},
+		{Base: units.Gigahertz(2.0), Boost: true},
+	}
+	modes := []cpu.Mode{cpu.PowerDeterminism, cpu.PerformanceDeterminism}
+	r := rng.New(11).Split("steps")
+	at := t0
+	for step := 0; step < 5000; step++ {
+		if r.Intn(3) > 0 {
+			at = at.Add(time.Duration(r.Intn(7200)) * time.Second)
+		}
+		switch op := r.Intn(10); {
+		case op < 6:
+			m := modes[r.Intn(len(modes))]
+			fs := settings[r.Intn(len(settings))]
+			a := cpu.Activity{Core: r.Float64(), Uncore: r.Float64()}
+			if err := fused.StartJob(m, fs, a, at); err != nil {
+				t.Fatalf("step %d: StartJob(%v): %v", step, fs, err)
+			}
+			seq.SetMode(m, at)
+			if err := seq.SetFrequency(fs, at); err != nil {
+				t.Fatalf("step %d: SetFrequency(%v): %v", step, fs, err)
+			}
+			seq.StartWork(a, at)
+		case op < 7:
+			before := fused.Snapshot()
+			fs := invalid[r.Intn(len(invalid))]
+			if err := fused.StartJob(modes[r.Intn(len(modes))], fs, cpu.Activity{Core: 1}, at); err == nil {
+				t.Fatalf("step %d: StartJob accepted invalid setting %v", step, fs)
+			}
+			if fused.Snapshot() != before {
+				t.Fatalf("step %d: rejected StartJob mutated the node", step)
+			}
+		case op < 9:
+			fused.StopWork(at)
+			seq.StopWork(at)
+		default:
+			s := State(r.Intn(3))
+			fused.SetState(s, at)
+			seq.SetState(s, at)
+		}
+		if fused.Snapshot() != seq.Snapshot() {
+			t.Fatalf("step %d: snapshots diverge:\n fused %+v\n   seq %+v", step, fused.Snapshot(), seq.Snapshot())
+		}
+		if math.Float64bits(fused.PowerWatts()) != math.Float64bits(seq.PowerWatts()) {
+			t.Fatalf("step %d: power %v != %v", step, fused.PowerWatts(), seq.PowerWatts())
+		}
+		if math.Float64bits(fused.Energy().Joules()) != math.Float64bits(seq.Energy().Joules()) {
+			t.Fatalf("step %d: energy %v != %v", step, fused.Energy(), seq.Energy())
+		}
+		if *fc != *sc {
+			t.Fatalf("step %d: fleet counters %+v != %+v", step, *fc, *sc)
+		}
+	}
+}

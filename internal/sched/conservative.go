@@ -38,11 +38,12 @@ func (s *Scheduler) backfillConservative(now time.Time) {
 	}
 	p.build()
 
+	s.bfRemoved = s.bfRemoved[:0]
 	limit := s.cfg.BackfillDepth + 1
 	if limit > s.queue.Len() {
 		limit = s.queue.Len()
 	}
-	for i := 0; i < limit; {
+	for i := 0; i < limit; i++ {
 		j := s.queue.At(i)
 		rt := s.predictRuntime(j)
 		at := p.earliestStart(j.Spec.Nodes, rt)
@@ -50,17 +51,16 @@ func (s *Scheduler) backfillConservative(now time.Time) {
 			// Never fits the profile (e.g. nodes out for repair or held
 			// by an open-ended run of reservations); leave it queued and
 			// unplanned.
-			i++
 			continue
 		}
 		if at.Equal(now) && j.Spec.Nodes <= s.freeFor(j) && s.withinPowerCap(j) {
 			d := s.temporalDecision(j, now)
 			if !d.Start && d.Block {
 				s.scheduleRecheck(d.Recheck, now)
-				return
+				break
 			}
-			s.queue.RemoveAt(i)
-			limit--
+			// Leaves the queue: removed in one batch after the scan.
+			s.bfRemoved = append(s.bfRemoved, i)
 			if !d.Start {
 				// Parked jobs leave the queue, so they reserve nothing.
 				s.hold(j, d.Recheck, now)
@@ -71,8 +71,8 @@ func (s *Scheduler) backfillConservative(now time.Time) {
 			continue
 		}
 		p.reserve(at, rt, j.Spec.Nodes)
-		i++
 	}
+	s.queue.RemoveSorted(s.bfRemoved)
 }
 
 // capEvent is one future capacity change.

@@ -17,8 +17,9 @@ import (
 // checkSchedulerInvariants asserts the structural invariants that must
 // hold after every operation, whatever the policy mix:
 //
-//   - no node is allocated to two running jobs, and the node index agrees
-//     with the running set exactly;
+//   - no node is allocated to two running jobs, and the per-node index
+//     agrees with the running set exactly: a running job's nodes map to
+//     it, every other node maps to nil;
 //   - every node is in exactly one of the four ledgers: free, busy,
 //     reservation-captured, or down;
 //   - utilisation stays within [0, 1];
@@ -41,8 +42,19 @@ func checkSchedulerInvariants(t *testing.T, tag string, s *Scheduler, total int)
 		}
 		busy += len(j.Nodes)
 	}
-	if len(s.byNode) != busy || s.BusyNodes() != busy {
-		t.Fatalf("%s: busy ledger %d/%d, running set says %d", tag, len(s.byNode), s.BusyNodes(), busy)
+	indexed := 0
+	for id, j := range s.byNode {
+		if j == nil {
+			continue
+		}
+		indexed++
+		if seen[id] != j {
+			t.Fatalf("%s: node %d indexed to job %d outside its running allocation", tag, id, j.Spec.ID)
+		}
+	}
+	if len(s.byNode) != total || indexed != busy || s.BusyNodes() != busy {
+		t.Fatalf("%s: node index %d/%d entries, busy ledger %d, running set says %d",
+			tag, indexed, len(s.byNode), s.BusyNodes(), busy)
 	}
 	down := 0
 	for id := 0; id < total; id++ {

@@ -4,11 +4,11 @@ package sched
 // slice plus a head index. The previous representation popped the front
 // by re-slicing (queue = queue[1:]), which permanently leaks front
 // capacity — under a saturated service every submission then triggers a
-// reallocation and a full copy of the backlog. Here pops advance the
-// head, the buffer compacts in place once the dead prefix dominates, and
-// steady-state churn allocates nothing. Logical contents and order are
-// identical to the plain-slice queue, so scheduling decisions are
-// unchanged.
+// reallocation and a full copy of the backlog. Here pops and batched
+// front-window removals advance the head, the buffer compacts in place
+// once the dead prefix dominates, and steady-state churn allocates
+// nothing. Logical contents and order are identical to the plain-slice
+// queue, so scheduling decisions are unchanged.
 type jobQueue struct {
 	jobs []*Job
 	head int
@@ -31,12 +31,46 @@ func (q *jobQueue) PopFront() *Job {
 	j := q.jobs[q.head]
 	q.jobs[q.head] = nil
 	q.head++
+	q.compact()
+	return j
+}
+
+// RemoveSorted deletes the queued jobs at the given strictly ascending
+// positions (0 = front), preserving the order of the rest. Backfill
+// removes only from the scan window at the front, so instead of closing
+// each gap by moving the whole backlog forward, the window's survivors
+// shift toward the back over the gaps and the head advances past the
+// vacated slots: the cost is O(last position), not O(Len).
+func (q *jobQueue) RemoveSorted(pos []int) {
+	k := len(pos)
+	if k == 0 {
+		return
+	}
+	dst := q.head + pos[k-1]
+	for src := dst; src >= q.head; src-- {
+		if k > 0 && src == q.head+pos[k-1] {
+			k--
+			continue
+		}
+		q.jobs[dst] = q.jobs[src]
+		dst--
+	}
+	for i := q.head; i <= dst; i++ {
+		q.jobs[i] = nil
+	}
+	q.head = dst + 1
+	q.compact()
+}
+
+// compact resets an empty buffer, and moves the live jobs to the front
+// once the dead prefix left by advancing the head dominates. Without it a
+// queue whose head never pops would grow its buffer without bound.
+func (q *jobQueue) compact() {
 	switch {
 	case q.head == len(q.jobs):
 		q.jobs = q.jobs[:0]
 		q.head = 0
 	case q.head >= 256 && 2*q.head >= len(q.jobs):
-		// The dead prefix dominates: compact in place.
 		n := copy(q.jobs, q.jobs[q.head:])
 		for i := n; i < len(q.jobs); i++ {
 			q.jobs[i] = nil
@@ -44,15 +78,6 @@ func (q *jobQueue) PopFront() *Job {
 		q.jobs = q.jobs[:n]
 		q.head = 0
 	}
-	return j
-}
-
-// RemoveAt deletes the i-th queued job, preserving order.
-func (q *jobQueue) RemoveAt(i int) {
-	i += q.head
-	copy(q.jobs[i:], q.jobs[i+1:])
-	q.jobs[len(q.jobs)-1] = nil
-	q.jobs = q.jobs[:len(q.jobs)-1]
 }
 
 // InsertAt inserts j at position i (0 = front), preserving order.

@@ -15,6 +15,9 @@ type jqModel struct {
 	q    jobQueue
 	ref  []*Job
 	step int
+
+	pos          []int // removal scratch
+	headRemovals int   // batched removals made with head > 0
 }
 
 func (m *jqModel) push(j *Job) {
@@ -33,10 +36,37 @@ func (m *jqModel) pop() {
 	m.check("PopFront")
 }
 
-func (m *jqModel) removeAt(i int) {
-	m.q.RemoveAt(i)
-	m.ref = append(m.ref[:i:i], m.ref[i+1:]...)
-	m.check("RemoveAt")
+// removeSorted removes the given ascending positions in one batch; the
+// reference deletes them one at a time, back to front.
+func (m *jqModel) removeSorted(pos []int) {
+	if m.q.head > 0 {
+		m.headRemovals++
+	}
+	m.q.RemoveSorted(pos)
+	for k := len(pos) - 1; k >= 0; k-- {
+		i := pos[k]
+		m.ref = append(m.ref[:i:i], m.ref[i+1:]...)
+	}
+	m.check("RemoveSorted")
+}
+
+// removeRandom removes a random subset of a random front window, the
+// shape backfill produces: positions inside [0, w), ascending.
+func (m *jqModel) removeRandom(rng *rand.Rand) {
+	if len(m.ref) == 0 {
+		return
+	}
+	w := 1 + rng.Intn(len(m.ref))
+	if w > 64 && rng.Intn(4) > 0 {
+		w = 1 + rng.Intn(64)
+	}
+	m.pos = m.pos[:0]
+	for i := 0; i < w; i++ {
+		if rng.Intn(3) == 0 {
+			m.pos = append(m.pos, i)
+		}
+	}
+	m.removeSorted(m.pos)
 }
 
 func (m *jqModel) insertAt(i int, j *Job) {
@@ -74,7 +104,7 @@ func (m *jqModel) check(op string) {
 // sequence — heavy enough in pops to cross the in-place compaction
 // threshold (head >= 256 with a dominating dead prefix) several times —
 // and verifies the queue never diverges from the plain-slice model,
-// including RemoveAt/InsertAt/Snapshot against a compacted buffer.
+// including RemoveSorted/InsertAt/Snapshot against a compacted buffer.
 func TestJobQueueMatchesReferenceModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	m := &jqModel{t: t}
@@ -91,9 +121,7 @@ func TestJobQueueMatchesReferenceModel(t *testing.T) {
 				m.push(&Job{})
 			}
 		case op < 85:
-			if len(m.ref) > 0 {
-				m.removeAt(rng.Intn(len(m.ref)))
-			}
+			m.removeRandom(rng)
 		default:
 			m.insertAt(rng.Intn(len(m.ref)+1), &Job{})
 		}
@@ -117,7 +145,7 @@ func TestJobQueueMatchesReferenceModel(t *testing.T) {
 	// churn to mix all branches.
 	for i := 0; i < 50; i++ {
 		m.insertAt(rng.Intn(len(m.ref)+1), &Job{})
-		m.removeAt(rng.Intn(len(m.ref)))
+		m.removeRandom(rng)
 	}
 	for i := 0; i < 1500; i++ {
 		switch op := rng.Intn(100); {
@@ -130,9 +158,7 @@ func TestJobQueueMatchesReferenceModel(t *testing.T) {
 				m.push(&Job{})
 			}
 		case op < 90:
-			if len(m.ref) > 0 {
-				m.removeAt(rng.Intn(len(m.ref)))
-			}
+			m.removeRandom(rng)
 		default:
 			m.insertAt(rng.Intn(len(m.ref)+1), &Job{})
 		}
@@ -142,5 +168,52 @@ func TestJobQueueMatchesReferenceModel(t *testing.T) {
 	}
 	if m.step < 1000 {
 		t.Fatalf("property sequence too short: %d ops", m.step)
+	}
+	if m.headRemovals == 0 {
+		t.Fatal("no batched removal ran with head > 0")
+	}
+}
+
+// TestJobQueueRemovalsWithoutPopsStayBounded is the blocked-head shape:
+// the front job never starts, so nothing pops, while backfill keeps
+// removing from the window behind it and submissions keep arriving.
+// Batched removals advance the head, so without the dead-prefix
+// compaction the buffer would grow with every job ever queued.
+func TestJobQueueRemovalsWithoutPopsStayBounded(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	m := &jqModel{t: t}
+	for i := 0; i < 300; i++ {
+		m.push(&Job{})
+	}
+	peak := 0
+	for i := 0; i < 20000; i++ {
+		switch op := rng.Intn(100); {
+		case op < 45:
+			m.push(&Job{})
+		case op < 55:
+			m.insertAt(rng.Intn(len(m.ref)+1), &Job{})
+		default:
+			// Keep the blocked head: remove only from positions >= 1.
+			m.pos = m.pos[:0]
+			w := 1 + rng.Intn(32)
+			if w > len(m.ref) {
+				w = len(m.ref)
+			}
+			for p := 1; p < w; p++ {
+				if rng.Intn(2) == 0 {
+					m.pos = append(m.pos, p)
+				}
+			}
+			m.removeSorted(m.pos)
+		}
+		if len(m.ref) > peak {
+			peak = len(m.ref)
+		}
+		if limit := 4 * (peak + 256); cap(m.q.jobs) > limit {
+			t.Fatalf("op %d: buffer capacity %d exceeds %d (peak backlog %d)", i, cap(m.q.jobs), limit, peak)
+		}
+	}
+	if m.headRemovals == 0 {
+		t.Fatal("no batched removal ran with head > 0")
 	}
 }

@@ -85,7 +85,7 @@ func (s *Scheduler) preempt(j *Job, now time.Time) {
 	for _, id := range j.Nodes {
 		nd := s.fac.Node(id)
 		nd.StopWork(now)
-		delete(s.byNode, id)
+		s.byNode[id] = nil
 		if nd.State() == node.Up {
 			s.releaseNode(id)
 		}

@@ -122,7 +122,7 @@ func (s *Scheduler) resvStart(rs *resvState, _ time.Time) {
 		if s.fac.Node(id).State() != node.Up {
 			continue
 		}
-		if _, busy := s.byNode[id]; busy {
+		if s.byNode[id] != nil {
 			if s.draining == nil {
 				s.draining = make(map[int]*resvState)
 			}

@@ -303,7 +303,7 @@ type Scheduler struct {
 	free    *nodeSet // free Up node IDs (bitmap-indexed)
 	queue   jobQueue
 	running []*Job // sorted by End ascending
-	byNode  map[int]*Job
+	byNode  []*Job // running job per node ID; nil = not running a job
 
 	// completeFn / releaseFn are the long-lived event callbacks for job
 	// completion and held-job release; scheduling them via AtArg with the
@@ -351,12 +351,14 @@ type Scheduler struct {
 
 	// bfCache memoizes per-application operating-point predictions for
 	// the duration of one backfill pass (backfill scans are the hot loop;
-	// the settings lookup is loop-invariant per app). prof is the reused
-	// capacity-profile scratch for conservative backfill; victims is the
-	// preemption candidate scratch.
-	bfCache []bfEntry
-	prof    capProfile
-	victims []*Job
+	// the settings lookup is loop-invariant per app). bfRemoved collects
+	// the queue positions a pass starts or parks, removed in one batch at
+	// the end of the pass. prof is the reused capacity-profile scratch for
+	// conservative backfill; victims is the preemption candidate scratch.
+	bfCache   []bfEntry
+	bfRemoved []int
+	prof      capProfile
+	victims   []*Job
 
 	// parts is the facility's resolved partition list when it has more
 	// than one partition, nil for the homogeneous machine. All partition
@@ -376,7 +378,7 @@ func New(eng *des.Engine, fac *facility.Facility, provider SettingsProvider, cfg
 		fac:      fac,
 		provider: provider,
 		cfg:      cfg,
-		byNode:   make(map[int]*Job),
+		byNode:   make([]*Job, fac.NodeCount()),
 		upNodes:  fac.NodeCount(),
 	}
 	s.free = newNodeSet(fac.NodeCount())
@@ -514,7 +516,7 @@ func (s *Scheduler) newJob() *Job {
 
 // recycle returns a terminal job to the free list when recycling is on.
 // Callers guarantee no live reference remains: the queue, running index,
-// byNode map and engine events have all released it.
+// per-node index and engine events have all released it.
 func (s *Scheduler) recycle(j *Job) {
 	if s.cfg.ReuseJobs {
 		s.freeJobs = append(s.freeJobs, j)
@@ -775,39 +777,40 @@ func (s *Scheduler) backfill(now time.Time) {
 		return
 	}
 	s.bfCache = s.bfCache[:0]
+	s.bfRemoved = s.bfRemoved[:0]
+	// A candidate ends before the shadow iff rt <= shadow - now; the
+	// difference is loop-invariant, so the scan compares durations.
+	untilShadow := shadow.Sub(now)
 	depth := s.cfg.BackfillDepth
-	for i := 1; i < s.queue.Len() && depth > 0; depth-- {
+	for i := 1; i < s.queue.Len() && depth > 0; i, depth = i+1, depth-1 {
 		j := s.queue.At(i)
 		if j.Spec.Nodes > s.freeFor(j) || !s.withinPowerCap(j) {
-			i++
 			continue
 		}
 		// Predict runtime at the current operating point (per-app lookup
 		// memoized across the scan — it is loop-invariant within a pass).
 		rt := s.predictRuntime(j)
-		endsBeforeShadow := !now.Add(rt).After(shadow)
+		endsBeforeShadow := rt <= untilShadow
 		samePart := !s.hetero() || s.partOf(j) == headPart
 		if !samePart || endsBeforeShadow || j.Spec.Nodes <= extra {
 			d := s.temporalDecision(j, now)
 			if !d.Start && d.Block {
 				s.scheduleRecheck(d.Recheck, now)
-				return
+				break
 			}
-			s.queue.RemoveAt(i)
+			// Leaves the queue: removed in one batch after the scan.
+			s.bfRemoved = append(s.bfRemoved, i)
 			if !d.Start {
 				s.hold(j, d.Recheck, now)
-				// Do not advance i: the next candidate shifted into i.
 				continue
 			}
 			if samePart && !endsBeforeShadow {
 				extra -= j.Spec.Nodes
 			}
 			s.start(j, now)
-			// Do not advance i: the next candidate shifted into position i.
-			continue
 		}
-		i++
 	}
+	s.queue.RemoveSorted(s.bfRemoved)
 }
 
 // bfEntry caches one (application, partition) pair's predicted runtime
@@ -885,11 +888,9 @@ func (s *Scheduler) start(j *Job, now time.Time) {
 	var powerSum float64
 	for _, id := range j.Nodes {
 		nd := s.fac.Node(id)
-		nd.SetMode(m, now)
-		if err := nd.SetFrequency(fs, now); err != nil {
+		if err := nd.StartJob(m, fs, activity, now); err != nil {
 			panic(fmt.Sprintf("sched: provider returned invalid setting: %v", err))
 		}
-		nd.StartWork(activity, now)
 		perfSum += nd.PerfFactor()
 		powerSum += nd.Power().Watts()
 		s.byNode[id] = j
@@ -975,7 +976,7 @@ func (s *Scheduler) finish(j *Job, now time.Time, final JobState) {
 	for _, id := range j.Nodes {
 		nd := s.fac.Node(id)
 		nd.StopWork(now)
-		delete(s.byNode, id)
+		s.byNode[id] = nil
 		if nd.State() == node.Up {
 			s.releaseNode(id)
 		}
@@ -995,9 +996,9 @@ func (s *Scheduler) finish(j *Job, now time.Time, final JobState) {
 		fn(j)
 	}
 	s.trySchedule(now)
-	// j is terminal and fully unreferenced (queue, running index, byNode
-	// and engine events all released it; trySchedule above touched other
-	// jobs only) — recycle it last.
+	// j is terminal and fully unreferenced (queue, running index, per-node
+	// index and engine events all released it; trySchedule above touched
+	// other jobs only) — recycle it last.
 	s.recycle(j)
 }
 
@@ -1033,7 +1034,7 @@ func (s *Scheduler) FailNode(id int) error {
 	// Mark Down first so finish() does not return the node to the free
 	// list, then terminate any job running on it.
 	nd.SetState(node.Down, now)
-	if j, ok := s.byNode[id]; ok {
+	if j := s.byNode[id]; j != nil {
 		s.upNodes--
 		// A reservation draining this node loses it to the failure (it
 		// re-captures on repair if its window is still open).

@@ -161,7 +161,7 @@ func (s *Scheduler) Restore(snap *Snapshot, resolve func(class string) (*apps.Ap
 	s.heldJobs = nil
 	s.recheckEvents = nil
 	s.recheckAt = snap.recheckAt
-	s.byNode = make(map[int]*Job, len(snap.running)*8)
+	clear(s.byNode)
 
 	restoreJob := func(js jobSnap) (*Job, error) {
 		j := new(Job)
