@@ -353,7 +353,7 @@ func BenchmarkAblationVoltageCurve(b *testing.B) {
 
 func BenchmarkNodePower(b *testing.B) {
 	spec := cpu.EPYC7742()
-	n := node.New(1, spec, rng.New(1), epoch)
+	n := node.New(1, spec, rng.New(1))
 	n.StartWork(cpu.Activity{Core: 0.7, Uncore: 0.6}, epoch)
 	b.ResetTimer()
 	var acc float64

@@ -823,7 +823,7 @@ func (s *Simulator) RunContext(ctx context.Context) (*Results, error) {
 		}
 		s.eng.RunUntil(s.cfg.End)
 	}
-	s.fac.AccrueAll(s.cfg.End)
+	s.fac.AccrueEnergy(s.cfg.End)
 
 	res := &Results{
 		Config:      s.cfg,

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -141,6 +142,47 @@ func TestForkSameConfigBitIdentical(t *testing.T) {
 				t.Errorf("parent continuation digest %s != cold digest %s (snapshot perturbed the parent)", continued, cold)
 			}
 		})
+	}
+}
+
+// TestForkLedgerBitIdentical checks the facility's energy ledger across
+// a checkpoint: a fork of a mid-run snapshot, run to the end under the
+// same configuration, ends with ledger power and energy bit-identical to
+// the straight run's.
+func TestForkLedgerBitIdentical(t *testing.T) {
+	cfg := forkTestConfig(11, 24, 4, true, false, false, false, "")
+	straight, err := NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := straight.Run(); err != nil {
+		t.Fatal(err)
+	}
+	parent, err := NewSimulator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := parent.RunTo(cfg.Start.Add(53 * time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := parent.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fork, err := Fork(snap, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fork.Run(); err != nil {
+		t.Fatal(err)
+	}
+	a, b := straight.Facility().Snapshot().Ledger, fork.Facility().Snapshot().Ledger
+	if a.Energy <= 0 {
+		t.Fatalf("straight run accrued no energy: %+v", a)
+	}
+	if math.Float64bits(a.PowerW) != math.Float64bits(b.PowerW) ||
+		math.Float64bits(a.Energy.Joules()) != math.Float64bits(b.Energy.Joules()) || a.AtNs != b.AtNs {
+		t.Fatalf("ledgers diverge:\n straight %+v\n     fork %+v", a, b)
 	}
 }
 

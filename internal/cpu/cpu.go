@@ -253,9 +253,8 @@ func (s *Spec) VoltageAt(f units.Frequency) float64 {
 
 // DynFraction returns d(f) = f*V(f)^2 normalised so the boost point is 1.
 func (s *Spec) DynFraction(f units.Frequency) float64 {
-	vb := s.BoostVoltage
-	return (f.Hertz() * s.VoltageAt(f) * s.VoltageAt(f)) /
-		(s.BoostFreq.Hertz() * vb * vb)
+	v, vb := s.VoltageAt(f), s.BoostVoltage
+	return (f.Hertz() * v * v) / (s.BoostFreq.Hertz() * vb * vb)
 }
 
 // Activity is a workload's power activity on a socket.
@@ -307,11 +306,36 @@ func (s *Spec) MeanPerfFactor(m Mode) float64 {
 	return s.PerfDetPerfFactor
 }
 
+// Load is a socket's workload at one setting with the die-independent
+// terms of Power in watts, CoreW = a_core*D_core*d(f) and UncoreW =
+// a_uncore*D_uncore, so a job's nodes share one voltage/frequency model
+// evaluation.
+type Load struct {
+	Setting        FreqSetting
+	Activity       Activity
+	CoreW, UncoreW float64
+}
+
+// Load evaluates Power's die-independent terms for activity a at setting
+// fs. It does not validate fs (see ValidateSetting).
+func (s *Spec) Load(fs FreqSetting, a Activity) Load {
+	return Load{
+		Setting:  fs,
+		Activity: a,
+		CoreW:    a.Core * s.CoreDynMax.Watts() * s.DynFraction(s.EffectiveFrequency(fs)),
+		UncoreW:  a.Uncore * s.UncoreDynMax.Watts(),
+	}
+}
+
+// SocketWatts returns the power of a socket carrying load l on a die with
+// the given power factor. The sum associates left to right as in the
+// package formula, so Power and a per-job Load give identical bits.
+func (s *Spec) SocketWatts(l Load, dieFactor float64) float64 {
+	return s.IdlePower.Watts() + l.CoreW*dieFactor + l.UncoreW
+}
+
 // Power returns the socket power at the given setting, activity, mode and
 // die factor (obtain dieFactor from DrawDieFactor or MeanDieFactor).
 func (s *Spec) Power(fs FreqSetting, a Activity, dieFactor float64) units.Power {
-	f := s.EffectiveFrequency(fs)
-	core := a.Core * s.CoreDynMax.Watts() * s.DynFraction(f) * dieFactor
-	uncore := a.Uncore * s.UncoreDynMax.Watts()
-	return units.Watts(s.IdlePower.Watts() + core + uncore)
+	return units.Watts(s.SocketWatts(s.Load(fs, a), dieFactor))
 }

@@ -240,3 +240,42 @@ func TestPropertyPowerAtLeastIdle(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLoadSplitBitIdentical checks that splitting socket power into a
+// per-job Load and a per-die multiply-add is exact: for every P-state with
+// and without boost, a grid of activities including zero and die factors
+// across the TruncNormal range (plus 1 for Power Determinism), SocketWatts
+// equals Power and the original one-expression formula bit for bit.
+func TestLoadSplitBitIdentical(t *testing.T) {
+	for _, s := range []*Spec{EPYC7742(), AcceleratorGPU()} {
+		var settings []FreqSetting
+		for _, p := range s.PStates {
+			settings = append(settings, FreqSetting{Base: p.Freq}, FreqSetting{Base: p.Freq, Boost: true})
+		}
+		mean, sigma := s.PerfDetDieFactorMean, s.PerfDetDieFactorSigma
+		dies := []float64{1}
+		for k := 0; k <= 12; k++ {
+			dies = append(dies, mean-3*sigma+float64(k)*sigma/2)
+		}
+		acts := []float64{0, 0.05, 0.3, 0.62, 0.777, 1, 1.35}
+		for _, fs := range settings {
+			for _, ac := range acts {
+				for _, au := range acts {
+					a := Activity{Core: ac, Uncore: au}
+					l := s.Load(fs, a)
+					for _, die := range dies {
+						got := s.SocketWatts(l, die)
+						f := s.EffectiveFrequency(fs)
+						core := a.Core * s.CoreDynMax.Watts() * s.DynFraction(f) * die
+						ref := s.IdlePower.Watts() + core + a.Uncore*s.UncoreDynMax.Watts()
+						if math.Float64bits(got) != math.Float64bits(s.Power(fs, a, die).Watts()) ||
+							math.Float64bits(got) != math.Float64bits(ref) {
+							t.Fatalf("%s %v %+v die %v: split %v, Power %v, formula %v",
+								s.Name, fs, a, die, got, s.Power(fs, a, die).Watts(), ref)
+						}
+					}
+				}
+			}
+		}
+	}
+}

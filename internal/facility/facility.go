@@ -131,8 +131,9 @@ type Facility struct {
 	fs     *storage.Fleet
 	plant  *cooling.Plant
 
-	// counters tracks fleet-wide up/busy node counts incrementally, so
-	// the per-sample Utilisation read is O(1) instead of a fleet scan.
+	// counters is the fleet ledger the nodes keep up to date: up/busy
+	// counts (so the per-sample Utilisation read is O(1) instead of a
+	// fleet scan), compute power and compute energy.
 	counters node.FleetCounters
 }
 
@@ -214,6 +215,8 @@ func New(cfg Config, r *rng.Stream, at time.Time) (*Facility, error) {
 		fabric: fabric,
 		fs:     storage.ARCHER2Fleet(),
 		plant:  cooling.New(cfg.Cooling),
+
+		counters: node.FleetCounters{AtNs: at.UnixNano()},
 	}
 	// Node IDs run globally across partitions and each node's RNG stream
 	// is split by that global ID, so a homogeneous facility (one
@@ -223,7 +226,7 @@ func New(cfg Config, r *rng.Stream, at time.Time) (*Facility, error) {
 	for pi := range f.parts {
 		p := &f.parts[pi]
 		for i := p.Start; i < p.End(); i++ {
-			f.nodes[i] = node.NewWithLayout(i, p.CPU, p.Sockets, p.Board, nodeStream.SplitIndexed("node", i), at)
+			f.nodes[i] = node.NewWithLayout(i, p.CPU, p.Sockets, p.Board, nodeStream.SplitIndexed("node", i))
 			f.nodes[i].AttachCounters(&f.counters)
 		}
 	}
@@ -344,22 +347,13 @@ func (f *Facility) TotalPower() units.Power {
 	return units.Watts(it.Watts() + over.Watts() + f.fs.TotalPower().Watts())
 }
 
-// AccrueAll integrates node energy up to `at` (used before reading
-// facility-wide energy totals).
-func (f *Facility) AccrueAll(at time.Time) {
-	for _, n := range f.nodes {
-		n.Accrue(at)
-	}
-}
+// AccrueEnergy integrates the fleet ledger's compute energy up to `at`
+// (used before reading facility-wide energy totals).
+func (f *Facility) AccrueEnergy(at time.Time) { f.counters.Accrue(at) }
 
-// ComputeEnergy returns the cumulative compute-node energy.
-func (f *Facility) ComputeEnergy() units.Energy {
-	var j float64
-	for _, n := range f.nodes {
-		j += n.Energy().Joules()
-	}
-	return units.Joules(j)
-}
+// ComputeEnergy returns the cumulative compute-node energy up to the
+// ledger's last accrual.
+func (f *Facility) ComputeEnergy() units.Energy { return f.counters.Energy }
 
 // SetModeAll switches the BIOS determinism mode on every node, as the
 // ARCHER2 operators did across the system in May 2022.

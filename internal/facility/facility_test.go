@@ -208,7 +208,7 @@ func TestSetDefaultFrequencyAll(t *testing.T) {
 func TestEnergyAccounting(t *testing.T) {
 	f := newFacility(t, small())
 	p := f.ComputeNodePower()
-	f.AccrueAll(t0.Add(time.Hour))
+	f.AccrueEnergy(t0.Add(time.Hour))
 	got := f.ComputeEnergy().KilowattHours()
 	want := p.EnergyOver(time.Hour).KilowattHours()
 	if math.Abs(got-want) > 1e-6 {
@@ -223,5 +223,122 @@ func TestDeterministicConstruction(t *testing.T) {
 	b.SetModeAll(cpu.PerformanceDeterminism, t0)
 	if a.ComputeNodePower() != b.ComputeNodePower() {
 		t.Fatal("same-seed facilities differ")
+	}
+}
+
+// driveNodes applies steps random node transitions drawn from r to f,
+// starting at `at`, and returns the last step's time. Every transition
+// kind the ledger sees is covered: SetState (Up, Draining and Down),
+// SetMode, SetFrequency, StartJob and StopWork. before, when non-nil,
+// runs ahead of each transition with the node index and its time.
+func driveNodes(f *Facility, r *rng.Stream, at time.Time, steps int, before func(i int, at time.Time)) time.Time {
+	modes := []cpu.Mode{cpu.PowerDeterminism, cpu.PerformanceDeterminism}
+	for step := 0; step < steps; step++ {
+		if r.Intn(3) > 0 {
+			at = at.Add(time.Duration(r.Intn(3600)) * time.Second)
+		}
+		i := r.Intn(f.NodeCount())
+		n := f.Node(i)
+		ps := n.Spec.PStates
+		fs := cpu.FreqSetting{Base: ps[r.Intn(len(ps))].Freq}
+		fs.Boost = fs.Base == ps[len(ps)-1].Freq && r.Intn(2) == 0
+		if before != nil {
+			before(i, at)
+		}
+		switch r.Intn(6) {
+		case 0:
+			n.SetState(node.State(r.Intn(3)), at)
+		case 1:
+			n.SetMode(modes[r.Intn(2)], at)
+		case 2:
+			if err := n.SetFrequency(fs, at); err != nil {
+				panic(err)
+			}
+		case 3, 4:
+			a := cpu.Activity{Core: 1.3 * r.Float64(), Uncore: r.Float64()}
+			n.StartJob(modes[r.Intn(2)], n.Spec.Load(fs, a), at)
+		default:
+			n.StopWork(at)
+		}
+	}
+	return at
+}
+
+// mixed returns a small two-partition config, so the ledger sums nodes of
+// different layouts.
+func mixed() Config {
+	cfg := ARCHER2()
+	cfg.Nodes = 24
+	cfg.Partitions = []Partition{AIPartition(8)}
+	return cfg
+}
+
+// TestLedgerMatchesPerNodeIntegrators checks the fleet ledger against a
+// reference of per-node piecewise-constant integrators kept here: after
+// every random transition the ledger's power matches a fresh
+// ComputeNodePower and its energy matches the per-node sum, each to a
+// relative 1e-9 (the ledger moves power by differences, which rounds
+// apart from a fresh sum).
+func TestLedgerMatchesPerNodeIntegrators(t *testing.T) {
+	const rel = 1e-9
+	near := func(got, want float64) bool { return math.Abs(got-want) <= rel*math.Max(1, math.Abs(want)) }
+	for seed := uint64(1); seed <= 4; seed++ {
+		f := newFacility(t, mixed())
+		energy := make([]float64, f.NodeCount())
+		last := make([]time.Time, f.NodeCount())
+		for i := range last {
+			last[i] = t0
+		}
+		integrate := func(i int, at time.Time) {
+			energy[i] += f.Node(i).PowerWatts() * at.Sub(last[i]).Seconds()
+			last[i] = at
+		}
+		r := rng.New(seed).Split("ledger")
+		at := t0
+		for step := 0; step < 2000; step++ {
+			at = driveNodes(f, r, at, 1, integrate)
+			if got, want := f.counters.PowerW, f.ComputeNodePower().Watts(); !near(got, want) {
+				t.Fatalf("seed %d step %d: ledger power %v W, fresh sum %v W", seed, step, got, want)
+			}
+			f.AccrueEnergy(at)
+			var want float64
+			for i := range energy {
+				want += energy[i] + f.Node(i).PowerWatts()*at.Sub(last[i]).Seconds()
+			}
+			if got := f.ComputeEnergy().Joules(); !near(got, want) {
+				t.Fatalf("seed %d step %d: ledger energy %v J, per-node reference %v J", seed, step, got, want)
+			}
+		}
+	}
+}
+
+// TestSnapshotRestoreLedgerBitIdentical checks that the ledger survives a
+// checkpoint exactly: a facility restored from a mid-run snapshot and
+// driven on through the same transitions keeps ledger power and energy
+// bit-identical to the straight run, although the restored facility had
+// been driven somewhere else first.
+func TestSnapshotRestoreLedgerBitIdentical(t *testing.T) {
+	straight := newFacility(t, mixed())
+	at := driveNodes(straight, rng.New(5).Split("prefix"), t0, 700, nil)
+	snap := straight.Snapshot()
+
+	forked := newFacility(t, mixed())
+	driveNodes(forked, rng.New(6).Split("elsewhere"), t0, 300, nil)
+	if err := forked.Restore(snap); err != nil {
+		t.Fatal(err)
+	}
+	rs, rf := rng.New(7).Split("suffix"), rng.New(7).Split("suffix")
+	for step := 0; step < 1000; step++ {
+		as := driveNodes(straight, rs, at, 1, nil)
+		driveNodes(forked, rf, at, 1, nil)
+		at = as
+		straight.AccrueEnergy(at)
+		forked.AccrueEnergy(at)
+		a, b := straight.counters, forked.counters
+		if math.Float64bits(a.PowerW) != math.Float64bits(b.PowerW) ||
+			math.Float64bits(a.Energy.Joules()) != math.Float64bits(b.Energy.Joules()) ||
+			a.Up != b.Up || a.BusyUp != b.BusyUp || a.AtNs != b.AtNs {
+			t.Fatalf("step %d: ledgers diverge:\n straight %+v\n   forked %+v", step, a, b)
+		}
 	}
 }

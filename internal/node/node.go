@@ -1,6 +1,7 @@
 // Package node models an ARCHER2 compute node: two EPYC sockets, board
 // components (memory DIMMs, Slingshot NICs, baseboard), per-node frequency
-// and BIOS-mode state, and cumulative energy accounting.
+// and BIOS-mode state, and the fleet ledger of node counts, power and
+// energy the nodes keep up to date.
 //
 // With the default EPYC7742 socket spec, a node idles at 230 W (2x85 W
 // sockets + 60 W board) and draws around 510 W under a typical mixed load
@@ -54,9 +55,8 @@ type Node struct {
 	ID   int
 	Spec *cpu.Spec
 
-	setting cpu.FreqSetting
-	mode    cpu.Mode
-	state   State
+	mode  cpu.Mode
+	state State
 
 	// Per-node die silicon-quality factors, re-drawn when the BIOS mode
 	// changes (they are a property of (die, mode)).
@@ -64,71 +64,83 @@ type Node struct {
 	perfFactor float64
 	rng        *rng.Stream
 
-	// Current workload activity (zero when idle).
-	activity cpu.Activity
-	busy     bool
+	// load is the frequency setting and workload activity (zero when
+	// idle), with the socket power terms they imply.
+	load cpu.Load
+	busy bool
 
-	energy     units.Energy
-	lastUpdate time.Time
-
-	// powerW caches Power().Watts(): the socket power model is a pure
-	// function of (setting, mode, activity, dieFactor, state), all of
-	// which change only through the mutator methods below, so the cache
-	// is refreshed there and every read — telemetry sweeps the whole
-	// fleet per sample — is a field load instead of the full voltage/
-	// frequency model. The cached value is the same computation, so sums
-	// over nodes are bit-identical to the uncached engine.
+	// powerW caches Power().Watts(), a pure function of (load, mode,
+	// dieFactor, state) that only the mutators below change, so the
+	// telemetry fleet sweep reads a field instead of the voltage/frequency
+	// model, with bit-identical sums.
 	powerW float64
 
-	// counters, when attached, aggregates fleet-wide up/busy node counts
-	// incrementally so Facility.Utilisation is O(1) instead of a fleet
-	// scan per telemetry sample.
+	// counters, when attached, is the fleet ledger this node keeps.
 	counters *FleetCounters
 
 	// sockets / boardW are the node's physical layout: socket (or GPU
 	// module) count and frequency-independent board power in watts.
-	// New initialises them to the package defaults (SocketsPerNode,
-	// BoardPower); NewWithLayout lets a heterogeneous partition override
-	// them per node type.
+	// New uses SocketsPerNode and BoardPower.
 	sockets int
 	boardW  float64
 }
 
-// FleetCounters aggregates schedulable and busy node counts across a
-// fleet, maintained incrementally by each node's state transitions. The
-// ratios it yields are integer-derived and therefore identical to a
-// fresh scan of the fleet.
+// FleetCounters is the fleet ledger, kept up to date by each attached
+// node's transitions. The counts are identical to a fresh fleet scan;
+// PowerW moves by each node's change in draw, so it matches a fresh sum
+// only to rounding.
 type FleetCounters struct {
 	// Up counts nodes not Down (Up or Draining).
 	Up int
 	// BusyUp counts nodes that are busy and not Down.
 	BusyUp int
+	// PowerW is the summed power draw of the attached nodes, in watts.
+	PowerW float64
+	// Energy is the compute-node energy integrated up to AtNs.
+	Energy units.Energy
+	// AtNs is the ledger time in Unix nanoseconds, initially the fleet's
+	// construction time.
+	AtNs int64
+}
+
+// Accrue integrates fleet energy at the current power up to at. Every
+// node transition calls it before changing its draw; all but the first
+// call at one event time take the unchanged-time fast path.
+func (c *FleetCounters) Accrue(at time.Time) {
+	t := at.UnixNano()
+	if t == c.AtNs {
+		return
+	}
+	if t < c.AtNs {
+		panic(fmt.Sprintf("node: accrue time %v before ledger time %v", at, time.Unix(0, c.AtNs).UTC()))
+	}
+	c.Energy += units.Watts(c.PowerW).EnergyOver(time.Duration(t - c.AtNs))
+	c.AtNs = t
 }
 
 // New creates a node with the given ID using spec, initialised at the
 // spec's default frequency setting in Power Determinism mode. The stream r
 // seeds the node's die-variation draws; it is retained.
-func New(id int, spec *cpu.Spec, r *rng.Stream, at time.Time) *Node {
-	return NewWithLayout(id, spec, SocketsPerNode, BoardPower, r, at)
+func New(id int, spec *cpu.Spec, r *rng.Stream) *Node {
+	return NewWithLayout(id, spec, SocketsPerNode, BoardPower, r)
 }
 
 // NewWithLayout creates a node with an explicit physical layout: sockets
 // (or GPU modules) per node and board power. Heterogeneous partitions
 // use it for node types that differ from the ARCHER2 CPU compute node;
 // New(...) is exactly NewWithLayout(..., SocketsPerNode, BoardPower, ...).
-func NewWithLayout(id int, spec *cpu.Spec, sockets int, board units.Power, r *rng.Stream, at time.Time) *Node {
+func NewWithLayout(id int, spec *cpu.Spec, sockets int, board units.Power, r *rng.Stream) *Node {
 	if sockets <= 0 {
 		panic(fmt.Sprintf("node %d: non-positive socket count %d", id, sockets))
 	}
 	n := &Node{
-		ID:         id,
-		Spec:       spec,
-		setting:    spec.DefaultSetting(),
-		mode:       cpu.PowerDeterminism,
-		rng:        r,
-		lastUpdate: at,
-		sockets:    sockets,
-		boardW:     board.Watts(),
+		ID:      id,
+		Spec:    spec,
+		load:    cpu.Load{Setting: spec.DefaultSetting()},
+		mode:    cpu.PowerDeterminism,
+		rng:     r,
+		sockets: sockets,
+		boardW:  board.Watts(),
 	}
 	n.redraw()
 	n.refreshPower()
@@ -140,10 +152,12 @@ func (n *Node) redraw() {
 	n.perfFactor = n.Spec.DrawPerfFactor(n.mode, n.rng)
 }
 
-// AttachCounters registers the node on a fleet counter set, contributing
-// its current state. Facility attaches every node to one shared set.
+// AttachCounters registers the node on a fleet ledger, contributing its
+// current state and power. Facility attaches every node to one shared
+// ledger.
 func (n *Node) AttachCounters(c *FleetCounters) {
 	n.counters = c
+	c.PowerW += n.powerW
 	if n.state != Down {
 		c.Up++
 		if n.busy {
@@ -152,15 +166,26 @@ func (n *Node) AttachCounters(c *FleetCounters) {
 	}
 }
 
-// refreshPower recomputes the cached power draw. Call after any mutation
-// of setting, mode, activity, die factors or state.
+// refreshPower recomputes the cached power draw and moves the ledger's
+// fleet power by the change. Call after any mutation of load, mode, die
+// factors or state.
 func (n *Node) refreshPower() {
+	old := n.powerW
 	if n.state == Down {
 		n.powerW = 0
-		return
+	} else {
+		n.powerW = float64(n.sockets)*n.Spec.SocketWatts(n.load, n.dieFactor) + n.boardW
 	}
-	socket := n.Spec.Power(n.setting, n.activity, n.dieFactor)
-	n.powerW = float64(n.sockets)*socket.Watts() + n.boardW
+	if c := n.counters; c != nil {
+		c.PowerW += n.powerW - old
+	}
+}
+
+// accrue brings the attached ledger's energy up to at.
+func (n *Node) accrue(at time.Time) {
+	if c := n.counters; c != nil {
+		c.Accrue(at)
+	}
 }
 
 // updateCounters reconciles the fleet counters after a state or busy
@@ -188,7 +213,7 @@ func (n *Node) updateCounters(wasUp, wasBusy bool) {
 }
 
 // Setting returns the node's current frequency setting.
-func (n *Node) Setting() cpu.FreqSetting { return n.setting }
+func (n *Node) Setting() cpu.FreqSetting { return n.load.Setting }
 
 // Mode returns the node's current BIOS determinism mode.
 func (n *Node) Mode() cpu.Mode { return n.mode }
@@ -196,10 +221,10 @@ func (n *Node) Mode() cpu.Mode { return n.mode }
 // State returns the node's administrative state.
 func (n *Node) State() State { return n.state }
 
-// SetState updates the administrative state (accrues energy first so the
-// transition is accounted at the right power level).
+// SetState updates the administrative state (the ledger accrues energy
+// first so the transition is accounted at the right power level).
 func (n *Node) SetState(s State, at time.Time) {
-	n.Accrue(at)
+	n.accrue(at)
 	wasUp, wasBusy := n.state != Down, n.busy
 	n.state = s
 	n.refreshPower()
@@ -215,8 +240,8 @@ func (n *Node) SetFrequency(fs cpu.FreqSetting, at time.Time) error {
 	if err := n.Spec.ValidateSetting(fs); err != nil {
 		return err
 	}
-	n.Accrue(at)
-	n.setting = fs
+	n.accrue(at)
+	n.load = n.Spec.Load(fs, n.load.Activity)
 	n.refreshPower()
 	return nil
 }
@@ -228,7 +253,7 @@ func (n *Node) SetMode(m cpu.Mode, at time.Time) {
 	if m == n.mode {
 		return
 	}
-	n.Accrue(at)
+	n.accrue(at)
 	n.mode = m
 	n.redraw()
 	n.refreshPower()
@@ -237,43 +262,39 @@ func (n *Node) SetMode(m cpu.Mode, at time.Time) {
 // StartWork marks the node busy with the given activity (from the
 // application model). It accrues idle energy up to `at` first.
 func (n *Node) StartWork(a cpu.Activity, at time.Time) {
-	n.Accrue(at)
+	n.accrue(at)
 	wasBusy := n.busy
-	n.activity = a
+	n.load = n.Spec.Load(n.load.Setting, a)
 	n.busy = true
 	n.refreshPower()
 	n.updateCounters(n.state != Down, wasBusy)
 }
 
-// StartJob puts the node to work for a job: it is SetMode, SetFrequency
-// and StartWork in that order, fused into one validation, one accrual and
-// one power refresh. The die factors are redrawn only when the mode
-// changes. The sequential form accrues once at the pre-job power and then
-// again over a zero-length interval, so the fused form is bit-identical.
-// An unsupported setting returns an error and leaves the node unchanged.
-func (n *Node) StartJob(m cpu.Mode, fs cpu.FreqSetting, a cpu.Activity, at time.Time) error {
-	if err := n.Spec.ValidateSetting(fs); err != nil {
-		return err
-	}
-	n.Accrue(at)
+// StartJob puts the node to work at load l, which the caller computed
+// once per job with Spec.Load after validating its setting. It is SetMode,
+// SetFrequency and StartWork fused into one accrual and one power refresh
+// (die factors redrawn only on a mode change), with node power and state
+// bit-identical to the sequential form. At the node's own mode it is a
+// reclock of a busy node.
+func (n *Node) StartJob(m cpu.Mode, l cpu.Load, at time.Time) {
+	n.accrue(at)
 	if m != n.mode {
 		n.mode = m
 		n.redraw()
 	}
 	wasBusy := n.busy
-	n.setting = fs
-	n.activity = a
+	n.load = l
 	n.busy = true
 	n.refreshPower()
 	n.updateCounters(n.state != Down, wasBusy)
-	return nil
 }
 
-// StopWork marks the node idle, accruing the work period's energy.
+// StopWork marks the node idle, accruing the work period's energy. Both
+// power terms drop to zero, so the socket draws exactly its idle power.
 func (n *Node) StopWork(at time.Time) {
-	n.Accrue(at)
+	n.accrue(at)
 	wasBusy := n.busy
-	n.activity = cpu.Activity{}
+	n.load = cpu.Load{Setting: n.load.Setting}
 	n.busy = false
 	n.refreshPower()
 	n.updateCounters(n.state != Down, wasBusy)
@@ -300,35 +321,15 @@ func (n *Node) Power() units.Power {
 // facility's per-sample fleet summation.
 func (n *Node) PowerWatts() float64 { return n.powerW }
 
-// Accrue integrates energy at the current power level from the last update
-// to `at`. Callers mutating power-relevant state must Accrue first; the
-// state-changing methods on Node do this automatically.
-func (n *Node) Accrue(at time.Time) {
-	if at.Before(n.lastUpdate) {
-		panic(fmt.Sprintf("node %d: accrue time %v before last update %v", n.ID, at, n.lastUpdate))
-	}
-	d := at.Sub(n.lastUpdate)
-	if d > 0 {
-		n.energy += n.Power().EnergyOver(d)
-	}
-	n.lastUpdate = at
-}
-
-// Energy returns cumulative node energy up to the last accrual.
-func (n *Node) Energy() units.Energy { return n.energy }
-
 // IdlePower returns the node's idle power draw (state- and mode-independent
 // baseline: 2 sockets idle + board).
-func IdlePower(spec *cpu.Spec) units.Power {
-	return units.Watts(SocketsPerNode*spec.IdlePower.Watts() + BoardPower.Watts())
-}
+func IdlePower(spec *cpu.Spec) units.Power { return IdlePowerLayout(spec, SocketsPerNode, BoardPower) }
 
 // ExpectedPower returns the fleet-expectation node power for the given
 // application activity, setting and mode, using mean die factors rather
 // than sampled ones. Calibration and the analytic tables use this.
 func ExpectedPower(spec *cpu.Spec, fs cpu.FreqSetting, a cpu.Activity, m cpu.Mode) units.Power {
-	socket := spec.Power(fs, a, spec.MeanDieFactor(m))
-	return units.Watts(SocketsPerNode*socket.Watts() + BoardPower.Watts())
+	return ExpectedPowerLayout(spec, SocketsPerNode, BoardPower, fs, a, m)
 }
 
 // ExpectedPowerLayout is ExpectedPower for an explicit node layout —

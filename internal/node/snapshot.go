@@ -1,15 +1,14 @@
 package node
 
 import (
-	"time"
-
 	"github.com/greenhpc/archertwin/internal/cpu"
-	"github.com/greenhpc/archertwin/internal/units"
 )
 
 // Snapshot is one node's full mutable state at a checkpoint. The cached
-// power draw is deliberately absent: it is a pure function of the
-// captured fields and is recomputed bit-identically on Restore.
+// power draw and socket power terms are deliberately absent: they are
+// pure functions of the captured fields and are recomputed bit-identically
+// on Restore. Energy lives in the fleet ledger, which the facility
+// snapshot captures.
 type Snapshot struct {
 	Setting    cpu.FreqSetting
 	Mode       cpu.Mode
@@ -18,8 +17,6 @@ type Snapshot struct {
 	PerfFactor float64
 	Activity   cpu.Activity
 	Busy       bool
-	Energy     units.Energy
-	LastUpdate time.Time
 	Rng        [4]uint64
 }
 
@@ -28,32 +25,28 @@ type Snapshot struct {
 // resume it exactly).
 func (n *Node) Snapshot() Snapshot {
 	return Snapshot{
-		Setting:    n.setting,
+		Setting:    n.load.Setting,
 		Mode:       n.mode,
 		State:      n.state,
 		DieFactor:  n.dieFactor,
 		PerfFactor: n.perfFactor,
-		Activity:   n.activity,
+		Activity:   n.load.Activity,
 		Busy:       n.busy,
-		Energy:     n.energy,
-		LastUpdate: n.lastUpdate,
 		Rng:        n.rng.State(),
 	}
 }
 
 // Restore overwrites the node's mutable state from a snapshot, refreshing
-// the power cache and reconciling any attached fleet counters.
+// the power cache and reconciling any attached fleet counters (the
+// facility then restores the ledger's power and energy exactly).
 func (n *Node) Restore(s Snapshot) {
 	wasUp, wasBusy := n.state != Down, n.busy
-	n.setting = s.Setting
+	n.load = n.Spec.Load(s.Setting, s.Activity)
 	n.mode = s.Mode
 	n.state = s.State
 	n.dieFactor = s.DieFactor
 	n.perfFactor = s.PerfFactor
-	n.activity = s.Activity
 	n.busy = s.Busy
-	n.energy = s.Energy
-	n.lastUpdate = s.LastUpdate
 	n.rng.SetState(s.Rng)
 	n.refreshPower()
 	n.updateCounters(wasUp, wasBusy)

@@ -47,6 +47,8 @@ type Provider struct {
 	defaultSetting cpu.FreqSetting
 	defaultMode    cpu.Mode
 	r              *rng.Stream
+	// epoch is the settings epoch (see SettingsEpoch).
+	epoch uint64
 
 	overrides int
 	reverts   int
@@ -71,6 +73,7 @@ func NewProvider(spec *cpu.Spec, cfg Config, r *rng.Stream) (*Provider, error) {
 		defaultSetting: spec.DefaultSetting(),
 		defaultMode:    cpu.PowerDeterminism,
 		r:              r,
+		epoch:          1,
 	}, nil
 }
 
@@ -92,12 +95,20 @@ func (p *Provider) SetDefaultSetting(fs cpu.FreqSetting) error {
 		return err
 	}
 	p.defaultSetting = fs
+	p.epoch++
 	return nil
 }
 
 // SetDefaultMode changes the system BIOS mode (new jobs only, matching the
 // rolling reboots of the real change).
-func (p *Provider) SetDefaultMode(m cpu.Mode) { p.defaultMode = m }
+func (p *Provider) SetDefaultMode(m cpu.Mode) {
+	p.defaultMode = m
+	p.epoch++
+}
+
+// SettingsEpoch implements sched.SettingsProvider: 1 at first, then
+// bumped by every default change and Restore.
+func (p *Provider) SettingsEpoch() uint64 { return p.epoch }
 
 // PredictedLoss returns the fractional performance loss of app at the
 // current default setting versus the stock setting (0 when the default is
@@ -113,8 +124,8 @@ func (p *Provider) PredictedLoss(app *apps.App) float64 {
 
 // PeekSettings returns the operating point JobSettings would choose for
 // app, without counters or revert randomness (user reverts are treated as
-// not occurring). It implements sched.PowerEstimator for power-cap
-// admission control.
+// not occurring), for power-cap admission control and backfill runtime
+// prediction.
 func (p *Provider) PeekSettings(app *apps.App) (cpu.FreqSetting, cpu.Mode) {
 	fs := p.defaultSetting
 	stock := p.spec.DefaultSetting()
@@ -124,23 +135,20 @@ func (p *Provider) PeekSettings(app *apps.App) (cpu.FreqSetting, cpu.Mode) {
 	return fs, p.defaultMode
 }
 
-// JobSettings implements sched.SettingsProvider.
+// JobSettings implements sched.SettingsProvider: PeekSettings, plus the
+// override count and, where no module override applies, a user revert.
 func (p *Provider) JobSettings(app *apps.App) (cpu.FreqSetting, cpu.Mode, bool) {
-	fs := p.defaultSetting
-	override := false
+	fs, m := p.PeekSettings(app)
 	stock := p.spec.DefaultSetting()
-	if fs != stock {
-		if p.cfg.OverridesEnabled && p.PredictedLoss(app) > p.cfg.OverrideThreshold {
-			fs = stock
-			override = true
-			p.overrides++
-		} else if p.cfg.UserRevertProb > 0 && p.r.Float64() < p.cfg.UserRevertProb {
-			fs = stock
-			override = true
-			p.reverts++
-		}
+	switch {
+	case fs != p.defaultSetting:
+		p.overrides++
+		return fs, m, true
+	case fs != stock && p.cfg.UserRevertProb > 0 && p.r.Float64() < p.cfg.UserRevertProb:
+		p.reverts++
+		return stock, m, true
 	}
-	return fs, p.defaultMode, override
+	return fs, m, false
 }
 
 // Change is one dated operational change.

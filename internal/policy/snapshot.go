@@ -39,6 +39,7 @@ func (p *Provider) Restore(s Snapshot) {
 	p.defaultMode = s.DefaultMode
 	p.overrides = s.Overrides
 	p.reverts = s.Reverts
+	p.epoch++
 	if s.HasRng && p.r != nil {
 		p.r.SetState(s.Rng)
 	}

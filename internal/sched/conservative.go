@@ -15,7 +15,6 @@ import (
 // beyond the scan limit are unprotected, which bounds the pass at
 // O(depth x profile) like the EASY scan it replaces.
 func (s *Scheduler) backfillConservative(now time.Time) {
-	s.bfCache = s.bfCache[:0]
 	p := &s.prof
 	p.reset(now, s.free.Count())
 	for _, rj := range s.running {

@@ -121,6 +121,10 @@ type Job struct {
 	energyAccrued units.Energy
 	// reclockedAt is the start of the current operating-point segment.
 	reclockedAt time.Time
+	// predMult is the backfill runtime multiplier, valid while predEpoch
+	// is the provider's SettingsEpoch (never 0, a new job's epoch).
+	predMult  float64
+	predEpoch uint64
 
 	endEvent des.Handle
 
@@ -146,6 +150,13 @@ type SettingsProvider interface {
 	// JobSettings returns the frequency setting, BIOS mode and whether a
 	// per-app override (away from the system default) was applied.
 	JobSettings(app *apps.App) (cpu.FreqSetting, cpu.Mode, bool)
+	// PeekSettings returns the operating point JobSettings would choose,
+	// without side effects (no counters, no revert randomness). Power-cap
+	// admission and backfill runtime prediction use it.
+	PeekSettings(app *apps.App) (cpu.FreqSetting, cpu.Mode)
+	// SettingsEpoch identifies the provider state PeekSettings answers
+	// from: never 0, and changed whenever an answer may change.
+	SettingsEpoch() uint64
 }
 
 // BackfillPolicy selects how the scheduler fills holes behind a blocked
@@ -349,13 +360,10 @@ type Scheduler struct {
 	resvStartFn des.ArgEvent
 	resvEndFn   des.ArgEvent
 
-	// bfCache memoizes per-application operating-point predictions for
-	// the duration of one backfill pass (backfill scans are the hot loop;
-	// the settings lookup is loop-invariant per app). bfRemoved collects
-	// the queue positions a pass starts or parks, removed in one batch at
-	// the end of the pass. prof is the reused capacity-profile scratch for
-	// conservative backfill; victims is the preemption candidate scratch.
-	bfCache   []bfEntry
+	// bfRemoved collects the queue positions a backfill pass starts or
+	// parks, removed in one batch at the end of the pass. prof is the
+	// reused capacity-profile scratch for conservative backfill; victims
+	// is the preemption candidate scratch.
 	bfRemoved []int
 	prof      capProfile
 	victims   []*Job
@@ -542,15 +550,6 @@ func (s *Scheduler) EstimatedBusyPower() units.Power {
 	return units.Watts(s.estBusyW)
 }
 
-// PowerEstimator is an optional interface a SettingsProvider can implement
-// to expose a side-effect-free view of the operating point it would choose
-// (no counters, no revert randomness). Admission control uses it when
-// available; otherwise the stock setting is assumed, which over-estimates
-// and therefore errs on the safe side of the cap.
-type PowerEstimator interface {
-	PeekSettings(app *apps.App) (cpu.FreqSetting, cpu.Mode)
-}
-
 // hetero reports whether the facility has multiple partitions.
 func (s *Scheduler) hetero() bool { return len(s.parts) > 1 }
 
@@ -612,10 +611,7 @@ func (s *Scheduler) estimateJobPower(j *Job) float64 {
 			float64(j.Spec.Nodes)
 	}
 	spec := s.fac.Config().CPU
-	fs, m := spec.DefaultSetting(), cpu.PowerDeterminism
-	if pe, ok := s.provider.(PowerEstimator); ok {
-		fs, m = pe.PeekSettings(j.Spec.App)
-	}
+	fs, m := s.provider.PeekSettings(j.Spec.App)
 	return node.ExpectedPower(spec, fs, j.Spec.App.Activity(), m).Watts() *
 		float64(j.Spec.Nodes)
 }
@@ -776,7 +772,6 @@ func (s *Scheduler) backfill(now time.Time) {
 		// Head can never fit (should have been dropped at submit).
 		return
 	}
-	s.bfCache = s.bfCache[:0]
 	s.bfRemoved = s.bfRemoved[:0]
 	// A candidate ends before the shadow iff rt <= shadow - now; the
 	// difference is loop-invariant, so the scan compares durations.
@@ -787,8 +782,8 @@ func (s *Scheduler) backfill(now time.Time) {
 		if j.Spec.Nodes > s.freeFor(j) || !s.withinPowerCap(j) {
 			continue
 		}
-		// Predict runtime at the current operating point (per-app lookup
-		// memoized across the scan — it is loop-invariant within a pass).
+		// Predict runtime at the current operating point (cached on the
+		// job until the provider's settings change).
 		rt := s.predictRuntime(j)
 		endsBeforeShadow := rt <= untilShadow
 		samePart := !s.hetero() || s.partOf(j) == headPart
@@ -813,46 +808,21 @@ func (s *Scheduler) backfill(now time.Time) {
 	s.queue.RemoveSorted(s.bfRemoved)
 }
 
-// bfEntry caches one (application, partition) pair's predicted runtime
-// multiplier for the duration of one backfill pass (the partition index
-// is always 0 on a homogeneous facility).
-type bfEntry struct {
-	app  *apps.App
-	part int
-	mult float64
-}
-
 // predictRuntime estimates j's wall-clock runtime at the operating point
-// currently in force, memoizing the per-application settings lookup in
-// bfCache (reset at the top of each backfill pass — a pass sees one
-// consistent policy state, so the lookup is loop-invariant per app). The
-// side-effect-free PeekSettings is preferred when the provider offers
-// it; the prediction must not consume override/revert randomness.
-// Non-primary partition jobs are predicted at their partition spec's
-// default setting, matching how start() runs them.
+// currently in force (PeekSettings: no override/revert randomness; other
+// partitions at their spec's default setting, as start() runs them). The
+// multiplier is cached on the job for the provider's settings epoch.
 func (s *Scheduler) predictRuntime(j *Job) time.Duration {
-	app := j.Spec.App
-	part := s.partOf(j)
-	for _, e := range s.bfCache {
-		if e.app == app && e.part == part {
-			return time.Duration(float64(j.Spec.RefRuntime) * e.mult)
+	if epoch := s.provider.SettingsEpoch(); j.predEpoch != epoch {
+		app, part := j.Spec.App, s.partOf(j)
+		fs, m := s.provider.PeekSettings(app)
+		spec := s.specFor(part)
+		if part != 0 {
+			fs = spec.DefaultSetting()
 		}
+		j.predMult, j.predEpoch = app.TimeMultiplier(spec, fs, m), epoch
 	}
-	var fs cpu.FreqSetting
-	var m cpu.Mode
-	if pe, ok := s.provider.(PowerEstimator); ok {
-		fs, m = pe.PeekSettings(app)
-	} else {
-		fs, m, _ = s.provider.JobSettings(app)
-	}
-	spec := s.fac.Config().CPU
-	if part != 0 {
-		spec = s.parts[part].CPU
-		fs = spec.DefaultSetting()
-	}
-	mult := app.TimeMultiplier(spec, fs, m)
-	s.bfCache = append(s.bfCache, bfEntry{app: app, part: part, mult: mult})
-	return time.Duration(float64(j.Spec.RefRuntime) * mult)
+	return time.Duration(float64(j.Spec.RefRuntime) * j.predMult)
 }
 
 // start allocates nodes and begins execution.
@@ -874,23 +844,27 @@ func (s *Scheduler) start(j *Job, now time.Time) {
 		j.Nodes = s.free.TakeLowest(n, buf)
 	}
 
+	spec := s.specFor(part)
 	fs, m, override := s.provider.JobSettings(j.Spec.App)
 	if part != 0 {
 		// The frequency policy governs the CPU partition; other
 		// partitions run at their own spec's default setting (the BIOS
 		// determinism mode is fleet-wide and still applies).
-		fs, override = s.parts[part].CPU.DefaultSetting(), false
+		fs, override = spec.DefaultSetting(), false
+	}
+	if err := spec.ValidateSetting(fs); err != nil {
+		panic(fmt.Sprintf("sched: provider returned invalid setting: %v", err))
 	}
 	j.Setting, j.Mode, j.Override = fs, m, override
 
-	activity := j.Spec.App.Activity()
+	// One voltage/frequency model evaluation per job, one multiply-add
+	// per node.
+	load := spec.Load(fs, j.Spec.App.Activity())
 	var perfSum float64
 	var powerSum float64
 	for _, id := range j.Nodes {
 		nd := s.fac.Node(id)
-		if err := nd.StartJob(m, fs, activity, now); err != nil {
-			panic(fmt.Sprintf("sched: provider returned invalid setting: %v", err))
-		}
+		nd.StartJob(m, load, now)
 		perfSum += nd.PerfFactor()
 		powerSum += nd.Power().Watts()
 		s.byNode[id] = j
@@ -900,7 +874,7 @@ func (s *Scheduler) start(j *Job, now time.Time) {
 	// The frequency-response half of the stretch dispatches through the
 	// app's active PerfModel (measured table or scalar kernel); the
 	// sampled per-die perf factor divides outside, as always.
-	freqMult := j.Spec.App.FreqMultiplier(s.specFor(part), fs, m)
+	freqMult := j.Spec.App.FreqMultiplier(spec, fs, m)
 	j.Runtime = time.Duration(float64(j.Spec.RefRuntime) * freqMult / perf)
 	if j.Runtime <= 0 {
 		j.Runtime = time.Second
@@ -1123,12 +1097,11 @@ func (s *Scheduler) ReclockRunning(fs cpu.FreqSetting) (int, error) {
 			newRemaining = 0
 		}
 
+		load := spec.Load(fs, j.Spec.App.Activity())
 		var newPower float64
 		for _, id := range j.Nodes {
 			nd := s.fac.Node(id)
-			if err := nd.SetFrequency(fs, now); err != nil {
-				return n, err
-			}
+			nd.StartJob(nd.Mode(), load, now)
 			newPower += nd.Power().Watts()
 		}
 		j.Setting = fs

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"github.com/greenhpc/archertwin/internal/des"
 	"github.com/greenhpc/archertwin/internal/facility"
 	"github.com/greenhpc/archertwin/internal/node"
+	"github.com/greenhpc/archertwin/internal/policy"
 	"github.com/greenhpc/archertwin/internal/rng"
 	"github.com/greenhpc/archertwin/internal/roofline"
 	"github.com/greenhpc/archertwin/internal/units"
@@ -24,6 +26,12 @@ type stockProvider struct{ spec *cpu.Spec }
 func (p stockProvider) JobSettings(*apps.App) (cpu.FreqSetting, cpu.Mode, bool) {
 	return p.spec.DefaultSetting(), cpu.PowerDeterminism, false
 }
+
+func (p stockProvider) PeekSettings(*apps.App) (cpu.FreqSetting, cpu.Mode) {
+	return p.spec.DefaultSetting(), cpu.PowerDeterminism
+}
+
+func (p stockProvider) SettingsEpoch() uint64 { return 1 }
 
 type rig struct {
 	eng *des.Engine
@@ -333,6 +341,12 @@ func (p cappedProvider) JobSettings(*apps.App) (cpu.FreqSetting, cpu.Mode, bool)
 	return p.spec.CappedSetting(), cpu.PerformanceDeterminism, false
 }
 
+func (p cappedProvider) PeekSettings(*apps.App) (cpu.FreqSetting, cpu.Mode) {
+	return p.spec.CappedSetting(), cpu.PerformanceDeterminism
+}
+
+func (p cappedProvider) SettingsEpoch() uint64 { return 1 }
+
 func TestMeanWait(t *testing.T) {
 	var st Stats
 	if st.MeanWait() != 0 {
@@ -559,9 +573,9 @@ func TestReuseJobsBitIdentical(t *testing.T) {
 }
 
 // TestBackfillScanAllocFree pins the backfill hot loop's allocation
-// behaviour: per-app runtime predictions are cached once per pass (the
-// bfCache hoist) and every scratch structure — victim list, capacity
-// profile, shadow merge — is retained across passes, so a steady-state
+// behaviour: runtime predictions are cached on the jobs and every
+// scratch structure — victim list, capacity profile, shadow merge — is
+// retained across passes, so a steady-state
 // scheduling attempt over a saturated cluster with a deep non-fitting
 // queue must not allocate at all.
 func TestBackfillScanAllocFree(t *testing.T) {
@@ -583,6 +597,109 @@ func TestBackfillScanAllocFree(t *testing.T) {
 			r.s.trySchedule(now) // warm the per-pass caches
 			if allocs := testing.AllocsPerRun(200, func() { r.s.trySchedule(now) }); allocs > 0 {
 				t.Errorf("steady-state trySchedule allocates %.1f times per pass, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestPredictRuntimeCachedAllocFree pins a cached prediction (same job,
+// unchanged settings epoch) at zero allocations.
+func TestPredictRuntimeCachedAllocFree(t *testing.T) {
+	r := newRig(t, 8, DefaultConfig())
+	j := &Job{Spec: r.spec(1, 2, time.Hour)}
+	want := r.s.predictRuntime(j)
+	allocs := testing.AllocsPerRun(200, func() {
+		if r.s.predictRuntime(j) != want {
+			t.Fatal("cached prediction changed")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("cached predictRuntime allocates %.1f times per call, want 0", allocs)
+	}
+}
+
+// TestPredictionEpochMatchesFreshScheduler checks that runtime predictions
+// cached on queued jobs follow the provider: when the default setting or
+// mode changes between two backfill passes, the next pass starts exactly
+// the jobs a fresh scheduler restored into the same state starts. The
+// candidate is sized so the change decides it: it needs more nodes than
+// the head leaves spare, so it may start only if it ends before the
+// running job, which it does at the new operating point but not the old.
+func TestPredictionEpochMatchesFreshScheduler(t *testing.T) {
+	spec := cpu.EPYC7742()
+	app := &apps.App{Name: "cb", Kernel: roofline.Kernel{ComputeFraction: 1}, ActCore: 0.8, ActUncore: 0.3}
+	build := func(t *testing.T) (*facility.Facility, *policy.Provider, *Scheduler) {
+		fcfg := facility.ARCHER2()
+		fcfg.Nodes = 16
+		fac, err := facility.New(fcfg, rng.New(5), t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pcfg := policy.DefaultConfig()
+		pcfg.OverridesEnabled = false
+		prov, err := policy.NewProvider(spec, pcfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fac, prov, New(des.NewEngine(t0), fac, prov, DefaultConfig())
+	}
+	cases := []struct {
+		name   string
+		before func(*policy.Provider)
+	}{
+		{"setting", func(p *policy.Provider) { _ = p.SetDefaultSetting(spec.CappedSetting()) }},
+		{"mode", func(p *policy.Provider) { p.SetDefaultMode(cpu.PerformanceDeterminism) }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			fac, prov, s := build(t)
+			c.before(prov)
+			job := func(id, nodes int, ref time.Duration) workload.JobSpec {
+				return workload.JobSpec{ID: id, Class: "cb", App: app, Nodes: nodes, RefRuntime: ref}
+			}
+			runner := s.Submit(job(1, 8, 10*time.Hour))
+			s.Submit(job(2, 12, time.Hour)) // blocked head: 4 nodes spare at the shadow
+			until := float64(runner.End.Sub(t0))
+			fs, m := prov.PeekSettings(app)
+			before := app.TimeMultiplier(spec, fs, m)
+			after := app.TimeMultiplier(spec, spec.DefaultSetting(), cpu.PowerDeterminism)
+			cand := s.Submit(job(3, 5, time.Duration(until/math.Sqrt(before*after))))
+			if cand.State != Queued {
+				t.Fatalf("candidate started at the old operating point: %v", cand.State)
+			}
+
+			// Back to the stock defaults between passes.
+			_ = prov.SetDefaultSetting(spec.DefaultSetting())
+			prov.SetDefaultMode(cpu.PowerDeterminism)
+
+			freshFac, freshProv, fresh := build(t)
+			if err := freshFac.Restore(fac.Snapshot()); err != nil {
+				t.Fatal(err)
+			}
+			freshProv.Restore(prov.Snapshot())
+			resolve := func(string) (*apps.App, error) { return app, nil }
+			if err := fresh.Restore(s.Snapshot(), resolve, func(_ uint64, schedule func()) { schedule() }); err != nil {
+				t.Fatal(err)
+			}
+
+			s.Kick()
+			fresh.Kick()
+			ids := func(s *Scheduler) (running, queued []int) {
+				for _, j := range s.running {
+					running = append(running, j.Spec.ID)
+				}
+				for _, j := range s.QueuedJobs() {
+					queued = append(queued, j.Spec.ID)
+				}
+				return running, queued
+			}
+			gotRun, gotQueue := ids(s)
+			wantRun, wantQueue := ids(fresh)
+			if fmt.Sprint(gotRun, gotQueue) != fmt.Sprint(wantRun, wantQueue) {
+				t.Fatalf("running %v queued %v, fresh scheduler: running %v queued %v", gotRun, gotQueue, wantRun, wantQueue)
+			}
+			if cand.State != Running {
+				t.Fatalf("candidate %v after the change, want running", cand.State)
 			}
 		})
 	}

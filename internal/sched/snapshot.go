@@ -167,6 +167,7 @@ func (s *Scheduler) Restore(snap *Snapshot, resolve func(class string) (*apps.Ap
 		j := new(Job)
 		*j = js.job
 		j.Nodes = append([]int(nil), js.job.Nodes...)
+		j.predEpoch = 0 // the fork's provider and apps may differ: predict afresh
 		app, err := resolve(js.job.Spec.Class)
 		if err != nil {
 			return nil, fmt.Errorf("sched: restore job %d: %w", js.job.Spec.ID, err)

@@ -23,6 +23,12 @@ func (p stockProvider) JobSettings(*apps.App) (cpu.FreqSetting, cpu.Mode, bool) 
 	return p.spec.DefaultSetting(), cpu.PowerDeterminism, false
 }
 
+func (p stockProvider) PeekSettings(*apps.App) (cpu.FreqSetting, cpu.Mode) {
+	return p.spec.DefaultSetting(), cpu.PowerDeterminism
+}
+
+func (p stockProvider) SettingsEpoch() uint64 { return 1 }
+
 func smallFacility(t *testing.T) *facility.Facility {
 	t.Helper()
 	cfg := facility.ARCHER2()
