@@ -44,7 +44,7 @@ func main() {
 	cfg := core.DefaultConfig()
 	cfg.Seed = *seed
 	if *jobsCSV != "" {
-		cfg.JobLogCap = -1 // unbounded
+		cfg.JobLog = true
 	}
 	if !*quiet {
 		fmt.Fprintf(os.Stderr, "simulating %s -> %s on %d nodes (seed %d)...\n",

@@ -97,15 +97,11 @@ func main() {
 	fmt.Println(t.String())
 
 	if *top > 0 {
-		// Top consumers by energy.
-		sorted := append([]telemetry.JobRecord(nil), records...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i].Energy > sorted[j].Energy })
-		if len(sorted) > *top {
-			sorted = sorted[:*top]
-		}
-		tt := report.NewTable(fmt.Sprintf("Top %d energy consumers", len(sorted)),
+		// Top consumers by energy, ties in record order.
+		topN := telemetry.TopConsumers(records, *top)
+		tt := report.NewTable(fmt.Sprintf("Top %d energy consumers", len(topN)),
 			"jobid", "class", "nodes", "runtime", "setting", "energy")
-		for _, r := range sorted {
+		for _, r := range topN {
 			tt.AddRow(fmt.Sprint(r.ID), r.Class, fmt.Sprint(r.Nodes),
 				r.End.Sub(r.Start).Round(1e9).String(), r.Setting, r.Energy.String())
 		}

@@ -95,16 +95,9 @@ type Config struct {
 	// running on a failed node are killed (as on the real system).
 	Failures FailureConfig
 
-	// RecordTrace captures every submitted job into Results.Trace for
-	// later replay via the workload package.
-	RecordTrace bool
-
-	// CabinetMeters enables per-cabinet power series in Results.Cabinets.
-	CabinetMeters bool
-
-	// JobLogCap, when non-zero, retains up to that many per-job accounting
-	// records in Results.JobLog (sacct-style). Negative means unbounded.
-	JobLogCap int
+	// JobLog retains every finished job's accounting record in
+	// Results.JobLog (sacct-style).
+	JobLog bool
 
 	// FleetVariant, when non-nil, rebuilds every application in the fleet
 	// mix with the given compiler/library variant (paper §5 future work)
@@ -437,16 +430,10 @@ type Results struct {
 	// MixScale is the activity scalar applied by the fleet calibration.
 	MixScale float64
 
-	// Trace holds the submitted-job trace when Config.RecordTrace is set.
-	Trace []workload.TraceRecord
-
-	// Cabinets holds per-cabinet meters when Config.CabinetMeters is set.
-	Cabinets *telemetry.CabinetMeters
-
 	// NodeFailures counts injected node failures.
 	NodeFailures int
 
-	// JobLog holds per-job accounting when Config.JobLogCap is set.
+	// JobLog holds per-job accounting when Config.JobLog is set.
 	JobLog *telemetry.JobLog
 
 	// CarbonTrace is the grid carbon-intensity series the run lived under
@@ -477,11 +464,9 @@ type Simulator struct {
 	sch        *sched.Scheduler
 	meter      *telemetry.Meter
 	accountant *telemetry.Accountant
-	cabinets   *telemetry.CabinetMeters
 	jobLog     *telemetry.JobLog
 	mixScale   float64
 
-	recorder     workload.Recorder
 	failStream   *rng.Stream
 	nodeFailures int
 	carbonTrace  *timeseries.Series
@@ -643,12 +628,8 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	meter := telemetry.NewMeter(eng, fac, cfg.Meter, cfg.End, root.Split("meter"))
 	accountant := telemetry.NewAccountant(sch)
 	var jobLog *telemetry.JobLog
-	if cfg.JobLogCap != 0 {
-		capN := cfg.JobLogCap
-		if capN < 0 {
-			capN = 0 // JobLog treats 0 as unbounded
-		}
-		jobLog = telemetry.NewJobLog(sch, capN)
+	if cfg.JobLog {
+		jobLog = telemetry.NewJobLog(sch)
 	}
 
 	if err := cfg.Timeline.Schedule(eng, provider); err != nil {
@@ -668,13 +649,6 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		mixScale:   scale,
 	}
 	s.carbonTrace = carbonTrace
-	if cfg.CabinetMeters {
-		cab, err := telemetry.NewCabinetMeters(eng, fac, cfg.Meter.Interval, cfg.End)
-		if err != nil {
-			return nil, err
-		}
-		s.cabinets = cab
-	}
 	// Kick off the arrival pump at the start time.
 	s.pumpEvent = func(time.Time) { s.pump() }
 	s.schedulePump(cfg.Start)
@@ -718,9 +692,6 @@ func (s *Simulator) pump() {
 	s.pumpPending = false
 	spec, gap := s.gen.Next()
 	spec.Submit = s.eng.Now()
-	if s.cfg.RecordTrace {
-		s.recorder.Record(spec)
-	}
 	s.sch.Submit(spec)
 	next := s.eng.Now().Add(gap)
 	if next.Before(s.cfg.End) {
@@ -835,12 +806,8 @@ func (s *Simulator) RunContext(ctx context.Context) (*Results, error) {
 		Overrides:   s.provider.Overrides(),
 		Reverts:     s.provider.Reverts(),
 		MixScale:    s.mixScale,
-		Cabinets:    s.cabinets,
 		JobLog:      s.jobLog,
 		CarbonTrace: s.carbonTrace,
-	}
-	if s.cfg.RecordTrace {
-		res.Trace = s.recorder.Records()
 	}
 	res.NodeFailures = s.nodeFailures
 	for _, name := range s.accountant.Classes() {

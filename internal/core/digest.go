@@ -18,9 +18,9 @@ import (
 // promises — the golden tests pin digests across engine refactors, and CI
 // can compare digests across worker counts or machines.
 //
-// Fields that are opt-in captures rather than measurements (Trace,
-// Cabinets, JobLog, CarbonTrace) are excluded: the digest fingerprints
-// the simulation, not the telemetry configuration.
+// Fields that are opt-in captures rather than measurements (JobLog,
+// CarbonTrace) are excluded: the digest fingerprints the simulation, not
+// the telemetry configuration.
 func (r *Results) Digest() string {
 	h := sha256.New()
 	buf := make([]byte, 8)

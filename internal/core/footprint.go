@@ -5,7 +5,6 @@ import (
 
 	"github.com/greenhpc/archertwin/internal/policy"
 	"github.com/greenhpc/archertwin/internal/telemetry"
-	"github.com/greenhpc/archertwin/internal/workload"
 )
 
 // mapEntryOverhead is the accounted per-entry bookkeeping cost of a Go
@@ -17,8 +16,8 @@ const mapEntryOverhead = 48
 // MemoryFootprint returns the retained heap bytes of the result set,
 // recursively over everything it pins: the telemetry series (at backing
 // capacity, since over-reservation is real memory), the window results,
-// the usage accounting, and the opt-in captures (job trace, cabinet
-// meters, job log, carbon trace). The accounting contract:
+// the usage accounting, and the opt-in captures (job log, carbon trace).
+// The accounting contract:
 //
 //   - slices count capacity x element size (not length);
 //   - strings count their byte length once per reference;
@@ -49,10 +48,6 @@ func (r *Results) MemoryFootprint() int64 {
 		total += mapEntryOverhead + int64(len(name)) +
 			int64(unsafe.Sizeof(telemetry.ClassUsage{}))
 	}
-	total += int64(cap(r.Trace)) * int64(unsafe.Sizeof(workload.TraceRecord{}))
-	if r.Cabinets != nil {
-		total += r.Cabinets.MemoryFootprint()
-	}
 	if r.JobLog != nil {
 		total += r.JobLog.MemoryFootprint()
 	}
@@ -67,10 +62,10 @@ func (r *Results) MemoryFootprint() int64 {
 // what a long-term holder (the scenario memo) pins:
 //
 //   - Power and Util keep every sample but release spare backing capacity;
-//   - the opt-in captures (Trace, Cabinets, JobLog, CarbonTrace) are
-//     dropped — they are excluded from Results.Digest by contract, and
-//     every derived quantity the scenario layer serves (window means,
-//     scheduler stats, usage, emissions integration over Power) survives.
+//   - the opt-in captures (JobLog, CarbonTrace) are dropped — they are
+//     excluded from Results.Digest by contract, and every derived quantity
+//     the scenario layer serves (window means, scheduler stats, usage,
+//     emissions integration over Power) survives.
 //
 // Compact must only be called once the owner is done with those captures;
 // the Runner calls it at memo admission, after the digest is computed.
@@ -82,8 +77,6 @@ func (r *Results) Compact() {
 	if r.Util != nil {
 		r.Util.Clip()
 	}
-	r.Trace = nil
-	r.Cabinets = nil
 	r.JobLog = nil
 	r.CarbonTrace = nil
 }

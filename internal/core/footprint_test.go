@@ -14,9 +14,7 @@ func TestMemoryFootprintAndCompact(t *testing.T) {
 	start := time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)
 	cfg := ScaledConfig(64, start, 3)
 	cfg.Windows = []Window{{Label: "w", From: start.AddDate(0, 0, 1), To: start.AddDate(0, 0, 3)}}
-	cfg.RecordTrace = true
-	cfg.CabinetMeters = true
-	cfg.JobLogCap = -1
+	cfg.JobLog = true
 	cfg.Carbon = &CarbonConfig{Model: grid.GB2022(), TraceSeed: 7}
 	res, err := RunConfig(cfg)
 	if err != nil {
@@ -29,8 +27,6 @@ func TestMemoryFootprintAndCompact(t *testing.T) {
 	}
 	// Every capture must contribute: nil it out, footprint must drop.
 	for name, strip := range map[string]func(*Results){
-		"Trace":       func(r *Results) { r.Trace = nil },
-		"Cabinets":    func(r *Results) { r.Cabinets = nil },
 		"JobLog":      func(r *Results) { r.JobLog = nil },
 		"CarbonTrace": func(r *Results) { r.CarbonTrace = nil },
 	} {
@@ -44,7 +40,7 @@ func TestMemoryFootprintAndCompact(t *testing.T) {
 	digestBefore := res.Digest()
 	powerLen, utilLen := res.Power.Len(), res.Util.Len()
 	res.Compact()
-	if res.Trace != nil || res.Cabinets != nil || res.JobLog != nil || res.CarbonTrace != nil {
+	if res.JobLog != nil || res.CarbonTrace != nil {
 		t.Fatal("Compact left capture intermediates behind")
 	}
 	if got := res.MemoryFootprint(); got >= full {

@@ -19,7 +19,7 @@ import (
 
 // forkTestConfig builds a small simulation exercising the given feature
 // set. carbonPolicy is "", "delay-flexible" or "carbon-budget".
-func forkTestConfig(seed uint64, nodes, days int, failures, cabinets, joblog, trace bool, carbonPolicy string) Config {
+func forkTestConfig(seed uint64, nodes, days int, failures, joblog bool, carbonPolicy string) Config {
 	cfg := ScaledConfig(nodes, t0, days)
 	cfg.Seed = seed
 	perfDet := cpu.PerformanceDeterminism
@@ -32,11 +32,7 @@ func forkTestConfig(seed uint64, nodes, days int, failures, cabinets, joblog, tr
 	if failures {
 		cfg.Failures = FailureConfig{MTBFPerNode: 200 * 24 * time.Hour, RepairTime: 6 * time.Hour}
 	}
-	cfg.CabinetMeters = cabinets
-	if joblog {
-		cfg.JobLogCap = -1
-	}
-	cfg.RecordTrace = trace
+	cfg.JobLog = joblog
 	if carbonPolicy != "" {
 		cfg.Carbon = &CarbonConfig{
 			Model:     grid.GB2022(),
@@ -124,9 +120,7 @@ func TestForkSameConfigBitIdentical(t *testing.T) {
 		cfg := forkTestConfig(
 			r.Uint64(), nodes, days,
 			trial%2 == 0,      // failures
-			trial%3 == 1,      // cabinet meters
 			trial%2 == 1,      // job log
-			trial%4 == 0,      // trace recording
 			policies[trial%3], // temporal policy
 		)
 		span := cfg.End.Sub(cfg.Start)
@@ -150,7 +144,7 @@ func TestForkSameConfigBitIdentical(t *testing.T) {
 // same configuration, ends with ledger power and energy bit-identical to
 // the straight run's.
 func TestForkLedgerBitIdentical(t *testing.T) {
-	cfg := forkTestConfig(11, 24, 4, true, false, false, false, "")
+	cfg := forkTestConfig(11, 24, 4, true, false, "")
 	straight, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +185,7 @@ func TestForkLedgerBitIdentical(t *testing.T) {
 // whose timeline diverges at the fork point is bit-identical to running
 // that branch configuration cold from the start.
 func TestForkDivergedTimelineMatchesColdBranch(t *testing.T) {
-	cfg := forkTestConfig(7, 32, 5, true, false, true, false, "delay-flexible")
+	cfg := forkTestConfig(7, 32, 5, true, true, "delay-flexible")
 	at := t0.AddDate(0, 0, 3) // diverge at day 3 of 5
 
 	// The branch flips the BIOS mode back at the divergence point —
@@ -223,7 +217,7 @@ func TestForkDivergedTimelineMatchesColdBranch(t *testing.T) {
 // window, so one snapshot carries a pending (unstarted) reservation and
 // the other a started one with captured and draining node ledgers.
 func TestForkSlurmFeaturesBitIdentical(t *testing.T) {
-	cfg := forkTestConfig(13, 24, 3, true, false, false, false, "")
+	cfg := forkTestConfig(13, 24, 3, true, false, "")
 	cfg.Priorities = []workload.PriorityClass{
 		{Level: 0, Share: 0.6}, {Level: 2, Share: 0.3}, {Level: 5, Share: 0.1},
 	}
@@ -234,7 +228,7 @@ func TestForkSlurmFeaturesBitIdentical(t *testing.T) {
 		{Name: "maint", Nodes: []int{0, 1, 2, 3, 4, 5}, From: t0.Add(30 * time.Hour), To: t0.Add(40 * time.Hour)},
 	}
 
-	plain := forkTestConfig(13, 24, 3, true, false, false, false, "")
+	plain := forkTestConfig(13, 24, 3, true, false, "")
 	cold := digestOf(t, cfg)
 	if cold == digestOf(t, plain) {
 		t.Fatal("Slurm features changed nothing; the fork test is vacuous")
@@ -261,7 +255,7 @@ func TestForkSlurmFeaturesBitIdentical(t *testing.T) {
 // particular that no sync.Pool-backed event item discarded by the fork's
 // engine reset is still referenced by another simulation.
 func TestForkSharesNoStateWithParent(t *testing.T) {
-	cfg := forkTestConfig(11, 24, 3, true, true, true, true, "carbon-budget")
+	cfg := forkTestConfig(11, 24, 3, true, true, "carbon-budget")
 	at := t0.Add(36 * time.Hour)
 	parent, err := NewSimulator(cfg)
 	if err != nil {
@@ -308,7 +302,7 @@ func TestForkSharesNoStateWithParent(t *testing.T) {
 // TestForkValidation checks that Fork rejects configurations that
 // contradict the snapshot's prefix.
 func TestForkValidation(t *testing.T) {
-	cfg := forkTestConfig(3, 16, 3, false, false, false, false, "")
+	cfg := forkTestConfig(3, 16, 3, false, false, "")
 	at := t0.Add(36 * time.Hour) // the day-1 change is strictly in the past
 	parent, err := NewSimulator(cfg)
 	if err != nil {
@@ -328,9 +322,7 @@ func TestForkValidation(t *testing.T) {
 		"end":      func(c *Config) { c.End = c.End.Add(time.Hour) },
 		"nodes":    func(c *Config) { c.Facility.Nodes += 8 },
 		"interval": func(c *Config) { c.Meter.Interval *= 2 },
-		"trace":    func(c *Config) { c.RecordTrace = true },
-		"joblog":   func(c *Config) { c.JobLogCap = -1 },
-		"cabinets": func(c *Config) { c.CabinetMeters = true },
+		"joblog":   func(c *Config) { c.JobLog = true },
 		"failures": func(c *Config) { c.Failures = FailureConfig{MTBFPerNode: time.Hour, RepairTime: time.Hour} },
 		"past change": func(c *Config) {
 			perfDet := cpu.PowerDeterminism
@@ -360,7 +352,7 @@ func TestForkValidation(t *testing.T) {
 
 // TestSnapshotAfterRunRejected pins the quiescence contract.
 func TestSnapshotAfterRunRejected(t *testing.T) {
-	cfg := forkTestConfig(5, 16, 3, false, false, false, false, "")
+	cfg := forkTestConfig(5, 16, 3, false, false, "")
 	sim, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -389,7 +381,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		policies := []string{"", "delay-flexible", "carbon-budget"}
 		fl := int(flavour) % 3
 		cfg := forkTestConfig(seed, nodes, days,
-			fl == 1, false, false, false, policies[fl])
+			fl == 1, false, policies[fl])
 		span := cfg.End.Sub(cfg.Start)
 		at := cfg.Start.Add(time.Duration(frac * float64(span))).Truncate(time.Minute)
 		cold := digestOf(t, cfg)

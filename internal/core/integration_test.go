@@ -1,12 +1,8 @@
 package core
 
 import (
-	"math"
-	"strings"
 	"testing"
 	"time"
-
-	"github.com/greenhpc/archertwin/internal/workload"
 )
 
 // Integration tests: cross-module behaviour of the full simulation stack.
@@ -48,83 +44,6 @@ func TestIntegrationFailureValidation(t *testing.T) {
 	cfg.Failures = FailureConfig{MTBFPerNode: time.Hour} // no repair time
 	if _, err := NewSimulator(cfg); err == nil {
 		t.Fatal("failure config without repair time accepted")
-	}
-}
-
-func TestIntegrationTraceRecordAndReplayCSV(t *testing.T) {
-	cfg := ScaledConfig(80, t0, 5)
-	cfg.RecordTrace = true
-	sim, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Trace) == 0 {
-		t.Fatal("no trace recorded")
-	}
-	if len(res.Trace) != res.Sched.Submitted {
-		t.Fatalf("trace %d != submitted %d", len(res.Trace), res.Sched.Submitted)
-	}
-
-	// Round-trip through CSV.
-	var b strings.Builder
-	if err := workload.WriteTrace(&b, res.Trace); err != nil {
-		t.Fatal(err)
-	}
-	back, err := workload.ReadTrace(strings.NewReader(b.String()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(res.Trace) {
-		t.Fatalf("round trip %d != %d", len(back), len(res.Trace))
-	}
-	// Submit times are within the simulation span and non-decreasing.
-	prev := time.Time{}
-	for _, r := range back {
-		if r.Submit.Before(cfg.Start) || r.Submit.After(cfg.End) {
-			t.Fatalf("submit %v outside span", r.Submit)
-		}
-		if r.Submit.Before(prev) {
-			t.Fatal("trace not ordered")
-		}
-		prev = r.Submit
-	}
-}
-
-func TestIntegrationCabinetMetersConsistent(t *testing.T) {
-	cfg := ScaledConfig(92, t0, 5) // 4 cabinets of 23 nodes
-	cfg.CabinetMeters = true
-	cfg.Meter.NoiseSigma = 0 // exact comparison
-	sim, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cabinets == nil {
-		t.Fatal("no cabinet meters")
-	}
-	// The sum of cabinet series equals the facility meter at sample times.
-	at := t0.AddDate(0, 0, 2)
-	total, ok := res.Cabinets.TotalAt(at)
-	if !ok {
-		t.Fatal("no cabinet total")
-	}
-	fleet, ok := res.Power.ValueAt(at)
-	if !ok {
-		t.Fatal("no fleet sample")
-	}
-	if math.Abs(total.Kilowatts()-fleet) > 0.5 {
-		t.Fatalf("cabinet sum %v kW != fleet meter %v kW", total.Kilowatts(), fleet)
-	}
-	// Under a balanced allocator, long-run cabinet imbalance is modest.
-	if im := res.Cabinets.Imbalance(); im > 0.5 {
-		t.Fatalf("cabinet imbalance = %v", im)
 	}
 }
 

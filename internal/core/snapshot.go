@@ -46,13 +46,10 @@ type Snapshot struct {
 	prov  policy.Snapshot
 	gen   workload.GeneratorSnapshot
 	meter *telemetry.MeterSnapshot
-	cab   *telemetry.CabinetSnapshot
 	acct  *telemetry.AccountantSnapshot
 
 	hasJobLog bool
 	jobLog    []telemetry.JobRecord
-	hasTrace  bool
-	trace     []workload.TraceRecord
 
 	pumpAt      time.Time
 	pumpSeq     uint64
@@ -107,16 +104,9 @@ func (s *Simulator) Snapshot() (*Snapshot, error) {
 
 		nodeFailures: s.nodeFailures,
 	}
-	if s.cabinets != nil {
-		snap.cab = s.cabinets.Snapshot()
-	}
 	if s.jobLog != nil {
 		snap.hasJobLog = true
 		snap.jobLog = s.jobLog.Snapshot()
-	}
-	if s.cfg.RecordTrace {
-		snap.hasTrace = true
-		snap.trace = append([]workload.TraceRecord(nil), s.recorder.Records()...)
 	}
 	if s.pumpPending {
 		snap.pumpAt = s.pumpAt
@@ -192,12 +182,8 @@ func validateFork(snap *Snapshot, cfg Config) error {
 		return fmt.Errorf("core: fork oversubscription %g != snapshot %g", cfg.OverSubscription, snap.oversub)
 	case cfg.Meter.Interval != snap.meterInterval:
 		return fmt.Errorf("core: fork meter interval %v != snapshot %v", cfg.Meter.Interval, snap.meterInterval)
-	case cfg.RecordTrace != snap.hasTrace:
-		return fmt.Errorf("core: fork trace recording differs from snapshot")
-	case (cfg.JobLogCap != 0) != snap.hasJobLog:
+	case cfg.JobLog != snap.hasJobLog:
 		return fmt.Errorf("core: fork job-log setting differs from snapshot")
-	case cfg.CabinetMeters != (snap.cab != nil):
-		return fmt.Errorf("core: fork cabinet-meter setting differs from snapshot")
 	case (cfg.Failures.MTBFPerNode > 0) != snap.hasFail:
 		return fmt.Errorf("core: fork failure injection differs from snapshot")
 	}
@@ -288,15 +274,9 @@ func (s *Simulator) restore(snap *Snapshot) error {
 		return err
 	}
 	s.meter.Restore(snap.meter, add)
-	if s.cabinets != nil {
-		s.cabinets.Restore(snap.cab, add)
-	}
 	s.accountant.Restore(snap.acct)
 	if s.jobLog != nil {
 		s.jobLog.Restore(snap.jobLog)
-	}
-	if s.cfg.RecordTrace {
-		s.recorder.Restore(snap.trace)
 	}
 	s.nodeFailures = snap.nodeFailures
 
@@ -402,14 +382,10 @@ func (snap *Snapshot) MemoryFootprint() int64 {
 	if snap.meter != nil {
 		total += int64(unsafe.Sizeof(*snap.meter)) + snap.meter.MemoryFootprint()
 	}
-	if snap.cab != nil {
-		total += int64(unsafe.Sizeof(*snap.cab)) + snap.cab.MemoryFootprint()
-	}
 	if snap.acct != nil {
 		total += snap.acct.MemoryFootprint()
 	}
 	total += int64(cap(snap.jobLog)) * int64(unsafe.Sizeof(telemetry.JobRecord{}))
-	total += int64(cap(snap.trace)) * int64(unsafe.Sizeof(workload.TraceRecord{}))
 	total += int64(cap(snap.repairs)) * int64(unsafe.Sizeof(repairSnap{}))
 	return total
 }

@@ -44,7 +44,7 @@ type Config struct {
 // spec, per-node socket/module count, board power) and cabinet block.
 // Zero values default to the primary partition's layout: nil CPU means
 // the facility CPU spec, zero SocketsPerNode means node.SocketsPerNode,
-// zero BoardPower means node.BoardPower, zero Cabinets means one.
+// zero BoardPower means node.BoardPower.
 type Partition struct {
 	Name           string
 	Nodes          int
@@ -106,17 +106,15 @@ func ARCHER2() Config {
 }
 
 // PartitionInfo is one resolved partition of an instantiated facility:
-// the configured partition with defaults applied and its node/cabinet
-// index ranges fixed. Partition 0 is always the primary CPU partition.
+// the configured partition with defaults applied and its node index range
+// fixed. Partition 0 is always the primary CPU partition.
 type PartitionInfo struct {
-	Name         string
-	Start        int // first node ID
-	Nodes        int
-	Cabinets     int
-	CabinetStart int // first cabinet index
-	CPU          *cpu.Spec
-	Sockets      int
-	Board        units.Power
+	Name    string
+	Start   int // first node ID
+	Nodes   int
+	CPU     *cpu.Spec
+	Sockets int
+	Board   units.Power
 }
 
 // End returns one past the partition's last node ID.
@@ -143,12 +141,11 @@ type Facility struct {
 func resolvePartitions(cfg Config) ([]PartitionInfo, error) {
 	parts := make([]PartitionInfo, 0, 1+len(cfg.Partitions))
 	parts = append(parts, PartitionInfo{
-		Name:     "compute",
-		Nodes:    cfg.Nodes,
-		Cabinets: cfg.Cabinets,
-		CPU:      cfg.CPU,
-		Sockets:  node.SocketsPerNode,
-		Board:    node.BoardPower,
+		Name:    "compute",
+		Nodes:   cfg.Nodes,
+		CPU:     cfg.CPU,
+		Sockets: node.SocketsPerNode,
+		Board:   node.BoardPower,
 	})
 	seen := map[string]bool{parts[0].Name: true}
 	for i, p := range cfg.Partitions {
@@ -166,15 +163,11 @@ func resolvePartitions(cfg Config) ([]PartitionInfo, error) {
 			return nil, fmt.Errorf("facility: partition %q: negative layout", p.Name)
 		}
 		r := PartitionInfo{
-			Name:     p.Name,
-			Nodes:    p.Nodes,
-			Cabinets: p.Cabinets,
-			CPU:      p.CPU,
-			Sockets:  p.SocketsPerNode,
-			Board:    p.BoardPower,
-		}
-		if r.Cabinets <= 0 {
-			r.Cabinets = 1
+			Name:    p.Name,
+			Nodes:   p.Nodes,
+			CPU:     p.CPU,
+			Sockets: p.SocketsPerNode,
+			Board:   p.BoardPower,
 		}
 		if r.CPU == nil {
 			r.CPU = cfg.CPU
@@ -189,7 +182,6 @@ func resolvePartitions(cfg Config) ([]PartitionInfo, error) {
 	}
 	for i := 1; i < len(parts); i++ {
 		parts[i].Start = parts[i-1].Start + parts[i-1].Nodes
-		parts[i].CabinetStart = parts[i-1].CabinetStart + parts[i-1].Cabinets
 	}
 	return parts, nil
 }
@@ -288,27 +280,6 @@ func (f *Facility) Storage() *storage.Fleet { return f.fs }
 
 // Plant returns the cooling plant.
 func (f *Facility) Plant() *cooling.Plant { return f.plant }
-
-// TotalCabinets returns the cabinet count across all partitions.
-func (f *Facility) TotalCabinets() int {
-	total := 0
-	for _, p := range f.parts {
-		total += p.Cabinets
-	}
-	return total
-}
-
-// CabinetOfNode returns the cabinet index housing node i (nodes are packed
-// in ID order within their partition; partition cabinet blocks are
-// contiguous, primary first).
-func (f *Facility) CabinetOfNode(i int) int {
-	p := &f.parts[f.PartitionOfNode(i)]
-	c := (i - p.Start) * p.Cabinets / p.Nodes
-	if c >= p.Cabinets {
-		c = p.Cabinets - 1
-	}
-	return p.CabinetStart + c
-}
 
 // ComputeNodePower returns the instantaneous power of all compute nodes.
 // Each node's draw is cached (see node.Power), so this is a linear sweep

@@ -109,30 +109,6 @@ func TestInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestCabinetOfNode(t *testing.T) {
-	f := newFacility(t, ARCHER2())
-	if c := f.CabinetOfNode(0); c != 0 {
-		t.Errorf("first node cabinet = %d", c)
-	}
-	if c := f.CabinetOfNode(5859); c != 22 {
-		t.Errorf("last node cabinet = %d", c)
-	}
-	// Monotone, all cabinets populated.
-	prev := 0
-	seen := map[int]bool{}
-	for i := 0; i < f.NodeCount(); i++ {
-		c := f.CabinetOfNode(i)
-		if c < prev {
-			t.Fatalf("cabinet assignment not monotone at node %d", i)
-		}
-		prev = c
-		seen[c] = true
-	}
-	if len(seen) != 23 {
-		t.Fatalf("cabinets populated = %d, want 23", len(seen))
-	}
-}
-
 func TestUtilisationAndPower(t *testing.T) {
 	f := newFacility(t, small())
 	if u := f.Utilisation(); u != 0 {

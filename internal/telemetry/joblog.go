@@ -4,8 +4,10 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 	"unsafe"
 
@@ -51,15 +53,13 @@ func (r JobRecord) KWhPerNodeHour() float64 {
 // JobLog collects records from a scheduler.
 type JobLog struct {
 	records []JobRecord
-	cap     int
 }
 
-// NewJobLog registers a log on the scheduler. cap bounds memory (0 = no
-// bound); beyond it the earliest records are dropped FIFO.
-func NewJobLog(s *sched.Scheduler, cap int) *JobLog {
-	l := &JobLog{cap: cap}
+// NewJobLog registers a log on the scheduler.
+func NewJobLog(s *sched.Scheduler) *JobLog {
+	l := &JobLog{}
 	s.OnJobEnd(func(j *sched.Job) {
-		l.append(JobRecord{
+		l.records = append(l.records, JobRecord{
 			ID:       j.Spec.ID,
 			Class:    j.Spec.Class,
 			App:      j.Spec.App.Name,
@@ -74,15 +74,6 @@ func NewJobLog(s *sched.Scheduler, cap int) *JobLog {
 		})
 	})
 	return l
-}
-
-func (l *JobLog) append(r JobRecord) {
-	if l.cap > 0 && len(l.records) >= l.cap {
-		copy(l.records, l.records[1:])
-		l.records[len(l.records)-1] = r
-		return
-	}
-	l.records = append(l.records, r)
 }
 
 // Len returns the number of retained records.
@@ -122,48 +113,26 @@ func (l *JobLog) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// energyByClassSizeHint pre-sizes the per-class aggregation map: the
-// workload catalog defines a handful of research-area classes, so a
-// small fixed hint avoids the incremental rehash-and-grow the unsized
-// map paid on every call.
-const energyByClassSizeHint = 8
-
-// EnergyByClass aggregates retained records into per-class intensity
-// statistics.
-func (l *JobLog) EnergyByClass() map[string]ClassUsage {
-	out := make(map[string]ClassUsage, energyByClassSizeHint)
-	for _, r := range l.records {
-		cu := out[r.Class]
-		cu.Jobs++
-		cu.NodeHours += r.NodeHours()
-		cu.Energy += r.Energy
-		out[r.Class] = cu
-	}
-	return out
-}
-
 // TopConsumers returns the n records with the highest total energy,
-// descending, ties broken by earliest record. One pass over the log with
-// a bounded insertion buffer — O(len(records) * log n) and two pre-sized
-// allocations, replacing the earlier selection loop that rescanned the
-// full record slice once per picked record (quadratic in n, ruinous for
-// "top 100 of a million-job log" queries).
-func (l *JobLog) TopConsumers(n int) []JobRecord {
-	if n <= 0 || len(l.records) == 0 {
+// descending, ties broken by earliest record. One pass over the records
+// with a bounded insertion buffer — O(len(records) * log n) and two
+// pre-sized allocations, so "top 100 of a million-job log" stays cheap.
+func TopConsumers(records []JobRecord, n int) []JobRecord {
+	if n <= 0 || len(records) == 0 {
 		return nil
 	}
-	if n > len(l.records) {
-		n = len(l.records)
+	if n > len(records) {
+		n = len(records)
 	}
 	// top holds record indices ordered by (Energy desc, index asc).
 	top := make([]int, 0, n)
-	for i := range l.records {
-		e := l.records[i].Energy
-		if len(top) == n && e <= l.records[top[n-1]].Energy {
+	for i := range records {
+		e := records[i].Energy
+		if len(top) == n && e <= records[top[n-1]].Energy {
 			continue // not above the current cutoff (ties keep the earlier record)
 		}
 		at := sort.Search(len(top), func(k int) bool {
-			return l.records[top[k]].Energy < e
+			return records[top[k]].Energy < e
 		})
 		if len(top) < n {
 			top = append(top, 0)
@@ -173,7 +142,7 @@ func (l *JobLog) TopConsumers(n int) []JobRecord {
 	}
 	picked := make([]JobRecord, len(top))
 	for i, idx := range top {
-		picked[i] = l.records[idx]
+		picked[i] = records[idx]
 	}
 	return picked
 }
@@ -201,8 +170,13 @@ func (l *JobLog) String() string {
 }
 
 // ReadJobRecords parses a CSV written by JobLog.WriteCSV, for offline
-// analysis tooling (cmd/jobsreport). The state and setting columns are
-// kept as written; energy is reconstructed from the kWh column.
+// analysis tooling (cmd/jobsreport). The setting column is kept as
+// written; the state must be one a finished job ends in (completed,
+// failed or preempted); energy is reconstructed from the kWh column and
+// must be finite and non-negative. Input WriteCSV could not write back
+// unchanged is rejected: timestamps outside years 0000-9999 UTC (the
+// range its RFC 3339 form can express) and carriage returns in the
+// class, app or setting text (encoding/csv folds a quoted "\r\n" to "\n").
 func ReadJobRecords(r io.Reader) ([]JobRecord, error) {
 	cr := csv.NewReader(r)
 	rows, err := cr.ReadAll()
@@ -211,6 +185,13 @@ func ReadJobRecords(r io.Reader) ([]JobRecord, error) {
 	}
 	if len(rows) == 0 || len(rows[0]) != 12 || rows[0][0] != "jobid" {
 		return nil, fmt.Errorf("telemetry: unrecognised job csv header")
+	}
+	parseT := func(s string) (time.Time, error) {
+		t, err := time.Parse(time.RFC3339, s)
+		if y := t.UTC().Year(); err == nil && (y < 0 || y > 9999) {
+			err = fmt.Errorf("year %d outside 0000-9999 UTC", y)
+		}
+		return t, err
 	}
 	out := make([]JobRecord, 0, len(rows)-1)
 	for i, row := range rows[1:] {
@@ -222,7 +203,11 @@ func ReadJobRecords(r io.Reader) ([]JobRecord, error) {
 		if err != nil || nodes <= 0 {
 			return nil, fmt.Errorf("telemetry: job csv row %d: bad nodes %q", i+1, row[3])
 		}
-		parseT := func(s string) (time.Time, error) { return time.Parse(time.RFC3339, s) }
+		for _, c := range []int{1, 2, 8} {
+			if strings.ContainsRune(row[c], '\r') {
+				return nil, fmt.Errorf("telemetry: job csv row %d: carriage return in column %d", i+1, c+1)
+			}
+		}
 		submit, err := parseT(row[4])
 		if err != nil {
 			return nil, fmt.Errorf("telemetry: job csv row %d: bad submit: %w", i+1, err)
@@ -236,7 +221,8 @@ func ReadJobRecords(r io.Reader) ([]JobRecord, error) {
 			return nil, fmt.Errorf("telemetry: job csv row %d: bad end: %w", i+1, err)
 		}
 		kwh, err := strconv.ParseFloat(row[10], 64)
-		if err != nil || kwh < 0 {
+		energy := units.KilowattHours(kwh)
+		if err != nil || kwh < 0 || math.IsNaN(kwh) || math.IsInf(energy.Joules(), 0) {
 			return nil, fmt.Errorf("telemetry: job csv row %d: bad energy %q", i+1, row[10])
 		}
 		rec := JobRecord{
@@ -248,7 +234,7 @@ func ReadJobRecords(r io.Reader) ([]JobRecord, error) {
 			Start:   start,
 			End:     end,
 			Setting: row[8],
-			Energy:  units.KilowattHours(kwh),
+			Energy:  energy,
 		}
 		rec.Override, _ = strconv.ParseBool(row[9])
 		switch row[7] {
@@ -256,6 +242,8 @@ func ReadJobRecords(r io.Reader) ([]JobRecord, error) {
 			rec.State = sched.Completed
 		case "failed":
 			rec.State = sched.Failed
+		case "preempted":
+			rec.State = sched.Preempted
 		default:
 			return nil, fmt.Errorf("telemetry: job csv row %d: unknown state %q", i+1, row[7])
 		}

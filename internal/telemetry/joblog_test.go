@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -14,19 +15,19 @@ import (
 	"github.com/greenhpc/archertwin/internal/workload"
 )
 
-func logRig(t *testing.T) (*des.Engine, *sched.Scheduler, *JobLog, *apps.App) {
+func logRig(t *testing.T, cfg sched.Config) (*des.Engine, *sched.Scheduler, *JobLog, *apps.App) {
 	t.Helper()
 	fac := smallFacility(t)
 	eng := des.NewEngine(t0)
-	s := sched.New(eng, fac, stockProvider{fac.Config().CPU}, sched.DefaultConfig())
-	l := NewJobLog(s, 0)
+	s := sched.New(eng, fac, stockProvider{fac.Config().CPU}, cfg)
+	l := NewJobLog(s)
 	app := &apps.App{Name: "logged-app", Kernel: roofline.Kernel{ComputeFraction: 0.4},
 		ActCore: 0.7, ActUncore: 0.5}
 	return eng, s, l, app
 }
 
 func TestJobLogRecords(t *testing.T) {
-	eng, s, l, app := logRig(t)
+	eng, s, l, app := logRig(t, sched.DefaultConfig())
 	s.Submit(workload.JobSpec{ID: 1, Class: "a", App: app, Nodes: 4, RefRuntime: 2 * time.Hour})
 	s.Submit(workload.JobSpec{ID: 2, Class: "b", App: app, Nodes: 2, RefRuntime: time.Hour})
 	eng.Run()
@@ -54,30 +55,8 @@ func TestJobLogRecords(t *testing.T) {
 	}
 }
 
-func TestJobLogCapFIFO(t *testing.T) {
-	fac := smallFacility(t)
-	eng := des.NewEngine(t0)
-	s := sched.New(eng, fac, stockProvider{fac.Config().CPU}, sched.DefaultConfig())
-	l := NewJobLog(s, 3)
-	app := &apps.App{Name: "x", ActCore: 0.5, ActUncore: 0.5}
-	for i := 1; i <= 5; i++ {
-		s.Submit(workload.JobSpec{ID: i, Class: "c", App: app, Nodes: 1,
-			RefRuntime: time.Duration(i) * time.Hour})
-	}
-	eng.Run()
-	if l.Len() != 3 {
-		t.Fatalf("capped records = %d", l.Len())
-	}
-	// The three longest (latest-finishing) jobs remain: IDs 3, 4, 5.
-	for _, r := range l.Records() {
-		if r.ID < 3 {
-			t.Fatalf("old record %d retained", r.ID)
-		}
-	}
-}
-
 func TestJobLogCSV(t *testing.T) {
-	eng, s, l, app := logRig(t)
+	eng, s, l, app := logRig(t, sched.DefaultConfig())
 	s.Submit(workload.JobSpec{ID: 7, Class: "alpha", App: app, Nodes: 3, RefRuntime: time.Hour})
 	eng.Run()
 	var b strings.Builder
@@ -97,21 +76,13 @@ func TestJobLogCSV(t *testing.T) {
 }
 
 func TestJobLogAggregations(t *testing.T) {
-	eng, s, l, app := logRig(t)
+	eng, s, l, app := logRig(t, sched.DefaultConfig())
 	s.Submit(workload.JobSpec{ID: 1, Class: "a", App: app, Nodes: 8, RefRuntime: 4 * time.Hour})
 	s.Submit(workload.JobSpec{ID: 2, Class: "a", App: app, Nodes: 1, RefRuntime: time.Hour})
 	s.Submit(workload.JobSpec{ID: 3, Class: "b", App: app, Nodes: 2, RefRuntime: time.Hour})
 	eng.Run()
 
-	by := l.EnergyByClass()
-	if by["a"].Jobs != 2 || by["b"].Jobs != 1 {
-		t.Fatalf("class jobs: %+v", by)
-	}
-	if by["a"].Energy <= by["b"].Energy {
-		t.Fatal("class a should dominate energy")
-	}
-
-	top := l.TopConsumers(2)
+	top := TopConsumers(l.Records(), 2)
 	if len(top) != 2 {
 		t.Fatalf("top = %d", len(top))
 	}
@@ -121,10 +92,10 @@ func TestJobLogAggregations(t *testing.T) {
 	if top[0].Energy < top[1].Energy {
 		t.Fatal("top consumers not descending")
 	}
-	if got := l.TopConsumers(0); got != nil {
+	if got := TopConsumers(l.Records(), 0); got != nil {
 		t.Fatal("TopConsumers(0) nonzero")
 	}
-	if got := l.TopConsumers(10); len(got) != 3 {
+	if got := TopConsumers(l.Records(), 10); len(got) != 3 {
 		t.Fatalf("TopConsumers(10) = %d", len(got))
 	}
 	if !strings.Contains(l.String(), "3 records") {
@@ -132,11 +103,37 @@ func TestJobLogAggregations(t *testing.T) {
 	}
 }
 
+// csvEqual reports whether b is a as the job CSV carries it: times to the
+// whole second, energy to the written three decimals of kWh (plus the
+// float rounding of the kWh-to-joule conversion).
+func csvEqual(a, b JobRecord) bool {
+	sameT := func(x, y time.Time) bool { return x.Truncate(time.Second).Equal(y.Truncate(time.Second)) }
+	ea, eb := a.Energy.KilowattHours(), b.Energy.KilowattHours()
+	return a.ID == b.ID && a.Class == b.Class && a.App == b.App && a.Nodes == b.Nodes &&
+		sameT(a.Submit, b.Submit) && sameT(a.Start, b.Start) && sameT(a.End, b.End) &&
+		a.State == b.State && a.Setting == b.Setting && a.Override == b.Override &&
+		math.Abs(ea-eb) <= 0.0005+1e-9*math.Abs(ea)
+}
+
+// The round trip covers every terminal state a job reaches the log in:
+// under PreemptCancel a high-priority arrival evicts a running job into
+// the Preempted state.
 func TestJobRecordsCSVRoundTrip(t *testing.T) {
-	eng, s, l, app := logRig(t)
-	s.Submit(workload.JobSpec{ID: 1, Class: "a", App: app, Nodes: 4, RefRuntime: 2 * time.Hour})
-	s.Submit(workload.JobSpec{ID: 2, Class: "b", App: app, Nodes: 2, RefRuntime: time.Hour})
+	cfg := sched.DefaultConfig()
+	cfg.Preemption = sched.PreemptCancel
+	eng, s, l, app := logRig(t, cfg)
+	s.Submit(workload.JobSpec{ID: 1, Class: "a", App: app, Nodes: 50, RefRuntime: 2 * time.Hour})
+	eng.At(t0.Add(30*time.Minute), func(time.Time) {
+		s.Submit(workload.JobSpec{ID: 2, Class: "b", App: app, Nodes: 50, Priority: 1, RefRuntime: time.Hour})
+	})
 	eng.Run()
+	states := map[sched.JobState]bool{}
+	for _, r := range l.Records() {
+		states[r.State] = true
+	}
+	if !states[sched.Preempted] || !states[sched.Completed] {
+		t.Fatalf("log states = %v, want a preempted and a completed job", states)
+	}
 
 	var b strings.Builder
 	if err := l.WriteCSV(&b); err != nil {
@@ -150,30 +147,34 @@ func TestJobRecordsCSVRoundTrip(t *testing.T) {
 		t.Fatalf("round trip %d != %d", len(back), l.Len())
 	}
 	for i, r := range back {
-		o := l.Records()[i]
-		if r.ID != o.ID || r.Class != o.Class || r.Nodes != o.Nodes ||
-			r.State != o.State || r.Setting != o.Setting {
+		if o := l.Records()[i]; !csvEqual(o, r) {
 			t.Fatalf("record %d mismatch: %+v vs %+v", i, r, o)
-		}
-		// Energy preserved to CSV precision (3 decimals of kWh).
-		if d := r.Energy.KilowattHours() - o.Energy.KilowattHours(); d > 0.001 || d < -0.001 {
-			t.Fatalf("record %d energy drift %v", i, d)
-		}
-		if !r.Start.Equal(o.Start.Truncate(time.Second)) && !r.Start.Equal(o.Start) {
-			t.Fatalf("record %d start mismatch", i)
 		}
 	}
 }
 
+const jobCSVHeader = "jobid,class,app,nodes,submit,start,end,state,freq_setting,override,energy_kwh,kwh_per_nodeh\n"
+
+// jobCSVRow returns a valid data row with the energy column set to kwh.
+func jobCSVRow(kwh string) string {
+	return "1,c,a,1,2022-01-01T00:00:00Z,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,completed,2 GHz,false," + kwh + ",1.0\n"
+}
+
 func TestReadJobRecordsErrors(t *testing.T) {
 	cases := map[string]string{
-		"empty":      "",
-		"bad header": "x,y\n",
-		"bad id":     "jobid,class,app,nodes,submit,start,end,state,freq_setting,override,energy_kwh,kwh_per_nodeh\nxx,c,a,1,2022-01-01T00:00:00Z,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,completed,2 GHz,false,1.0,1.0\n",
-		"bad nodes":  "jobid,class,app,nodes,submit,start,end,state,freq_setting,override,energy_kwh,kwh_per_nodeh\n1,c,a,0,2022-01-01T00:00:00Z,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,completed,2 GHz,false,1.0,1.0\n",
-		"bad state":  "jobid,class,app,nodes,submit,start,end,state,freq_setting,override,energy_kwh,kwh_per_nodeh\n1,c,a,1,2022-01-01T00:00:00Z,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,queued,2 GHz,false,1.0,1.0\n",
-		"bad energy": "jobid,class,app,nodes,submit,start,end,state,freq_setting,override,energy_kwh,kwh_per_nodeh\n1,c,a,1,2022-01-01T00:00:00Z,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,completed,2 GHz,false,-1,1.0\n",
-		"bad time":   "jobid,class,app,nodes,submit,start,end,state,freq_setting,override,energy_kwh,kwh_per_nodeh\n1,c,a,1,nope,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,completed,2 GHz,false,1.0,1.0\n",
+		"nan energy":      jobCSVHeader + jobCSVRow("NaN"),
+		"inf energy":      jobCSVHeader + jobCSVRow("Inf"),
+		"-inf energy":     jobCSVHeader + jobCSVRow("-Inf"),
+		"overflow energy": jobCSVHeader + jobCSVRow("1e303"),
+		"year past 9999":  jobCSVHeader + "1,c,a,1,9999-12-31T23:00:00-02:00,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,completed,2 GHz,false,1.0,1.0\n",
+		"cr in class":     jobCSVHeader + "1,\"c\r\r\nd\",a,1,2022-01-01T00:00:00Z,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,completed,2 GHz,false,1.0,1.0\n",
+		"empty":           "",
+		"bad header":      "x,y\n",
+		"bad id":          "jobid,class,app,nodes,submit,start,end,state,freq_setting,override,energy_kwh,kwh_per_nodeh\nxx,c,a,1,2022-01-01T00:00:00Z,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,completed,2 GHz,false,1.0,1.0\n",
+		"bad nodes":       "jobid,class,app,nodes,submit,start,end,state,freq_setting,override,energy_kwh,kwh_per_nodeh\n1,c,a,0,2022-01-01T00:00:00Z,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,completed,2 GHz,false,1.0,1.0\n",
+		"bad state":       "jobid,class,app,nodes,submit,start,end,state,freq_setting,override,energy_kwh,kwh_per_nodeh\n1,c,a,1,2022-01-01T00:00:00Z,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,queued,2 GHz,false,1.0,1.0\n",
+		"bad energy":      "jobid,class,app,nodes,submit,start,end,state,freq_setting,override,energy_kwh,kwh_per_nodeh\n1,c,a,1,2022-01-01T00:00:00Z,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,completed,2 GHz,false,-1,1.0\n",
+		"bad time":        "jobid,class,app,nodes,submit,start,end,state,freq_setting,override,energy_kwh,kwh_per_nodeh\n1,c,a,1,nope,2022-01-01T00:00:00Z,2022-01-01T01:00:00Z,completed,2 GHz,false,1.0,1.0\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadJobRecords(strings.NewReader(in)); err == nil {
@@ -182,12 +183,12 @@ func TestReadJobRecordsErrors(t *testing.T) {
 	}
 }
 
-// syntheticLog builds a log of n records directly (no scheduler), with
+// syntheticRecords builds n records directly (no scheduler), with
 // deliberately repeated energies so tie-breaking is exercised.
-func syntheticLog(n int) *JobLog {
-	l := &JobLog{}
+func syntheticRecords(n int) []JobRecord {
+	recs := make([]JobRecord, 0, n)
 	for i := 0; i < n; i++ {
-		l.append(JobRecord{
+		recs = append(recs, JobRecord{
 			ID:     i,
 			Class:  [3]string{"a", "b", "c"}[i%3],
 			Nodes:  1 + i%7,
@@ -196,18 +197,18 @@ func syntheticLog(n int) *JobLog {
 			Energy: units.KilowattHours(float64((i * 7919) % 97)),
 		})
 	}
-	return l
+	return recs
 }
 
 // TopConsumers' bounded-insertion selection must return exactly what the
 // obvious reference (sort by energy descending, ties by earliest record)
 // returns, for every cut size.
 func TestTopConsumersMatchesReference(t *testing.T) {
-	l := syntheticLog(500)
-	ref := append([]JobRecord(nil), l.Records()...)
+	recs := syntheticRecords(500)
+	ref := append([]JobRecord(nil), recs...)
 	sort.SliceStable(ref, func(a, b int) bool { return ref[a].Energy > ref[b].Energy })
 	for _, n := range []int{1, 2, 3, 10, 96, 97, 499, 500, 1000} {
-		got := l.TopConsumers(n)
+		got := TopConsumers(recs, n)
 		want := ref
 		if n < len(want) {
 			want = want[:n]
@@ -224,27 +225,48 @@ func TestTopConsumersMatchesReference(t *testing.T) {
 	}
 }
 
-// The regression benchmarks for the satellite fix: TopConsumers was a
-// rescan-per-pick selection (O(n * len)), EnergyByClass rebuilt its map
-// without a size hint.
+// TopConsumers is a bounded-insertion selection, O(len * log n); a
+// rescan-per-pick selection would be O(n * len).
 func BenchmarkJobLogTopConsumers(b *testing.B) {
-	l := syntheticLog(10000)
+	recs := syntheticRecords(10000)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if got := l.TopConsumers(100); len(got) != 100 {
+		if got := TopConsumers(recs, 100); len(got) != 100 {
 			b.Fatal("short result")
 		}
 	}
 }
 
-func BenchmarkJobLogEnergyByClass(b *testing.B) {
-	l := syntheticLog(10000)
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if by := l.EnergyByClass(); len(by) != 3 {
-			b.Fatal("missing classes")
+// FuzzReadJobRecords checks the job CSV reader never panics, and that any
+// input it accepts, written back through WriteCSV, parses to the same
+// records at the CSV's precision.
+func FuzzReadJobRecords(f *testing.F) {
+	f.Add(jobCSVHeader)
+	f.Add(jobCSVHeader + jobCSVRow("1.5"))
+	f.Add(jobCSVHeader + jobCSVRow("NaN"))
+	f.Add(jobCSVHeader + jobCSVRow("0.0004") +
+		"2,\"b,\"\"x\"\"\",a,64,2022-01-01T00:00:00+01:00,2022-01-01T00:00:00.5Z,2022-01-01T01:00:00Z,preempted,2 GHz,true,12345.6789,0.2\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		recs, err := ReadJobRecords(strings.NewReader(in))
+		if err != nil {
+			return
 		}
-	}
+		var b strings.Builder
+		if err := (&JobLog{records: recs}).WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		back, err := ReadJobRecords(strings.NewReader(b.String()))
+		if err != nil {
+			t.Fatalf("rewritten CSV rejected: %v\n%s", err, b.String())
+		}
+		if len(back) != len(recs) {
+			t.Fatalf("round trip %d records, read %d", len(back), len(recs))
+		}
+		for i := range recs {
+			if !csvEqual(recs[i], back[i]) {
+				t.Fatalf("record %d: read %+v, round trip %+v", i, recs[i], back[i])
+			}
+		}
+	})
 }

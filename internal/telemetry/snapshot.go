@@ -62,52 +62,6 @@ func (s *MeterSnapshot) MemoryFootprint() int64 {
 	return s.power.MemoryFootprint() + s.util.MemoryFootprint()
 }
 
-// CabinetSnapshot is a CabinetMeters' state at a checkpoint.
-type CabinetSnapshot struct {
-	series []*timeseries.Series
-
-	tickAt      time.Time
-	tickSeq     uint64
-	tickPending bool
-}
-
-// Snapshot captures every cabinet series tail and the pending sample
-// tick.
-func (cm *CabinetMeters) Snapshot() *CabinetSnapshot {
-	s := &CabinetSnapshot{series: make([]*timeseries.Series, len(cm.series))}
-	for i, cs := range cm.series {
-		s.series[i] = cs.Clone()
-	}
-	if next, seq, ok := cm.ticker.Pending(); ok {
-		s.tickAt, s.tickSeq, s.tickPending = next, seq, true
-	}
-	return s
-}
-
-// Restore overwrites freshly constructed cabinet meters from a snapshot.
-// The node fan-out is not restored: it is a pure function of the facility
-// shape and was rebuilt identically at construction.
-func (cm *CabinetMeters) Restore(s *CabinetSnapshot, add func(seq uint64, schedule func())) {
-	for i := range cm.series {
-		cm.series[i] = s.series[i].Clone()
-	}
-	cm.ticker.Stop()
-	if s.tickPending {
-		add(s.tickSeq, func() {
-			cm.ticker = cm.eng.ResumeEvery(s.tickAt, cm.interval, cm.until, cm.sample)
-		})
-	}
-}
-
-// MemoryFootprint returns the snapshot's retained series bytes.
-func (s *CabinetSnapshot) MemoryFootprint() int64 {
-	var total int64
-	for _, cs := range s.series {
-		total += cs.MemoryFootprint()
-	}
-	return total
-}
-
 // AccountantSnapshot is an Accountant's state at a checkpoint.
 type AccountantSnapshot struct {
 	byClass map[string]ClassUsage
@@ -149,8 +103,7 @@ func (l *JobLog) Snapshot() []JobRecord {
 	return append([]JobRecord(nil), l.records...)
 }
 
-// Restore replaces the log's contents with its own copy of records; the
-// capacity bound keeps its constructed value.
+// Restore replaces the log's contents with its own copy of records.
 func (l *JobLog) Restore(records []JobRecord) {
 	l.records = append([]JobRecord(nil), records...)
 }

@@ -3,11 +3,11 @@
 // window statistics, step-change detection and export helpers.
 //
 // Every series the twin produces is sampled on a fixed cadence — PMDB
-// cabinet power and utilisation every 15 minutes, per-cabinet meters, grid
-// intensity and price traces — so a Series stores an epoch, a step and a
-// contiguous []float64 block. Sample i's timestamp is implicit,
-// epoch + i*step, which costs 8 bytes per sample instead of the 32 an
-// explicit (time, value) pair takes.
+// cabinet power and utilisation every 15 minutes, grid intensity and
+// price traces — so a Series stores an epoch, a step and a contiguous
+// []float64 block. Sample i's timestamp is implicit, epoch + i*step,
+// which costs 8 bytes per sample instead of the 32 an explicit
+// (time, value) pair takes.
 //
 // A Series maintains streaming moments (stats.Moments) on append, so Mean
 // and the moment half of Summary are O(1) and allocation-free. The running

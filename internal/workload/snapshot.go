@@ -27,10 +27,3 @@ func (g *Generator) Restore(s GeneratorSnapshot) {
 		g.cfg.ArrivalRatePerHour = s.Rate
 	}
 }
-
-// Restore replaces the recorder's contents with its own copy of records,
-// so a forked run's trace continues from the checkpoint without aliasing
-// the parent's backing array.
-func (r *Recorder) Restore(records []TraceRecord) {
-	r.records = append([]TraceRecord(nil), records...)
-}
