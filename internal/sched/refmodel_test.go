@@ -926,7 +926,10 @@ func compareRef(t *testing.T, tag string, s *Scheduler, m *refModel) {
 	}
 }
 
-func runRefEpisode(t *testing.T, cfg Config, seed uint64, opts refHarnessOpts) {
+// runRefEpisode plays one seeded operation stream against the scheduler
+// and the model, comparing them after every step, and returns how many
+// of the scheduler's submissions skipped their pass.
+func runRefEpisode(t *testing.T, cfg Config, seed uint64, opts refHarnessOpts) int {
 	t.Helper()
 	const total = 32
 	fcfg := facility.ARCHER2()
@@ -1017,13 +1020,17 @@ func runRefEpisode(t *testing.T, cfg Config, seed uint64, opts refHarnessOpts) {
 	eng.Run()
 	m.runAll()
 	compareRef(t, fmt.Sprintf("seed %d (final)", seed), s, m)
+	return s.skipped
 }
 
 // TestSchedulerMatchesReferenceModel locksteps the optimized scheduler
 // against the plain reference model across every policy combination:
 // EASY and conservative backfill, priority classes with and without
 // aging, both preemption modes, reservations, a temporal hold policy,
-// and all of them at once.
+// and all of them at once. The model runs a full pass on every submit,
+// so the EASY cases also check the scheduler's settled-pass skip; each
+// of them must record skips, or the check would pass vacuously. Shallow
+// windows (depth 1 and 2) make far-back submissions common.
 func TestSchedulerMatchesReferenceModel(t *testing.T) {
 	base := func() Config { return Config{BackfillDepth: 8, MaxQueue: 64} }
 	prios := []int{0, 2, 5}
@@ -1049,6 +1056,10 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 			c.ReuseJobs = true
 			return c
 		}, refHarnessOpts{prios: prios}},
+		{"easy-depth1", func() Config { c := base(); c.BackfillDepth = 1; return c },
+			refHarnessOpts{prios: prios, resvOps: true}},
+		{"easy-depth2", func() Config { c := base(); c.BackfillDepth = 2; return c },
+			refHarnessOpts{prios: prios, resvOps: true}},
 		{"reservations-easy", base, refHarnessOpts{resvOps: true}},
 		{"reservations-conservative", func() Config { c := base(); c.Backfill = BackfillConservative; return c },
 			refHarnessOpts{resvOps: true}},
@@ -1064,8 +1075,13 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			for seed := uint64(1); seed <= 4; seed++ {
-				runRefEpisode(t, tc.cfg(), seed, tc.opts)
+			skipped := 0
+			for seed := uint64(1); seed <= 64; seed++ {
+				skipped += runRefEpisode(t, tc.cfg(), seed, tc.opts)
+			}
+			t.Logf("%d submissions skipped their pass", skipped)
+			if c := tc.cfg(); c.Backfill == BackfillEASY && c.BackfillDepth > 0 && skipped == 0 {
+				t.Fatal("no submission skipped its pass: the settled-pass rule went unexercised")
 			}
 		})
 	}

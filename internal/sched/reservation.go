@@ -65,6 +65,9 @@ func (s *Scheduler) AddReservation(r Reservation) error {
 	}
 	r.Nodes = nodes[:w]
 
+	// Even a pending reservation moves the EASY shadow onto the merged
+	// release profile.
+	s.settled = false
 	rs := &resvState{res: r}
 	s.resvs = append(s.resvs, rs)
 	if r.From.After(now) {
@@ -117,6 +120,8 @@ func (s *Scheduler) DrainingNodes() int { return len(s.draining) }
 // captures them if they return during the window — and nodes already
 // held by an overlapping reservation stay with their first captor.
 func (s *Scheduler) resvStart(rs *resvState, _ time.Time) {
+	// Capturing free nodes runs no pass but can move the head's shadow.
+	s.settled = false
 	rs.started = true
 	for _, id := range rs.res.Nodes {
 		if s.fac.Node(id).State() != node.Up {

@@ -23,9 +23,11 @@
 // the pending queue pops its front without reallocating the backlog
 // (jobqueue.go), the running list is an end-time-sorted index with
 // binary-search removal, and job lifecycle events are scheduled through
-// des.AtArg so no closure is allocated per job. All of it is bit-exact
-// with the original sorted-slice implementation — same placements, same
-// event order — see docs/performance.md.
+// des.AtArg so no closure is allocated per job. A submission that lands
+// behind the backfill window of a scheduler whose last pass changed
+// nothing skips its pass (see Submit). All of it is bit-exact with the
+// original sorted-slice implementation — same placements, same event
+// order — see docs/performance.md.
 //
 // Determinism contract: given the same configuration, seed and event
 // stream, the scheduler's decisions are byte-identical across runs. It
@@ -374,6 +376,21 @@ type Scheduler struct {
 	// (nodeSet.CountRange), so the homogeneous fast paths — and the
 	// snapshot format — are untouched.
 	parts []facility.PartitionInfo
+
+	// settled records that the last scheduling pass ran EASY backfill and
+	// changed nothing: it started, parked and preempted no job and
+	// consulted no temporal policy, at provider settings epoch
+	// settledEpoch. Submit skips the pass for a job that lands behind the
+	// backfill window of a settled scheduler (see Submit). Every path
+	// that changes nodes, running jobs or reservations without ending in
+	// a pass clears it; it is not snapshotted, so a restored scheduler
+	// starts unsettled. consults counts temporal-policy consultations, so
+	// a pass can tell whether it made any; skipped counts the skipped
+	// passes.
+	settled      bool
+	settledEpoch uint64
+	consults     int
+	skipped      int
 }
 
 // New creates a scheduler over the facility's nodes.
@@ -445,7 +462,8 @@ func (s *Scheduler) OnJobEnd(fn func(*Job)) { s.onEnd = append(s.onEnd, fn) }
 // Kick runs one full scheduling pass (admission, preemption, backfill)
 // at the current simulation time without a triggering event — for
 // callers that mutate scheduler-relevant state out of band, and for
-// benchmarking the pass itself.
+// benchmarking the pass itself. It always runs the whole pass, settled
+// or not, which is what BenchmarkBackfillSaturated measures.
 func (s *Scheduler) Kick() { s.trySchedule(s.eng.Now()) }
 
 // Submit enqueues a job at the current simulation time and attempts to
@@ -464,21 +482,40 @@ func (s *Scheduler) Submit(spec workload.JobSpec) *Job {
 	}
 	j := s.newJob()
 	j.Spec, j.State, j.Submit = spec, Queued, now
-	s.enqueue(j)
+	pos := s.enqueue(j)
+	if s.settled && pos > s.cfg.BackfillDepth && s.provider.SettingsEpoch() == s.settledEpoch {
+		// The job is neither the head nor in the scan window, so the
+		// pass would see the head, the window, the free and running
+		// sets and the predictions of the settled pass that found
+		// nothing to do. Only now has moved, and a later now only
+		// shrinks the head's shadow window: this pass would change
+		// nothing either, and the scheduler stays settled.
+		s.skipped++
+		return j
+	}
 	s.trySchedule(now)
 	return j
 }
 
-// enqueue inserts j at its priority-ordered queue position. Ties (equal
-// rank) insert after existing entries, so with all-zero priorities the
-// queue degenerates to exactly the submission-order FIFO it always was:
-// a fresh submission lands at the back, a released hold lands after
-// every job with an earlier-or-equal submit time.
-func (s *Scheduler) enqueue(j *Job) {
-	i := sort.Search(s.queue.Len(), func(k int) bool {
+// enqueue inserts j at its priority-ordered queue position and returns
+// that position. Ties (equal rank) insert after existing entries, so
+// with all-zero priorities the queue degenerates to exactly the
+// submission-order FIFO it always was: a fresh submission lands at the
+// back, a released hold lands after every job with an earlier-or-equal
+// submit time. The common case, a job that does not outrank the tail,
+// appends without a search; the search would return Len there too,
+// because the queue is sorted and so the predicate is monotone.
+func (s *Scheduler) enqueue(j *Job) int {
+	n := s.queue.Len()
+	if n == 0 || !s.queueBefore(j, s.queue.At(n-1)) {
+		s.queue.PushBack(j)
+		return n
+	}
+	i := sort.Search(n, func(k int) bool {
 		return s.queueBefore(j, s.queue.At(k))
 	})
 	s.queue.InsertAt(i, j)
+	return i
 }
 
 // queueBefore reports whether a outranks b in the pending queue. With
@@ -630,6 +667,7 @@ func (s *Scheduler) temporalDecision(j *Job, now time.Time) TemporalDecision {
 	if s.cfg.Temporal == nil {
 		return TemporalDecision{Start: true}
 	}
+	s.consults++
 	return s.cfg.Temporal.Decide(j, now,
 		units.Watts(s.estBusyW), units.Watts(s.estimateJobPower(j)))
 }
@@ -638,8 +676,11 @@ func (s *Scheduler) temporalDecision(j *Job, now time.Time) TemporalDecision {
 // Jobs the temporal policy defers are parked in the held list (they
 // return via release events and do not block the queue behind them); a
 // blocking deferral throttles admission as a whole until the policy's
-// recheck time.
+// recheck time. A pass that changes nothing under EASY backfill leaves
+// the scheduler settled.
 func (s *Scheduler) trySchedule(now time.Time) {
+	s.settled = false
+	acts := s.actions()
 	for {
 		for s.queue.Len() > 0 && s.queue.Head().Spec.Nodes <= s.freeFor(s.queue.Head()) && s.withinPowerCap(s.queue.Head()) {
 			j := s.queue.Head()
@@ -668,6 +709,17 @@ func (s *Scheduler) trySchedule(now time.Time) {
 			s.backfill(now)
 		}
 	}
+	// Conservative backfill never settles: its reservation profile is
+	// not shown to be monotone in time.
+	if s.cfg.Backfill == BackfillEASY && s.actions() == acts {
+		s.settled, s.settledEpoch = true, s.provider.SettingsEpoch()
+	}
+}
+
+// actions counts the decisions a pass can make: starts, parks (each
+// preceded by a temporal consultation) and preemptions.
+func (s *Scheduler) actions() int {
+	return s.stats.StartedJobs + s.consults + s.stats.Preemptions
 }
 
 // hold parks a deferred job until its recheck time, when it re-enters
@@ -933,6 +985,8 @@ func (s *Scheduler) finish(j *Job, now time.Time, final JobState) {
 	if j.State != Running {
 		return
 	}
+	// The OnJobEnd callbacks below run before the pass and may submit.
+	s.settled = false
 	j.State = final
 	// Remove from the running index while j.End still matches its sorted
 	// position (the Failed branch below rewrites it).
@@ -1004,6 +1058,7 @@ func (s *Scheduler) FailNode(id int) error {
 	if nd.State() == node.Down {
 		return nil
 	}
+	s.settled = false
 	now := s.eng.Now()
 	// Mark Down first so finish() does not return the node to the free
 	// list, then terminate any job running on it.
@@ -1036,6 +1091,7 @@ func (s *Scheduler) RepairNode(id int) error {
 	if nd.State() != node.Down {
 		return nil
 	}
+	s.settled = false
 	now := s.eng.Now()
 	nd.SetState(node.Up, now)
 	if rs := s.activeReservationFor(id); rs != nil {
@@ -1067,6 +1123,7 @@ func (s *Scheduler) ReclockRunning(fs cpu.FreqSetting) (int, error) {
 	if err := spec.ValidateSetting(fs); err != nil {
 		return 0, err
 	}
+	s.settled = false
 	now := s.eng.Now()
 	jobs := append([]*Job(nil), s.running...)
 	n := 0

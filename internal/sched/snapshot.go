@@ -161,6 +161,7 @@ func (s *Scheduler) Restore(snap *Snapshot, resolve func(class string) (*apps.Ap
 	s.heldJobs = nil
 	s.recheckEvents = nil
 	s.recheckAt = snap.recheckAt
+	s.settled = false
 	clear(s.byNode)
 
 	restoreJob := func(js jobSnap) (*Job, error) {
