@@ -8,9 +8,13 @@ package archertwin_test
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+
+	"github.com/greenhpc/archertwin/internal/scenario"
 )
 
 // mdLink matches [text](target); image links ![..](..) match too and are
@@ -117,3 +121,71 @@ func TestPerfDocsBenchGateMatchesCI(t *testing.T) {
 		}
 	}
 }
+
+// TestSweepsDocAxesTable pins the Axes table of docs/sweeps.md to the
+// code: every Axes JSON field has a row, no row names a field that does
+// not exist, and each row's "Held at" cell is the value the baseline
+// scenario of an empty spec takes on that axis, read from the Scenario
+// field of the same Go name. The nodes axis holds at the spec's own
+// facility size, and grid_mean compares as a number.
+func TestSweepsDocAxesTable(t *testing.T) {
+	data, err := os.ReadFile("docs/sweeps.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(data)
+	start := strings.Index(doc, "\n## Axes\n")
+	if start < 0 {
+		t.Fatal("docs/sweeps.md: no Axes section")
+	}
+	section := doc[start+1:]
+	if end := strings.Index(section[1:], "\n## "); end >= 0 {
+		section = section[:end+1]
+	}
+	held := map[string]string{}
+	for _, m := range axisRow.FindAllStringSubmatch(section, -1) {
+		held[m[1]] = strings.ReplaceAll(strings.TrimSpace(m[2]), "`", "")
+	}
+
+	spec := scenario.Spec{}
+	scenarios, err := spec.Expand()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := reflect.ValueOf(scenarios[0])
+	axes := reflect.TypeOf(scenario.Axes{})
+	for i := 0; i < axes.NumField(); i++ {
+		f := axes.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		cell, ok := held[name]
+		if !ok {
+			t.Errorf("docs/sweeps.md Axes table has no row for %q", name)
+			continue
+		}
+		delete(held, name)
+		got := base.FieldByName(f.Name)
+		switch name {
+		case "nodes":
+			if cell != "spec nodes" || got.Int() != int64(spec.Canonical().Nodes) {
+				t.Errorf("nodes: held at %q, baseline %d, spec nodes %d", cell, got.Int(), spec.Canonical().Nodes)
+			}
+		case "grid_mean":
+			if v, err := strconv.ParseFloat(cell, 64); err != nil || v != got.Float() {
+				t.Errorf("grid_mean: held at %q, baseline scenario has %v", cell, got.Float())
+			}
+		default:
+			if !got.IsValid() || got.Kind() != reflect.String {
+				t.Errorf("%s: Scenario has no string field %s", name, f.Name)
+			} else if cell != got.String() {
+				t.Errorf("%s: held at %q, baseline scenario has %q", name, cell, got.String())
+			}
+		}
+	}
+	for name := range held {
+		t.Errorf("docs/sweeps.md Axes table row %q names no Axes field", name)
+	}
+}
+
+// axisRow matches one row of the sweeps.md Axes table: the axis name and
+// its last ("Held at") cell.
+var axisRow = regexp.MustCompile("(?m)^\\| `([a-z_]+)` \\|.*\\| ([^|]+) \\|$")

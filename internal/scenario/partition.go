@@ -56,15 +56,15 @@ func (s Spec) Partition() (Partition, error) {
 		scenarios: scenarios,
 	}
 	runKeys := map[string]bool{}
-	for i, sc := range scenarios {
-		key := sc.simKey()
+	for i := range scenarios {
+		key := scenarios[i].simKey()
 		p.Keys[i] = key
-		p.RunKeys[i] = sc.runKey()
+		p.RunKeys[i] = scenarios[i].runKey()
 		if _, seen := p.Groups[key]; !seen {
 			p.GroupOrder = append(p.GroupOrder, key)
 		}
 		p.Groups[key] = append(p.Groups[key], i)
-		runKeys[sc.runKey()] = true
+		runKeys[p.RunKeys[i]] = true
 	}
 	p.Simulations = len(runKeys)
 	return p, nil

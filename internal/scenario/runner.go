@@ -215,7 +215,7 @@ func (r *Runner) memoBudget() int64 {
 // renamed or reordered (silently invalidating or, worse, colliding every
 // key) and which would fold a pointer address into the identity the
 // moment a non-scalar field appears.
-func memoKey(spec Spec, sc Scenario, cfg core.Config) string {
+func memoKey(spec Spec, sc *Scenario, cfg core.Config) string {
 	c := spec.Carbon.withDefaults()
 	// The mid-sweep divergence axis changes the simulated timeline without
 	// changing the derived seed (common random numbers across branches), so
@@ -418,7 +418,7 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	)
 
 	// Group scenarios by run key (simulation key plus any active mid-sweep
-	// divergence value).
+	// divergence value), as the partition computed them.
 	type group struct {
 		cfg     core.Config
 		key     string
@@ -427,7 +427,8 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	}
 	var groups []group
 	byKey := map[string]int{}
-	for i, sc := range scenarios {
+	for i := range scenarios {
+		sc := &scenarios[i]
 		cfg, gm, err := sc.BuildConfig(spec)
 		if err != nil {
 			return 0, fmt.Errorf("scenario %d (%s): %w", sc.Index, sc.Name, err)
@@ -442,11 +443,11 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 				}
 			})
 		}
-		gi, ok := byKey[sc.runKey()]
+		gi, ok := byKey[part.RunKeys[sc.Index]]
 		if !ok {
 			gi = len(groups)
-			byKey[sc.runKey()] = gi
-			groups = append(groups, group{cfg: cfg, key: memoKey(spec, sc, cfg), sc: sc})
+			byKey[part.RunKeys[sc.Index]] = gi
+			groups = append(groups, group{cfg: cfg, key: memoKey(spec, sc, cfg), sc: *sc})
 		}
 		groups[gi].members = append(groups[gi].members, i)
 	}
@@ -479,7 +480,7 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	if !r.NoFork && r.runCfg == nil && len(spec.Axes.MidFrequency) > 0 {
 		bySim := map[string]int{}
 		for g, grp := range groups {
-			fi, ok := bySim[grp.sc.simKey()]
+			fi, ok := bySim[part.Keys[grp.sc.Index]]
 			if !ok {
 				prefixSc := grp.sc
 				prefixSc.MidFrequency = MidNone
@@ -489,10 +490,10 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 						scenarios[grp.members[0]].Index, grp.sc.Name, err)
 				}
 				fi = len(families)
-				bySim[grp.sc.simKey()] = fi
+				bySim[part.Keys[grp.sc.Index]] = fi
 				families = append(families, &family{
 					prefixCfg: prefixCfg,
-					snapKey:   fmt.Sprintf("snap|%s|d%d", memoKey(spec, prefixSc, prefixCfg), spec.DivergeDay),
+					snapKey:   fmt.Sprintf("snap|%s|d%d", memoKey(spec, &prefixSc, prefixCfg), spec.DivergeDay),
 				})
 			}
 			famOf[g] = fi
@@ -770,27 +771,24 @@ func account(sc Scenario, trace *timeseries.Series, res *core.Results) (Result, 
 }
 
 // fillAvoidedCarbon computes each scenario's emissions cut against its
-// baseline-policy counterpart: the scenario with identical axes except
-// carbon_policy at the axis baseline (the first value, "fcfs" unless the
-// spec reorders it).
+// baseline-policy counterpart: the scenario identical in every other axis,
+// with carbon_policy at the axis baseline (the first value, "fcfs" unless
+// the spec reorders it).
 func fillAvoidedCarbon(spec Spec, scenarios []Scenario, results []Result) {
 	if len(spec.Axes.CarbonPolicy) == 0 {
 		return
 	}
 	basePolicy := spec.Axes.CarbonPolicy[0]
-	otherKey := func(sc Scenario) string {
-		return fmt.Sprintf("%s|%g|%s|%s|%d|%s|%s|%s",
-			sc.Frequency, sc.GridMean, sc.Scheduler, sc.Workload, sc.Nodes,
-			sc.PerfModel, sc.Fleet, sc.Surrogate)
-	}
+	keys := make([]string, len(scenarios))
 	baseTotal := map[string]units.Mass{}
-	for i, sc := range scenarios {
-		if sc.CarbonPolicy == basePolicy {
-			baseTotal[otherKey(sc)] = results[i].Emissions.Total
+	for i := range scenarios {
+		keys[i] = scenarios[i].counterpartKey()
+		if scenarios[i].CarbonPolicy == basePolicy {
+			baseTotal[keys[i]] = results[i].Emissions.Total
 		}
 	}
-	for i, sc := range scenarios {
-		if base, ok := baseTotal[otherKey(sc)]; ok {
+	for i, key := range keys {
+		if base, ok := baseTotal[key]; ok {
 			results[i].AvoidedCarbon = units.Mass(base.Grams() - results[i].Emissions.Total.Grams())
 			results[i].HasBaseline = true
 		}
@@ -849,8 +847,8 @@ func (s *SweepResults) CarbonSwept() bool {
 
 // CarbonTable renders the temporal-policy comparison: what intensity the
 // load actually ran at (energy-weighted, versus the grid's plain mean),
-// the scope-2 account, the carbon avoided against the baseline policy at
-// the same grid, and the scheduling cost (holds and mean added delay) —
+// the scope-2 account, the carbon avoided against the baseline-policy
+// counterpart, and the scheduling cost (holds and mean added delay) —
 // the "is shifting worth it" table.
 func (s *SweepResults) CarbonTable() *report.Table {
 	t := report.NewTable("Carbon-aware temporal policies", "scenario",

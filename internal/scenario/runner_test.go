@@ -477,7 +477,7 @@ func memoKeyOf(t *testing.T, spec Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return memoKey(spec.withDefaults(), scenarios[0], cfg)
+	return memoKey(spec.withDefaults(), &scenarios[0], cfg)
 }
 
 // The cache identity must be built from explicit named fields: every

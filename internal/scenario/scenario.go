@@ -26,6 +26,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -54,6 +55,9 @@ const (
 
 // DefaultMaxScenarios guards against accidental cartesian explosion.
 const DefaultMaxScenarios = 256
+
+// maxDays is the longest sweep a time.Duration spans (about 292 years).
+const maxDays = int(math.MaxInt64 / int64(24*time.Hour))
 
 // Axes are the sweep dimensions. An empty axis means "hold at the
 // baseline value". The first value of every axis defines the baseline
@@ -291,8 +295,8 @@ func (s Spec) Validate() error {
 	if s.Nodes < 8 {
 		return fmt.Errorf("scenario: nodes %d below minimum 8", s.Nodes)
 	}
-	if s.Days < 1 {
-		return fmt.Errorf("scenario: days %d below minimum 1", s.Days)
+	if s.Days < 1 || s.Days > maxDays {
+		return fmt.Errorf("scenario: days %d outside [1, %d]", s.Days, maxDays)
 	}
 	if s.warmupDays() >= s.Days {
 		return fmt.Errorf("scenario: warmup %d days does not leave a measurement window in %d days",
@@ -303,11 +307,6 @@ func (s Spec) Validate() error {
 	}
 	if s.OverSubscription < 0 {
 		return fmt.Errorf("scenario: oversubscription %v must not be negative", s.OverSubscription)
-	}
-	for _, n := range s.Axes.Nodes {
-		if n < 8 {
-			return fmt.Errorf("scenario: nodes axis value %d below minimum 8", n)
-		}
 	}
 	if len(s.Axes.MidFrequency) > 0 && (s.DivergeDay < 1 || s.DivergeDay >= s.Days) {
 		return fmt.Errorf("scenario: diverge day %d not strictly inside the %d-day sweep",
@@ -349,196 +348,6 @@ type Scenario struct {
 	Surrogate      string
 }
 
-// axis is one generic sweep dimension after defaulting.
-type axis struct {
-	key      string
-	values   []string
-	explicit bool
-}
-
-// axes normalises the spec's axes into a fixed order, defaulting empty
-// ones to their single baseline value.
-func (s Spec) axes() []axis {
-	str := func(key string, vals []string, def string) axis {
-		if len(vals) == 0 {
-			return axis{key: key, values: []string{def}}
-		}
-		return axis{key: key, values: vals, explicit: true}
-	}
-	gm := axis{key: "grid"}
-	if len(s.Axes.GridMean) == 0 {
-		gm.values = []string{"200"}
-	} else {
-		gm.explicit = true
-		for _, v := range s.Axes.GridMean {
-			gm.values = append(gm.values, strconv.FormatFloat(v, 'g', -1, 64))
-		}
-	}
-	nodes := axis{key: "nodes"}
-	if len(s.Axes.Nodes) == 0 {
-		nodes.values = []string{strconv.Itoa(s.Nodes)}
-	} else {
-		nodes.explicit = true
-		for _, v := range s.Axes.Nodes {
-			nodes.values = append(nodes.values, strconv.Itoa(v))
-		}
-	}
-	return []axis{
-		str("freq", s.Axes.Frequency, "stock"),
-		gm,
-		str("sched", s.Axes.Scheduler, "backfill"),
-		str("wl", s.Axes.Workload, "base"),
-		nodes,
-		str("carbon", s.Axes.CarbonPolicy, CarbonFCFS),
-		str("mid", s.Axes.MidFrequency, MidNone),
-		str("prio", s.Axes.PriorityMix, PriorityNone),
-		str("bf", s.Axes.BackfillPolicy, BackfillEASY),
-		str("preempt", s.Axes.Preemption, PreemptOff),
-		str("perf", s.Axes.PerfModel, PerfKernel),
-		str("fleet", s.Axes.Fleet, FleetCPU),
-		str("surrogate", s.Axes.Surrogate, SurrogateNone),
-	}
-}
-
-// Expand turns the spec into its concrete scenario list. The first
-// scenario is always the baseline. Every axis value is validated here, so
-// a bad spec fails before any simulation runs.
-func (s Spec) Expand() ([]Scenario, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	s = s.withDefaults()
-	ax := s.axes()
-
-	var combos [][]string
-	switch s.Mode {
-	case ModeGrid:
-		total := 1
-		for _, a := range ax {
-			total *= len(a.values)
-			if total > s.MaxScenarios {
-				return nil, fmt.Errorf("scenario: expansion exceeds %d scenarios (cartesian explosion guard; raise max_scenarios to override)",
-					s.MaxScenarios)
-			}
-		}
-		combos = [][]string{nil}
-		for _, a := range ax {
-			var next [][]string
-			for _, c := range combos {
-				for _, v := range a.values {
-					row := append(append([]string(nil), c...), v)
-					next = append(next, row)
-				}
-			}
-			combos = next
-		}
-	case ModeList:
-		n := 1
-		for _, a := range ax {
-			if len(a.values) == 1 {
-				continue
-			}
-			if n == 1 {
-				n = len(a.values)
-			} else if len(a.values) != n {
-				return nil, fmt.Errorf("scenario: list mode needs equal axis lengths, got %d and %d",
-					n, len(a.values))
-			}
-		}
-		if n > s.MaxScenarios {
-			return nil, fmt.Errorf("scenario: expansion exceeds %d scenarios (raise max_scenarios to override)",
-				s.MaxScenarios)
-		}
-		for i := 0; i < n; i++ {
-			row := make([]string, len(ax))
-			for j, a := range ax {
-				if len(a.values) == 1 {
-					row[j] = a.values[0]
-				} else {
-					row[j] = a.values[i]
-				}
-			}
-			combos = append(combos, row)
-		}
-	}
-
-	out := make([]Scenario, len(combos))
-	for i, row := range combos {
-		sc := Scenario{Index: i}
-		var nameParts []string
-		for j, a := range ax {
-			if a.explicit {
-				nameParts = append(nameParts, a.key+"="+row[j])
-			}
-		}
-		sc.Name = strings.Join(nameParts, " ")
-		if sc.Name == "" {
-			sc.Name = "baseline"
-		}
-		sc.Frequency = row[0]
-		gm, err := strconv.ParseFloat(row[1], 64)
-		if err != nil || gm <= 0 {
-			return nil, fmt.Errorf("scenario: invalid grid mean %q", row[1])
-		}
-		sc.GridMean = gm
-		sc.Scheduler = row[2]
-		sc.Workload = row[3]
-		nodes, err := strconv.Atoi(row[4])
-		if err != nil {
-			return nil, fmt.Errorf("scenario: invalid node count %q", row[4])
-		}
-		sc.Nodes = nodes
-		sc.CarbonPolicy = row[5]
-		sc.MidFrequency = row[6]
-		sc.PriorityMix = row[7]
-		sc.BackfillPolicy = row[8]
-		sc.Preemption = row[9]
-		sc.PerfModel = row[10]
-		sc.Fleet = row[11]
-		sc.Surrogate = row[12]
-
-		// Validate every axis value now, before any simulation runs.
-		spec := cpu.EPYC7742()
-		if _, err := parseFrequency(spec, sc.Frequency); err != nil {
-			return nil, err
-		}
-		if _, err := parseScheduler(sc.Scheduler); err != nil {
-			return nil, err
-		}
-		if _, err := parseWorkload(sc.Workload); err != nil {
-			return nil, err
-		}
-		if err := validateCarbonPolicy(sc.CarbonPolicy); err != nil {
-			return nil, err
-		}
-		if sc.MidFrequency != MidNone && sc.MidFrequency != "" {
-			if _, err := parseFrequency(spec, sc.MidFrequency); err != nil {
-				return nil, err
-			}
-		}
-		if _, err := parsePriorityMix(sc.PriorityMix); err != nil {
-			return nil, err
-		}
-		if _, err := parseBackfillPolicy(sc.BackfillPolicy); err != nil {
-			return nil, err
-		}
-		if _, err := parsePreemption(sc.Preemption); err != nil {
-			return nil, err
-		}
-		if _, err := parsePerfModel(sc.PerfModel); err != nil {
-			return nil, err
-		}
-		if _, err := parseFleet(sc.Fleet); err != nil {
-			return nil, err
-		}
-		if _, err := parseSurrogate(sc.Surrogate); err != nil {
-			return nil, err
-		}
-		out[i] = sc
-	}
-	return out, nil
-}
-
 // MidNone is the mid_frequency axis value meaning "no mid-sweep change"
 // — the branch that simply continues the shared prefix.
 const MidNone = "none"
@@ -553,16 +362,6 @@ const (
 	// CarbonBudget throttles admission to a rolling carbon-burn budget.
 	CarbonBudget = "carbon-budget"
 )
-
-// validateCarbonPolicy checks a carbon_policy axis value.
-func validateCarbonPolicy(v string) error {
-	switch v {
-	case CarbonFCFS, CarbonDelayFlexible, CarbonBudget, "":
-		return nil
-	}
-	return fmt.Errorf("scenario: invalid carbon policy %q (want %q, %q or %q)",
-		v, CarbonFCFS, CarbonDelayFlexible, CarbonBudget)
-}
 
 // Priority-mix axis values.
 const (
@@ -613,95 +412,426 @@ const (
 // surrogates (and the paper's §5 candidate for demand response).
 const surrogateClass = "climate-ocean"
 
-// parsePerfModel resolves a perf_model axis value into the
-// core.Config.PerfModel string ("" = the kernel default).
-func parsePerfModel(v string) (string, error) {
-	switch v {
-	case PerfKernel, "":
-		return "", nil
-	case PerfTable:
-		return PerfTable, nil
-	}
-	return "", fmt.Errorf("scenario: invalid perf model %q (want %q or %q)",
-		v, PerfKernel, PerfTable)
+// seedRole is an axis's part in a scenario's seed key (see simKey).
+type seedRole uint8
+
+const (
+	// seedAlways writes the axis's term into every key.
+	seedAlways seedRole = iota
+	// seedOffBaseline writes it only at a non-baseline value, so sweeps
+	// that predate the axis keep their seeds (string axes only).
+	seedOffBaseline
+	// seedCarbonAware writes it only under a carbon-aware policy, right
+	// after the policy's term: such a scheduler reads the grid.
+	seedCarbonAware
+	// seedNever leaves it out: the axis never reseeds a simulation.
+	seedNever
+)
+
+// carbonKey labels the carbon_policy axis, the one a carbon-aware seed
+// term qualifies and the one avoided carbon is measured across.
+const carbonKey = "carbon"
+
+// build is a scenario's configuration under construction, handed to
+// each axis in turn.
+type build struct {
+	cfg  core.Config
+	gm   grid.IntensityModel
+	sc   Scenario
+	spec Spec
 }
 
-// parseFleet resolves a fleet axis value; true means the hybrid
-// CPU+AI-partition fleet.
-func parseFleet(v string) (bool, error) {
-	switch v {
-	case FleetCPU, "":
-		return false, nil
-	case FleetHybrid:
-		return true, nil
-	}
-	return false, fmt.Errorf("scenario: invalid fleet %q (want %q or %q)",
-		v, FleetCPU, FleetHybrid)
+// choice is one non-baseline value of an enumerated axis and its effect
+// on the configuration. The baseline value is the configuration default.
+type choice struct {
+	value  string
+	effect func(*build)
 }
 
-// parseSurrogate resolves a surrogate axis value into a core surrogate
-// config (nil = purely numerical workload). Both presets cover half of
-// each covered job's runtime, per the Amdahl split typical of hybrid
-// surrogate/numerics pipelines.
-func parseSurrogate(v string) (*core.SurrogateConfig, error) {
-	switch v {
-	case SurrogateNone, "":
-		return nil, nil
-	case Surrogate10x:
-		return &core.SurrogateConfig{Class: surrogateClass, Speedup: 10, CoveredFraction: 0.5}, nil
-	case Surrogate50x:
-		return &core.SurrogateConfig{Class: surrogateClass, Speedup: 50, CoveredFraction: 0.5}, nil
-	}
-	return nil, fmt.Errorf("scenario: invalid surrogate %q (want %q, %q or %q)",
-		v, SurrogateNone, Surrogate10x, Surrogate50x)
+// axisDef declares one sweep axis: every per-axis fact lives in its
+// axisTable entry. key labels the axis in scenario names and seed keys;
+// base is its baseline value, which "" reads as too; seed is its part in
+// the seed key. An unswept axis holds at base, or at held's value when
+// held is set.
+type axisDef struct {
+	key  string
+	base string
+	seed seedRole
+	held func(*Spec) string
+	// values and field point at the Axes and Scenario fields the axis
+	// reads and fills: *[]string and *string for a string axis, or
+	// *[]float64 and *float64, or *[]int and *int.
+	values func(*Axes) any
+	field  func(*Scenario) any
+	// An enumerated axis lists its other values and their effects in
+	// choices, with noun naming the axis in errors. A free-form axis
+	// parses a value instead: parse checks v and applies it to b.
+	noun    string
+	choices []choice
+	parse   func(b *build, v string) error
 }
 
-// parsePriorityMix resolves a priority_mix axis value into workload
-// priority classes (nil = single-class).
-func parsePriorityMix(v string) ([]workload.PriorityClass, error) {
-	switch v {
-	case PriorityNone, "":
-		return nil, nil
-	case PriorityDual:
-		return []workload.PriorityClass{
-			{Level: 0, Share: 0.8},
-			{Level: 5, Share: 0.2},
-		}, nil
-	case PriorityTiered:
-		return []workload.PriorityClass{
-			{Level: 0, Share: 0.6},
-			{Level: 2, Share: 0.3},
-			{Level: 5, Share: 0.1},
-		}, nil
-	}
-	return nil, fmt.Errorf("scenario: invalid priority mix %q (want %q, %q or %q)",
-		v, PriorityNone, PriorityDual, PriorityTiered)
+// axisTable declares every sweep axis, in expansion order. Adding an axis
+// takes its Axes field, its Scenario field and one entry here.
+var axisTable = []axisDef{
+	{
+		key: "freq", base: "stock", seed: seedAlways,
+		values: func(a *Axes) any { return &a.Frequency },
+		field:  func(sc *Scenario) any { return &sc.Frequency },
+		// Every scenario runs in the modern operating mode (Performance
+		// Determinism, the paper's post-May-2022 state) with its frequency
+		// in force from day zero.
+		parse: func(b *build, v string) error {
+			fs, err := parseFrequency(b.cfg.Facility.CPU, v)
+			if err != nil {
+				return err
+			}
+			perfDet := cpu.PerformanceDeterminism
+			b.cfg.Timeline = policy.Timeline{Changes: []policy.Change{
+				{At: sweepStart, Mode: &perfDet, Setting: &fs, Note: "scenario operating point"},
+			}}
+			return nil
+		},
+	},
+	{
+		key: "grid", base: "200", seed: seedCarbonAware,
+		values: func(a *Axes) any { return &a.GridMean },
+		field:  func(sc *Scenario) any { return &sc.GridMean },
+		// The grid mean shapes the intensity model BuildConfig returns.
+		parse: func(_ *build, v string) error {
+			if gm, err := strconv.ParseFloat(v, 64); err != nil || gm <= 0 {
+				return fmt.Errorf("scenario: invalid grid mean %q", v)
+			}
+			return nil
+		},
+	},
+	{
+		key: "sched", base: "backfill", seed: seedAlways,
+		values: func(a *Axes) any { return &a.Scheduler },
+		field:  func(sc *Scenario) any { return &sc.Scheduler },
+		parse:  parseScheduler,
+	},
+	{
+		key: "wl", base: "base", seed: seedAlways,
+		values: func(a *Axes) any { return &a.Workload },
+		field:  func(sc *Scenario) any { return &sc.Workload },
+		parse:  parseWorkload,
+	},
+	{
+		key: "nodes", seed: seedAlways,
+		values: func(a *Axes) any { return &a.Nodes },
+		field:  func(sc *Scenario) any { return &sc.Nodes },
+		held:   func(s *Spec) string { return strconv.Itoa(s.Nodes) },
+		// The node count sizes the scaled config BuildConfig starts from.
+		parse: func(_ *build, v string) error {
+			if n, err := strconv.Atoi(v); err != nil || n < 8 {
+				return fmt.Errorf("scenario: nodes axis value %s below minimum 8", v)
+			}
+			return nil
+		},
+	},
+	{
+		key: carbonKey, base: CarbonFCFS, seed: seedOffBaseline, noun: "carbon policy",
+		values: func(a *Axes) any { return &a.CarbonPolicy },
+		field:  func(sc *Scenario) any { return &sc.CarbonPolicy },
+		choices: []choice{
+			// Threshold 0 derives 90% of the scenario's grid mean.
+			{CarbonDelayFlexible, func(b *build) {
+				cs, flexSeed := b.spec.Carbon, rng.DeriveSeed(b.spec.Seed, "carbon-flex")
+				threshold := cs.ThresholdGrams
+				if threshold <= 0 {
+					threshold = 0.9 * b.sc.GridMean
+				}
+				b.setCarbon(func(fc *forecast.Forecaster) sched.TemporalPolicy {
+					return &sched.DelayFlexiblePolicy{Forecast: fc, Threshold: units.GramsPerKWh(threshold),
+						MaxDelay:      time.Duration(cs.MaxDelayHours * float64(time.Hour)),
+						FlexibleShare: cs.FlexibleShare, Seed: flexSeed}
+				})
+			}},
+			// The budget is a fraction of the expected steady-state burn:
+			// every node busy at the calibrated busy-node draw, on a grid
+			// at the scenario's mean intensity.
+			{CarbonBudget, func(b *build) {
+				busyKW := b.cfg.BusyNodeTarget.Watts() * float64(b.sc.Nodes) / 1e3
+				budget := units.Grams(b.spec.Carbon.BudgetFraction * busyKW * b.sc.GridMean)
+				b.setCarbon(func(fc *forecast.Forecaster) sched.TemporalPolicy {
+					return &sched.CarbonBudgetPolicy{Forecast: fc, BudgetPerHour: budget}
+				})
+			}},
+		},
+	},
+	{
+		key: "mid", base: MidNone, seed: seedNever,
+		values: func(a *Axes) any { return &a.MidFrequency },
+		field:  func(sc *Scenario) any { return &sc.MidFrequency },
+		// A mid-sweep change takes effect at the divergence day.
+		parse: func(b *build, v string) error {
+			if v == "" || v == MidNone {
+				return nil
+			}
+			fs, err := parseFrequency(b.cfg.Facility.CPU, v)
+			if err != nil {
+				return err
+			}
+			b.cfg.Timeline.Changes = append(b.cfg.Timeline.Changes, policy.Change{
+				At:      b.spec.divergeTime(),
+				Setting: &fs,
+				Note:    "mid-sweep frequency divergence",
+			})
+			return nil
+		},
+	},
+	{
+		key: "prio", base: PriorityNone, seed: seedOffBaseline, noun: "priority mix",
+		values: func(a *Axes) any { return &a.PriorityMix },
+		field:  func(sc *Scenario) any { return &sc.PriorityMix },
+		choices: []choice{
+			{PriorityDual, func(b *build) {
+				b.cfg.Priorities = []workload.PriorityClass{{Level: 0, Share: 0.8}, {Level: 5, Share: 0.2}}
+			}},
+			{PriorityTiered, func(b *build) {
+				b.cfg.Priorities = []workload.PriorityClass{
+					{Level: 0, Share: 0.6}, {Level: 2, Share: 0.3}, {Level: 5, Share: 0.1}}
+			}},
+		},
+	},
+	{
+		key: "bf", base: BackfillEASY, seed: seedOffBaseline, noun: "backfill policy",
+		values: func(a *Axes) any { return &a.BackfillPolicy },
+		field:  func(sc *Scenario) any { return &sc.BackfillPolicy },
+		choices: []choice{
+			{BackfillConservative, func(b *build) { b.cfg.Sched.Backfill = sched.BackfillConservative }},
+		},
+	},
+	{
+		key: "preempt", base: PreemptOff, seed: seedOffBaseline, noun: "preemption mode",
+		values: func(a *Axes) any { return &a.Preemption },
+		field:  func(sc *Scenario) any { return &sc.Preemption },
+		choices: []choice{
+			{PreemptRequeue, func(b *build) { b.cfg.Sched.Preemption = sched.PreemptRequeue }},
+			{PreemptCancel, func(b *build) { b.cfg.Sched.Preemption = sched.PreemptCancel }},
+		},
+	},
+	{
+		key: "perf", base: PerfKernel, seed: seedOffBaseline, noun: "perf model",
+		values: func(a *Axes) any { return &a.PerfModel },
+		field:  func(sc *Scenario) any { return &sc.PerfModel },
+		choices: []choice{
+			{PerfTable, func(b *build) { b.cfg.PerfModel = PerfTable }},
+		},
+	},
+	{
+		key: "fleet", base: FleetCPU, seed: seedOffBaseline, noun: "fleet",
+		values: func(a *Axes) any { return &a.Fleet },
+		field:  func(sc *Scenario) any { return &sc.Fleet },
+		choices: []choice{
+			// The hybrid fleet adds an AI partition of nodes/8, at least 4.
+			{FleetHybrid, func(b *build) {
+				b.cfg.Facility.Partitions = []facility.Partition{facility.AIPartition(max(b.sc.Nodes/8, 4))}
+			}},
+		},
+	},
+	{
+		key: "surrogate", base: SurrogateNone, seed: seedOffBaseline, noun: "surrogate",
+		values: func(a *Axes) any { return &a.Surrogate },
+		field:  func(sc *Scenario) any { return &sc.Surrogate },
+		// Both presets cover half of each covered job's runtime, per the
+		// Amdahl split typical of hybrid surrogate/numerics pipelines.
+		choices: []choice{
+			{Surrogate10x, func(b *build) {
+				b.cfg.Surrogate = &core.SurrogateConfig{Class: surrogateClass, Speedup: 10, CoveredFraction: 0.5}
+			}},
+			{Surrogate50x, func(b *build) {
+				b.cfg.Surrogate = &core.SurrogateConfig{Class: surrogateClass, Speedup: 50, CoveredFraction: 0.5}
+			}},
+		},
+	},
 }
 
-// parseBackfillPolicy resolves a backfill_policy axis value.
-func parseBackfillPolicy(v string) (sched.BackfillPolicy, error) {
-	switch v {
-	case BackfillEASY, "":
-		return sched.BackfillEASY, nil
-	case BackfillConservative:
-		return sched.BackfillConservative, nil
+// setCarbon wires a carbon-aware temporal policy into the config. The
+// trace seed derives from the base seed only, matching the runner's
+// accounting trace, so the scheduler's forecasts and the emissions
+// account always describe the same weather.
+func (b *build) setCarbon(newPolicy func(*forecast.Forecaster) sched.TemporalPolicy) {
+	cs, seed := b.spec.Carbon, b.spec.Seed
+	b.cfg.Carbon = &core.CarbonConfig{
+		Model:     b.gm,
+		TraceSeed: rng.DeriveSeed(seed, "grid-trace"),
+		Error: forecast.ErrorModel{
+			Sigma0:            cs.ForecastSigma,
+			GrowthPerSqrtHour: cs.ForecastGrowth,
+			Seed:              rng.DeriveSeed(seed, "forecast-error"),
+		},
+		NewPolicy: newPolicy,
 	}
-	return 0, fmt.Errorf("scenario: invalid backfill policy %q (want %q or %q)",
-		v, BackfillEASY, BackfillConservative)
 }
 
-// parsePreemption resolves a preemption axis value.
-func parsePreemption(v string) (sched.PreemptionMode, error) {
-	switch v {
-	case PreemptOff, "":
-		return sched.PreemptOff, nil
-	case PreemptRequeue:
-		return sched.PreemptRequeue, nil
-	case PreemptCancel:
-		return sched.PreemptCancel, nil
+// apply checks value v of the axis and applies it to b.
+func (a *axisDef) apply(b *build, v string) error {
+	if a.parse != nil {
+		return a.parse(b, v)
 	}
-	return 0, fmt.Errorf("scenario: invalid preemption mode %q (want %q, %q or %q)",
-		v, PreemptOff, PreemptRequeue, PreemptCancel)
+	if v == "" || v == a.base {
+		return nil
+	}
+	want := []string{a.base}
+	for _, c := range a.choices {
+		if c.value == v {
+			c.effect(b)
+			return nil
+		}
+		want = append(want, c.value)
+	}
+	return fmt.Errorf("scenario: invalid %s %q (want one of %q)", a.noun, v, want)
+}
+
+// store sets the scenario's field on the axis to a checked value.
+func (a *axisDef) store(sc *Scenario, v string) {
+	switch p := a.field(sc).(type) {
+	case *string:
+		*p = v
+	case *float64:
+		*p, _ = strconv.ParseFloat(v, 64)
+	case *int:
+		*p, _ = strconv.Atoi(v)
+	}
+}
+
+// appendValue appends the scenario's value on the axis, formatted as the
+// axis's values are in scenario names.
+func (a *axisDef) appendValue(b []byte, sc *Scenario) []byte {
+	switch p := a.field(sc).(type) {
+	case *float64:
+		return strconv.AppendFloat(b, *p, 'g', -1, 64)
+	case *int:
+		return strconv.AppendInt(b, int64(*p), 10)
+	default:
+		return append(b, *p.(*string)...)
+	}
+}
+
+// atBaseline reports whether a string axis holds its baseline value.
+func (a *axisDef) atBaseline(sc *Scenario) bool {
+	v := *a.field(sc).(*string)
+	return v == "" || v == a.base
+}
+
+// term appends the axis's "key=value" term, as scenario names and seed
+// keys spell it.
+func (a *axisDef) term(key []byte, sc *Scenario) []byte {
+	if len(key) > 0 {
+		key = append(key, ' ')
+	}
+	return a.appendValue(append(append(key, a.key...), '='), sc)
+}
+
+// axis is one axis of a defaulted spec: its declaration, its values (the
+// held value alone when not swept) and its stride through the expansion.
+type axis struct {
+	def    *axisDef
+	values []string
+	swept  bool
+	stride int
+}
+
+// axes reads every axis of the defaulted spec, in axisTable order.
+func (s *Spec) axes() []axis {
+	ax := make([]axis, len(axisTable))
+	for i := range axisTable {
+		d := &axisTable[i]
+		var vs []string
+		switch p := d.values(&s.Axes).(type) {
+		case *[]string:
+			vs = *p
+		case *[]float64:
+			for _, v := range *p {
+				vs = append(vs, strconv.FormatFloat(v, 'g', -1, 64))
+			}
+		case *[]int:
+			for _, v := range *p {
+				vs = append(vs, strconv.Itoa(v))
+			}
+		}
+		ax[i] = axis{def: d, values: vs, swept: true}
+		if len(vs) == 0 {
+			held := d.base
+			if d.held != nil {
+				held = d.held(s)
+			}
+			ax[i].values, ax[i].swept = []string{held}, false
+		}
+	}
+	return ax
+}
+
+// Expand turns the spec into its concrete scenario list. The first
+// scenario is always the baseline. Every axis value is validated here, so
+// a bad spec fails before any simulation runs.
+func (s Spec) Expand() ([]Scenario, error) {
+	if err := s.Validate(); err != nil {
+		return nil, err
+	}
+	s = s.withDefaults()
+	ax := s.axes()
+
+	// Grid mode varies the last axis fastest; list mode zips the axes,
+	// broadcasting single values.
+	n := 1
+	switch s.Mode {
+	case ModeGrid:
+		for i := len(ax) - 1; i >= 0; i-- {
+			ax[i].stride = n
+			if n *= len(ax[i].values); n > s.MaxScenarios {
+				return nil, fmt.Errorf("scenario: expansion exceeds %d scenarios (cartesian explosion guard; raise max_scenarios to override)",
+					s.MaxScenarios)
+			}
+		}
+	case ModeList:
+		for i := range ax {
+			ax[i].stride = 1
+			switch k := len(ax[i].values); {
+			case k == 1:
+			case n == 1:
+				n = k
+			case k != n:
+				return nil, fmt.Errorf("scenario: list mode needs equal axis lengths, got %d and %d", n, k)
+			}
+		}
+		if n > s.MaxScenarios {
+			return nil, fmt.Errorf("scenario: expansion exceeds %d scenarios (raise max_scenarios to override)",
+				s.MaxScenarios)
+		}
+	}
+	// Check every value once, by applying it to a scratch configuration.
+	scratch := &build{spec: s}
+	scratch.cfg.Facility.CPU = cpu.EPYC7742()
+	for _, a := range ax {
+		for _, v := range a.values {
+			if err := a.def.apply(scratch, v); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	out := make([]Scenario, n)
+	var name []byte
+	for i := range out {
+		sc := &out[i]
+		sc.Index = i
+		name = name[:0]
+		for _, a := range ax {
+			v := a.values[i/a.stride%len(a.values)]
+			a.def.store(sc, v)
+			if a.swept {
+				name = a.def.term(name, sc)
+			}
+		}
+		sc.Name = string(name)
+		if sc.Name == "" {
+			sc.Name = "baseline"
+		}
+	}
+	return out, nil
 }
 
 // parseFrequency resolves a frequency axis value against spec.
@@ -730,41 +860,43 @@ func parseFrequency(spec *cpu.Spec, v string) (cpu.FreqSetting, error) {
 	return fs, nil
 }
 
-// parseScheduler resolves a scheduler axis value into a backfill depth.
-func parseScheduler(v string) (int, error) {
+// parseScheduler sets the backfill depth a scheduler axis value names.
+func parseScheduler(b *build, v string) error {
 	switch v {
 	case "backfill", "":
-		return 64, nil
+		b.cfg.Sched.BackfillDepth = 64
 	case "fcfs":
-		return 0, nil
-	}
-	if rest, ok := strings.CutPrefix(v, "backfill="); ok {
+		b.cfg.Sched.BackfillDepth = 0
+	default:
+		rest, ok := strings.CutPrefix(v, "backfill=")
 		n, err := strconv.Atoi(rest)
-		if err == nil && n >= 0 {
-			return n, nil
+		if !ok || err != nil || n < 0 {
+			return fmt.Errorf("scenario: invalid scheduler %q (want \"backfill\", \"fcfs\" or \"backfill=N\")", v)
 		}
+		b.cfg.Sched.BackfillDepth = n
 	}
-	return 0, fmt.Errorf("scenario: invalid scheduler %q (want \"backfill\", \"fcfs\" or \"backfill=N\")", v)
+	return nil
 }
 
-// parseWorkload resolves a workload axis value into a fleet build variant
-// (nil = the calibrated base mix). Variants are matched by name rather
-// than position, so reordering or extending apps.CommonVariants fails
-// loudly here instead of silently selecting the wrong build.
-func parseWorkload(v string) (*apps.Variant, error) {
+// parseWorkload sets the fleet build variant a workload axis value names
+// ("base" keeps the calibrated mix).
+// Variants are matched by name rather than position, so reordering or
+// extending apps.CommonVariants fails loudly here instead of silently
+// selecting the wrong build.
+func parseWorkload(b *build, v string) error {
 	switch v {
 	case "base", "":
-		return nil, nil
+		return nil
 	case "portable", "production", "simd":
 		for _, c := range apps.CommonVariants() {
 			if strings.Contains(strings.ToLower(c.Name), v) {
-				c := c
-				return &c, nil
+				b.cfg.FleetVariant = &c
+				return nil
 			}
 		}
-		return nil, fmt.Errorf("scenario: workload %q has no matching variant in apps.CommonVariants", v)
+		return fmt.Errorf("scenario: workload %q has no matching variant in apps.CommonVariants", v)
 	}
-	return nil, fmt.Errorf("scenario: invalid workload %q (want \"base\", \"portable\", \"production\" or \"simd\")", v)
+	return fmt.Errorf("scenario: invalid workload %q (want \"base\", \"portable\", \"production\" or \"simd\")", v)
 }
 
 // sweepStart is the fixed calendar anchor for sweep runs (the paper's
@@ -777,64 +909,35 @@ func (s Spec) divergeTime() time.Time {
 	return sweepStart.AddDate(0, 0, s.withDefaults().DivergeDay)
 }
 
-// carbonAware reports whether the scenario's temporal policy actually
-// reads the grid (fcfs is grid-blind).
-func (sc Scenario) carbonAware() bool {
-	return sc.CarbonPolicy != "" && sc.CarbonPolicy != CarbonFCFS
-}
-
-// simKey is the canonical label of the axes that actually change the
-// simulation. Scenario seeds derive from it rather than from the full
-// name, so scenarios that differ only in grid mix share one stream of
-// common random numbers: their power and scheduling results are exactly
-// equal and the emissions delta isolates the grid change.
-//
-// A carbon-aware temporal policy breaks that independence by design — the
-// scheduler reads the intensity trace — so for non-fcfs policies the key
-// also carries the policy and the grid mean: such scenarios are distinct
-// simulations, while every fcfs scenario keeps the exact seeds (and
-// therefore results) it had before the carbon axis existed.
-// The mid_frequency axis is deliberately excluded: branch scenarios keep
-// their family's seed, so every branch shares the exact common-prefix
-// history (and random-number streams) up to the divergence point —
-// that is what lets the runner simulate the prefix once and fork it, and
-// what makes branch deltas pure divergence effects. Use runKey where
-// distinct results (not distinct seeds) must be told apart.
-// Like the carbon terms, the Slurm-realism axes (priority mix, backfill
-// policy, preemption) append key terms only at non-default values:
-// scenarios that do not sweep them keep the exact seeds they had before
-// the axes existed, and scenarios that differ on them are distinct
-// simulations (the runner memoizes by runKey, so they must not collide).
-func (sc Scenario) simKey() string {
-	key := fmt.Sprintf("freq=%s sched=%s wl=%s nodes=%d",
-		sc.Frequency, sc.Scheduler, sc.Workload, sc.Nodes)
-	if sc.carbonAware() {
-		key += fmt.Sprintf(" carbon=%s grid=%s", sc.CarbonPolicy,
-			strconv.FormatFloat(sc.GridMean, 'g', -1, 64))
+// simKey is the canonical label of the axes that change the simulation,
+// each placed by its seed role in axisTable. Scenario seeds derive from
+// it rather than from the full name, so scenarios that differ only in
+// grid mix share one stream of common random numbers and their emissions
+// delta isolates the grid change. Branch scenarios of the mid_frequency
+// axis keep their family's seed, so they share the exact history up to
+// the divergence point and the runner can simulate that prefix once and
+// fork it. Use runKey where distinct results, not seeds, must differ.
+func (sc *Scenario) simKey() string {
+	key := make([]byte, 0, 128)
+	for i := range axisTable {
+		a := &axisTable[i]
+		if a.seed == seedAlways || a.seed == seedOffBaseline && !a.atBaseline(sc) {
+			key = a.term(key, sc)
+		}
+		// Carbon-aware terms qualify the policy term, so they follow it.
+		if a.key == carbonKey && !a.atBaseline(sc) {
+			for j := range axisTable {
+				if axisTable[j].seed == seedCarbonAware {
+					key = axisTable[j].term(key, sc)
+				}
+			}
+		}
 	}
-	if sc.PriorityMix != "" && sc.PriorityMix != PriorityNone {
-		key += " prio=" + sc.PriorityMix
-	}
-	if sc.BackfillPolicy != "" && sc.BackfillPolicy != BackfillEASY {
-		key += " bf=" + sc.BackfillPolicy
-	}
-	if sc.Preemption != "" && sc.Preemption != PreemptOff {
-		key += " preempt=" + sc.Preemption
-	}
-	if sc.PerfModel != "" && sc.PerfModel != PerfKernel {
-		key += " perf=" + sc.PerfModel
-	}
-	if sc.Fleet != "" && sc.Fleet != FleetCPU {
-		key += " fleet=" + sc.Fleet
-	}
-	if sc.Surrogate != "" && sc.Surrogate != SurrogateNone {
-		key += " surrogate=" + sc.Surrogate
-	}
-	return key
+	return string(key)
 }
 
 // midActive reports whether the scenario actually diverges mid-sweep.
-func (sc Scenario) midActive() bool {
+func (sc *Scenario) midActive() bool {
 	return sc.MidFrequency != "" && sc.MidFrequency != MidNone
 }
 
@@ -842,11 +945,23 @@ func (sc Scenario) midActive() bool {
 // mid-sweep divergence. Scenarios sharing a runKey produce byte-identical
 // simulations; scenarios sharing only a simKey share their seed and
 // prefix but diverge at DivergeDay.
-func (sc Scenario) runKey() string {
+func (sc *Scenario) runKey() string {
 	if !sc.midActive() {
 		return sc.simKey()
 	}
 	return sc.simKey() + " mid=" + sc.MidFrequency
+}
+
+// counterpartKey labels the scenario by every axis except carbon_policy:
+// scenarios sharing it differ only in their temporal policy.
+func (sc *Scenario) counterpartKey() string {
+	var key []byte
+	for i := range axisTable {
+		if a := &axisTable[i]; a.key != carbonKey {
+			key = a.term(key, sc)
+		}
+	}
+	return string(key)
 }
 
 // BuildConfig materialises the scenario into a runnable core.Config plus
@@ -855,142 +970,28 @@ func (sc Scenario) runKey() string {
 // only (see simKey), so the configuration is independent of expansion
 // order, axis ordering and worker scheduling.
 func (sc Scenario) BuildConfig(s Spec) (core.Config, grid.IntensityModel, error) {
-	s = s.withDefaults()
-	cfg := core.ScaledConfig(sc.Nodes, sweepStart, s.Days)
-	cfg.Seed = rng.DeriveSeed(s.Seed, "scenario/"+sc.simKey())
-
-	fs, err := parseFrequency(cfg.Facility.CPU, sc.Frequency)
-	if err != nil {
-		return core.Config{}, grid.IntensityModel{}, err
-	}
-	depth, err := parseScheduler(sc.Scheduler)
-	if err != nil {
-		return core.Config{}, grid.IntensityModel{}, err
-	}
-	variant, err := parseWorkload(sc.Workload)
-	if err != nil {
-		return core.Config{}, grid.IntensityModel{}, err
-	}
-	mix, err := parsePriorityMix(sc.PriorityMix)
-	if err != nil {
-		return core.Config{}, grid.IntensityModel{}, err
-	}
-	bf, err := parseBackfillPolicy(sc.BackfillPolicy)
-	if err != nil {
-		return core.Config{}, grid.IntensityModel{}, err
-	}
-	pre, err := parsePreemption(sc.Preemption)
-	if err != nil {
-		return core.Config{}, grid.IntensityModel{}, err
-	}
-	pm, err := parsePerfModel(sc.PerfModel)
-	if err != nil {
-		return core.Config{}, grid.IntensityModel{}, err
-	}
-	hybrid, err := parseFleet(sc.Fleet)
-	if err != nil {
-		return core.Config{}, grid.IntensityModel{}, err
-	}
-	sur, err := parseSurrogate(sc.Surrogate)
-	if err != nil {
-		return core.Config{}, grid.IntensityModel{}, err
-	}
-
-	// All scenarios run in the modern operating mode (Performance
-	// Determinism, the paper's post-May-2022 state) with the scenario
-	// frequency in force from day zero.
-	perfDet := cpu.PerformanceDeterminism
-	cfg.Timeline = policy.Timeline{Changes: []policy.Change{
-		{At: sweepStart, Mode: &perfDet, Setting: &fs, Note: "scenario operating point"},
-	}}
-	if sc.midActive() {
-		mfs, err := parseFrequency(cfg.Facility.CPU, sc.MidFrequency)
-		if err != nil {
-			return core.Config{}, grid.IntensityModel{}, err
+	b := &build{sc: sc, spec: s.withDefaults(), gm: grid.GB2022().Scaled(sc.GridMean)}
+	s = b.spec
+	b.cfg = core.ScaledConfig(sc.Nodes, sweepStart, s.Days)
+	b.cfg.Seed = rng.DeriveSeed(s.Seed, "scenario/"+b.sc.simKey())
+	for i := range axisTable {
+		// The numeric axes, grid mean and nodes, shaped the intensity
+		// model and the scaled config above.
+		a := &axisTable[i]
+		if v, ok := a.field(&b.sc).(*string); ok {
+			if err := a.apply(b, *v); err != nil {
+				return core.Config{}, grid.IntensityModel{}, err
+			}
 		}
-		cfg.Timeline.Changes = append(cfg.Timeline.Changes, policy.Change{
-			At:      s.divergeTime(),
-			Setting: &mfs,
-			Note:    "mid-sweep frequency divergence",
-		})
 	}
-	cfg.Sched.BackfillDepth = depth
-	cfg.Sched.Backfill = bf
-	cfg.Sched.Preemption = pre
-	cfg.Sched.AgingHours = s.PriorityAgingHours
-	cfg.Priorities = mix
-	cfg.FleetVariant = variant
-	cfg.PerfModel = pm
-	cfg.Surrogate = sur
-	if hybrid {
-		ai := sc.Nodes / 8
-		if ai < 4 {
-			ai = 4
-		}
-		cfg.Facility.Partitions = []facility.Partition{facility.AIPartition(ai)}
-	}
+	b.cfg.Sched.AgingHours = s.PriorityAgingHours
 	if s.OverSubscription > 0 {
-		cfg.OverSubscription = s.OverSubscription
+		b.cfg.OverSubscription = s.OverSubscription
 	}
-	cfg.Windows = []core.Window{{
+	b.cfg.Windows = []core.Window{{
 		Label: "measure",
 		From:  sweepStart.AddDate(0, 0, s.warmupDays()),
 		To:    sweepStart.AddDate(0, 0, s.Days),
 	}}
-	gm := grid.GB2022().Scaled(sc.GridMean)
-	if sc.carbonAware() {
-		cfg.Carbon = sc.carbonConfig(s, gm)
-	}
-	return cfg, gm, nil
-}
-
-// carbonConfig builds the core carbon wiring for a carbon-aware
-// scenario.
-func (sc Scenario) carbonConfig(s Spec, gm grid.IntensityModel) *core.CarbonConfig {
-	return NewCarbonConfig(sc.CarbonPolicy, s.Carbon, gm, sc.GridMean, sc.Nodes, s.Seed)
-}
-
-// NewCarbonConfig builds the core carbon wiring for a temporal policy —
-// the single source of the policy tunables' semantics, shared by sweep
-// scenarios and cmd/gridcitizen so both frontends mean the same thing by
-// "delay-flexible" or "carbon-budget at fraction 0.85". The trace seed
-// derives from the base seed only (rng.DeriveSeed(seed, "grid-trace")),
-// matching the runner's accounting trace, so the scheduler's forecasts
-// and the emissions account always describe the same weather.
-func NewCarbonConfig(policyName string, cs CarbonSpec, gm grid.IntensityModel, gridMean float64, nodes int, seed uint64) *core.CarbonConfig {
-	cs = cs.withDefaults()
-	threshold := cs.ThresholdGrams
-	if threshold <= 0 {
-		threshold = 0.9 * gridMean
-	}
-	// Expected steady-state burn: every node busy at the calibrated
-	// busy-node draw, on a grid at the scenario's mean intensity.
-	busyKW := core.DefaultConfig().BusyNodeTarget.Watts() * float64(nodes) / 1e3
-	budget := units.Grams(cs.BudgetFraction * busyKW * gridMean)
-	flexSeed := rng.DeriveSeed(seed, "carbon-flex")
-	return &core.CarbonConfig{
-		Model:     gm,
-		TraceSeed: rng.DeriveSeed(seed, "grid-trace"),
-		Error: forecast.ErrorModel{
-			Sigma0:            cs.ForecastSigma,
-			GrowthPerSqrtHour: cs.ForecastGrowth,
-			Seed:              rng.DeriveSeed(seed, "forecast-error"),
-		},
-		NewPolicy: func(fc *forecast.Forecaster) sched.TemporalPolicy {
-			switch policyName {
-			case CarbonDelayFlexible:
-				return &sched.DelayFlexiblePolicy{
-					Forecast:      fc,
-					Threshold:     units.GramsPerKWh(threshold),
-					MaxDelay:      time.Duration(cs.MaxDelayHours * float64(time.Hour)),
-					FlexibleShare: cs.FlexibleShare,
-					Seed:          flexSeed,
-				}
-			case CarbonBudget:
-				return &sched.CarbonBudgetPolicy{Forecast: fc, BudgetPerHour: budget}
-			default:
-				return sched.GreedyPolicy{}
-			}
-		},
-	}
+	return b.cfg, b.gm, nil
 }

@@ -131,6 +131,30 @@ func TestExpandRejectsBadAxisValues(t *testing.T) {
 			t.Errorf("bad spec %d expanded without error: %+v", i, spec.Axes)
 		}
 	}
+	// An enumerated axis names the bad value and lists every accepted one.
+	for _, c := range []struct {
+		axes Axes
+		want []string
+	}{
+		{Axes{CarbonPolicy: []string{"bogus"}}, []string{CarbonFCFS, CarbonDelayFlexible, CarbonBudget}},
+		{Axes{PriorityMix: []string{"bogus"}}, []string{PriorityNone, PriorityDual, PriorityTiered}},
+		{Axes{BackfillPolicy: []string{"bogus"}}, []string{BackfillEASY, BackfillConservative}},
+		{Axes{Preemption: []string{"bogus"}}, []string{PreemptOff, PreemptRequeue, PreemptCancel}},
+		{Axes{PerfModel: []string{"bogus"}}, []string{PerfKernel, PerfTable}},
+		{Axes{Fleet: []string{"bogus"}}, []string{FleetCPU, FleetHybrid}},
+		{Axes{Surrogate: []string{"bogus"}}, []string{SurrogateNone, Surrogate10x, Surrogate50x}},
+	} {
+		_, err := Spec{Axes: c.axes}.Expand()
+		if err == nil {
+			t.Errorf("bad spec expanded without error: %+v", c.axes)
+			continue
+		}
+		for _, v := range append(c.want, "bogus") {
+			if !strings.Contains(err.Error(), `"`+v+`"`) {
+				t.Errorf("error %q does not mention %q", err, v)
+			}
+		}
+	}
 }
 
 func TestExpandAcceptsExplicitSettings(t *testing.T) {
@@ -153,6 +177,9 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := (Spec{Nodes: 4}).Validate(); err == nil {
 		t.Error("tiny facility accepted")
+	}
+	if err := (Spec{Days: maxDays + 1}).Validate(); err == nil {
+		t.Error("sweep longer than a time.Duration accepted")
 	}
 	if err := (Spec{}).Validate(); err != nil {
 		t.Errorf("zero spec (all defaults) rejected: %v", err)

@@ -1,11 +1,11 @@
-// Package stats provides the small statistical toolkit used by the facility
-// model: summary statistics, percentiles, histograms, rolling windows and a
-// simple ordinary-least-squares fit for trend detection in power telemetry.
+// Package stats provides the sample reductions the twin reports with:
+// mean, variance and standard deviation, minimum and maximum,
+// interpolated percentiles, a one-line Summary, and streaming Moments
+// that answer the same queries in O(1) as samples arrive.
 //
 // These are the reductions behind the paper's reported quantities: the
-// window means of Figures 1-3, the utilisation percentiles behind the
-// ">90% in all periods" statement, and the step-change detection used to
-// locate the operational changes in the cabinet power series.
+// window means of Figures 1-3 and the utilisation percentiles behind the
+// ">90% in all periods" statement.
 package stats
 
 import (
@@ -24,23 +24,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// WeightedMean returns sum(w_i x_i)/sum(w_i). It returns 0 when the weights
-// sum to zero or the slices are empty, and panics on mismatched lengths.
-func WeightedMean(xs, ws []float64) float64 {
-	if len(xs) != len(ws) {
-		panic("stats: WeightedMean length mismatch")
-	}
-	var num, den float64
-	for i, x := range xs {
-		num += x * ws[i]
-		den += ws[i]
-	}
-	if den == 0 {
-		return 0
-	}
-	return num / den
 }
 
 // Variance returns the population variance of xs, or 0 when len(xs) < 2.
@@ -114,9 +97,6 @@ func PercentileOfSorted(sorted []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // Summary holds the summary statistics of a sample.
 type Summary struct {
 	N      int
@@ -151,141 +131,6 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.3g min=%.4g p50=%.4g max=%.4g",
 		s.N, s.Mean, s.StdDev, s.Min, s.Median, s.Max)
-}
-
-// LinearFit is the result of an ordinary least squares fit y = Slope*x +
-// Intercept.
-type LinearFit struct {
-	Slope, Intercept float64
-	R2               float64
-}
-
-// FitLine fits a least-squares line through (xs[i], ys[i]). It panics on
-// mismatched lengths and returns a zero fit for fewer than two points or
-// degenerate (constant-x) input.
-func FitLine(xs, ys []float64) LinearFit {
-	if len(xs) != len(ys) {
-		panic("stats: FitLine length mismatch")
-	}
-	n := float64(len(xs))
-	if len(xs) < 2 {
-		return LinearFit{}
-	}
-	mx, my := Mean(xs), Mean(ys)
-	var sxx, sxy, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxx += dx * dx
-		sxy += dx * dy
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}
-	}
-	slope := sxy / sxx
-	fit := LinearFit{Slope: slope, Intercept: my - slope*mx}
-	if syy > 0 {
-		fit.R2 = (sxy * sxy) / (sxx * syy)
-	} else {
-		fit.R2 = 1 // constant y perfectly fit by zero slope
-	}
-	_ = n
-	return fit
-}
-
-// Histogram is a fixed-bin histogram over [Lo, Hi).
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	under  int
-	over   int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given bounds and bin count.
-// It panics if hi <= lo or bins <= 0.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if hi <= lo || bins <= 0 {
-		panic("stats: invalid histogram bounds")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records a value. Values outside [Lo, Hi) go to the under/overflow
-// counters.
-func (h *Histogram) Add(x float64) {
-	h.total++
-	switch {
-	case x < h.Lo:
-		h.under++
-	case x >= h.Hi:
-		h.over++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Counts)))
-		if i == len(h.Counts) { // rounding guard
-			i--
-		}
-		h.Counts[i]++
-	}
-}
-
-// Total returns the number of values recorded, including out-of-range ones.
-func (h *Histogram) Total() int { return h.total }
-
-// OutOfRange returns the number of values below Lo and at-or-above Hi.
-func (h *Histogram) OutOfRange() (under, over int) { return h.under, h.over }
-
-// BinCenter returns the centre of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Rolling maintains a fixed-size rolling window with O(1) mean queries.
-type Rolling struct {
-	buf  []float64
-	next int
-	full bool
-	sum  float64
-}
-
-// NewRolling creates a rolling window of size n. It panics if n <= 0.
-func NewRolling(n int) *Rolling {
-	if n <= 0 {
-		panic("stats: rolling window size must be positive")
-	}
-	return &Rolling{buf: make([]float64, n)}
-}
-
-// Push adds a value, evicting the oldest when full.
-func (r *Rolling) Push(x float64) {
-	if r.full {
-		r.sum -= r.buf[r.next]
-	}
-	r.buf[r.next] = x
-	r.sum += x
-	r.next++
-	if r.next == len(r.buf) {
-		r.next = 0
-		r.full = true
-	}
-}
-
-// Len returns the number of values currently in the window.
-func (r *Rolling) Len() int {
-	if r.full {
-		return len(r.buf)
-	}
-	return r.next
-}
-
-// Mean returns the mean of the values in the window, or 0 when empty.
-func (r *Rolling) Mean() float64 {
-	n := r.Len()
-	if n == 0 {
-		return 0
-	}
-	return r.sum / float64(n)
 }
 
 // Moments tracks a sample's streaming moments — count, running sum, sum
@@ -345,12 +190,3 @@ func (m Moments) Variance() float64 {
 
 // StdDev returns the population standard deviation from the moments.
 func (m Moments) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// RelativeChange returns (b-a)/a, or 0 when a == 0. Used for reporting
-// percentage power reductions.
-func RelativeChange(a, b float64) float64 {
-	if a == 0 {
-		return 0
-	}
-	return (b - a) / a
-}

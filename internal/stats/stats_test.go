@@ -25,28 +25,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestWeightedMean(t *testing.T) {
-	got := WeightedMean([]float64{1, 10}, []float64{3, 1})
-	if !feq(got, 13.0/4, 1e-12) {
-		t.Fatalf("WeightedMean = %v", got)
-	}
-	if got := WeightedMean(nil, nil); got != 0 {
-		t.Fatalf("empty WeightedMean = %v", got)
-	}
-	if got := WeightedMean([]float64{1}, []float64{0}); got != 0 {
-		t.Fatalf("zero-weight WeightedMean = %v", got)
-	}
-}
-
-func TestWeightedMeanPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched lengths did not panic")
-		}
-	}()
-	WeightedMean([]float64{1}, []float64{1, 2})
-}
-
 func TestVarianceStdDev(t *testing.T) {
 	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
 	if got := Variance(xs); !feq(got, 4, 1e-12) {
@@ -118,81 +96,6 @@ func TestSummarize(t *testing.T) {
 	}
 }
 
-func TestFitLine(t *testing.T) {
-	// y = 2x + 1 exactly.
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7}
-	fit := FitLine(xs, ys)
-	if !feq(fit.Slope, 2, 1e-12) || !feq(fit.Intercept, 1, 1e-12) || !feq(fit.R2, 1, 1e-12) {
-		t.Fatalf("fit = %+v", fit)
-	}
-}
-
-func TestFitLineDegenerate(t *testing.T) {
-	if fit := FitLine([]float64{1}, []float64{1}); fit.Slope != 0 {
-		t.Errorf("single point fit = %+v", fit)
-	}
-	if fit := FitLine([]float64{2, 2}, []float64{1, 3}); fit.Slope != 0 {
-		t.Errorf("constant-x fit = %+v", fit)
-	}
-	fit := FitLine([]float64{1, 2, 3}, []float64{5, 5, 5})
-	if !feq(fit.Slope, 0, 1e-12) || !feq(fit.R2, 1, 1e-12) {
-		t.Errorf("constant-y fit = %+v", fit)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, v := range []float64{-1, 0, 1.9, 2, 9.99, 10, 11} {
-		h.Add(v)
-	}
-	under, over := h.OutOfRange()
-	if under != 1 || over != 2 {
-		t.Fatalf("out of range = %d,%d", under, over)
-	}
-	if h.Total() != 7 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Counts[0] != 2 { // 0 and 1.9
-		t.Fatalf("bin 0 = %d", h.Counts[0])
-	}
-	if h.Counts[1] != 1 { // 2
-		t.Fatalf("bin 1 = %d", h.Counts[1])
-	}
-	if h.Counts[4] != 1 { // 9.99
-		t.Fatalf("bin 4 = %d", h.Counts[4])
-	}
-	if got := h.BinCenter(0); !feq(got, 1, 1e-12) {
-		t.Fatalf("BinCenter(0) = %v", got)
-	}
-}
-
-func TestRolling(t *testing.T) {
-	r := NewRolling(3)
-	if r.Mean() != 0 || r.Len() != 0 {
-		t.Fatal("empty rolling window not zero")
-	}
-	r.Push(1)
-	r.Push(2)
-	if !feq(r.Mean(), 1.5, 1e-12) || r.Len() != 2 {
-		t.Fatalf("partial window mean = %v len = %d", r.Mean(), r.Len())
-	}
-	r.Push(3)
-	r.Push(4) // evicts 1
-	if !feq(r.Mean(), 3, 1e-12) || r.Len() != 3 {
-		t.Fatalf("full window mean = %v len = %d", r.Mean(), r.Len())
-	}
-}
-
-func TestRelativeChange(t *testing.T) {
-	if got := RelativeChange(3220, 2530); !feq(got, -0.2142857, 1e-6) {
-		t.Fatalf("RelativeChange = %v", got)
-	}
-	if got := RelativeChange(0, 5); got != 0 {
-		t.Fatalf("RelativeChange from 0 = %v", got)
-	}
-}
-
 // Property: mean lies within [min, max].
 func TestPropertyMeanWithinBounds(t *testing.T) {
 	f := func(xs []float64) bool {
@@ -232,35 +135,6 @@ func TestPropertyPercentileMonotone(t *testing.T) {
 			pa, pb = pb, pa
 		}
 		return Percentile(clean, pa) <= Percentile(clean, pb)+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: rolling mean over a window equals the plain mean of the last n
-// pushed values.
-func TestPropertyRollingMatchesMean(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := raw[:0]
-		for _, x := range raw {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) && math.Abs(x) < 1e9 {
-				xs = append(xs, x)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		n := 4
-		r := NewRolling(n)
-		for _, x := range xs {
-			r.Push(x)
-		}
-		tail := xs
-		if len(tail) > n {
-			tail = tail[len(tail)-n:]
-		}
-		return feq(r.Mean(), Mean(tail), 1e-6*(1+math.Abs(Mean(tail))))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
