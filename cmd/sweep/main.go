@@ -75,7 +75,6 @@ func main() {
 	surrogate := flag.String("surrogate", "", "comma-separated surrogate axis values (e.g. none,10x,50x); overrides the spec's axis")
 	list := flag.Bool("list", false, "print the expanded scenario list and exit without running")
 	quiet := flag.Bool("quiet", false, "suppress the regime/carbon tables and timing note")
-	noFork := flag.Bool("no-fork", false, "run mid-sweep divergence branches cold instead of forking them from the shared prefix checkpoint")
 	server := flag.String("server", "", "run the sweep on this twinserver base URL (e.g. http://127.0.0.1:8990) instead of in process")
 	flag.Parse()
 
@@ -143,7 +142,7 @@ func main() {
 			fail(err)
 		}
 	} else {
-		runner := &scenario.Runner{Workers: *workers, NoFork: *noFork}
+		runner := &scenario.Runner{Workers: *workers}
 		var err error
 		res, err = runner.Run(ctx, spec)
 		if err != nil {

@@ -75,7 +75,6 @@ func main() {
 	workers := flag.Int("workers", 0, "simulation worker-pool size per sweep (0 = GOMAXPROCS)")
 	memoCap := flag.Int("memo-cap", 0, "max memoized simulations, LRU-evicted beyond (0 = default 256, negative disables)")
 	memoBudget := flag.Int64("memo-budget-bytes", 0, "memo cache byte budget, coldest entries evicted beyond (0 = default 1 GiB, negative disables the byte bound)")
-	noFork := flag.Bool("no-fork", false, "run mid-sweep divergence branches cold instead of forking them from the shared prefix checkpoint")
 	maxConcurrent := flag.Int("max-concurrent", 2, "max concurrently executing sweeps (or shards, on a worker)")
 	maxFinished := flag.Int("max-finished", 64, "finished sweeps retained for status/result queries")
 	dataDir := flag.String("data-dir", "", "journal directory; enables durable mode (crash recovery, resumable sweeps)")
@@ -120,7 +119,7 @@ func main() {
 		})
 		cfg.Run = coord.Run
 	} else {
-		cfg.Runner = &scenario.Runner{Workers: *workers, MemoCap: *memoCap, MemoBudgetBytes: *memoBudget, NoFork: *noFork}
+		cfg.Runner = &scenario.Runner{Workers: *workers, MemoCap: *memoCap, MemoBudgetBytes: *memoBudget}
 	}
 	var jl *journal.Log
 	if *dataDir != "" {

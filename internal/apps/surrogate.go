@@ -14,9 +14,8 @@ import (
 //
 // An AI surrogate trades a large one-off training energy cost for much
 // cheaper inference-dominated production runs. Whether that trade pays
-// off depends on how many production runs amortise the training — the
-// break-even analysis below — and, for emissions, on the grid intensity
-// at training vs production time.
+// off depends on how many production runs amortise the training: the
+// break-even analysis below.
 
 // Surrogate describes an AI replacement for (part of) a simulation code.
 type Surrogate struct {
@@ -94,39 +93,6 @@ func BreakEvenRuns(spec *cpu.Spec, app *App, s Surrogate, fs cpu.FreqSetting, m 
 		return 0, fmt.Errorf("apps: surrogate %s saves no energy per run", s.Name)
 	}
 	return int(math.Ceil(s.TrainingEnergy.Joules() / saving)), nil
-}
-
-// SurrogateEmissions compares lifetime emissions of conventional vs
-// surrogate operation over nRuns production runs, with training performed
-// at trainCI and production at prodCI grid intensity (training can be
-// scheduled into clean-grid windows — one of the operational levers the
-// future-work discussion raises).
-type SurrogateEmissions struct {
-	Conventional units.Mass
-	Surrogate    units.Mass
-	// Saving = Conventional - Surrogate (negative if the surrogate loses).
-	Saving units.Mass
-}
-
-// CompareEmissions computes the comparison.
-func CompareEmissions(spec *cpu.Spec, app *App, s Surrogate, fs cpu.FreqSetting, m cpu.Mode,
-	nRuns int, trainCI, prodCI units.CarbonIntensity) (SurrogateEmissions, error) {
-	if nRuns < 0 {
-		return SurrogateEmissions{}, fmt.Errorf("apps: negative run count")
-	}
-	sur, err := SurrogateRunEnergy(spec, app, s, fs, m)
-	if err != nil {
-		return SurrogateEmissions{}, err
-	}
-	conv := RunEnergy(spec, app, fs, m)
-	convTotal := conv.Scale(float64(nRuns)).Emissions(prodCI)
-	surTotal := units.Mass(s.TrainingEnergy.Emissions(trainCI).Grams() +
-		sur.Scale(float64(nRuns)).Emissions(prodCI).Grams())
-	return SurrogateEmissions{
-		Conventional: convTotal,
-		Surrogate:    surTotal,
-		Saving:       units.Mass(convTotal.Grams() - surTotal.Grams()),
-	}, nil
 }
 
 // TrainingEnergyFromRuns is a convenience for expressing training cost as

@@ -119,72 +119,3 @@ func TestBreakEvenRuns(t *testing.T) {
 		t.Fatal("invalid surrogate accepted")
 	}
 }
-
-func TestCompareEmissions(t *testing.T) {
-	s := spec()
-	app := surrogateApp()
-	sg := goodSurrogate(s, app)
-	grid := units.GramsPerKWh(200)
-
-	// Below break-even the surrogate loses; above it wins.
-	below, err := CompareEmissions(s, app, sg, s.DefaultSetting(), cpu.PowerDeterminism, 100, grid, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if below.Saving.Grams() >= 0 {
-		t.Fatalf("surrogate won at 100 runs: %+v", below)
-	}
-	above, err := CompareEmissions(s, app, sg, s.DefaultSetting(), cpu.PowerDeterminism, 1000, grid, grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if above.Saving.Grams() <= 0 {
-		t.Fatalf("surrogate lost at 1000 runs: %+v", above)
-	}
-	if math.Abs(above.Saving.Grams()-(above.Conventional.Grams()-above.Surrogate.Grams())) > 1 {
-		t.Fatal("saving inconsistent")
-	}
-}
-
-func TestCompareEmissionsCleanTrainingWindow(t *testing.T) {
-	// Training in a clean-grid window (25 g/kWh) vs the production grid
-	// (250 g/kWh) shifts the emissions break-even well below the energy
-	// break-even — the scheduling lever the future-work discussion raises.
-	s := spec()
-	app := surrogateApp()
-	sg := goodSurrogate(s, app)
-	dirty := units.GramsPerKWh(250)
-	clean := units.GramsPerKWh(25)
-	runs := 120 // below the ~252-run energy break-even
-
-	sameGrid, err := CompareEmissions(s, app, sg, s.DefaultSetting(), cpu.PowerDeterminism, runs, dirty, dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleanTrain, err := CompareEmissions(s, app, sg, s.DefaultSetting(), cpu.PowerDeterminism, runs, clean, dirty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sameGrid.Saving.Grams() >= 0 {
-		t.Fatal("expected loss when training on the dirty grid below break-even")
-	}
-	if cleanTrain.Saving.Grams() <= 0 {
-		t.Fatal("expected win when training in the clean window")
-	}
-}
-
-func TestCompareEmissionsErrors(t *testing.T) {
-	s := spec()
-	app := surrogateApp()
-	sg := goodSurrogate(s, app)
-	if _, err := CompareEmissions(s, app, sg, s.DefaultSetting(), cpu.PowerDeterminism, -1,
-		units.GramsPerKWh(100), units.GramsPerKWh(100)); err == nil {
-		t.Fatal("negative runs accepted")
-	}
-	bad := sg
-	bad.SpeedupFactor = 0.5
-	if _, err := CompareEmissions(s, app, bad, s.DefaultSetting(), cpu.PowerDeterminism, 10,
-		units.GramsPerKWh(100), units.GramsPerKWh(100)); err == nil {
-		t.Fatal("invalid surrogate accepted")
-	}
-}

@@ -1,7 +1,6 @@
 // Package cooling models the facility thermal infrastructure: the six
 // Coolant Distribution Units (CDUs) and the per-cabinet overheads (power
-// supplies, rectifier losses, blowers) from the paper's Table 2, plus a
-// simple PUE-style overhead calculation.
+// supplies, rectifier losses, blowers) from the paper's Table 2.
 //
 // ARCHER2 is direct liquid cooled; the CDUs draw an essentially constant
 // 16 kW each regardless of IT load, while cabinet overheads scale mildly
@@ -62,19 +61,4 @@ func (p *Plant) CabinetOverhead(itLoad float64) units.Power {
 	per := p.cfg.CabinetIdle.Watts() +
 		itLoad*(p.cfg.CabinetMax.Watts()-p.cfg.CabinetIdle.Watts())
 	return units.Watts(per * float64(p.cfg.Cabinets))
-}
-
-// TotalPower returns CDU power plus cabinet overheads at the given IT load.
-func (p *Plant) TotalPower(itLoad float64) units.Power {
-	return units.Watts(p.CDUTotalPower().Watts() + p.CabinetOverhead(itLoad).Watts())
-}
-
-// PUE returns the power usage effectiveness given the IT power and this
-// plant's overhead at the corresponding load fraction: (IT + overhead)/IT.
-// It returns 0 for non-positive IT power.
-func (p *Plant) PUE(itPower units.Power, itLoad float64) float64 {
-	if itPower.Watts() <= 0 {
-		return 0
-	}
-	return (itPower.Watts() + p.TotalPower(itLoad).Watts()) / itPower.Watts()
 }

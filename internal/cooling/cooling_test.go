@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"github.com/greenhpc/archertwin/internal/units"
 )
 
 func TestCDUTotal(t *testing.T) {
@@ -42,45 +40,15 @@ func TestCabinetOverheadClamps(t *testing.T) {
 	}
 }
 
-func TestTotalPower(t *testing.T) {
-	p := New(ARCHER2Config())
-	got := p.TotalPower(1).Kilowatts()
-	want := p.CDUTotalPower().Kilowatts() + p.CabinetOverhead(1).Kilowatts()
-	if math.Abs(got-want) > 1e-9 {
-		t.Fatalf("total = %v, want %v", got, want)
-	}
-}
-
-func TestPUE(t *testing.T) {
-	p := New(ARCHER2Config())
-	// 3.2 MW IT at full load: PUE ~ 1 + ~300kW/3200kW ~ 1.09. Liquid-cooled
-	// systems have low PUE.
-	pue := p.PUE(units.Megawatts(3.2), 1)
-	if pue < 1.05 || pue > 1.15 {
-		t.Fatalf("PUE = %v, want ~1.09", pue)
-	}
-	if got := p.PUE(0, 1); got != 0 {
-		t.Fatalf("PUE with zero IT power = %v", got)
-	}
-}
-
-// Property: plant power is monotone in load and PUE > 1 for positive IT.
+// Property: cabinet overhead is monotone in load.
 func TestPropertyPlantMonotone(t *testing.T) {
 	p := New(ARCHER2Config())
-	f := func(a, b uint8, itKW uint16) bool {
+	f := func(a, b uint8) bool {
 		la, lb := float64(a)/255, float64(b)/255
 		if la > lb {
 			la, lb = lb, la
 		}
-		if p.TotalPower(la).Watts() > p.TotalPower(lb).Watts()+1e-9 {
-			return false
-		}
-		if itKW > 0 {
-			if p.PUE(units.Kilowatts(float64(itKW)), la) <= 1 {
-				return false
-			}
-		}
-		return true
+		return p.CabinetOverhead(la).Watts() <= p.CabinetOverhead(lb).Watts()+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)

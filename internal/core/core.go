@@ -210,67 +210,6 @@ func (c *CarbonConfig) Trace(from, to time.Time) (*timeseries.Series, error) {
 	return c.Model.Trace(from, to, c.step(), rng.New(c.TraceSeed))
 }
 
-// Clone returns a deep copy of the configuration: the windows, timeline
-// (including its pointer-valued change fields), CPU spec and fleet
-// variant are all copied. A plain struct copy of Config aliases all of
-// those; callers deriving several experiment configurations from one
-// baseline (and possibly running them concurrently) should clone instead.
-func (c Config) Clone() Config {
-	out := c
-	if c.Facility.CPU != nil {
-		spec := *c.Facility.CPU
-		spec.PStates = append([]cpu.PState(nil), c.Facility.CPU.PStates...)
-		out.Facility.CPU = &spec
-	}
-	if c.Facility.Partitions != nil {
-		out.Facility.Partitions = append([]facility.Partition(nil), c.Facility.Partitions...)
-		for i := range out.Facility.Partitions {
-			if p := out.Facility.Partitions[i].CPU; p != nil {
-				spec := *p
-				spec.PStates = append([]cpu.PState(nil), p.PStates...)
-				out.Facility.Partitions[i].CPU = &spec
-			}
-		}
-	}
-	if c.Surrogate != nil {
-		sc := *c.Surrogate
-		out.Surrogate = &sc
-	}
-	out.Windows = append([]Window(nil), c.Windows...)
-	if c.Timeline.Changes != nil {
-		out.Timeline.Changes = make([]policy.Change, len(c.Timeline.Changes))
-		for i, ch := range c.Timeline.Changes {
-			cc := ch
-			if ch.Mode != nil {
-				m := *ch.Mode
-				cc.Mode = &m
-			}
-			if ch.Setting != nil {
-				s := *ch.Setting
-				cc.Setting = &s
-			}
-			out.Timeline.Changes[i] = cc
-		}
-	}
-	if c.FleetVariant != nil {
-		v := *c.FleetVariant
-		out.FleetVariant = &v
-	}
-	if c.Carbon != nil {
-		cc := *c.Carbon
-		out.Carbon = &cc
-	}
-	out.Priorities = append([]workload.PriorityClass(nil), c.Priorities...)
-	if c.Sched.Reservations != nil {
-		out.Sched.Reservations = make([]sched.Reservation, len(c.Sched.Reservations))
-		for i, r := range c.Sched.Reservations {
-			r.Nodes = append([]int(nil), r.Nodes...)
-			out.Sched.Reservations[i] = r
-		}
-	}
-	return out
-}
-
 // FailureConfig parameterises random node failures.
 type FailureConfig struct {
 	// MTBFPerNode is one node's mean time between failures (0 disables
@@ -754,9 +693,6 @@ func (s *Simulator) Scheduler() *sched.Scheduler { return s.sch }
 // Engine exposes the simulation engine (e.g. to inject failures).
 func (s *Simulator) Engine() *des.Engine { return s.eng }
 
-// Provider exposes the policy provider.
-func (s *Simulator) Provider() *policy.Provider { return s.provider }
-
 // Run executes the timeline to the configured end and gathers results.
 // A simulator can only run once.
 func (s *Simulator) Run() (*Results, error) {
@@ -897,9 +833,6 @@ func ScaledConfig(nodes int, start time.Time, days int) Config {
 		sw = 1
 	}
 	cfg.Facility.Interconnect.Switches = sw
-	if cfg.Facility.Interconnect.Groups > sw {
-		cfg.Facility.Interconnect.Groups = sw
-	}
 	cab := int(float64(cfg.Facility.Cabinets)*frac + 0.5)
 	if cab < 1 {
 		cab = 1

@@ -282,39 +282,6 @@ func TestMixScaleReported(t *testing.T) {
 	}
 }
 
-func TestConfigClone(t *testing.T) {
-	orig := DefaultConfig()
-	orig.FleetVariant = &apps.Variant{Name: "v", Speedup: 1.1, CoreActivityFactor: 1.0}
-	clone := orig.Clone()
-
-	// Mutating the clone's shared-pointer state must not touch the original.
-	clone.Facility.CPU.PStates[0].Voltage = 0.5
-	clone.Windows[0].Label = "mutated"
-	*clone.Timeline.Changes[0].Mode = cpu.PowerDeterminism
-	*clone.Timeline.Changes[1].Setting = cpu.FreqSetting{Base: units.Gigahertz(1.5)}
-	clone.FleetVariant.Speedup = 9
-
-	if orig.Facility.CPU.PStates[0].Voltage == 0.5 {
-		t.Error("clone shares CPU spec P-states")
-	}
-	if orig.Windows[0].Label == "mutated" {
-		t.Error("clone shares windows")
-	}
-	if *orig.Timeline.Changes[0].Mode == cpu.PowerDeterminism {
-		t.Error("clone shares timeline mode pointer")
-	}
-	if orig.Timeline.Changes[1].Setting.Base == units.Gigahertz(1.5) {
-		t.Error("clone shares timeline setting pointer")
-	}
-	if orig.FleetVariant.Speedup == 9 {
-		t.Error("clone shares fleet variant")
-	}
-	// And the clone must still be a valid, runnable configuration.
-	if err := orig.Clone().Validate(); err != nil {
-		t.Errorf("clone invalid: %v", err)
-	}
-}
-
 func TestRunConfig(t *testing.T) {
 	cfg := ScaledConfig(32, t0, 2)
 	cfg.Windows = []Window{{Label: "w", From: t0.AddDate(0, 0, 1), To: t0.AddDate(0, 0, 2)}}

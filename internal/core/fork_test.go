@@ -191,7 +191,7 @@ func TestForkDivergedTimelineMatchesColdBranch(t *testing.T) {
 	// The branch flips the BIOS mode back at the divergence point —
 	// inserted between the base config's day-1 and day-4 changes so the
 	// timeline stays in date order.
-	branch := cfg.Clone()
+	branch := forkTestConfig(7, 32, 5, true, true, "delay-flexible")
 	powDet := cpu.PowerDeterminism
 	branch.Timeline.Changes = []policy.Change{
 		branch.Timeline.Changes[0],
@@ -331,7 +331,7 @@ func TestForkValidation(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
-			bad := cfg.Clone()
+			bad := forkTestConfig(3, 16, 3, false, false, "")
 			mutate(&bad)
 			if _, err := Fork(snap, bad); err == nil {
 				t.Errorf("Fork accepted a config with mutated %s", name)
@@ -341,7 +341,7 @@ func TestForkValidation(t *testing.T) {
 
 	// Changing the future is allowed (dated after every existing change,
 	// keeping the timeline in order).
-	ok := cfg.Clone()
+	ok := forkTestConfig(3, 16, 3, false, false, "")
 	capped := ok.Facility.CPU.CappedSetting()
 	ok.Timeline.Changes = append(ok.Timeline.Changes,
 		policy.Change{At: t0.Add(60 * time.Hour), Setting: &capped})

@@ -73,9 +73,6 @@ type repairSnap struct {
 	seq uint64
 }
 
-// Time returns the virtual time the snapshot was taken at.
-func (snap *Snapshot) Time() time.Time { return snap.t }
-
 // Snapshot captures the simulator's state at the current virtual time.
 // The simulator must be quiescent — positioned by RunTo, not mid-event —
 // and must not have finished a Run. The simulator itself is unaffected

@@ -269,17 +269,11 @@ func (f *Facility) PartitionOfNode(i int) int {
 // Node returns node i.
 func (f *Facility) Node(i int) *node.Node { return f.nodes[i] }
 
-// Nodes returns the node slice (shared; callers must not reorder it).
-func (f *Facility) Nodes() []*node.Node { return f.nodes }
-
 // Fabric returns the interconnect.
 func (f *Facility) Fabric() *interconnect.Fabric { return f.fabric }
 
 // Storage returns the file-system fleet.
 func (f *Facility) Storage() *storage.Fleet { return f.fs }
-
-// Plant returns the cooling plant.
-func (f *Facility) Plant() *cooling.Plant { return f.plant }
 
 // ComputeNodePower returns the instantaneous power of all compute nodes.
 // Each node's draw is cached (see node.Power), so this is a linear sweep
@@ -310,14 +304,6 @@ func (f *Facility) CabinetPower() units.Power {
 	return units.Watts(f.ComputeNodePower().Watts() + f.fabric.TotalPower().Watts())
 }
 
-// TotalPower returns the whole-facility power: cabinets + cabinet
-// overheads + CDUs + file systems.
-func (f *Facility) TotalPower() units.Power {
-	it := f.CabinetPower()
-	over := f.plant.TotalPower(f.Utilisation())
-	return units.Watts(it.Watts() + over.Watts() + f.fs.TotalPower().Watts())
-}
-
 // AccrueEnergy integrates the fleet ledger's compute energy up to `at`
 // (used before reading facility-wide energy totals).
 func (f *Facility) AccrueEnergy(at time.Time) { f.counters.Accrue(at) }
@@ -325,30 +311,6 @@ func (f *Facility) AccrueEnergy(at time.Time) { f.counters.Accrue(at) }
 // ComputeEnergy returns the cumulative compute-node energy up to the
 // ledger's last accrual.
 func (f *Facility) ComputeEnergy() units.Energy { return f.counters.Energy }
-
-// SetModeAll switches the BIOS determinism mode on every node, as the
-// ARCHER2 operators did across the system in May 2022.
-func (f *Facility) SetModeAll(m cpu.Mode, at time.Time) {
-	for _, n := range f.nodes {
-		n.SetMode(m, at)
-	}
-}
-
-// SetDefaultFrequencyAll changes the frequency setting of every primary-
-// partition node (the system frequency policy governs the CPU partition;
-// extra partitions keep their own spec's default setting). The per-job
-// override policy is layered on top by the policy package.
-func (f *Facility) SetDefaultFrequencyAll(fs cpu.FreqSetting, at time.Time) error {
-	if err := f.cfg.CPU.ValidateSetting(fs); err != nil {
-		return err
-	}
-	for _, n := range f.nodes[:f.parts[0].Nodes] {
-		if err := n.SetFrequency(fs, at); err != nil {
-			return err
-		}
-	}
-	return nil
-}
 
 // ComponentRow is one row of the Table 2 breakdown.
 type ComponentRow struct {

@@ -127,9 +127,6 @@ func TestUtilisationAndPower(t *testing.T) {
 	if halfCab <= idleCab {
 		t.Fatalf("cabinet power did not rise: %v -> %v", idleCab, halfCab)
 	}
-	if f.TotalPower().Watts() <= f.CabinetPower().Watts() {
-		t.Fatal("total power not above cabinet power")
-	}
 }
 
 func TestUtilisationExcludesDownNodes(t *testing.T) {
@@ -142,42 +139,6 @@ func TestUtilisationExcludesDownNodes(t *testing.T) {
 	}
 	if u := f.Utilisation(); math.Abs(u-1.0) > 1e-9 {
 		t.Fatalf("utilisation with down nodes = %v, want 1.0", u)
-	}
-}
-
-func TestSetModeAllReducesPower(t *testing.T) {
-	f := newFacility(t, small())
-	for i := 0; i < 100; i++ {
-		f.Node(i).StartWork(TypicalLoadedActivity, t0)
-	}
-	before := f.ComputeNodePower().Watts()
-	f.SetModeAll(cpu.PerformanceDeterminism, t0.Add(time.Minute))
-	after := f.ComputeNodePower().Watts()
-	rel := (before - after) / before
-	// Core dynamic is ~36% of a typical loaded node; an 18% die-factor cut
-	// gives ~6-8% node power reduction.
-	if rel < 0.03 || rel > 0.12 {
-		t.Fatalf("mode change reduction = %v, want ~0.06", rel)
-	}
-}
-
-func TestSetDefaultFrequencyAll(t *testing.T) {
-	f := newFacility(t, small())
-	for i := 0; i < 100; i++ {
-		f.Node(i).StartWork(TypicalLoadedActivity, t0)
-	}
-	f.SetModeAll(cpu.PerformanceDeterminism, t0)
-	before := f.ComputeNodePower().Watts()
-	if err := f.SetDefaultFrequencyAll(f.Config().CPU.CappedSetting(), t0.Add(time.Minute)); err != nil {
-		t.Fatal(err)
-	}
-	after := f.ComputeNodePower().Watts()
-	if after >= before {
-		t.Fatalf("frequency cap did not reduce power: %v -> %v", before, after)
-	}
-	bad := cpu.FreqSetting{Base: f.Config().CPU.PStates[0].Freq, Boost: true}
-	if err := f.SetDefaultFrequencyAll(bad, t0.Add(2*time.Minute)); err == nil {
-		t.Fatal("invalid setting accepted")
 	}
 }
 
@@ -195,8 +156,10 @@ func TestEnergyAccounting(t *testing.T) {
 func TestDeterministicConstruction(t *testing.T) {
 	a := newFacility(t, small())
 	b := newFacility(t, small())
-	a.SetModeAll(cpu.PerformanceDeterminism, t0)
-	b.SetModeAll(cpu.PerformanceDeterminism, t0)
+	for i := 0; i < a.NodeCount(); i++ {
+		a.Node(i).SetMode(cpu.PerformanceDeterminism, t0)
+		b.Node(i).SetMode(cpu.PerformanceDeterminism, t0)
+	}
 	if a.ComputeNodePower() != b.ComputeNodePower() {
 		t.Fatal("same-seed facilities differ")
 	}

@@ -84,12 +84,6 @@ func (e ErrorModel) draw(issue, target time.Time) float64 {
 	return e.Bias + r.Normal(0, s)
 }
 
-// Point is one forecast sample.
-type Point struct {
-	T  time.Time
-	CI units.CarbonIntensity
-}
-
 // Forecaster answers carbon-intensity forecast queries against a trace.
 type Forecaster struct {
 	trace *timeseries.Series
@@ -110,21 +104,8 @@ func New(trace *timeseries.Series, em ErrorModel) (*Forecaster, error) {
 	return &Forecaster{trace: trace, em: em}, nil
 }
 
-// Perfect builds a perfect-information forecaster: every query returns
-// the true trace value. It is the reference the error model is tested
-// against (a zero ErrorModel is equivalent by construction).
-func Perfect(trace *timeseries.Series) (*Forecaster, error) {
-	return New(trace, ErrorModel{})
-}
-
 // Step returns the trace sampling step used for window searches.
 func (f *Forecaster) Step() time.Duration { return f.trace.Step() }
-
-// Span returns the trace's covered time span.
-func (f *Forecaster) Span() (from, to time.Time) {
-	from, to, _ = f.trace.Span()
-	return from, to
-}
 
 // At forecasts the intensity at target as seen from issue. ok is false
 // when target precedes the trace (no value is in force yet); queries past
@@ -149,20 +130,6 @@ func (f *Forecaster) At(issue, target time.Time) (units.CarbonIntensity, bool) {
 // Now returns the true intensity in force at t (zero-horizon query).
 func (f *Forecaster) Now(t time.Time) (units.CarbonIntensity, bool) {
 	return f.At(t, t)
-}
-
-// Horizon returns the forecast curve from issue (inclusive) out to
-// issue+horizon, at the trace step.
-func (f *Forecaster) Horizon(issue time.Time, horizon time.Duration) []Point {
-	var out []Point
-	for t := issue; !t.After(issue.Add(horizon)); t = t.Add(f.Step()) {
-		ci, ok := f.At(issue, t)
-		if !ok {
-			continue
-		}
-		out = append(out, Point{T: t, CI: ci})
-	}
-	return out
 }
 
 // MeanOver returns the forecast mean intensity over [start, start+dur) as

@@ -30,10 +30,6 @@ func TestZeroErrorEqualsTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := Perfect(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
 	issue := t0.Add(6 * time.Hour)
 	for h := time.Duration(0); h <= 48*time.Hour; h += 90 * time.Minute {
 		target := issue.Add(h)
@@ -41,10 +37,6 @@ func TestZeroErrorEqualsTruth(t *testing.T) {
 		got, ok := f.At(issue, target)
 		if !ok || got.GramsPerKWh() != want {
 			t.Fatalf("zero-error forecast at horizon %v: got %v want %v (ok=%v)", h, got, want, ok)
-		}
-		pg, _ := p.At(issue, target)
-		if pg != got {
-			t.Fatalf("Perfect differs from zero ErrorModel at horizon %v", h)
 		}
 	}
 }
@@ -133,7 +125,7 @@ func TestBestStartFindsTrough(t *testing.T) {
 		}
 		s.MustAppend(t0.Add(time.Duration(i)*30*time.Minute), v)
 	}
-	f, err := Perfect(s)
+	f, err := New(s, ErrorModel{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +144,7 @@ func TestBestStartFindsTrough(t *testing.T) {
 	for i := 0; i < 48; i++ {
 		flat.MustAppend(t0.Add(time.Duration(i)*30*time.Minute), 100)
 	}
-	pf, _ := Perfect(flat)
+	pf, _ := New(flat, ErrorModel{})
 	start, _, _ = pf.BestStart(t0.Add(time.Hour), 12*time.Hour, time.Hour)
 	if !start.Equal(t0.Add(time.Hour)) {
 		t.Errorf("flat trace did not resolve tie to earliest start: %v", start)

@@ -74,12 +74,13 @@ func TestPriceTrace(t *testing.T) {
 	if prices.Len() != tr.Len() {
 		t.Fatalf("price samples = %d, want %d", prices.Len(), tr.Len())
 	}
-	sum := prices.Summary()
-	if sum.Min < pm.Min-1e-12 {
-		t.Fatalf("price below floor: %v", sum.Min)
+	for i := 0; i < prices.Len(); i++ {
+		if p := prices.At(i).V; p < pm.Min-1e-12 {
+			t.Fatalf("price below floor: %v", p)
+		}
 	}
-	if sum.Mean < 0.1 || sum.Mean > 0.5 {
-		t.Fatalf("mean price = %v, want ~0.25", sum.Mean)
+	if mean := prices.Mean(); mean < 0.1 || mean > 0.5 {
+		t.Fatalf("mean price = %v, want ~0.25", mean)
 	}
 	bad := pm
 	bad.Base = 0

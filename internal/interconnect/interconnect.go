@@ -1,8 +1,6 @@
-// Package interconnect models the ARCHER2 Slingshot network: 768 switches
-// in a dragonfly topology, with the load-insensitive switch power behaviour
-// the paper reports ("steady at 200-250 W irrespective of system load",
-// §5) and enough topology structure (groups, global/local links, hop
-// counts) to support communication-aware application models and ablations.
+// Package interconnect models the power of the ARCHER2 Slingshot network:
+// 768 switches with the load-insensitive switch power behaviour the paper
+// reports ("steady at 200-250 W irrespective of system load", §5).
 package interconnect
 
 import (
@@ -11,15 +9,10 @@ import (
 	"github.com/greenhpc/archertwin/internal/units"
 )
 
-// Config describes a dragonfly fabric.
+// Config describes a switch fleet.
 type Config struct {
 	// Switches is the total switch count (ARCHER2: 768).
 	Switches int
-	// Groups is the number of dragonfly groups.
-	Groups int
-	// NodesPerSwitch is the number of compute-node endpoints per switch
-	// (each ARCHER2 node has 2 NICs; 16 nodes' NICs land on each switch).
-	NodesPerSwitch int
 
 	// SwitchIdlePower is a switch's draw with no traffic. The paper gives
 	// the fleet range 100-200 kW idle for 768 switches (130-260 W each).
@@ -30,23 +23,18 @@ type Config struct {
 	SwitchLoadedPower units.Power
 }
 
-// ARCHER2Config returns the paper's Slingshot deployment: 768 switches in a
-// dragonfly over 23 cabinet-groups.
+// ARCHER2Config returns the paper's Slingshot deployment: 768 switches.
 func ARCHER2Config() Config {
 	return Config{
 		Switches:          768,
-		Groups:            23,
-		NodesPerSwitch:    8, // 5860 nodes / 768 switches ~ 7.6, rounded up
 		SwitchIdlePower:   units.Watts(200),
 		SwitchLoadedPower: units.Watts(260),
 	}
 }
 
-// Fabric is an instantiated dragonfly network.
+// Fabric is an instantiated switch fleet.
 type Fabric struct {
 	cfg Config
-	// switchGroup[i] is the group of switch i.
-	switchGroup []int
 	// load is the current fleet-wide traffic level in [0, 1].
 	load float64
 }
@@ -54,63 +42,18 @@ type Fabric struct {
 // New builds a fabric from cfg. It returns an error for inconsistent
 // configurations.
 func New(cfg Config) (*Fabric, error) {
-	if cfg.Switches <= 0 || cfg.Groups <= 0 || cfg.Groups > cfg.Switches {
-		return nil, fmt.Errorf("interconnect: invalid topology %d switches / %d groups",
-			cfg.Switches, cfg.Groups)
+	if cfg.Switches <= 0 {
+		return nil, fmt.Errorf("interconnect: invalid switch count %d", cfg.Switches)
 	}
 	if cfg.SwitchLoadedPower.Watts() < cfg.SwitchIdlePower.Watts() {
 		return nil, fmt.Errorf("interconnect: loaded power %v below idle %v",
 			cfg.SwitchLoadedPower, cfg.SwitchIdlePower)
 	}
-	f := &Fabric{cfg: cfg, switchGroup: make([]int, cfg.Switches)}
-	for i := range f.switchGroup {
-		f.switchGroup[i] = i * cfg.Groups / cfg.Switches
-	}
-	return f, nil
+	return &Fabric{cfg: cfg}, nil
 }
-
-// Config returns the fabric configuration.
-func (f *Fabric) Config() Config { return f.cfg }
 
 // SwitchCount returns the number of switches.
 func (f *Fabric) SwitchCount() int { return f.cfg.Switches }
-
-// GroupOfSwitch returns the dragonfly group of switch i.
-func (f *Fabric) GroupOfSwitch(i int) int { return f.switchGroup[i] }
-
-// SwitchesInGroup returns how many switches are in group g.
-func (f *Fabric) SwitchesInGroup(g int) int {
-	n := 0
-	for _, sg := range f.switchGroup {
-		if sg == g {
-			n++
-		}
-	}
-	return n
-}
-
-// GroupOfNode maps a compute node index to its dragonfly group, assuming
-// nodes are packed into groups in ID order (as in cabinet wiring).
-func (f *Fabric) GroupOfNode(nodeID, totalNodes int) int {
-	if totalNodes <= 0 {
-		return 0
-	}
-	g := nodeID * f.cfg.Groups / totalNodes
-	if g >= f.cfg.Groups {
-		g = f.cfg.Groups - 1
-	}
-	return g
-}
-
-// Hops returns the minimal dragonfly hop count between two groups:
-// 1 within a switch's reach, 2 within a group, 3 across groups (local -
-// global - local).
-func (f *Fabric) Hops(groupA, groupB int) int {
-	if groupA == groupB {
-		return 2
-	}
-	return 3
-}
 
 // SetLoad updates the fleet traffic level (clamped to [0, 1]). The paper's
 // observation is that power barely responds; modelling it lets the

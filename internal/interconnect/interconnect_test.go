@@ -36,10 +36,9 @@ func TestARCHER2Config(t *testing.T) {
 
 func TestInvalidConfigs(t *testing.T) {
 	bad := []Config{
-		{Switches: 0, Groups: 1},
-		{Switches: 4, Groups: 0},
-		{Switches: 4, Groups: 8},
-		{Switches: 4, Groups: 2,
+		{Switches: 0},
+		{Switches: -1},
+		{Switches: 4,
 			SwitchIdlePower: units.Watts(250), SwitchLoadedPower: units.Watts(200)},
 	}
 	for i, cfg := range bad {
@@ -89,59 +88,6 @@ func TestTotalPowerScalesWithCount(t *testing.T) {
 	want := f.SwitchPower().Watts() * 768
 	if got := f.TotalPower().Watts(); math.Abs(got-want) > 1e-6 {
 		t.Fatalf("total = %v, want %v", got, want)
-	}
-}
-
-func TestGroupAssignment(t *testing.T) {
-	f := mustNew(t)
-	// Every switch belongs to a valid group and groups are balanced.
-	counts := make(map[int]int)
-	for i := 0; i < f.SwitchCount(); i++ {
-		g := f.GroupOfSwitch(i)
-		if g < 0 || g >= f.Config().Groups {
-			t.Fatalf("switch %d in invalid group %d", i, g)
-		}
-		counts[g]++
-	}
-	if len(counts) != f.Config().Groups {
-		t.Fatalf("only %d groups populated", len(counts))
-	}
-	min, max := 1<<30, 0
-	for g := 0; g < f.Config().Groups; g++ {
-		c := f.SwitchesInGroup(g)
-		if c < min {
-			min = c
-		}
-		if c > max {
-			max = c
-		}
-	}
-	if max-min > 1 {
-		t.Fatalf("group sizes unbalanced: min %d max %d", min, max)
-	}
-}
-
-func TestGroupOfNode(t *testing.T) {
-	f := mustNew(t)
-	total := 5860
-	if g := f.GroupOfNode(0, total); g != 0 {
-		t.Fatalf("first node group = %d", g)
-	}
-	if g := f.GroupOfNode(total-1, total); g != f.Config().Groups-1 {
-		t.Fatalf("last node group = %d", g)
-	}
-	if g := f.GroupOfNode(0, 0); g != 0 {
-		t.Fatalf("degenerate GroupOfNode = %d", g)
-	}
-}
-
-func TestHops(t *testing.T) {
-	f := mustNew(t)
-	if got := f.Hops(3, 3); got != 2 {
-		t.Fatalf("intra-group hops = %d", got)
-	}
-	if got := f.Hops(1, 5); got != 3 {
-		t.Fatalf("inter-group hops = %d", got)
 	}
 }
 

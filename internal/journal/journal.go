@@ -608,9 +608,6 @@ func (l *Log) Appended() int64 {
 	return l.appended
 }
 
-// Dir returns the journal directory.
-func (l *Log) Dir() string { return l.dir }
-
 // Close flushes, fsyncs and closes the log. A poisoned (crashed) log
 // returns ErrCrashed without touching the file — the simulated process
 // is already dead.

@@ -303,12 +303,6 @@ func (n *Node) StopWork(at time.Time) {
 // PerfFactor returns the node's current per-die performance factor.
 func (n *Node) PerfFactor() float64 { return n.perfFactor }
 
-// Sockets returns the node's socket (or GPU module) count.
-func (n *Node) Sockets() int { return n.sockets }
-
-// Board returns the node's frequency-independent board power.
-func (n *Node) Board() units.Power { return units.Watts(n.boardW) }
-
 // Power returns the node's current power draw: both sockets plus board.
 // A Down node draws no power (powered off); Draining nodes draw normally.
 // The value is cached across reads and refreshed on state mutations, so

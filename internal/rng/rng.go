@@ -120,11 +120,6 @@ func (r *Stream) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Uniform returns a uniform value in [lo, hi).
-func (r *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*r.Float64()
-}
-
 // Normal returns a normally distributed value with the given mean and
 // standard deviation (Marsaglia polar method, one value per call).
 func (r *Stream) Normal(mean, stddev float64) float64 {
@@ -168,18 +163,6 @@ func (r *Stream) Exp(rate float64) float64 {
 		u = math.SmallestNonzeroFloat64
 	}
 	return -math.Log(u) / rate
-}
-
-// BoundedPareto returns a value from a bounded Pareto distribution on
-// [lo, hi] with shape alpha > 0. Used for heavy-tailed job sizes.
-func (r *Stream) BoundedPareto(alpha, lo, hi float64) float64 {
-	if alpha <= 0 || lo <= 0 || hi <= lo {
-		panic("rng: BoundedPareto parameters invalid")
-	}
-	u := r.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 }
 
 // Categorical draws an index with probability proportional to weights[i].
@@ -230,16 +213,3 @@ func (c *Categorical) Draw(r *Stream) int {
 
 // Len returns the number of categories.
 func (c *Categorical) Len() int { return len(c.cum) }
-
-// Perm returns a deterministic pseudo-random permutation of [0, n).
-func (r *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}

@@ -174,31 +174,6 @@ func TestExpPanics(t *testing.T) {
 	New(1).Exp(0)
 }
 
-func TestBoundedParetoRange(t *testing.T) {
-	r := New(23)
-	for i := 0; i < 10000; i++ {
-		v := r.BoundedPareto(1.2, 1, 1024)
-		if v < 1 || v > 1024 {
-			t.Fatalf("BoundedPareto out of range: %v", v)
-		}
-	}
-}
-
-func TestBoundedParetoHeavyTail(t *testing.T) {
-	// Most mass should be near the lower bound for alpha > 1.
-	r := New(29)
-	small := 0
-	n := 10000
-	for i := 0; i < n; i++ {
-		if r.BoundedPareto(1.5, 1, 1024) < 8 {
-			small++
-		}
-	}
-	if float64(small)/float64(n) < 0.8 {
-		t.Fatalf("only %d/%d draws below 8; tail too light", small, n)
-	}
-}
-
 func TestCategorical(t *testing.T) {
 	c := NewCategorical([]float64{1, 0, 3})
 	r := New(31)
@@ -233,18 +208,6 @@ func TestCategoricalPanics(t *testing.T) {
 			}()
 			NewCategorical(weights)
 		}()
-	}
-}
-
-func TestPerm(t *testing.T) {
-	r := New(37)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation element %d", v)
-		}
-		seen[v] = true
 	}
 }
 

@@ -122,9 +122,10 @@ type Runner struct {
 	// NoFork disables checkpoint/fork execution of mid-sweep divergence
 	// families (specs sweeping Axes.MidFrequency): with NoFork set, every
 	// branch simulates cold from day zero instead of forking from the
-	// shared prefix snapshot. Results are byte-identical either way — the
-	// golden suite pins that — so the knob exists for A/B benchmarking and
-	// as an operational escape hatch, not for correctness.
+	// shared prefix snapshot. Results are byte-identical either way, so
+	// no program sets it: it selects the cold reference that
+	// TestGoldenForkSweep compares the forked path against and that
+	// BenchmarkColdSweep times.
 	NoFork bool
 
 	// runCfg executes one simulation; nil means core.RunConfigContext.

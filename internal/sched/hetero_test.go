@@ -178,6 +178,43 @@ func TestHeterogeneousBackfillAcrossPartitions(t *testing.T) {
 	}
 }
 
+// EASY on a heterogeneous machine must not count another partition's
+// releases toward the head's spare nodes, with or without a reservation
+// installed: a same-partition candidate that outlives the head's shadow
+// stays queued, and the head starts when its own partition frees up.
+func TestHeterogeneousShadowIgnoresOtherPartitions(t *testing.T) {
+	run := func(reserve bool) *Job {
+		cfg := DefaultConfig()
+		cfg.BackfillDepth = 4
+		r := newHeteroRig(t, 8, 4, cfg)
+		cpuJob := r.s.Submit(r.partSpec(1, 0, 6, 10*time.Hour))
+		aiJob := r.s.Submit(r.partSpec(2, 1, 4, time.Hour))
+		if cpuJob.State != Running || aiJob.State != Running {
+			t.Fatal("setup jobs should run")
+		}
+		if reserve {
+			if err := r.s.AddReservation(Reservation{Name: "later", Nodes: []int{0},
+				From: t0.Add(1000 * time.Hour), To: t0.Add(1001 * time.Hour)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		head := r.s.Submit(r.partSpec(3, 0, 8, time.Hour))
+		cand := r.s.Submit(r.partSpec(4, 0, 2, 40*time.Hour))
+		if cand.State != Queued {
+			t.Fatalf("reservation %v: candidate %v at t0, want queued (it would delay the head)", reserve, cand.State)
+		}
+		r.eng.Run()
+		if !head.Start.Equal(cpuJob.End) {
+			t.Fatalf("reservation %v: head started %v, want the CPU job's end %v", reserve, head.Start, cpuJob.End)
+		}
+		return head
+	}
+	plainHead, resvHead := run(false), run(true)
+	if !resvHead.Start.Equal(plainHead.Start) {
+		t.Fatalf("a pending reservation moved the head from %v to %v", plainHead.Start, resvHead.Start)
+	}
+}
+
 // Preemption for a high-priority head only evicts victims in the head's
 // partition.
 func TestHeterogeneousPreemptionStaysInPartition(t *testing.T) {

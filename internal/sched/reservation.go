@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"github.com/greenhpc/archertwin/internal/des"
+	"github.com/greenhpc/archertwin/internal/facility"
 	"github.com/greenhpc/archertwin/internal/node"
 )
 
@@ -65,9 +66,6 @@ func (s *Scheduler) AddReservation(r Reservation) error {
 	}
 	r.Nodes = nodes[:w]
 
-	// Even a pending reservation moves the EASY shadow onto the merged
-	// release profile.
-	s.settled = false
 	rs := &resvState{res: r}
 	s.resvs = append(s.resvs, rs)
 	if r.From.After(now) {
@@ -175,6 +173,20 @@ func (s *Scheduler) capture(rs *resvState, id int) {
 	rs.count++
 }
 
+// capturedIn returns how many of rs's captured nodes lie in partition p.
+func (s *Scheduler) capturedIn(rs *resvState, p facility.PartitionInfo) int {
+	n := 0
+	for _, id := range rs.res.Nodes[sort.SearchInts(rs.res.Nodes, p.Start):] {
+		if id >= p.End() {
+			break
+		}
+		if s.captured[id] == rs {
+			n++
+		}
+	}
+	return n
+}
+
 // uncapture removes id from rs's ledger. Callers adjust upNodes and the
 // free set: a window end returns the node to both, a failure to neither.
 func (s *Scheduler) uncapture(rs *resvState, id int) {
@@ -213,23 +225,35 @@ func (s *Scheduler) releasable(rj *Job) int {
 }
 
 // mergedShadow computes the EASY shadow point (time and spare nodes)
-// when reservations are in play: future node releases come both from
-// running jobs (their non-draining nodes, at End) and from started
-// reservations (their captured nodes, at To), merged in time order.
-func (s *Scheduler) mergedShadow(avail, need int) (time.Time, int) {
+// of a head job in partition part when reservations are in play: future
+// node releases come both from running jobs (their non-draining nodes,
+// at End) and from started reservations (their captured nodes, at To),
+// merged in time order. On a heterogeneous facility only releases inside
+// part count.
+func (s *Scheduler) mergedShadow(avail, need, part int) (time.Time, int) {
 	type release struct {
 		at time.Time
 		n  int
 	}
 	var rel []release
 	for _, rj := range s.running {
+		if s.hetero() && s.partOf(rj) != part {
+			continue
+		}
 		if n := s.releasable(rj); n > 0 {
 			rel = append(rel, release{at: rj.End, n: n})
 		}
 	}
 	for _, rs := range s.resvs {
-		if rs.started && rs.count > 0 {
-			rel = append(rel, release{at: rs.res.To, n: rs.count})
+		if !rs.started || rs.count == 0 {
+			continue
+		}
+		n := rs.count
+		if s.hetero() {
+			n = s.capturedIn(rs, s.parts[part])
+		}
+		if n > 0 {
+			rel = append(rel, release{at: rs.res.To, n: n})
 		}
 	}
 	sort.SliceStable(rel, func(i, j int) bool { return rel[i].at.Before(rel[j].at) })

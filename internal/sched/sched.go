@@ -814,11 +814,10 @@ func (s *Scheduler) backfill(now time.Time) {
 		// With reservations the release order must merge two sources:
 		// running jobs return only their non-draining nodes at End, and
 		// each started reservation returns its captured nodes at To. On a
-		// heterogeneous facility the merged profile stays fleet-global (a
-		// conservative shadow: releases in other partitions can only move
-		// it earlier, and same-partition fit is still enforced per
-		// candidate below).
-		shadow, extra = s.mergedShadow(avail, head.Spec.Nodes)
+		// heterogeneous facility both count only releases inside the
+		// head's partition, as above: another partition's release never
+		// frees a node the head can use.
+		shadow, extra = s.mergedShadow(avail, head.Spec.Nodes, headPart)
 	}
 	if shadow.IsZero() {
 		// Head can never fit (should have been dropped at submit).

@@ -64,7 +64,6 @@ func TestSettledSkipInvalidation(t *testing.T) {
 	const filler = 100 // far-back submissions: 8 nodes, never startable in time
 	cases := []struct {
 		name     string
-		aiNodes  int                // AI partition size (0: homogeneous)
 		temporal TemporalPolicy     // nil: greedy
 		setup    func(r *settleRig) // history; ends settled (or, for temporal, consulted)
 		change   func(r *settleRig) // the out-of-pass change plus a far-back submit
@@ -126,28 +125,6 @@ func TestSettledSkipInvalidation(t *testing.T) {
 			},
 			change: func(r *settleRig) {
 				if _, err := r.s.ReclockRunning(r.spec.CappedSetting()); err != nil {
-					r.t.Fatal(err)
-				}
-				r.submit(filler+1, 8, time.Hour)
-			},
-		},
-		{
-			// A pending reservation switches the shadow to the merged,
-			// fleet-wide release profile, which counts the AI job's nodes
-			// as spare.
-			name:    "AddReservation",
-			aiNodes: 4,
-			setup: func(r *settleRig) {
-				r.s.Submit(workload.JobSpec{ID: 1, Class: "settle", App: r.app, Nodes: 4,
-					RefRuntime: time.Hour, Partition: 1})
-				r.submit(2, 6, 10*time.Hour)
-				r.submit(3, 8, time.Hour)
-				r.submit(4, 2, 40*time.Hour)
-				r.submit(filler, 8, time.Hour)
-			},
-			change: func(r *settleRig) {
-				if err := r.s.AddReservation(Reservation{Name: "later", Nodes: []int{0},
-					From: t0.Add(100 * time.Hour), To: t0.Add(101 * time.Hour)}); err != nil {
 					r.t.Fatal(err)
 				}
 				r.submit(filler+1, 8, time.Hour)
@@ -235,10 +212,6 @@ func TestSettledSkipInvalidation(t *testing.T) {
 			build := func() *settleRig {
 				fcfg := facility.ARCHER2()
 				fcfg.Nodes = 10
-				if tc.aiNodes > 0 {
-					fcfg.Nodes = 8
-					fcfg.Partitions = []facility.Partition{facility.AIPartition(tc.aiNodes)}
-				}
 				fac, err := facility.New(fcfg, rng.New(3), t0)
 				if err != nil {
 					t.Fatal(err)

@@ -126,15 +126,8 @@ func TestDelayFlexibleBounds(t *testing.T) {
 // to a perfect-information run.
 func TestZeroErrorForecastMatchesPerfectInformation(t *testing.T) {
 	tr := squareTrace(3, 6*time.Hour, 250, 30)
-	run := func(em forecast.ErrorModel, perfect bool) ([]time.Time, Stats) {
+	run := func(em forecast.ErrorModel) ([]time.Time, Stats) {
 		fc := mustForecaster(t, tr, em)
-		if perfect {
-			var err error
-			fc, err = forecast.Perfect(tr)
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
 		pol := &DelayFlexiblePolicy{Forecast: fc, Threshold: units.GramsPerKWh(100),
 			MaxDelay: 10 * time.Hour, FlexibleShare: 0.7, Seed: 11}
 		r := newRig(t, 16, Config{BackfillDepth: 8, MaxQueue: 100, Temporal: pol})
@@ -149,8 +142,8 @@ func TestZeroErrorForecastMatchesPerfectInformation(t *testing.T) {
 		}
 		return starts, r.s.Stats()
 	}
-	zeroStarts, zeroStats := run(forecast.ErrorModel{Seed: 99}, false) // zero sigmas, seed irrelevant
-	perfStarts, perfStats := run(forecast.ErrorModel{}, true)
+	zeroStarts, zeroStats := run(forecast.ErrorModel{Seed: 99}) // zero sigmas, seed irrelevant
+	perfStarts, perfStats := run(forecast.ErrorModel{})
 	for i := range zeroStarts {
 		if !zeroStarts[i].Equal(perfStarts[i]) {
 			t.Fatalf("job %d start differs: zero-error %v vs perfect %v",
@@ -163,7 +156,7 @@ func TestZeroErrorForecastMatchesPerfectInformation(t *testing.T) {
 
 	// And a noisy forecast must actually change decisions somewhere —
 	// otherwise the property above is vacuous.
-	noisyStarts, _ := run(forecast.ErrorModel{Sigma0: 120, GrowthPerSqrtHour: 60, Seed: 2}, false)
+	noisyStarts, _ := run(forecast.ErrorModel{Sigma0: 120, GrowthPerSqrtHour: 60, Seed: 2})
 	same := true
 	for i := range noisyStarts {
 		if !noisyStarts[i].Equal(perfStarts[i]) {

@@ -3,46 +3,15 @@
 // total) and the 1 PB ClusterStor E1000 NVMe system. The paper's Table 2
 // treats storage as a 40 kW constant (~1% of system power), and the
 // model reflects that: file-system power is load-insensitive at the
-// facility scale, but per-system capacity and media metadata are kept so
-// examples and future experiments can reason about the inventory.
+// facility scale. Each system also carries its capacity, so the fleet
+// total can be checked against Table 1.
 package storage
 
-import (
-	"fmt"
-
-	"github.com/greenhpc/archertwin/internal/units"
-)
-
-// Media is the storage technology of a file system.
-type Media int
-
-const (
-	// HDD spinning-disk media (ClusterStor L300).
-	HDD Media = iota
-	// NVMe solid-state media (ClusterStor E1000).
-	NVMe
-	// Hybrid mixed controller/disk appliances (NetApp).
-	Hybrid
-)
-
-// String implements fmt.Stringer.
-func (m Media) String() string {
-	switch m {
-	case HDD:
-		return "hdd"
-	case NVMe:
-		return "nvme"
-	case Hybrid:
-		return "hybrid"
-	default:
-		return fmt.Sprintf("Media(%d)", int(m))
-	}
-}
+import "github.com/greenhpc/archertwin/internal/units"
 
 // FileSystem is one storage system.
 type FileSystem struct {
 	Name       string
-	Media      Media
 	CapacityPB float64
 	Power      units.Power
 }
@@ -57,16 +26,13 @@ type Fleet struct {
 func ARCHER2Fleet() *Fleet {
 	per := units.Kilowatts(8)
 	return &Fleet{systems: []FileSystem{
-		{Name: "home (NetApp)", Media: Hybrid, CapacityPB: 1.0, Power: per},
-		{Name: "work1 (ClusterStor L300)", Media: HDD, CapacityPB: 3.4, Power: per},
-		{Name: "work2 (ClusterStor L300)", Media: HDD, CapacityPB: 3.4, Power: per},
-		{Name: "work3 (ClusterStor L300)", Media: HDD, CapacityPB: 6.8, Power: per},
-		{Name: "scratch (ClusterStor E1000)", Media: NVMe, CapacityPB: 1.0, Power: per},
+		{Name: "home (NetApp)", CapacityPB: 1.0, Power: per},
+		{Name: "work1 (ClusterStor L300)", CapacityPB: 3.4, Power: per},
+		{Name: "work2 (ClusterStor L300)", CapacityPB: 3.4, Power: per},
+		{Name: "work3 (ClusterStor L300)", CapacityPB: 6.8, Power: per},
+		{Name: "scratch (ClusterStor E1000)", CapacityPB: 1.0, Power: per},
 	}}
 }
-
-// Systems returns the file systems in the fleet.
-func (f *Fleet) Systems() []FileSystem { return f.systems }
 
 // Count returns the number of file systems.
 func (f *Fleet) Count() int { return len(f.systems) }
@@ -87,13 +53,4 @@ func (f *Fleet) TotalCapacityPB() float64 {
 		pb += s.CapacityPB
 	}
 	return pb
-}
-
-// CapacityByMedia returns capacity in PB per media type.
-func (f *Fleet) CapacityByMedia() map[Media]float64 {
-	out := make(map[Media]float64)
-	for _, s := range f.systems {
-		out[s.Media] += s.CapacityPB
-	}
-	return out
 }

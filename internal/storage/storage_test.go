@@ -21,22 +21,8 @@ func TestARCHER2FleetInventory(t *testing.T) {
 	}
 }
 
-func TestCapacityByMedia(t *testing.T) {
-	f := ARCHER2Fleet()
-	by := f.CapacityByMedia()
-	if math.Abs(by[HDD]-13.6) > 1e-9 {
-		t.Errorf("HDD capacity = %v, want 13.6", by[HDD])
-	}
-	if math.Abs(by[NVMe]-1.0) > 1e-9 {
-		t.Errorf("NVMe capacity = %v, want 1", by[NVMe])
-	}
-	if math.Abs(by[Hybrid]-1.0) > 1e-9 {
-		t.Errorf("Hybrid capacity = %v, want 1", by[Hybrid])
-	}
-}
-
 func TestSystemsNamed(t *testing.T) {
-	for _, s := range ARCHER2Fleet().Systems() {
+	for _, s := range ARCHER2Fleet().systems {
 		if s.Name == "" {
 			t.Error("unnamed file system")
 		}
@@ -45,14 +31,6 @@ func TestSystemsNamed(t *testing.T) {
 		}
 		if s.CapacityPB <= 0 {
 			t.Errorf("%s: non-positive capacity", s.Name)
-		}
-	}
-}
-
-func TestMediaString(t *testing.T) {
-	for _, m := range []Media{HDD, NVMe, Hybrid, Media(9)} {
-		if m.String() == "" {
-			t.Fatalf("empty string for media %d", int(m))
 		}
 	}
 }

@@ -138,13 +138,3 @@ func (a *Accountant) Classes() []string {
 
 // Total returns facility-wide usage.
 func (a *Accountant) Total() ClassUsage { return a.total }
-
-// EnergyPerNodeHour returns the fleet mean energy cost of a delivered
-// node-hour, the paper's core efficiency currency (kWh/nodeh). Returns 0
-// before any job completes.
-func (a *Accountant) EnergyPerNodeHour() float64 {
-	if a.total.NodeHours == 0 {
-		return 0
-	}
-	return a.total.Energy.KilowattHours() / a.total.NodeHours
-}

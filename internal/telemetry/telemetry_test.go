@@ -60,7 +60,7 @@ func TestMeterSampling(t *testing.T) {
 	if got := m.Utilisation().Mean(); got != 0 {
 		t.Fatalf("idle utilisation = %v", got)
 	}
-	if from, _, _ := m.Power().Span(); !from.Equal(t0.Add(15*time.Minute)) || m.Power().Step() != 15*time.Minute {
+	if from := m.Power().At(0).T; !from.Equal(t0.Add(15*time.Minute)) || m.Power().Step() != 15*time.Minute {
 		t.Fatalf("series starts %v every %v, want %v every 15m", from, m.Power().Step(), t0.Add(15*time.Minute))
 	}
 }
@@ -71,12 +71,18 @@ func TestMeterNoise(t *testing.T) {
 	m := NewMeter(eng, fac, MeterConfig{Interval: 5 * time.Minute, NoiseSigma: 0.01},
 		t0.Add(48*time.Hour), rng.New(9).Split("meter"))
 	eng.Run()
-	sum := m.Power().Summary()
-	if sum.StdDev == 0 {
+	p := m.Power()
+	mean, sq := p.Mean(), 0.0
+	for i := 0; i < p.Len(); i++ {
+		d := p.At(i).V - mean
+		sq += d * d
+	}
+	sd := math.Sqrt(sq / float64(p.Len()))
+	if sd == 0 {
 		t.Fatal("noise produced constant series")
 	}
 	// Relative noise ~1%.
-	if rel := sum.StdDev / sum.Mean; rel > 0.03 {
+	if rel := sd / mean; rel > 0.03 {
 		t.Fatalf("noise too large: %v", rel)
 	}
 }
@@ -112,7 +118,7 @@ func TestAccountant(t *testing.T) {
 		t.Fatal("class energies do not sum to total")
 	}
 	// Energy per node-hour: a busy node draws 300-700 W -> 0.3-0.7 kWh/nodeh.
-	e := a.EnergyPerNodeHour()
+	e := tot.Energy.KilowattHours() / tot.NodeHours
 	if e < 0.25 || e > 0.8 {
 		t.Fatalf("energy per node-hour = %v kWh", e)
 	}
@@ -129,8 +135,8 @@ func TestAccountantEmpty(t *testing.T) {
 	eng := des.NewEngine(t0)
 	s := sched.New(eng, fac, stockProvider{fac.Config().CPU}, sched.DefaultConfig())
 	a := NewAccountant(s)
-	if a.EnergyPerNodeHour() != 0 {
-		t.Fatal("empty accountant nonzero energy rate")
+	if tot := a.Total(); tot.Jobs != 0 || tot.NodeHours != 0 || tot.Energy != 0 {
+		t.Fatalf("empty accountant nonzero usage: %+v", tot)
 	}
 }
 

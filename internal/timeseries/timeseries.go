@@ -1,6 +1,6 @@
 // Package timeseries implements the time-series container used by the
 // facility telemetry pipeline: append-only fixed-cadence samples with
-// window statistics, step-change detection and export helpers.
+// window means, step-change detection and export helpers.
 //
 // Every series the twin produces is sampled on a fixed cadence — PMDB
 // cabinet power and utilisation every 15 minutes, grid intensity and
@@ -9,10 +9,9 @@
 // which costs 8 bytes per sample instead of the 32 an explicit
 // (time, value) pair takes.
 //
-// A Series maintains streaming moments (stats.Moments) on append, so Mean
-// and the moment half of Summary are O(1) and allocation-free. The running
-// sum accumulates in append order, which makes Mean bit-identical to a
-// stats.Mean pass over the same values — the determinism the golden
+// A Series keeps nothing per sample beyond the value: Mean and the window
+// means are one in-order pass over the values when read, so the sum
+// accumulates in sample order on every path — the determinism the golden
 // digests pin.
 //
 // A series is the twin's equivalent of one PMDB cabinet-power trace: the
@@ -24,13 +23,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 	"strings"
-	"sync"
 	"time"
 	"unsafe"
-
-	"github.com/greenhpc/archertwin/internal/stats"
 )
 
 // Sample is one (timestamp, value) observation.
@@ -49,7 +44,6 @@ type Series struct {
 	step   time.Duration
 	epoch  time.Time // timestamp of values[0]; meaningless until Len() > 0
 	values []float64
-	mom    stats.Moments
 }
 
 // New creates an empty series sampled every step, pre-sized for
@@ -74,12 +68,12 @@ func (s *Series) Step() time.Duration { return s.step }
 // Len returns the number of samples.
 func (s *Series) Len() int { return len(s.values) }
 
-// Clone returns a deep copy of the series: its own value backing array
-// and moment accumulator, sharing no mutable state with the original.
+// Clone returns a deep copy of the series: its own value backing array,
+// sharing no mutable state with the original.
 // Checkpoints clone telemetry tails so a forked simulation can keep
 // appending without disturbing the parent.
 func (s *Series) Clone() *Series {
-	c := &Series{Name: s.Name, Unit: s.Unit, step: s.step, epoch: s.epoch, mom: s.mom}
+	c := &Series{Name: s.Name, Unit: s.Unit, step: s.step, epoch: s.epoch}
 	if len(s.values) > 0 {
 		c.values = make([]float64, len(s.values))
 		copy(c.values, s.values)
@@ -108,7 +102,6 @@ func (s *Series) Append(t time.Time, v float64) error {
 			s.Name, t, s.step, expected)
 	}
 	s.values = append(s.values, v)
-	s.mom.Add(v)
 	return nil
 }
 
@@ -118,15 +111,6 @@ func (s *Series) MustAppend(t time.Time, v float64) {
 	if err := s.Append(t, v); err != nil {
 		panic(err)
 	}
-}
-
-// Span returns the first and last timestamps. ok is false for an empty
-// series.
-func (s *Series) Span() (from, to time.Time, ok bool) {
-	if len(s.values) == 0 {
-		return time.Time{}, time.Time{}, false
-	}
-	return s.epoch, s.timeAt(len(s.values) - 1), true
 }
 
 // searchCeil returns the index of the first sample at or after t, found
@@ -177,17 +161,13 @@ func (s *Series) Slice(from, to time.Time) *Series {
 	if hi > lo {
 		out.epoch = s.timeAt(lo)
 		out.values = append(out.values, s.values[lo:hi]...)
-		for _, v := range out.values {
-			out.mom.Add(v)
-		}
 	}
 	return out
 }
 
 // Mean returns the arithmetic mean of all values, or 0 for an empty
-// series. O(1) from the streaming moments, bit-identical to a stats.Mean
-// pass over the values (same accumulation order).
-func (s *Series) Mean() float64 { return s.mom.Mean() }
+// series: one pass summing in sample order.
+func (s *Series) Mean() float64 { return meanRange(s.values, 0, len(s.values)) }
 
 // MeanBetween returns the mean of samples with from <= t < to, summing
 // the window's values in sample order (bit-identical to Slice + Mean)
@@ -205,10 +185,8 @@ func (s *Series) CountBetween(from, to time.Time) int {
 	return 0
 }
 
-// meanRange sums values[lo:hi] in index order and divides by the count —
-// the same accumulation a stats.Mean pass over the materialised window
-// performs, so window means are bit-identical to Slice-then-Mean without
-// the copy.
+// meanRange sums values[lo:hi] in index order and divides by the count,
+// so window means are bit-identical to Slice-then-Mean without the copy.
 func meanRange(values []float64, lo, hi int) float64 {
 	if hi <= lo {
 		return 0
@@ -309,40 +287,6 @@ func (a *WindowAccumulator) TimeWeightedMean(from, to time.Time) float64 {
 	return timeWeightedMean(s, a.lo, from, to)
 }
 
-// summaryScratch pools the sorted-value scratch buffers Summary uses for
-// its percentile interpolation, so steady-state Summary calls allocate
-// nothing and concurrent readers of a shared series never share a buffer.
-var summaryScratch = sync.Pool{New: func() any {
-	buf := make([]float64, 0, 1024)
-	return &buf
-}}
-
-// Summary returns summary statistics over all values: N, Mean, StdDev,
-// Min and Max come from the streaming moments in O(1); the percentile
-// fields are interpolated from a pooled sorted scratch copy, so repeated
-// calls allocate nothing.
-func (s *Series) Summary() stats.Summary {
-	out := stats.Summary{
-		N:      s.mom.N,
-		Mean:   s.mom.Mean(),
-		StdDev: s.mom.StdDev(),
-		Min:    s.mom.Min,
-		Max:    s.mom.Max,
-	}
-	if len(s.values) == 0 {
-		return out
-	}
-	bufp := summaryScratch.Get().(*[]float64)
-	buf := append((*bufp)[:0], s.values...)
-	slices.Sort(buf)
-	out.P25 = stats.PercentileOfSorted(buf, 25)
-	out.Median = stats.PercentileOfSorted(buf, 50)
-	out.P75 = stats.PercentileOfSorted(buf, 75)
-	*bufp = buf[:0]
-	summaryScratch.Put(bufp)
-	return out
-}
-
 // StepChange describes a detected level shift in a series.
 type StepChange struct {
 	At          time.Time
@@ -423,25 +367,32 @@ func (s *Series) RenderASCII(rows, cols int) string {
 	if n < 2 || rows < 3 || cols < 8 {
 		return ""
 	}
-	min, max := s.mom.Min, s.mom.Max
+	// Bucket samples into columns for the column means, finding the
+	// range in the same pass.
+	colSum := make([]float64, cols)
+	colN := make([]int, cols)
+	min, max := s.values[0], s.values[0]
+	for i, v := range s.values {
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+		c := i * cols / n
+		colSum[c] += v
+		colN[c]++
+	}
 	if max == min {
 		max = min + 1
 	}
 	pad := (max - min) * 0.05
 	min, max = min-pad, max+pad
-	mean := s.mom.Mean()
+	mean := s.Mean()
 
 	grid := make([][]byte, rows)
 	for i := range grid {
 		grid[i] = []byte(strings.Repeat(" ", cols))
-	}
-	// Bucket samples into columns and plot column means.
-	colSum := make([]float64, cols)
-	colN := make([]int, cols)
-	for i, v := range s.values {
-		c := i * cols / n
-		colSum[c] += v
-		colN[c]++
 	}
 	rowOf := func(val float64) int {
 		r := int((max - val) / (max - min) * float64(rows-1))

@@ -7,8 +7,6 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
-
-	"github.com/greenhpc/archertwin/internal/stats"
 )
 
 var t0 = time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)
@@ -59,12 +57,8 @@ func TestMeanAndSpan(t *testing.T) {
 	if got := s.Mean(); got != 2.5 {
 		t.Fatalf("mean = %v", got)
 	}
-	from, to, ok := s.Span()
-	if !ok || !from.Equal(t0) || !to.Equal(t0.Add(3*time.Hour)) {
-		t.Fatalf("span = %v %v %v", from, to, ok)
-	}
-	if _, _, ok := New("e", "u", time.Hour, 0).Span(); ok {
-		t.Fatal("empty span reported ok")
+	if from, to := s.At(0).T, s.At(s.Len()-1).T; !from.Equal(t0) || !to.Equal(t0.Add(3*time.Hour)) {
+		t.Fatalf("span = %v %v", from, to)
 	}
 }
 
@@ -274,7 +268,7 @@ func TestWindowAccumulatorMatchesTimeWeightedMean(t *testing.T) {
 	for i := 0; i < 500; i++ {
 		s.MustAppend(t0.Add(time.Duration(i)*17*time.Minute), r.NormFloat64()*10)
 	}
-	_, last, _ := s.Span()
+	last := s.At(s.Len() - 1).T
 
 	acc := s.Accumulator()
 	from := t0.Add(-3 * time.Hour)
@@ -306,8 +300,8 @@ func TestRegularAppendCadence(t *testing.T) {
 	if s.Len() != 2 {
 		t.Fatalf("len = %d", s.Len())
 	}
-	if from, to, ok := s.Span(); !ok || !from.Equal(t0) || !to.Equal(t0.Add(time.Hour)) {
-		t.Fatalf("span = %v %v %v", from, to, ok)
+	if from, to := s.At(0).T, s.At(1).T; !from.Equal(t0) || !to.Equal(t0.Add(time.Hour)) {
+		t.Fatalf("span = %v %v", from, to)
 	}
 }
 
@@ -356,7 +350,7 @@ func TestRegularSliceStaysRegular(t *testing.T) {
 	if sl.Step() != time.Hour {
 		t.Fatalf("slice step = %v", sl.Step())
 	}
-	if from, _, _ := sl.Span(); !from.Equal(t0.Add(time.Hour)) {
+	if from := sl.At(0).T; !from.Equal(t0.Add(time.Hour)) {
 		t.Fatalf("slice epoch = %v", from)
 	}
 	if got := sl.Mean(); got != 25 {
@@ -445,8 +439,21 @@ func (r refSeries) valueAt(t time.Time) (float64, bool) {
 	return r[i-1].V, true
 }
 
+// mean sums xs in order and divides by the count: the sequential mean
+// every Series mean must reproduce bit for bit.
+func mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
+}
+
 func (r refSeries) meanBetween(from, to time.Time) float64 {
-	return stats.Mean(r.values(r.ceil(from), r.ceil(to)))
+	return mean(r.values(r.ceil(from), r.ceil(to)))
 }
 
 func (r refSeries) countBetween(from, to time.Time) int {
@@ -516,16 +523,11 @@ func TestPropertySeriesMatchesReference(t *testing.T) {
 		span := time.Duration(n) * step
 
 		all := ref.values(0, n)
-		if a, b := stats.Mean(all), s.Mean(); math.Float64bits(a) != math.Float64bits(b) {
+		if a, b := mean(all), s.Mean(); math.Float64bits(a) != math.Float64bits(b) {
 			t.Fatalf("trial %d: Mean %v != %v", trial, b, a)
 		}
-		want, got := stats.Summarize(all), s.Summary()
-		if math.Abs(got.StdDev-want.StdDev) > 1e-9*want.StdDev {
-			t.Fatalf("trial %d: Summary StdDev %v != %v", trial, got.StdDev, want.StdDev)
-		}
-		got.StdDev = want.StdDev // moment identity, not bitwise two-pass
-		if got != want {
-			t.Fatalf("trial %d: Summary %+v != %+v", trial, got, want)
+		if a, b := mean(all), s.Clone().Mean(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("trial %d: Clone().Mean %v != %v", trial, b, a)
 		}
 
 		acc := s.Accumulator()
@@ -561,6 +563,9 @@ func TestPropertySeriesMatchesReference(t *testing.T) {
 					t.Fatalf("trial %d: slice[%d] = %v != %v", trial, i, b, a)
 				}
 			}
+			if a, b := ref.meanBetween(at, to), sl.Mean(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("trial %d: Slice(%v,%v).Mean = %v != %v", trial, at, to, b, a)
+			}
 
 			// Monotone window sweep through the accumulator.
 			wTo := from.Add(time.Duration(rnd.Int63n(int64(3 * step))))
@@ -592,16 +597,11 @@ func TestFarWindowBounds(t *testing.T) {
 	}
 }
 
-// The alloc-regression satellite: Mean, Summary and MeanBetween must not
-// allocate (Mean is O(1) from moments; Summary's percentile scratch is
-// pooled).
-func TestMeanAndSummaryAllocFree(t *testing.T) {
+// Mean and MeanBetween must not allocate.
+func TestMeanAllocFree(t *testing.T) {
 	s := mkStep(time.Minute, make([]float64, 4096)...)
 	if n := testing.AllocsPerRun(100, func() { _ = s.Mean() }); n != 0 {
 		t.Errorf("Mean allocates %v per call", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { _ = s.Summary() }); n != 0 {
-		t.Errorf("Summary allocates %v per call", n)
 	}
 	if n := testing.AllocsPerRun(100, func() { _ = s.MeanBetween(t0, t0.Add(time.Hour)) }); n != 0 {
 		t.Errorf("MeanBetween allocates %v per call", n)
