@@ -1,42 +1,24 @@
 package sched
 
 import (
+	"math"
 	"sort"
 	"time"
 )
 
 // backfillConservative protects every queued job it scans, not just the
 // head: each of the first BackfillDepth+1 queued jobs gets a planned
-// start computed against a node-capacity profile (current free nodes,
-// plus future releases from running jobs and reservation ends, minus
-// future reservation holds), reserved in queue order. A job starts now
-// only if the profile says now is its earliest feasible start — i.e.
-// starting it cannot delay any earlier queued job's plan. Queue jobs
-// beyond the scan limit are unprotected, which bounds the pass at
-// O(depth x profile) like the EASY scan it replaces.
+// start in its own partition's capacity profile (see profile), reserved
+// in queue order. A job starts now only if the profile says now is its
+// earliest feasible start — i.e. starting it cannot delay any earlier
+// queued job's plan in its partition, and a job in another partition
+// shares no node with it. Queue jobs beyond the scan limit are
+// unprotected, which bounds the pass at O(depth x profile) like the EASY
+// scan.
 func (s *Scheduler) backfillConservative(now time.Time) {
-	p := &s.prof
-	p.reset(now, s.free.Count())
-	for _, rj := range s.running {
-		if n := s.releasable(rj); n > 0 {
-			p.addEvent(rj.End, n)
-		}
+	for i := range s.prof {
+		s.prof[i].times = s.prof[i].times[:0] // unbuilt this pass
 	}
-	for _, rs := range s.resvs {
-		if rs.started {
-			if rs.count > 0 {
-				p.addEvent(rs.res.To, rs.count)
-			}
-			continue
-		}
-		// A pending hold will take up to len(Nodes) from the pool over
-		// its window; modelling the full width is the conservative
-		// choice (planned starts route around the whole hold).
-		p.addEvent(rs.res.From, -len(rs.res.Nodes))
-		p.addEvent(rs.res.To, len(rs.res.Nodes))
-	}
-	p.build()
-
 	s.bfRemoved = s.bfRemoved[:0]
 	limit := s.cfg.BackfillDepth + 1
 	if limit > s.queue.Len() {
@@ -44,6 +26,7 @@ func (s *Scheduler) backfillConservative(now time.Time) {
 	}
 	for i := 0; i < limit; i++ {
 		j := s.queue.At(i)
+		p := s.profile(j, now)
 		rt := s.predictRuntime(j)
 		at := p.earliestStart(j.Spec.Nodes, rt)
 		if at.IsZero() {
@@ -74,6 +57,30 @@ func (s *Scheduler) backfillConservative(now time.Time) {
 	s.queue.RemoveSorted(s.bfRemoved)
 }
 
+// profile returns this pass's capacity profile of j's partition,
+// building it on first use from the partition's free count now and its
+// full release walk (releases). Pending reservation holds enter here and
+// never the EASY walk: each takes its nodes inside the partition over
+// its whole window — the full width is the conservative choice, so
+// planned starts route around the whole hold.
+func (s *Scheduler) profile(j *Job, now time.Time) *capProfile {
+	part := s.partOf(j)
+	p := &s.prof[part]
+	if len(p.times) > 0 {
+		return p
+	}
+	p.evs = append(p.evs[:0], capEvent{at: now, delta: s.freeFor(j)})
+	s.releases(part, 0, math.MaxInt, &p.evs)
+	for _, rs := range s.resvs {
+		if n := len(s.resvNodesIn(rs, part)); !rs.started && n > 0 {
+			p.addEvent(rs.res.From, -n)
+			p.addEvent(rs.res.To, n)
+		}
+	}
+	p.build()
+	return p
+}
+
 // capEvent is one future capacity change.
 type capEvent struct {
 	at    time.Time
@@ -89,18 +96,14 @@ type capProfile struct {
 	free  []int
 }
 
-func (p *capProfile) reset(now time.Time, avail int) {
-	p.evs = append(p.evs[:0], capEvent{at: now, delta: avail})
-}
-
 func (p *capProfile) addEvent(at time.Time, delta int) {
 	p.evs = append(p.evs, capEvent{at: at, delta: delta})
 }
 
 // build sorts the events and folds them into breakpoint form. The sort
 // is a stable insertion sort rather than sort.SliceStable: the event
-// list is short and nearly ordered (running-job releases arrive already
-// End-sorted), and the closure-free form keeps the whole backfill pass
+// list is short and nearly ordered (the release walk arrives already
+// time-sorted), and the closure-free form keeps the whole backfill pass
 // allocation-free (TestBackfillScanAllocFree).
 func (p *capProfile) build() {
 	for i := 1; i < len(p.evs); i++ {

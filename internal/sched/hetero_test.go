@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -178,19 +179,25 @@ func TestHeterogeneousBackfillAcrossPartitions(t *testing.T) {
 	}
 }
 
-// EASY on a heterogeneous machine must not count another partition's
-// releases toward the head's spare nodes, with or without a reservation
-// installed: a same-partition candidate that outlives the head's shadow
-// stays queued, and the head starts when its own partition frees up.
+// Neither backfill policy may count another partition's capacity
+// toward a job's plan on a heterogeneous machine, with or without a
+// reservation installed, and whether the other partition is busy or
+// idle: a same-partition candidate that outlives the head's shadow stays
+// queued, and the head starts when its own partition frees up.
 func TestHeterogeneousShadowIgnoresOtherPartitions(t *testing.T) {
-	run := func(reserve bool) *Job {
+	run := func(t *testing.T, policy BackfillPolicy, aiBusy, reserve bool) *Job {
 		cfg := DefaultConfig()
 		cfg.BackfillDepth = 4
+		cfg.Backfill = policy
 		r := newHeteroRig(t, 8, 4, cfg)
 		cpuJob := r.s.Submit(r.partSpec(1, 0, 6, 10*time.Hour))
-		aiJob := r.s.Submit(r.partSpec(2, 1, 4, time.Hour))
-		if cpuJob.State != Running || aiJob.State != Running {
-			t.Fatal("setup jobs should run")
+		if cpuJob.State != Running {
+			t.Fatal("setup CPU job should run")
+		}
+		if aiBusy {
+			if aiJob := r.s.Submit(r.partSpec(2, 1, 4, time.Hour)); aiJob.State != Running {
+				t.Fatal("setup AI job should run")
+			}
 		}
 		if reserve {
 			if err := r.s.AddReservation(Reservation{Name: "later", Nodes: []int{0},
@@ -209,9 +216,15 @@ func TestHeterogeneousShadowIgnoresOtherPartitions(t *testing.T) {
 		}
 		return head
 	}
-	plainHead, resvHead := run(false), run(true)
-	if !resvHead.Start.Equal(plainHead.Start) {
-		t.Fatalf("a pending reservation moved the head from %v to %v", plainHead.Start, resvHead.Start)
+	for _, policy := range []BackfillPolicy{BackfillEASY, BackfillConservative} {
+		for _, aiBusy := range []bool{true, false} {
+			t.Run(fmt.Sprintf("%v/ai-busy=%v", policy, aiBusy), func(t *testing.T) {
+				plainHead, resvHead := run(t, policy, aiBusy, false), run(t, policy, aiBusy, true)
+				if !resvHead.Start.Equal(plainHead.Start) {
+					t.Fatalf("a pending reservation moved the head from %v to %v", plainHead.Start, resvHead.Start)
+				}
+			})
+		}
 	}
 }
 

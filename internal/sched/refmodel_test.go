@@ -60,6 +60,7 @@ type refEvent struct {
 type refJob struct {
 	id    int
 	app   int
+	part  int
 	nodes int
 	prio  int
 	ref   time.Duration
@@ -99,16 +100,23 @@ type refStats struct {
 	totalWait   time.Duration
 }
 
-type refModel struct {
-	cfg   Config
-	total int
-	// kernelMult / bfMult are the per-app runtime multipliers of the
-	// start path (raw kernel stretch, divided by the sampled perf factor
-	// at start) and the backfill-prediction path (kernel stretch over
-	// the mode's mean perf factor).
+// refPart is one partition of the model's machine: the node range
+// [start, end) and the runtimes of the jobs placed on it. kernelMult /
+// bfMult are the per-app runtime multipliers of the start path (raw
+// kernel stretch, divided by the sampled perf factor at start) and the
+// backfill-prediction path (kernel stretch over the mode's mean perf
+// factor), at the partition's operating point.
+type refPart struct {
+	start, end int
 	kernelMult []float64
 	bfMult     []float64
 	perfPF     float64
+}
+
+type refModel struct {
+	cfg   Config
+	total int
+	parts []refPart
 	// holdFor mirrors the harness temporal policy: jobs with id%3 == 0
 	// park until submit+holdFor (zero disables the policy).
 	holdFor time.Duration
@@ -134,11 +142,14 @@ type refModel struct {
 	stats refStats
 }
 
-func newRefModel(cfg Config, total int, testApps []*apps.App, spec *cpu.Spec, fs cpu.FreqSetting, mode cpu.Mode, holdFor time.Duration) *refModel {
+// newRefModel models fac's partitions. The primary partition runs at
+// the harness provider's capped setting, the others at their own spec's
+// default, as the scheduler runs them.
+func newRefModel(cfg Config, fac *facility.Facility, testApps []*apps.App, mode cpu.Mode, holdFor time.Duration) *refModel {
+	total := fac.NodeCount()
 	m := &refModel{
 		cfg:      cfg,
 		total:    total,
-		perfPF:   spec.MeanPerfFactor(mode),
 		holdFor:  holdFor,
 		byNode:   map[int]*refJob{},
 		free:     make([]bool, total),
@@ -151,13 +162,35 @@ func newRefModel(cfg Config, total int, testApps []*apps.App, spec *cpu.Spec, fs
 	for i := range m.free {
 		m.free[i] = true
 	}
-	for _, a := range testApps {
-		m.kernelMult = append(m.kernelMult,
-			a.Kernel.TimeMultiplier(spec.EffectiveFrequency(fs), spec.BoostFreq))
-		m.bfMult = append(m.bfMult, a.TimeMultiplier(spec, fs, mode))
+	for i, pi := range fac.Partitions() {
+		spec, fs := pi.CPU, pi.CPU.DefaultSetting()
+		if i == 0 {
+			fs = spec.CappedSetting()
+		}
+		p := refPart{start: pi.Start, end: pi.End(), perfPF: spec.MeanPerfFactor(mode)}
+		for _, a := range testApps {
+			p.kernelMult = append(p.kernelMult,
+				a.Kernel.TimeMultiplier(spec.EffectiveFrequency(fs), spec.BoostFreq))
+			p.bfMult = append(p.bfMult, a.TimeMultiplier(spec, fs, mode))
+		}
+		m.parts = append(m.parts, p)
 	}
 	return m
 }
+
+// freeIn counts the free nodes of partition p.
+func (m *refModel) freeIn(p int) int {
+	n := 0
+	for id := m.parts[p].start; id < m.parts[p].end; id++ {
+		if m.free[id] {
+			n++
+		}
+	}
+	return n
+}
+
+// inPart reports whether node id lies in partition p.
+func (m *refModel) inPart(id, p int) bool { return id >= m.parts[p].start && id < m.parts[p].end }
 
 // schedule mirrors des.Engine.AtArg: sequence numbers are assigned in
 // call order and break time ties.
@@ -249,13 +282,13 @@ func (m *refModel) decide(j *refJob) (start bool, recheck time.Time) {
 	return true, time.Time{}
 }
 
-func (m *refModel) submit(id, app, nodes, prio int, ref time.Duration) {
+func (m *refModel) submit(id, app, part, nodes, prio int, ref time.Duration) {
 	m.stats.submitted++
-	if nodes > m.total || len(m.queue) >= m.cfg.MaxQueue {
+	if nodes > m.parts[part].end-m.parts[part].start || len(m.queue) >= m.cfg.MaxQueue {
 		m.stats.dropped++
 		return
 	}
-	j := &refJob{id: id, app: app, nodes: nodes, prio: prio, ref: ref,
+	j := &refJob{id: id, app: app, part: part, nodes: nodes, prio: prio, ref: ref,
 		state: Queued, submit: m.now}
 	m.enqueue(j)
 	m.trySchedule(m.now)
@@ -287,7 +320,7 @@ func (m *refModel) removeQueueAt(i int) {
 
 func (m *refModel) trySchedule(now time.Time) {
 	for {
-		for len(m.queue) > 0 && m.queue[0].nodes <= m.freeN {
+		for len(m.queue) > 0 && m.queue[0].nodes <= m.freeIn(m.queue[0].part) {
 			j := m.queue[0]
 			ok, recheck := m.decide(j)
 			m.removeQueueAt(0)
@@ -335,8 +368,9 @@ func (m *refModel) release(j *refJob, now time.Time) {
 
 func (m *refModel) start(j *refJob, now time.Time) {
 	n := j.nodes
+	p := &m.parts[j.part]
 	alloc := make([]int, 0, n)
-	for id := 0; id < m.total && len(alloc) < n; id++ {
+	for id := p.start; id < p.end && len(alloc) < n; id++ {
 		if m.free[id] {
 			alloc = append(alloc, id)
 			m.free[id] = false
@@ -350,10 +384,10 @@ func (m *refModel) start(j *refJob, now time.Time) {
 	// factors (a constant under Performance Determinism), divide by n.
 	perfSum := 0.0
 	for i := 0; i < n; i++ {
-		perfSum += m.perfPF
+		perfSum += p.perfPF
 	}
 	perf := perfSum / float64(n)
-	rt := time.Duration(float64(j.ref) * m.kernelMult[j.app] / perf)
+	rt := time.Duration(float64(j.ref) * p.kernelMult[j.app] / perf)
 	if rt <= 0 {
 		rt = time.Second
 	}
@@ -559,12 +593,14 @@ func (m *refModel) releasable(rj *refJob) int {
 }
 
 func (m *refModel) predict(j *refJob) time.Duration {
-	return time.Duration(float64(j.ref) * m.bfMult[j.app])
+	return time.Duration(float64(j.ref) * m.parts[j.part].bfMult[j.app])
 }
 
 // easy is the model's EASY backfill: shadow time and spare-node count
-// from the merged release walk (running-job ends and started-reservation
-// ends in time order), then the depth-bounded candidate scan.
+// from the head partition's merged release walk (its running jobs' ends
+// and the started reservations' ends, counting only nodes inside the
+// partition, in time order), then the depth-bounded candidate scan. A
+// candidate in another partition cannot delay the head.
 func (m *refModel) easy(now time.Time) {
 	head := m.queue[0]
 	type release struct {
@@ -573,22 +609,19 @@ func (m *refModel) easy(now time.Time) {
 	}
 	var rel []release
 	for _, rj := range m.running {
-		if n := m.releasable(rj); n > 0 {
+		if n := m.releasable(rj); rj.part == head.part && n > 0 {
 			rel = append(rel, release{rj.end, n})
 		}
 	}
 	for _, rs := range m.resvs {
-		if rs.started && rs.count > 0 {
-			rel = append(rel, release{rs.to, rs.count})
+		if n := m.capturedIn(rs, head.part); n > 0 {
+			rel = append(rel, release{rs.to, n})
 		}
 	}
 	sort.SliceStable(rel, func(i, j int) bool { return rel[i].at.Before(rel[j].at) })
 	var shadow time.Time
 	extra := 0
-	cum := m.freeN
-	if cum >= head.nodes {
-		return // trySchedule would have started it; unreachable in practice
-	}
+	cum := m.freeIn(head.part)
 	for _, r := range rel {
 		cum += r.n
 		if cum >= head.nodes {
@@ -603,20 +636,21 @@ func (m *refModel) easy(now time.Time) {
 	depth := m.cfg.BackfillDepth
 	for i := 1; i < len(m.queue) && depth > 0; depth-- {
 		j := m.queue[i]
-		if j.nodes > m.freeN {
+		if j.nodes > m.freeIn(j.part) {
 			i++
 			continue
 		}
 		rt := m.predict(j)
 		endsBefore := !now.Add(rt).After(shadow)
-		if endsBefore || j.nodes <= extra {
+		samePart := j.part == head.part
+		if !samePart || endsBefore || j.nodes <= extra {
 			ok, recheck := m.decide(j)
 			m.removeQueueAt(i)
 			if !ok {
 				m.hold(j, recheck, now)
 				continue
 			}
-			if !endsBefore {
+			if samePart && !endsBefore {
 				extra -= j.nodes
 			}
 			m.start(j, now)
@@ -624,6 +658,17 @@ func (m *refModel) easy(now time.Time) {
 		}
 		i++
 	}
+}
+
+// capturedIn counts the nodes rs holds inside partition p.
+func (m *refModel) capturedIn(rs *refResv, p int) int {
+	n := 0
+	for id, r := range m.captured {
+		if r == rs && m.inPart(id, p) {
+			n++
+		}
+	}
+	return n
 }
 
 // refProfile is the model's free-capacity profile: a bag of (time, delta)
@@ -689,22 +734,33 @@ func (p *refProfile) reserve(from time.Time, rt time.Duration, n int) {
 	p.add(from.Add(rt), n)
 }
 
+// conservative plans each scanned job in its own partition's profile:
+// the partition's free nodes now, its running jobs' and started
+// reservations' releases, and every pending reservation's hold on the
+// partition's nodes over its window.
 func (m *refModel) conservative(now time.Time) {
-	p := newRefProfile(now, m.freeN)
-	for _, rj := range m.running {
-		if n := m.releasable(rj); n > 0 {
-			p.add(rj.end, n)
-		}
-	}
-	for _, rs := range m.resvs {
-		if rs.started {
-			if rs.count > 0 {
-				p.add(rs.to, rs.count)
+	profs := make([]*refProfile, len(m.parts))
+	for p := range m.parts {
+		profs[p] = newRefProfile(now, m.freeIn(p))
+		for _, rj := range m.running {
+			if rj.part == p {
+				profs[p].add(rj.end, m.releasable(rj))
 			}
-			continue
 		}
-		p.add(rs.from, -len(rs.nodes))
-		p.add(rs.to, len(rs.nodes))
+		for _, rs := range m.resvs {
+			if rs.started {
+				profs[p].add(rs.to, m.capturedIn(rs, p))
+				continue
+			}
+			held := 0
+			for _, id := range rs.nodes {
+				if m.inPart(id, p) {
+					held++
+				}
+			}
+			profs[p].add(rs.from, -held)
+			profs[p].add(rs.to, held)
+		}
 	}
 	limit := m.cfg.BackfillDepth + 1
 	if limit > len(m.queue) {
@@ -712,13 +768,14 @@ func (m *refModel) conservative(now time.Time) {
 	}
 	for i := 0; i < limit; {
 		j := m.queue[i]
+		p := profs[j.part]
 		rt := m.predict(j)
 		at := p.earliest(j.nodes, rt)
 		if at.IsZero() {
 			i++
 			continue
 		}
-		if at.Equal(now) && j.nodes <= m.freeN {
+		if at.Equal(now) && j.nodes <= m.freeIn(j.part) {
 			ok, recheck := m.decide(j)
 			m.removeQueueAt(i)
 			limit--
@@ -737,7 +794,7 @@ func (m *refModel) conservative(now time.Time) {
 
 func (m *refModel) preemptForHead(now time.Time) bool {
 	head := m.queue[0]
-	need := head.nodes - m.freeN
+	need := head.nodes - m.freeIn(head.part)
 	if need <= 0 {
 		return false
 	}
@@ -747,7 +804,7 @@ func (m *refModel) preemptForHead(now time.Time) bool {
 	}
 	var victims []*refJob
 	for _, rj := range m.running {
-		if head.prio-rj.prio >= gap {
+		if rj.part == head.part && head.prio-rj.prio >= gap {
 			victims = append(victims, rj)
 		}
 	}
@@ -775,7 +832,7 @@ func (m *refModel) preemptForHead(now time.Time) bool {
 	for _, v := range victims[:take] {
 		m.preempt(v, now)
 	}
-	return head.nodes <= m.freeN
+	return head.nodes <= m.freeIn(head.part)
 }
 
 func (m *refModel) preempt(j *refJob, now time.Time) {
@@ -827,6 +884,7 @@ type refHarnessOpts struct {
 	prios   []int         // priority levels to draw from (nil: all zero)
 	resvOps bool          // include reservation install/cancel ops
 	hold    time.Duration // non-zero: attach holdYoungPolicy to both sides
+	hetero  bool          // 24 CPU nodes plus an 8-node AI partition
 }
 
 func compareRef(t *testing.T, tag string, s *Scheduler, m *refModel) {
@@ -934,6 +992,10 @@ func runRefEpisode(t *testing.T, cfg Config, seed uint64, opts refHarnessOpts) i
 	const total = 32
 	fcfg := facility.ARCHER2()
 	fcfg.Nodes = total
+	if opts.hetero {
+		fcfg.Nodes = 24
+		fcfg.Partitions = []facility.Partition{facility.AIPartition(total - 24)}
+	}
 	fac, err := facility.New(fcfg, rng.New(7), t0)
 	if err != nil {
 		t.Fatal(err)
@@ -949,8 +1011,7 @@ func runRefEpisode(t *testing.T, cfg Config, seed uint64, opts refHarnessOpts) i
 		{Name: "mix", Kernel: roofline.Kernel{ComputeFraction: 0.5}, ActCore: 0.6, ActUncore: 0.6},
 		{Name: "mem", Kernel: roofline.Kernel{ComputeFraction: 0.1}, ActCore: 0.4, ActUncore: 0.9},
 	}
-	m := newRefModel(cfg, total, testApps, fcfg.CPU,
-		fcfg.CPU.CappedSetting(), cpu.PerformanceDeterminism, opts.hold)
+	m := newRefModel(cfg, fac, testApps, cpu.PerformanceDeterminism, opts.hold)
 
 	stream := rng.New(seed)
 	now := t0
@@ -966,13 +1027,16 @@ func runRefEpisode(t *testing.T, cfg Config, seed uint64, opts refHarnessOpts) i
 			appIdx := stream.Intn(len(testApps))
 			n := 1 + stream.Intn(16)
 			ref := time.Duration(1+stream.Intn(48)) * 15 * time.Minute
-			prio := 0
+			prio, part := 0, 0
 			if len(opts.prios) > 0 {
 				prio = opts.prios[stream.Intn(len(opts.prios))]
 			}
+			if opts.hetero {
+				part = stream.Intn(2)
+			}
 			s.Submit(workload.JobSpec{ID: op, Class: "ref", App: testApps[appIdx],
-				Nodes: n, RefRuntime: ref, Priority: prio})
-			m.submit(op, appIdx, n, prio, ref)
+				Nodes: n, RefRuntime: ref, Priority: prio, Partition: part})
+			m.submit(op, appIdx, part, n, prio, ref)
 		case k == 8:
 			id := stream.Intn(total)
 			if err := s.FailNode(id); err != nil {
@@ -1027,7 +1091,10 @@ func runRefEpisode(t *testing.T, cfg Config, seed uint64, opts refHarnessOpts) i
 // against the plain reference model across every policy combination:
 // EASY and conservative backfill, priority classes with and without
 // aging, both preemption modes, reservations, a temporal hold policy,
-// and all of them at once. The model runs a full pass on every submit,
+// all of them at once, and a two-partition machine, where the model
+// computes free counts, placement, the EASY shadow and every
+// conservative profile per partition by brute force. The model runs a
+// full pass on every submit,
 // so the EASY cases also check the scheduler's settled-pass skip; each
 // of them must record skips, or the check would pass vacuously. Shallow
 // windows (depth 1 and 2) make far-back submissions common.
@@ -1071,6 +1138,11 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 			c.AgingHours = 12
 			return c
 		}, refHarnessOpts{prios: prios, resvOps: true, hold: 3 * time.Hour}},
+		{"two-partition-easy", base, refHarnessOpts{prios: prios, resvOps: true, hetero: true}},
+		{"two-partition-conservative", func() Config { c := base(); c.Backfill = BackfillConservative; return c },
+			refHarnessOpts{prios: prios, resvOps: true, hetero: true}},
+		{"two-partition-preempt", func() Config { c := base(); c.Preemption = PreemptRequeue; return c },
+			refHarnessOpts{prios: prios, resvOps: true, hetero: true}},
 	}
 	for _, tc := range cases {
 		tc := tc

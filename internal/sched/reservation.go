@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/greenhpc/archertwin/internal/des"
-	"github.com/greenhpc/archertwin/internal/facility"
 	"github.com/greenhpc/archertwin/internal/node"
 )
 
@@ -173,18 +172,15 @@ func (s *Scheduler) capture(rs *resvState, id int) {
 	rs.count++
 }
 
-// capturedIn returns how many of rs's captured nodes lie in partition p.
-func (s *Scheduler) capturedIn(rs *resvState, p facility.PartitionInfo) int {
-	n := 0
-	for _, id := range rs.res.Nodes[sort.SearchInts(rs.res.Nodes, p.Start):] {
-		if id >= p.End() {
-			break
-		}
-		if s.captured[id] == rs {
-			n++
-		}
+// resvNodesIn returns rs's nodes that lie in partition part: all of
+// them on a homogeneous machine.
+func (s *Scheduler) resvNodesIn(rs *resvState, part int) []int {
+	ids := rs.res.Nodes
+	if !s.hetero() {
+		return ids
 	}
-	return n
+	p := &s.parts[part]
+	return ids[sort.SearchInts(ids, p.Start):sort.SearchInts(ids, p.End())]
 }
 
 // uncapture removes id from rs's ledger. Callers adjust upNodes and the
@@ -209,60 +205,79 @@ func (s *Scheduler) activeReservationFor(id int) *resvState {
 	return nil
 }
 
-// releasable returns how many of rj's nodes will return to the free
-// pool when it ends (its draining nodes are captured instead).
-func (s *Scheduler) releasable(rj *Job) int {
-	if len(s.draining) == 0 {
-		return len(rj.Nodes)
-	}
-	n := 0
-	for _, id := range rj.Nodes {
-		if s.draining[id] == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// mergedShadow computes the EASY shadow point (time and spare nodes)
-// of a head job in partition part when reservations are in play: future
-// node releases come both from running jobs (their non-draining nodes,
-// at End) and from started reservations (their captured nodes, at To),
-// merged in time order. On a heterogeneous facility only releases inside
-// part count.
-func (s *Scheduler) mergedShadow(avail, need, part int) (time.Time, int) {
-	type release struct {
-		at time.Time
-		n  int
-	}
-	var rel []release
-	for _, rj := range s.running {
-		if s.hetero() && s.partOf(rj) != part {
-			continue
-		}
-		if n := s.releasable(rj); n > 0 {
-			rel = append(rel, release{at: rj.End, n: n})
-		}
-	}
+// releases walks partition part's future node releases in time order:
+// its running jobs' releasable nodes at End and the nodes each started
+// reservation has captured inside it at To (running jobs first at equal
+// times, reservations in installation order). Counting up from avail, it
+// stops at the first release that brings the count to need and returns
+// its time and the excess over need (the zero time if none does); out,
+// if non-nil, collects each release walked. EASY reads its shadow and
+// spare nodes off the crossing; conservative backfill walks everything
+// into its profiles. The reservation list is retained scratch, so a
+// walk allocates nothing.
+func (s *Scheduler) releases(part, avail, need int, out *[]capEvent) (time.Time, int) {
+	rel := s.resvRel[:0]
 	for _, rs := range s.resvs {
-		if !rs.started || rs.count == 0 {
+		n := rs.count
+		if n > 0 && s.hetero() {
+			n = 0
+			for _, id := range s.resvNodesIn(rs, part) {
+				if s.captured[id] == rs {
+					n++
+				}
+			}
+		}
+		if n == 0 {
 			continue
 		}
-		n := rs.count
-		if s.hetero() {
-			n = s.capturedIn(rs, s.parts[part])
-		}
-		if n > 0 {
-			rel = append(rel, release{at: rs.res.To, n: n})
+		rel = append(rel, capEvent{at: rs.res.To, delta: n})
+		for k := len(rel) - 1; k > 0 && rel[k].at.Before(rel[k-1].at); k-- {
+			rel[k], rel[k-1] = rel[k-1], rel[k]
 		}
 	}
-	sort.SliceStable(rel, func(i, j int) bool { return rel[i].at.Before(rel[j].at) })
-	cum := avail
-	for _, r := range rel {
-		cum += r.n
-		if cum >= need {
-			return r.at, cum - need
+	s.resvRel = rel
+	// Running jobs are End-sorted: release those ending by each
+	// reservation's To (ties go first), then the reservation; after the
+	// last reservation, the rest.
+	hetero, draining := s.hetero(), len(s.draining) > 0
+	cum, i := avail, 0
+	for k := 0; ; k++ {
+		end := len(s.running)
+		if k < len(rel) {
+			end = sort.Search(end, func(x int) bool { return s.running[x].End.After(rel[k].at) })
+		}
+		for ; i < end; i++ {
+			rj := s.running[i]
+			if hetero && s.partOf(rj) != part {
+				continue
+			}
+			n := len(rj.Nodes)
+			if draining {
+				// A draining node goes to its reservation, not the pool.
+				for _, id := range rj.Nodes {
+					if s.draining[id] != nil {
+						n--
+					}
+				}
+				if n == 0 {
+					continue
+				}
+			}
+			if out != nil {
+				*out = append(*out, capEvent{at: rj.End, delta: n})
+			}
+			if cum += n; cum >= need {
+				return rj.End, cum - need
+			}
+		}
+		if k == len(rel) {
+			return time.Time{}, 0
+		}
+		if out != nil {
+			*out = append(*out, rel[k])
+		}
+		if cum += rel[k].delta; cum >= need {
+			return rel[k].at, cum - need
 		}
 	}
-	return time.Time{}, 0
 }

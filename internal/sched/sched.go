@@ -363,11 +363,14 @@ type Scheduler struct {
 	resvEndFn   des.ArgEvent
 
 	// bfRemoved collects the queue positions a backfill pass starts or
-	// parks, removed in one batch at the end of the pass. prof is the
-	// reused capacity-profile scratch for conservative backfill; victims
-	// is the preemption candidate scratch.
+	// parks, removed in one batch at the end of the pass. prof holds one
+	// conservative-backfill capacity profile per partition, built on
+	// first use in a pass and reused as scratch across passes; resvRel
+	// is the release walk's reservation scratch; victims is the
+	// preemption candidate scratch.
 	bfRemoved []int
-	prof      capProfile
+	prof      []capProfile
+	resvRel   []capEvent
 	victims   []*Job
 
 	// parts is the facility's resolved partition list when it has more
@@ -410,6 +413,7 @@ func New(eng *des.Engine, fac *facility.Facility, provider SettingsProvider, cfg
 	if fac.PartitionCount() > 1 {
 		s.parts = fac.Partitions()
 	}
+	s.prof = make([]capProfile, max(len(s.parts), 1))
 	s.completeFn = func(now time.Time, arg any) { s.finish(arg.(*Job), now, Completed) }
 	s.releaseFn = func(now time.Time, arg any) { s.release(arg.(*Job), now) }
 	s.recheckArgFn = func(now time.Time, arg any) { s.onRecheck(arg.(time.Time), now) }
@@ -590,11 +594,13 @@ func (s *Scheduler) EstimatedBusyPower() units.Power {
 // hetero reports whether the facility has multiple partitions.
 func (s *Scheduler) hetero() bool { return len(s.parts) > 1 }
 
-// partOf returns j's partition index, clamped to the facility's actual
+// partOf returns j's partition index (see partIndex).
+func (s *Scheduler) partOf(j *Job) int { return s.partIndex(j.Spec.Partition) }
+
+// partIndex clamps a requested partition to the facility's actual
 // partitions (a job targeting an absent partition runs on the primary —
 // and on a homogeneous facility every job maps to partition 0).
-func (s *Scheduler) partOf(j *Job) int {
-	p := j.Spec.Partition
+func (s *Scheduler) partIndex(p int) int {
 	if p < 0 || p >= len(s.parts) {
 		return 0
 	}
@@ -620,11 +626,7 @@ func (s *Scheduler) capacityFor(spec workload.JobSpec) int {
 	if !s.hetero() {
 		return s.fac.NodeCount()
 	}
-	p := spec.Partition
-	if p < 0 || p >= len(s.parts) {
-		p = 0
-	}
-	return s.parts[p].Nodes
+	return s.parts[s.partIndex(spec.Partition)].Nodes
 }
 
 // specFor returns the CPU spec of partition p (the facility spec on a
@@ -784,41 +786,18 @@ func (s *Scheduler) onRecheck(at, now time.Time) {
 	s.trySchedule(now)
 }
 
-// backfill implements EASY: compute the head job's shadow start time from
-// running-job end times, then start any later queued job that fits now and
-// either finishes before the shadow time or uses only nodes the head will
-// not need. On a heterogeneous facility the shadow is computed within the
-// head's partition, and a candidate in a different partition cannot delay
-// the head at all — it may start whenever it fits its own partition.
+// backfill implements EASY: the head's shadow is the first release of
+// its partition (see releases) at which the head fits, and the spare
+// count is what that release leaves over the head's need. Any later
+// queued job that fits now and either finishes before the shadow or
+// uses only spare nodes starts. A candidate in a different partition
+// cannot delay the head at all — it may start whenever it fits its own
+// partition. The walk stops at the crossing, so a pass visits only the
+// running jobs ahead of it.
 func (s *Scheduler) backfill(now time.Time) {
 	head := s.queue.Head()
 	headPart := s.partOf(head)
-	avail := s.freeFor(head)
-	shadow := time.Time{}
-	extra := 0
-	// running is sorted by End; accumulate releases until the head fits.
-	if len(s.resvs) == 0 {
-		cum := avail
-		for _, rj := range s.running {
-			if s.hetero() && s.partOf(rj) != headPart {
-				continue
-			}
-			cum += len(rj.Nodes)
-			if cum >= head.Spec.Nodes {
-				shadow = rj.End
-				extra = cum - head.Spec.Nodes
-				break
-			}
-		}
-	} else {
-		// With reservations the release order must merge two sources:
-		// running jobs return only their non-draining nodes at End, and
-		// each started reservation returns its captured nodes at To. On a
-		// heterogeneous facility both count only releases inside the
-		// head's partition, as above: another partition's release never
-		// frees a node the head can use.
-		shadow, extra = s.mergedShadow(avail, head.Spec.Nodes, headPart)
-	}
+	shadow, extra := s.releases(headPart, s.freeFor(head), head.Spec.Nodes, nil)
 	if shadow.IsZero() {
 		// Head can never fit (should have been dropped at submit).
 		return

@@ -574,31 +574,107 @@ func TestReuseJobsBitIdentical(t *testing.T) {
 
 // TestBackfillScanAllocFree pins the backfill hot loop's allocation
 // behaviour: runtime predictions are cached on the jobs and every
-// scratch structure — victim list, capacity profile, shadow merge — is
-// retained across passes, so a steady-state
+// scratch structure — victim list, capacity profiles, the release walk's
+// reservation list — is retained across passes, so a steady-state
 // scheduling attempt over a saturated cluster with a deep non-fitting
-// queue must not allocate at all.
+// queue must not allocate at all. The rows add a started reservation
+// that holds free nodes and drains busy ones (plus a pending one), and a
+// two-partition machine, under both policies.
 func TestBackfillScanAllocFree(t *testing.T) {
-	for _, policy := range []BackfillPolicy{BackfillEASY, BackfillConservative} {
-		t.Run(policy.String(), func(t *testing.T) {
-			r := newRig(t, 32, Config{BackfillDepth: 16, MaxQueue: 256, Backfill: policy})
-			// Saturate every node with long runners, then queue jobs that
-			// can neither start nor backfill (no free nodes at all).
+	rows := []struct {
+		name string
+		// setup leaves no node free and 32 jobs queued.
+		setup func(t *testing.T, cfg Config) *rig
+	}{
+		{"saturated", func(t *testing.T, cfg Config) *rig {
+			r := newRig(t, 32, cfg)
 			for i := 0; i < 32; i++ {
 				r.s.Submit(r.spec(i, 1, 200*time.Hour))
 			}
-			for i := 32; i < 64; i++ {
-				r.s.Submit(r.spec(i, 2, time.Hour))
-			}
-			if r.s.BusyNodes() != 32 || r.s.QueueDepth() != 32 {
-				t.Fatalf("rig not saturated: %d busy, %d queued", r.s.BusyNodes(), r.s.QueueDepth())
+			return r
+		}},
+		{"draining", func(t *testing.T, cfg Config) *rig {
+			r := newRig(t, 32, cfg)
+			for i := 0; i < 30; i++ {
+				r.s.Submit(r.spec(i, 1, 200*time.Hour))
 			}
 			now := r.eng.Now()
-			r.s.trySchedule(now) // warm the per-pass caches
-			if allocs := testing.AllocsPerRun(200, func() { r.s.trySchedule(now) }); allocs > 0 {
-				t.Errorf("steady-state trySchedule allocates %.1f times per pass, want 0", allocs)
+			for _, rs := range []Reservation{
+				{Name: "drain", Nodes: []int{26, 27, 28, 29, 30, 31}, From: now, To: now.Add(100 * time.Hour)},
+				{Name: "later", Nodes: []int{0, 1, 2, 3}, From: now.Add(50 * time.Hour), To: now.Add(60 * time.Hour)},
+			} {
+				if err := r.s.AddReservation(rs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if r.s.DrainingNodes() != 4 || r.s.ReservedNodes() != 2 {
+				t.Fatalf("%d draining, %d reserved, want 4 and 2", r.s.DrainingNodes(), r.s.ReservedNodes())
+			}
+			return r
+		}},
+		{"two-partition", func(t *testing.T, cfg Config) *rig {
+			r := newHeteroRig(t, 24, 8, cfg)
+			for i := 0; i < 32; i++ {
+				r.s.Submit(r.partSpec(i, i/24, 1, 200*time.Hour))
+			}
+			return r
+		}},
+	}
+	for _, policy := range []BackfillPolicy{BackfillEASY, BackfillConservative} {
+		t.Run(policy.String(), func(t *testing.T) {
+			for _, row := range rows {
+				t.Run(row.name, func(t *testing.T) {
+					r := row.setup(t, Config{BackfillDepth: 16, MaxQueue: 256, Backfill: policy})
+					// Queue jobs that can neither start nor backfill (no
+					// free nodes at all), alternating partitions where
+					// there are two.
+					for i := 32; i < 64; i++ {
+						spec := r.spec(i, 2, time.Hour)
+						spec.Partition = i % 2
+						r.s.Submit(spec)
+					}
+					if r.s.free.Count() != 0 || r.s.QueueDepth() != 32 {
+						t.Fatalf("rig not saturated: %d free, %d queued", r.s.free.Count(), r.s.QueueDepth())
+					}
+					now := r.eng.Now()
+					r.s.trySchedule(now) // warm the per-pass caches
+					if allocs := testing.AllocsPerRun(200, func() { r.s.trySchedule(now) }); allocs > 0 {
+						t.Errorf("steady-state trySchedule allocates %.1f times per pass, want 0", allocs)
+					}
+				})
 			}
 		})
+	}
+}
+
+// TestReleaseWalkTieOrder pins the release walk's order at equal
+// times: a running job's release comes before a reservation's, and the
+// walk stops at the first release that crosses, so the spare count
+// excludes later releases at the same instant. Here the head crosses on
+// the running job's release with nothing spare; taking the reservation
+// first would leave two spare nodes and let a long candidate backfill.
+func TestReleaseWalkTieOrder(t *testing.T) {
+	r := newRig(t, 8, Config{BackfillDepth: 4, MaxQueue: 64})
+	runner := r.s.Submit(r.spec(1, 4, 10*time.Hour))
+	now := r.eng.Now()
+	if err := r.s.AddReservation(Reservation{Name: "m", Nodes: []int{4, 5}, From: now, To: runner.End}); err != nil {
+		t.Fatal(err)
+	}
+	var walked []capEvent
+	if at, n := r.s.releases(0, r.s.free.Count(), math.MaxInt, &walked); !at.IsZero() || n != 0 {
+		t.Fatalf("full walk crossed at %v with %d spare", at, n)
+	}
+	want := []capEvent{{at: runner.End, delta: 4}, {at: runner.End, delta: 2}}
+	if len(walked) != len(want) || walked[0] != want[0] || walked[1] != want[1] {
+		t.Fatalf("walk %v, want %v", walked, want)
+	}
+	if at, spare := r.s.releases(0, r.s.free.Count(), 6, nil); !at.Equal(runner.End) || spare != 0 {
+		t.Fatalf("6-node crossing at %v with %d spare, want %v with 0", at, spare, runner.End)
+	}
+	head := r.s.Submit(r.spec(2, 6, time.Hour))
+	cand := r.s.Submit(r.spec(3, 2, 40*time.Hour))
+	if head.State != Queued || cand.State != Queued {
+		t.Fatalf("head %v, candidate %v: want both queued", head.State, cand.State)
 	}
 }
 
