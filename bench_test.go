@@ -11,6 +11,7 @@ package archertwin_test
 
 import (
 	"context"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -757,4 +758,56 @@ func BenchmarkJournalAppend(b *testing.B) {
 	if err := l.Commit(ctx); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkJournalCompact measures one retention pass on the shape a
+// busy durable twinserver settles into: one sealed default-size (4 MiB)
+// segment whose newest 64 sweeps — the default retention — are still
+// live, so Compact removes nothing. Compact decides from the segment's
+// sweep-ID set and opens no file.
+func BenchmarkJournalCompact(b *testing.B) {
+	l, err := journal.Open(b.TempDir(), journal.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer l.Close()
+	spec := scenario.Spec{Name: "bench", Nodes: 64, Days: 1, Seed: 7}
+	var ids []string
+	for prev := l.Size(); ; {
+		id := "sweep-" + strconv.Itoa(len(ids))
+		ids = append(ids, id)
+		recs := []journal.Record{&journal.SweepSubmitted{ID: id, Key: "0123456789abcdef", Spec: spec, Scenarios: 4, Submitted: epoch}}
+		for i := 0; i < 4; i++ {
+			recs = append(recs, &journal.ScenarioDone{Sweep: id, Index: i, Result: scenario.Result{
+				Scenario:  scenario.Scenario{Index: i, Name: "freq=capped/grid=200"},
+				MeanPower: 1893.4, MeanUtil: 0.87, Energy: 123.4,
+				SimDigest: "0123456789abcdef0123456789abcdef",
+			}})
+		}
+		recs = append(recs, &journal.SweepTerminal{Sweep: id, State: journal.TerminalDone, Workers: 1, Finished: epoch})
+		if err := l.Append(recs...); err != nil {
+			b.Fatal(err)
+		}
+		size := l.Size()
+		if size < prev {
+			break // this sweep's records sealed the segment
+		}
+		prev = size
+	}
+	live := map[string]bool{}
+	for _, id := range ids[len(ids)-64:] {
+		live[id] = true
+	}
+	keep := func(id string) bool { return live[id] }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		removed, err := l.Compact(keep)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if removed != 0 {
+			b.Fatalf("compact removed %d segments holding live sweeps", removed)
+		}
+	}
+	b.ReportMetric(float64(len(ids)), "sealed_sweeps")
 }

@@ -4,13 +4,15 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 // FuzzJournalReplay throws arbitrary bytes at the open/replay path as
 // the newest segment of a journal: Open must never panic, and whenever
 // it succeeds the log must be fully usable — replayable, appendable and
-// reopenable — no matter how mangled the input was. This is the
+// reopenable — no matter how mangled the input was, and its sweep-ID
+// index must name exactly the sweeps Replay reports. This is the
 // corrupt-frame half of the torn-write story: the every-offset
 // truncation test covers honest crashes, the fuzzer covers bit rot and
 // adversarial garbage in the recovery-eligible tail.
@@ -53,9 +55,18 @@ func FuzzJournalReplay(f *testing.F) {
 		if err != nil {
 			return // rejected loudly is a valid outcome
 		}
-		n := 0
-		if err := l.Replay(func(Record) error { n++; return nil }); err != nil {
+		n, replayed := 0, idSet{}
+		if err := l.Replay(func(rec Record) error {
+			n++
+			replayed.add(rec.SweepID())
+			return nil
+		}); err != nil {
 			t.Fatalf("Open succeeded but Replay failed: %v", err)
+		}
+		// Compact's index of the recovered segment is exactly the sweeps
+		// Replay reports.
+		if !reflect.DeepEqual(l.ids, replayed) {
+			t.Fatalf("active segment index %v, Replay reports sweeps %v", l.ids, replayed)
 		}
 		// The recovered log must accept new records and survive a
 		// close/reopen cycle with them intact.

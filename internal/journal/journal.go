@@ -13,8 +13,10 @@
 //
 // and appended strictly at the tail of the newest segment; sealed
 // segments are immutable. Appends rotate to a fresh segment past
-// Options.SegmentBytes, and Compact deletes sealed segments whose every
-// record a caller-supplied predicate has declared dead (retention).
+// Options.SegmentBytes. Each segment carries the set of sweep IDs with a
+// record in it, filled by Append and by Open's scan; Compact deletes the
+// sealed segments whose every ID a caller-supplied predicate declares
+// dead (retention), deciding from those sets without reading a file.
 //
 // Durability contract. Append buffers; Commit makes every record
 // appended so far durable (one fsync, shared by every committer that was
@@ -130,6 +132,7 @@ type Log struct {
 	buf      []byte // pending bytes not yet written to f
 	seq      int64  // active segment sequence number
 	size     int64  // active segment size including pending buf
+	ids      idSet  // sweep IDs with a record in the active segment
 	appended int64  // records accepted by Append
 	synced   int64  // records known durable (flushed + fsynced)
 	sealed   []sealedSegment
@@ -140,6 +143,38 @@ type Log struct {
 type sealedSegment struct {
 	seq  int64
 	path string
+	ids  idSet // sweep IDs with a record in the segment
+}
+
+// idSet is the set of sweep IDs with a record in one segment — all that
+// Compact needs to know about the segment. It keeps the IDs in order of
+// first append, so Compact probes the newest sweeps, the ones retention
+// keeps, first.
+type idSet struct {
+	has   map[string]bool
+	order []string
+}
+
+// add puts id in the set.
+func (s *idSet) add(id string) {
+	if s.has[id] {
+		return
+	}
+	if s.has == nil {
+		s.has = map[string]bool{}
+	}
+	s.has[id] = true
+	s.order = append(s.order, id)
+}
+
+// anyKept reports whether keep accepts some ID in the set, newest first.
+func (s *idSet) anyKept(keep func(sweepID string) bool) bool {
+	for i := len(s.order) - 1; i >= 0; i-- {
+		if keep(s.order[i]) {
+			return true
+		}
+	}
+	return false
 }
 
 // segmentName renders the file name for a sequence number.
@@ -176,12 +211,16 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, err
 		}
 		last := i == len(names)-1
-		valid, _, err := scanSegment(name, !last, nil)
+		var ids idSet
+		valid, _, err := scanSegment(name, !last, func(rec Record) error {
+			ids.add(rec.SweepID())
+			return nil
+		})
 		if err != nil {
 			return nil, err
 		}
 		if !last {
-			l.sealed = append(l.sealed, sealedSegment{seq: seq, path: name})
+			l.sealed = append(l.sealed, sealedSegment{seq: seq, path: name, ids: ids})
 			continue
 		}
 		// The newest segment may end in a torn record from a crash: keep
@@ -193,7 +232,7 @@ func Open(dir string, opts Options) (*Log, error) {
 		if err != nil {
 			return nil, err
 		}
-		l.f, l.seq, l.size = f, seq, valid
+		l.f, l.seq, l.size, l.ids = f, seq, valid, ids
 	}
 	return l, nil
 }
@@ -219,7 +258,7 @@ func (l *Log) newSegment(seq int64) error {
 		f.Close()
 		return fmt.Errorf("journal: writing segment magic: %w", err)
 	}
-	l.f, l.seq, l.size = f, seq, int64(len(magic))
+	l.f, l.seq, l.size, l.ids = f, seq, int64(len(magic)), idSet{}
 	return nil
 }
 
@@ -358,6 +397,7 @@ func (l *Log) appendLocked(recs []Record) error {
 		l.buf = append(l.buf, frame...)
 		l.size += int64(len(frame))
 		l.appended++
+		l.ids.add(rec.SweepID())
 	}
 	return nil
 }
@@ -402,15 +442,11 @@ func (l *Log) Commit(ctx context.Context) error {
 	}
 	l.mu.Unlock()
 
-	deadline := time.NewTimer(l.opts.CommitTimeout)
-	defer deadline.Stop()
-	select {
-	case l.syncSlot <- struct{}{}:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-deadline.C:
-		return ErrStalled
+	deadline, err := l.acquireSync(ctx)
+	if err != nil {
+		return err
 	}
+	defer deadline.Stop()
 
 	l.mu.Lock()
 	if l.crashed != nil {
@@ -467,6 +503,24 @@ func (l *Log) Commit(ctx context.Context) error {
 	}
 }
 
+// acquireSync takes the sync slot, giving up with ErrStalled once
+// Options.CommitTimeout passes (or with ctx's error). On success it
+// returns the deadline timer still running, so Commit can bound its fsync
+// by the same deadline; the caller stops it. A stopped timer is released
+// at once, where a time.After channel would stay live until it fired.
+func (l *Log) acquireSync(ctx context.Context) (*time.Timer, error) {
+	deadline := time.NewTimer(l.opts.CommitTimeout)
+	select {
+	case l.syncSlot <- struct{}{}:
+		return deadline, nil
+	case <-ctx.Done():
+		deadline.Stop()
+		return nil, ctx.Err()
+	case <-deadline.C:
+		return nil, ErrStalled
+	}
+}
+
 func (l *Log) markSynced(target int64) {
 	l.mu.Lock()
 	if target > l.synced {
@@ -478,13 +532,11 @@ func (l *Log) markSynced(target int64) {
 // rotate seals the active segment (flushed and fsynced) and opens a
 // fresh one.
 func (l *Log) rotate() error {
-	deadline := time.NewTimer(l.opts.CommitTimeout)
-	defer deadline.Stop()
-	select {
-	case l.syncSlot <- struct{}{}:
-	case <-deadline.C:
-		return ErrStalled
+	deadline, err := l.acquireSync(context.Background())
+	if err != nil {
+		return err
 	}
+	deadline.Stop()
 	defer func() { <-l.syncSlot }()
 
 	l.mu.Lock()
@@ -508,7 +560,7 @@ func (l *Log) rotate() error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("journal: sealing segment: %w", err)
 	}
-	l.sealed = append(l.sealed, sealedSegment{seq: l.seq, path: sealedPath})
+	l.sealed = append(l.sealed, sealedSegment{seq: l.seq, path: sealedPath, ids: l.ids})
 	if err := l.newSegment(l.seq + 1); err != nil {
 		l.crashed = err
 		return err
@@ -521,13 +573,13 @@ func (l *Log) rotate() error {
 // Replay calls fn for every record in the log, oldest first, including
 // records appended this session (they are flushed first so the walk is
 // complete). Replay holds the log locked for its duration; it is meant
-// for recovery and compaction decisions, not hot paths.
+// for recovery, not hot paths.
 func (l *Log) Replay(fn func(Record) error) error {
-	select {
-	case l.syncSlot <- struct{}{}:
-	case <-time.After(l.opts.CommitTimeout):
-		return ErrStalled
+	deadline, err := l.acquireSync(context.Background())
+	if err != nil {
+		return err
 	}
+	deadline.Stop()
 	defer func() { <-l.syncSlot }()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -542,21 +594,25 @@ func (l *Log) Replay(fn func(Record) error) error {
 			return err
 		}
 	}
-	_, _, err := scanSegment(filepath.Join(l.dir, segmentName(l.seq)), true, fn)
+	_, _, err = scanSegment(filepath.Join(l.dir, segmentName(l.seq)), true, fn)
 	return err
 }
 
-// Compact deletes sealed segments whose every record keep rejects.
-// Compaction is segment-granular — a segment holding even one live
-// record survives whole — which keeps it a pure unlink: no rewrite, no
-// window where a crash can lose live records. The active segment is
-// never compacted. Returns how many segments were removed.
-func (l *Log) Compact(keep func(Record) bool) (int, error) {
-	select {
-	case l.syncSlot <- struct{}{}:
-	case <-time.After(l.opts.CommitTimeout):
-		return 0, ErrStalled
+// Compact deletes the sealed segments in which keep rejects every sweep
+// ID. Compaction is segment-granular — a segment holding even one live
+// sweep's record survives whole — which keeps it a pure unlink: no
+// rewrite, no window where a crash can lose live records. The decision
+// comes from each segment's ID set, built from what was appended (and
+// what Open verified), so Compact reads no file; strict verification is
+// Open's and Replay's. The active segment is never compacted. keep runs
+// with the log locked and must not call back into it. Returns how many
+// segments were removed.
+func (l *Log) Compact(keep func(sweepID string) bool) (int, error) {
+	deadline, err := l.acquireSync(context.Background())
+	if err != nil {
+		return 0, err
 	}
+	deadline.Stop()
 	defer func() { <-l.syncSlot }()
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -565,22 +621,13 @@ func (l *Log) Compact(keep func(Record) bool) (int, error) {
 	}
 	removed := 0
 	remaining := l.sealed[:0]
-	for _, seg := range l.sealed {
-		live := false
-		if _, _, err := scanSegment(seg.path, true, func(rec Record) error {
-			if keep(rec) {
-				live = true
-				return errStopScan
-			}
-			return nil
-		}); err != nil && !errors.Is(err, errStopScan) {
-			return removed, err
-		}
-		if live {
+	for i, seg := range l.sealed {
+		if seg.ids.anyKept(keep) {
 			remaining = append(remaining, seg)
 			continue
 		}
 		if err := os.Remove(seg.path); err != nil {
+			l.sealed = append(remaining, l.sealed[i:]...)
 			return removed, fmt.Errorf("journal: compacting: %w", err)
 		}
 		removed++
@@ -588,10 +635,6 @@ func (l *Log) Compact(keep func(Record) bool) (int, error) {
 	l.sealed = remaining
 	return removed, nil
 }
-
-// errStopScan short-circuits a compaction scan once a live record is
-// found.
-var errStopScan = errors.New("journal: stop scan")
 
 // Size returns the active segment's current size in bytes, pending
 // buffer included (observability, tests).
@@ -612,11 +655,11 @@ func (l *Log) Appended() int64 {
 // returns ErrCrashed without touching the file — the simulated process
 // is already dead.
 func (l *Log) Close() error {
-	select {
-	case l.syncSlot <- struct{}{}:
-	case <-time.After(l.opts.CommitTimeout):
-		return ErrStalled
+	deadline, err := l.acquireSync(context.Background())
+	if err != nil {
+		return err
 	}
+	deadline.Stop()
 	defer func() { <-l.syncSlot }()
 	l.mu.Lock()
 	defer l.mu.Unlock()

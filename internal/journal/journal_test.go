@@ -247,7 +247,7 @@ func TestRotationAndCompaction(t *testing.T) {
 
 	// Drop the two oldest sweeps; only whole-dead sealed segments go.
 	dead := map[string]bool{"sweep-1": true, "sweep-2": true}
-	removed, err := l.Compact(func(r Record) bool { return !dead[r.SweepID()] })
+	removed, err := l.Compact(func(id string) bool { return !dead[id] })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -177,10 +177,10 @@ func (s *Service) maybeCompact() {
 	if dropped == 0 {
 		return
 	}
-	_, _ = s.cfg.Journal.Compact(func(rec journal.Record) bool {
+	_, _ = s.cfg.Journal.Compact(func(sweepID string) bool {
 		s.jmu.Lock()
 		defer s.jmu.Unlock()
-		return s.jLive[rec.SweepID()]
+		return s.jLive[sweepID]
 	})
 }
 
