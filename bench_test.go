@@ -557,6 +557,26 @@ func TestForkSpeedupHeadroom(t *testing.T) {
 	}
 }
 
+// BenchmarkWarmSweep measures a memo-hit sweep: the flagship frequency x
+// grid-mix spec (scenario.DefaultSpec) on a single-worker Runner whose
+// memo already holds both simulations, so every op draws the four grid
+// traces and accounts the eight scenarios without simulating — the
+// accounting path a served sweep repeated on a warm server pays.
+func BenchmarkWarmSweep(b *testing.B) {
+	spec := scenario.DefaultSpec()
+	r := scenario.Runner{Workers: 1}
+	if _, err := r.Run(context.Background(), spec); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := r.Run(context.Background(), spec); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- Roofline v2 benchmarks ---
 
 // BenchmarkTableLookup measures one measured-table multiplier lookup —

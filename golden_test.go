@@ -38,6 +38,14 @@ const (
 	// when avoided carbon started matching counterparts on every axis but
 	// carbon_policy (mid_frequency included); simulations are unchanged.
 	goldenForkSweepDigest = "0c83f197296997053b35916041f26f424d561e1c7f33a628926e7a3b998897aa"
+	// goldenGridSweepDigest is scenario.DefaultSpec() at seed 42: two
+	// frequencies under four grid means, so every simulation is priced
+	// against four intensity traces.
+	goldenGridSweepDigest = "dcc598bb2c8fa51ba9b6513eb5c50d0819624524d85f25b8d92676c907b7a60f"
+	// goldenCarbonGridSweepDigest adds a grid-blind and a carbon-aware
+	// policy at seed 7: the carbon-aware simulations consume the trace of
+	// their own grid mean, the grid-blind ones share one across all four.
+	goldenCarbonGridSweepDigest = "8060477f49e2c6ea8b8882353432d0db4b62efb419bb6bd69cf15c7c052d48d0"
 )
 
 // goldenSweepSpec exercises the scheduler's backfill, hold/release and
@@ -188,6 +196,43 @@ func TestGoldenSweepWorkerInvariance(t *testing.T) {
 		}
 		if d := sweepDigest(res); d != goldenSweepDigest {
 			t.Errorf("workers=%d: sweep digest = %s, golden %s", workers, d, goldenSweepDigest)
+		}
+	}
+}
+
+// TestGoldenGridSweeps pins the path that prices one simulation against
+// several grid means — one trace per mean drawn under shared weather, one
+// accounting walk per simulation — on the flagship frequency x grid-mix
+// sweep, alone and crossed with a carbon-aware policy, at one and at
+// three workers. Both digests were recorded before that path shared its
+// draws and walks.
+func TestGoldenGridSweeps(t *testing.T) {
+	plain := scenario.DefaultSpec()
+	plain.Seed = 42
+	carbon := scenario.DefaultSpec()
+	carbon.Seed = 7
+	carbon.Axes.CarbonPolicy = []string{"fcfs", "delay-flexible"}
+	for _, c := range []struct {
+		name   string
+		spec   scenario.Spec
+		n      int
+		digest string
+	}{
+		{"default", plain, 8, goldenGridSweepDigest},
+		{"carbon", carbon, 16, goldenCarbonGridSweepDigest},
+	} {
+		for _, workers := range []int{1, 3} {
+			r := scenario.Runner{Workers: workers}
+			res, err := r.Run(context.Background(), c.spec)
+			if err != nil {
+				t.Fatalf("%s, workers=%d: %v", c.name, workers, err)
+			}
+			if len(res.Results) != c.n {
+				t.Fatalf("%s, workers=%d: %d scenarios, want %d", c.name, workers, len(res.Results), c.n)
+			}
+			if d := sweepDigest(res); d != c.digest {
+				t.Errorf("%s, workers=%d: sweep digest = %s, golden %s", c.name, workers, d, c.digest)
+			}
 		}
 	}
 }

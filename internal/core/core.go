@@ -210,6 +210,13 @@ func (c *CarbonConfig) Trace(from, to time.Time) (*timeseries.Series, error) {
 	return c.Model.Trace(from, to, c.step(), rng.New(c.TraceSeed))
 }
 
+// Traces generates, in one pass (grid.Traces), the series Trace would
+// for each of models in place of c.Model: c's seed and step under every
+// grid mix, as a sweep's scenarios see them.
+func (c *CarbonConfig) Traces(models []grid.IntensityModel, from, to time.Time) ([]*timeseries.Series, error) {
+	return grid.Traces(models, from, to, c.step(), rng.New(c.TraceSeed))
+}
+
 // FailureConfig parameterises random node failures.
 type FailureConfig struct {
 	// MTBFPerNode is one node's mean time between failures (0 disables

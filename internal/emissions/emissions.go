@@ -106,20 +106,62 @@ func (p Params) Account(power units.Power, window time.Duration, ci units.Carbon
 // The reported CI is the energy-weighted mean intensity the load actually
 // experienced; comparing it against the trace's plain mean measures how
 // much of the window's carbon the schedule avoided (or hit).
+//
+// It is the one-trace case of AccountTraces' walk.
 func (p Params) AccountSeries(powerKW, ci *timeseries.Series, from, to time.Time) Window {
-	var energyKWh, scope2g float64
-	nCI := ci.Len()
-	// The intensity segments sweep forward in time, so one accumulator
-	// walks the power series in a single pass (O(P+C)) instead of a
-	// binary search and rescan per segment; the integrals are
-	// bit-identical to per-segment TimeWeightedMean calls.
+	cis := [1]*timeseries.Series{ci}
+	var scope2g [1]float64
+	energyKWh := walk(powerKW, cis[:], from, to, scope2g[:])
+	return p.window(energyKWh, scope2g[0], from, to)
+}
+
+// AccountTraces prices one power series against several intensity traces
+// in a single walk: out[k] is bit for bit p.AccountSeries(powerKW, cis[k],
+// from, to). The traces must share one cadence — epoch, step and length,
+// as every trace of a sweep does — so that they cut the window into the
+// same segments; a trace that does not is an error, never mis-priced.
+func (p Params) AccountTraces(powerKW *timeseries.Series, cis []*timeseries.Series, from, to time.Time, out []Window) error {
+	if len(out) != len(cis) {
+		return fmt.Errorf("emissions: %d windows for %d traces", len(out), len(cis))
+	}
+	if len(cis) == 0 {
+		return nil
+	}
+	for k, ci := range cis {
+		if !ci.SameCadence(cis[0]) {
+			return fmt.Errorf("emissions: trace %d (%v x %d) is off the cadence of trace 0 (%v x %d)",
+				k, ci.Step(), ci.Len(), cis[0].Step(), cis[0].Len())
+		}
+	}
+	scope2g := make([]float64, len(cis))
+	energyKWh := walk(powerKW, cis, from, to, scope2g)
+	for k := range out {
+		out[k] = p.window(energyKWh, scope2g[k], from, to)
+	}
+	return nil
+}
+
+// walk integrates powerKW over each intensity segment of [from, to) —
+// sample i of the traces holds from its timestamp to the next, or to `to`
+// — and adds the segment's kWh to the energy and, times trace k's
+// intensity, to scope2g[k], in segment order. The traces share one
+// cadence, so a segment's kWh depends only on the power series: it is
+// integrated once however many traces price it, and every trace gets the
+// sums a walk of its own would. The segments sweep forward in time, so
+// one accumulator walks the power series in a single pass (O(P+C)).
+func walk(powerKW *timeseries.Series, cis []*timeseries.Series, from, to time.Time, scope2g []float64) (energyKWh float64) {
+	nCI := cis[0].Len()
 	acc := powerKW.Accumulator()
+	var at time.Time
+	if nCI > 0 {
+		at = cis[0].At(0).T
+	}
 	for i := 0; i < nCI; i++ {
-		smp := ci.At(i)
-		segFrom, segTo := smp.T, to
+		segFrom, segTo := at, to
 		if i+1 < nCI {
-			if next := ci.At(i + 1).T; next.Before(to) {
-				segTo = next
+			at = cis[0].At(i + 1).T
+			if at.Before(to) {
+				segTo = at
 			}
 		}
 		if segFrom.Before(from) {
@@ -128,11 +170,17 @@ func (p Params) AccountSeries(powerKW, ci *timeseries.Series, from, to time.Time
 		if !segTo.After(segFrom) {
 			continue
 		}
-		meanKW := acc.TimeWeightedMean(segFrom, segTo)
-		kwh := meanKW * segTo.Sub(segFrom).Hours()
+		kwh := acc.TimeWeightedMean(segFrom, segTo) * segTo.Sub(segFrom).Hours()
 		energyKWh += kwh
-		scope2g += kwh * smp.V
+		for k, ci := range cis {
+			scope2g[k] += kwh * ci.Value(i)
+		}
 	}
+	return energyKWh
+}
+
+// window assembles the account of one trace's walk sums.
+func (p Params) window(energyKWh, scope2g float64, from, to time.Time) Window {
 	e := units.KilowattHours(energyKWh)
 	window := to.Sub(from)
 	s2 := units.Grams(scope2g)

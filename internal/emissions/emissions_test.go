@@ -2,6 +2,7 @@ package emissions
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -266,5 +267,136 @@ func TestAccountSeriesDegenerate(t *testing.T) {
 	}
 	if math.IsNaN(w.Scope2Share()) {
 		t.Error("NaN scope-2 share")
+	}
+}
+
+// refAccountSeries is the per-trace accounting walk AccountTraces
+// replaced, kept as the reference it must match bit for bit: one walk over
+// the power series for every trace.
+func refAccountSeries(p Params, powerKW, ci *timeseries.Series, from, to time.Time) Window {
+	var energyKWh, scope2g float64
+	nCI := ci.Len()
+	acc := powerKW.Accumulator()
+	for i := 0; i < nCI; i++ {
+		smp := ci.At(i)
+		segFrom, segTo := smp.T, to
+		if i+1 < nCI {
+			if next := ci.At(i + 1).T; next.Before(to) {
+				segTo = next
+			}
+		}
+		if segFrom.Before(from) {
+			segFrom = from
+		}
+		if !segTo.After(segFrom) {
+			continue
+		}
+		meanKW := acc.TimeWeightedMean(segFrom, segTo)
+		kwh := meanKW * segTo.Sub(segFrom).Hours()
+		energyKWh += kwh
+		scope2g += kwh * smp.V
+	}
+	e := units.KilowattHours(energyKWh)
+	window := to.Sub(from)
+	s2 := units.Grams(scope2g)
+	s3 := p.AmortisedScope3(window)
+	meanCI := 0.0
+	if energyKWh > 0 {
+		meanCI = scope2g / energyKWh
+	}
+	return Window{
+		Duration: window,
+		Energy:   e,
+		CI:       units.GramsPerKWh(meanCI),
+		Scope2:   s2,
+		Scope3:   s3,
+		Total:    units.Mass(s2.Grams() + s3.Grams()),
+	}
+}
+
+// sameWindow reports whether two accounts agree bit for bit.
+func sameWindow(a, b Window) bool {
+	bits := func(v float64) uint64 { return math.Float64bits(v) }
+	return a.Duration == b.Duration &&
+		bits(a.Energy.Joules()) == bits(b.Energy.Joules()) &&
+		bits(a.CI.GramsPerKWh()) == bits(b.CI.GramsPerKWh()) &&
+		bits(a.Scope2.Grams()) == bits(b.Scope2.Grams()) &&
+		bits(a.Scope3.Grams()) == bits(b.Scope3.Grams()) &&
+		bits(a.Total.Grams()) == bits(b.Total.Grams())
+}
+
+// TestAccountTracesMatchesPerTraceWalk prices random power series against
+// several random traces sharing one random cadence, over random windows,
+// and checks every account — and AccountSeries, the one-trace case —
+// against a walk of its own per trace, bit for bit.
+func TestAccountTracesMatchesPerTraceWalk(t *testing.T) {
+	rnd := rand.New(rand.NewSource(24))
+	p := ARCHER2Defaults()
+	base := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
+	series := func(name string, epoch time.Time, step time.Duration, n int, level float64) *timeseries.Series {
+		s := timeseries.New(name, "u", step, n)
+		for i := 0; i < n; i++ {
+			s.MustAppend(epoch.Add(time.Duration(i)*step), level*(1+rnd.Float64()))
+		}
+		return s
+	}
+	for trial := 0; trial < 300; trial++ {
+		pStep := time.Duration(1+rnd.Intn(90)) * time.Minute
+		power := series("p", base.Add(time.Duration(rnd.Intn(7200)-3600)*time.Second), pStep, rnd.Intn(400), 3000)
+		ciStep := []time.Duration{15 * time.Minute, 30 * time.Minute, time.Hour, 7 * time.Minute}[rnd.Intn(4)]
+		ciEpoch := base.Add(time.Duration(rnd.Intn(7200)-3600) * time.Second)
+		nCI := rnd.Intn(300)
+		cis := make([]*timeseries.Series, 1+rnd.Intn(5))
+		for k := range cis {
+			cis[k] = series("ci", ciEpoch, ciStep, nCI, 20+rnd.Float64()*300)
+		}
+		from := base.Add(time.Duration(rnd.Int63n(int64(96*time.Hour))) - 24*time.Hour)
+		to := from.Add(time.Duration(rnd.Int63n(int64(120*time.Hour))) - 6*time.Hour)
+		if rnd.Intn(20) == 0 {
+			to = from.AddDate(300, 0, 0)
+		}
+
+		out := make([]Window, len(cis))
+		if err := p.AccountTraces(power, cis, from, to, out); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		for k, ci := range cis {
+			want := refAccountSeries(p, power, ci, from, to)
+			if !sameWindow(out[k], want) {
+				t.Fatalf("trial %d trace %d: AccountTraces %+v, per-trace walk %+v", trial, k, out[k], want)
+			}
+			if got := p.AccountSeries(power, ci, from, to); !sameWindow(got, want) {
+				t.Fatalf("trial %d trace %d: AccountSeries %+v, per-trace walk %+v", trial, k, got, want)
+			}
+		}
+	}
+}
+
+// Traces off each other's cadence cut the window into different segments:
+// AccountTraces must refuse them rather than price one by another's.
+func TestAccountTracesRejectsMixedCadence(t *testing.T) {
+	p := ARCHER2Defaults()
+	from := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
+	mk := func(epoch time.Time, step time.Duration, n int) *timeseries.Series {
+		s := timeseries.New("s", "u", step, n)
+		for i := 0; i < n; i++ {
+			s.MustAppend(epoch.Add(time.Duration(i)*step), 100)
+		}
+		return s
+	}
+	power := mk(from, 15*time.Minute, 96)
+	ci := mk(from, 30*time.Minute, 48)
+	for name, other := range map[string]*timeseries.Series{
+		"step":   mk(from, time.Hour, 48),
+		"length": mk(from, 30*time.Minute, 47),
+		"epoch":  mk(from.Add(time.Minute), 30*time.Minute, 48),
+	} {
+		out := make([]Window, 2)
+		if err := p.AccountTraces(power, []*timeseries.Series{ci, other}, from, from.Add(24*time.Hour), out); err == nil {
+			t.Errorf("trace off the cadence by %s accepted", name)
+		}
+	}
+	if err := p.AccountTraces(power, []*timeseries.Series{ci}, from, from.Add(time.Hour), nil); err == nil {
+		t.Error("AccountTraces accepted fewer windows than traces")
 	}
 }

@@ -77,46 +77,97 @@ func (m IntensityModel) Validate() error {
 	return nil
 }
 
-// deterministic returns the season+diurnal component at t.
-func (m IntensityModel) deterministic(t time.Time) float64 {
+// calendar returns the seasonal and diurnal cosines at t, which every
+// model scales by its own amplitudes.
+func calendar(t time.Time) (season, day float64) {
 	yearFrac := float64(t.YearDay()-1) / 365
-	// Peak in mid-January (yearFrac ~ 0.04).
-	seasonal := m.SeasonalAmp * math.Cos(2*math.Pi*(yearFrac-0.04))
 	hour := float64(t.Hour()) + float64(t.Minute())/60
-	// Evening peak ~18:00, night trough ~03:00.
-	diurnal := m.DiurnalAmp * math.Cos(2*math.Pi*(hour-18)/24)
+	// Peak in mid-January (yearFrac ~ 0.04); evening peak ~18:00, night
+	// trough ~03:00.
+	return math.Cos(2 * math.Pi * (yearFrac - 0.04)), math.Cos(2 * math.Pi * (hour - 18) / 24)
+}
+
+// level returns the deterministic season+diurnal component for the
+// calendar cosines of one timestamp.
+func (m IntensityModel) level(season, day float64) float64 {
+	seasonal := m.SeasonalAmp * season
+	diurnal := m.DiurnalAmp * day
 	return m.Base + seasonal + diurnal
 }
 
 // Trace generates an intensity series from `from` to `to` (exclusive) at
 // the given step, using stream r for the wind term. The trace is exactly
 // step-periodic with implicit timestamps — a year at the GB settlement
-// cadence is one 140 kB float block.
+// cadence is one 140 kB float block. It is the one-model case of Traces.
 func (m IntensityModel) Trace(from, to time.Time, step time.Duration, r *rng.Stream) (*timeseries.Series, error) {
-	if err := m.Validate(); err != nil {
+	var out [1]*timeseries.Series
+	if err := generate([]IntensityModel{m}, from, to, step, r, out[:]); err != nil {
 		return nil, err
 	}
+	return out[0], nil
+}
+
+// Traces generates one intensity series per model over [from, to) at the
+// given step, all under one weather realisation drawn from r (common
+// random numbers): series k is exactly models[k].Trace(from, to, step, r')
+// for a fresh copy r' of r. The polar-method pair, the calendar terms and
+// both cosines are the same for every model, so each is drawn or computed
+// once per step; only the scaling is per model, in Normal's expression
+// shape, so a sweep's grid means cost one pass instead of one each.
+func Traces(models []IntensityModel, from, to time.Time, step time.Duration, r *rng.Stream) ([]*timeseries.Series, error) {
+	out := make([]*timeseries.Series, len(models))
+	if err := generate(models, from, to, step, r, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// generate is Traces writing series k to out[k]. The per-model wind state
+// lives on the stack for up to eight models, so a single Trace allocates
+// nothing beyond its series.
+func generate(models []IntensityModel, from, to time.Time, step time.Duration, r *rng.Stream, out []*timeseries.Series) error {
+	for _, m := range models {
+		if err := m.Validate(); err != nil {
+			return err
+		}
+	}
 	if step <= 0 || !to.After(from) {
-		return nil, fmt.Errorf("grid: invalid trace window [%v, %v) step %v", from, to, step)
+		return fmt.Errorf("grid: invalid trace window [%v, %v) step %v", from, to, step)
 	}
-	s := timeseries.New("carbon_intensity", "gCO2/kWh", step,
-		int(to.Sub(from)/step)+1)
-	// Exact OU discretisation: x' = x*a + sigma*sqrt(1-a^2)*N(0,1).
-	a := math.Exp(-step.Seconds() / m.NoiseTau.Seconds())
-	q := m.NoiseSigma * math.Sqrt(1-a*a)
-	x := r.Normal(0, m.NoiseSigma) // stationary start
+	// Exact OU discretisation: x' = x*a + sigma*sqrt(1-a^2)*N(0,1), from
+	// a stationary start x = N(0, sigma).
+	type ou struct{ x, a, q float64 }
+	var buf [8]ou
+	wind := buf[:]
+	if len(models) > len(buf) {
+		wind = make([]ou, len(models))
+	}
+	u, f := r.Polar()
+	for k := range models {
+		m := &models[k]
+		a := math.Exp(-step.Seconds() / m.NoiseTau.Seconds())
+		wind[k] = ou{x: 0 + m.NoiseSigma*u*f, a: a, q: m.NoiseSigma * math.Sqrt(1-a*a)}
+		out[k] = timeseries.New("carbon_intensity", "gCO2/kWh", step,
+			int(to.Sub(from)/step)+1)
+	}
 	for t := from; t.Before(to); t = t.Add(step) {
-		v := m.deterministic(t) + x
-		if v < m.Min {
-			v = m.Min
+		season, day := calendar(t)
+		u, f := r.Polar()
+		z := 0 + 1*u*f
+		for k := range models {
+			m, w := &models[k], &wind[k]
+			v := m.level(season, day) + w.x
+			if v < m.Min {
+				v = m.Min
+			}
+			if v > m.Max {
+				v = m.Max
+			}
+			out[k].MustAppend(t, v)
+			w.x = w.x*w.a + w.q*z
 		}
-		if v > m.Max {
-			v = m.Max
-		}
-		s.MustAppend(t, v)
-		x = x*a + q*r.Normal(0, 1)
 	}
-	return s, nil
+	return nil
 }
 
 // MeanIntensity returns the series mean as a typed carbon intensity.

@@ -6,7 +6,10 @@ import (
 	"time"
 
 	"github.com/greenhpc/archertwin/internal/rng"
+	"github.com/greenhpc/archertwin/internal/timeseries"
 	"github.com/greenhpc/archertwin/internal/units"
+
+	_ "time/tzdata" // Europe/London for the DST-crossing trace below
 )
 
 var t0 = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
@@ -250,5 +253,94 @@ func TestStressEventsCoverageAndBounds(t *testing.T) {
 	hi := StressEvents(from, to, 0.9, rng.New(3))
 	if len(lo) > len(hi) {
 		t.Errorf("p=0.2 gave %d events but p=0.9 gave %d", len(lo), len(hi))
+	}
+}
+
+// refTrace is the one-model generator Traces replaced, kept as the
+// reference it must match bit for bit: the deterministic level from the
+// calendar of each timestamp, plus an OU wind term drawn with Normal.
+func refTrace(m IntensityModel, from, to time.Time, step time.Duration, r *rng.Stream) *timeseries.Series {
+	deterministic := func(t time.Time) float64 {
+		yearFrac := float64(t.YearDay()-1) / 365
+		seasonal := m.SeasonalAmp * math.Cos(2*math.Pi*(yearFrac-0.04))
+		hour := float64(t.Hour()) + float64(t.Minute())/60
+		diurnal := m.DiurnalAmp * math.Cos(2*math.Pi*(hour-18)/24)
+		return m.Base + seasonal + diurnal
+	}
+	s := timeseries.New("carbon_intensity", "gCO2/kWh", step, int(to.Sub(from)/step)+1)
+	a := math.Exp(-step.Seconds() / m.NoiseTau.Seconds())
+	q := m.NoiseSigma * math.Sqrt(1-a*a)
+	x := r.Normal(0, m.NoiseSigma)
+	for t := from; t.Before(to); t = t.Add(step) {
+		v := deterministic(t) + x
+		if v < m.Min {
+			v = m.Min
+		}
+		if v > m.Max {
+			v = m.Max
+		}
+		s.MustAppend(t, v)
+		x = x*a + q*r.Normal(0, 1)
+	}
+	return s
+}
+
+// Traces must reproduce, series for series, a per-model loop in which
+// every model draws from its own copy of the stream: across seeds, at the
+// 15-minute, settlement and hourly steps, from a UTC and a DST-crossing
+// Europe/London start, for models that differ in scale and in NoiseTau.
+func TestTracesMatchPerModelLoop(t *testing.T) {
+	london, err := time.LoadLocation("Europe/London")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gb := GB2022()
+	slow := gb.Scaled(65)
+	slow.NoiseTau = 3 * 24 * time.Hour
+	fast := gb.Scaled(20)
+	fast.NoiseTau = 90 * time.Minute
+	models := []IntensityModel{gb, gb.Scaled(100), slow, fast, gb.Scaled(350)}
+	for g := 10.0; len(models) < 10; g += 37 { // past the stack-held wind state
+		models = append(models, gb.Scaled(g))
+	}
+	starts := []time.Time{
+		t0,
+		time.Date(2022, 3, 24, 7, 45, 0, 0, london), // spans the March clock change
+	}
+	for _, seed := range []uint64{1, 42, 1 << 40} {
+		for _, step := range []time.Duration{15 * time.Minute, 30 * time.Minute, time.Hour} {
+			for _, from := range starts {
+				to := from.AddDate(0, 0, 9)
+				got, err := Traces(models, from, to, step, rng.New(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for k, m := range models {
+					want := refTrace(m, from, to, step, rng.New(seed))
+					if got[k].Len() != want.Len() || !got[k].SameCadence(want) {
+						t.Fatalf("seed %d step %v from %v model %d: %d samples, want %d on the same cadence",
+							seed, step, from, k, got[k].Len(), want.Len())
+					}
+					for i := 0; i < want.Len(); i++ {
+						if g, w := got[k].Value(i), want.Value(i); math.Float64bits(g) != math.Float64bits(w) {
+							t.Fatalf("seed %d step %v from %v model %d sample %d: %v, per-model loop %v",
+								seed, step, from, k, i, g, w)
+						}
+					}
+					if one, err := m.Trace(from, to, step, rng.New(seed)); err != nil || math.Float64bits(one.Mean()) != math.Float64bits(want.Mean()) {
+						t.Fatalf("seed %d step %v model %d: Trace mean %v (%v), per-model loop %v", seed, step, k, one.Mean(), err, want.Mean())
+					}
+				}
+			}
+		}
+	}
+}
+
+// One invalid model fails the whole family.
+func TestTracesRejectsInvalidModel(t *testing.T) {
+	bad := GB2022()
+	bad.NoiseTau = 0
+	if _, err := Traces([]IntensityModel{GB2022(), bad}, t0, t0.AddDate(0, 0, 1), time.Hour, rng.New(1)); err == nil {
+		t.Error("family with an invalid model generated")
 	}
 }

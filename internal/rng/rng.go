@@ -123,12 +123,21 @@ func (r *Stream) Intn(n int) int {
 // Normal returns a normally distributed value with the given mean and
 // standard deviation (Marsaglia polar method, one value per call).
 func (r *Stream) Normal(mean, stddev float64) float64 {
+	u, f := r.Polar()
+	return mean + stddev*u*f
+}
+
+// Polar draws one accepted Marsaglia polar pair and returns its u and the
+// factor f = sqrt(-2 ln s / s): Normal(mean, stddev) is exactly
+// mean + stddev*u*f. A generator that needs one draw at several scales
+// (grid.Traces) takes the pair once and keeps that expression per scale.
+func (r *Stream) Polar() (u, f float64) {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
 		s := u*u + v*v
 		if s > 0 && s < 1 {
-			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
+			return u, math.Sqrt(-2 * math.Log(s) / s)
 		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 
 	"github.com/greenhpc/archertwin/internal/core"
 	"github.com/greenhpc/archertwin/internal/emissions"
+	"github.com/greenhpc/archertwin/internal/grid"
 	"github.com/greenhpc/archertwin/internal/report"
 	"github.com/greenhpc/archertwin/internal/rng"
 	"github.com/greenhpc/archertwin/internal/timeseries"
@@ -36,7 +37,7 @@ type Result struct {
 	MeanCI units.CarbonIntensity
 	// Emissions is the scope-2/scope-3 account over the window, computed
 	// by integrating the power series against the intensity trace
-	// (emissions.AccountSeries), with the embodied share scaled to the
+	// (emissions.AccountTraces), with the embodied share scaled to the
 	// scenario's facility size. Emissions.CI is the energy-weighted
 	// intensity the load actually experienced: below MeanCI means the
 	// schedule successfully chased clean windows.
@@ -256,14 +257,15 @@ func (e *ScenarioError) Unwrap() error { return e.Err }
 
 // Run expands and executes the sweep. Scenarios sharing a simulation key
 // (differing only in grid mix — see Scenario.simKey) share one simulation:
-// the worker pool runs each unique configuration once and the per-scenario
-// grid trace and emissions accounting are re-derived from the shared
-// result, so the flagship frequency x grid sweep costs two simulations,
-// not eight, with byte-identical output. Completed simulations are also
-// memoized on the Runner (see memoKey) in an LRU store bounded at
-// MemoCap, so repeating or extending a sweep on the same Runner
-// re-simulates only what changed; CacheStats reports the hit/miss and
-// eviction counters.
+// the worker pool runs each unique configuration once, one pass draws the
+// sweep's intensity trace for every grid mean, and one walk over each
+// shared power series prices it against every member's trace, so the
+// flagship frequency x grid sweep costs two simulations and two
+// accounting walks, not eight, with byte-identical output. Completed
+// simulations are also memoized on the Runner (see memoKey) in an LRU
+// store bounded at MemoCap, so repeating or extending a sweep on the same
+// Runner re-simulates only what changed; CacheStats reports the hit/miss
+// and eviction counters.
 //
 // Sweeps over Axes.MidFrequency additionally share their pre-divergence
 // history: all branches of one divergence family replay identically up to
@@ -408,15 +410,10 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	// intensity, and emissions deltas across simulation axes carry no
 	// grid-sampling noise. The trace spans the whole run (not just the
 	// measurement window) because carbon-aware simulations consume it from
-	// day zero; one trace per distinct grid mean is built on the pool
+	// day zero; one trace per distinct grid mean, all drawn in one pass
 	// before anything is accounted, and shared by reference.
-	traceSeed := rng.DeriveSeed(spec.Seed, "grid-trace")
 	traceOf := map[float64]int{}
-	var (
-		traceTasks []func()
-		traces     []*timeseries.Series
-		traceErrs  []error
-	)
+	var models []grid.IntensityModel
 
 	// Group scenarios by run key (simulation key plus any active mid-sweep
 	// divergence value), as the partition computed them.
@@ -435,14 +432,8 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 			return 0, fmt.Errorf("scenario %d (%s): %w", sc.Index, sc.Name, err)
 		}
 		if _, ok := traceOf[sc.GridMean]; !ok {
-			t, sc, cc := len(traceTasks), sc, core.CarbonConfig{Model: gm, TraceSeed: traceSeed}
-			traceOf[sc.GridMean] = t
-			traceTasks = append(traceTasks, func() {
-				var err error
-				if traces[t], err = cc.Trace(sweepStart, sweepStart.AddDate(0, 0, spec.Days)); err != nil {
-					traceErrs[t] = &ScenarioError{Index: sc.Index, Name: sc.Name, Err: err}
-				}
-			})
+			traceOf[sc.GridMean] = len(models)
+			models = append(models, gm)
 		}
 		gi, ok := byKey[part.RunKeys[sc.Index]]
 		if !ok {
@@ -452,8 +443,11 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		}
 		groups[gi].members = append(groups[gi].members, i)
 	}
-	traces = make([]*timeseries.Series, len(traceTasks))
-	traceErrs = make([]error, len(traceTasks))
+	cc := core.CarbonConfig{TraceSeed: rng.DeriveSeed(spec.Seed, "grid-trace")}
+	traces, err := cc.Traces(models, sweepStart, sweepStart.AddDate(0, 0, spec.Days))
+	if err != nil {
+		return 0, fmt.Errorf("scenario: grid traces: %w", err)
+	}
 
 	// Collect mid-sweep divergence families: groups sharing a simulation
 	// key differ only in their mid value, so they replay the same timeline
@@ -561,14 +555,17 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		members := groups[g].members
 		idxs := make([]int, len(members))
 		results := make([]Result, len(members))
+		memberTraces := make([]*timeseries.Series, len(members))
 		for j, m := range members {
-			sc := scenarios[m]
-			var err error
-			if results[j], err = account(sc, traces[traceOf[sc.GridMean]], sims[g]); err != nil {
-				errs[m] = err
-				return
-			}
-			idxs[j], results[j].SimDigest = sc.Index, digests[g]
+			idxs[j], results[j].Scenario = scenarios[m].Index, scenarios[m]
+			memberTraces[j] = traces[traceOf[scenarios[m].GridMean]]
+		}
+		if err := account(results, memberTraces, sims[g]); err != nil {
+			fail(g, err)
+			return
+		}
+		for j := range results {
+			results[j].SimDigest = digests[g]
 		}
 		landMu.Lock()
 		defer landMu.Unlock()
@@ -602,17 +599,11 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	}
 	var executed atomic.Int64
 
-	// Phase zero builds the grid traces. Phase one lands the memo hits
-	// first, then runs the cold simulations, plus one prefix run per fork
-	// family that has pending branches and no memoized snapshot. The
-	// prefix runs to the divergence point and checkpoints there; it counts
-	// as an executed simulation (a memo miss) like any other.
-	runPhase(traceTasks)
-	for _, err := range traceErrs {
-		if err != nil {
-			return 0, err
-		}
-	}
+	// Phase one lands the memo hits first, then runs the cold
+	// simulations, plus one prefix run per fork family that has pending
+	// branches and no memoized snapshot. The prefix runs to the divergence
+	// point and checkpoints there; it counts as an executed simulation (a
+	// memo miss) like any other.
 	var coldTasks, forkTasks []func()
 	for _, g := range hits {
 		g := g
@@ -738,37 +729,46 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	return workers, nil
 }
 
-// account derives one scenario's Result from its (possibly shared)
-// simulation by integrating the simulated power series against the
-// scenario's intensity trace over the measurement window.
-func account(sc Scenario, trace *timeseries.Series, res *core.Results) (Result, error) {
+// fullMachineNodes is the node count of the full machine, against which
+// a scenario's share of the embodied emissions is scaled.
+var fullMachineNodes = core.DefaultConfig().Facility.Nodes
+
+// account fills a group's Results — each carrying its Scenario — from
+// the simulation they share: one walk over the simulated power series
+// (emissions.AccountTraces) prices it against every member's intensity
+// trace (traces[j] for results[j]) over the measurement window.
+func account(results []Result, traces []*timeseries.Series, res *core.Results) error {
 	w, ok := res.WindowByLabel("measure")
 	if !ok {
-		return Result{}, fmt.Errorf("scenario: measurement window missing")
+		return fmt.Errorf("scenario: measurement window missing")
 	}
-	span := w.Window.To.Sub(w.Window.From)
+	from, to := w.Window.From, w.Window.To
 
 	// Embodied emissions scale with the slice of the 5,860-node machine
-	// being simulated.
-	full := core.DefaultConfig().Facility.Nodes
+	// being simulated; a group's members share one simulation, so one size.
 	params := emissions.ARCHER2Defaults()
-	params.Embodied = params.Embodied.Scale(float64(sc.Nodes) / float64(full))
-	acct := params.AccountSeries(res.Power, trace, w.Window.From, w.Window.To)
-
-	return Result{
-		Scenario:  sc,
-		MeanPower: w.MeanPower,
-		MeanUtil:  w.MeanUtil,
-		Energy:    w.MeanPower.EnergyOver(span),
-		NodeHours: res.TotalUsage.NodeHours,
-		MeanCI:    units.GramsPerKWh(trace.MeanBetween(w.Window.From, w.Window.To)),
-		Emissions: acct,
-		Regime:    emissions.RegimeOf(acct),
-		Holds:     res.Sched.Holds,
-		HoldDelay: res.Sched.HoldDelay,
-		Completed: res.Sched.Completed,
-		MeanWait:  res.Sched.MeanWait(),
-	}, nil
+	params.Embodied = params.Embodied.Scale(float64(results[0].Scenario.Nodes) / float64(fullMachineNodes))
+	accts := make([]emissions.Window, len(results))
+	if err := params.AccountTraces(res.Power, traces, from, to, accts); err != nil {
+		return err
+	}
+	for j, acct := range accts {
+		results[j] = Result{
+			Scenario:  results[j].Scenario,
+			MeanPower: w.MeanPower,
+			MeanUtil:  w.MeanUtil,
+			Energy:    w.MeanPower.EnergyOver(to.Sub(from)),
+			NodeHours: res.TotalUsage.NodeHours,
+			MeanCI:    units.GramsPerKWh(traces[j].MeanBetween(from, to)),
+			Emissions: acct,
+			Regime:    emissions.RegimeOf(acct),
+			Holds:     res.Sched.Holds,
+			HoldDelay: res.Sched.HoldDelay,
+			Completed: res.Sched.Completed,
+			MeanWait:  res.Sched.MeanWait(),
+		}
+	}
+	return nil
 }
 
 // fillAvoidedCarbon computes each scenario's emissions cut against its

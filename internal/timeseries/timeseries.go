@@ -91,6 +91,17 @@ func (s *Series) At(i int) Sample {
 	return Sample{T: s.timeAt(i), V: s.values[i]}
 }
 
+// Value returns sample i's value, without building its timestamp.
+func (s *Series) Value(i int) float64 { return s.values[i] }
+
+// SameCadence reports whether o samples exactly where s does: the same
+// step, the same length and, when non-empty, the same epoch, so sample i
+// of each carries one timestamp.
+func (s *Series) SameCadence(o *Series) bool {
+	return s.step == o.step && len(s.values) == len(o.values) &&
+		(len(s.values) == 0 || s.epoch.Equal(o.epoch))
+}
+
 // Append adds a sample. The first append pins the series epoch; every
 // later append must land exactly on the cadence (epoch + Len()*step) or
 // an error is returned.
@@ -113,14 +124,17 @@ func (s *Series) MustAppend(t time.Time, v float64) {
 	}
 }
 
-// searchCeil returns the index of the first sample at or after t, found
-// arithmetically: every implicit timestamp is an integer multiple of step
-// past the epoch. t.Sub saturates at the largest time.Duration for bounds
-// centuries away, so the ceiling is taken from the quotient and remainder
-// rather than by adding step-1, which would overflow.
-func (s *Series) searchCeil(t time.Time) int {
+// searchCeil returns the index of the first sample at or after t.
+func (s *Series) searchCeil(t time.Time) int { return s.ceil(t.Sub(s.epoch)) }
+
+// ceil returns the index of the first sample at or after offset d from
+// the epoch, found arithmetically: every implicit timestamp is an integer
+// multiple of step past the epoch. time.Time.Sub saturates at the largest
+// time.Duration for bounds centuries away, so the ceiling is taken from
+// the quotient and remainder rather than by adding step-1, which would
+// overflow.
+func (s *Series) ceil(d time.Duration) int {
 	n := len(s.values)
-	d := t.Sub(s.epoch)
 	if n == 0 || d <= 0 {
 		return 0
 	}
@@ -203,49 +217,55 @@ func meanRange(values []float64, lo, hi int) float64 {
 // outside the window bound the edge segments. It returns 0 when the window
 // is empty or no sample precedes or lies within it.
 func (s *Series) TimeWeightedMean(from, to time.Time) float64 {
-	if !to.After(from) || len(s.values) == 0 {
-		return 0
-	}
-	return timeWeightedMean(s, s.searchCeil(from), from, to)
+	f := from.Sub(s.epoch)
+	return s.timeWeightedMean(s.ceil(f), f, from, to)
 }
 
-// timeWeightedMean is the shared sample-and-hold integration behind
-// Series.TimeWeightedMean and WindowAccumulator: s's samples from index i
-// (the first at or after `from`) bound the segments.
-func timeWeightedMean(s *Series, i int, from, to time.Time) float64 {
-	n := s.Len()
-	var integral float64
-	cursor := from
-	var current float64
-	haveCurrent := false
-	if i > 0 {
-		current = s.values[i-1]
-		haveCurrent = true
-	}
-	for ; i < n; i++ {
-		at := s.timeAt(i)
-		if !at.Before(to) {
-			break
-		}
-		if haveCurrent {
-			integral += current * at.Sub(cursor).Seconds()
-		}
-		cursor = at
-		current = s.values[i]
-		haveCurrent = true
-	}
-	if !haveCurrent {
+// timeWeightedMean is the one sample-and-hold integrator behind
+// Series.TimeWeightedMean and WindowAccumulator: samples from index i (the
+// first at or after `from`, which lies f past the epoch) bound the
+// segments. Sample j sits at offset j*step, so the per-sample arithmetic
+// is integer: the window's first segment runs i*step-f, every inner one a
+// whole step, and the last t-(hi-1)*step — the same time.Duration values
+// time.Time.Sub gives for the implicit timestamps, hence the same floats.
+// Only the window's own bounds go through time.Time.Sub, which saturates
+// for bounds centuries away; a saturated `to` takes the last segment from
+// the timestamps themselves.
+func (s *Series) timeWeightedMean(i int, f time.Duration, from, to time.Time) float64 {
+	n := len(s.values)
+	span := to.Sub(from)
+	if span <= 0 || n == 0 {
 		return 0
 	}
-	integral += current * to.Sub(cursor).Seconds()
-	denom := to.Sub(from).Seconds()
-	// If the first in-window sample started after `from` with no prior value,
-	// only average over the covered portion.
-	if s.epoch.After(from) {
-		denom = to.Sub(s.epoch).Seconds()
-		if denom <= 0 {
+	t := to.Sub(s.epoch)
+	hi := s.ceil(t) // first sample at or after `to`; i <= hi since f <= t
+	var integral float64
+	if i == hi {
+		// No sample inside the window: the value held from before it
+		// covers all of it, or nothing does.
+		if i == 0 {
 			return 0
 		}
+		integral += s.values[i-1] * span.Seconds()
+		return integral / span.Seconds()
+	}
+	if i > 0 {
+		integral += s.values[i-1] * (time.Duration(i)*s.step - f).Seconds()
+	}
+	step := s.step.Seconds()
+	for j := i + 1; j < hi; j++ {
+		integral += s.values[j-1] * step
+	}
+	last := t - time.Duration(hi-1)*s.step
+	if t == math.MaxInt64 {
+		last = to.Sub(s.timeAt(hi - 1))
+	}
+	integral += s.values[hi-1] * last.Seconds()
+	denom := span.Seconds()
+	// If the first in-window sample started after `from` with no prior value,
+	// only average over the covered portion.
+	if f < 0 {
+		denom = t.Seconds()
 	}
 	return integral / denom
 }
@@ -275,16 +295,13 @@ func (s *Series) Accumulator() *WindowAccumulator {
 // sweep. It is bit-identical to the direct method for every window.
 func (a *WindowAccumulator) TimeWeightedMean(from, to time.Time) float64 {
 	s := a.s
-	n := s.Len()
-	if !to.After(from) || n == 0 {
-		return 0
-	}
 	// Advance the cursor to the first sample at or after `from` — the
-	// same index searchCeil finds, reached monotonically.
-	for a.lo < n && s.timeAt(a.lo).Before(from) {
+	// same index ceil finds, reached monotonically in epoch offsets.
+	f := from.Sub(s.epoch)
+	for a.lo < len(s.values) && time.Duration(a.lo)*s.step < f {
 		a.lo++
 	}
-	return timeWeightedMean(s, a.lo, from, to)
+	return s.timeWeightedMean(a.lo, f, from, to)
 }
 
 // StepChange describes a detected level shift in a series.

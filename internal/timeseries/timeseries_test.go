@@ -638,3 +638,127 @@ func TestInvertedWindowsAreEmpty(t *testing.T) {
 		t.Errorf("inverted TimeWeightedMean = %v", got)
 	}
 }
+
+// timeIntegrator is the time.Time form of the sample-and-hold integrator,
+// kept as the reference the integer-offset kernel must match bit for bit:
+// it builds every sample's timestamp and measures each segment with
+// time.Time.Sub. i is the index of the first sample at or after `from`.
+func timeIntegrator(s *Series, i int, from, to time.Time) float64 {
+	if !to.After(from) || s.Len() == 0 {
+		return 0
+	}
+	n := s.Len()
+	var integral float64
+	cursor := from
+	var current float64
+	haveCurrent := false
+	if i > 0 {
+		current = s.values[i-1]
+		haveCurrent = true
+	}
+	for ; i < n; i++ {
+		at := s.timeAt(i)
+		if !at.Before(to) {
+			break
+		}
+		if haveCurrent {
+			integral += current * at.Sub(cursor).Seconds()
+		}
+		cursor = at
+		current = s.values[i]
+		haveCurrent = true
+	}
+	if !haveCurrent {
+		return 0
+	}
+	integral += current * to.Sub(cursor).Seconds()
+	denom := to.Sub(from).Seconds()
+	if s.epoch.After(from) {
+		denom = to.Sub(s.epoch).Seconds()
+		if denom <= 0 {
+			return 0
+		}
+	}
+	return integral / denom
+}
+
+// timeCursor is the time.Time form of the accumulator's cursor advance.
+func timeCursor(s *Series, lo int, from time.Time) int {
+	for lo < s.Len() && s.timeAt(lo).Before(from) {
+		lo++
+	}
+	return lo
+}
+
+// TestIntegerKernelMatchesTimeIntegrator checks the integer-offset kernel,
+// through both Series.TimeWeightedMean and WindowAccumulator, against the
+// time.Time integrator on random series and windows of every kind: before
+// the epoch, straddling it, inside, straddling or past the end, inverted,
+// empty, and centuries away, where time.Time.Sub saturates.
+func TestIntegerKernelMatchesTimeIntegrator(t *testing.T) {
+	rnd := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 200; trial++ {
+		step := time.Duration(1+rnd.Int63n(int64(3*time.Hour))) * time.Nanosecond
+		if rnd.Intn(2) == 0 {
+			step = time.Duration(1+rnd.Intn(120)) * time.Minute
+		}
+		n := 1 + rnd.Intn(300)
+		s := New("x", "u", step, n)
+		for i := 0; i < n; i++ {
+			s.MustAppend(t0.Add(time.Duration(i)*step), rnd.NormFloat64()*1000)
+		}
+		span := time.Duration(n) * step
+		// at draws one window bound in the region the case names.
+		at := func(region int) time.Time {
+			switch region {
+			case 0: // before the epoch
+				return t0.Add(-time.Duration(1 + rnd.Int63n(int64(3*step))))
+			case 1: // inside the data
+				return t0.Add(time.Duration(rnd.Int63n(int64(span))))
+			case 2: // past the last sample
+				return t0.Add(span + time.Duration(rnd.Int63n(int64(3*step))))
+			case 3: // on a sample
+				return s.timeAt(rnd.Intn(n))
+			case 4: // centuries before
+				return t0.AddDate(-300-rnd.Intn(200), 0, 0)
+			default: // centuries after
+				return t0.AddDate(300+rnd.Intn(200), 0, 0)
+			}
+		}
+		for q := 0; q < 100; q++ {
+			from, to := at(rnd.Intn(6)), at(rnd.Intn(6))
+			want := timeIntegrator(s, s.searchCeil(from), from, to)
+			if got := s.TimeWeightedMean(from, to); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d step %v n %d: TimeWeightedMean(%v, %v) = %v, time integrator %v",
+					trial, step, n, from, to, got, want)
+			}
+		}
+
+		// A monotone sweep of windows through the accumulator, with the
+		// time.Time cursor beside it.
+		acc := s.Accumulator()
+		lo := 0
+		from := at(rnd.Intn(2) * 4) // before the epoch, near or far
+		for q := 0; q < 100; q++ {
+			to := from.Add(time.Duration(rnd.Int63n(int64(4*step))) - step) // sometimes inverted
+			switch rnd.Intn(20) {
+			case 0:
+				to = t0.AddDate(300, 0, 0)
+			case 1, 2, 3, 4:
+				to = s.timeAt(rnd.Intn(n)) // windows meeting on a sample
+			}
+			lo = timeCursor(s, lo, from)
+			want := timeIntegrator(s, lo, from, to)
+			if got := acc.TimeWeightedMean(from, to); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d step %v n %d: accumulator window (%v, %v) = %v, time integrator %v",
+					trial, step, n, from, to, got, want)
+			}
+			if acc.lo != lo {
+				t.Fatalf("trial %d: accumulator cursor %d, time cursor %d at %v", trial, acc.lo, lo, from)
+			}
+			if to.After(from) && to.Before(t0.AddDate(200, 0, 0)) {
+				from = to
+			}
+		}
+	}
+}
