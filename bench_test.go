@@ -577,6 +577,36 @@ func BenchmarkWarmSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkAccountTraces measures the emissions walk alone: one 28-day,
+// 15-minute power series priced against four 30-minute intensity traces
+// on one cadence (DefaultSpec's grid means), the accounting a memo-hit
+// sweep makes once per simulation.
+func BenchmarkAccountTraces(b *testing.B) {
+	const days = 28
+	end := epoch.AddDate(0, 0, days)
+	power := timeseries.New("cabinet_power", "kW", 15*time.Minute, days*96)
+	stream := rng.New(5)
+	for t := epoch; t.Before(end); t = t.Add(15 * time.Minute) {
+		power.MustAppend(t, 3000+500*stream.Float64())
+	}
+	gb := grid.GB2022()
+	models := []grid.IntensityModel{gb.Scaled(200), gb.Scaled(100), gb.Scaled(65), gb.Scaled(20)}
+	traces, err := grid.Traces(models, epoch, end, 30*time.Minute, rng.New(7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	params := emissions.ARCHER2Defaults()
+	out := make([]emissions.Window, len(traces))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := params.AccountTraces(power, traces, epoch, end, out); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(out[0].Scope2.Tonnes(), "scope2_t")
+}
+
 // --- Roofline v2 benchmarks ---
 
 // BenchmarkTableLookup measures one measured-table multiplier lookup —

@@ -148,29 +148,31 @@ func (p Params) AccountTraces(powerKW *timeseries.Series, cis []*timeseries.Seri
 // cadence, so a segment's kWh depends only on the power series: it is
 // integrated once however many traces price it, and every trace gets the
 // sums a walk of its own would. The segments sweep forward in time, so
-// one accumulator walks the power series in a single pass (O(P+C)).
+// one accumulator walks the power series in a single pass (O(P+C)), on an
+// integer clock: the trace epoch and the window bounds become offsets
+// from the power epoch once, and segment i is base + i*step clipped to
+// [f, t) — the Durations time.Time.Sub gives, so the same floats.
 func walk(powerKW *timeseries.Series, cis []*timeseries.Series, from, to time.Time, scope2g []float64) (energyKWh float64) {
 	nCI := cis[0].Len()
-	acc := powerKW.Accumulator()
-	var at time.Time
-	if nCI > 0 {
-		at = cis[0].At(0).T
+	if nCI == 0 || powerKW.Len() == 0 {
+		return 0
 	}
+	epoch := powerKW.At(0).T
+	f, t := from.Sub(epoch), to.Sub(epoch)
+	base, step := cis[0].At(0).T.Sub(epoch), cis[0].Step()
+	acc := powerKW.Accumulator()
 	for i := 0; i < nCI; i++ {
-		segFrom, segTo := at, to
-		if i+1 < nCI {
-			at = cis[0].At(i + 1).T
-			if at.Before(to) {
-				segTo = at
-			}
+		segFrom, segTo := base+time.Duration(i)*step, t
+		if i+1 < nCI && segFrom+step < t {
+			segTo = segFrom + step
 		}
-		if segFrom.Before(from) {
-			segFrom = from
+		if segFrom < f {
+			segFrom = f
 		}
-		if !segTo.After(segFrom) {
+		if segTo <= segFrom {
 			continue
 		}
-		kwh := acc.TimeWeightedMean(segFrom, segTo) * segTo.Sub(segFrom).Hours()
+		kwh := acc.TimeWeightedMean(segFrom, segTo) * timeseries.Span(segFrom, segTo).Hours()
 		energyKWh += kwh
 		for k, ci := range cis {
 			scope2g[k] += kwh * ci.Value(i)

@@ -272,11 +272,11 @@ func TestAccountSeriesDegenerate(t *testing.T) {
 
 // refAccountSeries is the per-trace accounting walk AccountTraces
 // replaced, kept as the reference it must match bit for bit: one walk over
-// the power series for every trace.
+// the power series for every trace, on time.Time segment bounds, each
+// segment integrated by Series.TimeWeightedMean.
 func refAccountSeries(p Params, powerKW, ci *timeseries.Series, from, to time.Time) Window {
 	var energyKWh, scope2g float64
 	nCI := ci.Len()
-	acc := powerKW.Accumulator()
 	for i := 0; i < nCI; i++ {
 		smp := ci.At(i)
 		segFrom, segTo := smp.T, to
@@ -291,7 +291,7 @@ func refAccountSeries(p Params, powerKW, ci *timeseries.Series, from, to time.Ti
 		if !segTo.After(segFrom) {
 			continue
 		}
-		meanKW := acc.TimeWeightedMean(segFrom, segTo)
+		meanKW := powerKW.TimeWeightedMean(segFrom, segTo)
 		kwh := meanKW * segTo.Sub(segFrom).Hours()
 		energyKWh += kwh
 		scope2g += kwh * smp.V

@@ -77,14 +77,33 @@ func (m IntensityModel) Validate() error {
 	return nil
 }
 
+// seasonCos and diurnalCos tabulate the calendar cosines by day of the
+// year (1-366) and minute of the day (0-1439), with the expressions a
+// per-step evaluation uses, so a lookup returns the same float.
+var (
+	seasonCos  [367]float64
+	diurnalCos [24 * 60]float64
+)
+
+func init() {
+	for d := 1; d <= 366; d++ {
+		// Peak in mid-January (yearFrac ~ 0.04).
+		yearFrac := float64(d-1) / 365
+		seasonCos[d] = math.Cos(2 * math.Pi * (yearFrac - 0.04))
+	}
+	for m := range diurnalCos {
+		// Evening peak ~18:00, night trough ~03:00.
+		hour := float64(m/60) + float64(m%60)/60
+		diurnalCos[m] = math.Cos(2 * math.Pi * (hour - 18) / 24)
+	}
+}
+
 // calendar returns the seasonal and diurnal cosines at t, which every
-// model scales by its own amplitudes.
+// model scales by its own amplitudes: table lookups by day of the year and
+// minute of the day, so seconds do not enter.
 func calendar(t time.Time) (season, day float64) {
-	yearFrac := float64(t.YearDay()-1) / 365
-	hour := float64(t.Hour()) + float64(t.Minute())/60
-	// Peak in mid-January (yearFrac ~ 0.04); evening peak ~18:00, night
-	// trough ~03:00.
-	return math.Cos(2 * math.Pi * (yearFrac - 0.04)), math.Cos(2 * math.Pi * (hour - 18) / 24)
+	h, m, _ := t.Clock()
+	return seasonCos[t.YearDay()], diurnalCos[h*60+m]
 }
 
 // level returns the deterministic season+diurnal component for the
@@ -122,21 +141,27 @@ func Traces(models []IntensityModel, from, to time.Time, step time.Duration, r *
 	return out, nil
 }
 
-// generate is Traces writing series k to out[k]. The per-model wind state
-// lives on the stack for up to eight models, so a single Trace allocates
-// nothing beyond its series.
+// generate is Traces writing series k to out[k]. Each model's samples are
+// written in place into the exact-length slice its series owns, and the
+// per-model wind state lives on the stack for up to eight models, so a
+// single Trace allocates nothing beyond its series.
 func generate(models []IntensityModel, from, to time.Time, step time.Duration, r *rng.Stream, out []*timeseries.Series) error {
 	for _, m := range models {
 		if err := m.Validate(); err != nil {
 			return err
 		}
 	}
-	if step <= 0 || !to.After(from) {
+	window := to.Sub(from)
+	if step <= 0 || window <= 0 || window == math.MaxInt64 {
 		return fmt.Errorf("grid: invalid trace window [%v, %v) step %v", from, to, step)
 	}
+	n := int((window-1)/step) + 1 // steps starting in [from, to)
 	// Exact OU discretisation: x' = x*a + sigma*sqrt(1-a^2)*N(0,1), from
 	// a stationary start x = N(0, sigma).
-	type ou struct{ x, a, q float64 }
+	type ou struct {
+		x, a, q float64
+		v       []float64 // the samples, owned by out[k]
+	}
 	var buf [8]ou
 	wind := buf[:]
 	if len(models) > len(buf) {
@@ -146,11 +171,11 @@ func generate(models []IntensityModel, from, to time.Time, step time.Duration, r
 	for k := range models {
 		m := &models[k]
 		a := math.Exp(-step.Seconds() / m.NoiseTau.Seconds())
-		wind[k] = ou{x: 0 + m.NoiseSigma*u*f, a: a, q: m.NoiseSigma * math.Sqrt(1-a*a)}
-		out[k] = timeseries.New("carbon_intensity", "gCO2/kWh", step,
-			int(to.Sub(from)/step)+1)
+		wind[k] = ou{x: 0 + m.NoiseSigma*u*f, a: a, q: m.NoiseSigma * math.Sqrt(1-a*a), v: make([]float64, n)}
+		out[k] = timeseries.FromValues("carbon_intensity", "gCO2/kWh", from, step, wind[k].v)
 	}
-	for t := from; t.Before(to); t = t.Add(step) {
+	t := from
+	for i := 0; i < n; i++ {
 		season, day := calendar(t)
 		u, f := r.Polar()
 		z := 0 + 1*u*f
@@ -163,9 +188,10 @@ func generate(models []IntensityModel, from, to time.Time, step time.Duration, r
 			if v > m.Max {
 				v = m.Max
 			}
-			out[k].MustAppend(t, v)
+			w.v[i] = v
 			w.x = w.x*w.a + w.q*z
 		}
+		t = t.Add(step)
 	}
 	return nil
 }

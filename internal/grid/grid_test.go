@@ -287,8 +287,12 @@ func refTrace(m IntensityModel, from, to time.Time, step time.Duration, r *rng.S
 
 // Traces must reproduce, series for series, a per-model loop in which
 // every model draws from its own copy of the stream: across seeds, at the
-// 15-minute, settlement and hourly steps, from a UTC and a DST-crossing
-// Europe/London start, for models that differ in scale and in NoiseTau.
+// 15-minute, settlement and hourly steps and at a 7m30s step that leaves
+// seconds on the clock, over windows from a UTC and a DST-crossing
+// Europe/London start, across 31 Dec of a leap year (day 366) and of a
+// length that is not a whole number of steps, for models that differ in
+// scale and in NoiseTau. refTrace evaluates the calendar per step, so this
+// also pins the calendar tables.
 func TestTracesMatchPerModelLoop(t *testing.T) {
 	london, err := time.LoadLocation("Europe/London")
 	if err != nil {
@@ -303,14 +307,18 @@ func TestTracesMatchPerModelLoop(t *testing.T) {
 	for g := 10.0; len(models) < 10; g += 37 { // past the stack-held wind state
 		models = append(models, gb.Scaled(g))
 	}
-	starts := []time.Time{
-		t0,
-		time.Date(2022, 3, 24, 7, 45, 0, 0, london), // spans the March clock change
+	dst := time.Date(2022, 3, 24, 7, 45, 0, 0, london) // spans the March clock change
+	leap := time.Date(2024, 12, 27, 13, 0, 0, 0, time.UTC)
+	windows := [][2]time.Time{
+		{t0, t0.AddDate(0, 0, 9)},
+		{dst, dst.AddDate(0, 0, 9)},
+		{leap, leap.AddDate(0, 0, 9)},
+		{t0, t0.AddDate(0, 0, 9).Add(17 * time.Minute)},
 	}
 	for _, seed := range []uint64{1, 42, 1 << 40} {
-		for _, step := range []time.Duration{15 * time.Minute, 30 * time.Minute, time.Hour} {
-			for _, from := range starts {
-				to := from.AddDate(0, 0, 9)
+		for _, step := range []time.Duration{15 * time.Minute, 30 * time.Minute, time.Hour, 7*time.Minute + 30*time.Second} {
+			for _, w := range windows {
+				from, to := w[0], w[1]
 				got, err := Traces(models, from, to, step, rng.New(seed))
 				if err != nil {
 					t.Fatal(err)

@@ -62,6 +62,15 @@ func New(name, unit string, step time.Duration, capacity int) *Series {
 	return s
 }
 
+// FromValues returns a series that takes ownership of values, sample i
+// at epoch + i*step: a producer on an exact clock writes its samples in
+// place instead of appending them. It panics on a non-positive step.
+func FromValues(name, unit string, epoch time.Time, step time.Duration, values []float64) *Series {
+	s := New(name, unit, step, 0)
+	s.epoch, s.values = epoch, values
+	return s
+}
+
 // Step returns the sampling cadence.
 func (s *Series) Step() time.Duration { return s.step }
 
@@ -218,27 +227,39 @@ func meanRange(values []float64, lo, hi int) float64 {
 // is empty or no sample precedes or lies within it.
 func (s *Series) TimeWeightedMean(from, to time.Time) float64 {
 	f := from.Sub(s.epoch)
-	return s.timeWeightedMean(s.ceil(f), f, from, to)
+	return s.timeWeightedMean(s.ceil(f), f, to.Sub(s.epoch), to.Sub(from))
+}
+
+// Span returns the length of the window between epoch offsets f and t as
+// time.Time.Sub gives it for their bounds: t-f, or 0 if t <= f. Offsets
+// from time.Time.Sub saturate at the largest or smallest Duration, and a
+// span to a saturated offset saturates too: exact when that bound lies
+// more than the largest Duration from the other, as bounds centuries away
+// do.
+func Span(f, t time.Duration) time.Duration {
+	if t <= f {
+		return 0
+	}
+	if d := t - f; d > 0 && t != math.MaxInt64 && f != math.MinInt64 {
+		return d
+	}
+	return math.MaxInt64
 }
 
 // timeWeightedMean is the one sample-and-hold integrator behind
-// Series.TimeWeightedMean and WindowAccumulator: samples from index i (the
-// first at or after `from`, which lies f past the epoch) bound the
-// segments. Sample j sits at offset j*step, so the per-sample arithmetic
-// is integer: the window's first segment runs i*step-f, every inner one a
-// whole step, and the last t-(hi-1)*step — the same time.Duration values
-// time.Time.Sub gives for the implicit timestamps, hence the same floats.
-// Only the window's own bounds go through time.Time.Sub, which saturates
-// for bounds centuries away; a saturated `to` takes the last segment from
-// the timestamps themselves.
-func (s *Series) timeWeightedMean(i int, f time.Duration, from, to time.Time) float64 {
+// Series.TimeWeightedMean and WindowAccumulator, in epoch offsets: the
+// window [f, t) lasts span, and samples from index i (the first at or
+// after f) bound the segments. Sample j sits at offset j*step, so the
+// window's first segment runs i*step-f, every inner one a whole step, and
+// the last t-(hi-1)*step — the same time.Duration values time.Time.Sub
+// gives for the implicit timestamps, hence the same floats. A saturated t
+// saturates the last segment (see Span).
+func (s *Series) timeWeightedMean(i int, f, t, span time.Duration) float64 {
 	n := len(s.values)
-	span := to.Sub(from)
 	if span <= 0 || n == 0 {
 		return 0
 	}
-	t := to.Sub(s.epoch)
-	hi := s.ceil(t) // first sample at or after `to`; i <= hi since f <= t
+	hi := s.ceil(t) // first sample at or after t; i <= hi since f <= t
 	var integral float64
 	if i == hi {
 		// No sample inside the window: the value held from before it
@@ -256,11 +277,7 @@ func (s *Series) timeWeightedMean(i int, f time.Duration, from, to time.Time) fl
 	for j := i + 1; j < hi; j++ {
 		integral += s.values[j-1] * step
 	}
-	last := t - time.Duration(hi-1)*s.step
-	if t == math.MaxInt64 {
-		last = to.Sub(s.timeAt(hi - 1))
-	}
-	integral += s.values[hi-1] * last.Seconds()
+	integral += s.values[hi-1] * Span(time.Duration(hi-1)*s.step, t).Seconds()
 	denom := span.Seconds()
 	// If the first in-window sample started after `from` with no prior value,
 	// only average over the covered portion.
@@ -274,15 +291,16 @@ func (s *Series) timeWeightedMean(i int, f time.Duration, from, to time.Time) fl
 // consecutive (non-decreasing) windows in one forward pass: the cursor
 // remembers where the previous window started, so sweeping M windows over
 // an N-sample series is O(N+M) instead of M index searches plus rescans.
-// Each call returns exactly what Series.TimeWeightedMean would — same
-// arithmetic, same order — so swapping it into an accounting loop (see
-// emissions.AccountSeries) changes cost, not results. Windows passed to
-// successive calls must have non-decreasing `from`; the series must not
-// be appended to while accumulating.
+// Windows are epoch offsets (as time.Time.Sub gives them), so a caller
+// converting its bounds once walks the series without time.Time
+// arithmetic (emissions.AccountSeries); each call returns exactly what
+// Series.TimeWeightedMean does for the same bounds, saturating as Span
+// does. Successive windows must have non-decreasing f; the series must
+// not be appended to while accumulating.
 type WindowAccumulator struct {
 	s *Series
 	// lo is the index of the first sample at or after the previous
-	// window's `from` (the search result the cursor replaces).
+	// window's start (the search result the cursor replaces).
 	lo int
 }
 
@@ -292,16 +310,15 @@ func (s *Series) Accumulator() *WindowAccumulator {
 }
 
 // TimeWeightedMean is Series.TimeWeightedMean for the next window in the
-// sweep. It is bit-identical to the direct method for every window.
-func (a *WindowAccumulator) TimeWeightedMean(from, to time.Time) float64 {
+// sweep, the window running from epoch offset f to epoch offset t.
+func (a *WindowAccumulator) TimeWeightedMean(f, t time.Duration) float64 {
 	s := a.s
-	// Advance the cursor to the first sample at or after `from` — the
-	// same index ceil finds, reached monotonically in epoch offsets.
-	f := from.Sub(s.epoch)
+	// Advance the cursor to the first sample at or after f — the same
+	// index ceil finds, reached monotonically.
 	for a.lo < len(s.values) && time.Duration(a.lo)*s.step < f {
 		a.lo++
 	}
-	return s.timeWeightedMean(a.lo, f, from, to)
+	return s.timeWeightedMean(a.lo, f, t, Span(f, t))
 }
 
 // StepChange describes a detected level shift in a series.

@@ -275,7 +275,7 @@ func TestWindowAccumulatorMatchesTimeWeightedMean(t *testing.T) {
 	for from.Before(last.Add(3 * time.Hour)) {
 		to := from.Add(time.Duration(r.Intn(5*3600)) * time.Second)
 		want := s.TimeWeightedMean(from, to)
-		got := acc.TimeWeightedMean(from, to)
+		got := acc.TimeWeightedMean(from.Sub(t0), to.Sub(t0))
 		if math.Float64bits(want) != math.Float64bits(got) {
 			t.Fatalf("window [%v, %v): accumulator %v != series %v", from, to, got, want)
 		}
@@ -569,7 +569,7 @@ func TestPropertySeriesMatchesReference(t *testing.T) {
 
 			// Monotone window sweep through the accumulator.
 			wTo := from.Add(time.Duration(rnd.Int63n(int64(3 * step))))
-			if a, b := ref.timeWeightedMean(from, wTo), acc.TimeWeightedMean(from, wTo); math.Float64bits(a) != math.Float64bits(b) {
+			if a, b := ref.timeWeightedMean(from, wTo), acc.TimeWeightedMean(from.Sub(t0), wTo.Sub(t0)); math.Float64bits(a) != math.Float64bits(b) {
 				t.Fatalf("trial %d: accumulator window (%v,%v) = %v != %v", trial, from, wTo, b, a)
 			}
 			from = wTo
@@ -690,11 +690,12 @@ func timeCursor(s *Series, lo int, from time.Time) int {
 	return lo
 }
 
-// TestIntegerKernelMatchesTimeIntegrator checks the integer-offset kernel,
-// through both Series.TimeWeightedMean and WindowAccumulator, against the
-// time.Time integrator on random series and windows of every kind: before
-// the epoch, straddling it, inside, straddling or past the end, inverted,
-// empty, and centuries away, where time.Time.Sub saturates.
+// TestIntegerKernelMatchesTimeIntegrator checks the integer-offset kernel
+// on random series and windows of every kind: before the epoch,
+// straddling it, inside, straddling or past the end, inverted, empty, and
+// centuries away, where time.Time.Sub saturates. Series.TimeWeightedMean
+// is checked against the time.Time integrator, and WindowAccumulator, fed
+// the offsets of a monotone window sweep, against Series.TimeWeightedMean.
 func TestIntegerKernelMatchesTimeIntegrator(t *testing.T) {
 	rnd := rand.New(rand.NewSource(24))
 	for trial := 0; trial < 200; trial++ {
@@ -748,9 +749,9 @@ func TestIntegerKernelMatchesTimeIntegrator(t *testing.T) {
 				to = s.timeAt(rnd.Intn(n)) // windows meeting on a sample
 			}
 			lo = timeCursor(s, lo, from)
-			want := timeIntegrator(s, lo, from, to)
-			if got := acc.TimeWeightedMean(from, to); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("trial %d step %v n %d: accumulator window (%v, %v) = %v, time integrator %v",
+			want := s.TimeWeightedMean(from, to)
+			if got := acc.TimeWeightedMean(from.Sub(t0), to.Sub(t0)); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d step %v n %d: accumulator window (%v, %v) = %v, Series.TimeWeightedMean %v",
 					trial, step, n, from, to, got, want)
 			}
 			if acc.lo != lo {
