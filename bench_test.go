@@ -753,17 +753,25 @@ func BenchmarkLifetimeReplacement(b *testing.B) {
 	b.ReportMetric(advClean, "replace_adv_clean_kt")
 }
 
-// BenchmarkGridYear measures synthetic grid generation (intensity + price
-// + stress events for one year at hourly resolution).
+// BenchmarkGridYear measures the grid half of the accounting path:
+// grid.Traces drawing one year of intensity at the 30-minute step for
+// DefaultSpec's four grid means (200, 100, 65 and 20 gCO2/kWh) under one
+// weather realisation, as a sweep over those means draws them. The seed is
+// fixed, so the reported mean of the 200 g trace is the same every run.
 func BenchmarkGridYear(b *testing.B) {
 	start := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
+	end := start.AddDate(1, 0, 0)
+	var models []grid.IntensityModel
+	for _, mean := range []float64{200, 100, 65, 20} {
+		models = append(models, grid.GB2022().Scaled(mean))
+	}
 	var mean float64
 	for i := 0; i < b.N; i++ {
-		y, err := grid.GenerateYear(grid.GB2022(), grid.GB2022Prices(), start, 0.3, rng.New(uint64(i+1)))
+		traces, err := grid.Traces(models, start, end, 30*time.Minute, rng.New(1))
 		if err != nil {
 			b.Fatal(err)
 		}
-		mean = y.Intensity.Mean()
+		mean = traces[0].Mean()
 	}
 	b.ReportMetric(mean, "mean_gCO2_per_kWh")
 }

@@ -1,9 +1,10 @@
 package archertwin_test
 
-// Documentation link check, run by the CI docs job: every relative
-// markdown link in README.md, docs/ and examples/ must resolve to a file
-// or directory that exists in the repository, so the documentation suite
-// cannot rot silently as files move.
+// Documentation checks, run by the CI docs job: every relative markdown
+// link in README.md, docs/ and examples/ must resolve to a file or
+// directory that exists in the repository, and every test README.md and
+// docs/ cite by name must exist, so the documentation suite cannot rot
+// silently as files move and tests are renamed.
 
 import (
 	"os"
@@ -189,3 +190,81 @@ func TestSweepsDocAxesTable(t *testing.T) {
 // axisRow matches one row of the sweeps.md Axes table: the axis name and
 // its last ("Held at") cell.
 var axisRow = regexp.MustCompile("(?m)^\\| `([a-z_]+)` \\|.*\\| ([^|]+) \\|$")
+
+// citedTest matches a test, benchmark or fuzz func cited in a code span,
+// bare (`TestName`) or qualified by its package (`pkg.TestName`); a
+// subtest path after the name (`TestName/case`) is allowed.
+var citedTest = regexp.MustCompile("`(?:([a-z][a-z0-9]*)\\.)?((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)(?:/[^`]*)?`")
+
+// testFunc matches a top-level test, benchmark or fuzz func declaration,
+// and packageClause a Go file's package name.
+var (
+	testFunc      = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
+	packageClause = regexp.MustCompile(`(?m)^package (\w+)`)
+)
+
+// TestDocsCitedTestsExist checks that every test README.md and docs/*.md
+// cite by name is declared: `pkg.TestName` in a _test.go file of package
+// pkg (an external pkg_test package counts as pkg), a bare `TestName` in
+// any package of the repository. A renamed or deleted test otherwise
+// leaves its citation pointing at nothing.
+func TestDocsCitedTestsExist(t *testing.T) {
+	declared := map[string]map[string]bool{} // package name -> func names
+	anywhere := map[string]bool{}
+	err := filepath.Walk(".", func(path string, info os.FileInfo, err error) error {
+		if err != nil {
+			return err
+		}
+		if info.IsDir() && path != "." && strings.HasPrefix(info.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if info.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		m := packageClause.FindSubmatch(data)
+		if m == nil {
+			t.Errorf("%s: no package clause", path)
+			return nil
+		}
+		pkg := strings.TrimSuffix(string(m[1]), "_test")
+		if declared[pkg] == nil {
+			declared[pkg] = map[string]bool{}
+		}
+		for _, f := range testFunc.FindAllSubmatch(data, -1) {
+			declared[pkg][string(f[1])] = true
+			anywhere[string(f[1])] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, file := range append([]string{"README.md"}, docs...) {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range citedTest.FindAllStringSubmatch(string(data), -1) {
+			pkg, name := m[1], m[2]
+			switch {
+			case pkg == "" && !anywhere[name]:
+				t.Errorf("%s: cites %s, which no package declares", file, m[0])
+			case pkg != "" && !declared[pkg][name]:
+				t.Errorf("%s: cites %s, which package %s does not declare", file, m[0], pkg)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("matched no cited tests at all; is the matcher broken?")
+	}
+}

@@ -137,14 +137,6 @@ func NewCatalog(spec *cpu.Spec) (*Catalog, error) {
 // ByName returns a calibrated app by its paper name, or nil.
 func (c *Catalog) ByName(name string) *App { return c.byName[name] }
 
-// All returns every calibrated app.
-func (c *Catalog) All() []*App {
-	out := make([]*App, 0, len(c.Table4)+len(c.Table3))
-	out = append(out, c.Table4...)
-	out = append(out, c.Table3...)
-	return out
-}
-
 // FleetClass describes one synthetic research-area class of the ARCHER2
 // workload mix (paper §1.1 lists the major research areas). The activity
 // and kernel parameters are plausible per-family values whose weighted

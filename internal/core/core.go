@@ -35,16 +35,11 @@ import (
 	"github.com/greenhpc/archertwin/internal/workload"
 )
 
-// Window is a measurement window with a label.
+// Window is a measurement window [From, To) with a label.
 type Window struct {
 	Label string
 	From  time.Time
 	To    time.Time
-}
-
-// Contains reports whether t lies in [From, To).
-func (w Window) Contains(t time.Time) bool {
-	return !t.Before(w.From) && t.Before(w.To)
 }
 
 // Config parameterises a full timeline simulation.
@@ -384,7 +379,7 @@ type Results struct {
 
 	// CarbonTrace is the grid carbon-intensity series the run lived under
 	// (gCO2/kWh), when Config.Carbon is set. Account it against Power via
-	// emissions.AccountSeries to capture the temporal correlation the
+	// emissions.AccountTraces to capture the temporal correlation the
 	// carbon-aware policies create.
 	CarbonTrace *timeseries.Series
 }

@@ -230,13 +230,6 @@ func TestOverridePolicyTradesPowerForPerf(t *testing.T) {
 	}
 }
 
-func TestWindowContains(t *testing.T) {
-	w := Window{From: t0, To: t0.Add(time.Hour)}
-	if !w.Contains(t0) || w.Contains(t0.Add(time.Hour)) || w.Contains(t0.Add(-time.Second)) {
-		t.Fatal("window bounds wrong")
-	}
-}
-
 func TestPaperDatesSane(t *testing.T) {
 	start, end, windows := PaperDates()
 	if !end.After(start) {

@@ -93,33 +93,23 @@ func (p Params) Account(power units.Power, window time.Duration, ci units.Carbon
 	}
 }
 
-// AccountSeries computes a Window by integrating a facility power series
-// (unit kW, the telemetry meter's cabinet series) against a grid
-// carbon-intensity series (unit gCO2/kWh, a grid.IntensityModel trace)
-// over [from, to): scope 2 is the sum over intensity segments of
-// mean-power x segment-length x intensity, so work that runs in
-// low-intensity windows genuinely emits less. This is what makes
-// temporal-shifting policies visible in the accounting — the mean x mean
-// shortcut of Account would erase any correlation between when work runs
-// and how clean the grid is.
+// AccountTraces accounts one facility power series (unit kW, the
+// telemetry meter's cabinet series) against several grid carbon-intensity
+// traces (unit gCO2/kWh, grid.IntensityModel traces) over [from, to), in a
+// single walk: out[k] is the account against cis[k]. Scope 2 is the sum
+// over intensity segments of mean-power x segment-length x intensity, so
+// work that runs in low-intensity windows genuinely emits less. This is
+// what makes temporal-shifting policies visible in the accounting — the
+// mean x mean shortcut of Account would erase any correlation between
+// when work runs and how clean the grid is.
 //
 // The reported CI is the energy-weighted mean intensity the load actually
 // experienced; comparing it against the trace's plain mean measures how
 // much of the window's carbon the schedule avoided (or hit).
 //
-// It is the one-trace case of AccountTraces' walk.
-func (p Params) AccountSeries(powerKW, ci *timeseries.Series, from, to time.Time) Window {
-	cis := [1]*timeseries.Series{ci}
-	var scope2g [1]float64
-	energyKWh := walk(powerKW, cis[:], from, to, scope2g[:])
-	return p.window(energyKWh, scope2g[0], from, to)
-}
-
-// AccountTraces prices one power series against several intensity traces
-// in a single walk: out[k] is bit for bit p.AccountSeries(powerKW, cis[k],
-// from, to). The traces must share one cadence — epoch, step and length,
-// as every trace of a sweep does — so that they cut the window into the
-// same segments; a trace that does not is an error, never mis-priced.
+// The traces must share one cadence — epoch, step and length, as every
+// trace of a sweep does — so that they cut the window into the same
+// segments; a trace that does not is an error, never mis-priced.
 func (p Params) AccountTraces(powerKW *timeseries.Series, cis []*timeseries.Series, from, to time.Time, out []Window) error {
 	if len(out) != len(cis) {
 		return fmt.Errorf("emissions: %d windows for %d traces", len(out), len(cis))

@@ -193,7 +193,17 @@ func TestPropertyScope2ShareMonotone(t *testing.T) {
 	}
 }
 
-// AccountSeries on constant power and constant intensity must agree with
+// accountOne accounts powerKW against the one trace ci with AccountTraces.
+func accountOne(t *testing.T, p Params, powerKW, ci *timeseries.Series, from, to time.Time) Window {
+	t.Helper()
+	var out [1]Window
+	if err := p.AccountTraces(powerKW, []*timeseries.Series{ci}, from, to, out[:]); err != nil {
+		t.Fatal(err)
+	}
+	return out[0]
+}
+
+// Accounting constant power against constant intensity must agree with
 // the mean x mean Account to floating-point tolerance.
 func TestAccountSeriesMatchesAccountWhenConstant(t *testing.T) {
 	p := ARCHER2Defaults()
@@ -205,7 +215,7 @@ func TestAccountSeriesMatchesAccountWhenConstant(t *testing.T) {
 		power.MustAppend(ts, 3220)
 		ci.MustAppend(ts, 150)
 	}
-	got := p.AccountSeries(power, ci, from, to)
+	got := accountOne(t, p, power, ci, from, to)
 	want := p.Account(units.Kilowatts(3220), 48*time.Hour, units.GramsPerKWh(150))
 	if math.Abs(got.Scope2.Grams()-want.Scope2.Grams()) > 1e-6*want.Scope2.Grams() {
 		t.Errorf("scope 2: got %v want %v", got.Scope2, want.Scope2)
@@ -221,7 +231,7 @@ func TestAccountSeriesMatchesAccountWhenConstant(t *testing.T) {
 	}
 }
 
-// The whole point of AccountSeries: a load anti-correlated with intensity
+// The whole point of accounting against a trace: a load anti-correlated with intensity
 // (power high when the grid is clean) must account less scope 2 than the
 // mean x mean shortcut, and a correlated load more.
 func TestAccountSeriesCapturesTemporalCorrelation(t *testing.T) {
@@ -241,8 +251,8 @@ func TestAccountSeriesCapturesTemporalCorrelation(t *testing.T) {
 		anti.MustAppend(ts, pw)      // runs hard when clean
 		corr.MustAppend(ts, 4000-pw) // runs hard when dirty
 	}
-	wAnti := p.AccountSeries(anti, ci, from, to)
-	wCorr := p.AccountSeries(corr, ci, from, to)
+	wAnti := accountOne(t, p, anti, ci, from, to)
+	wCorr := accountOne(t, p, corr, ci, from, to)
 	// Same total energy by construction (both average 2000 kW).
 	if math.Abs(wAnti.Energy.KilowattHours()-wCorr.Energy.KilowattHours()) > 1 {
 		t.Fatalf("energy differs: %v vs %v", wAnti.Energy, wCorr.Energy)
@@ -261,7 +271,7 @@ func TestAccountSeriesCapturesTemporalCorrelation(t *testing.T) {
 func TestAccountSeriesDegenerate(t *testing.T) {
 	p := ARCHER2Defaults()
 	from := time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
-	w := p.AccountSeries(timeseries.New("p", "kW", time.Hour, 0), timeseries.New("ci", "g", time.Hour, 0), from, from.Add(time.Hour))
+	w := accountOne(t, p, timeseries.New("p", "kW", time.Hour, 0), timeseries.New("ci", "g", time.Hour, 0), from, from.Add(time.Hour))
 	if w.Scope2 != 0 || w.Energy != 0 || w.CI != 0 {
 		t.Errorf("degenerate account not zero: %+v", w)
 	}
@@ -327,7 +337,7 @@ func sameWindow(a, b Window) bool {
 
 // TestAccountTracesMatchesPerTraceWalk prices random power series against
 // several random traces sharing one random cadence, over random windows,
-// and checks every account — and AccountSeries, the one-trace case —
+// and checks every account — and the one-trace case of each trace alone —
 // against a walk of its own per trace, bit for bit.
 func TestAccountTracesMatchesPerTraceWalk(t *testing.T) {
 	rnd := rand.New(rand.NewSource(24))
@@ -365,8 +375,8 @@ func TestAccountTracesMatchesPerTraceWalk(t *testing.T) {
 			if !sameWindow(out[k], want) {
 				t.Fatalf("trial %d trace %d: AccountTraces %+v, per-trace walk %+v", trial, k, out[k], want)
 			}
-			if got := p.AccountSeries(power, ci, from, to); !sameWindow(got, want) {
-				t.Fatalf("trial %d trace %d: AccountSeries %+v, per-trace walk %+v", trial, k, got, want)
+			if got := accountOne(t, p, power, ci, from, to); !sameWindow(got, want) {
+				t.Fatalf("trial %d trace %d: one-trace AccountTraces %+v, per-trace walk %+v", trial, k, got, want)
 			}
 		}
 	}

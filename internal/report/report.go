@@ -43,15 +43,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.rows = append(t.rows, row)
 }
 
-// AddRowf appends a row of formatted cells, each rendered with %v.
-func (t *Table) AddRowf(cells ...any) {
-	out := make([]string, len(cells))
-	for i, c := range cells {
-		out[i] = fmt.Sprint(c)
-	}
-	t.AddRow(out...)
-}
-
 // RowCount returns the number of data rows.
 func (t *Table) RowCount() int { return len(t.rows) }
 
@@ -151,12 +142,6 @@ func (c *Comparison) Add(metric string, paper, sim float64, format func(float64)
 // String renders the comparison.
 func (c *Comparison) String() string { return c.t.String() }
 
-// MarshalJSON encodes the comparison as its underlying table.
-func (c *Comparison) MarshalJSON() ([]byte, error) { return c.t.MarshalJSON() }
-
-// RowCount returns the number of comparison rows.
-func (c *Comparison) RowCount() int { return c.t.RowCount() }
-
 // DeltaColumn describes one metric column of a DeltaTable.
 type DeltaColumn struct {
 	// Header is the column title.
@@ -229,9 +214,6 @@ func (d *DeltaTable) Add(name string, values ...float64) {
 	}
 	d.t.AddRow(cells...)
 }
-
-// RowCount returns the number of rows added (baseline included).
-func (d *DeltaTable) RowCount() int { return d.t.RowCount() }
 
 // String renders the table.
 func (d *DeltaTable) String() string { return d.t.String() }

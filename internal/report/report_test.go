@@ -43,14 +43,6 @@ func TestTableRowPadding(t *testing.T) {
 	}
 }
 
-func TestAddRowf(t *testing.T) {
-	tb := NewTable("", "n", "v")
-	tb.AddRowf(42, 3.14)
-	if !strings.Contains(tb.String(), "42") || !strings.Contains(tb.String(), "3.14") {
-		t.Error("formatted cells missing")
-	}
-}
-
 func TestFormatters(t *testing.T) {
 	if got := Pct(-0.065); got != "-6.5%" {
 		t.Errorf("Pct = %q", got)
@@ -80,8 +72,8 @@ func TestComparison(t *testing.T) {
 	if !strings.Contains(out, "n/a") {
 		t.Error("zero-paper deviation not n/a")
 	}
-	if c.RowCount() != 2 {
-		t.Fatalf("rows = %d", c.RowCount())
+	if c.t.RowCount() != 2 {
+		t.Fatalf("rows = %d", c.t.RowCount())
 	}
 }
 
@@ -119,8 +111,8 @@ func TestDeltaTable(t *testing.T) {
 		DeltaColumn{Header: "ratio"}) // nil format falls back to %g
 	d.SetBaseline("base", 1000, 1.0)
 	d.Add("capped", 840, 0.9)
-	if d.RowCount() != 2 {
-		t.Fatalf("RowCount = %d, want 2", d.RowCount())
+	if d.t.RowCount() != 2 {
+		t.Fatalf("RowCount = %d, want 2", d.t.RowCount())
 	}
 	s := d.String()
 	for _, want := range []string{
@@ -216,17 +208,5 @@ func TestDeltaTableMarshalJSON(t *testing.T) {
 	}
 	if len(got.Baseline) != 1 || got.Baseline[0] != 100 {
 		t.Errorf("baseline values = %v", got.Baseline)
-	}
-}
-
-func TestComparisonMarshalJSON(t *testing.T) {
-	c := NewComparison("C")
-	c.Add("power", 100, 103, KW)
-	data, err := json.Marshal(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), "+3.0%") {
-		t.Errorf("comparison JSON %s lacks the deviation cell", data)
 	}
 }

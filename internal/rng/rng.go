@@ -219,6 +219,3 @@ func (c *Categorical) Draw(r *Stream) int {
 	}
 	return lo
 }
-
-// Len returns the number of categories.
-func (c *Categorical) Len() int { return len(c.cum) }

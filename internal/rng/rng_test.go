@@ -189,8 +189,8 @@ func TestCategorical(t *testing.T) {
 	if math.Abs(frac0-0.25) > 0.02 {
 		t.Errorf("category 0 frequency = %v, want ~0.25", frac0)
 	}
-	if c.Len() != 3 {
-		t.Errorf("Len = %d", c.Len())
+	if len(c.cum) != 3 {
+		t.Errorf("categories = %d", len(c.cum))
 	}
 }
 

@@ -38,34 +38,6 @@ type curve struct {
 	mult []float64
 }
 
-// Point is one measured operating point used to build a Table
-// programmatically.
-type Point struct {
-	Mode Mode
-	Freq units.Frequency
-	Mult float64
-}
-
-// NewTable builds a Table from measured points. Points must arrive in
-// ascending frequency order within each mode (the "monotone frequency
-// axis" the loader enforces on CSVs holds for programmatic construction
-// too). At least one point is required.
-func NewTable(name string, points []Point) (*Table, error) {
-	t := &Table{name: name}
-	for _, p := range points {
-		if p.Mode != PowerDeterminism && p.Mode != PerformanceDeterminism {
-			return nil, fmt.Errorf("roofline: table %s: unknown mode %d", name, int(p.Mode))
-		}
-		c := &t.curves[p.Mode]
-		c.freq = append(c.freq, p.Freq.Hertz())
-		c.mult = append(c.mult, p.Mult)
-	}
-	if err := t.Validate(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
 // Name returns the application name the table was measured for.
 func (t *Table) Name() string { return t.name }
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/greenhpc/archertwin/internal/cpu"
@@ -21,20 +23,42 @@ func specSettings(spec *cpu.Spec) []cpu.FreqSetting {
 	return out
 }
 
+// parseTable loads CSV rows (header omitted) for one application through
+// ParseTables, the loader programs use, and returns that one table.
+func parseTable(rows string) (*Table, error) {
+	tables, err := ParseTables([]byte(tableHeader + "\n" + rows))
+	if err != nil {
+		return nil, err
+	}
+	for _, tab := range tables {
+		if len(tables) == 1 {
+			return tab, nil
+		}
+	}
+	return nil, fmt.Errorf("%d tables, want 1", len(tables))
+}
+
 // kernelSampledTable builds a Table by sampling a Kernel at every valid
-// FreqSetting of the spec, in both determinism modes.
+// FreqSetting of the spec, in both determinism modes. Each frequency and
+// multiplier is printed in its shortest round-trip form, so the loader
+// reads back the exact sampled floats.
 func kernelSampledTable(t *testing.T, name string, k Kernel, spec *cpu.Spec) *Table {
 	t.Helper()
-	var pts []Point
+	var rows strings.Builder
 	for _, m := range []Mode{PowerDeterminism, PerformanceDeterminism} {
 		for _, fs := range specSettings(spec) {
 			f := spec.EffectiveFrequency(fs)
-			pts = append(pts, Point{Mode: m, Freq: f, Mult: k.TimeMultiplier(f, spec.BoostFreq)})
+			ghz := strconv.FormatFloat(f.Hertz()/1e9, 'g', -1, 64)
+			if g, _ := strconv.ParseFloat(ghz, 64); units.Gigahertz(g) != f {
+				t.Fatalf("%v does not round-trip through %s GHz", f, ghz)
+			}
+			mult := strconv.FormatFloat(k.TimeMultiplier(f, spec.BoostFreq), 'g', -1, 64)
+			fmt.Fprintf(&rows, "%s,%v,%s,%s\n", name, m, ghz, mult)
 		}
 	}
-	tab, err := NewTable(name, pts)
+	tab, err := parseTable(rows.String())
 	if err != nil {
-		t.Fatalf("NewTable: %v", err)
+		t.Fatalf("ParseTables: %v", err)
 	}
 	return tab
 }
@@ -68,9 +92,9 @@ func TestTableSampledFromKernelBitIdentical(t *testing.T) {
 func TestTableOnePointClamp(t *testing.T) {
 	k := Kernel{ComputeFraction: 0} // only c=0 admits a one-point table (mult 1 at reference)
 	fref := units.Gigahertz(2.8)
-	tab, err := NewTable("one", []Point{{Mode: PowerDeterminism, Freq: fref, Mult: k.TimeMultiplier(fref, fref)}})
+	tab, err := parseTable(fmt.Sprintf("one,power-determinism,2.8,%v\n", k.TimeMultiplier(fref, fref)))
 	if err != nil {
-		t.Fatalf("NewTable: %v", err)
+		t.Fatalf("ParseTables: %v", err)
 	}
 	for _, f := range []units.Frequency{units.Gigahertz(1.5), units.Gigahertz(2.8), units.Gigahertz(3.1)} {
 		if got := tab.Multiplier(f, fref, PerformanceDeterminism); got != 1 {
@@ -80,12 +104,9 @@ func TestTableOnePointClamp(t *testing.T) {
 }
 
 func TestTableInterpolatesBetweenPoints(t *testing.T) {
-	tab, err := NewTable("interp", []Point{
-		{Mode: PowerDeterminism, Freq: units.Gigahertz(2.0), Mult: 1.4},
-		{Mode: PowerDeterminism, Freq: units.Gigahertz(2.8), Mult: 1.0},
-	})
+	tab, err := parseTable("interp,power-determinism,2.0,1.4\ninterp,power-determinism,2.8,1.0\n")
 	if err != nil {
-		t.Fatalf("NewTable: %v", err)
+		t.Fatalf("ParseTables: %v", err)
 	}
 	got := tab.Multiplier(units.Gigahertz(2.4), units.Gigahertz(2.8), PowerDeterminism)
 	if math.Abs(got-1.2) > 1e-12 {
@@ -103,12 +124,9 @@ func TestTableInterpolatesBetweenPoints(t *testing.T) {
 // A mode with no measured points must fall back to the other mode's
 // curve rather than panic.
 func TestTableModeFallback(t *testing.T) {
-	tab, err := NewTable("fallback", []Point{
-		{Mode: PowerDeterminism, Freq: units.Gigahertz(2.0), Mult: 1.3},
-		{Mode: PowerDeterminism, Freq: units.Gigahertz(2.8), Mult: 1.0},
-	})
+	tab, err := parseTable("fallback,power-determinism,2.0,1.3\nfallback,power-determinism,2.8,1.0\n")
 	if err != nil {
-		t.Fatalf("NewTable: %v", err)
+		t.Fatalf("ParseTables: %v", err)
 	}
 	want := tab.Multiplier(units.Gigahertz(2.0), units.Gigahertz(2.8), PowerDeterminism)
 	got := tab.Multiplier(units.Gigahertz(2.0), units.Gigahertz(2.8), PerformanceDeterminism)
@@ -120,30 +138,17 @@ func TestTableModeFallback(t *testing.T) {
 func TestTableValidateRejects(t *testing.T) {
 	cases := []struct {
 		name string
-		pts  []Point
+		rows string
 	}{
-		{"non-ascending frequency", []Point{
-			{Mode: PowerDeterminism, Freq: units.Gigahertz(2.8), Mult: 1.2},
-			{Mode: PowerDeterminism, Freq: units.Gigahertz(2.0), Mult: 1.0},
-		}},
-		{"multiplier below 1", []Point{
-			{Mode: PowerDeterminism, Freq: units.Gigahertz(2.0), Mult: 0.9},
-			{Mode: PowerDeterminism, Freq: units.Gigahertz(2.8), Mult: 1.0},
-		}},
-		{"multiplier rising with frequency", []Point{
-			{Mode: PowerDeterminism, Freq: units.Gigahertz(1.5), Mult: 1.1},
-			{Mode: PowerDeterminism, Freq: units.Gigahertz(2.0), Mult: 1.2},
-			{Mode: PowerDeterminism, Freq: units.Gigahertz(2.8), Mult: 1.0},
-		}},
-		{"reference multiplier not 1", []Point{
-			{Mode: PowerDeterminism, Freq: units.Gigahertz(2.0), Mult: 1.2},
-			{Mode: PowerDeterminism, Freq: units.Gigahertz(2.8), Mult: 1.1},
-		}},
-		{"no points", nil},
+		{"non-ascending frequency", "A,power-determinism,2.8,1.2\nA,power-determinism,2.0,1.0\n"},
+		{"multiplier below 1", "A,power-determinism,2.0,0.9\nA,power-determinism,2.8,1.0\n"},
+		{"multiplier rising with frequency",
+			"A,power-determinism,1.5,1.1\nA,power-determinism,2.0,1.2\nA,power-determinism,2.8,1.0\n"},
+		{"reference multiplier not 1", "A,power-determinism,2.0,1.2\nA,power-determinism,2.8,1.1\n"},
 	}
 	for _, tc := range cases {
-		if _, err := NewTable(tc.name, tc.pts); err == nil {
-			t.Errorf("%s: NewTable accepted invalid points", tc.name)
+		if _, err := ParseTables([]byte(tableHeader + "\n" + tc.rows)); err == nil {
+			t.Errorf("%s: ParseTables accepted invalid points", tc.name)
 		}
 	}
 }
@@ -152,10 +157,8 @@ func TestTableValidateRejects(t *testing.T) {
 // fref/f) must surface the typed sentinel, so loaders can tell a
 // physically impossible measurement from plain bad data.
 func TestTableValidateUnachievableIsSentinel(t *testing.T) {
-	_, err := NewTable("unachievable", []Point{
-		{Mode: PowerDeterminism, Freq: units.Gigahertz(2.0), Mult: 1.5}, // bound is 2.8/2.0 = 1.4
-		{Mode: PowerDeterminism, Freq: units.Gigahertz(2.8), Mult: 1.0},
-	})
+	// The bound at 2.0 GHz is 2.8/2.0 = 1.4.
+	_, err := parseTable("A,power-determinism,2.0,1.5\nA,power-determinism,2.8,1.0\n")
 	if !errors.Is(err, ErrRatioOutOfRange) {
 		t.Fatalf("err = %v, want ErrRatioOutOfRange", err)
 	}

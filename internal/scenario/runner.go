@@ -83,9 +83,6 @@ type SweepResults struct {
 	Workers int
 }
 
-// Baseline returns the baseline result.
-func (s *SweepResults) Baseline() Result { return s.Results[0] }
-
 // Runner executes a sweep's scenarios on a worker pool, memoizing
 // completed simulations across Run calls: a scenario whose full derived
 // seed and configuration hash match an earlier simulation reuses its

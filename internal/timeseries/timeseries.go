@@ -3,8 +3,8 @@
 // window means, step-change detection and export helpers.
 //
 // Every series the twin produces is sampled on a fixed cadence — PMDB
-// cabinet power and utilisation every 15 minutes, grid intensity and
-// price traces — so a Series stores an epoch, a step and a contiguous
+// cabinet power and utilisation every 15 minutes, grid intensity
+// traces — so a Series stores an epoch, a step and a contiguous
 // []float64 block. Sample i's timestamp is implicit, epoch + i*step,
 // which costs 8 bytes per sample instead of the 32 an explicit
 // (time, value) pair takes.
@@ -293,7 +293,7 @@ func (s *Series) timeWeightedMean(i int, f, t, span time.Duration) float64 {
 // an N-sample series is O(N+M) instead of M index searches plus rescans.
 // Windows are epoch offsets (as time.Time.Sub gives them), so a caller
 // converting its bounds once walks the series without time.Time
-// arithmetic (emissions.AccountSeries); each call returns exactly what
+// arithmetic (emissions.AccountTraces); each call returns exactly what
 // Series.TimeWeightedMean does for the same bounds, saturating as Span
 // does. Successive windows must have non-decreasing f; the series must
 // not be appended to while accumulating.

@@ -79,15 +79,6 @@ func (e Energy) MegawattHours() float64 { return float64(e) / 3.6e9 }
 // GigawattHours returns the energy in GWh.
 func (e Energy) GigawattHours() float64 { return float64(e) / 3.6e12 }
 
-// MeanPowerOver returns the mean power that delivers this energy over d.
-// It returns 0 for non-positive durations.
-func (e Energy) MeanPowerOver(d time.Duration) Power {
-	if d <= 0 {
-		return 0
-	}
-	return Power(float64(e) / d.Seconds())
-}
-
 // Scale returns e multiplied by the dimensionless factor k.
 func (e Energy) Scale(k float64) Energy { return Energy(float64(e) * k) }
 

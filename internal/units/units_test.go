@@ -47,18 +47,9 @@ func TestPowerEnergyOver(t *testing.T) {
 		t.Fatalf("energy = %v kWh, want 77280", got)
 	}
 	// Round trip back to mean power.
-	p := e.MeanPowerOver(24 * time.Hour)
+	p := Power(float64(e) / (24 * time.Hour).Seconds())
 	if got := p.Kilowatts(); !almostEqual(got, 3220, 1e-12) {
 		t.Fatalf("mean power = %v kW, want 3220", got)
-	}
-}
-
-func TestMeanPowerOverZeroDuration(t *testing.T) {
-	if got := KilowattHours(10).MeanPowerOver(0); got != 0 {
-		t.Fatalf("MeanPowerOver(0) = %v, want 0", got)
-	}
-	if got := KilowattHours(10).MeanPowerOver(-time.Second); got != 0 {
-		t.Fatalf("MeanPowerOver(<0) = %v, want 0", got)
 	}
 }
 
@@ -150,7 +141,7 @@ func TestPropertyPowerEnergyRoundTrip(t *testing.T) {
 		}
 		d := time.Duration(int(hours)+1) * time.Hour
 		p := Kilowatts(kw)
-		back := p.EnergyOver(d).MeanPowerOver(d)
+		back := Power(float64(p.EnergyOver(d)) / d.Seconds())
 		return almostEqual(back.Watts(), p.Watts(), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -39,11 +39,6 @@ type JobSpec struct {
 	Partition int
 }
 
-// NodeHours returns the job's reference node-hour cost.
-func (j JobSpec) NodeHours() float64 {
-	return float64(j.Nodes) * j.RefRuntime.Hours()
-}
-
 // PriorityClass is one level of a priority mix: jobs are assigned Level
 // with probability Share (shares are normalised over the mix).
 type PriorityClass struct {

@@ -3,7 +3,6 @@ package workload
 import (
 	"math"
 	"testing"
-	"time"
 
 	"github.com/greenhpc/archertwin/internal/apps"
 	"github.com/greenhpc/archertwin/internal/cpu"
@@ -164,13 +163,6 @@ func TestNextPanicsWithoutRate(t *testing.T) {
 		}
 	}()
 	g.Next()
-}
-
-func TestNodeHours(t *testing.T) {
-	j := JobSpec{Nodes: 4, RefRuntime: 90 * time.Minute}
-	if got := j.NodeHours(); math.Abs(got-6) > 1e-12 {
-		t.Fatalf("node hours = %v, want 6", got)
-	}
 }
 
 func TestCalibrateArrivalRateErrors(t *testing.T) {
