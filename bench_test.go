@@ -354,7 +354,7 @@ func BenchmarkAblationVoltageCurve(b *testing.B) {
 
 func BenchmarkNodePower(b *testing.B) {
 	spec := cpu.EPYC7742()
-	n := node.New(1, spec, rng.New(1))
+	n := node.New(spec, rng.New(1))
 	n.StartWork(cpu.Activity{Core: 0.7, Uncore: 0.6}, epoch)
 	b.ResetTimer()
 	var acc float64
@@ -424,7 +424,7 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng := des.NewEngine(epoch)
-	prov, err := policy.NewProvider(fcfg.CPU, policy.DefaultConfig(), rng.New(2))
+	prov, err := policy.NewProvider(fcfg.CPU, policy.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -461,7 +461,7 @@ func BenchmarkBackfillSaturated(b *testing.B) {
 		b.Fatal(err)
 	}
 	eng := des.NewEngine(epoch)
-	prov, err := policy.NewProvider(fcfg.CPU, policy.DefaultConfig(), rng.New(2))
+	prov, err := policy.NewProvider(fcfg.CPU, policy.DefaultConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

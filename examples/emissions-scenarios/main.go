@@ -89,7 +89,7 @@ func main() {
 			w := params.Account(pt.power, year, g.ci)
 			// Node-hours scale from the 4-week run to a year.
 			annualNodeh := pt.nodeHours * (year.Hours() / (28 * 24))
-			eff := emissions.ComputeEfficiency(annualNodeh, pt.power.EnergyOver(year), w.Total)
+			eff := emissions.ComputeEfficiency(annualNodeh, w.Total)
 			t.AddRow(pt.name, pt.power.String(),
 				fmt.Sprintf("%.0f t", w.Scope2.Tonnes()),
 				fmt.Sprintf("%.0f t", w.Scope3.Tonnes()),

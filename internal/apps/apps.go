@@ -23,8 +23,6 @@ import (
 type App struct {
 	// Name identifies the application/benchmark, e.g. "LAMMPS Ethanol".
 	Name string
-	// Area is the research area, e.g. "biomolecular".
-	Area string
 
 	// Kernel is the analytic frequency-sensitivity model (always
 	// populated — calibration produces it from the paper's tables).

@@ -13,7 +13,6 @@ import (
 // the BIOS change, i.e. in Performance Determinism mode).
 type Table4Row struct {
 	Name   string
-	Area   string
 	Nodes  int
 	Perf   float64
 	Energy float64
@@ -22,16 +21,17 @@ type Table4Row struct {
 	Uncore float64
 }
 
-// Table4Paper returns the published Table 4.
+// Table4Paper returns the published Table 4, each row's research area
+// in its comment.
 func Table4Paper() []Table4Row {
 	return []Table4Row{
-		{Name: "CASTEP Al Slab", Area: "materials", Nodes: 4, Perf: 0.93, Energy: 0.88, Uncore: 0.30},
-		{Name: "CP2K H2O 2048", Area: "materials", Nodes: 4, Perf: 0.91, Energy: 0.93, Uncore: 0.30},
-		{Name: "GROMACS 1400k", Area: "biomolecular", Nodes: 3, Perf: 0.83, Energy: 0.92, Uncore: 0.20},
-		{Name: "LAMMPS Ethanol", Area: "biomolecular", Nodes: 4, Perf: 0.74, Energy: 0.92, Uncore: 0.20},
-		{Name: "Nektar++ TGV 128 DoF", Area: "engineering", Nodes: 2, Perf: 0.80, Energy: 0.80, Uncore: 0.30},
-		{Name: "ONETEP hBN-BP-hBN", Area: "materials", Nodes: 4, Perf: 0.92, Energy: 0.82, Uncore: 0.30},
-		{Name: "VASP CdTe", Area: "materials", Nodes: 8, Perf: 0.95, Energy: 0.88, Uncore: 0.30},
+		{Name: "CASTEP Al Slab", Nodes: 4, Perf: 0.93, Energy: 0.88, Uncore: 0.30},       // materials
+		{Name: "CP2K H2O 2048", Nodes: 4, Perf: 0.91, Energy: 0.93, Uncore: 0.30},        // materials
+		{Name: "GROMACS 1400k", Nodes: 3, Perf: 0.83, Energy: 0.92, Uncore: 0.20},        // biomolecular
+		{Name: "LAMMPS Ethanol", Nodes: 4, Perf: 0.74, Energy: 0.92, Uncore: 0.20},       // biomolecular
+		{Name: "Nektar++ TGV 128 DoF", Nodes: 2, Perf: 0.80, Energy: 0.80, Uncore: 0.30}, // engineering
+		{Name: "ONETEP hBN-BP-hBN", Nodes: 4, Perf: 0.92, Energy: 0.82, Uncore: 0.30},    // materials
+		{Name: "VASP CdTe", Nodes: 8, Perf: 0.95, Energy: 0.88, Uncore: 0.30},            // materials
 	}
 }
 
@@ -40,7 +40,6 @@ func Table4Paper() []Table4Row {
 // at the stock 2.25 GHz + turbo setting.
 type Table3Row struct {
 	Name   string
-	Area   string
 	Nodes  int
 	Perf   float64
 	Energy float64
@@ -53,12 +52,13 @@ type Table3Row struct {
 
 // Table3Paper returns the published Table 3. Compute fractions: CASTEP and
 // VASP inherit their Table 4 siblings' inversions; OpenSBLI (structured-
-// grid compressible CFD) is assigned a mid-range 0.55.
+// grid compressible CFD) is assigned a mid-range 0.55. Each row's
+// research area is in its comment.
 func Table3Paper() []Table3Row {
 	return []Table3Row{
-		{Name: "CASTEP Al Slab (16n)", Area: "materials", Nodes: 16, Perf: 0.99, Energy: 0.94, Uncore: 0.30, ComputeFraction: 0.188},
-		{Name: "OpenSBLI TGV 1024^3", Area: "engineering", Nodes: 32, Perf: 1.00, Energy: 0.90, Uncore: 0.60, ComputeFraction: 0.55},
-		{Name: "VASP TiO2", Area: "materials", Nodes: 32, Perf: 0.99, Energy: 0.93, Uncore: 0.30, ComputeFraction: 0.132},
+		{Name: "CASTEP Al Slab (16n)", Nodes: 16, Perf: 0.99, Energy: 0.94, Uncore: 0.30, ComputeFraction: 0.188}, // materials
+		{Name: "OpenSBLI TGV 1024^3", Nodes: 32, Perf: 1.00, Energy: 0.90, Uncore: 0.60, ComputeFraction: 0.55},   // engineering
+		{Name: "VASP TiO2", Nodes: 32, Perf: 0.99, Energy: 0.93, Uncore: 0.30, ComputeFraction: 0.132},            // materials
 	}
 }
 
@@ -97,7 +97,6 @@ func NewCatalog(spec *cpu.Spec) (*Catalog, error) {
 		}
 		app := &App{
 			Name:       row.Name,
-			Area:       row.Area,
 			Kernel:     roofline.Kernel{ComputeFraction: cf},
 			ActCore:    ac,
 			ActUncore:  row.Uncore,
@@ -118,7 +117,6 @@ func NewCatalog(spec *cpu.Spec) (*Catalog, error) {
 		}
 		app := &App{
 			Name:       row.Name,
-			Area:       row.Area,
 			Kernel:     roofline.Kernel{ComputeFraction: row.ComputeFraction},
 			ActCore:    ac,
 			ActUncore:  row.Uncore,
@@ -182,7 +180,6 @@ func FleetMix() []WeightedApp {
 		out[i] = WeightedApp{
 			App: &App{
 				Name:       fc.Name,
-				Area:       fc.Name,
 				Kernel:     roofline.Kernel{ComputeFraction: fc.C},
 				ActCore:    fc.Core,
 				ActUncore:  fc.Uncore,

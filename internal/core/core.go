@@ -85,11 +85,6 @@ type Config struct {
 	// chronological order.
 	Windows []Window
 
-	// Failures, when MTBFPerNode > 0, injects random node failures with
-	// the given per-node mean time between failures and repair time. Jobs
-	// running on a failed node are killed (as on the real system).
-	Failures FailureConfig
-
 	// JobLog retains every finished job's accounting record in
 	// Results.JobLog (sacct-style).
 	JobLog bool
@@ -180,9 +175,6 @@ type CarbonConfig struct {
 	// "grid-trace")) so every scenario of a sweep shares one weather
 	// realisation — common random numbers across the carbon axis.
 	TraceSeed uint64
-	// Step is the trace and forecast granularity (default 30 minutes,
-	// the GB settlement period).
-	Step time.Duration
 	// Error is the forecast error model (zero = perfect information).
 	Error forecast.ErrorModel
 	// NewPolicy, when set, builds the temporal scheduling policy over the
@@ -190,35 +182,22 @@ type CarbonConfig struct {
 	NewPolicy func(*forecast.Forecaster) sched.TemporalPolicy
 }
 
-// step returns the effective trace step.
-func (c *CarbonConfig) step() time.Duration {
-	if c.Step <= 0 {
-		return 30 * time.Minute
-	}
-	return c.Step
-}
+// carbonStep is the carbon trace and forecast granularity: the GB
+// settlement period.
+const carbonStep = 30 * time.Minute
 
 // Trace generates the carbon-intensity series for [from, to) — the same
 // series the simulator sees, so out-of-band accounting (the scenario
 // runner) and in-simulation forecasting always agree.
 func (c *CarbonConfig) Trace(from, to time.Time) (*timeseries.Series, error) {
-	return c.Model.Trace(from, to, c.step(), rng.New(c.TraceSeed))
+	return c.Model.Trace(from, to, carbonStep, rng.New(c.TraceSeed))
 }
 
 // Traces generates, in one pass (grid.Traces), the series Trace would
 // for each of models in place of c.Model: c's seed and step under every
 // grid mix, as a sweep's scenarios see them.
 func (c *CarbonConfig) Traces(models []grid.IntensityModel, from, to time.Time) ([]*timeseries.Series, error) {
-	return grid.Traces(models, from, to, c.step(), rng.New(c.TraceSeed))
-}
-
-// FailureConfig parameterises random node failures.
-type FailureConfig struct {
-	// MTBFPerNode is one node's mean time between failures (0 disables
-	// failure injection).
-	MTBFPerNode time.Duration
-	// RepairTime is how long a failed node stays down.
-	RepairTime time.Duration
+	return grid.Traces(models, from, to, carbonStep, rng.New(c.TraceSeed))
 }
 
 // PaperDates returns the paper's simulation span and measurement windows.
@@ -242,9 +221,9 @@ func PaperDates() (start, end time.Time, windows []Window) {
 //
 // Note on overrides: the per-application module overrides are disabled in
 // the default timeline reproduction. The paper's Figure 3 shows the full
-// 480 kW reduction from the frequency change; the module overrides (and
-// user reverts) were a subsequent refinement, and their effect is studied
-// separately as an ablation (see BenchmarkAblationOverrides).
+// 480 kW reduction from the frequency change; the module overrides were
+// a subsequent refinement, and their effect is studied separately as an
+// ablation (see BenchmarkAblationOverrides).
 func DefaultConfig() Config {
 	start, end, windows := PaperDates()
 	fc := facility.ARCHER2()
@@ -282,9 +261,6 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: window %q empty", w.Label)
 		}
 	}
-	if c.Failures.MTBFPerNode > 0 && c.Failures.RepairTime <= 0 {
-		return fmt.Errorf("core: failure injection needs a positive repair time")
-	}
 	if c.Sched.AgingHours < 0 {
 		return fmt.Errorf("core: negative scheduler aging %v", c.Sched.AgingHours)
 	}
@@ -298,20 +274,6 @@ func (c Config) Validate() error {
 		}
 		if total <= 0 {
 			return fmt.Errorf("core: priority shares sum to zero")
-		}
-	}
-	for _, r := range c.Sched.Reservations {
-		if len(r.Nodes) == 0 {
-			return fmt.Errorf("core: reservation %q has no nodes", r.Name)
-		}
-		if !r.To.After(r.From) || !r.To.After(c.Start) {
-			return fmt.Errorf("core: reservation %q window [%v, %v) invalid for a run starting %v",
-				r.Name, r.From, r.To, c.Start)
-		}
-		for _, id := range r.Nodes {
-			if id < 0 || id >= c.Facility.Nodes {
-				return fmt.Errorf("core: reservation %q: no node %d", r.Name, id)
-			}
 		}
 	}
 	if c.Carbon != nil {
@@ -364,15 +326,12 @@ type Results struct {
 	// TotalUsage is the fleet total.
 	TotalUsage telemetry.ClassUsage
 
-	// Overrides and Reverts count per-job policy exceptions.
+	// Overrides counts jobs a module override moved off the default
+	// setting.
 	Overrides int
-	Reverts   int
 
 	// MixScale is the activity scalar applied by the fleet calibration.
 	MixScale float64
-
-	// NodeFailures counts injected node failures.
-	NodeFailures int
 
 	// JobLog holds per-job accounting when Config.JobLog is set.
 	JobLog *telemetry.JobLog
@@ -408,9 +367,7 @@ type Simulator struct {
 	jobLog     *telemetry.JobLog
 	mixScale   float64
 
-	failStream   *rng.Stream
-	nodeFailures int
-	carbonTrace  *timeseries.Series
+	carbonTrace *timeseries.Series
 
 	// pumpEvent is the arrival pump's event callback, created once so the
 	// O(100k) arrivals of a run do not allocate a closure each. The pending
@@ -421,29 +378,7 @@ type Simulator struct {
 	pumpHandle  des.Handle
 	pumpPending bool
 
-	// Failure-injection pending state. The failure process used to live in
-	// nested per-event closures; it is flattened into long-lived callbacks
-	// plus explicit pending records (the armed start event, the next
-	// failure, and every outstanding repair) for the same reason: forks
-	// must be able to re-create the exact pending event set.
-	failStartFn      des.Event
-	failStartHandle  des.Handle
-	failStartPending bool
-	failFire         des.Event
-	failAt           time.Time
-	failHandle       des.Handle
-	failPending      bool
-	repairFn         des.ArgEvent
-	repairs          []pendingRepair
-
 	ran bool
-}
-
-// pendingRepair is one outstanding node-repair event.
-type pendingRepair struct {
-	at     time.Time
-	id     int
-	handle des.Handle
 }
 
 // NewSimulator builds and wires a simulation from cfg.
@@ -541,7 +476,7 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 		return nil, err
 	}
 
-	provider, err := policy.NewProvider(spec, cfg.Policy, root.Split("policy"))
+	provider, err := policy.NewProvider(spec, cfg.Policy)
 	if err != nil {
 		return nil, err
 	}
@@ -593,17 +528,6 @@ func NewSimulator(cfg Config) (*Simulator, error) {
 	// Kick off the arrival pump at the start time.
 	s.pumpEvent = func(time.Time) { s.pump() }
 	s.schedulePump(cfg.Start)
-	if cfg.Failures.MTBFPerNode > 0 {
-		s.failStream = root.Split("failures")
-		s.failFire = func(now time.Time) { s.failNow(now) }
-		s.repairFn = func(now time.Time, arg any) { s.repairNow(now, arg.(int)) }
-		s.failStartFn = func(time.Time) {
-			s.failStartPending = false
-			s.pumpFailures()
-		}
-		s.failStartHandle = eng.At(cfg.Start, s.failStartFn)
-		s.failStartPending = true
-	}
 	return s, nil
 }
 
@@ -632,58 +556,11 @@ func (s *Simulator) schedulePump(t time.Time) {
 func (s *Simulator) pump() {
 	s.pumpPending = false
 	spec, gap := s.gen.Next()
-	spec.Submit = s.eng.Now()
 	s.sch.Submit(spec)
 	next := s.eng.Now().Add(gap)
 	if next.Before(s.cfg.End) {
 		s.schedulePump(next)
 	}
-}
-
-// pumpFailures draws the gap to the next node failure (fleet failure rate
-// = nodes/MTBF) and arms the failure event. The draw order (Exp for the
-// gap here, Intn for the victim when the event fires) is part of the
-// deterministic contract: forks restore the stream position and must
-// consume it identically.
-func (s *Simulator) pumpFailures() {
-	ratePerHour := float64(s.fac.NodeCount()) / s.cfg.Failures.MTBFPerNode.Hours()
-	gap := time.Duration(s.failStream.Exp(ratePerHour) * float64(time.Hour))
-	next := s.eng.Now().Add(gap)
-	if !next.Before(s.cfg.End) {
-		s.failPending = false
-		return
-	}
-	s.failAt = next
-	s.failHandle = s.eng.At(next, s.failFire)
-	s.failPending = true
-}
-
-// failNow fails a random node, schedules its repair (before re-arming the
-// next failure, preserving the historical event order) and draws the next
-// failure gap.
-func (s *Simulator) failNow(now time.Time) {
-	s.failPending = false
-	id := s.failStream.Intn(s.fac.NodeCount())
-	if err := s.sch.FailNode(id); err == nil {
-		s.nodeFailures++
-		repair := now.Add(s.cfg.Failures.RepairTime)
-		if repair.Before(s.cfg.End) {
-			h := s.eng.AtArg(repair, s.repairFn, id)
-			s.repairs = append(s.repairs, pendingRepair{at: repair, id: id, handle: h})
-		}
-	}
-	s.pumpFailures()
-}
-
-// repairNow brings a node back up and retires its pending-repair record.
-func (s *Simulator) repairNow(now time.Time, id int) {
-	for i := range s.repairs {
-		if s.repairs[i].id == id && s.repairs[i].at.Equal(now) {
-			s.repairs = append(s.repairs[:i], s.repairs[i+1:]...)
-			break
-		}
-	}
-	_ = s.sch.RepairNode(id)
 }
 
 // Facility exposes the underlying facility (for examples and tools).
@@ -692,7 +569,7 @@ func (s *Simulator) Facility() *facility.Facility { return s.fac }
 // Scheduler exposes the underlying scheduler.
 func (s *Simulator) Scheduler() *sched.Scheduler { return s.sch }
 
-// Engine exposes the simulation engine (e.g. to inject failures).
+// Engine exposes the simulation engine.
 func (s *Simulator) Engine() *des.Engine { return s.eng }
 
 // Run executes the timeline to the configured end and gathers results.
@@ -742,12 +619,10 @@ func (s *Simulator) RunContext(ctx context.Context) (*Results, error) {
 		Usage:       make(map[string]telemetry.ClassUsage),
 		TotalUsage:  s.accountant.Total(),
 		Overrides:   s.provider.Overrides(),
-		Reverts:     s.provider.Reverts(),
 		MixScale:    s.mixScale,
 		JobLog:      s.jobLog,
 		CarbonTrace: s.carbonTrace,
 	}
-	res.NodeFailures = s.nodeFailures
 	for _, name := range s.accountant.Classes() {
 		res.Usage[name] = s.accountant.Class(name)
 	}

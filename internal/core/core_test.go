@@ -102,7 +102,7 @@ func TestModeChangeReducesPower(t *testing.T) {
 	cfg := ScaledConfig(200, t0, 28)
 	perfDet := cpu.PerformanceDeterminism
 	cfg.Timeline = policy.Timeline{Changes: []policy.Change{
-		{At: t0.AddDate(0, 0, 14), Mode: &perfDet, Note: "BIOS change"},
+		{At: t0.AddDate(0, 0, 14), Mode: &perfDet}, // the BIOS change
 	}}
 	cfg.Windows = []Window{
 		{Label: "before", From: t0.AddDate(0, 0, 4), To: t0.AddDate(0, 0, 14)},
@@ -132,7 +132,7 @@ func TestFrequencyCapReducesPower(t *testing.T) {
 	capped := cfg.Facility.CPU.CappedSetting()
 	cfg.Timeline = policy.Timeline{Changes: []policy.Change{
 		{At: t0, Mode: &perfDet},
-		{At: t0.AddDate(0, 0, 14), Setting: &capped, Note: "frequency cap"},
+		{At: t0.AddDate(0, 0, 14), Setting: &capped}, // the frequency cap
 	}}
 	cfg.Windows = []Window{
 		{Label: "before", From: t0.AddDate(0, 0, 4), To: t0.AddDate(0, 0, 14)},

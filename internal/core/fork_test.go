@@ -19,19 +19,16 @@ import (
 
 // forkTestConfig builds a small simulation exercising the given feature
 // set. carbonPolicy is "", "delay-flexible" or "carbon-budget".
-func forkTestConfig(seed uint64, nodes, days int, failures, joblog bool, carbonPolicy string) Config {
+func forkTestConfig(seed uint64, nodes, days int, joblog bool, carbonPolicy string) Config {
 	cfg := ScaledConfig(nodes, t0, days)
 	cfg.Seed = seed
 	perfDet := cpu.PerformanceDeterminism
 	capped := cfg.Facility.CPU.CappedSetting()
 	cfg.Timeline = policy.Timeline{Changes: []policy.Change{
-		{At: t0.AddDate(0, 0, 1), Mode: &perfDet, Note: "test: mode change on day 1"},
-		{At: t0.AddDate(0, 0, days-1), Setting: &capped, Note: "test: frequency cap on the last day"},
+		{At: t0.AddDate(0, 0, 1), Mode: &perfDet},        // mode change on day 1
+		{At: t0.AddDate(0, 0, days-1), Setting: &capped}, // frequency cap on the last day
 	}}
 	cfg.Windows = []Window{{Label: "whole-run", From: t0, To: cfg.End}}
-	if failures {
-		cfg.Failures = FailureConfig{MTBFPerNode: 200 * 24 * time.Hour, RepairTime: 6 * time.Hour}
-	}
 	cfg.JobLog = joblog
 	if carbonPolicy != "" {
 		cfg.Carbon = &CarbonConfig{
@@ -119,7 +116,6 @@ func TestForkSameConfigBitIdentical(t *testing.T) {
 		frac := r.Float64()
 		cfg := forkTestConfig(
 			r.Uint64(), nodes, days,
-			trial%2 == 0,      // failures
 			trial%2 == 1,      // job log
 			policies[trial%3], // temporal policy
 		)
@@ -144,7 +140,7 @@ func TestForkSameConfigBitIdentical(t *testing.T) {
 // same configuration, ends with ledger power and energy bit-identical to
 // the straight run's.
 func TestForkLedgerBitIdentical(t *testing.T) {
-	cfg := forkTestConfig(11, 24, 4, true, false, "")
+	cfg := forkTestConfig(11, 24, 4, false, "")
 	straight, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -185,17 +181,17 @@ func TestForkLedgerBitIdentical(t *testing.T) {
 // whose timeline diverges at the fork point is bit-identical to running
 // that branch configuration cold from the start.
 func TestForkDivergedTimelineMatchesColdBranch(t *testing.T) {
-	cfg := forkTestConfig(7, 32, 5, true, true, "delay-flexible")
+	cfg := forkTestConfig(7, 32, 5, true, "delay-flexible")
 	at := t0.AddDate(0, 0, 3) // diverge at day 3 of 5
 
 	// The branch flips the BIOS mode back at the divergence point —
 	// inserted between the base config's day-1 and day-4 changes so the
 	// timeline stays in date order.
-	branch := forkTestConfig(7, 32, 5, true, true, "delay-flexible")
+	branch := forkTestConfig(7, 32, 5, true, "delay-flexible")
 	powDet := cpu.PowerDeterminism
 	branch.Timeline.Changes = []policy.Change{
 		branch.Timeline.Changes[0],
-		{At: at, Mode: &powDet, Note: "test: divergence"},
+		{At: at, Mode: &powDet}, // the divergence
 		branch.Timeline.Changes[1],
 	}
 
@@ -212,30 +208,25 @@ func TestForkDivergedTimelineMatchesColdBranch(t *testing.T) {
 
 // TestForkSlurmFeaturesBitIdentical pins the fork identity with every
 // Slurm-realism scheduler feature live in the snapshot: priority classes
-// with aging, requeue preemption, conservative backfill and a
-// maintenance reservation. The two fork points bracket the reservation
-// window, so one snapshot carries a pending (unstarted) reservation and
-// the other a started one with captured and draining node ledgers.
+// with aging, requeue preemption and conservative backfill, forked early
+// and late in the run.
 func TestForkSlurmFeaturesBitIdentical(t *testing.T) {
-	cfg := forkTestConfig(13, 24, 3, true, false, "")
+	cfg := forkTestConfig(13, 24, 3, false, "")
 	cfg.Priorities = []workload.PriorityClass{
 		{Level: 0, Share: 0.6}, {Level: 2, Share: 0.3}, {Level: 5, Share: 0.1},
 	}
 	cfg.Sched.Backfill = sched.BackfillConservative
 	cfg.Sched.Preemption = sched.PreemptRequeue
 	cfg.Sched.AgingHours = 12
-	cfg.Sched.Reservations = []sched.Reservation{
-		{Name: "maint", Nodes: []int{0, 1, 2, 3, 4, 5}, From: t0.Add(30 * time.Hour), To: t0.Add(40 * time.Hour)},
-	}
 
-	plain := forkTestConfig(13, 24, 3, true, false, "")
+	plain := forkTestConfig(13, 24, 3, false, "")
 	cold := digestOf(t, cfg)
 	if cold == digestOf(t, plain) {
 		t.Fatal("Slurm features changed nothing; the fork test is vacuous")
 	}
 	for name, at := range map[string]time.Time{
-		"reservation-pending": t0.Add(12 * time.Hour),
-		"reservation-started": t0.Add(36 * time.Hour),
+		"early": t0.Add(12 * time.Hour),
+		"late":  t0.Add(36 * time.Hour),
 	} {
 		t.Run(name, func(t *testing.T) {
 			forked, continued := forkDigest(t, cfg, cfg, at)
@@ -255,7 +246,7 @@ func TestForkSlurmFeaturesBitIdentical(t *testing.T) {
 // particular that no sync.Pool-backed event item discarded by the fork's
 // engine reset is still referenced by another simulation.
 func TestForkSharesNoStateWithParent(t *testing.T) {
-	cfg := forkTestConfig(11, 24, 3, true, true, "carbon-budget")
+	cfg := forkTestConfig(11, 24, 3, true, "carbon-budget")
 	at := t0.Add(36 * time.Hour)
 	parent, err := NewSimulator(cfg)
 	if err != nil {
@@ -302,7 +293,7 @@ func TestForkSharesNoStateWithParent(t *testing.T) {
 // TestForkValidation checks that Fork rejects configurations that
 // contradict the snapshot's prefix.
 func TestForkValidation(t *testing.T) {
-	cfg := forkTestConfig(3, 16, 3, false, false, "")
+	cfg := forkTestConfig(3, 16, 3, false, "")
 	at := t0.Add(36 * time.Hour) // the day-1 change is strictly in the past
 	parent, err := NewSimulator(cfg)
 	if err != nil {
@@ -323,7 +314,6 @@ func TestForkValidation(t *testing.T) {
 		"nodes":    func(c *Config) { c.Facility.Nodes += 8 },
 		"interval": func(c *Config) { c.Meter.Interval *= 2 },
 		"joblog":   func(c *Config) { c.JobLog = true },
-		"failures": func(c *Config) { c.Failures = FailureConfig{MTBFPerNode: time.Hour, RepairTime: time.Hour} },
 		"past change": func(c *Config) {
 			perfDet := cpu.PowerDeterminism
 			c.Timeline.Changes[0].Mode = &perfDet
@@ -331,7 +321,7 @@ func TestForkValidation(t *testing.T) {
 	}
 	for name, mutate := range cases {
 		t.Run(name, func(t *testing.T) {
-			bad := forkTestConfig(3, 16, 3, false, false, "")
+			bad := forkTestConfig(3, 16, 3, false, "")
 			mutate(&bad)
 			if _, err := Fork(snap, bad); err == nil {
 				t.Errorf("Fork accepted a config with mutated %s", name)
@@ -341,7 +331,7 @@ func TestForkValidation(t *testing.T) {
 
 	// Changing the future is allowed (dated after every existing change,
 	// keeping the timeline in order).
-	ok := forkTestConfig(3, 16, 3, false, false, "")
+	ok := forkTestConfig(3, 16, 3, false, "")
 	capped := ok.Facility.CPU.CappedSetting()
 	ok.Timeline.Changes = append(ok.Timeline.Changes,
 		policy.Change{At: t0.Add(60 * time.Hour), Setting: &capped})
@@ -352,7 +342,7 @@ func TestForkValidation(t *testing.T) {
 
 // TestSnapshotAfterRunRejected pins the quiescence contract.
 func TestSnapshotAfterRunRejected(t *testing.T) {
-	cfg := forkTestConfig(5, 16, 3, false, false, "")
+	cfg := forkTestConfig(5, 16, 3, false, "")
 	sim, err := NewSimulator(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -380,8 +370,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		frac := float64(fracPct%101) / 100
 		policies := []string{"", "delay-flexible", "carbon-budget"}
 		fl := int(flavour) % 3
-		cfg := forkTestConfig(seed, nodes, days,
-			fl == 1, false, policies[fl])
+		cfg := forkTestConfig(seed, nodes, days, false, policies[fl])
 		span := cfg.End.Sub(cfg.Start)
 		at := cfg.Start.Add(time.Duration(frac * float64(span))).Truncate(time.Minute)
 		cold := digestOf(t, cfg)

@@ -7,46 +7,6 @@ import (
 
 // Integration tests: cross-module behaviour of the full simulation stack.
 
-func TestIntegrationFailureInjection(t *testing.T) {
-	cfg := ScaledConfig(100, t0, 14)
-	cfg.Failures = FailureConfig{
-		MTBFPerNode: 100 * 24 * time.Hour, // aggressive: ~14 failures over the run
-		RepairTime:  12 * time.Hour,
-	}
-	cfg.Windows = []Window{{Label: "w", From: t0.AddDate(0, 0, 3), To: t0.AddDate(0, 0, 14)}}
-	sim, err := NewSimulator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sim.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.NodeFailures == 0 {
-		t.Fatal("no failures injected")
-	}
-	// Failed jobs were recorded and the service kept running at high
-	// utilisation despite the churn.
-	if res.Sched.Failed == 0 {
-		t.Fatal("failures killed no jobs (all hit idle nodes? unlikely at 99% util)")
-	}
-	w, _ := res.WindowByLabel("w")
-	if w.MeanUtil < 0.85 {
-		t.Fatalf("utilisation with failures = %v", w.MeanUtil)
-	}
-	if res.Sched.Completed == 0 {
-		t.Fatal("nothing completed")
-	}
-}
-
-func TestIntegrationFailureValidation(t *testing.T) {
-	cfg := ScaledConfig(50, t0, 2)
-	cfg.Failures = FailureConfig{MTBFPerNode: time.Hour} // no repair time
-	if _, err := NewSimulator(cfg); err == nil {
-		t.Fatal("failure config without repair time accepted")
-	}
-}
-
 func TestIntegrationReclockDuringTimeline(t *testing.T) {
 	// An emergency reclock mid-run drops fleet power immediately (not just
 	// for new jobs) and restores afterwards.

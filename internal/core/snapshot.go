@@ -54,23 +54,6 @@ type Snapshot struct {
 	pumpAt      time.Time
 	pumpSeq     uint64
 	pumpPending bool
-
-	hasFail          bool
-	failRng          [4]uint64
-	failStartSeq     uint64
-	failStartPending bool
-	failAt           time.Time
-	failSeq          uint64
-	failPending      bool
-	repairs          []repairSnap
-	nodeFailures     int
-}
-
-// repairSnap is one outstanding node-repair event.
-type repairSnap struct {
-	at  time.Time
-	id  int
-	seq uint64
 }
 
 // Snapshot captures the simulator's state at the current virtual time.
@@ -98,8 +81,6 @@ func (s *Simulator) Snapshot() (*Snapshot, error) {
 		gen:   s.gen.Snapshot(),
 		meter: s.meter.Snapshot(),
 		acct:  s.accountant.Snapshot(),
-
-		nodeFailures: s.nodeFailures,
 	}
 	if s.jobLog != nil {
 		snap.hasJobLog = true
@@ -109,22 +90,6 @@ func (s *Simulator) Snapshot() (*Snapshot, error) {
 		snap.pumpAt = s.pumpAt
 		snap.pumpSeq = s.pumpHandle.Seq()
 		snap.pumpPending = true
-	}
-	if s.failStream != nil {
-		snap.hasFail = true
-		snap.failRng = s.failStream.State()
-		if s.failStartPending {
-			snap.failStartSeq = s.failStartHandle.Seq()
-			snap.failStartPending = true
-		}
-		if s.failPending {
-			snap.failAt = s.failAt
-			snap.failSeq = s.failHandle.Seq()
-			snap.failPending = true
-		}
-		for _, r := range s.repairs {
-			snap.repairs = append(snap.repairs, repairSnap{at: r.at, id: r.id, seq: r.handle.Seq()})
-		}
 	}
 	return snap, nil
 }
@@ -181,8 +146,6 @@ func validateFork(snap *Snapshot, cfg Config) error {
 		return fmt.Errorf("core: fork meter interval %v != snapshot %v", cfg.Meter.Interval, snap.meterInterval)
 	case cfg.JobLog != snap.hasJobLog:
 		return fmt.Errorf("core: fork job-log setting differs from snapshot")
-	case (cfg.Failures.MTBFPerNode > 0) != snap.hasFail:
-		return fmt.Errorf("core: fork failure injection differs from snapshot")
 	}
 	// The past must match: every timeline change dated before the fork
 	// point must be the change the parent actually applied.
@@ -211,8 +174,7 @@ func validateFork(snap *Snapshot, cfg Config) error {
 	return nil
 }
 
-// changeEqual reports whether two timeline changes are operationally the
-// same (notes are cosmetic).
+// changeEqual reports whether two timeline changes are the same change.
 func changeEqual(a, b policy.Change) bool {
 	if !a.At.Equal(b.At) {
 		return false
@@ -275,37 +237,11 @@ func (s *Simulator) restore(snap *Snapshot) error {
 	if s.jobLog != nil {
 		s.jobLog.Restore(snap.jobLog)
 	}
-	s.nodeFailures = snap.nodeFailures
 
 	s.pumpPending = false
 	if snap.pumpPending {
 		at := snap.pumpAt
 		add(snap.pumpSeq, func() { s.schedulePump(at) })
-	}
-	s.failStartPending, s.failPending, s.repairs = false, false, nil
-	if snap.hasFail {
-		s.failStream.SetState(snap.failRng)
-		if snap.failStartPending {
-			add(snap.failStartSeq, func() {
-				s.failStartHandle = s.eng.At(s.cfg.Start, s.failStartFn)
-				s.failStartPending = true
-			})
-		}
-		if snap.failPending {
-			at := snap.failAt
-			add(snap.failSeq, func() {
-				s.failAt = at
-				s.failHandle = s.eng.At(at, s.failFire)
-				s.failPending = true
-			})
-		}
-		for _, r := range snap.repairs {
-			r := r
-			add(r.seq, func() {
-				h := s.eng.AtArg(r.at, s.repairFn, r.id)
-				s.repairs = append(s.repairs, pendingRepair{at: r.at, id: r.id, handle: h})
-			})
-		}
 	}
 
 	// The fork's own future timeline changes, in timeline (chronological)
@@ -383,6 +319,5 @@ func (snap *Snapshot) MemoryFootprint() int64 {
 		total += snap.acct.MemoryFootprint()
 	}
 	total += int64(cap(snap.jobLog)) * int64(unsafe.Sizeof(telemetry.JobRecord{}))
-	total += int64(cap(snap.repairs)) * int64(unsafe.Sizeof(repairSnap{}))
 	return total
 }

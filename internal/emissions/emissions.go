@@ -272,24 +272,14 @@ func (p Params) CrossoverIntensity(power units.Power) units.CarbonIntensity {
 type Efficiency struct {
 	// NodeHoursPerTonne is delivered node-hours per tCO2e (total).
 	NodeHoursPerTonne float64
-	// NodeHoursPerMWh is delivered node-hours per MWh of energy.
-	NodeHoursPerMWh float64
-	// KWhPerNodeHour is the energy cost of a node-hour.
-	KWhPerNodeHour float64
 }
 
-// ComputeEfficiency derives the metrics from delivered node-hours, energy
-// and a total emissions mass. Zero denominators yield zero metrics.
-func ComputeEfficiency(nodeHours float64, e units.Energy, total units.Mass) Efficiency {
+// ComputeEfficiency derives the metrics from delivered node-hours and a
+// total emissions mass. A zero denominator yields a zero metric.
+func ComputeEfficiency(nodeHours float64, total units.Mass) Efficiency {
 	var out Efficiency
 	if t := total.Tonnes(); t > 0 {
 		out.NodeHoursPerTonne = nodeHours / t
-	}
-	if mwh := e.MegawattHours(); mwh > 0 {
-		out.NodeHoursPerMWh = nodeHours / mwh
-	}
-	if nodeHours > 0 {
-		out.KWhPerNodeHour = e.KilowattHours() / nodeHours
 	}
 	return out
 }

@@ -118,19 +118,12 @@ func TestCrossoverZeroPower(t *testing.T) {
 }
 
 func TestComputeEfficiency(t *testing.T) {
-	// 1000 node-hours, 1 MWh, 2 t total.
-	e := ComputeEfficiency(1000, units.MegawattHours(1), units.Tonnes(2))
+	// 1000 node-hours, 2 t total.
+	e := ComputeEfficiency(1000, units.Tonnes(2))
 	if math.Abs(e.NodeHoursPerTonne-500) > 1e-9 {
 		t.Errorf("nodeh/t = %v", e.NodeHoursPerTonne)
 	}
-	if math.Abs(e.NodeHoursPerMWh-1000) > 1e-9 {
-		t.Errorf("nodeh/MWh = %v", e.NodeHoursPerMWh)
-	}
-	if math.Abs(e.KWhPerNodeHour-1) > 1e-9 {
-		t.Errorf("kWh/nodeh = %v", e.KWhPerNodeHour)
-	}
-	z := ComputeEfficiency(0, 0, 0)
-	if z.NodeHoursPerTonne != 0 || z.NodeHoursPerMWh != 0 || z.KWhPerNodeHour != 0 {
+	if z := ComputeEfficiency(0, 0); z.NodeHoursPerTonne != 0 {
 		t.Fatal("zero inputs produced nonzero metrics")
 	}
 }

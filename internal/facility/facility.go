@@ -25,7 +25,6 @@ var TypicalLoadedActivity = cpu.Activity{Core: 0.62, Uncore: 0.62}
 
 // Config describes a facility.
 type Config struct {
-	Name     string
 	Nodes    int
 	Cabinets int
 	CPU      *cpu.Spec
@@ -96,7 +95,6 @@ func (cfg Config) PartitionShape() string {
 // ARCHER2 returns the paper's Table 1 configuration.
 func ARCHER2() Config {
 	return Config{
-		Name:         "ARCHER2",
 		Nodes:        5860,
 		Cabinets:     23,
 		CPU:          cpu.EPYC7742(),
@@ -129,8 +127,8 @@ type Facility struct {
 	fs     *storage.Fleet
 	plant  *cooling.Plant
 
-	// counters is the fleet ledger the nodes keep up to date: up/busy
-	// counts (so the per-sample Utilisation read is O(1) instead of a
+	// counters is the fleet ledger the nodes keep up to date: the busy
+	// count (so the per-sample Utilisation read is O(1) instead of a
 	// fleet scan), compute power and compute energy.
 	counters node.FleetCounters
 }
@@ -218,7 +216,7 @@ func New(cfg Config, r *rng.Stream, at time.Time) (*Facility, error) {
 	for pi := range f.parts {
 		p := &f.parts[pi]
 		for i := p.Start; i < p.End(); i++ {
-			f.nodes[i] = node.NewWithLayout(i, p.CPU, p.Sockets, p.Board, nodeStream.SplitIndexed("node", i))
+			f.nodes[i] = node.NewWithLayout(p.CPU, p.Sockets, p.Board, nodeStream.SplitIndexed("node", i))
 			f.nodes[i].AttachCounters(&f.counters)
 		}
 	}
@@ -287,13 +285,10 @@ func (f *Facility) ComputeNodePower() units.Power {
 	return units.Watts(w)
 }
 
-// Utilisation returns the fraction of Up nodes that are busy, from the
-// incrementally maintained fleet counters (identical to a fresh scan).
+// Utilisation returns the fraction of nodes that are busy, from the
+// incrementally maintained fleet busy count (identical to a fresh scan).
 func (f *Facility) Utilisation() float64 {
-	if f.counters.Up == 0 {
-		return 0
-	}
-	return float64(f.counters.BusyUp) / float64(f.counters.Up)
+	return float64(f.counters.Busy) / float64(len(f.nodes))
 }
 
 // CabinetPower returns what the paper's Figures 1-3 measure: compute node

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"github.com/greenhpc/archertwin/internal/cpu"
-	"github.com/greenhpc/archertwin/internal/node"
 	"github.com/greenhpc/archertwin/internal/rng"
 )
 
@@ -129,19 +128,6 @@ func TestUtilisationAndPower(t *testing.T) {
 	}
 }
 
-func TestUtilisationExcludesDownNodes(t *testing.T) {
-	f := newFacility(t, small())
-	for i := 0; i < 50; i++ {
-		f.Node(i).StartWork(TypicalLoadedActivity, t0)
-	}
-	for i := 50; i < 100; i++ {
-		f.Node(i).SetState(node.Down, t0)
-	}
-	if u := f.Utilisation(); math.Abs(u-1.0) > 1e-9 {
-		t.Fatalf("utilisation with down nodes = %v, want 1.0", u)
-	}
-}
-
 func TestEnergyAccounting(t *testing.T) {
 	f := newFacility(t, small())
 	p := f.ComputeNodePower()
@@ -167,8 +153,8 @@ func TestDeterministicConstruction(t *testing.T) {
 
 // driveNodes applies steps random node transitions drawn from r to f,
 // starting at `at`, and returns the last step's time. Every transition
-// kind the ledger sees is covered: SetState (Up, Draining and Down),
-// SetMode, SetFrequency, StartJob and StopWork. before, when non-nil,
+// kind the ledger sees is covered: SetMode, SetFrequency, StartJob and
+// StopWork. before, when non-nil,
 // runs ahead of each transition with the node index and its time.
 func driveNodes(f *Facility, r *rng.Stream, at time.Time, steps int, before func(i int, at time.Time)) time.Time {
 	modes := []cpu.Mode{cpu.PowerDeterminism, cpu.PerformanceDeterminism}
@@ -184,16 +170,14 @@ func driveNodes(f *Facility, r *rng.Stream, at time.Time, steps int, before func
 		if before != nil {
 			before(i, at)
 		}
-		switch r.Intn(6) {
+		switch r.Intn(5) {
 		case 0:
-			n.SetState(node.State(r.Intn(3)), at)
-		case 1:
 			n.SetMode(modes[r.Intn(2)], at)
-		case 2:
+		case 1:
 			if err := n.SetFrequency(fs, at); err != nil {
 				panic(err)
 			}
-		case 3, 4:
+		case 2, 3:
 			a := cpu.Activity{Core: 1.3 * r.Float64(), Uncore: r.Float64()}
 			n.StartJob(modes[r.Intn(2)], n.Spec.Load(fs, a), at)
 		default:
@@ -276,7 +260,7 @@ func TestSnapshotRestoreLedgerBitIdentical(t *testing.T) {
 		a, b := straight.counters, forked.counters
 		if math.Float64bits(a.PowerW) != math.Float64bits(b.PowerW) ||
 			math.Float64bits(a.Energy.Joules()) != math.Float64bits(b.Energy.Joules()) ||
-			a.Up != b.Up || a.BusyUp != b.BusyUp || a.AtNs != b.AtNs {
+			a.Busy != b.Busy || a.AtNs != b.AtNs {
 			t.Fatalf("step %d: ledgers diverge:\n straight %+v\n   forked %+v", step, a, b)
 		}
 	}

@@ -32,7 +32,7 @@ import (
 )
 
 // ErrorModel parameterises forecast error as a function of horizon. The
-// zero value is a perfect forecast (no error, no bias).
+// zero value is a perfect forecast.
 type ErrorModel struct {
 	// Sigma0 is the standard deviation (gCO2/kWh) of the error at zero
 	// horizon — the nowcast error of the intensity feed itself.
@@ -40,16 +40,13 @@ type ErrorModel struct {
 	// GrowthPerSqrtHour grows the standard deviation with the square
 	// root of the horizon in hours, the scaling of a random-walk error.
 	GrowthPerSqrtHour float64
-	// Bias is a constant additive bias (gCO2/kWh), to model a feed that
-	// systematically under- or over-estimates.
-	Bias float64
 	// Seed decorrelates the error draws of independent forecasters.
 	Seed uint64
 }
 
 // IsPerfect reports whether the model adds no error at any horizon.
 func (e ErrorModel) IsPerfect() bool {
-	return e.Sigma0 == 0 && e.GrowthPerSqrtHour == 0 && e.Bias == 0
+	return e.Sigma0 == 0 && e.GrowthPerSqrtHour == 0
 }
 
 // Validate checks the parameters.
@@ -77,11 +74,11 @@ func (e ErrorModel) draw(issue, target time.Time) float64 {
 	}
 	s := e.sigma(target.Sub(issue))
 	if s == 0 {
-		return e.Bias
+		return 0
 	}
 	label := fmt.Sprintf("forecast/%d/%d", issue.Unix(), target.Unix())
 	r := rng.New(rng.DeriveSeed(e.Seed, label))
-	return e.Bias + r.Normal(0, s)
+	return r.Normal(0, s)
 }
 
 // Forecaster answers carbon-intensity forecast queries against a trace.

@@ -103,7 +103,7 @@ func TestErrorGrowsWithHorizon(t *testing.T) {
 // noisy model: the past is observed, not forecast.
 func TestHindcastIsTruth(t *testing.T) {
 	tr := gbTrace(t)
-	f, _ := New(tr, ErrorModel{Sigma0: 50, Bias: 30, Seed: 4})
+	f, _ := New(tr, ErrorModel{Sigma0: 50, Seed: 4})
 	issue := t0.Add(24 * time.Hour)
 	for _, h := range []time.Duration{0, -time.Hour, -13 * time.Hour} {
 		truth, _ := tr.ValueAt(issue.Add(h))
@@ -161,7 +161,7 @@ func TestValidation(t *testing.T) {
 	if !(ErrorModel{Seed: 5}).IsPerfect() {
 		t.Error("seed-only model not perfect")
 	}
-	if (ErrorModel{Bias: 1}).IsPerfect() {
-		t.Error("biased model reported perfect")
+	if (ErrorModel{GrowthPerSqrtHour: 1}).IsPerfect() {
+		t.Error("growing-error model reported perfect")
 	}
 }

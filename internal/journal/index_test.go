@@ -32,12 +32,22 @@ func checkIndex(t *testing.T, l *Log) {
 	t.Helper()
 	for _, seg := range l.sealed {
 		if want := fileIDs(t, seg.path); !reflect.DeepEqual(seg.ids, want) {
-			t.Fatalf("sealed segment %d: index %v, file holds %v", seg.seq, seg.ids, want)
+			t.Fatalf("sealed segment %s: index %v, file holds %v", seg.path, seg.ids, want)
 		}
 	}
 	if want := fileIDs(t, filepath.Join(l.dir, segmentName(l.seq))); !reflect.DeepEqual(l.ids, want) {
 		t.Fatalf("active segment %d: index %v, file holds %v", l.seq, l.ids, want)
 	}
+}
+
+// segSeq is a sealed segment's sequence number, read off its file name.
+func segSeq(t *testing.T, seg sealedSegment) int64 {
+	t.Helper()
+	seq, err := parseSegmentSeq(seg.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return seq
 }
 
 // rescanVerdicts applies the compaction rule by reading the files: a
@@ -54,9 +64,9 @@ func rescanVerdicts(t *testing.T, l *Log, keep func(string) bool) (kept, removed
 			t.Fatalf("rescanning %s: %v", seg.path, err)
 		}
 		if live {
-			kept = append(kept, seg.seq)
+			kept = append(kept, segSeq(t, seg))
 		} else {
-			removed = append(removed, seg.seq)
+			removed = append(removed, segSeq(t, seg))
 		}
 	}
 	return kept, removed
@@ -148,7 +158,7 @@ func TestCompactIndexMatchesRescan(t *testing.T) {
 					}
 					var kept []int64
 					for _, seg := range l.sealed {
-						kept = append(kept, seg.seq)
+						kept = append(kept, segSeq(t, seg))
 					}
 					if n != len(wantRemoved) || !reflect.DeepEqual(kept, wantKept) {
 						t.Fatalf("step %d: compact removed %d, kept %v; the re-scan rule removes %v, keeps %v",
@@ -261,7 +271,7 @@ func TestCompactFailureKeepsSegmentList(t *testing.T) {
 	}
 	var seqs []int64
 	for _, seg := range l.sealed {
-		seqs = append(seqs, seg.seq)
+		seqs = append(seqs, segSeq(t, seg))
 	}
 	if want := []int64{2, 3, 4}; !reflect.DeepEqual(seqs, want) {
 		t.Fatalf("sealed segments %v after a failed compaction, want %v", seqs, want)

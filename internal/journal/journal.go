@@ -141,7 +141,6 @@ type Log struct {
 }
 
 type sealedSegment struct {
-	seq  int64
 	path string
 	ids  idSet // sweep IDs with a record in the segment
 }
@@ -220,7 +219,7 @@ func Open(dir string, opts Options) (*Log, error) {
 			return nil, err
 		}
 		if !last {
-			l.sealed = append(l.sealed, sealedSegment{seq: seq, path: name, ids: ids})
+			l.sealed = append(l.sealed, sealedSegment{path: name, ids: ids})
 			continue
 		}
 		// The newest segment may end in a torn record from a crash: keep
@@ -560,7 +559,7 @@ func (l *Log) rotate() error {
 	if err := l.f.Close(); err != nil {
 		return fmt.Errorf("journal: sealing segment: %w", err)
 	}
-	l.sealed = append(l.sealed, sealedSegment{seq: l.seq, path: sealedPath, ids: l.ids})
+	l.sealed = append(l.sealed, sealedSegment{path: sealedPath, ids: l.ids})
 	if err := l.newSegment(l.seq + 1); err != nil {
 		l.crashed = err
 		return err

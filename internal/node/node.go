@@ -1,6 +1,6 @@
 // Package node models an ARCHER2 compute node: two EPYC sockets, board
 // components (memory DIMMs, Slingshot NICs, baseboard), per-node frequency
-// and BIOS-mode state, and the fleet ledger of node counts, power and
+// and BIOS-mode state, and the fleet ledger of busy nodes, power and
 // energy the nodes keep up to date.
 //
 // With the default EPYC7742 socket spec, a node idles at 230 W (2x85 W
@@ -24,39 +24,11 @@ const SocketsPerNode = 2
 // the CPU sockets (DIMMs at idle, NICs, baseboard, fans' share).
 var BoardPower = units.Watts(60)
 
-// State is a node's administrative state.
-type State int
-
-const (
-	// Up: available for scheduling.
-	Up State = iota
-	// Draining: running work finishes but no new work starts.
-	Draining
-	// Down: failed or administratively removed.
-	Down
-)
-
-// String implements fmt.Stringer.
-func (s State) String() string {
-	switch s {
-	case Up:
-		return "up"
-	case Draining:
-		return "draining"
-	case Down:
-		return "down"
-	default:
-		return fmt.Sprintf("State(%d)", int(s))
-	}
-}
-
 // Node is one compute node.
 type Node struct {
-	ID   int
 	Spec *cpu.Spec
 
-	mode  cpu.Mode
-	state State
+	mode cpu.Mode
 
 	// Per-node die silicon-quality factors, re-drawn when the BIOS mode
 	// changes (they are a property of (die, mode)).
@@ -70,7 +42,7 @@ type Node struct {
 	busy bool
 
 	// powerW caches Power().Watts(), a pure function of (load, mode,
-	// dieFactor, state) that only the mutators below change, so the
+	// dieFactor) that only the mutators below change, so the
 	// telemetry fleet sweep reads a field instead of the voltage/frequency
 	// model, with bit-identical sums.
 	powerW float64
@@ -86,14 +58,12 @@ type Node struct {
 }
 
 // FleetCounters is the fleet ledger, kept up to date by each attached
-// node's transitions. The counts are identical to a fresh fleet scan;
-// PowerW moves by each node's change in draw, so it matches a fresh sum
-// only to rounding.
+// node's transitions. Busy is identical to a fresh fleet scan; PowerW
+// moves by each node's change in draw, so it matches a fresh sum only to
+// rounding.
 type FleetCounters struct {
-	// Up counts nodes not Down (Up or Draining).
-	Up int
-	// BusyUp counts nodes that are busy and not Down.
-	BusyUp int
+	// Busy counts the busy nodes.
+	Busy int
 	// PowerW is the summed power draw of the attached nodes, in watts.
 	PowerW float64
 	// Energy is the compute-node energy integrated up to AtNs.
@@ -118,23 +88,22 @@ func (c *FleetCounters) Accrue(at time.Time) {
 	c.AtNs = t
 }
 
-// New creates a node with the given ID using spec, initialised at the
-// spec's default frequency setting in Power Determinism mode. The stream r
-// seeds the node's die-variation draws; it is retained.
-func New(id int, spec *cpu.Spec, r *rng.Stream) *Node {
-	return NewWithLayout(id, spec, SocketsPerNode, BoardPower, r)
+// New creates a node using spec, initialised at the spec's default
+// frequency setting in Power Determinism mode. The stream r seeds the
+// node's die-variation draws; it is retained.
+func New(spec *cpu.Spec, r *rng.Stream) *Node {
+	return NewWithLayout(spec, SocketsPerNode, BoardPower, r)
 }
 
 // NewWithLayout creates a node with an explicit physical layout: sockets
 // (or GPU modules) per node and board power. Heterogeneous partitions
 // use it for node types that differ from the ARCHER2 CPU compute node;
 // New(...) is exactly NewWithLayout(..., SocketsPerNode, BoardPower, ...).
-func NewWithLayout(id int, spec *cpu.Spec, sockets int, board units.Power, r *rng.Stream) *Node {
+func NewWithLayout(spec *cpu.Spec, sockets int, board units.Power, r *rng.Stream) *Node {
 	if sockets <= 0 {
-		panic(fmt.Sprintf("node %d: non-positive socket count %d", id, sockets))
+		panic(fmt.Sprintf("node: non-positive socket count %d", sockets))
 	}
 	n := &Node{
-		ID:      id,
 		Spec:    spec,
 		load:    cpu.Load{Setting: spec.DefaultSetting()},
 		mode:    cpu.PowerDeterminism,
@@ -153,29 +122,22 @@ func (n *Node) redraw() {
 }
 
 // AttachCounters registers the node on a fleet ledger, contributing its
-// current state and power. Facility attaches every node to one shared
-// ledger.
+// current busy state and power. Facility attaches every node to one
+// shared ledger.
 func (n *Node) AttachCounters(c *FleetCounters) {
 	n.counters = c
 	c.PowerW += n.powerW
-	if n.state != Down {
-		c.Up++
-		if n.busy {
-			c.BusyUp++
-		}
+	if n.busy {
+		c.Busy++
 	}
 }
 
 // refreshPower recomputes the cached power draw and moves the ledger's
-// fleet power by the change. Call after any mutation of load, mode, die
-// factors or state.
+// fleet power by the change. Call after any mutation of load, mode or
+// die factors.
 func (n *Node) refreshPower() {
 	old := n.powerW
-	if n.state == Down {
-		n.powerW = 0
-	} else {
-		n.powerW = float64(n.sockets)*n.Spec.SocketWatts(n.load, n.dieFactor) + n.boardW
-	}
+	n.powerW = float64(n.sockets)*n.Spec.SocketWatts(n.load, n.dieFactor) + n.boardW
 	if c := n.counters; c != nil {
 		c.PowerW += n.powerW - old
 	}
@@ -188,27 +150,17 @@ func (n *Node) accrue(at time.Time) {
 	}
 }
 
-// updateCounters reconciles the fleet counters after a state or busy
-// transition, given the prior values.
-func (n *Node) updateCounters(wasUp, wasBusy bool) {
+// updateCounters reconciles the fleet busy count after a busy
+// transition, given the prior value.
+func (n *Node) updateCounters(wasBusy bool) {
 	c := n.counters
-	if c == nil {
+	if c == nil || n.busy == wasBusy {
 		return
 	}
-	up := n.state != Down
-	if up != wasUp {
-		if up {
-			c.Up++
-		} else {
-			c.Up--
-		}
-	}
-	if was, now := wasUp && wasBusy, up && n.busy; now != was {
-		if now {
-			c.BusyUp++
-		} else {
-			c.BusyUp--
-		}
+	if n.busy {
+		c.Busy++
+	} else {
+		c.Busy--
 	}
 }
 
@@ -217,19 +169,6 @@ func (n *Node) Setting() cpu.FreqSetting { return n.load.Setting }
 
 // Mode returns the node's current BIOS determinism mode.
 func (n *Node) Mode() cpu.Mode { return n.mode }
-
-// State returns the node's administrative state.
-func (n *Node) State() State { return n.state }
-
-// SetState updates the administrative state (the ledger accrues energy
-// first so the transition is accounted at the right power level).
-func (n *Node) SetState(s State, at time.Time) {
-	n.accrue(at)
-	wasUp, wasBusy := n.state != Down, n.busy
-	n.state = s
-	n.refreshPower()
-	n.updateCounters(wasUp, wasBusy)
-}
 
 // Busy reports whether a job is currently running on the node.
 func (n *Node) Busy() bool { return n.busy }
@@ -267,7 +206,7 @@ func (n *Node) StartWork(a cpu.Activity, at time.Time) {
 	n.load = n.Spec.Load(n.load.Setting, a)
 	n.busy = true
 	n.refreshPower()
-	n.updateCounters(n.state != Down, wasBusy)
+	n.updateCounters(wasBusy)
 }
 
 // StartJob puts the node to work at load l, which the caller computed
@@ -286,7 +225,7 @@ func (n *Node) StartJob(m cpu.Mode, l cpu.Load, at time.Time) {
 	n.load = l
 	n.busy = true
 	n.refreshPower()
-	n.updateCounters(n.state != Down, wasBusy)
+	n.updateCounters(wasBusy)
 }
 
 // StopWork marks the node idle, accruing the work period's energy. Both
@@ -297,14 +236,13 @@ func (n *Node) StopWork(at time.Time) {
 	n.load = cpu.Load{Setting: n.load.Setting}
 	n.busy = false
 	n.refreshPower()
-	n.updateCounters(n.state != Down, wasBusy)
+	n.updateCounters(wasBusy)
 }
 
 // PerfFactor returns the node's current per-die performance factor.
 func (n *Node) PerfFactor() float64 { return n.perfFactor }
 
 // Power returns the node's current power draw: both sockets plus board.
-// A Down node draws no power (powered off); Draining nodes draw normally.
 // The value is cached across reads and refreshed on state mutations, so
 // fleet-wide power sweeps cost a field load per node.
 func (n *Node) Power() units.Power {
@@ -315,8 +253,8 @@ func (n *Node) Power() units.Power {
 // facility's per-sample fleet summation.
 func (n *Node) PowerWatts() float64 { return n.powerW }
 
-// IdlePower returns the node's idle power draw (state- and mode-independent
-// baseline: 2 sockets idle + board).
+// IdlePower returns the node's idle power draw (mode-independent baseline:
+// 2 sockets idle + board).
 func IdlePower(spec *cpu.Spec) units.Power { return IdlePowerLayout(spec, SocketsPerNode, BoardPower) }
 
 // ExpectedPower returns the fleet-expectation node power for the given

@@ -14,7 +14,7 @@ var t0 = time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)
 
 func newNode(t *testing.T) *Node {
 	t.Helper()
-	return New(1, cpu.EPYC7742(), rng.New(42).Split("node"))
+	return New(cpu.EPYC7742(), rng.New(42).Split("node"))
 }
 
 // newLedgerNode returns a fresh node attached to its own fleet ledger
@@ -163,38 +163,6 @@ func TestSetModeRedrawsAndReducesPower(t *testing.T) {
 	}
 }
 
-func TestDownNodeDrawsNothing(t *testing.T) {
-	n, c := newLedgerNode(t)
-	n.SetState(Down, t0)
-	if n.State() != Down {
-		t.Fatalf("state = %v", n.State())
-	}
-	if n.Power() != 0 {
-		t.Fatalf("down node power = %v", n.Power())
-	}
-	c.Accrue(t0.Add(time.Hour))
-	// The ledger's power returns to zero up to rounding (1e-9 W).
-	if math.Abs(c.PowerW) > 1e-9 || math.Abs(c.Energy.Joules()) > 1e-9*3600 {
-		t.Fatalf("down node ledger: power %v W, energy %v", c.PowerW, c.Energy)
-	}
-}
-
-func TestDrainingNodeDrawsNormally(t *testing.T) {
-	n := newNode(t)
-	n.SetState(Draining, t0)
-	if got := n.Power(); math.Abs(got.Watts()-230) > 1e-9 {
-		t.Fatalf("draining node power = %v", got)
-	}
-}
-
-func TestStateString(t *testing.T) {
-	for _, s := range []State{Up, Draining, Down, State(9)} {
-		if s.String() == "" {
-			t.Fatalf("empty string for state %d", int(s))
-		}
-	}
-}
-
 func TestExpectedPowerModeOrdering(t *testing.T) {
 	spec := cpu.EPYC7742()
 	a := cpu.Activity{Core: 0.7, Uncore: 0.6}
@@ -208,7 +176,7 @@ func TestExpectedPowerModeOrdering(t *testing.T) {
 func TestNodeDeterminism(t *testing.T) {
 	// Same seed -> identical die factors and power trajectory.
 	mk := func() *Node {
-		return New(7, cpu.EPYC7742(), rng.New(99).Split("node"))
+		return New(cpu.EPYC7742(), rng.New(99).Split("node"))
 	}
 	a, b := mk(), mk()
 	a.SetMode(cpu.PerformanceDeterminism, t0)
@@ -219,7 +187,7 @@ func TestNodeDeterminism(t *testing.T) {
 }
 
 // TestStartJobMatchesSequentialCalls drives two same-seed nodes through a
-// random sequence of job starts, stops, mode and state changes. One starts
+// random sequence of job starts, stops and mode changes. One starts
 // jobs with StartJob, the other with SetMode, SetFrequency and StartWork;
 // after every step their full state (RNG position included), cached
 // power and ledger counts must agree bit for bit. Ledger power and energy
@@ -230,7 +198,7 @@ func TestNodeDeterminism(t *testing.T) {
 func TestStartJobMatchesSequentialCalls(t *testing.T) {
 	spec := cpu.EPYC7742()
 	mk := func() (*Node, *FleetCounters) {
-		n := New(3, spec, rng.New(7).Split("node"))
+		n := New(spec, rng.New(7).Split("node"))
 		c := &FleetCounters{AtNs: t0.UnixNano()}
 		n.AttachCounters(c)
 		return n, c
@@ -265,13 +233,9 @@ func TestStartJobMatchesSequentialCalls(t *testing.T) {
 			m := modes[r.Intn(len(modes))]
 			fused.SetMode(m, at)
 			seq.SetMode(m, at)
-		case op < 9:
+		default:
 			fused.StopWork(at)
 			seq.StopWork(at)
-		default:
-			s := State(r.Intn(3))
-			fused.SetState(s, at)
-			seq.SetState(s, at)
 		}
 		if fused.Snapshot() != seq.Snapshot() {
 			t.Fatalf("step %d: snapshots diverge:\n fused %+v\n   seq %+v", step, fused.Snapshot(), seq.Snapshot())
@@ -279,7 +243,7 @@ func TestStartJobMatchesSequentialCalls(t *testing.T) {
 		if math.Float64bits(fused.PowerWatts()) != math.Float64bits(seq.PowerWatts()) {
 			t.Fatalf("step %d: power %v != %v", step, fused.PowerWatts(), seq.PowerWatts())
 		}
-		if fc.Up != sc.Up || fc.BusyUp != sc.BusyUp || fc.AtNs != sc.AtNs {
+		if fc.Busy != sc.Busy || fc.AtNs != sc.AtNs {
 			t.Fatalf("step %d: fleet counters %+v != %+v", step, *fc, *sc)
 		}
 		if !relClose(fc.PowerW, sc.PowerW, 1e-9) || !relClose(fc.Energy.Joules(), sc.Energy.Joules(), 1e-9) {
@@ -318,7 +282,7 @@ func TestSnapshotRestoreReconcilesLedger(t *testing.T) {
 	if math.Float64bits(dst.PowerWatts()) != math.Float64bits(src.PowerWatts()) || dst.load != src.load {
 		t.Fatalf("restored power %v load %+v, want %v %+v", dst.PowerWatts(), dst.load, src.PowerWatts(), src.load)
 	}
-	if c.Up != 1 || c.BusyUp != 1 || !relClose(c.PowerW, src.PowerWatts(), 1e-12) {
-		t.Fatalf("ledger after restore %+v, want 1 up, 1 busy, %v W", *c, src.PowerWatts())
+	if c.Busy != 1 || !relClose(c.PowerW, src.PowerWatts(), 1e-12) {
+		t.Fatalf("ledger after restore %+v, want 1 busy, %v W", *c, src.PowerWatts())
 	}
 }

@@ -12,7 +12,6 @@ import (
 type Snapshot struct {
 	Setting    cpu.FreqSetting
 	Mode       cpu.Mode
-	State      State
 	DieFactor  float64
 	PerfFactor float64
 	Activity   cpu.Activity
@@ -27,7 +26,6 @@ func (n *Node) Snapshot() Snapshot {
 	return Snapshot{
 		Setting:    n.load.Setting,
 		Mode:       n.mode,
-		State:      n.state,
 		DieFactor:  n.dieFactor,
 		PerfFactor: n.perfFactor,
 		Activity:   n.load.Activity,
@@ -40,14 +38,13 @@ func (n *Node) Snapshot() Snapshot {
 // the power cache and reconciling any attached fleet counters (the
 // facility then restores the ledger's power and energy exactly).
 func (n *Node) Restore(s Snapshot) {
-	wasUp, wasBusy := n.state != Down, n.busy
+	wasBusy := n.busy
 	n.load = n.Spec.Load(s.Setting, s.Activity)
 	n.mode = s.Mode
-	n.state = s.State
 	n.dieFactor = s.DieFactor
 	n.perfFactor = s.PerfFactor
 	n.busy = s.Busy
 	n.rng.SetState(s.Rng)
 	n.refreshPower()
-	n.updateCounters(wasUp, wasBusy)
+	n.updateCounters(wasBusy)
 }

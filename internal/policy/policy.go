@@ -2,7 +2,7 @@
 // the system-wide BIOS determinism mode, the default CPU frequency
 // setting, the per-application module overrides (applications expected to
 // lose more than 10% performance at the capped frequency are reset to the
-// stock setting automatically), and per-job user reverts.
+// stock setting automatically).
 //
 // The Provider implements sched.SettingsProvider; a Timeline injects the
 // paper's operational history (May 2022: Power -> Performance Determinism;
@@ -18,7 +18,6 @@ import (
 	"github.com/greenhpc/archertwin/internal/apps"
 	"github.com/greenhpc/archertwin/internal/cpu"
 	"github.com/greenhpc/archertwin/internal/des"
-	"github.com/greenhpc/archertwin/internal/rng"
 )
 
 // Config parameterises the provider.
@@ -28,9 +27,6 @@ type Config struct {
 	OverrideThreshold float64
 	// OverridesEnabled turns the per-application module overrides on.
 	OverridesEnabled bool
-	// UserRevertProb is the probability that a job's user explicitly
-	// requests the stock frequency regardless of the default.
-	UserRevertProb float64
 }
 
 // DefaultConfig returns the paper's override policy (enabled, 10%).
@@ -46,33 +42,23 @@ type Provider struct {
 
 	defaultSetting cpu.FreqSetting
 	defaultMode    cpu.Mode
-	r              *rng.Stream
 	// epoch is the settings epoch (see SettingsEpoch).
 	epoch uint64
 
 	overrides int
-	reverts   int
 }
 
 // NewProvider creates a provider at the pre-change defaults (stock
-// frequency, Power Determinism). Stream r drives user reverts; it may be
-// nil when UserRevertProb is 0.
-func NewProvider(spec *cpu.Spec, cfg Config, r *rng.Stream) (*Provider, error) {
+// frequency, Power Determinism).
+func NewProvider(spec *cpu.Spec, cfg Config) (*Provider, error) {
 	if cfg.OverrideThreshold < 0 || cfg.OverrideThreshold > 1 {
 		return nil, fmt.Errorf("policy: override threshold %v outside [0,1]", cfg.OverrideThreshold)
-	}
-	if cfg.UserRevertProb < 0 || cfg.UserRevertProb > 1 {
-		return nil, fmt.Errorf("policy: revert probability %v outside [0,1]", cfg.UserRevertProb)
-	}
-	if cfg.UserRevertProb > 0 && r == nil {
-		return nil, fmt.Errorf("policy: UserRevertProb set but no random stream")
 	}
 	return &Provider{
 		spec:           spec,
 		cfg:            cfg,
 		defaultSetting: spec.DefaultSetting(),
 		defaultMode:    cpu.PowerDeterminism,
-		r:              r,
 		epoch:          1,
 	}, nil
 }
@@ -85,9 +71,6 @@ func (p *Provider) DefaultMode() cpu.Mode { return p.defaultMode }
 
 // Overrides returns how many jobs received a module override.
 func (p *Provider) Overrides() int { return p.overrides }
-
-// Reverts returns how many jobs were reverted by their users.
-func (p *Provider) Reverts() int { return p.reverts }
 
 // SetDefaultSetting changes the system default frequency (new jobs only).
 func (p *Provider) SetDefaultSetting(fs cpu.FreqSetting) error {
@@ -123,9 +106,8 @@ func (p *Provider) PredictedLoss(app *apps.App) float64 {
 }
 
 // PeekSettings returns the operating point JobSettings would choose for
-// app, without counters or revert randomness (user reverts are treated as
-// not occurring), for power-cap admission control and backfill runtime
-// prediction.
+// app, without counting overrides, for power-cap admission control and
+// backfill runtime prediction.
 func (p *Provider) PeekSettings(app *apps.App) (cpu.FreqSetting, cpu.Mode) {
 	fs := p.defaultSetting
 	stock := p.spec.DefaultSetting()
@@ -136,17 +118,12 @@ func (p *Provider) PeekSettings(app *apps.App) (cpu.FreqSetting, cpu.Mode) {
 }
 
 // JobSettings implements sched.SettingsProvider: PeekSettings, plus the
-// override count and, where no module override applies, a user revert.
+// override count.
 func (p *Provider) JobSettings(app *apps.App) (cpu.FreqSetting, cpu.Mode, bool) {
 	fs, m := p.PeekSettings(app)
-	stock := p.spec.DefaultSetting()
-	switch {
-	case fs != p.defaultSetting:
+	if fs != p.defaultSetting {
 		p.overrides++
 		return fs, m, true
-	case fs != stock && p.cfg.UserRevertProb > 0 && p.r.Float64() < p.cfg.UserRevertProb:
-		p.reverts++
-		return stock, m, true
 	}
 	return fs, m, false
 }
@@ -158,8 +135,6 @@ type Change struct {
 	Mode *cpu.Mode
 	// Setting, if non-nil, changes the default frequency setting.
 	Setting *cpu.FreqSetting
-	// Note describes the change for reports.
-	Note string
 }
 
 // Timeline is a dated sequence of operational changes.
@@ -174,14 +149,14 @@ func ARCHER2Timeline(spec *cpu.Spec) Timeline {
 	capped := spec.CappedSetting()
 	return Timeline{Changes: []Change{
 		{
+			// BIOS: Power Determinism -> Performance Determinism (paper §4.1).
 			At:   time.Date(2022, 5, 10, 9, 0, 0, 0, time.UTC),
 			Mode: &perfDet,
-			Note: "BIOS: Power Determinism -> Performance Determinism (paper SS4.1)",
 		},
 		{
+			// Default CPU frequency 2.25 GHz+boost -> 2.0 GHz (paper §4.2).
 			At:      time.Date(2022, 11, 25, 9, 0, 0, 0, time.UTC),
 			Setting: &capped,
-			Note:    "Default CPU frequency 2.25 GHz+boost -> 2.0 GHz (paper SS4.2)",
 		},
 	}}
 }

@@ -8,7 +8,6 @@ import (
 	"github.com/greenhpc/archertwin/internal/apps"
 	"github.com/greenhpc/archertwin/internal/cpu"
 	"github.com/greenhpc/archertwin/internal/des"
-	"github.com/greenhpc/archertwin/internal/rng"
 	"github.com/greenhpc/archertwin/internal/roofline"
 )
 
@@ -21,7 +20,7 @@ func mkApp(c float64) *apps.App {
 
 func newProvider(t *testing.T, cfg Config) *Provider {
 	t.Helper()
-	p, err := NewProvider(cpu.EPYC7742(), cfg, rng.New(1).Split("policy"))
+	p, err := NewProvider(cpu.EPYC7742(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,14 +44,8 @@ func TestProviderDefaults(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	spec := cpu.EPYC7742()
-	if _, err := NewProvider(spec, Config{OverrideThreshold: -0.1}, nil); err == nil {
+	if _, err := NewProvider(spec, Config{OverrideThreshold: -0.1}); err == nil {
 		t.Error("negative threshold accepted")
-	}
-	if _, err := NewProvider(spec, Config{UserRevertProb: 1.5}, nil); err == nil {
-		t.Error("bad revert prob accepted")
-	}
-	if _, err := NewProvider(spec, Config{UserRevertProb: 0.1}, nil); err == nil {
-		t.Error("revert prob without stream accepted")
 	}
 }
 
@@ -95,37 +88,15 @@ func TestPredictedLoss(t *testing.T) {
 	}
 }
 
-func TestUserReverts(t *testing.T) {
-	cfg := Config{OverridesEnabled: false, UserRevertProb: 0.3}
-	p := newProvider(t, cfg)
-	spec := cpu.EPYC7742()
-	if err := p.SetDefaultSetting(spec.CappedSetting()); err != nil {
-		t.Fatal(err)
-	}
-	n := 10000
-	reverted := 0
-	for i := 0; i < n; i++ {
-		_, _, ov := p.JobSettings(mkApp(0.5))
-		if ov {
-			reverted++
-		}
-	}
-	frac := float64(reverted) / float64(n)
-	if math.Abs(frac-0.3) > 0.02 {
-		t.Fatalf("revert fraction = %v, want ~0.3", frac)
-	}
-	if p.Reverts() != reverted {
-		t.Fatalf("revert counter = %d, want %d", p.Reverts(), reverted)
-	}
-}
-
+// TestNoRevertsAtStockDefault: while the default is the stock setting,
+// no job is moved back to it, however frequency-sensitive.
 func TestNoRevertsAtStockDefault(t *testing.T) {
-	cfg := Config{OverridesEnabled: true, OverrideThreshold: 0.1, UserRevertProb: 1.0}
+	cfg := Config{OverridesEnabled: true, OverrideThreshold: 0.1}
 	p := newProvider(t, cfg)
 	for i := 0; i < 100; i++ {
 		_, _, ov := p.JobSettings(mkApp(0.9))
 		if ov {
-			t.Fatal("override/revert at stock default")
+			t.Fatal("override at stock default")
 		}
 	}
 }

@@ -488,7 +488,8 @@ var axisTable = []axisDef{
 			}
 			perfDet := cpu.PerformanceDeterminism
 			b.cfg.Timeline = policy.Timeline{Changes: []policy.Change{
-				{At: sweepStart, Mode: &perfDet, Setting: &fs, Note: "scenario operating point"},
+				// The scenario's operating point.
+				{At: sweepStart, Mode: &perfDet, Setting: &fs},
 			}}
 			return nil
 		},
@@ -573,10 +574,10 @@ var axisTable = []axisDef{
 			if err != nil {
 				return err
 			}
+			// The mid-sweep frequency divergence.
 			b.cfg.Timeline.Changes = append(b.cfg.Timeline.Changes, policy.Change{
 				At:      b.spec.divergeTime(),
 				Setting: &fs,
-				Note:    "mid-sweep frequency divergence",
 			})
 			return nil
 		},

@@ -30,9 +30,7 @@ func (s *Scheduler) backfillConservative(now time.Time) {
 		rt := s.predictRuntime(j)
 		at := p.earliestStart(j.Spec.Nodes, rt)
 		if at.IsZero() {
-			// Never fits the profile (e.g. nodes out for repair or held
-			// by an open-ended run of reservations); leave it queued and
-			// unplanned.
+			// Never fits the profile; leave it queued and unplanned.
 			continue
 		}
 		if at.Equal(now) && j.Spec.Nodes <= s.freeFor(j) && s.withinPowerCap(j) {
@@ -59,10 +57,7 @@ func (s *Scheduler) backfillConservative(now time.Time) {
 
 // profile returns this pass's capacity profile of j's partition,
 // building it on first use from the partition's free count now and its
-// full release walk (releases). Pending reservation holds enter here and
-// never the EASY walk: each takes its nodes inside the partition over
-// its whole window — the full width is the conservative choice, so
-// planned starts route around the whole hold.
+// full release walk (releases).
 func (s *Scheduler) profile(j *Job, now time.Time) *capProfile {
 	part := s.partOf(j)
 	p := &s.prof[part]
@@ -71,12 +66,6 @@ func (s *Scheduler) profile(j *Job, now time.Time) *capProfile {
 	}
 	p.evs = append(p.evs[:0], capEvent{at: now, delta: s.freeFor(j)})
 	s.releases(part, 0, math.MaxInt, &p.evs)
-	for _, rs := range s.resvs {
-		if n := len(s.resvNodesIn(rs, part)); !rs.started && n > 0 {
-			p.addEvent(rs.res.From, -n)
-			p.addEvent(rs.res.To, n)
-		}
-	}
 	p.build()
 	return p
 }
@@ -96,21 +85,10 @@ type capProfile struct {
 	free  []int
 }
 
-func (p *capProfile) addEvent(at time.Time, delta int) {
-	p.evs = append(p.evs, capEvent{at: at, delta: delta})
-}
-
-// build sorts the events and folds them into breakpoint form. The sort
-// is a stable insertion sort rather than sort.SliceStable: the event
-// list is short and nearly ordered (the release walk arrives already
-// time-sorted), and the closure-free form keeps the whole backfill pass
-// allocation-free (TestBackfillScanAllocFree).
+// build folds the events into breakpoint form. They arrive time-sorted:
+// the free count now, then the End-sorted release walk, whose ends all
+// lie at or after now.
 func (p *capProfile) build() {
-	for i := 1; i < len(p.evs); i++ {
-		for k := i; k > 0 && p.evs[k].at.Before(p.evs[k-1].at); k-- {
-			p.evs[k], p.evs[k-1] = p.evs[k-1], p.evs[k]
-		}
-	}
 	p.times, p.free = p.times[:0], p.free[:0]
 	cum := 0
 	for _, ev := range p.evs {

@@ -10,7 +10,6 @@ import (
 	"github.com/greenhpc/archertwin/internal/cpu"
 	"github.com/greenhpc/archertwin/internal/des"
 	"github.com/greenhpc/archertwin/internal/facility"
-	"github.com/greenhpc/archertwin/internal/node"
 	"github.com/greenhpc/archertwin/internal/rng"
 	"github.com/greenhpc/archertwin/internal/roofline"
 	"github.com/greenhpc/archertwin/internal/workload"
@@ -22,12 +21,11 @@ import (
 //   - no node is allocated to two running jobs, and the per-node index
 //     agrees with the running set exactly: a running job's nodes map to
 //     it, every other node maps to nil;
-//   - every node is in exactly one of the four ledgers: free, busy,
-//     reservation-captured, or down;
+//   - every node is either free or busy;
 //   - utilisation stays within [0, 1];
 //   - jobs are conserved: everything submitted is queued, held, running,
-//     or terminally accounted (completed, failed, dropped, or preempted
-//     in cancel mode).
+//     or terminally accounted (completed, dropped, or preempted in cancel
+//     mode).
 func checkSchedulerInvariants(t *testing.T, tag string, s *Scheduler, total int) {
 	t.Helper()
 	seen := make(map[int]*Job, total)
@@ -58,30 +56,19 @@ func checkSchedulerInvariants(t *testing.T, tag string, s *Scheduler, total int)
 		t.Fatalf("%s: node index %d/%d entries, busy ledger %d, running set says %d",
 			tag, indexed, len(s.byNode), s.BusyNodes(), busy)
 	}
-	down := 0
-	for id := 0; id < total; id++ {
-		if s.fac.Node(id).State() == node.Down {
-			down++
-			if s.free.Contains(id) {
-				t.Fatalf("%s: down node %d is in the free set", tag, id)
-			}
-			if _, ok := seen[id]; ok {
-				t.Fatalf("%s: down node %d is allocated", tag, id)
-			}
+	for id := range seen {
+		if s.free.Contains(id) {
+			t.Fatalf("%s: busy node %d is in the free set", tag, id)
 		}
 	}
-	if got := s.free.Count() + busy + s.ReservedNodes() + down; got != total {
-		t.Fatalf("%s: free %d + busy %d + captured %d + down %d = %d, want %d nodes",
-			tag, s.free.Count(), busy, s.ReservedNodes(), down, got, total)
-	}
-	if s.free.Count()+busy != s.UpNodes() {
-		t.Fatalf("%s: free %d + busy %d != up %d", tag, s.free.Count(), busy, s.UpNodes())
+	if got := s.free.Count() + busy; got != total {
+		t.Fatalf("%s: free %d + busy %d = %d, want %d nodes", tag, s.free.Count(), busy, got, total)
 	}
 	if u := s.Utilisation(); u < 0 || u > 1 {
 		t.Fatalf("%s: utilisation %v out of [0,1]", tag, u)
 	}
 	st := s.Stats()
-	terminal := st.Completed + st.Failed + st.Dropped
+	terminal := st.Completed + st.Dropped
 	if s.cfg.Preemption == PreemptCancel {
 		terminal += st.Preemptions
 	}
@@ -143,9 +130,8 @@ func schedState(s *Scheduler) string {
 }
 
 // FuzzSchedulerOps drives the scheduler with an arbitrary byte-decoded
-// operation stream — submits, node failures and repairs, emergency
-// reclocks, operating-point switches, reservation installs and
-// cancellations, clock advances — over a fuzzer-chosen policy
+// operation stream — submits, emergency reclocks, operating-point
+// switches, clock advances — over a fuzzer-chosen policy
 // configuration (backfill flavour, depth, priority aging, preemption
 // mode) on a homogeneous or two-partition machine, asserting the
 // structural invariants after every operation and again after the event
@@ -223,14 +209,14 @@ func FuzzSchedulerOps(f *testing.F) {
 			return b, true
 		}
 		now := t0
-		jobID, resvN := 0, 0
+		jobID := 0
 		for opIdx := 0; ; opIdx++ {
 			op, ok := next()
 			if !ok {
 				break
 			}
 			twin.settled = false
-			switch op % 10 {
+			switch op % 7 {
 			case 0, 1, 2, 3, 4: // submit
 				b1, _ := next()
 				b2, _ := next()
@@ -252,52 +238,7 @@ func FuzzSchedulerOps(f *testing.F) {
 				now = now.Add(time.Duration(b1%96) * 10 * time.Minute)
 				eng.RunUntil(now)
 				twinEng.RunUntil(now)
-			case 6: // node failure
-				b1, _ := next()
-				for _, s := range []*Scheduler{s, twin} {
-					if err := s.FailNode(int(b1 % total)); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case 7: // node repair
-				b1, _ := next()
-				for _, s := range []*Scheduler{s, twin} {
-					if err := s.RepairNode(int(b1 % total)); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case 8: // reservation install / cancel
-				b1, _ := next()
-				b2, _ := next()
-				b3, _ := next()
-				if b1%4 == 3 {
-					if names := s.Reservations(); len(names) > 0 {
-						s.CancelReservation(names[int(b2)%len(names)])
-						twin.CancelReservation(names[int(b2)%len(names)])
-					}
-					break
-				}
-				a := int(b2 % total)
-				ln := 1 + int(b3%8)
-				if a+ln > total {
-					ln = total - a
-				}
-				ids := make([]int, ln)
-				for i := range ids {
-					ids[i] = a + i
-				}
-				resvN++
-				from := now.Add(time.Duration(b1%4) * time.Hour)
-				r := Reservation{
-					Name: fmt.Sprintf("r%d", resvN), Nodes: ids,
-					From: from, To: from.Add(time.Duration(1+b3%6) * time.Hour),
-				}
-				for _, s := range []*Scheduler{s, twin} {
-					if err := s.AddReservation(r); err != nil {
-						t.Fatal(err)
-					}
-				}
-			case 9: // emergency reclock of all running jobs, or a switch of the operating point for new ones
+			case 6: // emergency reclock of all running jobs, or a switch of the operating point for new ones
 				b1, _ := next()
 				if b1&4 != 0 {
 					prov.toggle()

@@ -48,18 +48,6 @@ func (s *nodeSet) Add(id int) {
 	}
 }
 
-// Remove deletes id, reporting whether it was present.
-func (s *nodeSet) Remove(id int) bool {
-	w := id >> 6
-	m := uint64(1) << (id & 63)
-	if s.bits[w]&m == 0 {
-		return false
-	}
-	s.bits[w] &^= m
-	s.count--
-	return true
-}
-
 // CountRange returns the number of IDs in [lo, hi) — a popcount sweep
 // over the bitmap, used for on-demand per-partition free accounting.
 // Deriving partition counts from the bitmap (rather than maintaining

@@ -5,15 +5,14 @@ import (
 	"time"
 
 	"github.com/greenhpc/archertwin/internal/cpu"
-	"github.com/greenhpc/archertwin/internal/node"
 	"github.com/greenhpc/archertwin/internal/units"
 )
 
 // preemptForHead tries to seat the queue head by evicting the cheapest
-// sufficient set of strictly lower-priority running jobs. Victims must
-// trail the head by at least Config.PreemptMinGap priority levels;
-// cheapest means fewest remaining node-hours (least work lost relative
-// to nodes gained), with job ID as the deterministic tiebreak. Nothing
+// sufficient set of strictly lower-priority running jobs (victims trail
+// the head by at least one priority level); cheapest means fewest
+// remaining node-hours (least work lost relative to nodes gained), with
+// job ID as the deterministic tiebreak. Nothing
 // is evicted unless the assembled set actually frees enough nodes, and
 // preemption only answers a node shortage — a power-capped or
 // temporally-deferred head never triggers it. Reports whether the head
@@ -24,10 +23,6 @@ func (s *Scheduler) preemptForHead(now time.Time) bool {
 	if need <= 0 || !s.withinPowerCap(head) {
 		return false
 	}
-	gap := s.cfg.PreemptMinGap
-	if gap < 1 {
-		gap = 1
-	}
 	s.victims = s.victims[:0]
 	for _, rj := range s.running {
 		if s.hetero() && s.partOf(rj) != s.partOf(head) {
@@ -35,7 +30,7 @@ func (s *Scheduler) preemptForHead(now time.Time) bool {
 			// can use.
 			continue
 		}
-		if head.Spec.Priority-rj.Spec.Priority >= gap {
+		if rj.Spec.Priority < head.Spec.Priority {
 			s.victims = append(s.victims, rj)
 		}
 	}
@@ -66,10 +61,9 @@ func (s *Scheduler) preemptForHead(now time.Time) bool {
 	return head.Spec.Nodes <= s.freeFor(head)
 }
 
-// preempt evicts one running job: its nodes are released (or captured
-// by a draining reservation), its executed segment is charged to the
-// delivered-work and energy accounts exactly like a failed job's, and
-// the job either re-enters the queue as freshly submitted
+// preempt evicts one running job: its nodes are released, its executed
+// segment is charged to the delivered-work and energy accounts, and the
+// job either re-enters the queue as freshly submitted
 // (PreemptRequeue) or terminates as Preempted (PreemptCancel).
 func (s *Scheduler) preempt(j *Job, now time.Time) {
 	s.eng.Cancel(j.endEvent)
@@ -82,16 +76,7 @@ func (s *Scheduler) preempt(j *Job, now time.Time) {
 	}
 	segEnergy := j.energyAccrued + units.Watts(powerSum).EnergyOver(now.Sub(j.reclockedAt))
 
-	for _, id := range j.Nodes {
-		nd := s.fac.Node(id)
-		nd.StopWork(now)
-		s.byNode[id] = nil
-		if nd.State() == node.Up {
-			s.releaseNode(id)
-		}
-	}
-	s.busy -= len(j.Nodes)
-	s.estBusyW -= j.actualPowerW
+	s.releaseNodes(j, now)
 
 	nodeHours := float64(len(j.Nodes)) * seg.Hours()
 	s.stats.Preemptions++

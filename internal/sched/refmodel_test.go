@@ -17,8 +17,8 @@ import (
 )
 
 // This file is the scheduler's reference-model harness: a plain-slice,
-// obviously-correct reimplementation of the admit / backfill / preempt /
-// reserve semantics, driven in lockstep with the real scheduler by seeded
+// obviously-correct reimplementation of the admit / backfill / preempt
+// semantics, driven in lockstep with the real scheduler by seeded
 // randomized operation streams (the jobqueue_test.go pattern, scaled up
 // to the whole subsystem). The real scheduler earns its performance from
 // bitmap node sets, a head-indexed queue, binary-search indices, pooled
@@ -32,8 +32,8 @@ import (
 // model reproduces job runtimes bit-for-bit and the two event streams
 // stay aligned. Event ordering mirrors the DES engine's (time, sequence)
 // rule: the model assigns its own sequence numbers in the same order the
-// scheduler calls AtArg, which is what makes same-timestamp completions,
-// releases and reservation edges fire identically on both sides.
+// scheduler calls AtArg, which is what makes same-timestamp completions
+// and releases fire identically on both sides.
 
 // ---------------------------------------------------------------------
 // Reference model
@@ -44,8 +44,6 @@ type refEventKind int
 const (
 	refComplete refEventKind = iota
 	refRelease
-	refResvStart
-	refResvEnd
 )
 
 type refEvent struct {
@@ -53,7 +51,6 @@ type refEvent struct {
 	seq  uint64
 	kind refEventKind
 	job  *refJob
-	resv *refResv
 	dead bool
 }
 
@@ -76,23 +73,10 @@ type refJob struct {
 	releaseEv *refEvent
 }
 
-type refResv struct {
-	name    string
-	nodes   []int // sorted, deduplicated
-	from    time.Time
-	to      time.Time
-	started bool
-	count   int
-
-	startEv *refEvent
-	endEv   *refEvent
-}
-
 type refStats struct {
 	submitted   int
 	started     int
 	completed   int
-	failed      int
 	dropped     int
 	holds       int
 	holdDelay   time.Duration
@@ -131,13 +115,7 @@ type refModel struct {
 	byNode  map[int]*refJob
 	free    []bool
 	freeN   int
-	down    []bool
-	upNodes int
 	busy    int
-
-	resvs    []*refResv
-	captured map[int]*refResv
-	draining map[int]*refResv
 
 	stats refStats
 }
@@ -148,16 +126,12 @@ type refModel struct {
 func newRefModel(cfg Config, fac *facility.Facility, testApps []*apps.App, mode cpu.Mode, holdFor time.Duration) *refModel {
 	total := fac.NodeCount()
 	m := &refModel{
-		cfg:      cfg,
-		total:    total,
-		holdFor:  holdFor,
-		byNode:   map[int]*refJob{},
-		free:     make([]bool, total),
-		down:     make([]bool, total),
-		freeN:    total,
-		upNodes:  total,
-		captured: map[int]*refResv{},
-		draining: map[int]*refResv{},
+		cfg:     cfg,
+		total:   total,
+		holdFor: holdFor,
+		byNode:  map[int]*refJob{},
+		free:    make([]bool, total),
+		freeN:   total,
 	}
 	for i := range m.free {
 		m.free[i] = true
@@ -189,13 +163,10 @@ func (m *refModel) freeIn(p int) int {
 	return n
 }
 
-// inPart reports whether node id lies in partition p.
-func (m *refModel) inPart(id, p int) bool { return id >= m.parts[p].start && id < m.parts[p].end }
-
 // schedule mirrors des.Engine.AtArg: sequence numbers are assigned in
 // call order and break time ties.
-func (m *refModel) schedule(kind refEventKind, at time.Time, j *refJob, rs *refResv) *refEvent {
-	ev := &refEvent{at: at, seq: m.seq, kind: kind, job: j, resv: rs}
+func (m *refModel) schedule(kind refEventKind, at time.Time, j *refJob) *refEvent {
+	ev := &refEvent{at: at, seq: m.seq, kind: kind, job: j}
 	m.seq++
 	m.evs = append(m.evs, ev)
 	return ev
@@ -260,13 +231,9 @@ func (m *refModel) runAll() {
 func (m *refModel) dispatch(ev *refEvent) {
 	switch ev.kind {
 	case refComplete:
-		m.finish(ev.job, m.now, Completed)
+		m.finish(ev.job, m.now)
 	case refRelease:
 		m.release(ev.job, m.now)
-	case refResvStart:
-		m.resvStart(ev.resv)
-	case refResvEnd:
-		m.resvEnd(ev.resv, m.now)
 	}
 }
 
@@ -351,7 +318,7 @@ func (m *refModel) hold(j *refJob, recheck, now time.Time) {
 	m.stats.holds++
 	m.stats.holdDelay += recheck.Sub(now)
 	j.releaseAt = recheck
-	j.releaseEv = m.schedule(refRelease, recheck, j, nil)
+	j.releaseEv = m.schedule(refRelease, recheck, j)
 }
 
 func (m *refModel) release(j *refJob, now time.Time) {
@@ -398,7 +365,7 @@ func (m *refModel) start(j *refJob, now time.Time) {
 	m.stats.started++
 	m.stats.totalWait += now.Sub(j.submit)
 	m.insertRunning(j)
-	j.endEv = m.schedule(refComplete, j.end, j, nil)
+	j.endEv = m.schedule(refComplete, j.end, j)
 }
 
 func (m *refModel) insertRunning(j *refJob) {
@@ -417,179 +384,25 @@ func (m *refModel) removeRunning(j *refJob) {
 	}
 }
 
-func (m *refModel) releaseNode(id int) {
-	if rs, ok := m.draining[id]; ok {
-		delete(m.draining, id)
-		m.captured[id] = rs
-		rs.count++
-		m.upNodes--
-		return
+// releaseNodes returns j's nodes to the free pool.
+func (m *refModel) releaseNodes(j *refJob) {
+	for _, id := range j.alloc {
+		delete(m.byNode, id)
+		m.free[id] = true
+		m.freeN++
 	}
-	m.free[id] = true
-	m.freeN++
+	m.busy -= len(j.alloc)
 }
 
-func (m *refModel) finish(j *refJob, now time.Time, final JobState) {
+func (m *refModel) finish(j *refJob, now time.Time) {
 	if j.state != Running {
 		return
 	}
-	j.state = final
+	j.state = Completed
 	m.removeRunning(j)
-	if final == Failed {
-		j.end = now
-	}
-	for _, id := range j.alloc {
-		delete(m.byNode, id)
-		if !m.down[id] {
-			m.releaseNode(id)
-		}
-	}
-	m.busy -= len(j.alloc)
-	switch final {
-	case Completed:
-		m.stats.completed++
-	case Failed:
-		m.stats.failed++
-	}
+	m.releaseNodes(j)
+	m.stats.completed++
 	m.trySchedule(now)
-}
-
-func (m *refModel) failNode(id int) {
-	if id < 0 || id >= m.total || m.down[id] {
-		return
-	}
-	m.down[id] = true
-	if j, ok := m.byNode[id]; ok {
-		m.upNodes--
-		delete(m.draining, id)
-		m.cancel(j.endEv)
-		m.finish(j, m.now, Failed)
-	} else if rs, ok := m.captured[id]; ok {
-		delete(m.captured, id)
-		rs.count--
-	} else {
-		m.upNodes--
-		m.free[id] = false
-		m.freeN--
-	}
-}
-
-func (m *refModel) activeResvFor(id int) *refResv {
-	for _, rs := range m.resvs {
-		if !rs.started {
-			continue
-		}
-		for _, rid := range rs.nodes {
-			if rid == id {
-				return rs
-			}
-		}
-	}
-	return nil
-}
-
-func (m *refModel) repairNode(id int) {
-	if id < 0 || id >= m.total || !m.down[id] {
-		return
-	}
-	m.down[id] = false
-	if rs := m.activeResvFor(id); rs != nil {
-		m.captured[id] = rs
-		rs.count++
-		return
-	}
-	m.upNodes++
-	m.free[id] = true
-	m.freeN++
-	m.trySchedule(m.now)
-}
-
-func (m *refModel) addReservation(name string, ids []int, from, to time.Time) {
-	nodes := append([]int(nil), ids...)
-	sort.Ints(nodes)
-	w := 0
-	for i, id := range nodes {
-		if i > 0 && id == nodes[w-1] {
-			continue
-		}
-		nodes[w] = id
-		w++
-	}
-	rs := &refResv{name: name, nodes: nodes[:w], from: from, to: to}
-	m.resvs = append(m.resvs, rs)
-	if from.After(m.now) {
-		rs.startEv = m.schedule(refResvStart, from, nil, rs)
-	} else {
-		m.resvStart(rs)
-	}
-	rs.endEv = m.schedule(refResvEnd, to, nil, rs)
-}
-
-func (m *refModel) resvStart(rs *refResv) {
-	rs.started = true
-	for _, id := range rs.nodes {
-		if m.down[id] {
-			continue
-		}
-		if _, busy := m.byNode[id]; busy {
-			if _, taken := m.draining[id]; !taken {
-				m.draining[id] = rs
-			}
-		} else if m.free[id] {
-			m.free[id] = false
-			m.freeN--
-			m.captured[id] = rs
-			rs.count++
-			m.upNodes--
-		}
-	}
-}
-
-func (m *refModel) resvEnd(rs *refResv, now time.Time) {
-	for _, id := range rs.nodes {
-		if m.captured[id] == rs {
-			delete(m.captured, id)
-			rs.count--
-			m.upNodes++
-			m.free[id] = true
-			m.freeN++
-		}
-		if m.draining[id] == rs {
-			delete(m.draining, id)
-		}
-	}
-	for i, r := range m.resvs {
-		if r == rs {
-			m.resvs = append(m.resvs[:i], m.resvs[i+1:]...)
-			break
-		}
-	}
-	m.trySchedule(now)
-}
-
-func (m *refModel) cancelReservation(name string) bool {
-	for _, rs := range m.resvs {
-		if rs.name != name {
-			continue
-		}
-		if !rs.started {
-			m.cancel(rs.startEv)
-		}
-		m.cancel(rs.endEv)
-		m.resvEnd(rs, m.now)
-		return true
-	}
-	return false
-}
-
-func (m *refModel) releasable(rj *refJob) int {
-	n := 0
-	for _, id := range rj.alloc {
-		if m.draining[id] == nil {
-			n++
-		}
-	}
-	return n
 }
 
 func (m *refModel) predict(j *refJob) time.Duration {
@@ -597,10 +410,9 @@ func (m *refModel) predict(j *refJob) time.Duration {
 }
 
 // easy is the model's EASY backfill: shadow time and spare-node count
-// from the head partition's merged release walk (its running jobs' ends
-// and the started reservations' ends, counting only nodes inside the
-// partition, in time order), then the depth-bounded candidate scan. A
-// candidate in another partition cannot delay the head.
+// from the head partition's release walk (its running jobs' ends, in
+// time order), then the depth-bounded candidate scan. A candidate in
+// another partition cannot delay the head.
 func (m *refModel) easy(now time.Time) {
 	head := m.queue[0]
 	type release struct {
@@ -609,13 +421,8 @@ func (m *refModel) easy(now time.Time) {
 	}
 	var rel []release
 	for _, rj := range m.running {
-		if n := m.releasable(rj); rj.part == head.part && n > 0 {
-			rel = append(rel, release{rj.end, n})
-		}
-	}
-	for _, rs := range m.resvs {
-		if n := m.capturedIn(rs, head.part); n > 0 {
-			rel = append(rel, release{rs.to, n})
+		if rj.part == head.part {
+			rel = append(rel, release{rj.end, len(rj.alloc)})
 		}
 	}
 	sort.SliceStable(rel, func(i, j int) bool { return rel[i].at.Before(rel[j].at) })
@@ -658,17 +465,6 @@ func (m *refModel) easy(now time.Time) {
 		}
 		i++
 	}
-}
-
-// capturedIn counts the nodes rs holds inside partition p.
-func (m *refModel) capturedIn(rs *refResv, p int) int {
-	n := 0
-	for id, r := range m.captured {
-		if r == rs && m.inPart(id, p) {
-			n++
-		}
-	}
-	return n
 }
 
 // refProfile is the model's free-capacity profile: a bag of (time, delta)
@@ -735,31 +531,15 @@ func (p *refProfile) reserve(from time.Time, rt time.Duration, n int) {
 }
 
 // conservative plans each scanned job in its own partition's profile:
-// the partition's free nodes now, its running jobs' and started
-// reservations' releases, and every pending reservation's hold on the
-// partition's nodes over its window.
+// the partition's free nodes now and its running jobs' releases.
 func (m *refModel) conservative(now time.Time) {
 	profs := make([]*refProfile, len(m.parts))
 	for p := range m.parts {
 		profs[p] = newRefProfile(now, m.freeIn(p))
 		for _, rj := range m.running {
 			if rj.part == p {
-				profs[p].add(rj.end, m.releasable(rj))
+				profs[p].add(rj.end, len(rj.alloc))
 			}
-		}
-		for _, rs := range m.resvs {
-			if rs.started {
-				profs[p].add(rs.to, m.capturedIn(rs, p))
-				continue
-			}
-			held := 0
-			for _, id := range rs.nodes {
-				if m.inPart(id, p) {
-					held++
-				}
-			}
-			profs[p].add(rs.from, -held)
-			profs[p].add(rs.to, held)
 		}
 	}
 	limit := m.cfg.BackfillDepth + 1
@@ -798,13 +578,9 @@ func (m *refModel) preemptForHead(now time.Time) bool {
 	if need <= 0 {
 		return false
 	}
-	gap := m.cfg.PreemptMinGap
-	if gap < 1 {
-		gap = 1
-	}
 	var victims []*refJob
 	for _, rj := range m.running {
-		if rj.part == head.part && head.prio-rj.prio >= gap {
+		if rj.part == head.part && rj.prio < head.prio {
 			victims = append(victims, rj)
 		}
 	}
@@ -838,13 +614,7 @@ func (m *refModel) preemptForHead(now time.Time) bool {
 func (m *refModel) preempt(j *refJob, now time.Time) {
 	m.cancel(j.endEv)
 	m.removeRunning(j)
-	for _, id := range j.alloc {
-		delete(m.byNode, id)
-		if !m.down[id] {
-			m.releaseNode(id)
-		}
-	}
-	m.busy -= len(j.alloc)
+	m.releaseNodes(j)
 	m.stats.preemptions++
 	if m.cfg.Preemption == PreemptCancel {
 		j.state = Preempted
@@ -881,10 +651,9 @@ func (p *holdYoungPolicy) Decide(j *Job, now time.Time, _, _ units.Power) Tempor
 }
 
 type refHarnessOpts struct {
-	prios   []int         // priority levels to draw from (nil: all zero)
-	resvOps bool          // include reservation install/cancel ops
-	hold    time.Duration // non-zero: attach holdYoungPolicy to both sides
-	hetero  bool          // 24 CPU nodes plus an 8-node AI partition
+	prios  []int         // priority levels to draw from (nil: all zero)
+	hold   time.Duration // non-zero: attach holdYoungPolicy to both sides
+	hetero bool          // 24 CPU nodes plus an 8-node AI partition
 }
 
 func compareRef(t *testing.T, tag string, s *Scheduler, m *refModel) {
@@ -939,40 +708,14 @@ func compareRef(t *testing.T, tag string, s *Scheduler, m *refModel) {
 	if s.free.Count() != m.freeN {
 		fail("free count %d, model %d", s.free.Count(), m.freeN)
 	}
-	if s.UpNodes() != m.upNodes || s.BusyNodes() != m.busy {
-		fail("up/busy %d/%d, model %d/%d", s.UpNodes(), s.BusyNodes(), m.upNodes, m.busy)
-	}
-	names := s.Reservations()
-	if len(names) != len(m.resvs) {
-		fail("reservations %v, model has %d", names, len(m.resvs))
-	}
-	for i := range names {
-		if names[i] != m.resvs[i].name {
-			fail("reservation[%d] = %q, model %q", i, names[i], m.resvs[i].name)
-		}
-	}
-	if s.ReservedNodes() != len(m.captured) || s.DrainingNodes() != len(m.draining) {
-		fail("captured/draining %d/%d, model %d/%d",
-			s.ReservedNodes(), s.DrainingNodes(), len(m.captured), len(m.draining))
-	}
-	for id, rs := range m.captured {
-		real, ok := s.captured[id]
-		if !ok || real.res.Name != rs.name {
-			fail("node %d captured by model %q, scheduler disagrees", id, rs.name)
-		}
-	}
-	for id, rs := range m.draining {
-		real, ok := s.draining[id]
-		if !ok || real.res.Name != rs.name {
-			fail("node %d draining for model %q, scheduler disagrees", id, rs.name)
-		}
+	if s.BusyNodes() != m.busy {
+		fail("busy %d, model %d", s.BusyNodes(), m.busy)
 	}
 	st := s.Stats()
 	got := refStats{
 		submitted:   st.Submitted,
 		started:     st.StartedJobs,
 		completed:   st.Completed,
-		failed:      st.Failed,
 		dropped:     st.Dropped,
 		holds:       st.Holds,
 		holdDelay:   st.HoldDelay,
@@ -1015,15 +758,14 @@ func runRefEpisode(t *testing.T, cfg Config, seed uint64, opts refHarnessOpts) i
 
 	stream := rng.New(seed)
 	now := t0
-	resvN := 0
 	for op := 0; op < 150; op++ {
 		now = now.Add(time.Duration(stream.Intn(90)) * time.Minute)
 		eng.RunUntil(now)
 		m.runUntil(now)
 		compareRef(t, fmt.Sprintf("seed %d op %d (pre)", seed, op), s, m)
 
-		switch k := stream.Intn(12); {
-		case k < 8: // submit
+		// Two ops in three submit; the rest only advance the clock.
+		if stream.Intn(12) < 8 {
 			appIdx := stream.Intn(len(testApps))
 			n := 1 + stream.Intn(16)
 			ref := time.Duration(1+stream.Intn(48)) * 15 * time.Minute
@@ -1037,47 +779,6 @@ func runRefEpisode(t *testing.T, cfg Config, seed uint64, opts refHarnessOpts) i
 			s.Submit(workload.JobSpec{ID: op, Class: "ref", App: testApps[appIdx],
 				Nodes: n, RefRuntime: ref, Priority: prio, Partition: part})
 			m.submit(op, appIdx, part, n, prio, ref)
-		case k == 8:
-			id := stream.Intn(total)
-			if err := s.FailNode(id); err != nil {
-				t.Fatal(err)
-			}
-			m.failNode(id)
-		case k == 9:
-			id := stream.Intn(total)
-			if err := s.RepairNode(id); err != nil {
-				t.Fatal(err)
-			}
-			m.repairNode(id)
-		case k == 10 && opts.resvOps:
-			resvN++
-			name := fmt.Sprintf("r%d", resvN)
-			a := stream.Intn(total)
-			ln := 1 + stream.Intn(8)
-			if a+ln > total {
-				ln = total - a
-			}
-			if ln == 0 {
-				break
-			}
-			ids := make([]int, ln)
-			for i := range ids {
-				ids[i] = a + i
-			}
-			from := now.Add(time.Duration(stream.Intn(4)) * time.Hour)
-			to := from.Add(time.Duration(1+stream.Intn(6)) * time.Hour)
-			if err := s.AddReservation(Reservation{Name: name, Nodes: ids, From: from, To: to}); err != nil {
-				t.Fatal(err)
-			}
-			m.addReservation(name, ids, from, to)
-		case k == 11 && opts.resvOps:
-			if len(m.resvs) > 0 {
-				name := m.resvs[stream.Intn(len(m.resvs))].name
-				if !s.CancelReservation(name) {
-					t.Fatalf("scheduler lost reservation %q", name)
-				}
-				m.cancelReservation(name)
-			}
 		}
 		compareRef(t, fmt.Sprintf("seed %d op %d (post)", seed, op), s, m)
 	}
@@ -1090,8 +791,8 @@ func runRefEpisode(t *testing.T, cfg Config, seed uint64, opts refHarnessOpts) i
 // TestSchedulerMatchesReferenceModel locksteps the optimized scheduler
 // against the plain reference model across every policy combination:
 // EASY and conservative backfill, priority classes with and without
-// aging, both preemption modes, reservations, a temporal hold policy,
-// all of them at once, and a two-partition machine, where the model
+// aging, both preemption modes, a temporal hold policy, all of them at
+// once, and a two-partition machine, where the model
 // computes free counts, placement, the EASY shadow and every
 // conservative profile per partition by brute force. The model runs a
 // full pass on every submit,
@@ -1115,7 +816,7 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 			refHarnessOpts{prios: prios}},
 		{"preempt-requeue", func() Config { c := base(); c.Preemption = PreemptRequeue; return c },
 			refHarnessOpts{prios: prios}},
-		{"preempt-cancel", func() Config { c := base(); c.Preemption = PreemptCancel; c.PreemptMinGap = 2; return c },
+		{"preempt-cancel", func() Config { c := base(); c.Preemption = PreemptCancel; return c },
 			refHarnessOpts{prios: prios}},
 		{"preempt-cancel-reuse", func() Config {
 			c := base()
@@ -1124,12 +825,9 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 			return c
 		}, refHarnessOpts{prios: prios}},
 		{"easy-depth1", func() Config { c := base(); c.BackfillDepth = 1; return c },
-			refHarnessOpts{prios: prios, resvOps: true}},
+			refHarnessOpts{prios: prios}},
 		{"easy-depth2", func() Config { c := base(); c.BackfillDepth = 2; return c },
-			refHarnessOpts{prios: prios, resvOps: true}},
-		{"reservations-easy", base, refHarnessOpts{resvOps: true}},
-		{"reservations-conservative", func() Config { c := base(); c.Backfill = BackfillConservative; return c },
-			refHarnessOpts{resvOps: true}},
+			refHarnessOpts{prios: prios}},
 		{"hold-policy", base, refHarnessOpts{hold: 4 * time.Hour}},
 		{"everything", func() Config {
 			c := base()
@@ -1137,12 +835,12 @@ func TestSchedulerMatchesReferenceModel(t *testing.T) {
 			c.Preemption = PreemptRequeue
 			c.AgingHours = 12
 			return c
-		}, refHarnessOpts{prios: prios, resvOps: true, hold: 3 * time.Hour}},
-		{"two-partition-easy", base, refHarnessOpts{prios: prios, resvOps: true, hetero: true}},
+		}, refHarnessOpts{prios: prios, hold: 3 * time.Hour}},
+		{"two-partition-easy", base, refHarnessOpts{prios: prios, hetero: true}},
 		{"two-partition-conservative", func() Config { c := base(); c.Backfill = BackfillConservative; return c },
-			refHarnessOpts{prios: prios, resvOps: true, hetero: true}},
+			refHarnessOpts{prios: prios, hetero: true}},
 		{"two-partition-preempt", func() Config { c := base(); c.Preemption = PreemptRequeue; return c },
-			refHarnessOpts{prios: prios, resvOps: true, hetero: true}},
+			refHarnessOpts{prios: prios, hetero: true}},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -62,8 +62,6 @@ const (
 	Running
 	// Completed: finished normally.
 	Completed
-	// Failed: terminated early by a node failure.
-	Failed
 	// Dropped: rejected at submission (queue full or impossible size).
 	Dropped
 	// Preempted: evicted by a higher-priority job under
@@ -81,8 +79,6 @@ func (s JobState) String() string {
 		return "running"
 	case Completed:
 		return "completed"
-	case Failed:
-		return "failed"
 	case Dropped:
 		return "dropped"
 	case Preempted:
@@ -153,8 +149,8 @@ type SettingsProvider interface {
 	// per-app override (away from the system default) was applied.
 	JobSettings(app *apps.App) (cpu.FreqSetting, cpu.Mode, bool)
 	// PeekSettings returns the operating point JobSettings would choose,
-	// without side effects (no counters, no revert randomness). Power-cap
-	// admission and backfill runtime prediction use it.
+	// without side effects (no counters). Power-cap admission and
+	// backfill runtime prediction use it.
 	PeekSettings(app *apps.App) (cpu.FreqSetting, cpu.Mode)
 	// SettingsEpoch identifies the provider state PeekSettings answers
 	// from: never 0, and changed whenever an answer may change.
@@ -230,7 +226,7 @@ type Config struct {
 	Temporal TemporalPolicy
 	// ReuseJobs lets the scheduler recycle Job structs and their node-ID
 	// slices through an internal free list once a job reaches a terminal
-	// state (completed, failed or dropped). Over a 13-month full-machine
+	// state (completed or preempted). Over a 13-month full-machine
 	// run that converts ~50 MB of Job allocations and ~36 MB of node-ID
 	// slices into a working set the size of the live job population.
 	//
@@ -260,12 +256,6 @@ type Config struct {
 	// cheapest sufficient set of strictly lower-priority running jobs
 	// (see PreemptionMode). Off by default.
 	Preemption PreemptionMode
-	// PreemptMinGap is the minimum priority advantage (head minus victim)
-	// required to preempt; values below 1 behave as 1.
-	PreemptMinGap int
-	// Reservations are drain/maintenance node holds installed at
-	// construction; more can be added at runtime via AddReservation.
-	Reservations []Reservation
 }
 
 // DefaultConfig returns production-like scheduler settings.
@@ -278,7 +268,6 @@ type Stats struct {
 	Submitted     int
 	StartedJobs   int
 	Completed     int
-	Failed        int
 	Dropped       int
 	NodeHoursUsed float64 // actual wall-clock node-hours delivered
 	TotalWait     time.Duration
@@ -313,7 +302,7 @@ type Scheduler struct {
 	provider SettingsProvider
 	cfg      Config
 
-	free    *nodeSet // free Up node IDs (bitmap-indexed)
+	free    *nodeSet // free node IDs (bitmap-indexed)
 	queue   jobQueue
 	running []*Job // sorted by End ascending
 	byNode  []*Job // running job per node ID; nil = not running a job
@@ -324,10 +313,9 @@ type Scheduler struct {
 	completeFn des.ArgEvent
 	releaseFn  des.ArgEvent
 
-	stats   Stats
-	onEnd   []func(*Job)
-	busy    int
-	upNodes int
+	stats Stats
+	onEnd []func(*Job)
+	busy  int
 
 	// powerCap is the admission-control limit (0 = none); estBusyW tracks
 	// the committed busy-node power in watts.
@@ -351,26 +339,13 @@ type Scheduler struct {
 	// node-ID backing array so a steady-state run stops allocating both.
 	freeJobs []*Job
 
-	// Reservation machinery (reservation.go). resvs holds the active and
-	// pending reservations; captured maps a held node to its reservation;
-	// draining marks busy nodes a started reservation is waiting to
-	// capture at job end. The maps are nil until the first reservation,
-	// so the default path never touches them.
-	resvs       []*resvState
-	captured    map[int]*resvState
-	draining    map[int]*resvState
-	resvStartFn des.ArgEvent
-	resvEndFn   des.ArgEvent
-
 	// bfRemoved collects the queue positions a backfill pass starts or
 	// parks, removed in one batch at the end of the pass. prof holds one
 	// conservative-backfill capacity profile per partition, built on
-	// first use in a pass and reused as scratch across passes; resvRel
-	// is the release walk's reservation scratch; victims is the
-	// preemption candidate scratch.
+	// first use in a pass and reused as scratch across passes; victims is
+	// the preemption candidate scratch.
 	bfRemoved []int
 	prof      []capProfile
-	resvRel   []capEvent
 	victims   []*Job
 
 	// parts is the facility's resolved partition list when it has more
@@ -385,11 +360,10 @@ type Scheduler struct {
 	// consulted no temporal policy, at provider settings epoch
 	// settledEpoch. Submit skips the pass for a job that lands behind the
 	// backfill window of a settled scheduler (see Submit). Every path
-	// that changes nodes, running jobs or reservations without ending in
-	// a pass clears it; it is not snapshotted, so a restored scheduler
-	// starts unsettled. consults counts temporal-policy consultations, so
-	// a pass can tell whether it made any; skipped counts the skipped
-	// passes.
+	// that changes nodes or running jobs without ending in a pass clears
+	// it; it is not snapshotted, so a restored scheduler starts
+	// unsettled. consults counts temporal-policy consultations, so a pass
+	// can tell whether it made any; skipped counts the skipped passes.
 	settled      bool
 	settledEpoch uint64
 	consults     int
@@ -407,23 +381,15 @@ func New(eng *des.Engine, fac *facility.Facility, provider SettingsProvider, cfg
 		provider: provider,
 		cfg:      cfg,
 		byNode:   make([]*Job, fac.NodeCount()),
-		upNodes:  fac.NodeCount(),
 	}
 	s.free = newNodeSet(fac.NodeCount())
 	if fac.PartitionCount() > 1 {
 		s.parts = fac.Partitions()
 	}
 	s.prof = make([]capProfile, max(len(s.parts), 1))
-	s.completeFn = func(now time.Time, arg any) { s.finish(arg.(*Job), now, Completed) }
+	s.completeFn = func(now time.Time, arg any) { s.finish(arg.(*Job), now) }
 	s.releaseFn = func(now time.Time, arg any) { s.release(arg.(*Job), now) }
 	s.recheckArgFn = func(now time.Time, arg any) { s.onRecheck(arg.(time.Time), now) }
-	s.resvStartFn = func(now time.Time, arg any) { s.resvStart(arg.(*resvState), now) }
-	s.resvEndFn = func(now time.Time, arg any) { s.resvEnd(arg.(*resvState), now) }
-	for _, r := range cfg.Reservations {
-		if err := s.AddReservation(r); err != nil {
-			panic(fmt.Sprintf("sched: invalid configured reservation %q: %v", r.Name, err))
-		}
-	}
 	return s
 }
 
@@ -449,18 +415,13 @@ func (s *Scheduler) RunningJobs() int { return len(s.running) }
 // BusyNodes returns the number of nodes currently running jobs.
 func (s *Scheduler) BusyNodes() int { return s.busy }
 
-// UpNodes returns the number of schedulable (not Down) nodes.
-func (s *Scheduler) UpNodes() int { return s.upNodes }
-
-// Utilisation returns busy/up nodes.
+// Utilisation returns the busy share of the facility's nodes.
 func (s *Scheduler) Utilisation() float64 {
-	if s.upNodes == 0 {
-		return 0
-	}
-	return float64(s.busy) / float64(s.upNodes)
+	return float64(s.busy) / float64(s.fac.NodeCount())
 }
 
-// OnJobEnd registers a callback invoked when a job completes or fails.
+// OnJobEnd registers a callback invoked when a job completes or is
+// cancelled by preemption.
 func (s *Scheduler) OnJobEnd(fn func(*Job)) { s.onEnd = append(s.onEnd, fn) }
 
 // Kick runs one full scheduling pass (admission, preemption, backfill)
@@ -711,7 +672,7 @@ func (s *Scheduler) trySchedule(now time.Time) {
 			s.backfill(now)
 		}
 	}
-	// Conservative backfill never settles: its reservation profile is
+	// Conservative backfill never settles: its planned-start profile is
 	// not shown to be monotone in time.
 	if s.cfg.Backfill == BackfillEASY && s.actions() == acts {
 		s.settled, s.settledEpoch = true, s.provider.SettingsEpoch()
@@ -838,8 +799,33 @@ func (s *Scheduler) backfill(now time.Time) {
 	s.queue.RemoveSorted(s.bfRemoved)
 }
 
+// releases walks partition part's future node releases in time order:
+// its running jobs' nodes at End (the running index is End-sorted).
+// Counting up from avail, it stops at the first release that brings the
+// count to need and returns its time and the excess over need (the zero
+// time if none does); out, if non-nil, collects each release walked.
+// EASY reads its shadow and spare nodes off the crossing; conservative
+// backfill walks everything into its profiles.
+func (s *Scheduler) releases(part, avail, need int, out *[]capEvent) (time.Time, int) {
+	hetero := s.hetero()
+	cum := avail
+	for _, rj := range s.running {
+		if hetero && s.partOf(rj) != part {
+			continue
+		}
+		n := len(rj.Nodes)
+		if out != nil {
+			*out = append(*out, capEvent{at: rj.End, delta: n})
+		}
+		if cum += n; cum >= need {
+			return rj.End, cum - need
+		}
+	}
+	return time.Time{}, 0
+}
+
 // predictRuntime estimates j's wall-clock runtime at the operating point
-// currently in force (PeekSettings: no override/revert randomness; other
+// currently in force (PeekSettings: no override counting; other
 // partitions at their spec's default setting, as start() runs them). The
 // multiplier is cached on the job for the provider's settings epoch.
 func (s *Scheduler) predictRuntime(j *Job) time.Duration {
@@ -939,7 +925,8 @@ func (s *Scheduler) insertRunning(j *Job) {
 // removeRunning deletes j from the End-sorted running index: binary
 // search to the first entry with j's End, then a short scan across the
 // equal-End group. The linear fallback only runs if j.End was mutated
-// after insertion (finish removes before patching End, so it should not).
+// after insertion (ReclockRunning re-sorts after patching ends, so it
+// should not).
 func (s *Scheduler) removeRunning(j *Job) {
 	i := sort.Search(len(s.running), func(k int) bool {
 		return !s.running[k].End.Before(j.End)
@@ -958,44 +945,18 @@ func (s *Scheduler) removeRunning(j *Job) {
 	}
 }
 
-// finish releases a job's nodes and records statistics.
-func (s *Scheduler) finish(j *Job, now time.Time, final JobState) {
+// finish completes a running job: its nodes return to the free set and
+// its statistics are recorded.
+func (s *Scheduler) finish(j *Job, now time.Time) {
 	if j.State != Running {
 		return
 	}
 	// The OnJobEnd callbacks below run before the pass and may submit.
 	s.settled = false
-	j.State = final
-	// Remove from the running index while j.End still matches its sorted
-	// position (the Failed branch below rewrites it).
+	j.State = Completed
 	s.removeRunning(j)
-	if final == Failed {
-		// Early termination: recompute actuals.
-		j.End = now
-		j.Runtime = now.Sub(j.Start)
-		var powerSum float64
-		for _, id := range j.Nodes {
-			powerSum += s.fac.Node(id).Power().Watts()
-		}
-		j.Energy = units.Watts(powerSum).EnergyOver(j.Runtime)
-	}
-	for _, id := range j.Nodes {
-		nd := s.fac.Node(id)
-		nd.StopWork(now)
-		s.byNode[id] = nil
-		if nd.State() == node.Up {
-			s.releaseNode(id)
-		}
-	}
-	s.busy -= len(j.Nodes)
-	s.estBusyW -= j.actualPowerW
-
-	switch final {
-	case Completed:
-		s.stats.Completed++
-	case Failed:
-		s.stats.Failed++
-	}
+	s.releaseNodes(j, now)
+	s.stats.Completed++
 	s.stats.NodeHoursUsed += float64(len(j.Nodes)) * j.Runtime.Hours()
 	s.stats.TotalEnergy += j.Energy
 	for _, fn := range s.onEnd {
@@ -1008,80 +969,16 @@ func (s *Scheduler) finish(j *Job, now time.Time, final JobState) {
 	s.recycle(j)
 }
 
-// returnNode puts a node back in the free set.
-func (s *Scheduler) returnNode(id int) {
-	s.free.Add(id)
-}
-
-// releaseNode returns an Up node that just stopped working: to the
-// reservation draining it, if any (the node leaves the schedulable pool
-// until the reservation ends), otherwise to the free set.
-func (s *Scheduler) releaseNode(id int) {
-	if rs, ok := s.draining[id]; ok {
-		delete(s.draining, id)
-		s.capture(rs, id)
-		s.upNodes--
-		return
+// releaseNodes stops work on a running job's nodes and returns them to
+// the free set.
+func (s *Scheduler) releaseNodes(j *Job, now time.Time) {
+	for _, id := range j.Nodes {
+		s.fac.Node(id).StopWork(now)
+		s.byNode[id] = nil
+		s.free.Add(id)
 	}
-	s.returnNode(id)
-}
-
-// FailNode marks a node Down at the current time. If a job is running on
-// it, that job fails immediately (its other nodes are released).
-func (s *Scheduler) FailNode(id int) error {
-	if id < 0 || id >= s.fac.NodeCount() {
-		return fmt.Errorf("sched: no node %d", id)
-	}
-	nd := s.fac.Node(id)
-	if nd.State() == node.Down {
-		return nil
-	}
-	s.settled = false
-	now := s.eng.Now()
-	// Mark Down first so finish() does not return the node to the free
-	// list, then terminate any job running on it.
-	nd.SetState(node.Down, now)
-	if j := s.byNode[id]; j != nil {
-		s.upNodes--
-		// A reservation draining this node loses it to the failure (it
-		// re-captures on repair if its window is still open).
-		delete(s.draining, id)
-		s.eng.Cancel(j.endEvent)
-		s.finish(j, now, Failed)
-	} else if rs, ok := s.captured[id]; ok {
-		// Reservation-held nodes are already outside upNodes and the
-		// free set; only the reservation's ledger changes.
-		s.uncapture(rs, id)
-	} else {
-		s.upNodes--
-		// Remove from the free set.
-		s.free.Remove(id)
-	}
-	return nil
-}
-
-// RepairNode returns a Down node to service.
-func (s *Scheduler) RepairNode(id int) error {
-	if id < 0 || id >= s.fac.NodeCount() {
-		return fmt.Errorf("sched: no node %d", id)
-	}
-	nd := s.fac.Node(id)
-	if nd.State() != node.Down {
-		return nil
-	}
-	s.settled = false
-	now := s.eng.Now()
-	nd.SetState(node.Up, now)
-	if rs := s.activeReservationFor(id); rs != nil {
-		// The repaired node re-enters service directly into the hold: it
-		// joins neither upNodes nor the free set until the window ends.
-		s.capture(rs, id)
-		return nil
-	}
-	s.upNodes++
-	s.returnNode(id)
-	s.trySchedule(now)
-	return nil
+	s.busy -= len(j.Nodes)
+	s.estBusyW -= j.actualPowerW
 }
 
 // QueuedJobs returns a snapshot of the queue contents.

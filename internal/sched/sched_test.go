@@ -10,7 +10,6 @@ import (
 	"github.com/greenhpc/archertwin/internal/cpu"
 	"github.com/greenhpc/archertwin/internal/des"
 	"github.com/greenhpc/archertwin/internal/facility"
-	"github.com/greenhpc/archertwin/internal/node"
 	"github.com/greenhpc/archertwin/internal/policy"
 	"github.com/greenhpc/archertwin/internal/rng"
 	"github.com/greenhpc/archertwin/internal/roofline"
@@ -202,7 +201,7 @@ func TestDropOversizedAndOverflow(t *testing.T) {
 
 func TestNodeConservation(t *testing.T) {
 	// Property-style stress: random-ish job stream; at every completion
-	// the invariant busy+free+down == total holds and no node is double
+	// the invariant busy+free == total holds and no node is double
 	// allocated.
 	r := newRig(t, 50, DefaultConfig())
 	seen := func() {
@@ -218,9 +217,9 @@ func TestNodeConservation(t *testing.T) {
 		if len(inUse) != r.s.BusyNodes() {
 			t.Fatalf("busy count %d != allocated %d", r.s.BusyNodes(), len(inUse))
 		}
-		if r.s.BusyNodes()+r.s.free.Count() != r.s.UpNodes() {
-			t.Fatalf("conservation: busy %d + free %d != up %d",
-				r.s.BusyNodes(), r.s.free.Count(), r.s.UpNodes())
+		if r.s.BusyNodes()+r.s.free.Count() != 50 {
+			t.Fatalf("conservation: busy %d + free %d != 50 nodes",
+				r.s.BusyNodes(), r.s.free.Count())
 		}
 	}
 	r.s.OnJobEnd(func(*Job) { seen() })
@@ -238,73 +237,6 @@ func TestNodeConservation(t *testing.T) {
 	}
 	if r.s.BusyNodes() != 0 || r.s.free.Count() != 50 {
 		t.Fatal("not all nodes returned")
-	}
-}
-
-func TestFailNodeIdle(t *testing.T) {
-	r := newRig(t, 10, DefaultConfig())
-	if err := r.s.FailNode(3); err != nil {
-		t.Fatal(err)
-	}
-	if r.s.UpNodes() != 9 {
-		t.Fatalf("up = %d", r.s.UpNodes())
-	}
-	// A 10-node job can no longer run; 9-node job can and avoids node 3.
-	j := r.s.Submit(r.spec(1, 9, time.Hour))
-	if j.State != Running {
-		t.Fatalf("9-node job = %v", j.State)
-	}
-	for _, id := range j.Nodes {
-		if id == 3 {
-			t.Fatal("failed node allocated")
-		}
-	}
-	// Repair and reuse.
-	r.eng.Run()
-	if err := r.s.RepairNode(3); err != nil {
-		t.Fatal(err)
-	}
-	if r.s.UpNodes() != 10 {
-		t.Fatalf("up after repair = %d", r.s.UpNodes())
-	}
-	j2 := r.s.Submit(r.spec(2, 10, time.Hour))
-	if j2.State != Running {
-		t.Fatalf("10-node job after repair = %v", j2.State)
-	}
-}
-
-func TestFailNodeKillsJob(t *testing.T) {
-	r := newRig(t, 10, DefaultConfig())
-	j := r.s.Submit(r.spec(1, 4, 10*time.Hour))
-	r.eng.RunUntil(t0.Add(2 * time.Hour))
-	if err := r.s.FailNode(j.Nodes[0]); err != nil {
-		t.Fatal(err)
-	}
-	if j.State != Failed {
-		t.Fatalf("job state = %v, want failed", j.State)
-	}
-	if j.Runtime != 2*time.Hour {
-		t.Fatalf("failed job runtime = %v, want 2h", j.Runtime)
-	}
-	// Other three nodes are free again; the failed one is down.
-	if r.s.UpNodes() != 9 || r.s.free.Count() != 9-0 {
-		t.Fatalf("up = %d free = %d", r.s.UpNodes(), r.s.free.Count())
-	}
-	if r.fac.Node(j.Nodes[0]).State() != node.Down {
-		t.Fatal("failed node not down")
-	}
-	if r.s.Stats().Failed != 1 {
-		t.Fatalf("failed stat = %d", r.s.Stats().Failed)
-	}
-	// Double-fail and out-of-range are handled.
-	if err := r.s.FailNode(j.Nodes[0]); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.s.FailNode(-1); err == nil {
-		t.Fatal("negative node accepted")
-	}
-	if err := r.s.RepairNode(9999); err == nil {
-		t.Fatal("out-of-range repair accepted")
 	}
 }
 
@@ -360,7 +292,7 @@ func TestMeanWait(t *testing.T) {
 }
 
 func TestJobStateString(t *testing.T) {
-	for _, s := range []JobState{Queued, Running, Completed, Failed, Dropped, JobState(42)} {
+	for _, s := range []JobState{Queued, Running, Completed, Dropped, Preempted, JobState(42)} {
 		if s.String() == "" {
 			t.Fatal("empty state string")
 		}
@@ -528,8 +460,8 @@ func TestPowerCapWithReclock(t *testing.T) {
 
 // Job recycling (Config.ReuseJobs) must be observationally invisible:
 // an identical interleaved submission pattern — arrivals racing
-// completions so the free list is actually exercised, plus drops and a
-// node failure — must produce bit-identical scheduler statistics with
+// completions so the free list is actually exercised, plus drops — must
+// produce bit-identical scheduler statistics with
 // recycling on and off.
 func TestReuseJobsBitIdentical(t *testing.T) {
 	run := func(reuse bool) (Stats, float64) {
@@ -546,16 +478,6 @@ func TestReuseJobsBitIdentical(t *testing.T) {
 				r.s.Submit(r.spec(id, nodes, runtime))
 			})
 		}
-		r.eng.At(t0.Add(24*time.Hour), func(time.Time) {
-			if err := r.s.FailNode(3); err != nil {
-				t.Error(err)
-			}
-		})
-		r.eng.At(t0.Add(30*time.Hour), func(time.Time) {
-			if err := r.s.RepairNode(3); err != nil {
-				t.Error(err)
-			}
-		})
 		r.eng.Run()
 		return r.s.Stats(), r.fac.Utilisation()
 	}
@@ -574,12 +496,10 @@ func TestReuseJobsBitIdentical(t *testing.T) {
 
 // TestBackfillScanAllocFree pins the backfill hot loop's allocation
 // behaviour: runtime predictions are cached on the jobs and every
-// scratch structure — victim list, capacity profiles, the release walk's
-// reservation list — is retained across passes, so a steady-state
-// scheduling attempt over a saturated cluster with a deep non-fitting
-// queue must not allocate at all. The rows add a started reservation
-// that holds free nodes and drains busy ones (plus a pending one), and a
-// two-partition machine, under both policies.
+// scratch structure — victim list, capacity profiles — is retained
+// across passes, so a steady-state scheduling attempt over a saturated
+// cluster with a deep non-fitting queue must not allocate at all. A
+// second row runs a two-partition machine, under both policies.
 func TestBackfillScanAllocFree(t *testing.T) {
 	rows := []struct {
 		name string
@@ -590,25 +510,6 @@ func TestBackfillScanAllocFree(t *testing.T) {
 			r := newRig(t, 32, cfg)
 			for i := 0; i < 32; i++ {
 				r.s.Submit(r.spec(i, 1, 200*time.Hour))
-			}
-			return r
-		}},
-		{"draining", func(t *testing.T, cfg Config) *rig {
-			r := newRig(t, 32, cfg)
-			for i := 0; i < 30; i++ {
-				r.s.Submit(r.spec(i, 1, 200*time.Hour))
-			}
-			now := r.eng.Now()
-			for _, rs := range []Reservation{
-				{Name: "drain", Nodes: []int{26, 27, 28, 29, 30, 31}, From: now, To: now.Add(100 * time.Hour)},
-				{Name: "later", Nodes: []int{0, 1, 2, 3}, From: now.Add(50 * time.Hour), To: now.Add(60 * time.Hour)},
-			} {
-				if err := r.s.AddReservation(rs); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if r.s.DrainingNodes() != 4 || r.s.ReservedNodes() != 2 {
-				t.Fatalf("%d draining, %d reserved, want 4 and 2", r.s.DrainingNodes(), r.s.ReservedNodes())
 			}
 			return r
 		}},
@@ -648,31 +549,34 @@ func TestBackfillScanAllocFree(t *testing.T) {
 }
 
 // TestReleaseWalkTieOrder pins the release walk's order at equal
-// times: a running job's release comes before a reservation's, and the
-// walk stops at the first release that crosses, so the spare count
-// excludes later releases at the same instant. Here the head crosses on
-// the running job's release with nothing spare; taking the reservation
-// first would leave two spare nodes and let a long candidate backfill.
+// times: running jobs release in start order, and the walk stops at the
+// first release that crosses, so the spare count excludes later
+// releases at the same instant. Here the head crosses on the first
+// job's release with nothing spare; taking the second job's first would
+// leave two spare nodes and let a long candidate backfill.
 func TestReleaseWalkTieOrder(t *testing.T) {
-	r := newRig(t, 8, Config{BackfillDepth: 4, MaxQueue: 64})
-	runner := r.s.Submit(r.spec(1, 4, 10*time.Hour))
-	now := r.eng.Now()
-	if err := r.s.AddReservation(Reservation{Name: "m", Nodes: []int{4, 5}, From: now, To: runner.End}); err != nil {
-		t.Fatal(err)
+	r := newRig(t, 8, Config{})
+	// Performance Determinism gives every node the same perf factor, so
+	// equal runtimes started together end together.
+	r.s = New(r.eng, r.fac, cappedProvider{r.fac.Config().CPU}, Config{BackfillDepth: 4, MaxQueue: 64})
+	first := r.s.Submit(r.spec(1, 4, 10*time.Hour))
+	second := r.s.Submit(r.spec(2, 2, 10*time.Hour))
+	if !first.End.Equal(second.End) {
+		t.Fatalf("ends %v and %v differ; the tie is not set up", first.End, second.End)
 	}
 	var walked []capEvent
 	if at, n := r.s.releases(0, r.s.free.Count(), math.MaxInt, &walked); !at.IsZero() || n != 0 {
 		t.Fatalf("full walk crossed at %v with %d spare", at, n)
 	}
-	want := []capEvent{{at: runner.End, delta: 4}, {at: runner.End, delta: 2}}
+	want := []capEvent{{at: first.End, delta: 4}, {at: first.End, delta: 2}}
 	if len(walked) != len(want) || walked[0] != want[0] || walked[1] != want[1] {
 		t.Fatalf("walk %v, want %v", walked, want)
 	}
-	if at, spare := r.s.releases(0, r.s.free.Count(), 6, nil); !at.Equal(runner.End) || spare != 0 {
-		t.Fatalf("6-node crossing at %v with %d spare, want %v with 0", at, spare, runner.End)
+	if at, spare := r.s.releases(0, r.s.free.Count(), 6, nil); !at.Equal(first.End) || spare != 0 {
+		t.Fatalf("6-node crossing at %v with %d spare, want %v with 0", at, spare, first.End)
 	}
-	head := r.s.Submit(r.spec(2, 6, time.Hour))
-	cand := r.s.Submit(r.spec(3, 2, 40*time.Hour))
+	head := r.s.Submit(r.spec(3, 6, time.Hour))
+	cand := r.s.Submit(r.spec(4, 2, 40*time.Hour))
 	if head.State != Queued || cand.State != Queued {
 		t.Fatalf("head %v, candidate %v: want both queued", head.State, cand.State)
 	}
@@ -713,7 +617,7 @@ func TestPredictionEpochMatchesFreshScheduler(t *testing.T) {
 		}
 		pcfg := policy.DefaultConfig()
 		pcfg.OverridesEnabled = false
-		prov, err := policy.NewProvider(spec, pcfg, nil)
+		prov, err := policy.NewProvider(spec, pcfg)
 		if err != nil {
 			t.Fatal(err)
 		}

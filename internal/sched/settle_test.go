@@ -69,48 +69,6 @@ func TestSettledSkipInvalidation(t *testing.T) {
 		change   func(r *settleRig) // the out-of-pass change plus a far-back submit
 	}{
 		{
-			// A free node fails: the head's shadow moves out to the
-			// second release, past the candidate's end.
-			name: "FailNode",
-			setup: func(r *settleRig) {
-				r.submit(1, 4, 5*time.Hour)
-				r.submit(2, 4, 10*time.Hour)
-				r.submit(3, 6, time.Hour) // head: shadow at job 1's end
-				r.submit(4, 1, 7*time.Hour)
-				r.submit(filler, 8, time.Hour)
-			},
-			change: func(r *settleRig) {
-				if err := r.s.FailNode(9); err != nil {
-					r.t.Fatal(err)
-				}
-				r.submit(filler+1, 8, time.Hour)
-			},
-		},
-		{
-			// A node repaired into an active reservation adds a release
-			// that gives the head a shadow at all.
-			name: "RepairNode",
-			setup: func(r *settleRig) {
-				if err := r.s.FailNode(7); err != nil {
-					r.t.Fatal(err)
-				}
-				if err := r.s.AddReservation(Reservation{Name: "m", Nodes: []int{6, 7},
-					From: t0, To: t0.Add(5 * time.Hour)}); err != nil {
-					r.t.Fatal(err)
-				}
-				r.submit(1, 4, 20*time.Hour)
-				r.submit(2, 10, time.Hour) // head: no shadow while node 7 is down
-				r.submit(3, 2, time.Hour)
-				r.submit(filler, 8, time.Hour)
-			},
-			change: func(r *settleRig) {
-				if err := r.s.RepairNode(7); err != nil {
-					r.t.Fatal(err)
-				}
-				r.submit(filler+1, 8, time.Hour)
-			},
-		},
-		{
 			// Reclocking the running job to the slower setting moves the
 			// head's shadow past the candidate's predicted end.
 			name: "ReclockRunning",
@@ -127,26 +85,6 @@ func TestSettledSkipInvalidation(t *testing.T) {
 				if _, err := r.s.ReclockRunning(r.spec.CappedSetting()); err != nil {
 					r.t.Fatal(err)
 				}
-				r.submit(filler+1, 8, time.Hour)
-			},
-		},
-		{
-			// A reservation window opening captures a free node, which
-			// moves the shadow out as a failure does.
-			name: "resvStart",
-			setup: func(r *settleRig) {
-				if err := r.s.AddReservation(Reservation{Name: "m", Nodes: []int{9},
-					From: t0.Add(time.Hour), To: t0.Add(100 * time.Hour)}); err != nil {
-					r.t.Fatal(err)
-				}
-				r.submit(1, 4, 5*time.Hour)
-				r.submit(2, 4, 10*time.Hour)
-				r.submit(3, 6, time.Hour)
-				r.submit(4, 1, 7*time.Hour)
-				r.submit(filler, 8, time.Hour)
-			},
-			change: func(r *settleRig) {
-				r.eng.RunUntil(t0.Add(90 * time.Minute))
 				r.submit(filler+1, 8, time.Hour)
 			},
 		},

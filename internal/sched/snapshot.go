@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"time"
 	"unsafe"
 
@@ -26,7 +25,6 @@ import (
 type Snapshot struct {
 	stats    Stats
 	busy     int
-	upNodes  int
 	powerCap units.Power
 	estBusyW float64
 
@@ -40,27 +38,6 @@ type Snapshot struct {
 
 	recheckAt time.Time
 	rechecks  []recheckSnap
-
-	// Reservation state: the installed reservations (with their pending
-	// window events' parent seqs) and the node->reservation capture and
-	// drain ledgers, by index into resvs.
-	resvs    []resvSnap
-	captured []nodeResvSnap
-	draining []nodeResvSnap
-}
-
-// resvSnap is one reservation's deep-copied state.
-type resvSnap struct {
-	res      Reservation
-	started  bool
-	startSeq uint64 // pending start events only (unstarted reservations)
-	endSeq   uint64 // always pending while the reservation exists
-}
-
-// nodeResvSnap ties a node ID to a reservation by resvs index.
-type nodeResvSnap struct {
-	node int
-	resv int
 }
 
 // jobSnap is one job's deep-copied state. The embedded Job value carries
@@ -94,7 +71,6 @@ func (s *Scheduler) Snapshot() *Snapshot {
 	snap := &Snapshot{
 		stats:     s.stats,
 		busy:      s.busy,
-		upNodes:   s.upNodes,
 		powerCap:  s.powerCap,
 		estBusyW:  s.estBusyW,
 		freeBits:  append([]uint64(nil), s.free.bits...),
@@ -114,27 +90,6 @@ func (s *Scheduler) Snapshot() *Snapshot {
 	for _, ev := range s.recheckEvents {
 		snap.rechecks = append(snap.rechecks, recheckSnap{at: ev.at, seq: ev.handle.Seq()})
 	}
-	index := make(map[*resvState]int, len(s.resvs))
-	for i, rs := range s.resvs {
-		index[rs] = i
-		rsnap := resvSnap{started: rs.started, endSeq: rs.endEvent.Seq()}
-		rsnap.res = rs.res
-		rsnap.res.Nodes = append([]int(nil), rs.res.Nodes...)
-		if !rs.started {
-			rsnap.startSeq = rs.startEvent.Seq()
-		}
-		snap.resvs = append(snap.resvs, rsnap)
-	}
-	// Map iteration order is not deterministic; sort by node ID so two
-	// snapshots of identical state are identical.
-	for id, rs := range s.captured {
-		snap.captured = append(snap.captured, nodeResvSnap{node: id, resv: index[rs]})
-	}
-	for id, rs := range s.draining {
-		snap.draining = append(snap.draining, nodeResvSnap{node: id, resv: index[rs]})
-	}
-	sort.Slice(snap.captured, func(a, b int) bool { return snap.captured[a].node < snap.captured[b].node })
-	sort.Slice(snap.draining, func(a, b int) bool { return snap.draining[a].node < snap.draining[b].node })
 	return snap
 }
 
@@ -148,7 +103,6 @@ func (s *Scheduler) Snapshot() *Snapshot {
 func (s *Scheduler) Restore(snap *Snapshot, resolve func(class string) (*apps.App, error), add func(seq uint64, schedule func())) error {
 	s.stats = snap.stats
 	s.busy = snap.busy
-	s.upNodes = snap.upNodes
 	s.powerCap = snap.powerCap
 	s.estBusyW = snap.estBusyW
 	s.free = &nodeSet{
@@ -209,25 +163,6 @@ func (s *Scheduler) Restore(snap *Snapshot, resolve func(class string) (*apps.Ap
 			s.recheckEvents = append(s.recheckEvents, recheckEvent{at: rs.at, handle: h})
 		})
 	}
-	s.resvs, s.captured, s.draining = nil, nil, nil
-	for _, rsnap := range snap.resvs {
-		rs := &resvState{res: rsnap.res, started: rsnap.started}
-		rs.res.Nodes = append([]int(nil), rsnap.res.Nodes...)
-		s.resvs = append(s.resvs, rs)
-		if !rs.started {
-			add(rsnap.startSeq, func() { rs.startEvent = s.eng.AtArg(rs.res.From, s.resvStartFn, rs) })
-		}
-		add(rsnap.endSeq, func() { rs.endEvent = s.eng.AtArg(rs.res.To, s.resvEndFn, rs) })
-	}
-	for _, c := range snap.captured {
-		s.capture(s.resvs[c.resv], c.node)
-	}
-	for _, d := range snap.draining {
-		if s.draining == nil {
-			s.draining = make(map[int]*resvState)
-		}
-		s.draining[d.node] = s.resvs[d.resv]
-	}
 	return nil
 }
 
@@ -246,10 +181,5 @@ func (snap *Snapshot) MemoryFootprint() int64 {
 	total += jobBytes(snap.queued) + jobBytes(snap.running) + jobBytes(snap.held)
 	total += int64(cap(snap.freeBits)) * 8
 	total += int64(cap(snap.rechecks)) * int64(unsafe.Sizeof(recheckSnap{}))
-	total += int64(cap(snap.resvs)) * int64(unsafe.Sizeof(resvSnap{}))
-	for i := range snap.resvs {
-		total += int64(cap(snap.resvs[i].res.Nodes)) * int64(unsafe.Sizeof(int(0)))
-	}
-	total += int64(cap(snap.captured)+cap(snap.draining)) * int64(unsafe.Sizeof(nodeResvSnap{}))
 	return total
 }

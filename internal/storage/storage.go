@@ -11,7 +11,6 @@ import "github.com/greenhpc/archertwin/internal/units"
 
 // FileSystem is one storage system.
 type FileSystem struct {
-	Name       string
 	CapacityPB float64
 	Power      units.Power
 }
@@ -26,11 +25,11 @@ type Fleet struct {
 func ARCHER2Fleet() *Fleet {
 	per := units.Kilowatts(8)
 	return &Fleet{systems: []FileSystem{
-		{Name: "home (NetApp)", CapacityPB: 1.0, Power: per},
-		{Name: "work1 (ClusterStor L300)", CapacityPB: 3.4, Power: per},
-		{Name: "work2 (ClusterStor L300)", CapacityPB: 3.4, Power: per},
-		{Name: "work3 (ClusterStor L300)", CapacityPB: 6.8, Power: per},
-		{Name: "scratch (ClusterStor E1000)", CapacityPB: 1.0, Power: per},
+		{CapacityPB: 1.0, Power: per}, // home (NetApp)
+		{CapacityPB: 3.4, Power: per}, // work1 (ClusterStor L300)
+		{CapacityPB: 3.4, Power: per}, // work2 (ClusterStor L300)
+		{CapacityPB: 6.8, Power: per}, // work3 (ClusterStor L300)
+		{CapacityPB: 1.0, Power: per}, // scratch (ClusterStor E1000)
 	}}
 }
 

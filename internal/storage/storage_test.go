@@ -21,16 +21,13 @@ func TestARCHER2FleetInventory(t *testing.T) {
 	}
 }
 
-func TestSystemsNamed(t *testing.T) {
-	for _, s := range ARCHER2Fleet().systems {
-		if s.Name == "" {
-			t.Error("unnamed file system")
-		}
+func TestSystemsPositive(t *testing.T) {
+	for i, s := range ARCHER2Fleet().systems {
 		if s.Power.Watts() <= 0 {
-			t.Errorf("%s: non-positive power", s.Name)
+			t.Errorf("system %d: non-positive power", i)
 		}
 		if s.CapacityPB <= 0 {
-			t.Errorf("%s: non-positive capacity", s.Name)
+			t.Errorf("system %d: non-positive capacity", i)
 		}
 	}
 }

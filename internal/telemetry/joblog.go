@@ -240,8 +240,6 @@ func ReadJobRecords(r io.Reader) ([]JobRecord, error) {
 		switch row[7] {
 		case "completed":
 			rec.State = sched.Completed
-		case "failed":
-			rec.State = sched.Failed
 		case "preempted":
 			rec.State = sched.Preempted
 		default:

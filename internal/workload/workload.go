@@ -25,8 +25,6 @@ type JobSpec struct {
 	// Power Determinism); the scheduler stretches it for the operating
 	// point actually in force.
 	RefRuntime time.Duration
-	// Submit is the submission time.
-	Submit time.Time
 	// Priority is the job's scheduling priority class (higher runs
 	// first); zero is the default class. The scheduler orders its pending
 	// queue by priority (optionally aged — see sched.Config.AgingHours)
@@ -183,8 +181,8 @@ func (g *Generator) drawShape(i int, r *rng.Stream) (int, time.Duration) {
 }
 
 // Next generates the next job: the spec and the exponential interarrival
-// gap to the following submission. Submit is filled in by the caller (the
-// simulation clock owns time).
+// gap to the following submission. The scheduler stamps the submission
+// time (the simulation clock owns time).
 func (g *Generator) Next() (JobSpec, time.Duration) {
 	if g.cfg.ArrivalRatePerHour <= 0 {
 		panic("workload: arrival rate not set; call CalibrateArrivalRate")
