@@ -1,6 +1,6 @@
-// Command fieldcheck lists the struct fields and consts declared in
-// internal/ that no program reads, and the fields that programs read but
-// never write, and fails unless each is named in
+// Command fieldcheck lists the struct fields, consts and named types
+// declared in internal/ that no program reads or uses, and the fields
+// that programs read but never write, and fails unless each is named in
 // .github/fieldcheck-allow.txt. It is the data counterpart of linkmap.sh,
 // which sees funcs only.
 //
@@ -9,7 +9,9 @@
 // from the compiler's export data). A field is read by a selector x.f in
 // any position other than the target of a plain assignment, by an
 // operand of == or != of its struct type, and by hashing as a map key;
-// a const is read by any use. A field is written by an assignment to
+// a const is read by any use. A named type is used by any reference to
+// its name outside its own declaration and its own methods (they need a
+// value of it first). A field is written by an assignment to
 // x.f or to an element x.f[i], by x.f++ and op-assignments, by &x.f, by
 // a method call x.f.M(), by a composite-literal key or position, and by
 // an assignment through it (x.f.g = v writes f as well as g). Embedded
@@ -20,10 +22,10 @@
 // written: the codec does both by reflection.
 //
 // The check also fails on a stale allowlist entry: one that names no
-// declared field or const, or one that nothing is reported for. Each
-// allowlist line is `symbol  # reason`, the symbol as the report prints
-// it (pkg.Type.field or pkg.Const); blank lines and lines starting with
-// # are ignored.
+// declared field, const or type, or one that nothing is reported for.
+// Each allowlist line is `symbol  # reason`, the symbol as the report
+// prints it (pkg.Type.field, pkg.Const or pkg.Type); blank lines and
+// lines starting with # are ignored.
 //
 // Usage, from anywhere in the repository: go run ./.github/scripts/fieldcheck
 package main
@@ -90,9 +92,11 @@ func main() {
 	for _, s := range c.syms {
 		var why string
 		switch {
+		case !c.read[s.obj] && s.kind == typeSym:
+			why = "never used"
 		case !c.read[s.obj]:
 			why = "never read"
-		case s.field && !c.written[s.obj]:
+		case s.kind == fieldSym && !c.written[s.obj]:
 			why = "read but never written"
 		default:
 			continue
@@ -109,16 +113,16 @@ func main() {
 	for _, name := range sortedKeys(allow) {
 		switch {
 		case !declared[name]:
-			report("%s: stale allowlist entry, no such internal/ field or const", name)
+			report("%s: stale allowlist entry, no such internal/ field, const or type", name)
 		case !flagged[name]:
-			report("%s: stale allowlist entry, read and written by non-test code", name)
+			report("%s: stale allowlist entry, read and written (or used) by non-test code", name)
 		}
 	}
 	if failed {
 		fmt.Println("fieldcheck: delete the code above, or list it in .github/fieldcheck-allow.txt with a reason")
 		os.Exit(1)
 	}
-	fmt.Printf("fieldcheck: %d internal/ fields and consts, %d allowlisted in .github/fieldcheck-allow.txt; %d packages\n",
+	fmt.Printf("fieldcheck: %d internal/ fields, consts and types, %d allowlisted in .github/fieldcheck-allow.txt; %d packages\n",
 		len(c.syms), len(allow), len(paths))
 }
 
@@ -275,16 +279,24 @@ func (l *loader) Import(path string) (*types.Package, error) {
 
 // sym is one checked declaration.
 type sym struct {
-	name  string
-	obj   types.Object
-	field bool
+	name string
+	obj  types.Object
+	kind symKind
 }
+
+type symKind int
+
+const (
+	fieldSym symKind = iota
+	constSym
+	typeSym
+)
 
 type checker struct {
 	l       *loader
 	prefix  string
 	syms    []sym
-	read    map[types.Object]bool
+	read    map[types.Object]bool // fields and consts read, types used
 	written map[types.Object]bool
 	// jsonSeeds are the types passed to encoding/json calls.
 	jsonSeeds []types.Type
@@ -294,16 +306,16 @@ func newChecker(l *loader, prefix string) *checker {
 	return &checker{l: l, prefix: prefix, read: map[types.Object]bool{}, written: map[types.Object]bool{}}
 }
 
-// declare records the fields and consts declared in an internal/
-// package, named pkg.Type.field (pkg.Type.field.sub inside an anonymous
-// struct field) and pkg.Const.
+// declare records the fields, consts and named types declared in an
+// internal/ package, named pkg.Type.field (pkg.Type.field.sub inside an
+// anonymous struct field), pkg.Const and pkg.Type.
 func (c *checker) declare(p *pkg) {
 	if !strings.HasPrefix(p.path, c.prefix) {
 		return
 	}
 	short := strings.TrimPrefix(p.path, c.prefix)
-	add := func(name string, obj types.Object, field bool) {
-		c.syms = append(c.syms, sym{name: name, obj: obj, field: field})
+	add := func(name string, obj types.Object, kind symKind) {
+		c.syms = append(c.syms, sym{name: name, obj: obj, kind: kind})
 	}
 	var structFields func(prefix string, st *ast.StructType)
 	structFields = func(prefix string, st *ast.StructType) {
@@ -316,7 +328,7 @@ func (c *checker) declare(p *pkg) {
 				if v == nil || isSync(v.Type()) {
 					continue
 				}
-				add(prefix+"."+id.Name, v, true)
+				add(prefix+"."+id.Name, v, fieldSym)
 				if inner, ok := f.Type.(*ast.StructType); ok {
 					structFields(prefix+"."+id.Name, inner)
 				}
@@ -327,6 +339,9 @@ func (c *checker) declare(p *pkg) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
+				if tn, ok := p.info.Defs[n.Name].(*types.TypeName); ok && n.Name.Name != "_" {
+					add(short+"."+n.Name.Name, tn, typeSym)
+				}
 				if st, ok := n.Type.(*ast.StructType); ok {
 					structFields(short+"."+n.Name.Name, st)
 					return false
@@ -338,7 +353,7 @@ func (c *checker) declare(p *pkg) {
 			case *ast.ValueSpec:
 				for _, id := range n.Names {
 					if k, ok := p.info.Defs[id].(*types.Const); ok && id.Name != "_" {
-						add(short+"."+id.Name, k, false)
+						add(short+"."+id.Name, k, constSym)
 					}
 				}
 			}
@@ -411,6 +426,7 @@ func (c *checker) use(p *pkg) {
 	// pureWrites are selector targets of plain assignments: written, not
 	// read.
 	pureWrites := map[ast.Expr]bool{}
+	self := c.selfRefs(p)
 	for _, f := range p.files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -463,8 +479,13 @@ func (c *checker) use(p *pkg) {
 					c.read[v] = true
 				}
 			case *ast.Ident:
-				if k, ok := p.info.Uses[n].(*types.Const); ok {
-					c.read[k] = true
+				switch obj := p.info.Uses[n].(type) {
+				case *types.Const:
+					c.read[obj] = true
+				case *types.TypeName:
+					if !self[n] {
+						c.read[obj] = true
+					}
 				}
 			}
 			return true
@@ -473,6 +494,56 @@ func (c *checker) use(p *pkg) {
 	for _, tv := range p.info.Types {
 		if m, ok := tv.Type.(*types.Map); ok {
 			c.readAll(m.Key(), map[types.Type]bool{})
+		}
+	}
+}
+
+// selfRefs returns the identifiers by which a named type refers to
+// itself: in its own declaration and in its own methods.
+func (c *checker) selfRefs(p *pkg) map[*ast.Ident]bool {
+	self := map[*ast.Ident]bool{}
+	mark := func(root ast.Node, tn types.Object) {
+		ast.Inspect(root, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && tn != nil && p.info.Uses[id] == tn {
+				self[id] = true
+			}
+			return true
+		})
+	}
+	for _, f := range p.files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				mark(n, p.info.Defs[n.Name])
+			case *ast.FuncDecl:
+				if n.Recv == nil || len(n.Recv.List) == 0 {
+					break
+				}
+				if id := recvBase(n.Recv.List[0].Type); id != nil {
+					mark(n, p.info.Uses[id])
+				}
+			}
+			return true
+		})
+	}
+	return self
+}
+
+// recvBase returns the name of a receiver's base type: T in T, *T, T[P]
+// or *T[P].
+func recvBase(x ast.Expr) *ast.Ident {
+	for {
+		switch e := unparen(x).(type) {
+		case *ast.StarExpr:
+			x = e.X
+		case *ast.IndexExpr:
+			x = e.X
+		case *ast.IndexListExpr:
+			x = e.X
+		case *ast.Ident:
+			return e
+		default:
+			return nil
 		}
 	}
 }

@@ -47,7 +47,6 @@ func main() {
 		jobs      int
 		nodeHours float64
 		energy    units.Energy
-		failed    int
 	}
 	byClass := map[string]*agg{}
 	var total agg
@@ -63,10 +62,6 @@ func main() {
 		total.jobs++
 		total.nodeHours += r.NodeHours()
 		total.energy += r.Energy
-		if r.State.String() == "failed" {
-			a.failed++
-			total.failed++
-		}
 	}
 	names := make([]string, 0, len(byClass))
 	for n := range byClass {
@@ -78,20 +73,20 @@ func main() {
 
 	t := report.NewTable(
 		fmt.Sprintf("Energy use by research area (%d jobs)", total.jobs),
-		"class", "jobs", "failed", "node-hours", "energy", "kWh/nodeh", "share of energy")
+		"class", "jobs", "node-hours", "energy", "kWh/nodeh", "share of energy")
 	for _, n := range names {
 		a := byClass[n]
 		intensity := 0.0
 		if a.nodeHours > 0 {
 			intensity = a.energy.KilowattHours() / a.nodeHours
 		}
-		t.AddRow(n, fmt.Sprint(a.jobs), fmt.Sprint(a.failed),
+		t.AddRow(n, fmt.Sprint(a.jobs),
 			fmt.Sprintf("%.3g", a.nodeHours),
 			a.energy.String(),
 			fmt.Sprintf("%.3f", intensity),
 			fmt.Sprintf("%.1f%%", a.energy.Joules()/total.energy.Joules()*100))
 	}
-	t.AddRow("TOTAL", fmt.Sprint(total.jobs), fmt.Sprint(total.failed),
+	t.AddRow("TOTAL", fmt.Sprint(total.jobs),
 		fmt.Sprintf("%.3g", total.nodeHours), total.energy.String(),
 		fmt.Sprintf("%.3f", total.energy.KilowattHours()/total.nodeHours), "100%")
 	fmt.Println(t.String())

@@ -9,7 +9,7 @@
 //
 //	twinserver [-addr :8990] [-workers N] [-memo-cap N]
 //	           [-memo-budget-bytes N] [-max-concurrent N] [-max-finished N]
-//	           [-data-dir DIR] [-retention N] [-max-pending N]
+//	           [-data-dir DIR] [-max-pending N]
 //	           [-drain-timeout D] [-coordinator] [-join URL]
 //	           [-advertise URL] [-heartbeat D] [-shard-timeout D]
 //	           [-worker-ttl D]
@@ -25,6 +25,9 @@
 // uninterrupted run. On SIGTERM a durable server drains: submissions
 // are refused, in-flight sweeps get -drain-timeout to finish, and
 // stragglers are journaled as interrupted for the next start to resume.
+// The journal keeps the records of exactly the sweeps the registry
+// holds: every unfinished or interrupted sweep and the -max-finished
+// most recently finished ones.
 // See docs/architecture.md, "Durability & recovery".
 //
 // Fabric modes. A plain twinserver is a self-contained single-process
@@ -76,9 +79,8 @@ func main() {
 	memoCap := flag.Int("memo-cap", 0, "max memoized simulations, LRU-evicted beyond (0 = default 256, negative disables)")
 	memoBudget := flag.Int64("memo-budget-bytes", 0, "memo cache byte budget, coldest entries evicted beyond (0 = default 1 GiB, negative disables the byte bound)")
 	maxConcurrent := flag.Int("max-concurrent", 2, "max concurrently executing sweeps (or shards, on a worker)")
-	maxFinished := flag.Int("max-finished", 64, "finished sweeps retained for status/result queries")
+	maxFinished := flag.Int("max-finished", 64, "finished sweeps retained for status/result queries (and, with -data-dir, in the journal)")
 	dataDir := flag.String("data-dir", "", "journal directory; enables durable mode (crash recovery, resumable sweeps)")
-	retention := flag.Int("retention", 0, "finished sweeps whose journal records are retained before compaction (0 = -max-finished)")
 	maxPending := flag.Int("max-pending", 64, "queued sweeps beyond which submissions are shed with 429 + Retry-After (0 = unbounded)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long in-flight sweeps may finish on SIGTERM before being journaled as interrupted")
 	coordinator := flag.Bool("coordinator", false, "run as a fabric coordinator: dispatch sweeps as shards to joined workers instead of simulating locally")
@@ -103,7 +105,6 @@ func main() {
 	cfg := service.Config{
 		MaxConcurrent: *maxConcurrent,
 		MaxFinished:   *maxFinished,
-		Retention:     *retention,
 		MaxPending:    *maxPending,
 	}
 	if *coordinator {

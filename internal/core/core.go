@@ -578,36 +578,39 @@ func (s *Simulator) Run() (*Results, error) {
 	return s.RunContext(context.Background())
 }
 
-// cancelCheckEvents is how many events RunContext processes between
+// cancelCheckEvents is how many events advance processes between
 // context-cancellation checks: coarse enough that the check is invisible
 // next to the event work itself (a full run fires millions of events),
 // fine enough that a cancelled 13-month simulation stops within
 // milliseconds.
 const cancelCheckEvents = 16384
 
-// RunContext is Run with cooperative cancellation: the event loop checks
-// ctx between chunks of events and abandons the simulation with ctx's
-// error once it is cancelled. A context that can never be cancelled (e.g.
-// context.Background) runs on the exact uninterrupted path Run always
-// used; either way the executed event sequence — and therefore every
+// advance fires every event strictly before t and stops the clock at t.
+// Under a context that can be cancelled it checks ctx between chunks of
+// events and abandons the run with ctx's error once it is cancelled; a
+// context that never can (e.g. context.Background) runs straight
+// through. Either way the executed event sequence — and therefore every
 // result — is bit-identical.
+func (s *Simulator) advance(ctx context.Context, t time.Time) error {
+	if ctx.Done() != nil {
+		for s.eng.StepsBefore(t, cancelCheckEvents) && ctx.Err() == nil {
+		}
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("core: simulation cancelled: %w", err)
+		}
+	}
+	s.eng.RunUntil(t)
+	return nil
+}
+
+// RunContext is Run with cooperative cancellation (see advance).
 func (s *Simulator) RunContext(ctx context.Context) (*Results, error) {
 	if s.ran {
 		return nil, fmt.Errorf("core: simulator already ran")
 	}
 	s.ran = true
-	if ctx.Done() == nil {
-		s.eng.RunUntil(s.cfg.End)
-	} else {
-		for s.eng.StepsBefore(s.cfg.End, cancelCheckEvents) {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("core: simulation cancelled: %w", err)
-			}
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("core: simulation cancelled: %w", err)
-		}
-		s.eng.RunUntil(s.cfg.End)
+	if err := s.advance(ctx, s.cfg.End); err != nil {
+		return nil, err
 	}
 	s.fac.AccrueEnergy(s.cfg.End)
 
@@ -652,7 +655,7 @@ func (s *Simulator) RunTo(t time.Time) error {
 	return s.RunToContext(context.Background(), t)
 }
 
-// RunToContext is RunTo with cooperative cancellation (see RunContext).
+// RunToContext is RunTo with cooperative cancellation (see advance).
 func (s *Simulator) RunToContext(ctx context.Context, t time.Time) error {
 	if s.ran {
 		return fmt.Errorf("core: simulator already ran")
@@ -663,20 +666,7 @@ func (s *Simulator) RunToContext(ctx context.Context, t time.Time) error {
 	if t.After(s.cfg.End) {
 		return fmt.Errorf("core: RunTo target %v after end %v", t, s.cfg.End)
 	}
-	if ctx.Done() == nil {
-		s.eng.RunUntil(t)
-		return nil
-	}
-	for s.eng.StepsBefore(t, cancelCheckEvents) {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: simulation cancelled: %w", err)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return fmt.Errorf("core: simulation cancelled: %w", err)
-	}
-	s.eng.RunUntil(t)
-	return nil
+	return s.advance(ctx, t)
 }
 
 // RunConfig builds a simulator from cfg and runs it to completion — the

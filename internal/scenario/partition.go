@@ -28,11 +28,9 @@ type Partition struct {
 	// simulation *results* (simKey plus any mid-sweep divergence):
 	// scenarios sharing a run key are one unit of work.
 	RunKeys []string
-	// Groups maps each affinity key to the ascending scenario indices
-	// sharing it.
-	Groups map[string][]int
-	// GroupOrder lists the affinity keys in first-appearance (expansion)
-	// order, so iteration over Groups can be deterministic.
+	// GroupOrder lists each distinct affinity key once, in
+	// first-appearance (expansion) order, so iteration over the groups
+	// can be deterministic.
 	GroupOrder []string
 	// Simulations is the number of distinct simulations the whole sweep
 	// needs (distinct run keys) — the denominator a coordinator reports
@@ -52,18 +50,17 @@ func (s Spec) Partition() (Partition, error) {
 	p := Partition{
 		Keys:      make([]string, len(scenarios)),
 		RunKeys:   make([]string, len(scenarios)),
-		Groups:    make(map[string][]int, len(scenarios)),
 		scenarios: scenarios,
 	}
-	runKeys := map[string]bool{}
+	keys, runKeys := map[string]bool{}, map[string]bool{}
 	for i := range scenarios {
 		key := scenarios[i].simKey()
 		p.Keys[i] = key
 		p.RunKeys[i] = scenarios[i].runKey()
-		if _, seen := p.Groups[key]; !seen {
+		if !keys[key] {
+			keys[key] = true
 			p.GroupOrder = append(p.GroupOrder, key)
 		}
-		p.Groups[key] = append(p.Groups[key], i)
 		runKeys[p.RunKeys[i]] = true
 	}
 	p.Simulations = len(runKeys)

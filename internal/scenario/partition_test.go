@@ -3,7 +3,6 @@ package scenario
 import (
 	"context"
 	"reflect"
-	"sort"
 	"testing"
 )
 
@@ -26,9 +25,9 @@ func partitionSpec() Spec {
 	}
 }
 
-// TestPartitionStructure: every scenario appears in exactly one group,
-// groups share one affinity key, group order is expansion order, and the
-// simulation count matches what a real run reports.
+// TestPartitionStructure: every scenario has one affinity key and one
+// run key, GroupOrder lists each affinity key once in expansion order,
+// and the simulation count matches what a real run reports.
 func TestPartitionStructure(t *testing.T) {
 	spec := partitionSpec()
 	part, err := spec.Partition()
@@ -42,20 +41,17 @@ func TestPartitionStructure(t *testing.T) {
 	if len(part.Keys) != len(scenarios) || len(part.RunKeys) != len(scenarios) {
 		t.Fatalf("Partition sizes %d/%d, want %d", len(part.Keys), len(part.RunKeys), len(scenarios))
 	}
-	seen := map[int]bool{}
-	for _, key := range part.GroupOrder {
-		for _, idx := range part.Groups[key] {
-			if seen[idx] {
-				t.Fatalf("scenario %d appears in more than one group", idx)
-			}
-			seen[idx] = true
-			if part.Keys[idx] != key {
-				t.Errorf("scenario %d grouped under %q but keyed %q", idx, key, part.Keys[idx])
-			}
+	// GroupOrder lists each affinity key once, in first-appearance order.
+	var order []string
+	seen := map[string]bool{}
+	for _, key := range part.Keys {
+		if !seen[key] {
+			seen[key] = true
+			order = append(order, key)
 		}
 	}
-	if len(seen) != len(scenarios) {
-		t.Errorf("groups cover %d scenarios, want %d", len(seen), len(scenarios))
+	if !reflect.DeepEqual(part.GroupOrder, order) {
+		t.Errorf("GroupOrder = %q, want the distinct Keys in first-appearance order %q", part.GroupOrder, order)
 	}
 	// The grid axis shares simulations: distinct run keys must undercount
 	// scenarios, and match the executed-sweep report exactly.
@@ -138,13 +134,16 @@ func TestAssembleReconstructsFullRun(t *testing.T) {
 	// (its own memo, as on separate worker processes).
 	merged := make([]Result, len(part.Keys))
 	for shard := 0; shard < 2; shard++ {
-		var indices []int
+		inShard := map[string]bool{}
 		for g, key := range part.GroupOrder {
-			if g%2 == shard {
-				indices = append(indices, part.Groups[key]...)
+			inShard[key] = g%2 == shard
+		}
+		var indices []int
+		for i, key := range part.Keys {
+			if inShard[key] {
+				indices = append(indices, i)
 			}
 		}
-		sort.Ints(indices)
 		results, _, err := (&Runner{Workers: 2}).RunScenarios(ctx, spec, indices, nil)
 		if err != nil {
 			t.Fatal(err)

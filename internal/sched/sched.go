@@ -16,8 +16,9 @@
 // On top of the spatial "which nodes" decision sits a temporal "when"
 // layer (temporal.go): a pluggable TemporalPolicy can defer otherwise
 // startable jobs into low-carbon windows (the paper's §2 regime analysis
-// made operational) — see GreedyPolicy, DelayFlexiblePolicy and
-// CarbonBudgetPolicy.
+// made operational) — see DelayFlexiblePolicy and CarbonBudgetPolicy.
+// A nil policy starts every job as soon as resources allow: the FCFS
+// baseline every carbon-aware policy is measured against.
 //
 // Performance: the free-node pool is a bitmap-indexed set (nodeset.go),
 // the pending queue pops its front without reallocating the backlog

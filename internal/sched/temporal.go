@@ -50,19 +50,6 @@ type TemporalPolicy interface {
 	Decide(j *Job, now time.Time, committed, jobPower units.Power) TemporalDecision
 }
 
-// GreedyPolicy starts every job as soon as resources allow — the FCFS
-// baseline every carbon-aware policy is measured against. It is
-// equivalent to a nil policy.
-type GreedyPolicy struct{}
-
-// Name implements TemporalPolicy.
-func (GreedyPolicy) Name() string { return "fcfs" }
-
-// Decide implements TemporalPolicy.
-func (GreedyPolicy) Decide(*Job, time.Time, units.Power, units.Power) TemporalDecision {
-	return TemporalDecision{Start: true}
-}
-
 // DelayFlexiblePolicy parks flexible jobs until a low-carbon window: when
 // the current intensity is above Threshold, a flexible job is deferred to
 // the forecast-optimal start within its delay allowance instead of

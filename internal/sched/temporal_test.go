@@ -33,8 +33,17 @@ func mustForecaster(t *testing.T, tr *timeseries.Series, em forecast.ErrorModel)
 	return f
 }
 
-// A GreedyPolicy must be behaviourally identical to no policy at all:
-// same starts, same stats, no holds.
+// greedyPolicy starts every job as soon as resources allow.
+type greedyPolicy struct{}
+
+func (greedyPolicy) Name() string { return "greedy" }
+
+func (greedyPolicy) Decide(*Job, time.Time, units.Power, units.Power) TemporalDecision {
+	return TemporalDecision{Start: true}
+}
+
+// A policy that always starts must be behaviourally identical to no
+// policy at all: same starts, same stats, no holds.
 func TestGreedyPolicyMatchesNilPolicy(t *testing.T) {
 	run := func(cfg Config) Stats {
 		r := newRig(t, 16, cfg)
@@ -45,7 +54,7 @@ func TestGreedyPolicyMatchesNilPolicy(t *testing.T) {
 		return r.s.Stats()
 	}
 	nilStats := run(Config{BackfillDepth: 8, MaxQueue: 100})
-	greedy := run(Config{BackfillDepth: 8, MaxQueue: 100, Temporal: GreedyPolicy{}})
+	greedy := run(Config{BackfillDepth: 8, MaxQueue: 100, Temporal: greedyPolicy{}})
 	if nilStats != greedy {
 		t.Errorf("greedy policy diverged from nil policy:\n%+v\nvs\n%+v", nilStats, greedy)
 	}

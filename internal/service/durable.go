@@ -65,7 +65,6 @@ func (s *Service) journalSubmit(ctx context.Context, sw *Sweep) error {
 	}
 	switch {
 	case err == nil:
-		s.trackLive(sw.ID)
 		return nil
 	case errors.Is(err, journal.ErrStalled):
 		return &OverloadError{RetryAfter: 5 * time.Second, Reason: "journal disk stalled"}
@@ -97,15 +96,16 @@ func (s *Service) runDurable(ctx context.Context, sw *Sweep) (*scenario.SweepRes
 		})
 }
 
-// journalTerminal records a sweep reaching a terminal state. During a
-// drain, cancellation means "the process is exiting with this sweep
-// unfinished" — journaled as interrupted so recovery resumes it rather
-// than treating it as deliberately cancelled. Journal failures here are
-// deliberately swallowed: at worst the next recovery re-finishes the
-// sweep, which is safe because execution is deterministic.
-func (s *Service) journalTerminal(sw *Sweep) {
+// journalTerminal records a sweep reaching a terminal state and reports
+// whether it may retire: always without a journal, and with one only
+// once a final terminal record is committed. During a drain,
+// cancellation is journaled as interrupted, so recovery resumes the
+// sweep rather than honouring a cancellation. An interrupted sweep, or
+// one whose record failed to commit, stays registered and so keeps its
+// records for the next recovery, which re-finishes it deterministically.
+func (s *Service) journalTerminal(sw *Sweep) bool {
 	if s.cfg.Journal == nil {
-		return
+		return true
 	}
 	st := sw.Status()
 	s.mu.Lock()
@@ -124,7 +124,7 @@ func (s *Service) journalTerminal(sw *Sweep) {
 			state = journal.TerminalCanceled
 		}
 	default:
-		return
+		return false
 	}
 	rec := &journal.SweepTerminal{Sweep: sw.ID, State: state, Error: st.Error}
 	if st.Finished != nil {
@@ -134,53 +134,24 @@ func (s *Service) journalTerminal(sw *Sweep) {
 		rec.Workers = res.Workers
 	}
 	if err := s.cfg.Journal.Append(rec); err != nil {
-		return
+		return false
 	}
 	if err := s.cfg.Journal.Commit(context.Background()); err != nil {
-		return
+		return false
 	}
-	if state != journal.TerminalInterrupted {
-		s.trackTerminal(sw.ID)
-		s.maybeCompact()
-	}
+	return state != journal.TerminalInterrupted
 }
 
-// trackLive marks a sweep's journal records as retained.
-func (s *Service) trackLive(id string) {
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	s.jLive[id] = true
-}
-
-// trackTerminal queues a finally-terminal sweep (done/failed/canceled —
-// not interrupted, which must survive for resumption) for retention
-// accounting.
-func (s *Service) trackTerminal(id string) {
-	s.jmu.Lock()
-	defer s.jmu.Unlock()
-	s.jTerm = append(s.jTerm, id)
-}
-
-// maybeCompact drops the oldest finally-terminal sweeps past the
-// retention bound from the live set and compacts the journal. Segment-
-// granular: records disappear from disk only when every record in their
-// segment is dead.
-func (s *Service) maybeCompact() {
-	s.jmu.Lock()
-	dropped := 0
-	for len(s.jTerm) > s.cfg.Retention {
-		delete(s.jLive, s.jTerm[0])
-		s.jTerm = s.jTerm[1:]
-		dropped++
-	}
-	s.jmu.Unlock()
-	if dropped == 0 {
-		return
-	}
+// compact drops the journal records of sweeps the registry no longer
+// holds, segment by segment. Lock order: Compact runs keep with the
+// journal locked and keep takes s.mu, so s.mu is never held across a
+// journal call.
+func (s *Service) compact() {
 	_, _ = s.cfg.Journal.Compact(func(sweepID string) bool {
-		s.jmu.Lock()
-		defer s.jmu.Unlock()
-		return s.jLive[sweepID]
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		_, ok := s.sweeps[sweepID]
+		return ok
 	})
 }
 
@@ -241,6 +212,7 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 		return stats, err
 	}
 
+	var resume []func()
 	for _, id := range order {
 		st := states[id]
 		if st.sub == nil {
@@ -257,7 +229,6 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 			}
 			s.mu.Unlock()
 		}
-		s.trackLive(id)
 
 		final := st.term != nil && st.term.State != journal.TerminalInterrupted
 		if final && st.term.State == journal.TerminalDone {
@@ -269,7 +240,6 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 				close(sw.done)
 				s.publish(sw)
 				s.retire(sw)
-				s.trackTerminal(id)
 				stats.Finished++
 				stats.ReusedResults += len(st.results)
 				continue
@@ -293,7 +263,6 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 			close(sw.done)
 			s.publish(sw)
 			s.retire(sw)
-			s.trackTerminal(id)
 			stats.Finished++
 			continue
 		}
@@ -304,9 +273,14 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 		s.publish(sw)
 		stats.Resumed++
 		stats.ReusedResults += len(st.results)
-		go s.execute(runCtx, sw)
+		resume = append(resume, func() { go s.execute(runCtx, sw) })
 	}
-	s.maybeCompact()
+	// Compact once every journaled sweep is registered (keep consults the
+	// registry), and before any resumed sweep can finish and compact.
+	s.compact()
+	for _, start := range resume {
+		start()
+	}
 	return stats, nil
 }
 

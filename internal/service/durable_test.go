@@ -171,7 +171,12 @@ func TestDurableResumeFromPartialJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	group0 := part.Groups[part.GroupOrder[0]]
+	var group0 []int
+	for i, key := range part.Keys {
+		if key == part.GroupOrder[0] {
+			group0 = append(group0, i)
+		}
+	}
 	recs := []journal.Record{&journal.SweepSubmitted{
 		ID: "sweep-7", Key: SpecKey(spec), Spec: spec,
 		Scenarios: len(part.Keys), Submitted: time.Now().UTC(),
@@ -319,6 +324,78 @@ func TestDurableDrainInterruptsAndResumes(t *testing.T) {
 	}
 }
 
+// TestDurableDrainKeepsEveryInterruptedSweep: interrupted sweeps stay
+// registered past MaxFinished, so compaction keeps their records even
+// when each sweep has segments of its own, and the next recovery resumes
+// every one of them.
+func TestDurableDrainKeepsEveryInterruptedSweep(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	// Tiny segments so compaction has sealed segments to drop.
+	jl1, err := journal.Open(dir, journal.Options{NoSync: true, SegmentBytes: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc1, err := New(Config{Runner: &scenario.Runner{Workers: 1}, Journal: jl1, MaxFinished: 1, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold the only executor slot so every sweep is still queued when
+	// the drain deadline passes.
+	svc1.sem <- struct{}{}
+	var queued []*Sweep
+	for seed := uint64(1); seed <= 3; seed++ {
+		spec := crashSpec()
+		spec.Seed = seed
+		sw, _, err := svc1.Submit(ctx, spec, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		queued = append(queued, sw)
+	}
+	expired, cancel := context.WithCancel(ctx)
+	cancel()
+	if interrupted := svc1.Drain(expired); interrupted != len(queued) {
+		t.Fatalf("Drain interrupted %d sweeps, want %d", interrupted, len(queued))
+	}
+	for _, sw := range queued {
+		waitDone(t, sw)
+	}
+	if n := len(svc1.List()); n != len(queued) {
+		t.Errorf("registry holds %d sweeps after the drain, want all %d interrupted ones", n, len(queued))
+	}
+	jl1.Close()
+
+	jl2, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl2.Close()
+	// The default MaxFinished: resumed sweeps finish in any order.
+	svc2, err := New(Config{Runner: &scenario.Runner{Workers: 1}, Journal: jl2, MaxConcurrent: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc2.Shutdown()
+	stats, err := svc2.Recover(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Resumed != len(queued) {
+		t.Fatalf("stats = %+v, want all %d interrupted sweeps resumed", stats, len(queued))
+	}
+	for _, sw := range queued {
+		sw2, ok := svc2.Get(sw.ID)
+		if !ok {
+			t.Fatalf("interrupted sweep %s not re-registered", sw.ID)
+		}
+		waitDone(t, sw2)
+		if st := sw2.state(); st != StateDone {
+			t.Errorf("resumed sweep %s state = %s, want done", sw.ID, st)
+		}
+	}
+}
+
 // TestSubmitShedsWhenSaturated: past MaxPending queued sweeps, new
 // distinct submissions shed with 429 + Retry-After while dedup joins
 // keep working; the queue drains and submissions flow again.
@@ -383,9 +460,9 @@ func TestSubmitShedsWhenSaturated(t *testing.T) {
 	}
 }
 
-// TestDurableRetentionCompaction: finally-terminal sweeps beyond the
-// retention bound lose their journal records (segment-granularly), while
-// retained sweeps survive replay and recovery.
+// TestDurableRetentionCompaction: finally-terminal sweeps the registry
+// retires past MaxFinished lose their journal records (segment-
+// granularly), while registered sweeps survive replay and recovery.
 func TestDurableRetentionCompaction(t *testing.T) {
 	ctx := context.Background()
 	dir := t.TempDir()
@@ -395,7 +472,7 @@ func TestDurableRetentionCompaction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{Runner: &scenario.Runner{Workers: 1}, Journal: jl, Retention: 1, MaxConcurrent: 1})
+	svc, err := New(Config{Runner: &scenario.Runner{Workers: 1}, Journal: jl, MaxFinished: 1, MaxConcurrent: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -85,6 +85,8 @@ type Config struct {
 	// for status/result queries and dedup of repeat submissions (default
 	// 64); the oldest-finished are retired first. Results they pinned
 	// remain reachable through the Runner's memo until that evicts them.
+	// In durable mode it bounds the journal too: compaction keeps the
+	// records of exactly the sweeps the registry holds.
 	MaxFinished int
 	// Journal, when non-nil, makes the service durable: every registry
 	// transition is journaled and committed before it is acknowledged,
@@ -93,11 +95,6 @@ type Config struct {
 	// scenario indices through it — and is incompatible with a Run
 	// override.
 	Journal *journal.Log
-	// Retention bounds how many finally-terminal sweeps keep their
-	// records in the journal before compaction drops them (default:
-	// MaxFinished). Interrupted sweeps are always retained — they are
-	// the ones recovery exists for.
-	Retention int
 	// MaxPending bounds sweeps queued for an executor slot: once the
 	// executor is saturated and this many sweeps are pending, Submit
 	// sheds load with an *OverloadError (HTTP 429 + Retry-After)
@@ -122,11 +119,6 @@ type Service struct {
 	nextID       int
 	shardsServed int  // completed POST /v1/shards executions
 	draining     bool // Drain in progress: reject submissions, map cancellations to interrupted
-
-	// Journal retention bookkeeping (durable mode; see durable.go).
-	jmu   sync.Mutex
-	jLive map[string]bool // sweep IDs whose journal records are retained
-	jTerm []string        // finally-terminal sweep IDs, oldest first
 }
 
 // New creates a Service around cfg.
@@ -143,9 +135,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MaxFinished <= 0 {
 		cfg.MaxFinished = 64
 	}
-	if cfg.Retention <= 0 {
-		cfg.Retention = cfg.MaxFinished
-	}
 	run := cfg.Run
 	if run == nil {
 		run = cfg.Runner.RunProgress
@@ -159,7 +148,6 @@ func New(cfg Config) (*Service, error) {
 		stop:   stop,
 		sweeps: make(map[string]*Sweep),
 		byKey:  make(map[string]*Sweep),
-		jLive:  make(map[string]bool),
 	}, nil
 }
 
@@ -375,36 +363,36 @@ func (s *Service) RunShard(ctx context.Context, req api.ShardRequest) (*api.Shar
 // execute runs one sweep under the concurrency bound.
 func (s *Service) execute(ctx context.Context, sw *Sweep) {
 	defer close(sw.done)
+	var res *scenario.SweepResults
+	var err error
 	select {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
+		sw.setRunning()
+		if s.cfg.Journal != nil {
+			res, err = s.runDurable(ctx, sw)
+		} else {
+			res, err = s.run(ctx, sw.Spec, sw.setProgress)
+		}
 	case <-ctx.Done():
-		sw.finish(nil, ctx.Err())
-		s.journalTerminal(sw)
-		s.retire(sw)
-		return
-	}
-	sw.setRunning()
-	var res *scenario.SweepResults
-	var err error
-	if s.cfg.Journal != nil {
-		res, err = s.runDurable(ctx, sw)
-	} else {
-		res, err = s.run(ctx, sw.Spec, sw.setProgress)
 	}
 	if err == nil && ctx.Err() != nil {
 		err = ctx.Err()
 	}
 	sw.finish(res, err)
-	s.journalTerminal(sw)
-	s.retire(sw)
+	// In durable mode an eviction from the registry compacts the journal,
+	// so the journal keeps the records of exactly the registered sweeps.
+	if s.journalTerminal(sw) && s.retire(sw) && s.cfg.Journal != nil {
+		s.compact()
+	}
 }
 
-// retire records a finished sweep and evicts the oldest finished sweeps
-// beyond the registry bound. A retired sweep disappears from status
-// queries and no longer serves dedup joins; its simulations stay
-// reachable through the Runner's memo until the LRU evicts them.
-func (s *Service) retire(sw *Sweep) {
+// retire records a finished sweep, evicts the oldest finished sweeps
+// beyond the registry bound and reports whether it evicted any. A
+// retired sweep disappears from status queries and no longer serves
+// dedup joins; its simulations stay reachable through the Runner's memo
+// until the LRU evicts them.
+func (s *Service) retire(sw *Sweep) (evicted bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.finished = append(s.finished, sw.ID)
@@ -419,7 +407,9 @@ func (s *Service) retire(sw *Sweep) {
 		if s.byKey[old.Key] == old {
 			delete(s.byKey, old.Key)
 		}
+		evicted = true
 	}
+	return evicted
 }
 
 // Sweep is one registered sweep. The exported fields are immutable after

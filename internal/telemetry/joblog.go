@@ -171,8 +171,8 @@ func (l *JobLog) String() string {
 
 // ReadJobRecords parses a CSV written by JobLog.WriteCSV, for offline
 // analysis tooling (cmd/jobsreport). The setting column is kept as
-// written; the state must be one a finished job ends in (completed,
-// failed or preempted); energy is reconstructed from the kWh column and
+// written; the state must be one a finished job ends in (completed or
+// preempted); energy is reconstructed from the kWh column and
 // must be finite and non-negative. Input WriteCSV could not write back
 // unchanged is rejected: timestamps outside years 0000-9999 UTC (the
 // range its RFC 3339 form can express) and carriage returns in the
