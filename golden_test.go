@@ -171,8 +171,10 @@ func TestGoldenForkSweep(t *testing.T) {
 		}
 		// 2 prefix checkpoints + 6 forked branches: proves the fork path
 		// actually executed instead of silently running every branch cold.
-		if cs := r.CacheStats(); cs.Misses != 8 {
-			t.Errorf("workers=%d: misses = %d, want 8 (2 prefixes + 6 branches)", workers, cs.Misses)
+		// The memo keeps the 6 branch results and no fork point.
+		if cs := r.CacheStats(); cs.Misses != 8 || cs.Size != 6 {
+			t.Errorf("workers=%d: misses = %d, size = %d, want 8 (2 prefixes + 6 branches) and 6 (results only)",
+				workers, cs.Misses, cs.Size)
 		}
 		for i := range forked.Results {
 			fd, cd := forked.Results[i].SimDigest, cold.Results[i].SimDigest

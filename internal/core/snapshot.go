@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"sort"
 	"time"
-	"unsafe"
 
 	"github.com/greenhpc/archertwin/internal/apps"
 	"github.com/greenhpc/archertwin/internal/facility"
-	"github.com/greenhpc/archertwin/internal/node"
 	"github.com/greenhpc/archertwin/internal/policy"
 	"github.com/greenhpc/archertwin/internal/sched"
 	"github.com/greenhpc/archertwin/internal/telemetry"
@@ -297,27 +295,4 @@ func (s *Simulator) appResolver() func(class string) (*apps.App, error) {
 		}
 		return app, nil
 	}
-}
-
-// MemoryFootprint returns the snapshot's retained bytes, following the
-// Results.MemoryFootprint contract (backing arrays at capacity). Scenario
-// sweeps price memoized fork points into their byte budget with it.
-func (snap *Snapshot) MemoryFootprint() int64 {
-	total := int64(unsafe.Sizeof(*snap))
-	total += int64(cap(snap.timeline)) * int64(unsafe.Sizeof(policy.Change{}))
-	if snap.fac != nil {
-		total += int64(unsafe.Sizeof(*snap.fac))
-		total += int64(cap(snap.fac.Nodes)) * int64(unsafe.Sizeof(node.Snapshot{}))
-	}
-	if snap.sch != nil {
-		total += snap.sch.MemoryFootprint()
-	}
-	if snap.meter != nil {
-		total += int64(unsafe.Sizeof(*snap.meter)) + snap.meter.MemoryFootprint()
-	}
-	if snap.acct != nil {
-		total += snap.acct.MemoryFootprint()
-	}
-	total += int64(cap(snap.jobLog)) * int64(unsafe.Sizeof(telemetry.JobRecord{}))
-	return total
 }

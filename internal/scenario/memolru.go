@@ -11,16 +11,9 @@ import (
 // layer can prove result identity without re-hashing the series on every
 // hit, and the entry's byte cost (core.Results.MemoryFootprint at
 // admission) charged against the cache's byte budget.
-//
-// A fork-point entry (key prefixed "snap|") holds a core.Snapshot instead
-// of results: the checkpointed common prefix of a mid-sweep divergence
-// family, priced at Snapshot.MemoryFootprint against the same byte
-// budget, so warm fork points compete for cache space with warm results
-// on equal terms.
 type memoEntry struct {
 	key    string
 	res    *core.Results
-	snap   *core.Snapshot
 	digest string
 	cost   int64
 }

@@ -113,8 +113,6 @@ type Runner struct {
 	// counts alone cannot, because a full-machine 13-month result costs
 	// ~1000x a 1-day mini sweep. Zero means DefaultMemoBudgetBytes;
 	// negative disables the byte bound (entry-count bound only).
-	// Fork-point snapshots (see NoFork) are priced into the same budget at
-	// their core.Snapshot.MemoryFootprint.
 	MemoBudgetBytes int64
 
 	// NoFork disables checkpoint/fork execution of mid-sweep divergence
@@ -269,10 +267,11 @@ func (e *ScenarioError) Unwrap() error { return e.Err }
 // Spec.DivergeDay, so the runner simulates that prefix once, checkpoints
 // it (core.Snapshot), and forks each branch from the checkpoint
 // (core.Fork) — bit-identical to cold runs, and much cheaper when the
-// divergence is late. Set NoFork to force cold runs. When scenarios fail, the errors
-// of every failing scenario are joined in scenario-index order (each a
-// *ScenarioError), deterministically regardless of which worker hit one
-// first — no scenario is ever silently dropped.
+// divergence is late. The checkpoint lives for one call; only results are
+// memoized. Set NoFork to force cold runs. When scenarios fail, the
+// errors of every failing scenario are joined in scenario-index order
+// (each a *ScenarioError), deterministically regardless of which worker
+// hit one first — no scenario is ever silently dropped.
 //
 // Cancelling ctx stops the sweep: queued simulations are abandoned,
 // in-flight ones cancel cooperatively (core.RunConfigContext), and Run
@@ -446,67 +445,9 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		return 0, fmt.Errorf("scenario: grid traces: %w", err)
 	}
 
-	// Collect mid-sweep divergence families: groups sharing a simulation
-	// key differ only in their mid value, so they replay the same timeline
-	// up to the divergence point. Each family's shared prefix is simulated
-	// once to that point, snapshotted (core.Snapshot), and every branch —
-	// including the unchanged "none" branch, so all branches go through the
-	// same machinery — forks from the snapshot (core.Fork) and runs only
-	// the remainder. Bit-identity of forked and cold branches is proven by
-	// the core fork suite and pinned end-to-end by the golden fork test.
-	// Forking is skipped when NoFork is set or a test has substituted
-	// runCfg (the substitute only knows how to run whole configs cold).
-	type family struct {
-		prefixCfg core.Config
-		snapKey   string
-		branches  []int
-		snap      *core.Snapshot
-		fromMemo  bool
-		err       error
-	}
-	famOf := make([]int, len(groups))
-	for g := range famOf {
-		famOf[g] = -1
-	}
-	var families []*family
-	if !r.NoFork && r.runCfg == nil && len(spec.Axes.MidFrequency) > 0 {
-		bySim := map[string]int{}
-		for g, grp := range groups {
-			fi, ok := bySim[part.Keys[grp.sc.Index]]
-			if !ok {
-				prefixSc := grp.sc
-				prefixSc.MidFrequency = MidNone
-				prefixCfg, _, err := prefixSc.BuildConfig(spec)
-				if err != nil {
-					return 0, fmt.Errorf("scenario %d (%s): fork prefix: %w",
-						scenarios[grp.members[0]].Index, grp.sc.Name, err)
-				}
-				fi = len(families)
-				bySim[part.Keys[grp.sc.Index]] = fi
-				families = append(families, &family{
-					prefixCfg: prefixCfg,
-					snapKey:   fmt.Sprintf("snap|%s|d%d", memoKey(spec, &prefixSc, prefixCfg), spec.DivergeDay),
-				})
-			}
-			famOf[g] = fi
-			families[fi].branches = append(families[fi].branches, g)
-		}
-		// A single-branch family would pay the prefix run without sharing
-		// it; run that group cold instead.
-		for _, f := range families {
-			if len(f.branches) < 2 {
-				for _, g := range f.branches {
-					famOf[g] = -1
-				}
-			}
-		}
-	}
-
 	// Resolve memoized simulations; only the rest go to the pool. A memo
 	// hit refreshes the entry's recency, so a server's steadily re-run
-	// sweeps stay warm while one-off configs age out. Fork-point snapshots
-	// resolve from the same store, so a repeated divergence study skips
-	// even the prefix replay.
+	// sweeps stay warm while one-off configs age out.
 	sims := make([]*core.Results, len(groups))
 	digests := make([]string, len(groups))
 	costs := make([]int64, len(groups))
@@ -524,12 +465,59 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		}
 		pending = append(pending, g)
 	}
-	for _, f := range families {
-		if e, ok := r.memo.get(f.snapKey); ok && e.snap != nil {
-			f.snap, f.fromMemo = e.snap, true
+	r.mu.Unlock()
+
+	// Collect mid-sweep divergence families from the pending groups:
+	// groups sharing a simulation key differ only in their mid value, so
+	// they replay the same timeline up to the divergence point. Each
+	// family's shared prefix is simulated once to that point, snapshotted
+	// (core.Snapshot), and every branch — including the unchanged "none"
+	// branch, so all branches go through the same machinery — forks from
+	// the snapshot (core.Fork) and runs only the remainder. The snapshot
+	// lives for this call only. A lone pending branch runs cold: one prefix
+	// plus one tail costs the same simulated days. Bit-identity of forked
+	// and cold branches is proven by the core fork suite and pinned
+	// end-to-end by the golden fork test. Forking is skipped when NoFork is
+	// set or a test has substituted runCfg (the substitute only knows how
+	// to run whole configs cold).
+	type family struct {
+		prefixCfg core.Config
+		branches  []int
+		snap      *core.Snapshot
+		err       error
+	}
+	var families []*family
+	cold := pending
+	if !r.NoFork && r.runCfg == nil && len(spec.Axes.MidFrequency) > 0 {
+		bySim := map[string]*family{}
+		var all []*family
+		for _, g := range pending {
+			k := part.Keys[groups[g].sc.Index]
+			f := bySim[k]
+			if f == nil {
+				f = &family{}
+				bySim[k] = f
+				all = append(all, f)
+			}
+			f.branches = append(f.branches, g)
+		}
+		cold = nil
+		for _, f := range all {
+			if len(f.branches) < 2 {
+				cold = append(cold, f.branches...)
+				continue
+			}
+			grp := groups[f.branches[0]]
+			prefixSc := grp.sc
+			prefixSc.MidFrequency = MidNone
+			var err error
+			if f.prefixCfg, _, err = prefixSc.BuildConfig(spec); err != nil {
+				return 0, fmt.Errorf("scenario %d (%s): fork prefix: %w",
+					scenarios[grp.members[0]].Index, grp.sc.Name, err)
+			}
+			families = append(families, f)
 		}
 	}
-	r.mu.Unlock()
 
 	// Landing. errs holds each scenario's failure (by position in
 	// scenarios); a group lands only when every member accounted cleanly.
@@ -597,19 +585,45 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	var executed atomic.Int64
 
 	// Phase one lands the memo hits first, then runs the cold
-	// simulations, plus one prefix run per fork family that has pending
-	// branches and no memoized snapshot. The prefix runs to the divergence
-	// point and checkpoints there; it counts as an executed simulation (a
-	// memo miss) like any other.
+	// simulations, plus one prefix run per fork family. The prefix runs to
+	// the divergence point and checkpoints there; it counts as an executed
+	// simulation (a memo miss) like any other.
 	var coldTasks, forkTasks []func()
 	for _, g := range hits {
 		g := g
 		coldTasks = append(coldTasks, func() { resolve(g) })
 	}
-	for _, g := range pending {
+	for _, g := range cold {
 		g := g
-		if fi := famOf[g]; fi >= 0 {
-			f := families[fi]
+		coldTasks = append(coldTasks, func() {
+			if err := ctx.Err(); err != nil {
+				fail(g, err)
+				return
+			}
+			executed.Add(1)
+			res, err := runCfg(ctx, groups[g].cfg)
+			finish(g, res, err)
+		})
+	}
+	for _, f := range families {
+		f := f
+		coldTasks = append(coldTasks, func() {
+			if err := ctx.Err(); err != nil {
+				f.err = err
+				return
+			}
+			executed.Add(1)
+			sim, err := core.NewSimulator(f.prefixCfg)
+			if err == nil {
+				err = sim.RunToContext(ctx, spec.divergeTime())
+			}
+			if err == nil {
+				f.snap, err = sim.Snapshot()
+			}
+			f.err = err
+		})
+		for _, g := range f.branches {
+			g := g
 			forkTasks = append(forkTasks, func() {
 				if err := ctx.Err(); err != nil {
 					fail(g, err)
@@ -627,51 +641,14 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 				}
 				finish(g, res, err)
 			})
-			continue
 		}
-		coldTasks = append(coldTasks, func() {
-			if err := ctx.Err(); err != nil {
-				fail(g, err)
-				return
-			}
-			executed.Add(1)
-			res, err := runCfg(ctx, groups[g].cfg)
-			finish(g, res, err)
-		})
-	}
-	needPrefix := make([]bool, len(families))
-	for _, g := range pending {
-		if fi := famOf[g]; fi >= 0 {
-			needPrefix[fi] = true
-		}
-	}
-	for fi, f := range families {
-		if !needPrefix[fi] || f.snap != nil {
-			continue
-		}
-		f := f
-		coldTasks = append(coldTasks, func() {
-			if err := ctx.Err(); err != nil {
-				f.err = err
-				return
-			}
-			executed.Add(1)
-			sim, err := core.NewSimulator(f.prefixCfg)
-			if err == nil {
-				err = sim.RunToContext(ctx, spec.divergeTime())
-			}
-			if err == nil {
-				f.snap, err = sim.Snapshot()
-			}
-			f.err = err
-		})
 	}
 	runPhase(coldTasks)
 
-	// Phase two: every pending branch of every family forks from its
-	// family's snapshot — one immutable snapshot seeds all branches
-	// concurrently (Fork deep-copies on restore) — and simulates only the
-	// divergence tail. A failed prefix fails each of its branches.
+	// Phase two: every branch of every family forks from its family's
+	// snapshot — one immutable snapshot seeds all branches concurrently
+	// (Fork deep-copies on restore) — and simulates only the divergence
+	// tail. A failed prefix fails each of its branches.
 	runPhase(forkTasks)
 
 	// Memoize fresh successes in group order, evicting the least-recently-
@@ -684,14 +661,6 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	for _, g := range pending {
 		if sims[g] != nil {
 			r.memo.put(&memoEntry{key: groups[g].key, res: sims[g], digest: digests[g], cost: costs[g]})
-		}
-	}
-	// Freshly captured fork-point snapshots are memoized alongside results,
-	// priced at their retained bytes, so the next divergence study over the
-	// same prefix forks straight from cache.
-	for _, f := range families {
-		if f.snap != nil && !f.fromMemo && f.err == nil {
-			r.memo.put(&memoEntry{key: f.snapKey, snap: f.snap, cost: f.snap.MemoryFootprint()})
 		}
 	}
 	r.misses += int(executed.Load())

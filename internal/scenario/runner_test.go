@@ -756,3 +756,58 @@ func TestRunnerCompactionPreservesServedResults(t *testing.T) {
 			first.Results[0].SimDigest, second.Results[0].SimDigest)
 	}
 }
+
+// The memo holds simulation results only: a fork family's prefix
+// checkpoint lives for one Execute call. A repeated divergence study is
+// served from results; extending it by one branch runs that branch cold;
+// extending it by two replays the prefix once and forks both.
+func TestMemoHoldsResultsNotForkPoints(t *testing.T) {
+	mid := func(values ...string) Spec {
+		return Spec{Nodes: 32, Days: 2, DivergeDay: 1, Axes: Axes{MidFrequency: values}}
+	}
+	digests := func(res *SweepResults) map[string]string {
+		m := map[string]string{}
+		for _, r := range res.Results {
+			m[r.Scenario.MidFrequency] = r.SimDigest
+		}
+		return m
+	}
+	r := &Runner{Workers: 2}
+	run := func(spec Spec) (map[string]string, CacheStats) {
+		t.Helper()
+		res, err := r.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digests(res), r.CacheStats()
+	}
+
+	first, cs := run(mid(MidNone, "capped"))
+	if cs.Misses != 3 || cs.Size != 2 {
+		t.Errorf("first run: %+v, want 3 misses (1 prefix + 2 branches) and 2 entries", cs)
+	}
+	if _, cs = run(mid(MidNone, "capped")); cs.Misses != 3 || cs.Hits != 2 {
+		t.Errorf("repeat run: %+v, want 3 misses and 2 hits", cs)
+	}
+
+	one, cs := run(mid(MidNone, "capped", "2.0GHz"))
+	if cs.Misses != 4 {
+		t.Errorf("one added branch: misses = %d, want 4 (the branch runs cold)", cs.Misses)
+	}
+	for v, d := range first {
+		if one[v] != d {
+			t.Errorf("mid=%s: SimDigest %s after extension, %s before", v, one[v], d)
+		}
+	}
+	cold, err := (&Runner{Workers: 2, NoFork: true}).Run(context.Background(), mid(MidNone, "capped", "2.0GHz"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := digests(cold)["2.0GHz"]; one["2.0GHz"] != want {
+		t.Errorf("added branch SimDigest %s, cold run %s", one["2.0GHz"], want)
+	}
+
+	if _, cs = run(mid(MidNone, "capped", "2.0GHz", "1.5GHz", "2.25GHz")); cs.Misses != 7 {
+		t.Errorf("two added branches: misses = %d, want 7 (1 prefix replay + 2 branches)", cs.Misses)
+	}
+}

@@ -925,9 +925,8 @@ func (s *Scheduler) insertRunning(j *Job) {
 
 // removeRunning deletes j from the End-sorted running index: binary
 // search to the first entry with j's End, then a short scan across the
-// equal-End group. The linear fallback only runs if j.End was mutated
-// after insertion (ReclockRunning re-sorts after patching ends, so it
-// should not).
+// equal-End group. A running job's End only changes after its removal
+// (preempt) or before a re-sort (ReclockRunning), so j is always found.
 func (s *Scheduler) removeRunning(j *Job) {
 	i := sort.Search(len(s.running), func(k int) bool {
 		return !s.running[k].End.Before(j.End)
@@ -938,12 +937,7 @@ func (s *Scheduler) removeRunning(j *Job) {
 			return
 		}
 	}
-	for i, rj := range s.running {
-		if rj == j {
-			s.running = append(s.running[:i], s.running[i+1:]...)
-			return
-		}
-	}
+	panic(fmt.Sprintf("sched: job %d missing from the End-sorted running index (End %v)", j.Spec.ID, j.End))
 }
 
 // finish completes a running job: its nodes return to the free set and

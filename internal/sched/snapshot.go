@@ -3,7 +3,6 @@ package sched
 import (
 	"fmt"
 	"time"
-	"unsafe"
 
 	"github.com/greenhpc/archertwin/internal/apps"
 	"github.com/greenhpc/archertwin/internal/des"
@@ -164,22 +163,4 @@ func (s *Scheduler) Restore(snap *Snapshot, resolve func(class string) (*apps.Ap
 		})
 	}
 	return nil
-}
-
-// MemoryFootprint returns the snapshot's retained bytes, following the
-// core.Results.MemoryFootprint contract: backing arrays at capacity,
-// per-job node-ID slices, and the free bitmap.
-func (snap *Snapshot) MemoryFootprint() int64 {
-	jobBytes := func(js []jobSnap) int64 {
-		total := int64(cap(js)) * int64(unsafe.Sizeof(jobSnap{}))
-		for i := range js {
-			total += int64(cap(js[i].job.Nodes)) * int64(unsafe.Sizeof(int(0)))
-		}
-		return total
-	}
-	total := int64(unsafe.Sizeof(*snap))
-	total += jobBytes(snap.queued) + jobBytes(snap.running) + jobBytes(snap.held)
-	total += int64(cap(snap.freeBits)) * 8
-	total += int64(cap(snap.rechecks)) * int64(unsafe.Sizeof(recheckSnap{}))
-	return total
 }

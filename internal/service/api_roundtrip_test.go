@@ -49,7 +49,7 @@ func TestAPIRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Sweep(%s): %v", p.ID, err)
 	}
-	if st.State != StateDone || st.SpecKey != SpecKey(smallSpec()) {
+	if st.State != api.StateDone || st.SpecKey != api.SpecKey(smallSpec()) {
 		t.Errorf("status = %+v, want done with the canonical spec key", st)
 	}
 
@@ -115,7 +115,7 @@ func TestAPIResultsBeforeDone(t *testing.T) {
 	if env.Error == nil || env.Error.Code != api.ErrSweepNotDone {
 		t.Fatalf("envelope error = %+v, want sweep_not_done", env.Error)
 	}
-	if env.Status == nil || env.Status.ID != st.ID || env.Status.State != StateRunning {
+	if env.Status == nil || env.Status.ID != st.ID || env.Status.State != api.StateRunning {
 		t.Errorf("embedded status = %+v, want the running sweep", env.Status)
 	}
 
@@ -182,14 +182,14 @@ func TestAPIListLimitAndStateFilter(t *testing.T) {
 		t.Errorf("limit=3 page = (%d sweeps, total %d), want (3, %d)", len(small.Sweeps), small.Total, total)
 	}
 
-	done, err := client.Sweeps(ctx, api.ListOptions{States: []State{StateDone}, Limit: total})
+	done, err := client.Sweeps(ctx, api.ListOptions{States: []api.SweepState{api.StateDone}, Limit: total})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if done.Total != total || len(done.Sweeps) != total {
 		t.Errorf("state=done = (%d, %d), want every sweep", len(done.Sweeps), done.Total)
 	}
-	none, err := client.Sweeps(ctx, api.ListOptions{States: []State{StateFailed}})
+	none, err := client.Sweeps(ctx, api.ListOptions{States: []api.SweepState{api.StateFailed}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"time"
 
+	"github.com/greenhpc/archertwin/internal/api"
 	"github.com/greenhpc/archertwin/internal/journal"
 	"github.com/greenhpc/archertwin/internal/scenario"
 )
@@ -113,11 +114,11 @@ func (s *Service) journalTerminal(sw *Sweep) bool {
 	s.mu.Unlock()
 	var state string
 	switch st.State {
-	case StateDone:
+	case api.StateDone:
 		state = journal.TerminalDone
-	case StateFailed:
+	case api.StateFailed:
 		state = journal.TerminalFailed
-	case StateCanceled:
+	case api.StateCanceled:
 		if draining {
 			state = journal.TerminalInterrupted
 		} else {
@@ -235,7 +236,7 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 			if res, err := assembleRecovered(st.sub, st.results, st.term.Workers); err == nil {
 				sw, _ := s.newRecoveredSweep(st.sub, nil)
 				sw.finished = st.term.Finished
-				sw.st, sw.res = StateDone, res
+				sw.st, sw.res = api.StateDone, res
 				sw.simsTotal, sw.simsDone = res.Simulations, res.Simulations
 				close(sw.done)
 				s.publish(sw)
@@ -256,9 +257,9 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 				msg = "sweep " + st.term.State
 			}
 			if st.term.State == journal.TerminalCanceled {
-				sw.st, sw.err = StateCanceled, errors.New(msg)
+				sw.st, sw.err = api.StateCanceled, errors.New(msg)
 			} else {
-				sw.st, sw.err = StateFailed, errors.New(msg)
+				sw.st, sw.err = api.StateFailed, errors.New(msg)
 			}
 			close(sw.done)
 			s.publish(sw)
@@ -312,7 +313,7 @@ func (s *Service) newRecoveredSweep(sub *journal.SweepSubmitted, recovered map[i
 		Spec:      sub.Spec,
 		scenarios: sub.Scenarios,
 		submitted: sub.Submitted,
-		st:        StatePending,
+		st:        api.StatePending,
 		cancel:    cancel,
 		done:      make(chan struct{}),
 		pinned:    true,

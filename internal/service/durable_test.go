@@ -122,7 +122,7 @@ func TestDurableCompleteAndRecoverFinished(t *testing.T) {
 	if !ok {
 		t.Fatalf("recovered service lost sweep %s", sw.ID)
 	}
-	if st := sw2.Status(); st.State != StateDone {
+	if st := sw2.Status(); st.State != api.StateDone {
 		t.Fatalf("recovered state = %s, want done", st.State)
 	}
 	res2, err := sw2.Results()
@@ -178,7 +178,7 @@ func TestDurableResumeFromPartialJournal(t *testing.T) {
 		}
 	}
 	recs := []journal.Record{&journal.SweepSubmitted{
-		ID: "sweep-7", Key: SpecKey(spec), Spec: spec,
+		ID: "sweep-7", Key: api.SpecKey(spec), Spec: spec,
 		Scenarios: len(part.Keys), Submitted: time.Now().UTC(),
 	}}
 	for _, idx := range group0 {
@@ -272,7 +272,7 @@ func TestDurableDrainInterruptsAndResumes(t *testing.T) {
 		t.Fatalf("Drain interrupted %d sweeps, want 1", interrupted)
 	}
 	waitDone(t, sw)
-	if st := sw.state(); st != StateCanceled {
+	if st := sw.state(); st != api.StateCanceled {
 		t.Fatalf("drained sweep state = %s, want canceled", st)
 	}
 	// Draining a shut-down service refuses new submissions.
@@ -318,7 +318,7 @@ func TestDurableDrainInterruptsAndResumes(t *testing.T) {
 		t.Fatal("interrupted sweep not re-registered")
 	}
 	waitDone(t, sw2)
-	if st := sw2.state(); st != StateDone {
+	if st := sw2.state(); st != api.StateDone {
 		res, rerr := sw2.Results()
 		t.Fatalf("resumed sweep state = %s (res=%v err=%v), want done", st, res, rerr)
 	}
@@ -390,7 +390,7 @@ func TestDurableDrainKeepsEveryInterruptedSweep(t *testing.T) {
 			t.Fatalf("interrupted sweep %s not re-registered", sw.ID)
 		}
 		waitDone(t, sw2)
-		if st := sw2.state(); st != StateDone {
+		if st := sw2.state(); st != api.StateDone {
 			t.Errorf("resumed sweep %s state = %s, want done", sw.ID, st)
 		}
 	}
@@ -484,7 +484,7 @@ func TestDurableRetentionCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 		waitDone(t, sw)
-		if st := sw.state(); st != StateDone {
+		if st := sw.state(); st != api.StateDone {
 			t.Fatalf("sweep seed %d state = %s", seed, st)
 		}
 	}

@@ -18,9 +18,6 @@ import (
 // this.
 const maxSpecBytes = 1 << 20
 
-// ResultsPayload is an alias of the canonical wire type in internal/api.
-type ResultsPayload = api.ResultsPayload
-
 // NewHandler serves the twinserver v1 HTTP API for svc. The wire
 // contract — endpoints, envelopes, error codes — is specified in
 // docs/api.md; the shapes live in internal/api.
@@ -121,11 +118,11 @@ func handleList(svc *Service, w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	var states map[State]bool
+	var states map[api.SweepState]bool
 	if v := q.Get("state"); v != "" {
-		states = make(map[State]bool)
+		states = make(map[api.SweepState]bool)
 		for _, part := range strings.Split(v, ",") {
-			st := State(strings.TrimSpace(part))
+			st := api.SweepState(strings.TrimSpace(part))
 			if !api.ValidState(st) {
 				api.WriteError(w, http.StatusBadRequest, api.ErrBadRequest,
 					"unknown state "+strconv.Quote(string(st))+
@@ -230,7 +227,7 @@ func writeTerminal(w http.ResponseWriter, sw *Sweep) {
 	st := sw.Status()
 	switch {
 	case err != nil:
-		if st.State == StateCanceled {
+		if st.State == api.StateCanceled {
 			api.WriteErrorStatus(w, http.StatusConflict, api.ErrSweepCanceled,
 				"sweep "+sw.ID+" was cancelled", st)
 			return
@@ -238,7 +235,7 @@ func writeTerminal(w http.ResponseWriter, sw *Sweep) {
 		api.WriteErrorStatus(w, http.StatusInternalServerError, api.ErrSweepFailed,
 			"sweep "+sw.ID+" failed: "+st.Error, st)
 	case res != nil:
-		payload := ResultsPayload{
+		payload := api.ResultsPayload{
 			ID:          sw.ID,
 			Spec:        res.Spec,
 			Workers:     res.Workers,

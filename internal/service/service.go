@@ -40,29 +40,6 @@ import (
 	"github.com/greenhpc/archertwin/internal/scenario"
 )
 
-// The wire shapes the service serves are defined once, in internal/api;
-// these aliases keep the service's own vocabulary (and its existing
-// callers) pointing at the canonical definitions.
-type (
-	// State is a sweep's position in its lifecycle.
-	State = api.SweepState
-	// Progress is a sweep's execution progress in unique simulations.
-	Progress = api.SweepProgress
-	// Status is a point-in-time snapshot of a sweep.
-	Status = api.SweepStatus
-	// Stats is the service-level operational snapshot served by /statz.
-	Stats = api.ServiceStats
-)
-
-// Sweep lifecycle states (aliased from api).
-const (
-	StatePending  = api.StatePending
-	StateRunning  = api.StateRunning
-	StateDone     = api.StateDone
-	StateFailed   = api.StateFailed
-	StateCanceled = api.StateCanceled
-)
-
 // ErrShutdown is returned by Submit and RunShard once Shutdown has been
 // called.
 var ErrShutdown = errors.New("service: shut down")
@@ -156,11 +133,6 @@ func New(cfg Config) (*Service, error) {
 // need to can poll sweep states.
 func (s *Service) Shutdown() { s.stop() }
 
-// SpecKey is the canonical identity of a sweep spec — the
-// singleflight/dedup key. It delegates to api.SpecKey so client and
-// server derive identical keys.
-func SpecKey(spec scenario.Spec) string { return api.SpecKey(spec) }
-
 // Submit registers a sweep for spec, or joins the caller onto an
 // existing sweep with the same canonical spec that is pending, running
 // or done (singleflight + registry dedup). The returned bool reports
@@ -182,7 +154,7 @@ func (s *Service) Submit(ctx context.Context, spec scenario.Spec, attach bool) (
 		return nil, false, err
 	}
 	spec = spec.Canonical()
-	key := SpecKey(spec)
+	key := api.SpecKey(spec)
 
 	s.mu.Lock()
 	if s.draining {
@@ -190,7 +162,7 @@ func (s *Service) Submit(ctx context.Context, spec scenario.Spec, attach bool) (
 		return nil, false, ErrShutdown
 	}
 	if sw := s.byKey[key]; sw != nil {
-		if st := sw.state(); st != StateFailed && st != StateCanceled {
+		if st := sw.state(); st != api.StateFailed && st != api.StateCanceled {
 			s.mu.Unlock()
 			sw.join(ctx, attach)
 			return sw, true, nil
@@ -202,7 +174,7 @@ func (s *Service) Submit(ctx context.Context, spec scenario.Spec, attach bool) (
 	if s.cfg.MaxPending > 0 && len(s.sem) == cap(s.sem) {
 		pending := 0
 		for _, sw := range s.sweeps {
-			if sw.state() == StatePending {
+			if sw.state() == api.StatePending {
 				pending++
 			}
 		}
@@ -222,7 +194,7 @@ func (s *Service) Submit(ctx context.Context, spec scenario.Spec, attach bool) (
 		Spec:      spec,
 		scenarios: len(scenarios),
 		submitted: time.Now(),
-		st:        StatePending,
+		st:        api.StatePending,
 		cancel:    cancel,
 		done:      make(chan struct{}),
 	}
@@ -263,14 +235,14 @@ func (s *Service) Get(id string) (*Sweep, bool) {
 }
 
 // List returns every registered sweep's status, newest submission first.
-func (s *Service) List() []Status {
+func (s *Service) List() []api.SweepStatus {
 	s.mu.Lock()
 	sweeps := make([]*Sweep, 0, len(s.sweeps))
 	for _, sw := range s.sweeps {
 		sweeps = append(sweeps, sw)
 	}
 	s.mu.Unlock()
-	out := make([]Status, len(sweeps))
+	out := make([]api.SweepStatus, len(sweeps))
 	for i, sw := range sweeps {
 		out[i] = sw.Status()
 	}
@@ -297,8 +269,8 @@ func (s *Service) Cancel(id string) bool {
 }
 
 // Stats returns the operational snapshot.
-func (s *Service) Stats() Stats {
-	st := Stats{Sweeps: make(map[State]int), MaxConcurrent: cap(s.sem), Executing: len(s.sem)}
+func (s *Service) Stats() api.ServiceStats {
+	st := api.ServiceStats{Sweeps: make(map[api.SweepState]int), MaxConcurrent: cap(s.sem), Executing: len(s.sem)}
 	if s.cfg.Runner != nil {
 		st.Cache = s.cfg.Runner.CacheStats()
 	}
@@ -425,7 +397,7 @@ type Sweep struct {
 	recovered map[int]scenario.Result // journaled results seeded by Recover, keyed by expansion index
 
 	mu        sync.Mutex
-	st        State
+	st        api.SweepState
 	submitted time.Time
 	started   time.Time
 	finished  time.Time
@@ -441,16 +413,16 @@ type Sweep struct {
 func (sw *Sweep) Done() <-chan struct{} { return sw.done }
 
 // Status snapshots the sweep.
-func (sw *Sweep) Status() Status {
+func (sw *Sweep) Status() api.SweepStatus {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	st := Status{
+	st := api.SweepStatus{
 		ID:        sw.ID,
 		Name:      sw.Spec.Name,
 		SpecKey:   sw.Key,
 		State:     sw.st,
 		Submitted: sw.submitted,
-		Progress:  Progress{Scenarios: sw.scenarios, Simulations: sw.simsTotal, Done: sw.simsDone},
+		Progress:  api.SweepProgress{Scenarios: sw.scenarios, Simulations: sw.simsTotal, Done: sw.simsDone},
 	}
 	if !sw.started.IsZero() {
 		t := sw.started
@@ -474,7 +446,7 @@ func (sw *Sweep) Results() (*scenario.SweepResults, error) {
 	return sw.res, sw.err
 }
 
-func (sw *Sweep) state() State {
+func (sw *Sweep) state() api.SweepState {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	return sw.st
@@ -506,8 +478,8 @@ func (sw *Sweep) join(ctx context.Context, attach bool) {
 func (sw *Sweep) detach() {
 	sw.mu.Lock()
 	sw.waiters--
-	abandon := sw.waiters == 0 && !sw.pinned && sw.st != StateDone &&
-		sw.st != StateFailed && sw.st != StateCanceled
+	abandon := sw.waiters == 0 && !sw.pinned && sw.st != api.StateDone &&
+		sw.st != api.StateFailed && sw.st != api.StateCanceled
 	sw.mu.Unlock()
 	if abandon {
 		sw.cancel()
@@ -517,7 +489,7 @@ func (sw *Sweep) detach() {
 func (sw *Sweep) setRunning() {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
-	sw.st = StateRunning
+	sw.st = api.StateRunning
 	sw.started = time.Now()
 }
 
@@ -533,10 +505,10 @@ func (sw *Sweep) finish(res *scenario.SweepResults, err error) {
 	sw.finished = time.Now()
 	switch {
 	case err == nil:
-		sw.st, sw.res = StateDone, res
+		sw.st, sw.res = api.StateDone, res
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		sw.st, sw.err = StateCanceled, err
+		sw.st, sw.err = api.StateCanceled, err
 	default:
-		sw.st, sw.err = StateFailed, err
+		sw.st, sw.err = api.StateFailed, err
 	}
 }

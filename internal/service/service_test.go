@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/greenhpc/archertwin/internal/api"
 	"github.com/greenhpc/archertwin/internal/scenario"
 )
 
@@ -55,14 +56,14 @@ func TestServerConcurrentIdenticalSubmissionsRunOnce(t *testing.T) {
 
 	type outcome struct {
 		code    int
-		payload ResultsPayload
+		payload api.ResultsPayload
 	}
 	results := make(chan outcome, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
 			resp := postSweep(t, srv.URL+"/v1/sweeps?wait=1", smallSpec())
 			defer resp.Body.Close()
-			var p ResultsPayload
+			var p api.ResultsPayload
 			if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
 				t.Errorf("decoding response: %v", err)
 			}
@@ -114,7 +115,7 @@ func TestServerAsyncSubmitPollResults(t *testing.T) {
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("POST returned %d, want 202", resp.StatusCode)
 	}
-	var st Status
+	var st api.SweepStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestServerAsyncSubmitPollResults(t *testing.T) {
 	}
 
 	deadline := time.Now().Add(30 * time.Second)
-	for st.State != StateDone {
+	for st.State != api.StateDone {
 		if time.Now().After(deadline) {
 			t.Fatalf("sweep stuck in state %q", st.State)
 		}
@@ -137,7 +138,7 @@ func TestServerAsyncSubmitPollResults(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.Body.Close()
-		if st.State == StateFailed || st.State == StateCanceled {
+		if st.State == api.StateFailed || st.State == api.StateCanceled {
 			t.Fatalf("sweep ended %q: %s", st.State, st.Error)
 		}
 	}
@@ -175,7 +176,7 @@ func TestServerAsyncSubmitPollResults(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("repeat POST returned %d, want 200 (joined)", resp.StatusCode)
 	}
-	var again Status
+	var again api.SweepStatus
 	if err := json.NewDecoder(resp.Body).Decode(&again); err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func blockingRun(started chan<- context.Context) RunFunc {
 	}
 }
 
-func waitForState(t *testing.T, svc *Service, id string, want State) {
+func waitForState(t *testing.T, svc *Service, id string, want api.SweepState) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
 	for {
@@ -250,7 +251,7 @@ func TestServerClientDisconnectCancelsSweep(t *testing.T) {
 	if len(sts) != 1 {
 		t.Fatalf("registry holds %d sweeps, want 1", len(sts))
 	}
-	waitForState(t, svc, sts[0].ID, StateCanceled)
+	waitForState(t, svc, sts[0].ID, api.StateCanceled)
 }
 
 // With two attached waiters, one disconnect must not cancel the shared
@@ -291,7 +292,7 @@ func TestServerSharedSweepSurvivesOneDisconnect(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("sweep survived its last waiter disconnecting")
 	}
-	waitForState(t, svc, sw1.ID, StateCanceled)
+	waitForState(t, svc, sw1.ID, api.StateCanceled)
 }
 
 // An explicit DELETE cancels even a pinned (fire-and-poll) sweep.
@@ -300,7 +301,7 @@ func TestServerDeleteCancelsPinnedSweep(t *testing.T) {
 	svc, srv := newTestServer(t, Config{Run: blockingRun(started)})
 
 	resp := postSweep(t, srv.URL+"/v1/sweeps", smallSpec())
-	var st Status
+	var st api.SweepStatus
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -316,16 +317,16 @@ func TestServerDeleteCancelsPinnedSweep(t *testing.T) {
 	if dresp.StatusCode != http.StatusOK {
 		t.Fatalf("DELETE returned %d", dresp.StatusCode)
 	}
-	waitForState(t, svc, st.ID, StateCanceled)
+	waitForState(t, svc, st.ID, api.StateCanceled)
 }
 
 // SpecKey identifies specs by meaning: omitted fields and spelled-out
 // defaults coalesce, any effective difference separates.
 func TestSpecKeyCanonicalisation(t *testing.T) {
-	if SpecKey(scenario.Spec{}) != SpecKey(scenario.Spec{Name: "sweep", Nodes: 200, Days: 28, Seed: 42, Mode: scenario.ModeGrid}) {
+	if api.SpecKey(scenario.Spec{}) != api.SpecKey(scenario.Spec{Name: "sweep", Nodes: 200, Days: 28, Seed: 42, Mode: scenario.ModeGrid}) {
 		t.Error("explicit defaults and omitted fields produced different keys")
 	}
-	if SpecKey(scenario.Spec{}) == SpecKey(scenario.Spec{Days: 14}) {
+	if api.SpecKey(scenario.Spec{}) == api.SpecKey(scenario.Spec{Days: 14}) {
 		t.Error("different sweeps share a key")
 	}
 	// The carbon tunables canonicalise too: spelling out their defaults
@@ -333,16 +334,16 @@ func TestSpecKeyCanonicalisation(t *testing.T) {
 	explicitCarbon := scenario.Spec{Carbon: scenario.CarbonSpec{
 		MaxDelayHours: 8, FlexibleShare: 0.5, BudgetFraction: 0.85,
 	}}
-	if SpecKey(scenario.Spec{}) != SpecKey(explicitCarbon) {
+	if api.SpecKey(scenario.Spec{}) != api.SpecKey(explicitCarbon) {
 		t.Error("explicit carbon defaults produced a different key")
 	}
-	if SpecKey(scenario.Spec{}) == SpecKey(scenario.Spec{Carbon: scenario.CarbonSpec{FlexibleShare: 0.9}}) {
+	if api.SpecKey(scenario.Spec{}) == api.SpecKey(scenario.Spec{Carbon: scenario.CarbonSpec{FlexibleShare: 0.9}}) {
 		t.Error("different carbon tunables share a key")
 	}
 	// The warmup sentinel resolves stably: -1 keys the same sweep at any
 	// canonicalisation depth.
 	withSentinel := scenario.Spec{Days: 2, WarmupDays: -1}
-	if SpecKey(withSentinel) != SpecKey(withSentinel.Canonical()) {
+	if api.SpecKey(withSentinel) != api.SpecKey(withSentinel.Canonical()) {
 		t.Error("canonicalising changed the key of a warmup_days=-1 spec")
 	}
 }
@@ -391,7 +392,7 @@ func TestServerValidationAndIntrospection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats Stats
+	var stats api.ServiceStats
 	if err := json.Unmarshal(raw, &stats); err != nil {
 		t.Fatal(err)
 	}

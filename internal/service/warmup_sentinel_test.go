@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"testing"
 
+	"github.com/greenhpc/archertwin/internal/api"
 	"github.com/greenhpc/archertwin/internal/scenario"
 )
 
@@ -23,7 +24,7 @@ func TestServerWarmupSentinelDigestIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var p ResultsPayload
+	var p api.ResultsPayload
 	if err := json.NewDecoder(resp.Body).Decode(&p); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"time"
-	"unsafe"
 
 	"github.com/greenhpc/archertwin/internal/timeseries"
 )
@@ -57,11 +56,6 @@ func (m *Meter) Restore(s *MeterSnapshot, add func(seq uint64, schedule func()))
 	}
 }
 
-// MemoryFootprint returns the snapshot's retained series bytes.
-func (s *MeterSnapshot) MemoryFootprint() int64 {
-	return s.power.MemoryFootprint() + s.util.MemoryFootprint()
-}
-
 // AccountantSnapshot is an Accountant's state at a checkpoint.
 type AccountantSnapshot struct {
 	byClass map[string]ClassUsage
@@ -85,17 +79,6 @@ func (a *Accountant) Restore(s *AccountantSnapshot) {
 		a.byClass[name] = &cu
 	}
 	a.total = s.total
-}
-
-// MemoryFootprint returns the snapshot's retained bytes (map entries plus
-// class-name strings), matching the core.Results accounting convention.
-func (s *AccountantSnapshot) MemoryFootprint() int64 {
-	const mapEntryOverhead = 48
-	total := int64(unsafe.Sizeof(*s))
-	for name := range s.byClass {
-		total += int64(len(name)) + int64(unsafe.Sizeof(ClassUsage{})) + mapEntryOverhead
-	}
-	return total
 }
 
 // Snapshot returns a copy of the retained job records.
