@@ -559,9 +559,12 @@ func TestForkSpeedupHeadroom(t *testing.T) {
 
 // BenchmarkWarmSweep measures a memo-hit sweep: the flagship frequency x
 // grid-mix spec (scenario.DefaultSpec) on a single-worker Runner whose
-// memo already holds both simulations, so every op draws the four grid
-// traces and accounts the eight scenarios without simulating — the
-// accounting path a served sweep repeated on a warm server pays.
+// memo already holds both simulations and their eight scenarios'
+// accounts, so an op expands, keys and assembles the sweep and draws no
+// trace and walks no power series — the path a served sweep repeated on
+// a warm server pays. Its B/op sits below the 43 kB the four traces
+// alone would allocate, so the gate fails if a warm hit draws them
+// again.
 func BenchmarkWarmSweep(b *testing.B) {
 	spec := scenario.DefaultSpec()
 	r := scenario.Runner{Workers: 1}

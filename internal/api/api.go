@@ -275,16 +275,14 @@ func SpecKey(spec scenario.Spec) string {
 	return fmt.Sprintf("%x", sha256.Sum256(data))[:16]
 }
 
-// WriteJSON writes v as indented JSON with the given HTTP status — the
-// one encoder every v1 endpoint shares.
+// WriteJSON writes v as compact JSON, one line, with the given HTTP
+// status — the one encoder every v1 endpoint shares.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
 	// The status line is already on the wire; an encode failure here has
 	// no better channel than the aborted body itself.
-	_ = enc.Encode(v)
+	_ = json.NewEncoder(w).Encode(v)
 }
 
 // WriteError writes the uniform error envelope.

@@ -2,20 +2,66 @@ package scenario
 
 import (
 	"container/list"
+	"unsafe"
 
 	"github.com/greenhpc/archertwin/internal/core"
+	"github.com/greenhpc/archertwin/internal/grid"
 )
 
 // memoEntry is one cached simulation: the shared results plus their
 // digest, computed once at admission so repeat sweeps and the service
 // layer can prove result identity without re-hashing the series on every
-// hit, and the entry's byte cost (core.Results.MemoryFootprint at
-// admission) charged against the cache's byte budget.
+// hit, the trace-reading part of every scenario Result already accounted
+// from it, and the entry's byte cost (core.Results.MemoryFootprint at
+// admission plus tracedCost per account) charged against the cache's
+// byte budget. accounts is read and grown only under the Runner's mu.
 type memoEntry struct {
-	key    string
-	res    *core.Results
-	digest string
-	cost   int64
+	key      string
+	res      *core.Results
+	digest   string
+	accounts map[traceKey]traced
+	cost     int64
+}
+
+// traceKey identifies a scenario's intensity trace within its
+// simulation's entry: the sweep's trace seed and the scenario's grid
+// model. The trace's window and step follow from the simulation key.
+type traceKey struct {
+	seed  uint64
+	model grid.IntensityModel
+}
+
+// tracedCost is the byte price of one stored account: its key and value.
+const tracedCost = int64(unsafe.Sizeof(traceKey{}) + unsafe.Sizeof(traced{}))
+
+// hold stores accounts the entry does not have yet (keys[j] for
+// accts[j]) and returns the bytes they add to its cost.
+func (e *memoEntry) hold(keys []traceKey, accts []traced) (added int64) {
+	if e.accounts == nil {
+		e.accounts = make(map[traceKey]traced, len(keys))
+	}
+	for j, k := range keys {
+		if _, ok := e.accounts[k]; !ok {
+			e.accounts[k] = accts[j]
+			added += tracedCost
+		}
+	}
+	e.cost += added
+	return added
+}
+
+// accounted returns the accounts for keys, in order, or nil unless the
+// entry holds every one.
+func (e *memoEntry) accounted(keys []traceKey) []traced {
+	out := make([]traced, len(keys))
+	for j, k := range keys {
+		a, ok := e.accounts[k]
+		if !ok {
+			return nil
+		}
+		out[j] = a
+	}
+	return out
 }
 
 // memoLRU is the Runner's bounded memo store: a map for O(1) lookup over
@@ -73,6 +119,23 @@ func (l *memoLRU) put(e *memoEntry) {
 		l.byKey[e.key] = l.ll.PushFront(e)
 		l.bytes += e.cost
 	}
+	l.evict()
+}
+
+// account stores accounts in an entry found by get and charges their
+// bytes, then evicts until both bounds hold again. An entry evicted or
+// replaced since it was found is left alone.
+func (l *memoLRU) account(e *memoEntry, keys []traceKey, accts []traced) {
+	if el, ok := l.byKey[e.key]; !ok || el.Value != e {
+		return
+	}
+	l.bytes += e.hold(keys, accts)
+	l.evict()
+}
+
+// evict drops least-recently-used entries until the count and byte
+// bounds both hold.
+func (l *memoLRU) evict() {
 	for l.ll.Len() > 0 && (l.ll.Len() > l.cap || (l.budget > 0 && l.bytes > l.budget)) {
 		coldest := l.ll.Back()
 		l.ll.Remove(coldest)

@@ -107,8 +107,9 @@ type Runner struct {
 
 	// MemoBudgetBytes bounds the memo cache by retained bytes: each entry
 	// is priced at its core.Results.MemoryFootprint at admission (after
-	// Results.Compact has dropped what the scenario layer never reads),
-	// and admissions evict coldest-first until the total fits. This is
+	// Results.Compact has dropped what the scenario layer never reads)
+	// plus the scenario accounts it keeps, and admissions and new
+	// accounts evict coldest-first until the total fits. This is
 	// the knob that keeps a long-lived twinserver's memory flat — entry
 	// counts alone cannot, because a full-machine 13-month result costs
 	// ~1000x a 1-day mini sweep. Zero means DefaultMemoBudgetBytes;
@@ -258,9 +259,10 @@ func (e *ScenarioError) Unwrap() error { return e.Err }
 // flagship frequency x grid sweep costs two simulations and two
 // accounting walks, not eight, with byte-identical output. Completed
 // simulations are also memoized on the Runner (see memoKey) in an LRU
-// store bounded at MemoCap, so repeating or extending a sweep on the same
-// Runner re-simulates only what changed; CacheStats reports the hit/miss
-// and eviction counters.
+// store bounded at MemoCap, together with the accounts their scenarios
+// were given, so repeating or extending a sweep on the same Runner
+// re-simulates only what changed, and a repeat draws no trace and walks
+// no series; CacheStats reports the hit/miss and eviction counters.
 //
 // Sweeps over Axes.MidFrequency additionally share their pre-divergence
 // history: all branches of one divergence family replay identically up to
@@ -344,7 +346,8 @@ func (r *Runner) RunScenarios(ctx context.Context, spec Spec, indices []int, pro
 // given expansion indices on the worker pool and lands each distinct
 // simulation's scenarios as soon as it resolves — at once for a memo
 // hit, otherwise when its simulation finishes — accounted against the
-// scenario's grid trace and carrying the simulation digest.
+// scenario's grid trace (or taken from the memo entry's accounts) and
+// carrying the simulation digest.
 // Cross-scenario aggregation is left to Assemble. It returns the pool
 // width.
 func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices []int, land LandFunc) (int, error) {
@@ -406,8 +409,9 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	// intensity, and emissions deltas across simulation axes carry no
 	// grid-sampling noise. The trace spans the whole run (not just the
 	// measurement window) because carbon-aware simulations consume it from
-	// day zero; one trace per distinct grid mean, all drawn in one pass
-	// before anything is accounted, and shared by reference.
+	// day zero; one trace per distinct grid mean, all drawn in one pass,
+	// and only if some group still has to be accounted.
+	cc := core.CarbonConfig{TraceSeed: rng.DeriveSeed(spec.Seed, "grid-trace")}
 	traceOf := map[float64]int{}
 	var models []grid.IntensityModel
 
@@ -418,6 +422,8 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		key     string
 		sc      Scenario
 		members []int
+		// traceKeys[j] names members[j]'s account in the memo entry.
+		traceKeys []traceKey
 	}
 	var groups []group
 	byKey := map[string]int{}
@@ -438,34 +444,46 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 			groups = append(groups, group{cfg: cfg, key: memoKey(spec, sc, cfg), sc: *sc})
 		}
 		groups[gi].members = append(groups[gi].members, i)
-	}
-	cc := core.CarbonConfig{TraceSeed: rng.DeriveSeed(spec.Seed, "grid-trace")}
-	traces, err := cc.Traces(models, sweepStart, sweepStart.AddDate(0, 0, spec.Days))
-	if err != nil {
-		return 0, fmt.Errorf("scenario: grid traces: %w", err)
+		groups[gi].traceKeys = append(groups[gi].traceKeys, traceKey{seed: cc.TraceSeed, model: gm})
 	}
 
 	// Resolve memoized simulations; only the rest go to the pool. A memo
 	// hit refreshes the entry's recency, so a server's steadily re-run
-	// sweeps stay warm while one-off configs age out.
+	// sweeps stay warm while one-off configs age out. A hit whose entry
+	// holds every member's account is landed from it: no trace is drawn
+	// and no power series walked for it.
 	sims := make([]*core.Results, len(groups))
 	digests := make([]string, len(groups))
 	costs := make([]int64, len(groups))
+	accts := make([][]traced, len(groups))     // each group's member accounts
+	fresh := make([]bool, len(groups))         // accts[g] was accounted by this call
+	entries := make([]*memoEntry, len(groups)) // the memo entry of a hit
 	var hits, pending []int
+	draw := false // some group still has to be accounted
 	r.mu.Lock()
 	if r.memo == nil {
 		r.memo = newMemoLRU(r.memoCap(), r.memoBudget())
 	}
 	for g := range groups {
 		if e, ok := r.memo.get(groups[g].key); ok {
-			sims[g] = e.res
-			digests[g] = e.digest
+			sims[g], digests[g], entries[g] = e.res, e.digest, e
+			if accts[g] = e.accounted(groups[g].traceKeys); accts[g] == nil {
+				draw = true
+			}
 			hits = append(hits, g)
 			continue
 		}
 		pending = append(pending, g)
+		draw = true
 	}
 	r.mu.Unlock()
+	var traces []*timeseries.Series
+	if draw {
+		var err error
+		if traces, err = cc.Traces(models, sweepStart, sweepStart.AddDate(0, 0, spec.Days)); err != nil {
+			return 0, fmt.Errorf("scenario: grid traces: %w", err)
+		}
+	}
 
 	// Collect mid-sweep divergence families from the pending groups:
 	// groups sharing a simulation key differ only in their mid value, so
@@ -538,19 +556,27 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 			return
 		}
 		members := groups[g].members
-		idxs := make([]int, len(members))
-		results := make([]Result, len(members))
-		memberTraces := make([]*timeseries.Series, len(members))
-		for j, m := range members {
-			idxs[j], results[j].Scenario = scenarios[m].Index, scenarios[m]
-			memberTraces[j] = traces[traceOf[scenarios[m].GridMean]]
-		}
-		if err := account(results, memberTraces, sims[g]); err != nil {
+		shared, window, err := measured(sims[g])
+		if err != nil {
 			fail(g, err)
 			return
 		}
-		for j := range results {
-			results[j].SimDigest = digests[g]
+		if accts[g] == nil {
+			memberTraces := make([]*timeseries.Series, len(members))
+			for j, m := range members {
+				memberTraces[j] = traces[traceOf[scenarios[m].GridMean]]
+			}
+			if accts[g], err = account(sims[g], groups[g].sc.Nodes, window, memberTraces); err != nil {
+				fail(g, err)
+				return
+			}
+			fresh[g] = true
+		}
+		idxs := make([]int, len(members))
+		results := make([]Result, len(members))
+		for j, m := range members {
+			idxs[j] = scenarios[m].Index
+			results[j] = accts[g][j].result(shared, scenarios[m], digests[g])
 		}
 		landMu.Lock()
 		defer landMu.Unlock()
@@ -655,12 +681,23 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	// used entries beyond the entry-count and byte bounds — each entry pins
 	// a full results series, and a long-lived service sweeping ever-new
 	// configs must not grow memory without bound, yet must keep admitting
-	// so its hot set stays warm. Misses count executed simulations; hits
-	// count scenarios served from an already-computed simulation.
+	// so its hot set stays warm. A group accounted here keeps its accounts
+	// in its entry, priced into the entry's cost, so its next hit lands
+	// without accounting. Misses count executed simulations; hits count
+	// scenarios served from an already-computed simulation.
 	r.mu.Lock()
 	for _, g := range pending {
 		if sims[g] != nil {
-			r.memo.put(&memoEntry{key: groups[g].key, res: sims[g], digest: digests[g], cost: costs[g]})
+			e := &memoEntry{key: groups[g].key, res: sims[g], digest: digests[g], cost: costs[g]}
+			if fresh[g] {
+				e.hold(groups[g].traceKeys, accts[g])
+			}
+			r.memo.put(e)
+		}
+	}
+	for _, g := range hits {
+		if fresh[g] {
+			r.memo.account(entries[g], groups[g].traceKeys, accts[g])
 		}
 	}
 	r.misses += int(executed.Load())
@@ -699,42 +736,62 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 // a scenario's share of the embodied emissions is scaled.
 var fullMachineNodes = core.DefaultConfig().Facility.Nodes
 
-// account fills a group's Results — each carrying its Scenario — from
-// the simulation they share: one walk over the simulated power series
-// (emissions.AccountTraces) prices it against every member's intensity
-// trace (traces[j] for results[j]) over the measurement window.
-func account(results []Result, traces []*timeseries.Series, res *core.Results) error {
+// traced is the part of a scenario Result that reads the scenario's
+// intensity trace; the memo keeps it per trace (memoEntry.accounts).
+type traced struct {
+	meanCI    units.CarbonIntensity
+	emissions emissions.Window
+	regime    emissions.Regime
+}
+
+// measured returns the part of a scenario Result that reads only the
+// simulation, which every member of a group shares, and the measurement
+// window both parts cover.
+func measured(res *core.Results) (Result, core.Window, error) {
 	w, ok := res.WindowByLabel("measure")
 	if !ok {
-		return fmt.Errorf("scenario: measurement window missing")
+		return Result{}, core.Window{}, fmt.Errorf("scenario: measurement window missing")
 	}
-	from, to := w.Window.From, w.Window.To
+	return Result{
+		MeanPower: w.MeanPower,
+		MeanUtil:  w.MeanUtil,
+		Energy:    w.MeanPower.EnergyOver(w.Window.To.Sub(w.Window.From)),
+		NodeHours: res.TotalUsage.NodeHours,
+		Holds:     res.Sched.Holds,
+		HoldDelay: res.Sched.HoldDelay,
+		Completed: res.Sched.Completed,
+		MeanWait:  res.Sched.MeanWait(),
+	}, w.Window, nil
+}
 
+// account prices a simulation of a nodes-node facility against its
+// members' intensity traces over window: one walk over the power series
+// (emissions.AccountTraces) gives the account for each trace, in order.
+func account(res *core.Results, nodes int, window core.Window, traces []*timeseries.Series) ([]traced, error) {
 	// Embodied emissions scale with the slice of the 5,860-node machine
 	// being simulated; a group's members share one simulation, so one size.
 	params := emissions.ARCHER2Defaults()
-	params.Embodied = params.Embodied.Scale(float64(results[0].Scenario.Nodes) / float64(fullMachineNodes))
-	accts := make([]emissions.Window, len(results))
-	if err := params.AccountTraces(res.Power, traces, from, to, accts); err != nil {
-		return err
+	params.Embodied = params.Embodied.Scale(float64(nodes) / float64(fullMachineNodes))
+	accts := make([]emissions.Window, len(traces))
+	if err := params.AccountTraces(res.Power, traces, window.From, window.To, accts); err != nil {
+		return nil, err
 	}
+	out := make([]traced, len(traces))
 	for j, acct := range accts {
-		results[j] = Result{
-			Scenario:  results[j].Scenario,
-			MeanPower: w.MeanPower,
-			MeanUtil:  w.MeanUtil,
-			Energy:    w.MeanPower.EnergyOver(to.Sub(from)),
-			NodeHours: res.TotalUsage.NodeHours,
-			MeanCI:    units.GramsPerKWh(traces[j].MeanBetween(from, to)),
-			Emissions: acct,
-			Regime:    emissions.RegimeOf(acct),
-			Holds:     res.Sched.Holds,
-			HoldDelay: res.Sched.HoldDelay,
-			Completed: res.Sched.Completed,
-			MeanWait:  res.Sched.MeanWait(),
+		out[j] = traced{
+			meanCI:    units.GramsPerKWh(traces[j].MeanBetween(window.From, window.To)),
+			emissions: acct,
+			regime:    emissions.RegimeOf(acct),
 		}
 	}
-	return nil
+	return out, nil
+}
+
+// result joins a scenario's trace-reading part to its group's shared one.
+func (t traced) result(shared Result, sc Scenario, digest string) Result {
+	shared.Scenario, shared.SimDigest = sc, digest
+	shared.MeanCI, shared.Emissions, shared.Regime = t.meanCI, t.emissions, t.regime
+	return shared
 }
 
 // fillAvoidedCarbon computes each scenario's emissions cut against its

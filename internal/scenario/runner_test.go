@@ -2,9 +2,11 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -809,5 +811,218 @@ func TestMemoHoldsResultsNotForkPoints(t *testing.T) {
 
 	if _, cs = run(mid(MidNone, "capped", "2.0GHz", "1.5GHz", "2.25GHz")); cs.Misses != 7 {
 		t.Errorf("two added branches: misses = %d, want 7 (1 prefix replay + 2 branches)", cs.Misses)
+	}
+}
+
+// sweepJSON is a sweep's results as bytes: a warm sweep must match a
+// fresh Runner's byte for byte.
+func sweepJSON(t *testing.T, res *SweepResults) string {
+	t.Helper()
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// freshJSON runs spec on a new Runner of the given width and returns its
+// results as bytes.
+func freshJSON(t *testing.T, workers int, spec Spec) string {
+	t.Helper()
+	res, err := (&Runner{Workers: workers}).Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sweepJSON(t, res)
+}
+
+// memoAccounts returns how many accounts each held entry keeps, and the
+// bytes the entries' simulations pin without them.
+func memoAccounts(r *Runner) (accounts []int, simBytes int64) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for el := r.memo.ll.Front(); el != nil; el = el.Next() {
+		e := el.Value.(*memoEntry)
+		accounts = append(accounts, len(e.accounts))
+		simBytes += e.res.MemoryFootprint()
+	}
+	return accounts, simBytes
+}
+
+// A memo entry keeps the accounts its simulation's scenarios were given
+// the first time: a repeated spec lands from them, identical to a fresh
+// Runner's sweep, and the accounts are priced into CacheStats.Bytes.
+func TestMemoKeepsAccountedResults(t *testing.T) {
+	spec := tinySpec() // 2 simulations x 2 grid means
+	want := freshJSON(t, 2, spec)
+	r := &Runner{Workers: 2}
+	for i := 0; i < 2; i++ {
+		res, err := r.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sweepJSON(t, res); got != want {
+			t.Fatalf("run %d differs from a fresh Runner:\n%s\nvs\n%s", i, got, want)
+		}
+		accounts, simBytes := memoAccounts(r)
+		if !reflect.DeepEqual(accounts, []int{2, 2}) {
+			t.Fatalf("run %d: entries hold %v accounts, want [2 2]", i, accounts)
+		}
+		if cs := r.CacheStats(); cs.Size != 2 || cs.Bytes != simBytes+4*tracedCost {
+			t.Fatalf("run %d: %+v, want 2 entries pinning %d + 4 x %d bytes", i, cs, simBytes, tracedCost)
+		}
+	}
+	if cs := r.CacheStats(); cs.Misses != 2 || cs.Hits != 6 {
+		t.Errorf("stats %+v, want 2 misses and 2 + 4 hits", cs)
+	}
+}
+
+// A warm simulation asked for a new grid mean is a memo hit that still
+// needs accounting: it is priced against every member's trace, keeps
+// the new account, and matches a fresh Runner.
+func TestMemoAccountsNewGridMean(t *testing.T) {
+	spec := tinySpec()
+	r := &Runner{Workers: 2}
+	if _, err := r.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	before := r.CacheStats()
+	spec.Axes.GridMean = append(spec.Axes.GridMean, 65)
+	res, err := r.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sweepJSON(t, res), freshJSON(t, 2, spec); got != want {
+		t.Fatalf("extended sweep differs from a fresh Runner:\n%s\nvs\n%s", got, want)
+	}
+	cs := r.CacheStats()
+	if cs.Misses != before.Misses || cs.Size != 2 {
+		t.Errorf("stats %+v after %+v: the new grid mean re-simulated", cs, before)
+	}
+	if cs.Bytes != before.Bytes+2*tracedCost {
+		t.Errorf("bytes %d, want %d + 2 new accounts x %d", cs.Bytes, before.Bytes, tracedCost)
+	}
+	if accounts, _ := memoAccounts(r); !reflect.DeepEqual(accounts, []int{3, 3}) {
+		t.Errorf("entries hold %v accounts, want [3 3]", accounts)
+	}
+}
+
+// A sweep cancelled after a simulation finished but before it was
+// accounted memoizes the simulation without accounts; the retried sweep
+// accounts it and matches a fresh Runner.
+func TestMemoCancelledSweepKeepsNoAccounts(t *testing.T) {
+	spec := tinySpec()
+	ctx, cancel := context.WithCancel(context.Background())
+	r := &Runner{Workers: 1, runCfg: func(ctx context.Context, cfg core.Config) (*core.Results, error) {
+		res, err := core.RunConfigContext(ctx, cfg)
+		cancel() // the simulation is done; its group is not yet accounted
+		return res, err
+	}}
+	if _, err := r.Run(ctx, spec); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
+	}
+	accounts, simBytes := memoAccounts(r)
+	if !reflect.DeepEqual(accounts, []int{0}) {
+		t.Fatalf("cancelled sweep left entries with %v accounts, want one entry with none", accounts)
+	}
+	if cs := r.CacheStats(); cs.Bytes != simBytes {
+		t.Errorf("bytes %d, want the simulation's %d alone", cs.Bytes, simBytes)
+	}
+	res, err := r.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sweepJSON(t, res), freshJSON(t, 1, spec); got != want {
+		t.Fatalf("retried sweep differs from a fresh Runner:\n%s\nvs\n%s", got, want)
+	}
+	if accounts, _ := memoAccounts(r); !reflect.DeepEqual(accounts, []int{2, 2}) {
+		t.Errorf("retried sweep left %v accounts, want [2 2]", accounts)
+	}
+}
+
+// Accounts live and die with their simulation's entry: under a byte
+// budget they count toward the bound, an eviction drops them with the
+// simulation, and an entry whose new accounts push it past the whole
+// budget is evicted by that growth.
+func TestMemoAccountsEvictWithSimulation(t *testing.T) {
+	probe := &Runner{Workers: 1, MemoBudgetBytes: -1}
+	if _, err := probe.Run(context.Background(), seedSpec(1)); err != nil {
+		t.Fatal(err)
+	}
+	cost := probe.CacheStats().Bytes // one simulation and its one account
+
+	r := &Runner{Workers: 1, MemoBudgetBytes: cost + cost/2}
+	for seed := uint64(1); seed <= 2; seed++ {
+		if _, err := r.Run(context.Background(), seedSpec(seed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cs := r.CacheStats()
+	accounts, simBytes := memoAccounts(r)
+	if cs.Size != 1 || cs.Evictions != 1 || !reflect.DeepEqual(accounts, []int{1}) {
+		t.Fatalf("stats %+v holding %v accounts, want 1 entry with 1 account after 1 eviction", cs, accounts)
+	}
+	if cs.Bytes != simBytes+tracedCost {
+		t.Errorf("bytes %d, want %d + one account %d", cs.Bytes, simBytes, tracedCost)
+	}
+
+	// Growing the held entry past the budget evicts it.
+	tight := &Runner{Workers: 1, MemoBudgetBytes: cost}
+	spec := seedSpec(1)
+	if _, err := tight.Run(context.Background(), spec); err != nil {
+		t.Fatal(err)
+	}
+	spec.Axes.GridMean = []float64{200, 65}
+	res, err := tight.Run(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := sweepJSON(t, res), freshJSON(t, 1, spec); got != want {
+		t.Fatalf("sweep differs from a fresh Runner:\n%s\nvs\n%s", got, want)
+	}
+	if cs := tight.CacheStats(); cs.Size != 0 || cs.Bytes != 0 || cs.Evictions != 1 || cs.Misses != 1 {
+		t.Errorf("stats %+v, want the grown entry evicted without re-simulating", cs)
+	}
+}
+
+// Sweeps sharing warm entries from several goroutines read and grow the
+// same accounts: each matches a fresh Runner's sweep.
+func TestMemoAccountsConcurrentSweeps(t *testing.T) {
+	r := &Runner{Workers: 2}
+	if _, err := r.Run(context.Background(), tinySpec()); err != nil {
+		t.Fatal(err)
+	}
+	specs := make([]Spec, 4)
+	for i := range specs {
+		specs[i] = tinySpec()
+		specs[i].Axes.GridMean = append(specs[i].Axes.GridMean, float64(40+10*i))
+	}
+	got := make([]string, len(specs))
+	var wg sync.WaitGroup
+	for i := range specs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			res, err := r.Run(context.Background(), specs[i])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got[i] = string(data)
+		}(i)
+	}
+	wg.Wait()
+	for i, spec := range specs {
+		if want := freshJSON(t, 2, spec); got[i] != want {
+			t.Errorf("sweep %d differs from a fresh Runner:\n%s\nvs\n%s", i, got[i], want)
+		}
+	}
+	if accounts, _ := memoAccounts(r); !reflect.DeepEqual(accounts, []int{6, 6}) {
+		t.Errorf("entries hold %v accounts, want [6 6]", accounts)
 	}
 }

@@ -234,7 +234,7 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 		final := st.term != nil && st.term.State != journal.TerminalInterrupted
 		if final && st.term.State == journal.TerminalDone {
 			if res, err := assembleRecovered(st.sub, st.results, st.term.Workers); err == nil {
-				sw, _ := s.newRecoveredSweep(st.sub, nil)
+				sw := s.newRecoveredSweep(st.sub, nil)
 				sw.finished = st.term.Finished
 				sw.st, sw.res = api.StateDone, res
 				sw.simsTotal, sw.simsDone = res.Simulations, res.Simulations
@@ -250,7 +250,7 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 			// re-run finishes identically.
 		}
 		if final && st.term.State != journal.TerminalDone {
-			sw, _ := s.newRecoveredSweep(st.sub, nil)
+			sw := s.newRecoveredSweep(st.sub, nil)
 			sw.finished = st.term.Finished
 			msg := st.term.Error
 			if msg == "" {
@@ -270,7 +270,9 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 
 		// Unfinished (no terminal, or interrupted): resume with the
 		// journaled results seeded in; only missing indices re-execute.
-		sw, runCtx := s.newRecoveredSweep(st.sub, st.results)
+		sw := s.newRecoveredSweep(st.sub, st.results)
+		runCtx, cancel := context.WithCancel(s.base)
+		sw.cancel = cancel
 		s.publish(sw)
 		stats.Resumed++
 		stats.ReusedResults += len(st.results)
@@ -303,23 +305,23 @@ func assembleRecovered(sub *journal.SweepSubmitted, results map[int]scenario.Res
 
 // newRecoveredSweep re-creates a journaled sweep. Recovered sweeps are
 // pinned: no client holds a reference, and an interrupted sweep must
-// run to completion regardless. The caller finishes populating the
+// run to completion regardless. The sweep has no run context, so its
+// cancel does nothing: one already terminal never runs, and the caller
+// gives one it resumes a context. The caller finishes populating the
 // sweep and then publishes it.
-func (s *Service) newRecoveredSweep(sub *journal.SweepSubmitted, recovered map[int]scenario.Result) (*Sweep, context.Context) {
-	runCtx, cancel := context.WithCancel(s.base)
-	sw := &Sweep{
+func (s *Service) newRecoveredSweep(sub *journal.SweepSubmitted, recovered map[int]scenario.Result) *Sweep {
+	return &Sweep{
 		ID:        sub.ID,
 		Key:       sub.Key,
 		Spec:      sub.Spec,
 		scenarios: sub.Scenarios,
 		submitted: sub.Submitted,
 		st:        api.StatePending,
-		cancel:    cancel,
+		cancel:    func() {},
 		done:      make(chan struct{}),
 		pinned:    true,
 		recovered: recovered,
 	}
-	return sw, runCtx
 }
 
 // publish registers a (fully populated) recovered sweep.

@@ -1,11 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,6 +59,52 @@ func tablesJSON(t *testing.T, res *scenario.SweepResults) string {
 	return string(data)
 }
 
+// resultsBody returns the body svc's handler serves for GET
+// /v1/sweeps/{id}/results.
+func resultsBody(t *testing.T, svc *Service, id string) []byte {
+	t.Helper()
+	srv := httptest.NewServer(NewHandler(svc))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/sweeps/" + id + "/results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET results of %s = %d: %s", id, resp.StatusCode, body)
+	}
+	return body
+}
+
+// liveChildren is a parent context that counts the contexts
+// context.WithCancel registers under it and has not yet released. A
+// parent that is not one of the context package's own cancel contexts
+// gets its children through its AfterFunc method, and a child's cancel
+// stops that registration.
+type liveChildren struct {
+	context.Context
+	n atomic.Int64
+}
+
+// Value hides the wrapped cancel context, so children register here.
+func (c *liveChildren) Value(any) any { return nil }
+
+func (c *liveChildren) AfterFunc(f func()) func() bool {
+	c.n.Add(1)
+	stop := context.AfterFunc(c.Context, f)
+	return func() bool {
+		stopped := stop()
+		if stopped {
+			c.n.Add(-1)
+		}
+		return stopped
+	}
+}
+
 func waitDone(t *testing.T, sw *Sweep) {
 	t.Helper()
 	select {
@@ -90,6 +140,7 @@ func TestDurableCompleteAndRecoverFinished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	body1 := resultsBody(t, svc1, sw.ID)
 	svc1.Shutdown()
 	if err := jl1.Close(); err != nil {
 		t.Fatal(err)
@@ -107,12 +158,18 @@ func TestDurableCompleteAndRecoverFinished(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Shutdown()
+	base := &liveChildren{Context: svc2.base}
+	svc2.base = base
 	stats, err := svc2.Recover(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Sweeps != 1 || stats.Finished != 1 || stats.Resumed != 0 {
 		t.Errorf("stats = %+v, want 1 sweep recovered finished", stats)
+	}
+	// A sweep recovered terminal never runs, so it holds no run context.
+	if n := base.n.Load(); n != 0 {
+		t.Errorf("recovery left %d live run contexts, want 0", n)
 	}
 	if stats.ReusedResults != len(res1.Results) {
 		t.Errorf("ReusedResults = %d, want %d", stats.ReusedResults, len(res1.Results))
@@ -140,6 +197,14 @@ func TestDurableCompleteAndRecoverFinished(t *testing.T) {
 	}
 	if misses := runner2.CacheStats().Misses; misses != 0 {
 		t.Errorf("recovery re-simulated: %d memo misses, want 0", misses)
+	}
+	// The recovered server sends the live one's results body, byte for
+	// byte, on one line.
+	if body2 := resultsBody(t, svc2, sw.ID); !bytes.Equal(body2, body1) {
+		t.Errorf("recovered results body differs from the live one:\n%s\nvs\n%s", body2, body1)
+	}
+	if n := bytes.Count(body1, []byte("\n")); n != 1 {
+		t.Errorf("results body spans %d lines, want 1 (compact JSON)", n)
 	}
 	// The recovered sweep keeps serving singleflight joins.
 	joinedSw, joined, err := svc2.Submit(ctx, spec, false)

@@ -332,9 +332,12 @@ func (s *Service) RunShard(ctx context.Context, req api.ShardRequest) (*api.Shar
 	return &api.ShardResponse{Shard: req.Shard, Results: results, Simulations: sims}, nil
 }
 
-// execute runs one sweep under the concurrency bound.
+// execute runs one sweep under the concurrency bound. A terminal sweep
+// releases its run context before Done closes: cancelling detaches it
+// from s.base, which otherwise keeps every sweep ever served.
 func (s *Service) execute(ctx context.Context, sw *Sweep) {
 	defer close(sw.done)
+	defer sw.cancel()
 	var res *scenario.SweepResults
 	var err error
 	select {

@@ -320,6 +320,32 @@ func TestServerDeleteCancelsPinnedSweep(t *testing.T) {
 	waitForState(t, svc, st.ID, api.StateCanceled)
 }
 
+// A finished sweep releases its run context before Done closes;
+// otherwise every sweep ever served stays registered under the
+// service's base context.
+func TestFinishedSweepReleasesRunContext(t *testing.T) {
+	ran := make(chan context.Context, 1)
+	svc, err := New(Config{Run: func(ctx context.Context, spec scenario.Spec, _ func(int, int)) (*scenario.SweepResults, error) {
+		ran <- ctx
+		return &scenario.SweepResults{Spec: spec}, nil
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	sw, _, err := svc.Submit(context.Background(), smallSpec(), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-sw.Done()
+	if st := sw.state(); st != api.StateDone {
+		t.Fatalf("sweep state = %s, want done", st)
+	}
+	if err := (<-ran).Err(); err == nil {
+		t.Error("a done sweep's run context is still live")
+	}
+}
+
 // SpecKey identifies specs by meaning: omitted fields and spelled-out
 // defaults coalesce, any effective difference separates.
 func TestSpecKeyCanonicalisation(t *testing.T) {
