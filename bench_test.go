@@ -561,10 +561,11 @@ func TestForkSpeedupHeadroom(t *testing.T) {
 // grid-mix spec (scenario.DefaultSpec) on a single-worker Runner whose
 // memo already holds both simulations and their eight scenarios'
 // accounts, so an op expands, keys and assembles the sweep and draws no
-// trace and walks no power series — the path a served sweep repeated on
-// a warm server pays. Its B/op sits below the 43 kB the four traces
-// alone would allocate, so the gate fails if a warm hit draws them
-// again.
+// trace, walks no power series and builds no core.Config — the path a
+// served sweep repeated on a warm server pays. Its B/op sits below the
+// 43 kB the four traces alone would allocate, and a config built per
+// simulation (about 2 kB each) would take it past the gate's tolerance,
+// so the gate fails if a warm hit does either again.
 func BenchmarkWarmSweep(b *testing.B) {
 	spec := scenario.DefaultSpec()
 	r := scenario.Runner{Workers: 1}

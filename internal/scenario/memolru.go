@@ -5,7 +5,6 @@ import (
 	"unsafe"
 
 	"github.com/greenhpc/archertwin/internal/core"
-	"github.com/greenhpc/archertwin/internal/grid"
 )
 
 // memoEntry is one cached simulation: the shared results plus their
@@ -14,35 +13,30 @@ import (
 // hit, the trace-reading part of every scenario Result already accounted
 // from it, and the entry's byte cost (core.Results.MemoryFootprint at
 // admission plus tracedCost per account) charged against the cache's
-// byte budget. accounts is read and grown only under the Runner's mu.
+// byte budget. accounts is keyed by grid mean (the entry's key fixes the
+// trace seed and window, and gridModel the model), and is read and grown
+// only under the Runner's mu.
 type memoEntry struct {
 	key      string
 	res      *core.Results
 	digest   string
-	accounts map[traceKey]traced
+	accounts map[float64]traced
 	cost     int64
 }
 
-// traceKey identifies a scenario's intensity trace within its
-// simulation's entry: the sweep's trace seed and the scenario's grid
-// model. The trace's window and step follow from the simulation key.
-type traceKey struct {
-	seed  uint64
-	model grid.IntensityModel
-}
+// tracedCost is the byte price of one stored account: its grid-mean key
+// and value.
+const tracedCost = int64(unsafe.Sizeof(float64(0)) + unsafe.Sizeof(traced{}))
 
-// tracedCost is the byte price of one stored account: its key and value.
-const tracedCost = int64(unsafe.Sizeof(traceKey{}) + unsafe.Sizeof(traced{}))
-
-// hold stores accounts the entry does not have yet (keys[j] for
+// hold stores accounts the entry does not have yet (means[j] for
 // accts[j]) and returns the bytes they add to its cost.
-func (e *memoEntry) hold(keys []traceKey, accts []traced) (added int64) {
+func (e *memoEntry) hold(means []float64, accts []traced) (added int64) {
 	if e.accounts == nil {
-		e.accounts = make(map[traceKey]traced, len(keys))
+		e.accounts = make(map[float64]traced, len(means))
 	}
-	for j, k := range keys {
-		if _, ok := e.accounts[k]; !ok {
-			e.accounts[k] = accts[j]
+	for j, m := range means {
+		if _, ok := e.accounts[m]; !ok {
+			e.accounts[m] = accts[j]
 			added += tracedCost
 		}
 	}
@@ -50,12 +44,12 @@ func (e *memoEntry) hold(keys []traceKey, accts []traced) (added int64) {
 	return added
 }
 
-// accounted returns the accounts for keys, in order, or nil unless the
+// accounted returns the accounts for means, in order, or nil unless the
 // entry holds every one.
-func (e *memoEntry) accounted(keys []traceKey) []traced {
-	out := make([]traced, len(keys))
-	for j, k := range keys {
-		a, ok := e.accounts[k]
+func (e *memoEntry) accounted(means []float64) []traced {
+	out := make([]traced, len(means))
+	for j, m := range means {
+		a, ok := e.accounts[m]
 		if !ok {
 			return nil
 		}
@@ -125,11 +119,11 @@ func (l *memoLRU) put(e *memoEntry) {
 // account stores accounts in an entry found by get and charges their
 // bytes, then evicts until both bounds hold again. An entry evicted or
 // replaced since it was found is left alone.
-func (l *memoLRU) account(e *memoEntry, keys []traceKey, accts []traced) {
+func (l *memoLRU) account(e *memoEntry, means []float64, accts []traced) {
 	if el, ok := l.byKey[e.key]; !ok || el.Value != e {
 		return
 	}
-	l.bytes += e.hold(keys, accts)
+	l.bytes += e.hold(means, accts)
 	l.evict()
 }
 

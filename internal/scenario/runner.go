@@ -84,9 +84,9 @@ type SweepResults struct {
 }
 
 // Runner executes a sweep's scenarios on a worker pool, memoizing
-// completed simulations across Run calls: a scenario whose full derived
-// seed and configuration hash match an earlier simulation reuses its
-// results instead of re-simulating. Within one sweep this is how fcfs
+// completed simulations across Run calls: a scenario whose memo key
+// (its spec seed, run key and config-shaping spec fields) matches an
+// earlier simulation reuses its results instead of re-simulating. Within one sweep this is how fcfs
 // counterparts on the carbon axis cost one simulation instead of one per
 // scenario; across sweeps on the same Runner (a tool exploring several
 // specs, a baseline shared by consecutive studies) it skips the repeat
@@ -130,8 +130,8 @@ type Runner struct {
 	// cancellation deterministically.
 	runCfg func(context.Context, core.Config) (*core.Results, error)
 
-	// memo caches completed simulations by memoKey — the scenario's full
-	// derived seed plus a hash of every config-shaping spec field, so
+	// memo caches completed simulations by memoKey — the spec seed and the
+	// scenario's run key plus a hash of every config-shaping spec field, so
 	// scenarios differing in any simulation-affecting axis (-nodes,
 	// -freq, days, oversubscription, carbon tunables, ...) can never
 	// collide. LRU-bounded at MemoCap entries; guarded by mu together
@@ -205,15 +205,15 @@ func (r *Runner) memoBudget() int64 {
 	return r.MemoBudgetBytes
 }
 
-// memoKey is the cache identity of one simulation: the full derived seed
-// (which already folds in the spec seed and the scenario's simulation
-// axes) plus a hash over every remaining config-shaping spec field. Each
-// field is written explicitly under a stable label — never via struct
+// memoKey is the cache identity of one simulation, known without building
+// its config: the spec seed and the run key (which fix the derived seed)
+// plus a hash over every remaining config-shaping spec field. Each field
+// is written explicitly under a stable label — never via struct
 // formatting verbs, whose output shifts whenever a field is added,
 // renamed or reordered (silently invalidating or, worse, colliding every
 // key) and which would fold a pointer address into the identity the
 // moment a non-scalar field appears.
-func memoKey(spec Spec, sc *Scenario, cfg core.Config) string {
+func memoKey(spec Spec, sc *Scenario) string {
 	c := spec.Carbon.withDefaults()
 	// The mid-sweep divergence axis changes the simulated timeline without
 	// changing the derived seed (common random numbers across branches), so
@@ -229,11 +229,11 @@ func memoKey(spec Spec, sc *Scenario, cfg core.Config) string {
 			"|prio.aging=%g"+
 			"|carbon.threshold=%g|carbon.maxdelay=%g|carbon.flexshare=%g"+
 			"|carbon.budgetfrac=%g|carbon.fsigma=%g|carbon.fgrowth=%g",
-		cfg.Seed, sc.runKey(), spec.Days, spec.warmupDays(), spec.OverSubscription, diverge,
+		spec.Seed, sc.runKey(), spec.Days, spec.warmupDays(), spec.OverSubscription, diverge,
 		spec.PriorityAgingHours,
 		c.ThresholdGrams, c.MaxDelayHours, c.FlexibleShare,
 		c.BudgetFraction, c.ForecastSigma, c.ForecastGrowth)
-	return fmt.Sprintf("%d-%016x", cfg.Seed, h.Sum64())
+	return fmt.Sprintf("%d-%016x", spec.Seed, h.Sum64())
 }
 
 // ScenarioError wraps one failed scenario of a sweep.
@@ -347,9 +347,9 @@ func (r *Runner) RunScenarios(ctx context.Context, spec Spec, indices []int, pro
 // simulation's scenarios as soon as it resolves — at once for a memo
 // hit, otherwise when its simulation finishes — accounted against the
 // scenario's grid trace (or taken from the memo entry's accounts) and
-// carrying the simulation digest.
-// Cross-scenario aggregation is left to Assemble. It returns the pool
-// width.
+// carrying the simulation digest. It builds a core.Config only for a
+// simulation it runs. Cross-scenario aggregation is left to Assemble.
+// It returns the pool width.
 func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices []int, land LandFunc) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -398,10 +398,6 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	}
 
 	spec = spec.withDefaults()
-	scenarios := make([]Scenario, len(indices))
-	for j, idx := range indices {
-		scenarios[j] = part.scenarios[idx]
-	}
 
 	// One trace seed for the whole sweep: the grid's underlying weather is
 	// common random numbers across every scenario (Scaled rescales the
@@ -411,40 +407,39 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	// measurement window) because carbon-aware simulations consume it from
 	// day zero; one trace per distinct grid mean, all drawn in one pass,
 	// and only if some group still has to be accounted.
-	cc := core.CarbonConfig{TraceSeed: rng.DeriveSeed(spec.Seed, "grid-trace")}
 	traceOf := map[float64]int{}
-	var models []grid.IntensityModel
+	var gridMeans []float64
 
 	// Group scenarios by run key (simulation key plus any active mid-sweep
-	// divergence value), as the partition computed them.
+	// divergence value), as the partition computed them: one record per
+	// simulation.
 	type group struct {
-		cfg     core.Config
-		key     string
-		sc      Scenario
-		members []int
-		// traceKeys[j] names members[j]'s account in the memo entry.
-		traceKeys []traceKey
+		key     string     // memo key
+		sc      *Scenario  // the first member, whose simulation the group runs
+		members []int      // expansion indices, ascending
+		means   []float64  // members' grid means, their accounts' keys
+		entry   *memoEntry // a hit's memo entry
+		res     *core.Results
+		digest  string
+		cost    int64    // an executed simulation's compacted footprint
+		accts   []traced // member accounts, in member order
 	}
 	var groups []group
 	byKey := map[string]int{}
-	for i := range scenarios {
-		sc := &scenarios[i]
-		cfg, gm, err := sc.BuildConfig(spec)
-		if err != nil {
-			return 0, fmt.Errorf("scenario %d (%s): %w", sc.Index, sc.Name, err)
-		}
+	for _, idx := range indices {
+		sc := &part.scenarios[idx]
 		if _, ok := traceOf[sc.GridMean]; !ok {
-			traceOf[sc.GridMean] = len(models)
-			models = append(models, gm)
+			traceOf[sc.GridMean] = len(gridMeans)
+			gridMeans = append(gridMeans, sc.GridMean)
 		}
-		gi, ok := byKey[part.RunKeys[sc.Index]]
+		gi, ok := byKey[part.RunKeys[idx]]
 		if !ok {
 			gi = len(groups)
-			byKey[part.RunKeys[sc.Index]] = gi
-			groups = append(groups, group{cfg: cfg, key: memoKey(spec, sc, cfg), sc: *sc})
+			byKey[part.RunKeys[idx]] = gi
+			groups = append(groups, group{key: memoKey(spec, sc), sc: sc})
 		}
-		groups[gi].members = append(groups[gi].members, i)
-		groups[gi].traceKeys = append(groups[gi].traceKeys, traceKey{seed: cc.TraceSeed, model: gm})
+		groups[gi].members = append(groups[gi].members, idx)
+		groups[gi].means = append(groups[gi].means, sc.GridMean)
 	}
 
 	// Resolve memoized simulations; only the rest go to the pool. A memo
@@ -452,12 +447,6 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	// sweeps stay warm while one-off configs age out. A hit whose entry
 	// holds every member's account is landed from it: no trace is drawn
 	// and no power series walked for it.
-	sims := make([]*core.Results, len(groups))
-	digests := make([]string, len(groups))
-	costs := make([]int64, len(groups))
-	accts := make([][]traced, len(groups))     // each group's member accounts
-	fresh := make([]bool, len(groups))         // accts[g] was accounted by this call
-	entries := make([]*memoEntry, len(groups)) // the memo entry of a hit
 	var hits, pending []int
 	draw := false // some group still has to be accounted
 	r.mu.Lock()
@@ -465,9 +454,10 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		r.memo = newMemoLRU(r.memoCap(), r.memoBudget())
 	}
 	for g := range groups {
-		if e, ok := r.memo.get(groups[g].key); ok {
-			sims[g], digests[g], entries[g] = e.res, e.digest, e
-			if accts[g] = e.accounted(groups[g].traceKeys); accts[g] == nil {
+		gr := &groups[g]
+		if e, ok := r.memo.get(gr.key); ok {
+			gr.entry, gr.res, gr.digest = e, e.res, e.digest
+			if gr.accts = e.accounted(gr.means); gr.accts == nil {
 				draw = true
 			}
 			hits = append(hits, g)
@@ -479,6 +469,11 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	r.mu.Unlock()
 	var traces []*timeseries.Series
 	if draw {
+		models := make([]grid.IntensityModel, len(gridMeans))
+		for i, m := range gridMeans {
+			models[i] = gridModel(m)
+		}
+		cc := core.CarbonConfig{TraceSeed: rng.DeriveSeed(spec.Seed, "grid-trace")}
 		var err error
 		if traces, err = cc.Traces(models, sweepStart, sweepStart.AddDate(0, 0, spec.Days)); err != nil {
 			return 0, fmt.Errorf("scenario: grid traces: %w", err)
@@ -499,10 +494,9 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	// set or a test has substituted runCfg (the substitute only knows how
 	// to run whole configs cold).
 	type family struct {
-		prefixCfg core.Config
-		branches  []int
-		snap      *core.Snapshot
-		err       error
+		branches []int
+		snap     *core.Snapshot
+		err      error
 	}
 	var families []*family
 	cold := pending
@@ -525,68 +519,58 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 				cold = append(cold, f.branches...)
 				continue
 			}
-			grp := groups[f.branches[0]]
-			prefixSc := grp.sc
-			prefixSc.MidFrequency = MidNone
-			var err error
-			if f.prefixCfg, _, err = prefixSc.BuildConfig(spec); err != nil {
-				return 0, fmt.Errorf("scenario %d (%s): fork prefix: %w",
-					scenarios[grp.members[0]].Index, grp.sc.Name, err)
-			}
 			families = append(families, f)
 		}
 	}
 
-	// Landing. errs holds each scenario's failure (by position in
-	// scenarios); a group lands only when every member accounted cleanly.
-	// landMu only serializes land calls, as Executor promises; the first
-	// land error cancels the rest of the call.
-	errs := make([]error, len(scenarios))
+	// Landing. errs holds each scenario's failure (by expansion index); a
+	// group lands only when every member accounted cleanly. landMu only
+	// serializes land calls, as Executor promises; the first land error
+	// cancels the rest of the call.
+	errs := make([]error, len(part.scenarios))
 	var (
 		landMu  sync.Mutex
 		landErr error
 	)
 	fail := func(g int, err error) {
-		for _, m := range groups[g].members {
-			errs[m] = err
+		for _, idx := range groups[g].members {
+			errs[idx] = err
 		}
 	}
 	resolve := func(g int) {
 		if ctx.Err() != nil {
 			return
 		}
-		members := groups[g].members
-		shared, window, err := measured(sims[g])
+		gr := &groups[g]
+		shared, window, err := measured(gr.res)
 		if err != nil {
 			fail(g, err)
 			return
 		}
-		if accts[g] == nil {
-			memberTraces := make([]*timeseries.Series, len(members))
-			for j, m := range members {
-				memberTraces[j] = traces[traceOf[scenarios[m].GridMean]]
+		if gr.accts == nil {
+			memberTraces := make([]*timeseries.Series, len(gr.means))
+			for j, m := range gr.means {
+				memberTraces[j] = traces[traceOf[m]]
 			}
-			if accts[g], err = account(sims[g], groups[g].sc.Nodes, window, memberTraces); err != nil {
+			if gr.accts, err = account(gr.res, gr.sc.Nodes, window, memberTraces); err != nil {
 				fail(g, err)
 				return
 			}
-			fresh[g] = true
 		}
-		idxs := make([]int, len(members))
-		results := make([]Result, len(members))
-		for j, m := range members {
-			idxs[j] = scenarios[m].Index
-			results[j] = accts[g][j].result(shared, scenarios[m], digests[g])
+		results := make([]Result, len(gr.members))
+		for j, idx := range gr.members {
+			results[j] = gr.accts[j].result(shared, part.scenarios[idx], gr.digest)
 		}
 		landMu.Lock()
 		defer landMu.Unlock()
 		if landErr != nil {
 			return
 		}
-		if landErr = land(idxs, results); landErr != nil {
+		if landErr = land(gr.members, results); landErr != nil {
 			cancel()
 		}
 	}
+
 	// finish records an executed simulation and lands its group. The
 	// digest is computed once here, then the result is compacted
 	// (Results.Compact: capture intermediates dropped, spare series
@@ -597,10 +581,11 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 			fail(g, err)
 			return
 		}
-		digests[g] = sim.Digest()
+		gr := &groups[g]
+		gr.digest = sim.Digest()
 		sim.Compact()
-		costs[g] = sim.MemoryFootprint()
-		sims[g] = sim
+		gr.cost = sim.MemoryFootprint()
+		gr.res = sim
 		resolve(g)
 	}
 
@@ -609,6 +594,19 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		runCfg = core.RunConfigContext
 	}
 	var executed atomic.Int64
+	// configFor builds the config of a simulation about to run and counts
+	// it as executed, unless the sweep is cancelled or the config does not
+	// build. Only the task that runs a simulation builds its config.
+	configFor := func(sc Scenario) (core.Config, error) {
+		if err := ctx.Err(); err != nil {
+			return core.Config{}, err
+		}
+		cfg, _, err := sc.BuildConfig(spec)
+		if err == nil {
+			executed.Add(1)
+		}
+		return cfg, err
+	}
 
 	// Phase one lands the memo hits first, then runs the cold
 	// simulations, plus one prefix run per fork family. The prefix runs to
@@ -622,24 +620,24 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	for _, g := range cold {
 		g := g
 		coldTasks = append(coldTasks, func() {
-			if err := ctx.Err(); err != nil {
-				fail(g, err)
-				return
+			var res *core.Results
+			cfg, err := configFor(*groups[g].sc)
+			if err == nil {
+				res, err = runCfg(ctx, cfg)
 			}
-			executed.Add(1)
-			res, err := runCfg(ctx, groups[g].cfg)
 			finish(g, res, err)
 		})
 	}
 	for _, f := range families {
 		f := f
 		coldTasks = append(coldTasks, func() {
-			if err := ctx.Err(); err != nil {
-				f.err = err
-				return
+			var sim *core.Simulator
+			prefix := *groups[f.branches[0]].sc
+			prefix.MidFrequency = MidNone
+			cfg, err := configFor(prefix)
+			if err == nil {
+				sim, err = core.NewSimulator(cfg)
 			}
-			executed.Add(1)
-			sim, err := core.NewSimulator(f.prefixCfg)
 			if err == nil {
 				err = sim.RunToContext(ctx, spec.divergeTime())
 			}
@@ -651,17 +649,16 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		for _, g := range f.branches {
 			g := g
 			forkTasks = append(forkTasks, func() {
-				if err := ctx.Err(); err != nil {
-					fail(g, err)
-					return
-				}
 				if f.err != nil {
 					fail(g, fmt.Errorf("fork prefix: %w", f.err))
 					return
 				}
-				executed.Add(1)
+				var sim *core.Simulator
 				var res *core.Results
-				sim, err := core.Fork(f.snap, groups[g].cfg)
+				cfg, err := configFor(*groups[g].sc)
+				if err == nil {
+					sim, err = core.Fork(f.snap, cfg)
+				}
 				if err == nil {
 					res, err = sim.RunContext(ctx)
 				}
@@ -681,30 +678,31 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	// used entries beyond the entry-count and byte bounds — each entry pins
 	// a full results series, and a long-lived service sweeping ever-new
 	// configs must not grow memory without bound, yet must keep admitting
-	// so its hot set stays warm. A group accounted here keeps its accounts
-	// in its entry, priced into the entry's cost, so its next hit lands
-	// without accounting. Misses count executed simulations; hits count
-	// scenarios served from an already-computed simulation.
+	// so its hot set stays warm. An entry keeps the accounts its group
+	// was given, priced into its cost (an account it holds already is not
+	// stored again), so its next hit lands without accounting. Misses
+	// count executed simulations; hits count scenarios served from an
+	// already-computed simulation.
 	r.mu.Lock()
 	for _, g := range pending {
-		if sims[g] != nil {
-			e := &memoEntry{key: groups[g].key, res: sims[g], digest: digests[g], cost: costs[g]}
-			if fresh[g] {
-				e.hold(groups[g].traceKeys, accts[g])
+		if gr := &groups[g]; gr.res != nil {
+			e := &memoEntry{key: gr.key, res: gr.res, digest: gr.digest, cost: gr.cost}
+			if gr.accts != nil {
+				e.hold(gr.means, gr.accts)
 			}
 			r.memo.put(e)
 		}
 	}
 	for _, g := range hits {
-		if fresh[g] {
-			r.memo.account(entries[g], groups[g].traceKeys, accts[g])
+		if gr := &groups[g]; gr.accts != nil {
+			r.memo.account(gr.entry, gr.means, gr.accts)
 		}
 	}
 	r.misses += int(executed.Load())
 	// Hits count scenarios actually served; a cancelled sweep serves
 	// nothing, so its memo-resolved groups are not credited.
 	if ctx.Err() == nil {
-		r.hits += len(scenarios) - len(pending)
+		r.hits += len(indices) - len(pending)
 	}
 	r.mu.Unlock()
 
@@ -721,9 +719,9 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	// just the first: a sweep that half-fails should say exactly which
 	// half and why.
 	var failed []error
-	for m, err := range errs {
+	for idx, err := range errs {
 		if err != nil {
-			failed = append(failed, &ScenarioError{Index: scenarios[m].Index, Name: scenarios[m].Name, Err: err})
+			failed = append(failed, &ScenarioError{Index: idx, Name: part.scenarios[idx].Name, Err: err})
 		}
 	}
 	if len(failed) > 0 {

@@ -472,11 +472,7 @@ func memoKeyOf(t *testing.T, spec Spec) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, _, err := scenarios[0].BuildConfig(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return memoKey(spec.withDefaults(), &scenarios[0], cfg)
+	return memoKey(spec.withDefaults(), &scenarios[0])
 }
 
 // The cache identity must be built from explicit named fields: every
@@ -523,6 +519,11 @@ func TestMemoKeyDistinguishesEveryConfigField(t *testing.T) {
 		{"Axes.Fleet", func(s *Spec) { s.Axes.Fleet = []string{FleetHybrid} }},
 		{"Axes.Surrogate", func(s *Spec) { s.Axes.Surrogate = []string{Surrogate10x} }},
 		{"Axes.Surrogate50x", func(s *Spec) { s.Axes.Surrogate = []string{Surrogate50x} }},
+		{"Axes.MidFrequency", func(s *Spec) { s.Axes.MidFrequency = []string{"capped"} }},
+		{"DivergeDay(mid-active)", func(s *Spec) {
+			s.Axes.MidFrequency = []string{"capped"}
+			s.DivergeDay = 2
+		}},
 	}
 	keys := map[string]string{"base": memoKeyOf(t, base())}
 	for _, p := range perturbations {
@@ -535,6 +536,31 @@ func TestMemoKeyDistinguishesEveryConfigField(t *testing.T) {
 			}
 		}
 		keys[p.name] = key
+	}
+
+	// Fields that shape no simulation must not move the key: the warm
+	// served workloads resubmit specs under fresh names, and a scenario
+	// that does not diverge (no mid axis, or the axis's "none" branch,
+	// scenario 0) runs the same timeline whatever the divergence day.
+	invariants := []struct {
+		name   string
+		mutate func(*Spec)
+	}{
+		{"Name", func(s *Spec) { s.Name = "renamed" }},
+		{"Mode", func(s *Spec) { s.Mode = ModeList }},
+		{"MaxScenarios", func(s *Spec) { s.MaxScenarios = 8 }},
+		{"DivergeDay(no mid axis)", func(s *Spec) { s.DivergeDay = 2 }},
+		{"DivergeDay(mid none branch)", func(s *Spec) {
+			s.Axes.MidFrequency = []string{MidNone, "capped"}
+			s.DivergeDay = 2
+		}},
+	}
+	for _, p := range invariants {
+		spec := base()
+		p.mutate(&spec)
+		if memoKeyOf(t, spec) != keys["base"] {
+			t.Errorf("changing %s moved the key", p.name)
+		}
 	}
 }
 

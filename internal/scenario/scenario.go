@@ -965,13 +965,17 @@ func (sc *Scenario) counterpartKey() string {
 	return string(key)
 }
 
+// gridModel is the intensity model of a scenario at grid mean mean: the
+// GB2022 model rescaled, a function of the mean alone.
+func gridModel(mean float64) grid.IntensityModel { return grid.GB2022().Scaled(mean) }
+
 // BuildConfig materialises the scenario into a runnable core.Config plus
 // the grid intensity model for its emissions accounting. The scenario's
 // seed is derived from the spec seed and the scenario's simulation axes
 // only (see simKey), so the configuration is independent of expansion
 // order, axis ordering and worker scheduling.
 func (sc Scenario) BuildConfig(s Spec) (core.Config, grid.IntensityModel, error) {
-	b := &build{sc: sc, spec: s.withDefaults(), gm: grid.GB2022().Scaled(sc.GridMean)}
+	b := &build{sc: sc, spec: s.withDefaults(), gm: gridModel(sc.GridMean)}
 	s = b.spec
 	b.cfg = core.ScaledConfig(sc.Nodes, sweepStart, s.Days)
 	b.cfg.Seed = rng.DeriveSeed(s.Seed, "scenario/"+b.sc.simKey())
