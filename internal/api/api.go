@@ -12,10 +12,13 @@
 package api
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strconv"
+	"sync"
 	"time"
 
 	"github.com/greenhpc/archertwin/internal/report"
@@ -276,13 +279,43 @@ func SpecKey(spec scenario.Spec) string {
 }
 
 // WriteJSON writes v as compact JSON, one line, with the given HTTP
-// status — the one encoder every v1 endpoint shares.
+// status — the one encoder every v1 endpoint shares. The body is encoded
+// before the status line goes out, so it is sent once, with its
+// Content-Length, and a value that fails to encode (a NaN float, say)
+// answers 500 with an internal error envelope instead of a truncated
+// body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	if err := json.NewEncoder(buf).Encode(v); err != nil {
+		buf.Reset()
+		code = http.StatusInternalServerError
+		// The envelope is plain strings; it always encodes.
+		_ = json.NewEncoder(buf).Encode(ErrorEnvelope{Error: &Error{Code: ErrInternal, Message: "encoding response: " + err.Error()}})
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(code)
-	// The status line is already on the wire; an encode failure here has
-	// no better channel than the aborted body itself.
-	_ = json.NewEncoder(w).Encode(v)
+	// The status line is on the wire; a failed write means the client
+	// has gone, and there is no one left to tell.
+	_, _ = w.Write(buf.Bytes())
+}
+
+// bodyPool recycles WriteJSON's body buffers across responses.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledBody bounds the buffers bodyPool keeps: one rare huge body
+// is left to the collector rather than pinned for the process lifetime.
+const maxPooledBody = 1 << 20
+
+// putBody returns an emptied buffer to bodyPool.
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() > maxPooledBody {
+		return
+	}
+	buf.Reset()
+	bodyPool.Put(buf)
 }
 
 // WriteError writes the uniform error envelope.

@@ -291,11 +291,18 @@ func withJitter(d time.Duration) time.Duration {
 	return d + time.Duration(rand.Int63n(int64(d)/4+1))
 }
 
+// maxSizedBody caps the Content-Length decodeResponse trusts for a
+// one-shot read: a body declared larger is read with io.ReadAll, which
+// grows only as bytes arrive, so a bogus length cannot make the client
+// allocate it up front.
+const maxSizedBody = 16 << 20
+
 // decodeResponse consumes and closes the response body: 2xx decodes
-// into out, anything else decodes the error envelope.
+// into out, anything else decodes the error envelope. A body of known
+// length is read into one slice of exactly that size.
 func decodeResponse(resp *http.Response, out any) (int, error) {
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := readBody(resp)
 	if err != nil {
 		return resp.StatusCode, fmt.Errorf("api: reading response: %w", err)
 	}
@@ -325,6 +332,21 @@ func decodeResponse(resp *http.Response, out any) (int, error) {
 		code = ErrUnavailable
 	}
 	return resp.StatusCode, &Error{Code: code, Message: fmt.Sprintf("HTTP %d: %s", resp.StatusCode, msg), HTTPStatus: resp.StatusCode, RetryAfter: retryAfter}
+}
+
+// readBody reads the whole response body: in one exact-size read when
+// its length is declared and at most maxSizedBody, else with io.ReadAll.
+// A body shorter than its declared length is an error.
+func readBody(resp *http.Response) ([]byte, error) {
+	n := resp.ContentLength
+	if n < 0 || n > maxSizedBody {
+		return io.ReadAll(resp.Body)
+	}
+	data := make([]byte, n)
+	if _, err := io.ReadFull(resp.Body, data); err != nil {
+		return nil, err
+	}
+	return data, nil
 }
 
 // parseRetryAfter reads an integer-seconds Retry-After value (the only

@@ -2,9 +2,17 @@ package api
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"runtime"
+	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -202,5 +210,102 @@ func TestClientOverloadedRetriesBounded(t *testing.T) {
 	}
 	if got := calls.Load(); got != 2 {
 		t.Errorf("server saw %d calls, want 2 (retry budget 1)", got)
+	}
+}
+
+// TestClientDecodesSizedBody: WriteJSON answers with a Content-Length
+// (no chunked transfer, even past net/http's 2 KiB response buffer) that
+// matches the body, and the client decodes such a body as before.
+func TestClientDecodesSizedBody(t *testing.T) {
+	want := SweepList{Total: 64}
+	for i := 0; i < want.Total; i++ {
+		want.Sweeps = append(want.Sweeps, SweepStatus{ID: fmt.Sprintf("sweep-%d", i), Name: "sweep", State: StateDone,
+			Submitted: time.Date(2026, 8, 1, 12, 30, i, 0, time.UTC), Progress: SweepProgress{Scenarios: 8, Simulations: 8, Done: 8}})
+	}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		WriteJSON(w, http.StatusOK, want)
+	}))
+	defer srv.Close()
+
+	resp, err := http.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.ContentLength != int64(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Errorf("Content-Length %d, Transfer-Encoding %v for a %d-byte body; want the length, not chunked",
+			resp.ContentLength, resp.TransferEncoding, len(body))
+	}
+
+	got, err := NewClient(srv.URL).Sweeps(context.Background(), ListOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("decoded %+v, want %+v", got, want)
+	}
+}
+
+// TestDecodeResponseOverCapReadsAll: a declared length above
+// maxSizedBody is not trusted: the body is read as it arrives, and the
+// declared length is never allocated up front.
+func TestDecodeResponseOverCapReadsAll(t *testing.T) {
+	resp := &http.Response{
+		StatusCode:    http.StatusOK,
+		ContentLength: maxSizedBody + 1,
+		Body:          io.NopCloser(strings.NewReader(`{"ok":true}`)),
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	var h Health
+	_, err := decodeResponse(resp, &h)
+	runtime.ReadMemStats(&after)
+	if err != nil || !h.OK {
+		t.Fatalf("decode = %+v, %v; want the short body read whole", h, err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxSizedBody/2 {
+		t.Errorf("decoding allocated %d bytes; the declared %d must not be allocated", alloc, resp.ContentLength)
+	}
+}
+
+// TestClientShortBodyErrors: a body that ends before its declared
+// length is an error, not a truncated decode.
+func TestClientShortBodyErrors(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer conn.Close()
+		io.WriteString(conn, "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 100\r\n\r\n{\"ok\":true}")
+	}))
+	defer srv.Close()
+
+	c := NewClient(srv.URL)
+	c.Retries = -1
+	if err := c.Health(context.Background()); err == nil {
+		t.Fatal("a body shorter than its Content-Length decoded without error")
+	}
+}
+
+// TestWriteJSONEncodeFailure: a value that cannot be encoded answers 500
+// with the internal envelope, never a truncated 200.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	WriteJSON(rec, http.StatusOK, map[string]float64{"mean_power": math.NaN()})
+	if rec.Code != http.StatusInternalServerError {
+		t.Errorf("status = %d, want 500", rec.Code)
+	}
+	var env ErrorEnvelope
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error == nil || env.Error.Code != ErrInternal {
+		t.Fatalf("body %q: want an internal error envelope (%v)", rec.Body.String(), err)
+	}
+	if got := rec.Header().Get("Content-Length"); got != strconv.Itoa(rec.Body.Len()) {
+		t.Errorf("Content-Length = %q for a %d-byte body", got, rec.Body.Len())
 	}
 }

@@ -37,6 +37,7 @@ package journal
 import (
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -335,17 +336,30 @@ func rewriteMagic(path string) error {
 	return err
 }
 
-// encodeFrame renders a record's full frame.
-func encodeFrame(rec Record) ([]byte, error) {
-	body, err := encodeRecord(rec)
-	if err != nil {
-		return nil, err
+// appendFrame appends rec's full frame to dst: it reserves the header,
+// encodes the body (the type byte, then the JSON payload) straight after
+// it, and fills in the body's length and CRC-32C in place. On error dst
+// comes back unchanged.
+func appendFrame(dst []byte, rec Record) ([]byte, error) {
+	start := len(dst)
+	w := frameWriter(append(dst, make([]byte, frameHeader)...))
+	w = append(w, byte(rec.recordType()))
+	if err := json.NewEncoder(&w).Encode(rec); err != nil {
+		return dst, fmt.Errorf("journal: encoding %T: %w", rec, err)
 	}
-	frame := make([]byte, frameHeader+len(body))
-	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(body, crcTable))
-	copy(frame[frameHeader:], body)
-	return frame, nil
+	w = w[:len(w)-1] // drop the newline Encode ends the payload with
+	body := w[start+frameHeader:]
+	binary.LittleEndian.PutUint32(w[start:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(w[start+4:], crc32.Checksum(body, crcTable))
+	return w, nil
+}
+
+// frameWriter lets a json.Encoder write onto the tail of a frame.
+type frameWriter []byte
+
+func (w *frameWriter) Write(p []byte) (int, error) {
+	*w = append(*w, p...)
+	return len(p), nil
 }
 
 // Append buffers records onto the log tail. They are not durable — and
@@ -369,12 +383,14 @@ func (l *Log) appendLocked(recs []Record) error {
 		return errors.New("journal: appending to closed log")
 	}
 	for _, rec := range recs {
-		frame, err := encodeFrame(rec)
-		if err != nil {
+		start := len(l.buf)
+		var err error
+		if l.buf, err = appendFrame(l.buf, rec); err != nil {
 			return err
 		}
+		frameLen := len(l.buf) - start
 		if l.opts.Crash != nil {
-			switch pt := l.opts.Crash(rec, len(frame)); pt.Mode {
+			switch pt := l.opts.Crash(rec, frameLen); pt.Mode {
 			case CrashBefore:
 				return l.poisonLocked()
 			case CrashTorn:
@@ -382,19 +398,18 @@ func (l *Log) appendLocked(recs []Record) error {
 				if n < 0 {
 					n = 0
 				}
-				if n >= len(frame) {
-					n = len(frame) - 1
+				if n >= frameLen {
+					n = frameLen - 1
 				}
 				// The torn prefix reaches the OS (a kill -9 preserves the
 				// page cache); everything after it is lost with the
 				// process — including any pending buffer.
-				l.buf = append(l.buf, frame[:n]...)
+				l.buf = l.buf[:start+n]
 				l.flushLocked()
 				return l.poisonLocked()
 			}
 		}
-		l.buf = append(l.buf, frame...)
-		l.size += int64(len(frame))
+		l.size += int64(frameLen)
 		l.appended++
 		l.ids.add(rec.SweepID())
 	}

@@ -16,6 +16,9 @@ import (
 
 var testTime = time.Date(2026, 8, 1, 12, 30, 0, 0, time.UTC)
 
+// raceEnabled is set in -race builds (race_test.go).
+var raceEnabled bool
+
 // testRecords builds a small representative record sequence for sweep
 // id.
 func testRecords(id string) []Record {
@@ -78,7 +81,7 @@ func TestAppendCommitReplayRoundTrip(t *testing.T) {
 // change needing a new segment magic.
 func TestFrameCodecStable(t *testing.T) {
 	rec := &SweepTerminal{Sweep: "sweep-1", State: TerminalDone, Workers: 2, Finished: testTime}
-	frame, err := encodeFrame(rec)
+	frame, err := appendFrame(nil, rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,6 +90,39 @@ func TestFrameCodecStable(t *testing.T) {
 		hexJSON
 	if got := hex.EncodeToString(frame); got != want {
 		t.Errorf("frame bytes drifted:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestAppendAllocs pins the append path's allocations: a record is
+// encoded straight onto the pending buffer, so appending one
+// ScenarioDone to a warm log costs at most one allocation.
+func TestAppendAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops items at random, so json's encoder allocates more")
+	}
+	l, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := testRecords("sweep-1")[1]
+	// Warm up: the segment's ID set holds the sweep, and the pending
+	// buffer keeps room for every measured append after the flush.
+	for i := 0; i < 200; i++ {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("Append of one ScenarioDone = %v allocs, want <= 1", allocs)
 	}
 }
 

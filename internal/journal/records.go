@@ -96,19 +96,6 @@ type SweepTerminal struct {
 func (r *SweepTerminal) SweepID() string        { return r.Sweep }
 func (r *SweepTerminal) recordType() recordType { return typeSweepTerminal }
 
-// encodeRecord renders a record's frame body: the type byte followed by
-// the JSON payload.
-func encodeRecord(rec Record) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("journal: encoding %T: %w", rec, err)
-	}
-	body := make([]byte, 1+len(payload))
-	body[0] = byte(rec.recordType())
-	copy(body[1:], payload)
-	return body, nil
-}
-
 // decodeRecord parses a frame body back into its typed record.
 func decodeRecord(body []byte) (Record, error) {
 	if len(body) == 0 {

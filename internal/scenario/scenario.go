@@ -24,6 +24,7 @@
 package scenario
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -221,7 +222,7 @@ func DefaultSpec() Spec {
 
 // ParseSpec decodes a JSON sweep spec, rejecting unknown fields.
 func ParseSpec(data []byte) (Spec, error) {
-	dec := json.NewDecoder(strings.NewReader(string(data)))
+	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var s Spec
 	if err := dec.Decode(&s); err != nil {

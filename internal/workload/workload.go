@@ -109,6 +109,14 @@ type Generator struct {
 	pick   *rng.Categorical
 	stream *rng.Stream
 	nextID int
+	// logMedians holds each class's lognormal locations, the logs of its
+	// node-count and runtime medians, taken once at construction.
+	logMedians []logMedians
+}
+
+// logMedians is one class's pair of lognormal locations.
+type logMedians struct {
+	nodes, hours float64
 }
 
 // NewGenerator validates cfg and builds a generator using r (retained).
@@ -150,10 +158,12 @@ func NewGenerator(cfg Config, r *rng.Stream) (*Generator, error) {
 		}
 	}
 	weights := make([]float64, len(cfg.Classes))
+	logs := make([]logMedians, len(cfg.Classes))
 	for i, c := range cfg.Classes {
 		weights[i] = c.Share
+		logs[i] = logMedians{nodes: math.Log(c.NodesMedian), hours: math.Log(c.RuntimeMedian.Hours())}
 	}
-	return &Generator{cfg: cfg, pick: rng.NewCategorical(weights), stream: r}, nil
+	return &Generator{cfg: cfg, pick: rng.NewCategorical(weights), stream: r, logMedians: logs}, nil
 }
 
 // Config returns the generator configuration.
@@ -162,14 +172,14 @@ func (g *Generator) Config() Config { return g.cfg }
 // drawShape samples (nodes, runtime) for class i.
 func (g *Generator) drawShape(i int, r *rng.Stream) (int, time.Duration) {
 	cl := g.cfg.Classes[i]
-	nodes := int(math.Round(r.LogNormal(math.Log(cl.NodesMedian), cl.NodesSigma)))
+	nodes := int(math.Round(r.LogNormal(g.logMedians[i].nodes, cl.NodesSigma)))
 	if nodes < 1 {
 		nodes = 1
 	}
 	if nodes > g.cfg.MaxJobNodes {
 		nodes = g.cfg.MaxJobNodes
 	}
-	hours := r.LogNormal(math.Log(cl.RuntimeMedian.Hours()), cl.RuntimeSigma)
+	hours := r.LogNormal(g.logMedians[i].hours, cl.RuntimeSigma)
 	rt := time.Duration(hours * float64(time.Hour))
 	if rt < g.cfg.MinRuntime {
 		rt = g.cfg.MinRuntime
