@@ -9,7 +9,12 @@
 # inlined call still leaves its callee's symbol, and the symbols come from
 # `go tool nm`. A declared func is linked when some program carries its
 # symbol: `pkg.Func`, `pkg.(*T).M`, or `pkg.T.M` (a value method matches
-# either receiver form). Two kinds of declaration are skipped: methods of
+# either receiver form). A generic func is linked when some program carries
+# an instantiation of it (`jsonwire.Float[go.shape.struct {...}]`): the
+# instantiation suffix (which may hold spaces) is cut from every symbol
+# before matching, so a generic func that no program instantiates is
+# still reported. Two kinds
+# of declaration are skipped: methods of
 # generic types, which the linker names by instantiation
 # (`des.(*fourHeap[go.shape.*uint8]).push`), and `init` funcs, which it
 # names `init.0`, `init.1`, ...
@@ -36,8 +41,8 @@ done
 (cd perfbench && go build -gcflags=all=-l -o "$tmp/bin/perfbench" .)
 n=$((n + 1))
 
-for b in "$tmp"/bin/*; do go tool nm "$b"; done | awk '{print $NF}' |
-	grep -o 'archertwin/internal/.*' | sed 's#^archertwin/internal/##' | sort -u >"$tmp/linked"
+for b in "$tmp"/bin/*; do go tool nm "$b"; done |
+	grep -o 'archertwin/internal/.*' | sed -e 's#^archertwin/internal/##' -e 's/\[.*//' | sort -u >"$tmp/linked"
 
 # One line per top-level func declaration: "pkg Func" or "pkg * T M" /
 # "pkg - T M" for pointer and value receivers. Generic receivers and init

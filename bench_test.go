@@ -11,11 +11,13 @@ package archertwin_test
 
 import (
 	"context"
+	"net/http"
 	"strconv"
 	"sync"
 	"testing"
 	"time"
 
+	"github.com/greenhpc/archertwin/internal/api"
 	"github.com/greenhpc/archertwin/internal/apps"
 	"github.com/greenhpc/archertwin/internal/core"
 	"github.com/greenhpc/archertwin/internal/cpu"
@@ -24,6 +26,7 @@ import (
 	"github.com/greenhpc/archertwin/internal/facility"
 	"github.com/greenhpc/archertwin/internal/grid"
 	"github.com/greenhpc/archertwin/internal/journal"
+	"github.com/greenhpc/archertwin/internal/jsonwire"
 	"github.com/greenhpc/archertwin/internal/node"
 	"github.com/greenhpc/archertwin/internal/policy"
 	"github.com/greenhpc/archertwin/internal/rng"
@@ -580,6 +583,51 @@ func BenchmarkWarmSweep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkResultsWire measures a served results body's JSON both ways:
+// the flagship spec's (scenario.DefaultSpec) ResultsPayload, built as the
+// server builds it, encoded through api.WriteJSON to a writer that keeps
+// the body and does no I/O, then decoded as api.Client decodes it. The
+// payload codec (internal/jsonwire) owns both directions, so a change
+// that puts a body back on reflection shows here first.
+func BenchmarkResultsWire(b *testing.B) {
+	res, err := (&scenario.Runner{}).Run(context.Background(), scenario.DefaultSpec())
+	if err != nil {
+		b.Fatal(err)
+	}
+	payload := &api.ResultsPayload{
+		ID: "sweep-1", Spec: res.Spec, Workers: res.Workers, Simulations: res.Simulations,
+		Results: res.Results, DeltaTable: res.Table(), RegimeTable: res.RegimeTable(),
+	}
+	if res.CarbonSwept() {
+		payload.CarbonTable = res.CarbonTable()
+	}
+	w := &keepBody{h: http.Header{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w.body = w.body[:0]
+		api.WriteJSON(w, http.StatusOK, payload)
+		var got api.ResultsPayload
+		if err := jsonwire.Decode(w.body, &got); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(w.body)), "body_bytes")
+}
+
+// keepBody is an http.ResponseWriter that keeps the body in memory.
+type keepBody struct {
+	h    http.Header
+	body []byte
+}
+
+func (k *keepBody) Header() http.Header { return k.h }
+func (k *keepBody) Write(p []byte) (int, error) {
+	k.body = append(k.body, p...)
+	return len(p), nil
+}
+func (*keepBody) WriteHeader(int) {}
 
 // BenchmarkAccountTraces measures the emissions walk alone: one 28-day,
 // 15-minute power series priced against four 30-minute intensity traces

@@ -12,7 +12,6 @@
 package api
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -21,6 +20,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/greenhpc/archertwin/internal/jsonwire"
 	"github.com/greenhpc/archertwin/internal/report"
 	"github.com/greenhpc/archertwin/internal/scenario"
 )
@@ -189,6 +189,29 @@ type ResultsPayload struct {
 	CarbonTable *report.Table      `json:"carbon_table,omitempty"`
 }
 
+// payloadFields is ResultsPayload's JSON, as its tags declare it; the
+// spec, small and strictly parsed where it is input, is encoding/json's.
+var payloadFields = []jsonwire.Field[ResultsPayload]{
+	jsonwire.String("id", func(p *ResultsPayload) *string { return &p.ID }),
+	jsonwire.JSON("spec", func(p *ResultsPayload) *scenario.Spec { return &p.Spec }),
+	jsonwire.Int("workers", func(p *ResultsPayload) *int { return &p.Workers }),
+	jsonwire.Int("simulations", func(p *ResultsPayload) *int { return &p.Simulations }),
+	jsonwire.Slice("results", func(p *ResultsPayload) *[]scenario.Result { return &p.Results }),
+	jsonwire.Ptr("delta_table", func(p *ResultsPayload) **report.DeltaTable { return &p.DeltaTable }, false),
+	jsonwire.Ptr("regime_table", func(p *ResultsPayload) **report.Table { return &p.RegimeTable }, false),
+	jsonwire.Ptr("carbon_table", func(p *ResultsPayload) **report.Table { return &p.CarbonTable }, true),
+}
+
+// AppendJSON appends the payload's JSON to dst.
+func (p *ResultsPayload) AppendJSON(b []byte) ([]byte, error) {
+	return jsonwire.AppendObject(b, payloadFields, p)
+}
+
+// DecodeJSON decodes the next value of r into the payload.
+func (p *ResultsPayload) DecodeJSON(r *jsonwire.Reader) error {
+	return jsonwire.DecodeObject(r, payloadFields, p)
+}
+
 // ServiceStats is the GET /statz operational snapshot.
 type ServiceStats struct {
 	// Cache is the shared Runner's memoization counters — the LRU the
@@ -239,6 +262,23 @@ type ShardResponse struct {
 	Simulations int `json:"simulations"`
 }
 
+// shardFields is ShardResponse's JSON, as its tags declare it.
+var shardFields = []jsonwire.Field[ShardResponse]{
+	jsonwire.Int("shard", func(s *ShardResponse) *int { return &s.Shard }),
+	jsonwire.Slice("results", func(s *ShardResponse) *[]scenario.Result { return &s.Results }),
+	jsonwire.Int("simulations", func(s *ShardResponse) *int { return &s.Simulations }),
+}
+
+// AppendJSON appends the response's JSON to dst.
+func (s *ShardResponse) AppendJSON(b []byte) ([]byte, error) {
+	return jsonwire.AppendObject(b, shardFields, s)
+}
+
+// DecodeJSON decodes the next value of r into the response.
+func (s *ShardResponse) DecodeJSON(r *jsonwire.Reader) error {
+	return jsonwire.DecodeObject(r, shardFields, s)
+}
+
 // JoinRequest is the POST /v1/workers body: a worker replica announcing
 // (or re-announcing — joins double as heartbeats) itself to a
 // coordinator.
@@ -279,43 +319,44 @@ func SpecKey(spec scenario.Spec) string {
 }
 
 // WriteJSON writes v as compact JSON, one line, with the given HTTP
-// status — the one encoder every v1 endpoint shares. The body is encoded
+// status — the one encoder every v1 endpoint shares (jsonwire.Append:
+// the results and shard bodies encode themselves). The body is encoded
 // before the status line goes out, so it is sent once, with its
 // Content-Length, and a value that fails to encode (a NaN float, say)
 // answers 500 with an internal error envelope instead of a truncated
 // body.
 func WriteJSON(w http.ResponseWriter, code int, v any) {
-	buf := bodyPool.Get().(*bytes.Buffer)
+	buf := bodyPool.Get().(*[]byte)
 	defer putBody(buf)
-	if err := json.NewEncoder(buf).Encode(v); err != nil {
-		buf.Reset()
+	body, err := jsonwire.Append((*buf)[:0], v)
+	if err != nil {
 		code = http.StatusInternalServerError
 		// The envelope is plain strings; it always encodes.
-		_ = json.NewEncoder(buf).Encode(ErrorEnvelope{Error: &Error{Code: ErrInternal, Message: "encoding response: " + err.Error()}})
+		body, _ = jsonwire.Append(body[:0], ErrorEnvelope{Error: &Error{Code: ErrInternal, Message: "encoding response: " + err.Error()}})
 	}
+	body = append(body, '\n')
+	*buf = body
 	h := w.Header()
 	h.Set("Content-Type", "application/json")
-	h.Set("Content-Length", strconv.Itoa(buf.Len()))
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
 	// The status line is on the wire; a failed write means the client
 	// has gone, and there is no one left to tell.
-	_, _ = w.Write(buf.Bytes())
+	_, _ = w.Write(body)
 }
 
 // bodyPool recycles WriteJSON's body buffers across responses.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledBody bounds the buffers bodyPool keeps: one rare huge body
 // is left to the collector rather than pinned for the process lifetime.
 const maxPooledBody = 1 << 20
 
-// putBody returns an emptied buffer to bodyPool.
-func putBody(buf *bytes.Buffer) {
-	if buf.Cap() > maxPooledBody {
-		return
+// putBody returns a buffer to bodyPool.
+func putBody(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		bodyPool.Put(buf)
 	}
-	buf.Reset()
-	bodyPool.Put(buf)
 }
 
 // WriteError writes the uniform error envelope.

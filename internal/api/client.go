@@ -14,6 +14,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/greenhpc/archertwin/internal/jsonwire"
 	"github.com/greenhpc/archertwin/internal/scenario"
 )
 
@@ -299,7 +300,9 @@ const maxSizedBody = 16 << 20
 
 // decodeResponse consumes and closes the response body: 2xx decodes
 // into out, anything else decodes the error envelope. A body of known
-// length is read into one slice of exactly that size.
+// length is read into one slice of exactly that size. An out that
+// decodes itself (jsonwire.Decoder: the results and shard bodies) skips
+// json.Unmarshal and accepts the same input.
 func decodeResponse(resp *http.Response, out any) (int, error) {
 	defer resp.Body.Close()
 	data, err := readBody(resp)
@@ -310,7 +313,7 @@ func decodeResponse(resp *http.Response, out any) (int, error) {
 		if out == nil {
 			return resp.StatusCode, nil
 		}
-		if err := json.Unmarshal(data, out); err != nil {
+		if err := jsonwire.Unmarshal(data, out); err != nil {
 			return resp.StatusCode, fmt.Errorf("api: decoding %d response: %w", resp.StatusCode, err)
 		}
 		return resp.StatusCode, nil

@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"os"
@@ -8,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/greenhpc/archertwin/internal/jsonwire"
 	"github.com/greenhpc/archertwin/internal/report"
 	"github.com/greenhpc/archertwin/internal/scenario"
 )
@@ -132,6 +134,31 @@ func TestWireGolden(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Errorf("v1 wire shapes drifted from %s.\nIf the change is additive and deliberate, regenerate with -update and update docs/api.md; otherwise it needs a new version prefix.\ngot:\n%s", path, got)
+	}
+
+	// The results and shard bodies are served through their own codec:
+	// its bytes must be the golden's, compacted.
+	var golden map[string]json.RawMessage
+	if err := json.Unmarshal(want, &golden); err != nil {
+		t.Fatal(err)
+	}
+	payload := wireSamples()["results_payload"].(ResultsPayload)
+	shard := wireSamples()["shard_response"].(ShardResponse)
+	for name, v := range map[string]jsonwire.Appender{
+		"results_payload": &payload,
+		"shard_response":  &shard,
+	} {
+		var compact bytes.Buffer
+		if err := json.Compact(&compact, golden[name]); err != nil {
+			t.Fatal(err)
+		}
+		codec, err := v.AppendJSON(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(codec, compact.Bytes()) {
+			t.Errorf("%s: codec bytes differ from the golden:\n got %s\nwant %s", name, codec, compact.Bytes())
+		}
 	}
 }
 

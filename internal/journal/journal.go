@@ -37,7 +37,6 @@ package journal
 import (
 	"context"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -46,6 +45,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/greenhpc/archertwin/internal/jsonwire"
 )
 
 const (
@@ -342,28 +343,20 @@ func rewriteMagic(path string) error {
 // comes back unchanged.
 func appendFrame(dst []byte, rec Record) ([]byte, error) {
 	start := len(dst)
-	w := frameWriter(append(dst, make([]byte, frameHeader)...))
-	w = append(w, byte(rec.recordType()))
-	if err := json.NewEncoder(&w).Encode(rec); err != nil {
+	w, err := jsonwire.Append(append(append(dst, make([]byte, frameHeader)...), byte(rec.recordType())), rec)
+	if err != nil {
 		return dst, fmt.Errorf("journal: encoding %T: %w", rec, err)
 	}
-	w = w[:len(w)-1] // drop the newline Encode ends the payload with
 	body := w[start+frameHeader:]
 	binary.LittleEndian.PutUint32(w[start:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(w[start+4:], crc32.Checksum(body, crcTable))
 	return w, nil
 }
 
-// frameWriter lets a json.Encoder write onto the tail of a frame.
-type frameWriter []byte
-
-func (w *frameWriter) Write(p []byte) (int, error) {
-	*w = append(*w, p...)
-	return len(p), nil
-}
-
 // Append buffers records onto the log tail. They are not durable — and
 // must not be acknowledged to a client — until a Commit returns nil.
+// Append encodes each record before it returns and retains neither recs
+// nor the records, so a caller may reuse one record for many appends.
 func (l *Log) Append(recs ...Record) error {
 	l.mu.Lock()
 	err := l.appendLocked(recs)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/greenhpc/archertwin/internal/emissions"
 	"github.com/greenhpc/archertwin/internal/scenario"
+	"github.com/greenhpc/archertwin/internal/units"
 )
 
 var testTime = time.Date(2026, 8, 1, 12, 30, 0, 0, time.UTC)
@@ -90,6 +93,68 @@ func TestFrameCodecStable(t *testing.T) {
 		hexJSON
 	if got := hex.EncodeToString(frame); got != want {
 		t.Errorf("frame bytes drifted:\n got %s\nwant %s", got, want)
+	}
+
+	// A ScenarioDone frame, every field set, escapes and an 'e'-form
+	// float included. The hex was written by encoding/json, before the
+	// record had its own codec; decoding it gives the record back.
+	done := &ScenarioDone{Sweep: "sweep-1", Index: 3, Result: scenario.Result{
+		Scenario:  scenario.Scenario{Index: 3, Name: "freq=capped grid=<65>", Frequency: "capped", GridMean: 65, Nodes: 32},
+		MeanPower: 1523.25, MeanUtil: 0.875, Energy: 3.5e-7, NodeHours: 1e21, MeanCI: 65,
+		Emissions: emissions.Window{Duration: 36 * time.Hour, Energy: 54837, CI: 61.5, Scope2: 3372.5, Scope3: 1200, Total: 4572.5},
+		Regime:    emissions.Balanced, AvoidedCarbon: -12.5, HasBaseline: true, Holds: 4, HoldDelay: 90 * time.Minute,
+		Completed: 120, MeanWait: 7 * time.Minute, SimDigest: "abcdef0123456789"}}
+	if frame, err = appendFrame(nil, done); err != nil {
+		t.Fatal(err)
+	}
+	want = "9a0200009e89ef7b027b2273776565705f6964223a2273776565702d31222c22696e646578223a332c22726573756c74" +
+		"223a7b225363656e6172696f223a7b22496e646578223a332c224e616d65223a22667265713d63617070656420677269" +
+		"643d5c753030336336355c7530303365222c224672657175656e6379223a22636170706564222c22477269644d65616e" +
+		"223a36352c225363686564756c6572223a22222c22576f726b6c6f6164223a22222c224e6f646573223a33322c224361" +
+		"72626f6e506f6c696379223a22222c224d69644672657175656e6379223a22222c225072696f726974794d6978223a22" +
+		"222c224261636b66696c6c506f6c696379223a22222c22507265656d7074696f6e223a22222c22506572664d6f64656c" +
+		"223a22222c22466c656574223a22222c22537572726f67617465223a22227d2c224d65616e506f776572223a31353233" +
+		"2e32352c224d65616e5574696c223a302e3837352c22456e65726779223a332e35652d372c224e6f6465486f75727322" +
+		"3a31652b32312c224d65616e4349223a36352c22456d697373696f6e73223a7b224475726174696f6e223a3132393630" +
+		"303030303030303030302c22456e65726779223a35343833372c224349223a36312e352c2253636f706532223a333337" +
+		"322e352c2253636f706533223a313230302c22546f74616c223a343537322e357d2c22526567696d65223a312c224176" +
+		"6f69646564436172626f6e223a2d31322e352c22486173426173656c696e65223a747275652c22486f6c6473223a342c" +
+		"22486f6c6444656c6179223a353430303030303030303030302c22436f6d706c65746564223a3132302c224d65616e57" +
+		"616974223a3432303030303030303030302c2253696d446967657374223a226162636465663031323334353637383922" +
+		"7d7d"
+	if got := hex.EncodeToString(frame); got != want {
+		t.Errorf("ScenarioDone frame bytes drifted:\n got %s\nwant %s", got, want)
+	}
+	if back, err := decodeRecord(frame[frameHeader:]); err != nil || !reflect.DeepEqual(back, done) {
+		t.Errorf("decoding the ScenarioDone frame: %+v, %v", back, err)
+	}
+}
+
+// TestAppendRetainsNoRecord pins Append's contract: it encodes each
+// record before it returns and keeps none, so a caller may reuse one
+// record for a whole batch, as the durable service does.
+func TestAppendRetainsNoRecord(t *testing.T) {
+	l, err := Open(t.TempDir(), Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := &ScenarioDone{Sweep: "sweep-1"}
+	var want []Record
+	for i := 0; i < 3; i++ {
+		rec.Index = i
+		rec.Result = scenario.Result{Scenario: scenario.Scenario{Index: i, Name: fmt.Sprint("s", i)}, MeanPower: units.Power(1000 + i)}
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, &ScenarioDone{Sweep: rec.Sweep, Index: rec.Index, Result: rec.Result})
+	}
+	rec.Index, rec.Result = 99, scenario.Result{SimDigest: "changed after the appends"}
+	if err := l.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if got := replayAll(t, l); !reflect.DeepEqual(got, want) {
+		t.Errorf("replay after reusing one record: got %+v, want %+v", got, want)
 	}
 }
 

@@ -1,20 +1,20 @@
 package journal
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
+	"github.com/greenhpc/archertwin/internal/jsonwire"
 	"github.com/greenhpc/archertwin/internal/scenario"
 )
 
 // The journal's record vocabulary mirrors the service's registry
 // transitions — one record kind per durable fact about a sweep. Payloads
-// are JSON: the scenario.Result codec is the same one the v1 wire
-// contract ships (float64 values survive the round trip exactly, which
-// is what makes recovery byte-identical), and the golden test in this
-// package pins the frame bytes so the on-disk format cannot drift
-// silently.
+// are JSON: ScenarioDone's through the v1 results codec (jsonwire), the
+// others' through encoding/json, both writing the same bytes. float64
+// values survive the round trip exactly, which is what makes recovery
+// byte-identical, and TestFrameCodecStable pins a frame of each codec so
+// the on-disk format cannot drift silently.
 
 // recordType is the one-byte frame tag identifying a record's kind.
 type recordType byte
@@ -69,6 +69,25 @@ type ScenarioDone struct {
 func (r *ScenarioDone) SweepID() string        { return r.Sweep }
 func (r *ScenarioDone) recordType() recordType { return typeScenarioDone }
 
+// doneFields is ScenarioDone's JSON, as its tags declare it.
+var doneFields = []jsonwire.Field[ScenarioDone]{
+	jsonwire.String("sweep_id", func(r *ScenarioDone) *string { return &r.Sweep }),
+	jsonwire.Int("index", func(r *ScenarioDone) *int { return &r.Index }),
+	jsonwire.Value("result",
+		func(dst []byte, r *ScenarioDone) ([]byte, error) { return r.Result.AppendJSON(dst) },
+		func(rd *jsonwire.Reader, r *ScenarioDone) error { return r.Result.DecodeJSON(rd) }),
+}
+
+// AppendJSON appends the record's JSON payload to dst.
+func (r *ScenarioDone) AppendJSON(b []byte) ([]byte, error) {
+	return jsonwire.AppendObject(b, doneFields, r)
+}
+
+// DecodeJSON decodes the next value of rd into the record.
+func (r *ScenarioDone) DecodeJSON(rd *jsonwire.Reader) error {
+	return jsonwire.DecodeObject(rd, doneFields, r)
+}
+
 // Terminal states a SweepTerminal record can carry. Interrupted is the
 // one state with no in-memory counterpart: a drain deadline passed (or a
 // crash was observed) with the sweep unfinished — recovery resumes it.
@@ -112,7 +131,7 @@ func decodeRecord(body []byte) (Record, error) {
 	default:
 		return nil, fmt.Errorf("journal: unknown record type %d", body[0])
 	}
-	if err := json.Unmarshal(body[1:], rec); err != nil {
+	if err := jsonwire.Unmarshal(body[1:], rec); err != nil {
 		return nil, fmt.Errorf("journal: decoding %T: %w", rec, err)
 	}
 	return rec, nil

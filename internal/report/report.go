@@ -12,10 +12,10 @@
 package report
 
 import (
-	"encoding/json"
 	"fmt"
 	"strings"
 
+	"github.com/greenhpc/archertwin/internal/jsonwire"
 	"github.com/greenhpc/archertwin/internal/timeseries"
 )
 
@@ -86,26 +86,48 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// tableJSON is the structured wire form shared by every table type: the
-// title, the column headers and the fully rendered cell rows, exactly as
-// String lays them out (deltas and units included), so JSON consumers see
-// the same deterministic content as the terminal.
-type tableJSON struct {
-	Title   string     `json:"title"`
-	Headers []string   `json:"headers"`
-	Rows    [][]string `json:"rows"`
+// tableFields is a table's JSON, {title, headers, rows}: the cell rows
+// fully rendered, exactly as String lays them out (deltas and units
+// included), so JSON consumers see the same deterministic content as the
+// terminal. The rows are output only: a Table decodes just its Title.
+var tableFields = []jsonwire.Field[Table]{
+	jsonwire.String("title", func(t *Table) *string { return &t.Title }),
+	jsonwire.Value("headers", func(dst []byte, t *Table) ([]byte, error) { return appendStrings(dst, t.headers), nil }, nil),
+	jsonwire.Value("rows", func(dst []byte, t *Table) ([]byte, error) {
+		dst = append(dst, '[')
+		for i, row := range t.rows {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = appendStrings(dst, row)
+		}
+		return append(dst, ']'), nil // no rows is [], not null
+	}, nil),
 }
 
-// MarshalJSON encodes the table as {title, headers, rows}. Like String,
-// it is a pure function of the added rows, so encoding is byte-identical
-// run to run.
-func (t *Table) MarshalJSON() ([]byte, error) {
-	rows := t.rows
-	if rows == nil {
-		rows = [][]string{}
+// appendStrings appends a JSON array of strings; nil is null.
+func appendStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "null"...)
 	}
-	return json.Marshal(tableJSON{Title: t.Title, Headers: t.headers, Rows: rows})
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = jsonwire.AppendString(dst, s)
+	}
+	return append(dst, ']')
 }
+
+// AppendJSON appends the table's JSON to dst.
+func (t *Table) AppendJSON(b []byte) ([]byte, error) { return jsonwire.AppendObject(b, tableFields, t) }
+
+// DecodeJSON decodes the next value of r into the table's Title.
+func (t *Table) DecodeJSON(r *jsonwire.Reader) error { return jsonwire.DecodeObject(r, tableFields, t) }
+
+// MarshalJSON implements json.Marshaler through AppendJSON.
+func (t *Table) MarshalJSON() ([]byte, error) { return t.AppendJSON(nil) }
 
 // Pct formats a fraction as a signed percentage, e.g. -0.065 -> "-6.5%".
 func Pct(frac float64) string {
@@ -218,26 +240,28 @@ func (d *DeltaTable) Add(name string, values ...float64) {
 // String renders the table.
 func (d *DeltaTable) String() string { return d.t.String() }
 
-// MarshalJSON encodes the delta table as its underlying table — rendered
-// cells, baseline deltas included — plus the raw baseline metric values
-// so consumers can recompute deltas without parsing cells.
-func (d *DeltaTable) MarshalJSON() ([]byte, error) {
-	base := d.base
-	if base == nil {
-		base = []float64{}
+// AppendJSON appends the underlying table's JSON plus the raw baseline
+// values, so consumers can recompute deltas without parsing cells.
+func (d *DeltaTable) AppendJSON(dst []byte) ([]byte, error) {
+	dst, _ = d.t.AppendJSON(dst) // strings only: cannot fail
+	dst = append(dst[:len(dst)-1], `,"baseline":[`...)
+	var err error
+	for i, v := range d.base {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if dst, err = jsonwire.AppendFloat(dst, v); err != nil {
+			return dst, err
+		}
 	}
-	rows := d.t.rows
-	if rows == nil {
-		rows = [][]string{}
-	}
-	return json.Marshal(struct {
-		tableJSON
-		Baseline []float64 `json:"baseline"`
-	}{
-		tableJSON{Title: d.t.Title, Headers: d.t.headers, Rows: rows},
-		base,
-	})
+	return append(dst, "]}"...), nil
 }
+
+// DecodeJSON consumes an object or null; a DeltaTable keeps nothing.
+func (d *DeltaTable) DecodeJSON(r *jsonwire.Reader) error { return jsonwire.DecodeObject(r, nil, d) }
+
+// MarshalJSON implements json.Marshaler through AppendJSON.
+func (d *DeltaTable) MarshalJSON() ([]byte, error) { return d.AppendJSON(nil) }
 
 // Figure renders a time series as the paper renders its power figures: an
 // ASCII chart plus window-mean annotations.

@@ -2,10 +2,12 @@ package report
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/greenhpc/archertwin/internal/jsonwire"
 	"github.com/greenhpc/archertwin/internal/timeseries"
 )
 
@@ -208,5 +210,94 @@ func TestDeltaTableMarshalJSON(t *testing.T) {
 	}
 	if len(got.Baseline) != 1 || got.Baseline[0] != 100 {
 		t.Errorf("baseline values = %v", got.Baseline)
+	}
+}
+
+// tableMirror and deltaMirror are the tables' former reflection-encoded
+// wire forms: the oracles the appenders are held to.
+type tableMirror struct {
+	Title   string     `json:"title"`
+	Headers []string   `json:"headers"`
+	Rows    [][]string `json:"rows"`
+}
+
+type deltaMirror struct {
+	tableMirror
+	Baseline []float64 `json:"baseline"`
+}
+
+func mirrorTable(t *Table) tableMirror {
+	rows := t.rows
+	if rows == nil {
+		rows = [][]string{}
+	}
+	return tableMirror{Title: t.Title, Headers: t.headers, Rows: rows}
+}
+
+func mirrorDelta(d *DeltaTable) deltaMirror {
+	base := d.base
+	if base == nil {
+		base = []float64{}
+	}
+	return deltaMirror{mirrorTable(d.t), base}
+}
+
+// TestTableJSONMatchesReflection holds both tables' appenders to
+// encoding/json on escape-heavy cells, a header-less table (null
+// headers) and empty tables (empty rows and baseline, never null), and
+// checks that json.Marshal goes through them.
+func TestTableJSONMatchesReflection(t *testing.T) {
+	cells := []string{"", "<b>&amp;</b>", "quote \" back \\", "\t\x01\b\f", "\xff\xfe", "line\u2028end", "日本"}
+	check := func(what string, v interface {
+		AppendJSON([]byte) ([]byte, error)
+	}, mirror any) {
+		t.Helper()
+		got, err := v.AppendJSON(nil)
+		want, werr := json.Marshal(mirror)
+		if err != nil || werr != nil || string(got) != string(want) {
+			t.Errorf("%s: got %s (%v), want %s (%v)", what, got, err, want, werr)
+		}
+		if via, err := json.Marshal(v); err != nil || string(via) != string(want) {
+			t.Errorf("%s through json.Marshal: got %s (%v), want %s", what, via, err, want)
+		}
+	}
+	bare := NewTable("no headers")
+	check("header-less table", bare, mirrorTable(bare))
+	for n := 0; n <= len(cells); n++ {
+		tb := NewTable(cells[n%len(cells)], "a<", "b")
+		for i := 0; i < n; i++ {
+			tb.AddRow(cells[i], cells[(i+1)%len(cells)])
+		}
+		check("table", tb, mirrorTable(tb))
+	}
+	d := NewDeltaTable("D<", "k", DeltaColumn{Header: "kw", Format: KW}, DeltaColumn{Header: "x"})
+	check("empty delta table", d, mirrorDelta(d))
+	d.SetBaseline("b&", 1.5e-7, 3048)
+	d.Add("o", 2e21, 1)
+	check("delta table", d, mirrorDelta(d))
+
+	// A NaN baseline has no JSON form: the appender refuses it, and so
+	// does json.Marshal.
+	nan := NewDeltaTable("N", "k", DeltaColumn{Header: "v"})
+	nan.SetBaseline("b", math.NaN())
+	if _, err := nan.AppendJSON(nil); err == nil {
+		t.Error("AppendJSON of a NaN baseline succeeded")
+	}
+	if _, err := json.Marshal(nan); err == nil {
+		t.Error("json.Marshal of a NaN baseline succeeded")
+	}
+}
+
+// TestTableDecodeKeepsTitleOnly pins what a table decodes: a Table its
+// Title (the key matched case-insensitively), a DeltaTable nothing.
+func TestTableDecodeKeepsTitleOnly(t *testing.T) {
+	data := []byte(`{"TITLE":"t","headers":["h"],"rows":[["c"]],"baseline":[1]}`)
+	var tb Table
+	if err := jsonwire.Decode(data, &tb); err != nil || tb.Title != "t" || tb.headers != nil || tb.rows != nil {
+		t.Errorf("Table decoded %+v, %v", tb, err)
+	}
+	var d DeltaTable
+	if err := jsonwire.Decode(data, &d); err != nil || d.t != nil || d.base != nil {
+		t.Errorf("DeltaTable decoded %+v, %v", d, err)
 	}
 }

@@ -82,11 +82,13 @@ func (s *Service) journalSubmit(ctx context.Context, sw *Sweep) error {
 func (s *Service) runDurable(ctx context.Context, sw *Sweep) (*scenario.SweepResults, error) {
 	return scenario.RunSweep(ctx, sw.Spec, sw.recovered, s.cfg.Runner.Execute, sw.setProgress,
 		func(indices []int, results []scenario.Result) error {
-			recs := make([]journal.Record, len(results))
-			for j, r := range results {
-				recs[j] = &journal.ScenarioDone{Sweep: sw.ID, Index: indices[j], Result: r}
+			// Append keeps no record, so one carries the whole batch.
+			rec := &journal.ScenarioDone{Sweep: sw.ID}
+			var err error
+			for j := 0; j < len(results) && err == nil; j++ {
+				rec.Index, rec.Result = indices[j], results[j]
+				err = s.cfg.Journal.Append(rec)
 			}
-			err := s.cfg.Journal.Append(recs...)
 			if err == nil {
 				err = s.cfg.Journal.Commit(ctx)
 			}

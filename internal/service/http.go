@@ -247,7 +247,7 @@ func writeTerminal(w http.ResponseWriter, sw *Sweep) {
 		if res.CarbonSwept() {
 			payload.CarbonTable = res.CarbonTable()
 		}
-		api.WriteJSON(w, http.StatusOK, payload)
+		api.WriteJSON(w, http.StatusOK, &payload)
 	default:
 		// Terminal without results or error cannot happen; be explicit
 		// rather than serving an empty 200.
