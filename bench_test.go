@@ -29,6 +29,7 @@ import (
 	"github.com/greenhpc/archertwin/internal/jsonwire"
 	"github.com/greenhpc/archertwin/internal/node"
 	"github.com/greenhpc/archertwin/internal/policy"
+	"github.com/greenhpc/archertwin/internal/report"
 	"github.com/greenhpc/archertwin/internal/rng"
 	"github.com/greenhpc/archertwin/internal/roofline"
 	"github.com/greenhpc/archertwin/internal/scenario"
@@ -614,6 +615,32 @@ func BenchmarkResultsWire(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(w.body)), "body_bytes")
+}
+
+// BenchmarkResultsTables measures the tables a served results body
+// carries, each cell formatted from a float: the delta, regime and
+// carbon tables of the flagship spec (scenario.DefaultSpec) with its
+// carbon-policy axis swept over fcfs and delay-flexible, so the carbon
+// table is rendered too. A cell that goes back through fmt's
+// multiprecision %f path shows here first.
+func BenchmarkResultsTables(b *testing.B) {
+	spec := scenario.DefaultSpec()
+	spec.Axes.CarbonPolicy = []string{"fcfs", "delay-flexible"}
+	res, err := (&scenario.Runner{}).Run(context.Background(), spec)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tablesSink.delta, tablesSink.regime, tablesSink.carbon = res.Table(), res.RegimeTable(), res.CarbonTable()
+	}
+}
+
+// tablesSink keeps BenchmarkResultsTables' tables live.
+var tablesSink struct {
+	delta          *report.DeltaTable
+	regime, carbon *report.Table
 }
 
 // keepBody is an http.ResponseWriter that keeps the body in memory.

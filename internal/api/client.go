@@ -300,12 +300,16 @@ const maxSizedBody = 16 << 20
 
 // decodeResponse consumes and closes the response body: 2xx decodes
 // into out, anything else decodes the error envelope. A body of known
-// length is read into one slice of exactly that size. An out that
-// decodes itself (jsonwire.Decoder: the results and shard bodies) skips
-// json.Unmarshal and accepts the same input.
+// length is read into a buffer borrowed from bodyPool and returned once
+// decoded: both decoders copy every string they keep, so nothing
+// decoded refers into it. An out that decodes itself (jsonwire.Decoder:
+// the results and shard bodies) skips json.Unmarshal and accepts the
+// same input.
 func decodeResponse(resp *http.Response, out any) (int, error) {
 	defer resp.Body.Close()
-	data, err := readBody(resp)
+	buf := bodyPool.Get().(*[]byte)
+	defer putBody(buf)
+	data, err := readBody(resp, buf)
 	if err != nil {
 		return resp.StatusCode, fmt.Errorf("api: reading response: %w", err)
 	}
@@ -337,15 +341,19 @@ func decodeResponse(resp *http.Response, out any) (int, error) {
 	return resp.StatusCode, &Error{Code: code, Message: fmt.Sprintf("HTTP %d: %s", resp.StatusCode, msg), HTTPStatus: resp.StatusCode, RetryAfter: retryAfter}
 }
 
-// readBody reads the whole response body: in one exact-size read when
-// its length is declared and at most maxSizedBody, else with io.ReadAll.
-// A body shorter than its declared length is an error.
-func readBody(resp *http.Response) ([]byte, error) {
+// readBody reads the whole response body: when its length is declared
+// and at most maxSizedBody, in one read into *buf, grown to that length
+// if it is shorter; else with io.ReadAll. A body shorter than its
+// declared length is an error.
+func readBody(resp *http.Response, buf *[]byte) ([]byte, error) {
 	n := resp.ContentLength
 	if n < 0 || n > maxSizedBody {
 		return io.ReadAll(resp.Body)
 	}
-	data := make([]byte, n)
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	data := (*buf)[:n]
 	if _, err := io.ReadFull(resp.Body, data); err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
@@ -17,6 +18,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/greenhpc/archertwin/internal/jsonwire"
+	"github.com/greenhpc/archertwin/internal/report"
 	"github.com/greenhpc/archertwin/internal/scenario"
 )
 
@@ -269,6 +272,93 @@ func TestDecodeResponseOverCapReadsAll(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > maxSizedBody/2 {
 		t.Errorf("decoding allocated %d bytes; the declared %d must not be allocated", alloc, resp.ContentLength)
+	}
+}
+
+// TestClientDecodedValuesSurviveBufferReuse: decodeResponse reads a
+// sized body into a pooled buffer and returns the buffer once decoded,
+// so nothing decoded may refer into it. A results payload, an error
+// envelope's message and a synthesized (non-envelope) error's message
+// must each stay as decoded while later, different bodies of at most
+// the same length (so they fit the same buffers) are read through the
+// same client, and written through the same pool by the server.
+func TestClientDecodedValuesSurviveBufferReuse(t *testing.T) {
+	rng := rand.New(rand.NewSource(39))
+	payloads := map[string]*ResultsPayload{}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		id := strings.TrimSuffix(strings.TrimPrefix(r.URL.Path, PathPrefix+"/sweeps/"), "/results")
+		switch {
+		case strings.HasPrefix(id, "env-"):
+			WriteError(w, http.StatusNotFound, ErrNotFound, "no such sweep "+id)
+		case strings.HasPrefix(id, "page-"):
+			http.Error(w, "proxy page for "+id, http.StatusBadGateway)
+		default:
+			WriteJSON(w, http.StatusOK, payloads[id])
+		}
+	}))
+	defer srv.Close()
+	for i := 0; i < 8; i++ {
+		p := &ResultsPayload{ID: fmt.Sprintf("sweep-%d", i), Spec: scenario.DefaultSpec(), Workers: i,
+			RegimeTable: report.NewTable(fmt.Sprintf("regimes of sweep %d %s", i, strings.Repeat("x", 8*(8-i))), "scenario")}
+		p.Spec.Name = fmt.Sprintf("spec-%d", i)
+		for j := 0; j < 10-i; j++ { // sweep-0 is the longest body
+			p.Results = append(p.Results, randomResult(rng))
+		}
+		payloads[p.ID] = p
+	}
+
+	c := NewClient(srv.URL)
+	c.Retries = -1
+	ctx := context.Background()
+	// reuse reads the other bodies through the same client: the error
+	// bodies, as long as the "-a" ones, and then every shorter payload.
+	reuse := func() {
+		t.Helper()
+		for n := 0; n < 4; n++ {
+			for _, id := range []string{"env-b", "page-b"} {
+				if _, err := c.Results(ctx, id); err == nil {
+					t.Fatalf("%s: want an error", id)
+				}
+			}
+			for i := 1; i < len(payloads); i++ {
+				if _, err := c.Results(ctx, fmt.Sprintf("sweep-%d", i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+
+	first, err := c.Results(ctx, "sweep-0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want ResultsPayload // decoded from a private copy of the body
+	body, err := payloads["sweep-0"].AppendJSON(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jsonwire.Decode(body, &want); err != nil {
+		t.Fatal(err)
+	}
+	reuse()
+	if !reflect.DeepEqual(first, &want) {
+		t.Errorf("payload changed after later bodies reused its buffer:\n got %+v\nwant %+v", first, &want)
+	}
+
+	for _, id := range []string{"env-a", "page-a"} {
+		_, err := c.Results(ctx, id)
+		var apiErr *Error
+		if !errors.As(err, &apiErr) {
+			t.Fatalf("%s: err = %v (%T), want *api.Error", id, err, err)
+		}
+		msg := strings.Clone(apiErr.Message)
+		if !strings.Contains(msg, id) {
+			t.Fatalf("%s: message %q does not name the sweep", id, msg)
+		}
+		reuse()
+		if apiErr.Message != msg {
+			t.Errorf("%s: message changed after buffer reuse: %q, was %q", id, apiErr.Message, msg)
+		}
 	}
 }
 

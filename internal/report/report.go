@@ -13,6 +13,8 @@ package report
 
 import (
 	"fmt"
+	"math"
+	"strconv"
 	"strings"
 
 	"github.com/greenhpc/archertwin/internal/jsonwire"
@@ -131,16 +133,76 @@ func (t *Table) MarshalJSON() ([]byte, error) { return t.AppendJSON(nil) }
 
 // Pct formats a fraction as a signed percentage, e.g. -0.065 -> "-6.5%".
 func Pct(frac float64) string {
-	return fmt.Sprintf("%+.1f%%", frac*100)
+	var buf [48]byte
+	return string(appendPct(buf[:0], frac))
+}
+
+// appendPct appends Pct(frac): fmt's %+.1f%% of frac*100.
+func appendPct(dst []byte, frac float64) []byte {
+	n := len(dst)
+	dst = AppendFixed(append(dst, '+'), frac*100, 1)
+	if c := dst[n+1]; c == '-' || c == '+' { // strconv wrote the sign (+Inf)
+		dst = append(dst[:n], dst[n+1:]...)
+	}
+	return append(dst, '%')
 }
 
 // KW formats a power in kW with thousands precision matching the paper.
-func KW(kw float64) string {
-	return fmt.Sprintf("%.0f kW", kw)
-}
+func KW(kw float64) string { return Fixed(kw, 0, " kW") }
 
 // Ratio formats a perf/energy ratio in the paper's two-decimal style.
-func Ratio(r float64) string { return fmt.Sprintf("%.2f", r) }
+func Ratio(r float64) string { return Fixed(r, 2, "") }
+
+// Fixed formats v as fmt's %.<prec>f does, followed by unit.
+func Fixed(v float64, prec int, unit string) string {
+	var buf [48]byte
+	return string(append(AppendFixed(buf[:0], v, prec), unit...))
+}
+
+// AppendFixed appends v with prec (>= 0) digits after the decimal point,
+// byte for byte as fmt's %.<prec>f writes it: the exact binary value
+// rounded half to even, "+Inf", "-Inf" and "NaN" as fmt spells them.
+//
+// fmt hands a fixed precision to strconv's multiprecision fallback. For
+// prec <= 3 and |v| < 2^64 this rounds in integers instead: v is
+// mant/2^shift, so v·10^prec is mant·10^prec (below 2^63) shifted right
+// by shift, rounded half to even on the bits shifted out. Any other
+// value goes to strconv.
+func AppendFixed(dst []byte, v float64, prec int) []byte {
+	bits := math.Float64bits(v)
+	exp := int(bits >> 52 & 0x7ff)
+	mant := bits&(1<<52-1) | 1<<52
+	shift := 1075 - exp // |v| = mant / 2^shift; zero and subnormals round to 0 below
+	if prec < 0 || prec > 3 || exp == 0x7ff || shift < -11 {
+		return strconv.AppendFloat(dst, v, 'f', prec, 64)
+	}
+	p := uint64(1) // 10^prec
+	for i := 0; i < prec; i++ {
+		p *= 10
+	}
+	var ip, fp uint64 // |v| rounded: ip + fp/p
+	switch {
+	case shift <= 0:
+		ip = mant << -shift
+	case shift < 64:
+		x := mant * p
+		q, r, half := x>>shift, x&(1<<shift-1), uint64(1)<<(shift-1)
+		if r > half || r == half && q&1 == 1 {
+			q++
+		}
+		ip, fp = q/p, q%p
+	} // shift >= 64: |v|·10^prec < 2^63 <= 2^(shift-1) rounds to 0
+	if bits>>63 != 0 {
+		dst = append(dst, '-')
+	}
+	dst = strconv.AppendUint(dst, ip, 10)
+	if prec > 0 { // fp+p has prec+1 digits, the first a 1: make it the point
+		n := len(dst)
+		dst = strconv.AppendUint(dst, fp+p, 10)
+		dst[n] = '.'
+	}
+	return dst
+}
 
 // Comparison builds a paper-vs-simulated table.
 type Comparison struct {
@@ -198,7 +260,7 @@ func (d *DeltaTable) format(i int, v float64) string {
 	if f := d.cols[i].Format; f != nil {
 		return f(v)
 	}
-	return fmt.Sprintf("%g", v)
+	return strconv.FormatFloat(v, 'g', -1, 64) // fmt's %g
 }
 
 // SetBaseline records the baseline row; values must match the metric
@@ -223,6 +285,7 @@ func (d *DeltaTable) SetBaseline(name string, values ...float64) {
 func (d *DeltaTable) Add(name string, values ...float64) {
 	cells := make([]string, 0, len(d.cols)+1)
 	cells = append(cells, name)
+	var buf [64]byte
 	for i := range d.cols {
 		v := 0.0
 		if i < len(values) {
@@ -230,7 +293,8 @@ func (d *DeltaTable) Add(name string, values ...float64) {
 		}
 		cell := d.format(i, v)
 		if d.set && i < len(d.base) && d.base[i] != 0 {
-			cell += fmt.Sprintf(" (%s)", Pct((v-d.base[i])/d.base[i]))
+			b := appendPct(append(append(buf[:0], cell...), " ("...), (v-d.base[i])/d.base[i])
+			cell = string(append(b, ')'))
 		}
 		cells = append(cells, cell)
 	}

@@ -7,6 +7,7 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -852,10 +853,10 @@ func (s *SweepResults) RegimeTable() *report.Table {
 		"scope 2", "scope 3", "scope-2 share", "regime")
 	for _, r := range s.Results {
 		t.AddRow(r.Scenario.Name,
-			fmt.Sprintf("%.0f g/kWh", r.MeanCI.GramsPerKWh()),
+			report.Fixed(r.MeanCI.GramsPerKWh(), 0, " g/kWh"),
 			tco2(r.Emissions.Scope2.Tonnes()),
 			tco2(r.Emissions.Scope3.Tonnes()),
-			fmt.Sprintf("%.0f%%", r.Emissions.Scope2Share()*100),
+			report.Fixed(r.Emissions.Scope2Share()*100, 0, "%"),
 			r.Regime.String())
 	}
 	return t
@@ -881,25 +882,25 @@ func (s *SweepResults) CarbonTable() *report.Table {
 		if r.HasBaseline && r.Scenario.CarbonPolicy != s.Spec.Axes.CarbonPolicy[0] {
 			pct := ""
 			if base := r.Emissions.Total.Grams() + r.AvoidedCarbon.Grams(); base > 0 {
-				pct = fmt.Sprintf(" (%s)", report.Pct(r.AvoidedCarbon.Grams()/base))
+				pct = " (" + report.Pct(r.AvoidedCarbon.Grams()/base) + ")"
 			}
-			avoided = fmt.Sprintf("%.2f t%s", r.AvoidedCarbon.Tonnes(), pct)
+			avoided = tco2(r.AvoidedCarbon.Tonnes()) + pct
 		}
 		meanHold := "—"
 		if r.Holds > 0 {
 			meanHold = (r.HoldDelay / time.Duration(r.Holds)).Round(time.Minute).String()
 		}
 		t.AddRow(r.Scenario.Name,
-			fmt.Sprintf("%.0f g/kWh", r.MeanCI.GramsPerKWh()),
-			fmt.Sprintf("%.1f g/kWh", r.Emissions.CI.GramsPerKWh()),
+			report.Fixed(r.MeanCI.GramsPerKWh(), 0, " g/kWh"),
+			report.Fixed(r.Emissions.CI.GramsPerKWh(), 1, " g/kWh"),
 			tco2(r.Emissions.Scope2.Tonnes()),
 			avoided,
-			fmt.Sprint(r.Holds),
+			strconv.Itoa(r.Holds),
 			meanHold)
 	}
 	return t
 }
 
-func mwh(v float64) string    { return fmt.Sprintf("%.1f MWh", v) }
-func tco2(v float64) string   { return fmt.Sprintf("%.2f t", v) }
-func knodeh(v float64) string { return fmt.Sprintf("%.0f", v) }
+func mwh(v float64) string    { return report.Fixed(v, 1, " MWh") }
+func tco2(v float64) string   { return report.Fixed(v, 2, " t") }
+func knodeh(v float64) string { return report.Fixed(v, 0, "") }
