@@ -34,6 +34,7 @@ import (
 	"github.com/greenhpc/archertwin/internal/roofline"
 	"github.com/greenhpc/archertwin/internal/scenario"
 	"github.com/greenhpc/archertwin/internal/sched"
+	"github.com/greenhpc/archertwin/internal/service"
 	"github.com/greenhpc/archertwin/internal/timeseries"
 	"github.com/greenhpc/archertwin/internal/units"
 	"github.com/greenhpc/archertwin/internal/workload"
@@ -583,6 +584,76 @@ func BenchmarkWarmSweep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkServedWarmSweep measures a memo-hit sweep served whole, as a
+// durable twinserver serves a repeated comparison, without HTTP: a
+// journaled (NoSync) service.Service on a single-worker Runner whose memo
+// holds 16 DefaultSpec seeds, its registry already full, each op
+// submitting one of those specs under a fresh name (so the registry's
+// dedup misses while every simulation hits the memo) and waiting for
+// Done. An op pays Submit's one expansion, the sweep loop, the journal's
+// records and the registry's eviction and compaction.
+func BenchmarkServedWarmSweep(b *testing.B) {
+	ctx := context.Background()
+	pool, runner := servedPool(b)
+	jl, err := journal.Open(b.TempDir(), journal.Options{NoSync: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer jl.Close()
+	svc, err := service.New(service.Config{Runner: runner, Journal: jl})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Shutdown()
+	serve := func(prefix string, i int) {
+		spec := pool[i%len(pool)]
+		spec.Name = prefix + strconv.Itoa(i)
+		sw, _, err := svc.Submit(ctx, spec, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		<-sw.Done()
+		if _, err := sw.Results(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Fill the registry (64 finished sweeps by default), so every timed
+	// op retires one sweep and compacts the journal.
+	for i := 0; i < 64; i++ {
+		serve("fill-", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		serve("warm-", i)
+	}
+}
+
+// servedPool caches BenchmarkServedWarmSweep's 16 DefaultSpec seeds and
+// the Runner whose memo holds them, simulated once per process.
+var (
+	servedOnce   sync.Once
+	servedSpecs  []scenario.Spec
+	servedRunner = &scenario.Runner{Workers: 1}
+	servedErr    error
+)
+
+func servedPool(b testing.TB) ([]scenario.Spec, *scenario.Runner) {
+	b.Helper()
+	servedOnce.Do(func() {
+		for i := 0; i < 16 && servedErr == nil; i++ {
+			spec := scenario.DefaultSpec()
+			spec.Seed = uint64(1000 + i)
+			servedSpecs = append(servedSpecs, spec)
+			_, servedErr = servedRunner.Run(context.Background(), spec)
+		}
+	})
+	if servedErr != nil {
+		b.Fatal(servedErr)
+	}
+	return servedSpecs, servedRunner
 }
 
 // BenchmarkResultsWire measures a served results body's JSON both ways:

@@ -13,6 +13,7 @@ package api
 
 import (
 	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -315,7 +316,8 @@ func SpecKey(spec scenario.Spec) string {
 		// Spec is a plain data struct; Marshal cannot fail on it.
 		panic(fmt.Sprintf("api: marshalling spec: %v", err))
 	}
-	return fmt.Sprintf("%x", sha256.Sum256(data))[:16]
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:8])
 }
 
 // WriteJSON writes v as compact JSON, one line, with the given HTTP

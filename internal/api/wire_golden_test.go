@@ -164,7 +164,8 @@ func TestWireGolden(t *testing.T) {
 
 // TestSpecKeyStable pins the spec-key algorithm: the key is a pure
 // function of the canonical spec, identical for a spec and its
-// spelled-out canonical form, and 16 hex characters.
+// spelled-out canonical form, and 16 hex characters. Journals on disk
+// store spec keys, so the flagship spec's key is pinned by value.
 func TestSpecKeyStable(t *testing.T) {
 	short := scenario.Spec{Name: "k", Nodes: 32, Days: 2, WarmupDays: 1, Seed: 7}
 	if got, want := SpecKey(short), SpecKey(short.Canonical()); got != want {
@@ -172,5 +173,8 @@ func TestSpecKeyStable(t *testing.T) {
 	}
 	if len(SpecKey(short)) != 16 {
 		t.Errorf("SpecKey length = %d, want 16", len(SpecKey(short)))
+	}
+	if got, want := SpecKey(scenario.DefaultSpec()), "b3b6536ad01ce2b2"; got != want {
+		t.Errorf("SpecKey(DefaultSpec()) = %s, want %s", got, want)
 	}
 }

@@ -186,7 +186,11 @@ func (c *Coordinator) live() []*member {
 // unique-simulation counts as shards land, and SweepResults.Workers is
 // the number of workers that contributed a shard.
 func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, progress func(done, total int)) (*scenario.SweepResults, error) {
-	return scenario.RunSweep(ctx, spec.Canonical(), nil, c.execute, progress, nil)
+	part, err := spec.Partition()
+	if err != nil {
+		return nil, err
+	}
+	return scenario.RunSweep(ctx, part, nil, c.execute, progress, nil)
 }
 
 // execute is the coordinator's scenario.Executor. Each round it
@@ -196,7 +200,8 @@ func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, progress func
 // share re-hashed over the survivors in the next round, after a
 // doubling backoff; a deterministic failure fails the sweep at once. It
 // returns how many workers contributed.
-func (c *Coordinator) execute(ctx context.Context, spec scenario.Spec, part scenario.Partition, indices []int, land scenario.LandFunc) (int, error) {
+func (c *Coordinator) execute(ctx context.Context, part scenario.Partition, indices []int, land scenario.LandFunc) (int, error) {
+	spec := part.Spec()
 	sweepKey := api.SpecKey(spec)
 	// unresolved maps each affinity key still to dispatch to its requested
 	// indices; group atomicity is free because shards are unions of whole

@@ -61,7 +61,7 @@ func TestRunSweepContract(t *testing.T) {
 		landed := map[string]int{}
 		before := r.CacheStats().Misses
 		var lastDone, lastTotal int
-		got, err := RunSweep(ctx, spec, have, r.Execute,
+		got, err := RunSweep(ctx, part, have, r.Execute,
 			func(done, total int) { lastDone, lastTotal = done, total },
 			func(indices []int, results []Result) error {
 				landed[part.RunKeys[indices[0]]]++
@@ -116,9 +116,13 @@ func TestRunSweepLandError(t *testing.T) {
 	if _, err := warm.Run(ctx, spec); err != nil {
 		t.Fatal(err)
 	}
+	part, err := spec.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, r := range map[string]*Runner{"memo": warm, "pool": {Workers: 2}} {
 		calls := 0
-		_, err := RunSweep(ctx, spec, nil, r.Execute, nil, func([]int, []Result) error {
+		_, err := RunSweep(ctx, part, nil, r.Execute, nil, func([]int, []Result) error {
 			if calls++; calls > 1 {
 				t.Errorf("%s: land called again after it failed", name)
 			}

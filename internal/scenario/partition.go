@@ -6,15 +6,17 @@ package scenario
 // how per-scenario results merge back into one SweepResults (Assemble).
 // Partition and Assemble are pure functions of the canonical spec, so a
 // coordinator and its workers agree on scenario identity without ever
-// shipping expanded scenarios over the wire — only indices travel.
+// shipping expanded scenarios over the wire — only indices travel. A
+// sweep is expanded once, where it enters, and its Partition travels on.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 )
 
-// Partition describes how a sweep's expanded grid shards across
-// replicas.
+// Partition is a sweep's one expansion: its canonical spec, its
+// scenarios, and how they shard across replicas.
 type Partition struct {
 	// Keys holds, per expanded scenario, the canonical key of the
 	// simulation prefix it shares (Scenario simKey): the consistent-hash
@@ -37,7 +39,8 @@ type Partition struct {
 	// progress against, matching a single-process run's Simulations.
 	Simulations int
 
-	scenarios []Scenario // the expansion the partition describes
+	spec      *Spec      // the canonical spec, shared by every copy
+	scenarios []Scenario // its expansion
 }
 
 // Partition expands and validates the spec and returns its sharding
@@ -47,7 +50,9 @@ func (s Spec) Partition() (Partition, error) {
 	if err != nil {
 		return Partition{}, err
 	}
+	canonical := s.withDefaults()
 	p := Partition{
+		spec:      &canonical,
 		Keys:      make([]string, len(scenarios)),
 		RunKeys:   make([]string, len(scenarios)),
 		scenarios: scenarios,
@@ -67,6 +72,24 @@ func (s Spec) Partition() (Partition, error) {
 	return p, nil
 }
 
+// Spec returns the canonical (defaulted) spec the partition expands.
+func (p Partition) Spec() Spec { return *p.spec }
+
+// CheckSelection reports whether indices select scenarios of the
+// partition as a shard must: at least one, ascending, unique and inside
+// the expansion.
+func (p Partition) CheckSelection(indices []int) error {
+	if len(indices) == 0 {
+		return errors.New("scenario: empty scenario selection")
+	}
+	for i, idx := range indices {
+		if idx < 0 || idx >= len(p.Keys) || i > 0 && idx <= indices[i-1] {
+			return fmt.Errorf("scenario: selection indices must be ascending, unique and below %d", len(p.Keys))
+		}
+	}
+	return nil
+}
+
 // Assemble merges per-scenario results — typically gathered from shard
 // replicas — into one SweepResults, recomputing the cross-scenario
 // aggregation (avoided carbon against each scenario's baseline-policy
@@ -84,11 +107,11 @@ func Assemble(spec Spec, results []Result, workers int) (*SweepResults, error) {
 	if err != nil {
 		return nil, err
 	}
-	return part.assemble(spec, results, workers)
+	return part.Assemble(results, workers)
 }
 
-// assemble is Assemble over an already computed partition of spec.
-func (p Partition) assemble(spec Spec, results []Result, workers int) (*SweepResults, error) {
+// Assemble is the package-level Assemble over the partition's spec.
+func (p Partition) Assemble(results []Result, workers int) (*SweepResults, error) {
 	if len(results) != len(p.scenarios) {
 		return nil, fmt.Errorf("scenario: assembling %d results against %d expanded scenarios",
 			len(results), len(p.scenarios))
@@ -105,59 +128,56 @@ func (p Partition) assemble(spec Spec, results []Result, workers int) (*SweepRes
 		results[i].AvoidedCarbon = 0
 		results[i].HasBaseline = false
 	}
-	spec = spec.withDefaults()
-	fillAvoidedCarbon(spec, p.scenarios, results)
-	return &SweepResults{Spec: spec, Results: results, Simulations: p.Simulations, Workers: workers}, nil
+	fillAvoidedCarbon(p.spec, p.scenarios, results)
+	return &SweepResults{Spec: *p.spec, Results: results, Simulations: p.Simulations, Workers: workers}, nil
 }
 
 // LandFunc receives resolved scenarios: their expansion indices,
 // ascending, and their results in the same order.
 type LandFunc func(indices []int, results []Result) error
 
-// Executor resolves the scenarios of spec (partitioned as part) at the
-// given ascending expansion indices, landing every simulation's whole
+// Executor resolves the scenarios of part at the given ascending
+// expansion indices, landing every simulation's whole
 // set of them as it resolves: Runner.Execute lands one simulation per
 // call, the fabric coordinator one shard per call. Landings never
 // overlap; after a land error the executor lands nothing more, stops and
 // returns that error unwrapped. It returns its width: the pool size, or
 // how many fabric workers contributed.
-type Executor func(ctx context.Context, spec Spec, part Partition, indices []int, land LandFunc) (width int, err error)
+type Executor func(ctx context.Context, part Partition, indices []int, land LandFunc) (width int, err error)
 
 // RunSweep is the one sweep loop that in-process, durable and fabric
-// sweeps share. It seeds the result slots from have (known results by
-// expansion index), hands every unresolved index to exec in one call,
-// and passes each landing to land (when non-nil) before filling its
-// slots and reporting progress as distinct landed run keys over
-// Partition.Simulations. It then assembles the sweep, with the
-// executor's width capped at the simulation count as Workers.
-func RunSweep(ctx context.Context, spec Spec, have map[int]Result, exec Executor,
+// sweeps share, over the partition their entry point computed. It seeds
+// the result slots from have (known results by expansion index), hands
+// every unresolved index to exec in one call, and passes each landing
+// to land (when non-nil) before filling its slots and reporting
+// progress as distinct landed run keys over Partition.Simulations. It
+// then assembles the sweep, with the executor's width capped at the
+// simulation count as Workers.
+func RunSweep(ctx context.Context, part Partition, have map[int]Result, exec Executor,
 	progress func(done, total int), land LandFunc) (*SweepResults, error) {
-	part, err := spec.Partition()
-	if err != nil {
-		return nil, err
-	}
-	slots := make([]Result, len(part.Keys)) // a filled slot carries its SimDigest
+	runKeys, sims := part.RunKeys, part.Simulations // what the closures keep of part
+	slots := make([]Result, len(runKeys))           // a filled slot carries its SimDigest
 	for i, res := range have {
 		if i >= 0 && i < len(slots) && res.Scenario.Index == i && res.SimDigest != "" {
 			slots[i] = res
 		}
 	}
-	var missing []int
+	missing := make([]int, 0, len(slots))
 	resolved := map[string]bool{} // run keys with landed scenarios
 	for i := range slots {
 		if slots[i].SimDigest != "" {
-			resolved[part.RunKeys[i]] = true
+			resolved[runKeys[i]] = true
 		} else {
 			missing = append(missing, i)
 		}
 	}
 	report := func() {
 		if progress != nil {
-			progress(len(resolved), part.Simulations)
+			progress(len(resolved), sims)
 		}
 	}
 	report()
-	width, err := exec(ctx, spec, part, missing, func(indices []int, results []Result) error {
+	width, err := exec(ctx, part, missing, func(indices []int, results []Result) error {
 		if land != nil {
 			if err := land(indices, results); err != nil {
 				return err
@@ -165,7 +185,7 @@ func RunSweep(ctx context.Context, spec Spec, have map[int]Result, exec Executor
 		}
 		for j, i := range indices {
 			slots[i] = results[j]
-			resolved[part.RunKeys[i]] = true
+			resolved[runKeys[i]] = true
 		}
 		report()
 		return nil
@@ -177,5 +197,5 @@ func RunSweep(ctx context.Context, spec Spec, have map[int]Result, exec Executor
 		width = part.Simulations
 	}
 	// assemble refuses a slot left unfilled: it lacks a digest.
-	return part.assemble(spec, slots, width)
+	return part.Assemble(slots, width)
 }

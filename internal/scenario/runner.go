@@ -4,10 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -131,12 +131,12 @@ type Runner struct {
 	// cancellation deterministically.
 	runCfg func(context.Context, core.Config) (*core.Results, error)
 
-	// memo caches completed simulations by memoKey — the spec seed and the
-	// scenario's run key plus a hash of every config-shaping spec field, so
-	// scenarios differing in any simulation-affecting axis (-nodes,
-	// -freq, days, oversubscription, carbon tunables, ...) can never
-	// collide. LRU-bounded at MemoCap entries; guarded by mu together
-	// with the hit/miss counters.
+	// memo caches completed simulations by memo key (memoKeys) — the
+	// spec seed and the scenario's run key plus a hash of every
+	// config-shaping spec field, so scenarios differing in any
+	// simulation-affecting axis (-nodes, -freq, days, oversubscription,
+	// carbon tunables, ...) can never collide. LRU-bounded at MemoCap
+	// entries; guarded by mu together with the hit/miss counters.
 	mu     sync.Mutex
 	memo   *memoLRU
 	hits   int
@@ -206,35 +206,60 @@ func (r *Runner) memoBudget() int64 {
 	return r.MemoBudgetBytes
 }
 
-// memoKey is the cache identity of one simulation, known without building
-// its config: the spec seed and the run key (which fix the derived seed)
-// plus a hash over every remaining config-shaping spec field. Each field
+// memoKeys builds the memo keys of one sweep's simulations. A key is the
+// cache identity of one simulation, known without building its config:
+// the spec seed and the run key (which fix the derived seed) plus an
+// FNV-1a hash over every remaining config-shaping spec field. Each field
 // is written explicitly under a stable label — never via struct
 // formatting verbs, whose output shifts whenever a field is added,
 // renamed or reordered (silently invalidating or, worse, colliding every
 // key) and which would fold a pointer address into the identity the
-// moment a non-scalar field appears.
-func memoKey(spec Spec, sc *Scenario) string {
-	c := spec.Carbon.withDefaults()
-	// The mid-sweep divergence axis changes the simulated timeline without
-	// changing the derived seed (common random numbers across branches), so
-	// the key carries the run key — simKey plus the active mid value — and
-	// the divergence day that anchors the branch's timeline change.
-	diverge := 0
-	if sc.midActive() {
-		diverge = spec.DivergeDay
-	}
-	h := fnv.New64a()
-	fmt.Fprintf(h,
-		"seed=%d|sim=%s|days=%d|warmup=%d|oversub=%g|diverge=%d"+
-			"|prio.aging=%g"+
-			"|carbon.threshold=%g|carbon.maxdelay=%g|carbon.flexshare=%g"+
-			"|carbon.budgetfrac=%g|carbon.fsigma=%g|carbon.fgrowth=%g",
-		spec.Seed, sc.runKey(), spec.Days, spec.warmupDays(), spec.OverSubscription, diverge,
+// moment a non-scalar field appears. The fields are equal across a
+// sweep, so they are formatted once per sweep.
+type memoKeys struct {
+	seed         uint64
+	head, fields string // hashed before and after the run key
+	cut          int    // where fields leaves the diverge value out
+	// day is the diverge value of an active mid-sweep branch ("0" for the
+	// rest): the branch keeps its family's seed, so its key carries the
+	// run key (simKey plus the mid value) and the day its timeline changes.
+	day string
+}
+
+// newMemoKeys formats the per-sweep parts of the memo keys of the
+// canonical spec.
+func newMemoKeys(spec *Spec) memoKeys {
+	c := spec.Carbon
+	fields := fmt.Sprintf("|days=%d|warmup=%d|oversub=%g|diverge="+
+		"|prio.aging=%g"+
+		"|carbon.threshold=%g|carbon.maxdelay=%g|carbon.flexshare=%g"+
+		"|carbon.budgetfrac=%g|carbon.fsigma=%g|carbon.fgrowth=%g",
+		spec.Days, spec.warmupDays(), spec.OverSubscription,
 		spec.PriorityAgingHours,
 		c.ThresholdGrams, c.MaxDelayHours, c.FlexibleShare,
 		c.BudgetFraction, c.ForecastSigma, c.ForecastGrowth)
-	return fmt.Sprintf("%d-%016x", spec.Seed, h.Sum64())
+	return memoKeys{seed: spec.Seed, head: "seed=" + strconv.FormatUint(spec.Seed, 10) + "|sim=",
+		fields: fields, cut: strings.Index(fields, "|prio.aging="), day: strconv.Itoa(spec.DivergeDay)}
+}
+
+// key is the memo key of scenario sc, whose run key is runKey.
+func (m *memoKeys) key(sc *Scenario, runKey string) string {
+	day := "0"
+	if sc.midActive() {
+		day = m.day
+	}
+	h := uint64(14695981039346656037) // FNV-1a, 64-bit (hash/fnv's New64a)
+	for _, s := range [...]string{m.head, runKey, m.fields[:m.cut], day, m.fields[m.cut:]} {
+		for i := 0; i < len(s); i++ {
+			h = (h ^ uint64(s[i])) * 1099511628211
+		}
+	}
+	var buf [40]byte
+	b := append(strconv.AppendUint(buf[:0], m.seed, 10), '-')
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[h>>shift&0xf])
+	}
+	return string(b)
 }
 
 // ScenarioError wraps one failed scenario of a sweep.
@@ -259,7 +284,7 @@ func (e *ScenarioError) Unwrap() error { return e.Err }
 // shared power series prices it against every member's trace, so the
 // flagship frequency x grid sweep costs two simulations and two
 // accounting walks, not eight, with byte-identical output. Completed
-// simulations are also memoized on the Runner (see memoKey) in an LRU
+// simulations are also memoized on the Runner (see memoKeys) in an LRU
 // store bounded at MemoCap, together with the accounts their scenarios
 // were given, so repeating or extending a sweep on the same Runner
 // re-simulates only what changed, and a repeat draws no trace and walks
@@ -290,16 +315,33 @@ func (r *Runner) Run(ctx context.Context, spec Spec) (*SweepResults, error) {
 // each simulation lands. It may be called from worker goroutines, never
 // concurrently; the twinserver uses it to serve live sweep status.
 func (r *Runner) RunProgress(ctx context.Context, spec Spec, progress func(done, total int)) (*SweepResults, error) {
-	return RunSweep(ctx, spec, nil, r.Execute, progress, nil)
+	part, err := spec.Partition()
+	if err != nil {
+		return nil, err
+	}
+	return RunSweep(ctx, part, nil, r.Execute, progress, nil)
 }
 
-// RunScenarios executes only the scenarios at the given expanded-grid
-// indices (ascending, unique, per Spec.Expand order) — the worker half
-// of the distributed sweep fabric: a coordinator partitions the grid
-// and each replica runs its slice through this entry point. It returns
-// one Result per index, in index order, plus the number of distinct
-// simulations the slice resolved; progress (when non-nil) counts those
-// as they land.
+// RunScenarios partitions the spec and runs the selection through
+// RunSelected, once Partition.CheckSelection accepts it.
+func (r *Runner) RunScenarios(ctx context.Context, spec Spec, indices []int, progress func(done, total int)) ([]Result, int, error) {
+	part, err := spec.Partition()
+	if err == nil {
+		err = part.CheckSelection(indices)
+	}
+	if err != nil {
+		return nil, 0, err
+	}
+	return r.RunSelected(ctx, part, indices, progress)
+}
+
+// RunSelected executes only the scenarios of part at the given
+// expanded-grid indices (which Partition.CheckSelection accepts) — the
+// worker half of the distributed sweep fabric: a coordinator partitions
+// the grid and each replica runs its slice through this entry point. It
+// returns one Result per index, in index order, plus the number of
+// distinct simulations the slice resolved; progress (when non-nil)
+// counts those as they land.
 //
 // Each Result is byte-identical to the corresponding entry of a full
 // Run: per-scenario seeds derive from the scenario's own axes
@@ -307,29 +349,14 @@ func (r *Runner) RunProgress(ctx context.Context, spec Spec, progress func(done,
 // difference is that cross-scenario aggregation (AvoidedCarbon,
 // HasBaseline) is left unfilled — a slice cannot see its counterparts;
 // Assemble owns that at merge time.
-func (r *Runner) RunScenarios(ctx context.Context, spec Spec, indices []int, progress func(done, total int)) ([]Result, int, error) {
-	part, err := spec.Partition()
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(indices) == 0 {
-		return nil, 0, fmt.Errorf("scenario: empty scenario selection")
-	}
+func (r *Runner) RunSelected(ctx context.Context, part Partition, indices []int, progress func(done, total int)) ([]Result, int, error) {
 	runKeys := map[string]bool{}
-	last := -1
 	for _, idx := range indices {
-		if idx <= last {
-			return nil, 0, fmt.Errorf("scenario: selection indices must be ascending and unique (%d after %d)", idx, last)
-		}
-		if idx < 0 || idx >= len(part.Keys) {
-			return nil, 0, fmt.Errorf("scenario: selection index %d outside expansion of %d scenarios", idx, len(part.Keys))
-		}
 		runKeys[part.RunKeys[idx]] = true
-		last = idx
 	}
 	results := make([]Result, len(indices))
 	sims := 0
-	if _, err := r.Execute(ctx, spec, part, indices, func(idxs []int, res []Result) error {
+	if _, err := r.Execute(ctx, part, indices, func(idxs []int, res []Result) error {
 		for j, idx := range idxs {
 			results[sort.SearchInts(indices, idx)] = res[j]
 		}
@@ -351,7 +378,8 @@ func (r *Runner) RunScenarios(ctx context.Context, spec Spec, indices []int, pro
 // carrying the simulation digest. It builds a core.Config only for a
 // simulation it runs. Cross-scenario aggregation is left to Assemble.
 // It returns the pool width.
-func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices []int, land LandFunc) (int, error) {
+func (r *Runner) Execute(ctx context.Context, part Partition, indices []int, land LandFunc) (int, error) {
+	spec, scenarios := part.spec, part.scenarios
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -398,8 +426,6 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		wg.Wait()
 	}
 
-	spec = spec.withDefaults()
-
 	// One trace seed for the whole sweep: the grid's underlying weather is
 	// common random numbers across every scenario (Scaled rescales the
 	// same noise), so scenarios at equal grid means see identical carbon
@@ -427,8 +453,9 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	}
 	var groups []group
 	byKey := map[string]int{}
+	keys := newMemoKeys(spec)
 	for _, idx := range indices {
-		sc := &part.scenarios[idx]
+		sc := &scenarios[idx]
 		if _, ok := traceOf[sc.GridMean]; !ok {
 			traceOf[sc.GridMean] = len(gridMeans)
 			gridMeans = append(gridMeans, sc.GridMean)
@@ -437,7 +464,7 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		if !ok {
 			gi = len(groups)
 			byKey[part.RunKeys[idx]] = gi
-			groups = append(groups, group{key: memoKey(spec, sc), sc: sc})
+			groups = append(groups, group{key: keys.key(sc, part.RunKeys[idx]), sc: sc})
 		}
 		groups[gi].members = append(groups[gi].members, idx)
 		groups[gi].means = append(groups[gi].means, sc.GridMean)
@@ -528,7 +555,7 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	// group lands only when every member accounted cleanly. landMu only
 	// serializes land calls, as Executor promises; the first land error
 	// cancels the rest of the call.
-	errs := make([]error, len(part.scenarios))
+	errs := make([]error, len(scenarios))
 	var (
 		landMu  sync.Mutex
 		landErr error
@@ -560,7 +587,7 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		}
 		results := make([]Result, len(gr.members))
 		for j, idx := range gr.members {
-			results[j] = gr.accts[j].result(shared, part.scenarios[idx], gr.digest)
+			results[j] = gr.accts[j].result(shared, scenarios[idx], gr.digest)
 		}
 		landMu.Lock()
 		defer landMu.Unlock()
@@ -602,7 +629,7 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 		if err := ctx.Err(); err != nil {
 			return core.Config{}, err
 		}
-		cfg, _, err := sc.BuildConfig(spec)
+		cfg, _, err := sc.BuildConfig(*spec)
 		if err == nil {
 			executed.Add(1)
 		}
@@ -640,7 +667,7 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 				sim, err = core.NewSimulator(cfg)
 			}
 			if err == nil {
-				err = sim.RunToContext(ctx, spec.divergeTime())
+				err = sim.RunToContext(ctx, sweepStart.AddDate(0, 0, spec.DivergeDay))
 			}
 			if err == nil {
 				f.snap, err = sim.Snapshot()
@@ -722,7 +749,7 @@ func (r *Runner) Execute(ctx context.Context, spec Spec, part Partition, indices
 	var failed []error
 	for idx, err := range errs {
 		if err != nil {
-			failed = append(failed, &ScenarioError{Index: idx, Name: part.scenarios[idx].Name, Err: err})
+			failed = append(failed, &ScenarioError{Index: idx, Name: scenarios[idx].Name, Err: err})
 		}
 	}
 	if len(failed) > 0 {
@@ -797,7 +824,7 @@ func (t traced) result(shared Result, sc Scenario, digest string) Result {
 // baseline-policy counterpart: the scenario identical in every other axis,
 // with carbon_policy at the axis baseline (the first value, "fcfs" unless
 // the spec reorders it).
-func fillAvoidedCarbon(spec Spec, scenarios []Scenario, results []Result) {
+func fillAvoidedCarbon(spec *Spec, scenarios []Scenario, results []Result) {
 	if len(spec.Axes.CarbonPolicy) == 0 {
 		return
 	}
@@ -822,8 +849,8 @@ func fillAvoidedCarbon(spec Spec, scenarios []Scenario, results []Result) {
 // plus the signed percentage delta against the baseline scenario.
 func (s *SweepResults) Table() *report.DeltaTable {
 	t := report.NewDeltaTable(
-		fmt.Sprintf("Sweep: %s (%d scenarios, %d nodes, %d days)",
-			s.Spec.Name, len(s.Results), s.Spec.Nodes, s.Spec.Days),
+		"Sweep: "+s.Spec.Name+" ("+strconv.Itoa(len(s.Results))+" scenarios, "+
+			strconv.Itoa(s.Spec.Nodes)+" nodes, "+strconv.Itoa(s.Spec.Days)+" days)",
 		"scenario",
 		report.DeltaColumn{Header: "mean power", Format: report.KW},
 		report.DeltaColumn{Header: "energy", Format: mwh},

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"reflect"
 	"strings"
 	"sync"
@@ -465,14 +467,92 @@ func TestRunnerMemoDisabled(t *testing.T) {
 }
 
 // memoKeyOf derives the cache key exactly as Run does for the spec's
-// first scenario.
+// first scenario, and fails the test unless it equals the reference key
+// (refMemoKey), so every key TestMemoKeyDistinguishesEveryConfigField
+// reads is also pinned.
 func memoKeyOf(t *testing.T, spec Spec) string {
 	t.Helper()
-	scenarios, err := spec.Expand()
+	part, err := spec.Partition()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return memoKey(spec.withDefaults(), &scenarios[0])
+	keys := newMemoKeys(part.spec)
+	got := keys.key(&part.scenarios[0], part.RunKeys[0])
+	if want := refMemoKey(spec.withDefaults(), &part.scenarios[0]); got != want {
+		t.Errorf("memo key %s, want the reference key %s", got, want)
+	}
+	return got
+}
+
+// refMemoKey is the memo key as one fmt template per simulation wrote it
+// before its spec fields were formatted once per sweep (memoKeys): the
+// memo's keys, and every key a long-lived server has cached, must not
+// move.
+func refMemoKey(spec Spec, sc *Scenario) string {
+	c := spec.Carbon.withDefaults()
+	diverge := 0
+	if sc.midActive() {
+		diverge = spec.DivergeDay
+	}
+	h := fnv.New64a()
+	fmt.Fprintf(h,
+		"seed=%d|sim=%s|days=%d|warmup=%d|oversub=%g|diverge=%d"+
+			"|prio.aging=%g"+
+			"|carbon.threshold=%g|carbon.maxdelay=%g|carbon.flexshare=%g"+
+			"|carbon.budgetfrac=%g|carbon.fsigma=%g|carbon.fgrowth=%g",
+		spec.Seed, sc.runKey(), spec.Days, spec.warmupDays(), spec.OverSubscription, diverge,
+		spec.PriorityAgingHours,
+		c.ThresholdGrams, c.MaxDelayHours, c.FlexibleShare,
+		c.BudgetFraction, c.ForecastSigma, c.ForecastGrowth)
+	return fmt.Sprintf("%d-%016x", spec.Seed, h.Sum64())
+}
+
+// TestMemoKeyMatchesReference pins the memo keys byte for byte: every
+// group's key, as Execute builds it, equals refMemoKey for the flagship
+// sweep, a mid_frequency sweep (branches with the divergence active and
+// inactive, at two seeds), and a carbon-policy sweep with every tunable
+// set. A swapped, dropped or misformatted field in the per-sweep head or
+// tails fails here even where the keys stay distinct.
+func TestMemoKeyMatchesReference(t *testing.T) {
+	mid := Spec{Nodes: 32, Days: 10, Seed: 7, DivergeDay: 6,
+		Axes: Axes{Frequency: []string{"stock", "capped"}, MidFrequency: []string{MidNone, "capped", "2.0GHz"}}}
+	midDefaultDay := mid
+	midDefaultDay.DivergeDay, midDefaultDay.Seed = 0, 1<<63+5
+	carbon := Spec{Nodes: 48, Days: 6, WarmupDays: -1, OverSubscription: 0.65, PriorityAgingHours: 12.5,
+		Carbon: CarbonSpec{ThresholdGrams: 110.25, MaxDelayHours: 6, FlexibleShare: 0.3,
+			BudgetFraction: 0.7, ForecastSigma: 4.5, ForecastGrowth: 1e-7},
+		Axes: Axes{CarbonPolicy: []string{CarbonFCFS, CarbonDelayFlexible, CarbonBudget},
+			GridMean: []float64{180, 45}, PriorityMix: []string{PriorityNone, PriorityTiered}}}
+	for name, spec := range map[string]Spec{
+		"DefaultSpec": DefaultSpec(), "mid": mid, "mid default day": midDefaultDay, "carbon": carbon,
+	} {
+		part, err := spec.Partition()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		keys := newMemoKeys(part.spec)
+		active, groups := 0, map[string]bool{}
+		for i := range part.scenarios {
+			sc := &part.scenarios[i]
+			if groups[part.RunKeys[i]] {
+				continue
+			}
+			groups[part.RunKeys[i]] = true
+			if sc.midActive() {
+				active++
+			}
+			got := keys.key(sc, part.RunKeys[i])
+			if want := refMemoKey(spec.withDefaults(), sc); got != want {
+				t.Errorf("%s: scenario %d (%s): key %s, want %s", name, i, sc.Name, got, want)
+			}
+		}
+		if len(groups) != part.Simulations {
+			t.Errorf("%s: checked %d groups, partition has %d simulations", name, len(groups), part.Simulations)
+		}
+		if strings.HasPrefix(name, "mid") && (active == 0 || active == len(groups)) {
+			t.Errorf("%s: %d of %d groups diverge; want both kinds", name, active, len(groups))
+		}
+	}
 }
 
 // The cache identity must be built from explicit named fields: every

@@ -577,7 +577,7 @@ var axisTable = []axisDef{
 			}
 			// The mid-sweep frequency divergence.
 			b.cfg.Timeline.Changes = append(b.cfg.Timeline.Changes, policy.Change{
-				At:      b.spec.divergeTime(),
+				At:      sweepStart.AddDate(0, 0, b.spec.DivergeDay),
 				Setting: &fs,
 			})
 			return nil
@@ -904,12 +904,6 @@ func parseWorkload(b *build, v string) error {
 // sweepStart is the fixed calendar anchor for sweep runs (the paper's
 // operational year); scenarios differ by axes, never by date.
 var sweepStart = time.Date(2022, 1, 1, 0, 0, 0, 0, time.UTC)
-
-// divergeTime is the absolute virtual time of the mid-sweep divergence
-// point (meaningful only when the mid_frequency axis is swept).
-func (s Spec) divergeTime() time.Time {
-	return sweepStart.AddDate(0, 0, s.withDefaults().DivergeDay)
-}
 
 // simKey is the canonical label of the axes that change the simulation,
 // each placed by its seed role in axisTable. Scenario seeds derive from

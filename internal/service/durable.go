@@ -74,29 +74,29 @@ func (s *Service) journalSubmit(ctx context.Context, sw *Sweep) error {
 	}
 }
 
-// runDurable executes one sweep with journaled checkpoints: it runs the
-// sweep loop (scenario.RunSweep) over the Runner's executor, seeded with
-// the results a previous incarnation journaled, and journals and commits
-// each simulation's scenario results as it lands — the resume
-// granularity after the next crash.
-func (s *Service) runDurable(ctx context.Context, sw *Sweep) (*scenario.SweepResults, error) {
-	return scenario.RunSweep(ctx, sw.Spec, sw.recovered, s.cfg.Runner.Execute, sw.setProgress,
-		func(indices []int, results []scenario.Result) error {
-			// Append keeps no record, so one carries the whole batch.
-			rec := &journal.ScenarioDone{Sweep: sw.ID}
-			var err error
-			for j := 0; j < len(results) && err == nil; j++ {
-				rec.Index, rec.Result = indices[j], results[j]
-				err = s.cfg.Journal.Append(rec)
-			}
-			if err == nil {
-				err = s.cfg.Journal.Commit(ctx)
-			}
-			if err != nil {
-				return fmt.Errorf("service: journaling scenario results: %w", err)
-			}
-			return nil
-		})
+// land is the LandFunc of a sweep's run: nil without a journal, and in
+// durable mode one that journals and commits each simulation's scenario
+// results as they land — the resume granularity after the next crash.
+func (s *Service) land(ctx context.Context, sw *Sweep) scenario.LandFunc {
+	if s.cfg.Journal == nil {
+		return nil
+	}
+	return func(indices []int, results []scenario.Result) error {
+		// Append keeps no record, so one carries the whole batch.
+		rec := &journal.ScenarioDone{Sweep: sw.ID}
+		var err error
+		for j := 0; j < len(results) && err == nil; j++ {
+			rec.Index, rec.Result = indices[j], results[j]
+			err = s.cfg.Journal.Append(rec)
+		}
+		if err == nil {
+			err = s.cfg.Journal.Commit(ctx)
+		}
+		if err != nil {
+			return fmt.Errorf("service: journaling scenario results: %w", err)
+		}
+		return nil
+	}
 }
 
 // journalTerminal records a sweep reaching a terminal state and reports
@@ -225,32 +225,20 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 		}
 		stats.Sweeps++
 		var seq int
-		if _, err := fmt.Sscanf(id, "sweep-%d", &seq); err == nil {
-			s.mu.Lock()
-			if seq > s.nextID {
-				s.nextID = seq
-			}
-			s.mu.Unlock()
+		s.mu.Lock()
+		if _, err := fmt.Sscanf(id, "sweep-%d", &seq); err == nil && seq > s.nextID {
+			s.nextID = seq
+		}
+		s.mu.Unlock()
+		// finished registers a sweep that ended with its outcome.
+		finished := func(sw *Sweep) {
+			close(sw.done)
+			s.publish(sw)
+			s.retire(sw)
+			stats.Finished++
 		}
 
 		final := st.term != nil && st.term.State != journal.TerminalInterrupted
-		if final && st.term.State == journal.TerminalDone {
-			if res, err := assembleRecovered(st.sub, st.results, st.term.Workers); err == nil {
-				sw := s.newRecoveredSweep(st.sub, nil)
-				sw.finished = st.term.Finished
-				sw.st, sw.res = api.StateDone, res
-				sw.simsTotal, sw.simsDone = res.Simulations, res.Simulations
-				close(sw.done)
-				s.publish(sw)
-				s.retire(sw)
-				stats.Finished++
-				stats.ReusedResults += len(st.results)
-				continue
-			}
-			// A done terminal without its full result set (lost to a torn
-			// tail): fall through and resume — determinism guarantees the
-			// re-run finishes identically.
-		}
 		if final && st.term.State != journal.TerminalDone {
 			sw := s.newRecoveredSweep(st.sub, nil)
 			sw.finished = st.term.Finished
@@ -258,16 +246,36 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 			if msg == "" {
 				msg = "sweep " + st.term.State
 			}
+			sw.st, sw.err = api.StateFailed, errors.New(msg)
 			if st.term.State == journal.TerminalCanceled {
-				sw.st, sw.err = api.StateCanceled, errors.New(msg)
-			} else {
-				sw.st, sw.err = api.StateFailed, errors.New(msg)
+				sw.st = api.StateCanceled
 			}
-			close(sw.done)
-			s.publish(sw)
-			s.retire(sw)
-			stats.Finished++
+			finished(sw)
 			continue
+		}
+
+		// The sweep's one expansion: a done sweep assembles its journaled
+		// results over it, an unfinished one resumes on it. A journaled
+		// spec that no longer partitions fails as its run would.
+		part, err := st.sub.Spec.Partition()
+		if err != nil {
+			sw := s.newRecoveredSweep(st.sub, nil)
+			sw.finish(nil, err)
+			finished(sw)
+			continue
+		}
+		if final {
+			if res, err := assembleRecovered(part, st.sub, st.results, st.term.Workers); err == nil {
+				sw := s.newRecoveredSweep(st.sub, nil)
+				sw.finished, sw.st, sw.res = st.term.Finished, api.StateDone, res
+				sw.simsTotal, sw.simsDone = res.Simulations, res.Simulations
+				finished(sw)
+				stats.ReusedResults += len(st.results)
+				continue
+			}
+			// A done terminal without its full result set (lost to a torn
+			// tail): fall through and resume — determinism guarantees the
+			// re-run finishes identically.
 		}
 
 		// Unfinished (no terminal, or interrupted): resume with the
@@ -278,7 +286,7 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 		s.publish(sw)
 		stats.Resumed++
 		stats.ReusedResults += len(st.results)
-		resume = append(resume, func() { go s.execute(runCtx, sw) })
+		resume = append(resume, func() { go s.execute(runCtx, sw, part) })
 	}
 	// Compact once every journaled sweep is registered (keep consults the
 	// registry), and before any resumed sweep can finish and compact.
@@ -290,10 +298,10 @@ func (s *Service) Recover(ctx context.Context) (RecoveryStats, error) {
 }
 
 // assembleRecovered rebuilds a completed sweep's results from its
-// journaled records (workers comes from the terminal record, so the
-// recovered payload matches the original byte for byte); errors if any
-// scenario index is missing.
-func assembleRecovered(sub *journal.SweepSubmitted, results map[int]scenario.Result, workers int) (*scenario.SweepResults, error) {
+// journaled records over its partition (workers comes from the terminal
+// record, so the recovered payload matches the original byte for byte);
+// errors if any scenario index is missing.
+func assembleRecovered(part scenario.Partition, sub *journal.SweepSubmitted, results map[int]scenario.Result, workers int) (*scenario.SweepResults, error) {
 	merged := make([]scenario.Result, sub.Scenarios)
 	for i := range merged {
 		res, ok := results[i]
@@ -302,7 +310,7 @@ func assembleRecovered(sub *journal.SweepSubmitted, results map[int]scenario.Res
 		}
 		merged[i] = res
 	}
-	return scenario.Assemble(sub.Spec, merged, workers)
+	return part.Assemble(merged, workers)
 }
 
 // newRecoveredSweep re-creates a journaled sweep. Recovered sweeps are

@@ -594,6 +594,57 @@ func TestDurableRetentionCompaction(t *testing.T) {
 	}
 }
 
+// TestRecoverRejectedSpecFails: a journaled sweep whose spec no longer
+// validates registers as failed with the validation error, as running it
+// would, whether it was unfinished or done.
+func TestRecoverRejectedSpecFails(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	jl, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := scenario.Spec{Nodes: 32, Days: -3}
+	_, want := bad.Partition()
+	if want == nil {
+		t.Fatal("the spec partitions; it must not")
+	}
+	now := time.Now().UTC()
+	if err := jl.Append(
+		&journal.SweepSubmitted{ID: "sweep-1", Key: "k1", Spec: bad, Scenarios: 1, Submitted: now},
+		&journal.SweepSubmitted{ID: "sweep-2", Key: "k2", Spec: bad, Scenarios: 1, Submitted: now},
+		&journal.SweepTerminal{Sweep: "sweep-2", State: journal.TerminalDone, Workers: 1, Finished: now},
+	); err != nil {
+		t.Fatal(err)
+	}
+	if err := jl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	jl2, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl2.Close()
+	svc, err := New(Config{Runner: &scenario.Runner{Workers: 1}, Journal: jl2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	if _, err := svc.Recover(ctx); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"sweep-1", "sweep-2"} {
+		sw, ok := svc.Get(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		waitDone(t, sw)
+		if st := sw.Status(); st.State != api.StateFailed || st.Error != want.Error() {
+			t.Errorf("%s: state %s (%q), want failed with %q", id, st.State, st.Error, want.Error())
+		}
+	}
+}
+
 func equalStrings(a, b []string) bool {
 	if len(a) != len(b) {
 		return false

@@ -30,8 +30,8 @@ package service
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -44,8 +44,9 @@ import (
 // called.
 var ErrShutdown = errors.New("service: shut down")
 
-// RunFunc executes one sweep. The default is the configured Runner's
-// RunProgress; tests substitute it to control timing and failure modes.
+// RunFunc executes one sweep in place of the Runner: the override that
+// a fabric coordinator sets, and that tests set to control timing and
+// failure modes.
 type RunFunc func(ctx context.Context, spec scenario.Spec, progress func(done, total int)) (*scenario.SweepResults, error)
 
 // Config parameterises a Service.
@@ -53,7 +54,8 @@ type Config struct {
 	// Runner executes sweeps and owns the cross-sweep memo cache.
 	// Required unless Run is set.
 	Runner *scenario.Runner
-	// Run overrides the executor (tests). Nil means Runner.RunProgress.
+	// Run overrides the executor (a fabric coordinator, tests). Nil means
+	// the sweep loop (scenario.RunSweep) over Runner.Execute.
 	Run RunFunc
 	// MaxConcurrent bounds concurrently executing sweeps (default 2);
 	// each sweep already fans out internally across the Runner's workers.
@@ -84,7 +86,6 @@ type Config struct {
 // a Service must not be copied.
 type Service struct {
 	cfg  Config
-	run  RunFunc
 	sem  chan struct{}
 	base context.Context
 	stop context.CancelFunc
@@ -112,14 +113,9 @@ func New(cfg Config) (*Service, error) {
 	if cfg.MaxFinished <= 0 {
 		cfg.MaxFinished = 64
 	}
-	run := cfg.Run
-	if run == nil {
-		run = cfg.Runner.RunProgress
-	}
 	base, stop := context.WithCancel(context.Background())
 	return &Service{
 		cfg:    cfg,
-		run:    run,
 		sem:    make(chan struct{}, cfg.MaxConcurrent),
 		base:   base,
 		stop:   stop,
@@ -147,13 +143,13 @@ func (s *Service) Submit(ctx context.Context, spec scenario.Spec, attach bool) (
 	if err := s.base.Err(); err != nil {
 		return nil, false, ErrShutdown
 	}
-	// Validate (and count) up front so a bad spec fails the submission,
-	// not the executor.
-	scenarios, err := spec.Expand()
+	// Partition up front so a bad spec fails the submission, not the
+	// executor; the partition is the sweep's one expansion.
+	part, err := spec.Partition()
 	if err != nil {
 		return nil, false, err
 	}
-	spec = spec.Canonical()
+	spec = part.Spec()
 	key := api.SpecKey(spec)
 
 	s.mu.Lock()
@@ -189,10 +185,10 @@ func (s *Service) Submit(ctx context.Context, spec scenario.Spec, attach bool) (
 	s.nextID++
 	runCtx, cancel := context.WithCancel(s.base)
 	sw := &Sweep{
-		ID:        fmt.Sprintf("sweep-%d", s.nextID),
+		ID:        "sweep-" + strconv.Itoa(s.nextID),
 		Key:       key,
 		Spec:      spec,
-		scenarios: len(scenarios),
+		scenarios: len(part.Keys),
 		submitted: time.Now(),
 		st:        api.StatePending,
 		cancel:    cancel,
@@ -222,7 +218,7 @@ func (s *Service) Submit(ctx context.Context, spec scenario.Spec, attach bool) (
 	}
 
 	sw.join(ctx, attach)
-	go s.execute(runCtx, sw)
+	go s.execute(runCtx, sw, part)
 	return sw, false, nil
 }
 
@@ -299,20 +295,12 @@ func (s *Service) RunShard(ctx context.Context, req api.ShardRequest) (*api.Shar
 	// Validate the request up front so malformed shards answer
 	// bad_request (the coordinator's fault) rather than shard_failed
 	// (the sweep's fault).
-	scenarios, err := req.Spec.Expand()
+	part, err := req.Spec.Partition()
+	if err == nil {
+		err = part.CheckSelection(req.Scenarios)
+	}
 	if err != nil {
 		return nil, &api.Error{Code: api.ErrBadRequest, Message: err.Error()}
-	}
-	if len(req.Scenarios) == 0 {
-		return nil, &api.Error{Code: api.ErrBadRequest, Message: "shard request lists no scenarios"}
-	}
-	last := -1
-	for _, idx := range req.Scenarios {
-		if idx <= last || idx >= len(scenarios) {
-			return nil, &api.Error{Code: api.ErrBadRequest,
-				Message: fmt.Sprintf("scenario indices must be ascending, unique and below %d", len(scenarios))}
-		}
-		last = idx
 	}
 	// Shards queue behind the same slot bound as whole sweeps so a
 	// coordinator burst cannot oversubscribe a worker.
@@ -322,7 +310,7 @@ func (s *Service) RunShard(ctx context.Context, req api.ShardRequest) (*api.Shar
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	results, sims, err := s.cfg.Runner.RunScenarios(ctx, req.Spec, req.Scenarios, nil)
+	results, sims, err := s.cfg.Runner.RunSelected(ctx, part, req.Scenarios, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -332,10 +320,13 @@ func (s *Service) RunShard(ctx context.Context, req api.ShardRequest) (*api.Shar
 	return &api.ShardResponse{Shard: req.Shard, Results: results, Simulations: sims}, nil
 }
 
-// execute runs one sweep under the concurrency bound. A terminal sweep
-// releases its run context before Done closes: cancelling detaches it
-// from s.base, which otherwise keeps every sweep ever served.
-func (s *Service) execute(ctx context.Context, sw *Sweep) {
+// execute runs one sweep, partitioned as part, under the concurrency
+// bound: through the sweep loop (scenario.RunSweep) over the Runner's
+// executor, seeded with any results Recover found journaled, unless
+// Config.Run overrides it. A terminal sweep releases its run context
+// before Done closes: cancelling detaches it from s.base, which
+// otherwise keeps every sweep ever served.
+func (s *Service) execute(ctx context.Context, sw *Sweep, part scenario.Partition) {
 	defer close(sw.done)
 	defer sw.cancel()
 	var res *scenario.SweepResults
@@ -344,10 +335,10 @@ func (s *Service) execute(ctx context.Context, sw *Sweep) {
 	case s.sem <- struct{}{}:
 		defer func() { <-s.sem }()
 		sw.setRunning()
-		if s.cfg.Journal != nil {
-			res, err = s.runDurable(ctx, sw)
+		if s.cfg.Run != nil {
+			res, err = s.cfg.Run(ctx, sw.Spec, sw.setProgress)
 		} else {
-			res, err = s.run(ctx, sw.Spec, sw.setProgress)
+			res, err = scenario.RunSweep(ctx, part, sw.recovered, s.cfg.Runner.Execute, sw.setProgress, s.land(ctx, sw))
 		}
 	case <-ctx.Done():
 	}
