@@ -631,6 +631,21 @@ func BenchmarkServedWarmSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkSpecPartition measures the partition stage alone: the one
+// expansion a served sweep's entry point makes of the flagship spec
+// (scenario.DefaultSpec) — defaulting, validating, checking every axis
+// value, expanding the scenarios and computing their affinity and run
+// keys.
+func BenchmarkSpecPartition(b *testing.B) {
+	spec := scenario.DefaultSpec()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := spec.Partition(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // servedPool caches BenchmarkServedWarmSweep's 16 DefaultSpec seeds and
 // the Runner whose memo holds them, simulated once per process.
 var (

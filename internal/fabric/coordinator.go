@@ -200,7 +200,7 @@ func (c *Coordinator) Run(ctx context.Context, spec scenario.Spec, progress func
 // share re-hashed over the survivors in the next round, after a
 // doubling backoff; a deterministic failure fails the sweep at once. It
 // returns how many workers contributed.
-func (c *Coordinator) execute(ctx context.Context, part scenario.Partition, indices []int, land scenario.LandFunc) (int, error) {
+func (c *Coordinator) execute(ctx context.Context, part scenario.Partition, indices []int, slots []scenario.Result, land scenario.LandFunc) (int, error) {
 	spec := part.Spec()
 	sweepKey := api.SpecKey(spec)
 	// unresolved maps each affinity key still to dispatch to its requested
@@ -310,7 +310,10 @@ func (c *Coordinator) execute(ctx context.Context, part scenario.Partition, indi
 						return
 					}
 				}
-				if landErr = land(sh.indices, resp.Results); landErr != nil {
+				for j, idx := range sh.indices {
+					slots[idx] = resp.Results[j]
+				}
+				if landErr = land(sh.indices, slots); landErr != nil {
 					return
 				}
 				for _, idx := range sh.indices {

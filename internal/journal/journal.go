@@ -449,29 +449,24 @@ func (l *Log) Commit(ctx context.Context) error {
 	}
 	l.mu.Unlock()
 
-	deadline, err := l.acquireSync(ctx)
+	waited, err := l.acquireSync(ctx)
 	if err != nil {
 		return err
 	}
-	defer deadline.Stop()
 
 	l.mu.Lock()
-	if l.crashed != nil {
-		err := l.crashed
-		l.mu.Unlock()
-		<-l.syncSlot
+	if err := l.crashed; err != nil {
+		l.unlockDisk()
 		return err
 	}
 	if l.synced >= want {
 		// A committer that beat us to the slot already covered our
 		// records — the free ride that makes group commit amortise.
-		l.mu.Unlock()
-		<-l.syncSlot
+		l.unlockDisk()
 		return nil
 	}
 	if err := l.flushLocked(); err != nil {
-		l.mu.Unlock()
-		<-l.syncSlot
+		l.unlockDisk()
 		return err
 	}
 	f, target := l.f, l.appended
@@ -482,6 +477,9 @@ func (l *Log) Commit(ctx context.Context) error {
 		<-l.syncSlot
 		return nil
 	}
+	// The fsync gets what the wait for the slot left of the deadline.
+	deadline := time.NewTimer(l.opts.CommitTimeout - waited)
+	defer deadline.Stop()
 	done := make(chan error, 1)
 	go func() {
 		err := f.Sync()
@@ -511,21 +509,47 @@ func (l *Log) Commit(ctx context.Context) error {
 }
 
 // acquireSync takes the sync slot, giving up with ErrStalled once
-// Options.CommitTimeout passes (or with ctx's error). On success it
-// returns the deadline timer still running, so Commit can bound its fsync
-// by the same deadline; the caller stops it. A stopped timer is released
-// at once, where a time.After channel would stay live until it fired.
-func (l *Log) acquireSync(ctx context.Context) (*time.Timer, error) {
-	deadline := time.NewTimer(l.opts.CommitTimeout)
+// Options.CommitTimeout passes (or with ctx's error), and reports how
+// long it waited. A free slot is taken at once, with no timer. A stopped
+// timer is released at once, where a time.After channel would stay live
+// until it fired.
+func (l *Log) acquireSync(ctx context.Context) (time.Duration, error) {
 	select {
 	case l.syncSlot <- struct{}{}:
-		return deadline, nil
-	case <-ctx.Done():
-		deadline.Stop()
-		return nil, ctx.Err()
-	case <-deadline.C:
-		return nil, ErrStalled
+		return 0, nil
+	default:
 	}
+	start := time.Now()
+	deadline := time.NewTimer(l.opts.CommitTimeout)
+	defer deadline.Stop()
+	select {
+	case l.syncSlot <- struct{}{}:
+		return time.Since(start), nil
+	case <-ctx.Done():
+		return 0, ctx.Err()
+	case <-deadline.C:
+		return 0, ErrStalled
+	}
+}
+
+// lockDisk takes the sync slot and then mu for a disk operation that
+// needs no deadline of its own (rotation, replay, compaction, close),
+// failing on a crashed log; unlockDisk releases both.
+func (l *Log) lockDisk() error {
+	if _, err := l.acquireSync(context.Background()); err != nil {
+		return err
+	}
+	l.mu.Lock()
+	if err := l.crashed; err != nil {
+		l.unlockDisk()
+		return err
+	}
+	return nil
+}
+
+func (l *Log) unlockDisk() {
+	l.mu.Unlock()
+	<-l.syncSlot
 }
 
 func (l *Log) markSynced(target int64) {
@@ -539,18 +563,10 @@ func (l *Log) markSynced(target int64) {
 // rotate seals the active segment (flushed and fsynced) and opens a
 // fresh one.
 func (l *Log) rotate() error {
-	deadline, err := l.acquireSync(context.Background())
-	if err != nil {
+	if err := l.lockDisk(); err != nil {
 		return err
 	}
-	deadline.Stop()
-	defer func() { <-l.syncSlot }()
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed != nil {
-		return l.crashed
-	}
+	defer l.unlockDisk()
 	if l.size < l.opts.SegmentBytes {
 		return nil // a racing append already rotated
 	}
@@ -582,17 +598,10 @@ func (l *Log) rotate() error {
 // complete). Replay holds the log locked for its duration; it is meant
 // for recovery, not hot paths.
 func (l *Log) Replay(fn func(Record) error) error {
-	deadline, err := l.acquireSync(context.Background())
-	if err != nil {
+	if err := l.lockDisk(); err != nil {
 		return err
 	}
-	deadline.Stop()
-	defer func() { <-l.syncSlot }()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed != nil {
-		return l.crashed
-	}
+	defer l.unlockDisk()
 	if err := l.flushLocked(); err != nil {
 		return err
 	}
@@ -601,7 +610,7 @@ func (l *Log) Replay(fn func(Record) error) error {
 			return err
 		}
 	}
-	_, _, err = scanSegment(filepath.Join(l.dir, segmentName(l.seq)), true, fn)
+	_, _, err := scanSegment(filepath.Join(l.dir, segmentName(l.seq)), true, fn)
 	return err
 }
 
@@ -615,17 +624,10 @@ func (l *Log) Replay(fn func(Record) error) error {
 // with the log locked and must not call back into it. Returns how many
 // segments were removed.
 func (l *Log) Compact(keep func(sweepID string) bool) (int, error) {
-	deadline, err := l.acquireSync(context.Background())
-	if err != nil {
+	if err := l.lockDisk(); err != nil {
 		return 0, err
 	}
-	deadline.Stop()
-	defer func() { <-l.syncSlot }()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed != nil {
-		return 0, l.crashed
-	}
+	defer l.unlockDisk()
 	removed := 0
 	remaining := l.sealed[:0]
 	for i, seg := range l.sealed {
@@ -662,17 +664,10 @@ func (l *Log) Appended() int64 {
 // returns ErrCrashed without touching the file — the simulated process
 // is already dead.
 func (l *Log) Close() error {
-	deadline, err := l.acquireSync(context.Background())
-	if err != nil {
+	if err := l.lockDisk(); err != nil {
 		return err
 	}
-	deadline.Stop()
-	defer func() { <-l.syncSlot }()
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.crashed != nil {
-		return l.crashed
-	}
+	defer l.unlockDisk()
 	if l.closed {
 		return nil
 	}

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -188,6 +189,60 @@ func TestAppendAllocs(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Errorf("Append of one ScenarioDone = %v allocs, want <= 1", allocs)
+	}
+}
+
+// TestCommitAllocs pins the commit path's allocations on a free sync
+// slot: the slot is taken without a deadline timer, so committing a
+// NoSync log after an Append, and compacting with nothing to remove,
+// allocate nothing.
+func TestCommitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under -race sync.Pool drops items at random, so json's encoder allocates more")
+	}
+	l, err := Open(t.TempDir(), Options{NoSync: true, SegmentBytes: 4 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	rec := testRecords("sweep-1")[1]
+	// Warm up as TestAppendAllocs does, sealing a few segments for
+	// Compact to keep.
+	for i := 0; i < 200; i++ {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Commit(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun would run Commit twice per Append, and the second has
+	// nothing to sync, so each commit is measured as it does.
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	var commits uint64
+	for i := 0; i < 100; i++ {
+		if err := l.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&before)
+		err := l.Commit(ctx)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		commits += after.Mallocs - before.Mallocs
+	}
+	if commits != 0 {
+		t.Errorf("Commit after an Append = %d allocs over 100 commits, want 0", commits)
+	}
+	keep := func(string) bool { return true }
+	if got := testing.AllocsPerRun(100, func() {
+		if n, err := l.Compact(keep); err != nil || n != 0 {
+			t.Fatalf("Compact = %d, %v; want nothing removed", n, err)
+		}
+	}); got != 0 {
+		t.Errorf("Compact with nothing to remove = %v allocs, want 0", got)
 	}
 }
 

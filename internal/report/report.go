@@ -266,18 +266,9 @@ func (d *DeltaTable) format(i int, v float64) string {
 // SetBaseline records the baseline row; values must match the metric
 // columns. It may be called once, before any Add.
 func (d *DeltaTable) SetBaseline(name string, values ...float64) {
-	cells := make([]string, 0, len(d.cols)+1)
-	cells = append(cells, name+" (baseline)")
-	for i := range d.cols {
-		v := 0.0
-		if i < len(values) {
-			v = values[i]
-		}
-		cells = append(cells, d.format(i, v))
-	}
+	d.Add(name+" (baseline)", values...) // plain: no baseline yet
 	d.base = append([]float64(nil), values...)
 	d.set = true
-	d.t.AddRow(cells...)
 }
 
 // Add appends a scenario row, rendering each metric with its signed
@@ -298,7 +289,7 @@ func (d *DeltaTable) Add(name string, values ...float64) {
 		}
 		cells = append(cells, cell)
 	}
-	d.t.AddRow(cells...)
+	d.t.rows = append(d.t.rows, cells) // one cell per header: the table keeps it
 }
 
 // String renders the table.

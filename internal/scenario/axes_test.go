@@ -3,8 +3,13 @@ package scenario
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
+
+	"github.com/greenhpc/archertwin/internal/cpu"
 )
 
 // TestSeedLabels pins the literal seed keys: every scenario seed derives
@@ -175,6 +180,9 @@ func FuzzParseSpec(f *testing.F) {
 			return
 		}
 		scenarios, err := spec.Expand()
+		if msg := expandVersusRef(spec, err); msg != "" {
+			t.Fatal(msg)
+		}
 		if err != nil {
 			return
 		}
@@ -191,4 +199,110 @@ func FuzzParseSpec(f *testing.F) {
 			}
 		}
 	})
+}
+
+// refCheckValues is Expand's axis-value check as it was before Expand
+// stopped building a scratch configuration: every value of every axis is
+// applied to one.
+func refCheckValues(s Spec) error {
+	s = s.withDefaults()
+	ax := s.axes()
+	// Check every value once, by applying it to a scratch configuration.
+	scratch := &build{spec: s}
+	scratch.cfg.Facility.CPU = cpu.EPYC7742()
+	for _, a := range ax {
+		for _, v := range a.values {
+			if err := a.def.apply(scratch, v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// expandVersusRef compares Expand's verdict err on a spec that Validate
+// accepts with refCheckValues', unless the expansion guard rejected the
+// spec before any value was checked. It returns "" when they agree.
+func expandVersusRef(s Spec, err error) string {
+	if err != nil && (strings.Contains(err.Error(), "expansion exceeds") ||
+		strings.Contains(err.Error(), "list mode needs")) {
+		return ""
+	}
+	want := refCheckValues(s)
+	if (err == nil) != (want == nil) || err != nil && err.Error() != want.Error() {
+		return fmt.Sprintf("Expand(%+v) = %v, the scratch-build check says %v", s.Axes, err, want)
+	}
+	return ""
+}
+
+// TestExpandCheckMatchesScratchBuild holds Expand's value check to the
+// scratch-build check it replaced: one spec per value of every axis —
+// each free-form axis's accepted spellings, every enumerated axis's base
+// and choices — plus invalid values, accepted or rejected alike and with
+// the same error text.
+func TestExpandCheckMatchesScratchBuild(t *testing.T) {
+	values := map[string][]string{
+		"freq":  {"", "stock", "capped", "1.5GHz", "2.0GHz", "2.25GHz", "2.25GHz+boost", "2.0GHz+boost", "3.5GHz", "fast"},
+		"grid":  {"200", "65.5", "0", "-1"},
+		"sched": {"", "backfill", "fcfs", "backfill=0", "backfill=3", "backfill=-1", "backfill=x", "sjf"},
+		"wl":    {"", "base", "portable", "production", "simd", "debug"},
+		"nodes": {"8", "32", "200", "7"},
+		"mid":   {"", MidNone, "capped", "2.0GHz", "3.5GHz", "fast"},
+	}
+	// The invalid values above: 3 frequency, 2 grid, 3 scheduler, 1
+	// workload, 1 node count and 2 mid values, then one unknown choice per
+	// enumerated axis.
+	invalid := 12
+	for i := range axisTable {
+		a := &axisTable[i]
+		if a.parse != nil {
+			continue
+		}
+		invalid++
+		vs := []string{"", a.base, "bogus"}
+		for _, c := range a.choices {
+			vs = append(vs, c.value)
+		}
+		values[a.key] = vs
+	}
+	rejected := 0
+	for i := range axisTable {
+		a := &axisTable[i]
+		vs, ok := values[a.key]
+		if !ok {
+			t.Fatalf("axis %q has no test values", a.key)
+		}
+		for _, v := range vs {
+			spec := Spec{Days: 10, DivergeDay: 3}
+			switch p := a.values(&spec.Axes).(type) {
+			case *[]string:
+				*p = []string{v}
+			case *[]float64:
+				f, err := strconv.ParseFloat(v, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				*p = []float64{f}
+			case *[]int:
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				*p = []int{n}
+			}
+			if err := spec.Validate(); err != nil {
+				t.Fatalf("%s=%q: spec invalid before the value check: %v", a.key, v, err)
+			}
+			_, err := spec.Expand()
+			if msg := expandVersusRef(spec, err); msg != "" {
+				t.Errorf("%s=%q: %s", a.key, v, msg)
+			}
+			if err != nil {
+				rejected++
+			}
+		}
+	}
+	if rejected != invalid {
+		t.Errorf("%d values rejected, want %d", rejected, invalid)
+	}
 }

@@ -63,13 +63,13 @@ func TestRunSweepContract(t *testing.T) {
 		var lastDone, lastTotal int
 		got, err := RunSweep(ctx, part, have, r.Execute,
 			func(done, total int) { lastDone, lastTotal = done, total },
-			func(indices []int, results []Result) error {
+			func(indices []int, slots []Result) error {
 				landed[part.RunKeys[indices[0]]]++
-				for j, i := range indices {
+				for _, i := range indices {
 					if _, ok := have[i]; ok {
 						t.Errorf("mask %b: scenario %d landed although seeded", mask, i)
 					}
-					if part.RunKeys[i] != part.RunKeys[indices[0]] || results[j].Scenario.Index != i {
+					if part.RunKeys[i] != part.RunKeys[indices[0]] || slots[i].Scenario.Index != i {
 						t.Errorf("mask %b: land mixes simulations or misaligns results at %d", mask, i)
 					}
 				}
@@ -133,6 +133,46 @@ func TestRunSweepLandError(t *testing.T) {
 		}
 		if calls != 1 {
 			t.Errorf("%s: land called %d times, want 1", name, calls)
+		}
+	}
+}
+
+// TestWarmLandingsInGroupOrder: a memo-warm sweep lands its simulations
+// on the calling goroutine in group order (each run key's first
+// appearance in expansion order), however wide the pool, so whatever a
+// land writes comes out in one order.
+func TestWarmLandingsInGroupOrder(t *testing.T) {
+	ctx := context.Background()
+	spec := partitionSpec()
+	r := &Runner{Workers: 4}
+	if _, err := r.Run(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	part, err := spec.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]int
+	group := map[string]int{}
+	for i, key := range part.RunKeys {
+		g, ok := group[key]
+		if !ok {
+			g = len(want)
+			group[key] = g
+			want = append(want, nil)
+		}
+		want[g] = append(want[g], i)
+	}
+	for run := 0; run < 20; run++ {
+		var got [][]int
+		if _, err := RunSweep(ctx, part, nil, r.Execute, nil, func(indices []int, _ []Result) error {
+			got = append(got, append([]int(nil), indices...))
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("run %d: landings %v, want group order %v", run, got, want)
 		}
 	}
 }

@@ -46,11 +46,11 @@ type Partition struct {
 // Partition expands and validates the spec and returns its sharding
 // structure.
 func (s Spec) Partition() (Partition, error) {
-	scenarios, err := s.Expand()
+	canonical := s.withDefaults()
+	scenarios, err := canonical.expand()
 	if err != nil {
 		return Partition{}, err
 	}
-	canonical := s.withDefaults()
 	p := Partition{
 		spec:      &canonical,
 		Keys:      make([]string, len(scenarios)),
@@ -133,26 +133,27 @@ func (p Partition) Assemble(results []Result, workers int) (*SweepResults, error
 }
 
 // LandFunc receives resolved scenarios: their expansion indices,
-// ascending, and their results in the same order.
-type LandFunc func(indices []int, results []Result) error
+// ascending, whose results were just written to slots[index].
+type LandFunc func(indices []int, slots []Result) error
 
 // Executor resolves the scenarios of part at the given ascending
-// expansion indices, landing every simulation's whole
-// set of them as it resolves: Runner.Execute lands one simulation per
-// call, the fabric coordinator one shard per call. Landings never
-// overlap; after a land error the executor lands nothing more, stops and
-// returns that error unwrapped. It returns its width: the pool size, or
-// how many fabric workers contributed.
-type Executor func(ctx context.Context, part Partition, indices []int, land LandFunc) (width int, err error)
+// expansion indices into slots (its caller's, one per expanded scenario),
+// landing every simulation's whole set of them as it resolves:
+// Runner.Execute lands one simulation per call, the fabric coordinator
+// one shard per call. Landings never overlap; after a land error the
+// executor lands nothing more, stops and returns that error unwrapped.
+// It returns its width: the pool size, or how many fabric workers
+// contributed.
+type Executor func(ctx context.Context, part Partition, indices []int, slots []Result, land LandFunc) (width int, err error)
 
 // RunSweep is the one sweep loop that in-process, durable and fabric
 // sweeps share, over the partition their entry point computed. It seeds
 // the result slots from have (known results by expansion index), hands
-// every unresolved index to exec in one call, and passes each landing
-// to land (when non-nil) before filling its slots and reporting
-// progress as distinct landed run keys over Partition.Simulations. It
-// then assembles the sweep, with the executor's width capped at the
-// simulation count as Workers.
+// every unresolved index and the slots to exec in one call, and passes
+// each landing to land (when non-nil) before reporting progress as
+// distinct landed run keys over Partition.Simulations. It then assembles
+// the sweep, with the executor's width capped at the simulation count as
+// Workers.
 func RunSweep(ctx context.Context, part Partition, have map[int]Result, exec Executor,
 	progress func(done, total int), land LandFunc) (*SweepResults, error) {
 	runKeys, sims := part.RunKeys, part.Simulations // what the closures keep of part
@@ -177,14 +178,13 @@ func RunSweep(ctx context.Context, part Partition, have map[int]Result, exec Exe
 		}
 	}
 	report()
-	width, err := exec(ctx, part, missing, func(indices []int, results []Result) error {
+	width, err := exec(ctx, part, missing, slots, func(indices []int, slots []Result) error {
 		if land != nil {
-			if err := land(indices, results); err != nil {
+			if err := land(indices, slots); err != nil {
 				return err
 			}
 		}
-		for j, i := range indices {
-			slots[i] = results[j]
+		for _, i := range indices {
 			resolved[runKeys[i]] = true
 		}
 		report()

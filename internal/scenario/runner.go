@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -354,12 +353,9 @@ func (r *Runner) RunSelected(ctx context.Context, part Partition, indices []int,
 	for _, idx := range indices {
 		runKeys[part.RunKeys[idx]] = true
 	}
-	results := make([]Result, len(indices))
+	slots := make([]Result, len(part.RunKeys))
 	sims := 0
-	if _, err := r.Execute(ctx, part, indices, func(idxs []int, res []Result) error {
-		for j, idx := range idxs {
-			results[sort.SearchInts(indices, idx)] = res[j]
-		}
+	if _, err := r.Execute(ctx, part, indices, slots, func([]int, []Result) error {
 		if sims++; progress != nil {
 			progress(sims, len(runKeys))
 		}
@@ -367,18 +363,21 @@ func (r *Runner) RunSelected(ctx context.Context, part Partition, indices []int,
 	}); err != nil {
 		return nil, 0, err
 	}
-	return results, sims, nil
+	for j, idx := range indices {
+		slots[j] = slots[idx] // indices ascend: this packs in place
+	}
+	return slots[:len(indices):len(indices)], sims, nil
 }
 
-// Execute is the Runner's Executor: it simulates the scenarios at the
-// given expansion indices on the worker pool and lands each distinct
-// simulation's scenarios as soon as it resolves — at once for a memo
-// hit, otherwise when its simulation finishes — accounted against the
-// scenario's grid trace (or taken from the memo entry's accounts) and
-// carrying the simulation digest. It builds a core.Config only for a
-// simulation it runs. Cross-scenario aggregation is left to Assemble.
-// It returns the pool width.
-func (r *Runner) Execute(ctx context.Context, part Partition, indices []int, land LandFunc) (int, error) {
+// Execute is the Runner's Executor: it lands each distinct simulation's
+// scenarios as soon as it resolves — memo hits first, on the calling
+// goroutine and in group order, the rest from the worker pool as their
+// simulations finish — accounted against the scenario's grid trace (or
+// taken from the memo entry's accounts) and carrying the simulation
+// digest. It builds a core.Config only for a simulation it runs.
+// Cross-scenario aggregation is left to Assemble. It returns the pool
+// width.
+func (r *Runner) Execute(ctx context.Context, part Partition, indices []int, slots []Result, land LandFunc) (int, error) {
 	spec, scenarios := part.spec, part.scenarios
 	if ctx == nil {
 		ctx = context.Background()
@@ -585,16 +584,15 @@ func (r *Runner) Execute(ctx context.Context, part Partition, indices []int, lan
 				return
 			}
 		}
-		results := make([]Result, len(gr.members))
 		for j, idx := range gr.members {
-			results[j] = gr.accts[j].result(shared, scenarios[idx], gr.digest)
+			slots[idx] = gr.accts[j].result(shared, scenarios[idx], gr.digest)
 		}
 		landMu.Lock()
 		defer landMu.Unlock()
 		if landErr != nil {
 			return
 		}
-		if landErr = land(gr.members, results); landErr != nil {
+		if landErr = land(gr.members, slots); landErr != nil {
 			cancel()
 		}
 	}
@@ -636,15 +634,14 @@ func (r *Runner) Execute(ctx context.Context, part Partition, indices []int, lan
 		return cfg, err
 	}
 
-	// Phase one lands the memo hits first, then runs the cold
-	// simulations, plus one prefix run per fork family. The prefix runs to
-	// the divergence point and checkpoints there; it counts as an executed
-	// simulation (a memo miss) like any other.
-	var coldTasks, forkTasks []func()
+	// The memo hits land first, here and in group order. Phase one then
+	// runs the cold simulations, plus one prefix run per fork family. The
+	// prefix runs to the divergence point and checkpoints there; it counts
+	// as an executed simulation (a memo miss) like any other.
 	for _, g := range hits {
-		g := g
-		coldTasks = append(coldTasks, func() { resolve(g) })
+		resolve(g)
 	}
+	var coldTasks, forkTasks []func()
 	for _, g := range cold {
 		g := g
 		coldTasks = append(coldTasks, func() {

@@ -466,7 +466,7 @@ type axisDef struct {
 	field  func(*Scenario) any
 	// An enumerated axis lists its other values and their effects in
 	// choices, with noun naming the axis in errors. A free-form axis
-	// parses a value instead: parse checks v and applies it to b.
+	// parses a value instead: parse checks v, then applies it to a non-nil b.
 	noun    string
 	choices []choice
 	parse   func(b *build, v string) error
@@ -483,8 +483,8 @@ var axisTable = []axisDef{
 		// Determinism, the paper's post-May-2022 state) with its frequency
 		// in force from day zero.
 		parse: func(b *build, v string) error {
-			fs, err := parseFrequency(b.cfg.Facility.CPU, v)
-			if err != nil {
+			fs, err := parseFrequency(v)
+			if err != nil || b == nil {
 				return err
 			}
 			perfDet := cpu.PerformanceDeterminism
@@ -571,8 +571,8 @@ var axisTable = []axisDef{
 			if v == "" || v == MidNone {
 				return nil
 			}
-			fs, err := parseFrequency(b.cfg.Facility.CPU, v)
-			if err != nil {
+			fs, err := parseFrequency(v)
+			if err != nil || b == nil {
 				return err
 			}
 			// The mid-sweep frequency divergence.
@@ -668,7 +668,7 @@ func (b *build) setCarbon(newPolicy func(*forecast.Forecaster) sched.TemporalPol
 	}
 }
 
-// apply checks value v of the axis and applies it to b.
+// apply checks value v of the axis, then applies it to a non-nil b.
 func (a *axisDef) apply(b *build, v string) error {
 	if a.parse != nil {
 		return a.parse(b, v)
@@ -679,7 +679,9 @@ func (a *axisDef) apply(b *build, v string) error {
 	want := []string{a.base}
 	for _, c := range a.choices {
 		if c.value == v {
-			c.effect(b)
+			if b != nil {
+				c.effect(b)
+			}
 			return nil
 		}
 		want = append(want, c.value)
@@ -770,10 +772,15 @@ func (s *Spec) axes() []axis {
 // scenario is always the baseline. Every axis value is validated here, so
 // a bad spec fails before any simulation runs.
 func (s Spec) Expand() ([]Scenario, error) {
+	s = s.withDefaults()
+	return s.expand()
+}
+
+// expand is Expand of the canonical spec s, which Partition keeps.
+func (s *Spec) expand() ([]Scenario, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	s = s.withDefaults()
 	ax := s.axes()
 
 	// Grid mode varies the last axis fastest; list mode zips the axes,
@@ -804,12 +811,10 @@ func (s Spec) Expand() ([]Scenario, error) {
 				s.MaxScenarios)
 		}
 	}
-	// Check every value once, by applying it to a scratch configuration.
-	scratch := &build{spec: s}
-	scratch.cfg.Facility.CPU = cpu.EPYC7742()
+	// Check every value once, building no configuration.
 	for _, a := range ax {
 		for _, v := range a.values {
-			if err := a.def.apply(scratch, v); err != nil {
+			if err := a.def.apply(nil, v); err != nil {
 				return nil, err
 			}
 		}
@@ -836,13 +841,16 @@ func (s Spec) Expand() ([]Scenario, error) {
 	return out, nil
 }
 
-// parseFrequency resolves a frequency axis value against spec.
-func parseFrequency(spec *cpu.Spec, v string) (cpu.FreqSetting, error) {
+// sweepCPU is the CPU of every scenario's config (core.ScaledConfig).
+var sweepCPU = cpu.EPYC7742()
+
+// parseFrequency resolves a frequency axis value against the sweep CPU.
+func parseFrequency(v string) (cpu.FreqSetting, error) {
 	switch v {
 	case "stock", "":
-		return spec.DefaultSetting(), nil
+		return sweepCPU.DefaultSetting(), nil
 	case "capped":
-		return spec.CappedSetting(), nil
+		return sweepCPU.CappedSetting(), nil
 	}
 	str := v
 	boost := false
@@ -856,7 +864,7 @@ func parseFrequency(spec *cpu.Spec, v string) (cpu.FreqSetting, error) {
 		return cpu.FreqSetting{}, fmt.Errorf("scenario: invalid frequency %q (want \"stock\", \"capped\" or e.g. \"2.0GHz\")", v)
 	}
 	fs := cpu.FreqSetting{Base: units.Gigahertz(ghz), Boost: boost}
-	if err := spec.ValidateSetting(fs); err != nil {
+	if err := sweepCPU.ValidateSetting(fs); err != nil {
 		return cpu.FreqSetting{}, fmt.Errorf("scenario: frequency %q: %w", v, err)
 	}
 	return fs, nil
@@ -864,18 +872,21 @@ func parseFrequency(spec *cpu.Spec, v string) (cpu.FreqSetting, error) {
 
 // parseScheduler sets the backfill depth a scheduler axis value names.
 func parseScheduler(b *build, v string) error {
+	depth := 64
 	switch v {
 	case "backfill", "":
-		b.cfg.Sched.BackfillDepth = 64
 	case "fcfs":
-		b.cfg.Sched.BackfillDepth = 0
+		depth = 0
 	default:
 		rest, ok := strings.CutPrefix(v, "backfill=")
 		n, err := strconv.Atoi(rest)
 		if !ok || err != nil || n < 0 {
 			return fmt.Errorf("scenario: invalid scheduler %q (want \"backfill\", \"fcfs\" or \"backfill=N\")", v)
 		}
-		b.cfg.Sched.BackfillDepth = n
+		depth = n
+	}
+	if b != nil {
+		b.cfg.Sched.BackfillDepth = depth
 	}
 	return nil
 }
@@ -892,7 +903,9 @@ func parseWorkload(b *build, v string) error {
 	case "portable", "production", "simd":
 		for _, c := range apps.CommonVariants() {
 			if strings.Contains(strings.ToLower(c.Name), v) {
-				b.cfg.FleetVariant = &c
+				if b != nil {
+					b.cfg.FleetVariant = &c
+				}
 				return nil
 			}
 		}

@@ -81,12 +81,12 @@ func (s *Service) land(ctx context.Context, sw *Sweep) scenario.LandFunc {
 	if s.cfg.Journal == nil {
 		return nil
 	}
-	return func(indices []int, results []scenario.Result) error {
-		// Append keeps no record, so one carries the whole batch.
-		rec := &journal.ScenarioDone{Sweep: sw.ID}
+	// Append keeps no record and landings never overlap: one serves all.
+	rec := &journal.ScenarioDone{Sweep: sw.ID}
+	return func(indices []int, slots []scenario.Result) error {
 		var err error
-		for j := 0; j < len(results) && err == nil; j++ {
-			rec.Index, rec.Result = indices[j], results[j]
+		for j := 0; j < len(indices) && err == nil; j++ {
+			rec.Index, rec.Result = indices[j], slots[indices[j]]
 			err = s.cfg.Journal.Append(rec)
 		}
 		if err == nil {

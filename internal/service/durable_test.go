@@ -8,6 +8,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -641,6 +643,75 @@ func TestRecoverRejectedSpecFails(t *testing.T) {
 		waitDone(t, sw)
 		if st := sw.Status(); st.State != api.StateFailed || st.Error != want.Error() {
 			t.Errorf("%s: state %s (%q), want failed with %q", id, st.State, st.Error, want.Error())
+		}
+	}
+}
+
+// TestWarmSweepsJournalInOneOrder: memo-warm sweeps land on the calling
+// goroutine in group order, so repeated warm sweeps of one spec on a
+// four-wide pool all write their ScenarioDone records in that one index
+// order.
+func TestWarmSweepsJournalInOneOrder(t *testing.T) {
+	ctx := context.Background()
+	spec := crashSpec()
+	spec.Axes.Frequency = []string{"stock", "capped", "1.5GHz", "2.0GHz"}
+	runner := &scenario.Runner{Workers: 4}
+	if _, err := runner.Run(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	jl, err := journal.Open(t.TempDir(), journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jl.Close()
+	svc, err := New(Config{Runner: runner, Journal: jl})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Shutdown()
+	var ids []string
+	for i := 0; i < 10; i++ {
+		// A fresh name misses the registry's dedup; every simulation hits
+		// the memo.
+		spec.Name = "warm-" + strconv.Itoa(i)
+		sw, _, err := svc.Submit(ctx, spec, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, sw)
+		if _, err := sw.Results(); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, sw.ID)
+	}
+	order := map[string][]int{}
+	if err := jl.Replay(func(rec journal.Record) error {
+		if r, ok := rec.(*journal.ScenarioDone); ok {
+			order[r.Sweep] = append(order[r.Sweep], r.Index)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// Group order: each run key's scenarios, ascending, in order of its
+	// first appearance.
+	part, err := spec.Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []int
+	for i, key := range part.RunKeys {
+		if i == slices.Index(part.RunKeys, key) {
+			for j := i; j < len(part.RunKeys); j++ {
+				if part.RunKeys[j] == key {
+					want = append(want, j)
+				}
+			}
+		}
+	}
+	for _, id := range ids {
+		if !reflect.DeepEqual(order[id], want) {
+			t.Errorf("sweep %s journaled indices %v, want group order %v", id, order[id], want)
 		}
 	}
 }
