@@ -359,7 +359,7 @@ func BenchmarkAblationVoltageCurve(b *testing.B) {
 
 func BenchmarkNodePower(b *testing.B) {
 	spec := cpu.EPYC7742()
-	n := node.New(spec, rng.New(1))
+	n := node.NewWithLayout(spec, node.SocketsPerNode, node.BoardPower, rng.New(1))
 	n.StartWork(cpu.Activity{Core: 0.7, Uncore: 0.6}, epoch)
 	b.ResetTimer()
 	var acc float64

@@ -104,7 +104,9 @@ func (s *Simulator) Snapshot() (*Snapshot, error) {
 //
 // cfg must agree with the snapshot on everything that shaped the prefix:
 // seed, span, facility size, meter cadence, and every timeline change
-// dated before the fork point.
+// dated before the fork point. That includes each partition's CPU spec:
+// the snapshot holds no node die or perf factors, so the fork's nodes
+// draw theirs at construction from cfg's seed and specs.
 func Fork(snap *Snapshot, cfg Config) (*Simulator, error) {
 	if err := validateFork(snap, cfg); err != nil {
 		return nil, err

@@ -265,3 +265,35 @@ func TestSnapshotRestoreLedgerBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestFactorsMatchLazyDrawOrder checks every node's die and perf factors,
+// read back through its power and PerfFactor in each mode, against a
+// reference stream with the facility's seed, drawn per mode as a node
+// reaches it: Power Determinism first (at construction), then Performance
+// Determinism (at the first switch). Nodes draw both at construction, and
+// must consume their streams in exactly that order.
+func TestFactorsMatchLazyDrawOrder(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"homogeneous", small()}, {"two-partition", mixed()}} {
+		f := newFacility(t, c.cfg)
+		nodes := rng.New(1).Split("nodes")
+		for _, p := range f.parts {
+			for i := p.Start; i < p.End(); i++ {
+				r := nodes.SplitIndexed("node", i)
+				n := f.Node(i)
+				l := p.CPU.Load(p.CPU.DefaultSetting(), TypicalLoadedActivity)
+				for _, m := range []cpu.Mode{cpu.PowerDeterminism, cpu.PerformanceDeterminism} {
+					die, perf := p.CPU.DrawDieFactor(m, r), p.CPU.DrawPerfFactor(m, r)
+					n.StartJob(m, l, t0)
+					want := float64(p.Sockets)*p.CPU.SocketWatts(l, die) + p.Board.Watts()
+					if math.Float64bits(n.PowerWatts()) != math.Float64bits(want) || math.Float64bits(n.PerfFactor()) != math.Float64bits(perf) {
+						t.Fatalf("%s: node %d in %v: power %v W perf %v, reference draw gives %v W perf %v",
+							c.name, i, m, n.PowerWatts(), n.PerfFactor(), want, perf)
+					}
+				}
+			}
+		}
+	}
+}

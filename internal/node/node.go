@@ -10,6 +10,7 @@ package node
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"github.com/greenhpc/archertwin/internal/cpu"
@@ -30,31 +31,30 @@ type Node struct {
 
 	mode cpu.Mode
 
-	// Per-node die silicon-quality factors, re-drawn when the BIOS mode
-	// changes (they are a property of (die, mode)).
-	dieFactor  float64
-	perfFactor float64
-	rng        *rng.Stream
+	// die and perf are the node's silicon-quality factors, indexed by BIOS
+	// mode. They are a property of (die, mode), so they are drawn once at
+	// construction and a mode change only selects a pair.
+	die, perf [2]float64
 
 	// load is the frequency setting and workload activity (zero when
 	// idle), with the socket power terms they imply.
 	load cpu.Load
 	busy bool
 
-	// powerW caches Power().Watts(), a pure function of (load, mode,
-	// dieFactor) that only the mutators below change, so the
-	// telemetry fleet sweep reads a field instead of the voltage/frequency
-	// model, with bit-identical sums.
+	// sockets / boardW are the node's physical layout: socket (or GPU
+	// module) count and frequency-independent board power in watts. An
+	// int32 count packs beside busy, which keeps a node at 128 bytes.
+	sockets int32
+	boardW  float64
+
+	// powerW caches Power().Watts(), a pure function of (load, mode) that
+	// only the mutators below change, so the telemetry fleet sweep reads a
+	// field instead of the voltage/frequency model, with bit-identical
+	// sums.
 	powerW float64
 
 	// counters, when attached, is the fleet ledger this node keeps.
 	counters *FleetCounters
-
-	// sockets / boardW are the node's physical layout: socket (or GPU
-	// module) count and frequency-independent board power in watts.
-	// New uses SocketsPerNode and BoardPower.
-	sockets int
-	boardW  float64
 }
 
 // FleetCounters is the fleet ledger, kept up to date by each attached
@@ -88,37 +88,31 @@ func (c *FleetCounters) Accrue(at time.Time) {
 	c.AtNs = t
 }
 
-// New creates a node using spec, initialised at the spec's default
-// frequency setting in Power Determinism mode. The stream r seeds the
-// node's die-variation draws; it is retained.
-func New(spec *cpu.Spec, r *rng.Stream) *Node {
-	return NewWithLayout(spec, SocketsPerNode, BoardPower, r)
-}
-
-// NewWithLayout creates a node with an explicit physical layout: sockets
-// (or GPU modules) per node and board power. Heterogeneous partitions
-// use it for node types that differ from the ARCHER2 CPU compute node;
-// New(...) is exactly NewWithLayout(..., SocketsPerNode, BoardPower, ...).
+// NewWithLayout creates a node using spec with a physical layout: sockets
+// (or GPU modules) per node and board power (SocketsPerNode and
+// BoardPower for an ARCHER2 compute node). The node starts at the spec's
+// default frequency setting in Power Determinism mode. Its die and perf
+// factors for both modes are drawn from r here, and r is not retained.
 func NewWithLayout(spec *cpu.Spec, sockets int, board units.Power, r *rng.Stream) *Node {
-	if sockets <= 0 {
-		panic(fmt.Sprintf("node: non-positive socket count %d", sockets))
+	if sockets <= 0 || sockets > math.MaxInt32 {
+		panic(fmt.Sprintf("node: socket count %d out of range", sockets))
 	}
 	n := &Node{
 		Spec:    spec,
 		load:    cpu.Load{Setting: spec.DefaultSetting()},
 		mode:    cpu.PowerDeterminism,
-		rng:     r,
-		sockets: sockets,
+		sockets: int32(sockets),
 		boardW:  board.Watts(),
 	}
-	n.redraw()
+	// The draw order fixes every node's factors for a seed, so the goldens
+	// pin it: Power Determinism draws only its perf factor, then
+	// Performance Determinism only its die factor.
+	for _, m := range [...]cpu.Mode{cpu.PowerDeterminism, cpu.PerformanceDeterminism} {
+		n.die[m] = spec.DrawDieFactor(m, r)
+		n.perf[m] = spec.DrawPerfFactor(m, r)
+	}
 	n.refreshPower()
 	return n
-}
-
-func (n *Node) redraw() {
-	n.dieFactor = n.Spec.DrawDieFactor(n.mode, n.rng)
-	n.perfFactor = n.Spec.DrawPerfFactor(n.mode, n.rng)
 }
 
 // AttachCounters registers the node on a fleet ledger, contributing its
@@ -133,11 +127,10 @@ func (n *Node) AttachCounters(c *FleetCounters) {
 }
 
 // refreshPower recomputes the cached power draw and moves the ledger's
-// fleet power by the change. Call after any mutation of load, mode or
-// die factors.
+// fleet power by the change. Call after any mutation of load or mode.
 func (n *Node) refreshPower() {
 	old := n.powerW
-	n.powerW = float64(n.sockets)*n.Spec.SocketWatts(n.load, n.dieFactor) + n.boardW
+	n.powerW = float64(n.sockets)*n.Spec.SocketWatts(n.load, n.die[n.mode]) + n.boardW
 	if c := n.counters; c != nil {
 		c.PowerW += n.powerW - old
 	}
@@ -185,16 +178,14 @@ func (n *Node) SetFrequency(fs cpu.FreqSetting, at time.Time) error {
 	return nil
 }
 
-// SetMode changes the BIOS determinism mode. The die factors are redrawn
-// because they are mode-dependent silicon behaviour. Energy is accrued at
-// the old mode first.
+// SetMode changes the BIOS determinism mode, selecting the mode's die and
+// perf factors. Energy is accrued at the old mode first.
 func (n *Node) SetMode(m cpu.Mode, at time.Time) {
 	if m == n.mode {
 		return
 	}
 	n.accrue(at)
 	n.mode = m
-	n.redraw()
 	n.refreshPower()
 }
 
@@ -211,16 +202,12 @@ func (n *Node) StartWork(a cpu.Activity, at time.Time) {
 
 // StartJob puts the node to work at load l, which the caller computed
 // once per job with Spec.Load after validating its setting. It is SetMode,
-// SetFrequency and StartWork fused into one accrual and one power refresh
-// (die factors redrawn only on a mode change), with node power and state
-// bit-identical to the sequential form. At the node's own mode it is a
-// reclock of a busy node.
+// SetFrequency and StartWork fused into one accrual and one power refresh,
+// with node power and state bit-identical to the sequential form. At the
+// node's own mode it is a reclock of a busy node.
 func (n *Node) StartJob(m cpu.Mode, l cpu.Load, at time.Time) {
 	n.accrue(at)
-	if m != n.mode {
-		n.mode = m
-		n.redraw()
-	}
+	n.mode = m
 	wasBusy := n.busy
 	n.load = l
 	n.busy = true
@@ -239,8 +226,9 @@ func (n *Node) StopWork(at time.Time) {
 	n.updateCounters(wasBusy)
 }
 
-// PerfFactor returns the node's current per-die performance factor.
-func (n *Node) PerfFactor() float64 { return n.perfFactor }
+// PerfFactor returns the node's per-die performance factor in its current
+// mode.
+func (n *Node) PerfFactor() float64 { return n.perf[n.mode] }
 
 // Power returns the node's current power draw: both sockets plus board.
 // The value is cached across reads and refreshed on state mutations, so

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"time"
+	"unsafe"
 
 	"github.com/greenhpc/archertwin/internal/cpu"
 	"github.com/greenhpc/archertwin/internal/rng"
@@ -14,7 +15,7 @@ var t0 = time.Date(2021, 12, 1, 0, 0, 0, 0, time.UTC)
 
 func newNode(t *testing.T) *Node {
 	t.Helper()
-	return New(cpu.EPYC7742(), rng.New(42).Split("node"))
+	return NewWithLayout(cpu.EPYC7742(), SocketsPerNode, BoardPower, rng.New(42).Split("node"))
 }
 
 // newLedgerNode returns a fresh node attached to its own fleet ledger
@@ -135,7 +136,7 @@ func TestFrequencyCapReducesBusyPower(t *testing.T) {
 	}
 }
 
-func TestSetModeRedrawsAndReducesPower(t *testing.T) {
+func TestSetModeSelectsFactorsAndReducesPower(t *testing.T) {
 	n := newNode(t)
 	a := cpu.Activity{Core: 0.8, Uncore: 0.5}
 	n.StartWork(a, t0)
@@ -155,7 +156,7 @@ func TestSetModeRedrawsAndReducesPower(t *testing.T) {
 	if n.PerfFactor() != n.Spec.PerfDetPerfFactor {
 		t.Fatalf("perf-det perf factor = %v, want %v", n.PerfFactor(), n.Spec.PerfDetPerfFactor)
 	}
-	// Switching to the same mode is a no-op (no redraw).
+	// Switching to the same mode is a no-op.
 	df := n.Power()
 	n.SetMode(cpu.PerformanceDeterminism, t0.Add(2*time.Minute))
 	if n.Power() != df {
@@ -176,7 +177,7 @@ func TestExpectedPowerModeOrdering(t *testing.T) {
 func TestNodeDeterminism(t *testing.T) {
 	// Same seed -> identical die factors and power trajectory.
 	mk := func() *Node {
-		return New(cpu.EPYC7742(), rng.New(99).Split("node"))
+		return NewWithLayout(cpu.EPYC7742(), SocketsPerNode, BoardPower, rng.New(99).Split("node"))
 	}
 	a, b := mk(), mk()
 	a.SetMode(cpu.PerformanceDeterminism, t0)
@@ -186,19 +187,47 @@ func TestNodeDeterminism(t *testing.T) {
 	}
 }
 
+// TestModeRoundTripKeepsFirstDraw switches a busy node Power ->
+// Performance -> Power -> Performance Determinism: each return to a mode
+// must give back the factors and power of its first visit, bit for bit,
+// because a node draws its factors once per mode.
+func TestModeRoundTripKeepsFirstDraw(t *testing.T) {
+	n := newNode(t)
+	n.StartWork(cpu.Activity{Core: 0.8, Uncore: 0.5}, t0)
+	type visit struct{ perf, power float64 }
+	first := map[cpu.Mode]visit{}
+	at := t0
+	for i, m := range []cpu.Mode{cpu.PowerDeterminism, cpu.PerformanceDeterminism, cpu.PowerDeterminism, cpu.PerformanceDeterminism} {
+		at = at.Add(time.Hour)
+		n.SetMode(m, at)
+		got := visit{n.PerfFactor(), n.PowerWatts()}
+		want, seen := first[m]
+		if !seen {
+			first[m] = got
+			continue
+		}
+		if math.Float64bits(got.perf) != math.Float64bits(want.perf) || math.Float64bits(got.power) != math.Float64bits(want.power) {
+			t.Fatalf("visit %d to %v: perf %v power %v W, first visit %v and %v W", i, m, got.perf, got.power, want.perf, want.power)
+		}
+	}
+	if first[cpu.PowerDeterminism] == first[cpu.PerformanceDeterminism] {
+		t.Fatal("both modes gave the same factors and power")
+	}
+}
+
 // TestStartJobMatchesSequentialCalls drives two same-seed nodes through a
 // random sequence of job starts, stops and mode changes. One starts
 // jobs with StartJob, the other with SetMode, SetFrequency and StartWork;
-// after every step their full state (RNG position included), cached
-// power and ledger counts must agree bit for bit. Ledger power and energy
-// agree to a relative 1e-9: the sequential form moves the ledger's power
-// by three differences where the fused form moves it by one, which
-// rounds differently. Mode flips exercise the die-factor redraw, and
-// zero-length intervals the second accrual the fused form drops.
+// after every step their full state, cached power and ledger counts must
+// agree bit for bit. Ledger power and energy agree to a relative 1e-9:
+// the sequential form moves the ledger's power by three differences where
+// the fused form moves it by one, which rounds differently. Mode flips
+// exercise the per-mode factor selection, and zero-length intervals the
+// second accrual the fused form drops.
 func TestStartJobMatchesSequentialCalls(t *testing.T) {
 	spec := cpu.EPYC7742()
 	mk := func() (*Node, *FleetCounters) {
-		n := New(spec, rng.New(7).Split("node"))
+		n := NewWithLayout(spec, SocketsPerNode, BoardPower, rng.New(7).Split("node"))
 		c := &FleetCounters{AtNs: t0.UnixNano()}
 		n.AttachCounters(c)
 		return n, c
@@ -249,6 +278,18 @@ func TestStartJobMatchesSequentialCalls(t *testing.T) {
 		if !relClose(fc.PowerW, sc.PowerW, 1e-9) || !relClose(fc.Energy.Joules(), sc.Energy.Joules(), 1e-9) {
 			t.Fatalf("step %d: ledger power/energy %v/%v != %v/%v", step, fc.PowerW, fc.Energy, sc.PowerW, sc.Energy)
 		}
+	}
+}
+
+// TestNodeSize pins a node at 128 bytes, a malloc size class: a facility
+// allocates one per node, and 8 bytes more would move each into the
+// 144-byte class.
+func TestNodeSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("node layout is pinned on 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Node{}); got != 128 {
+		t.Fatalf("node.Node is %d bytes, want 128", got)
 	}
 }
 

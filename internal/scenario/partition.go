@@ -59,14 +59,14 @@ func (s Spec) Partition() (Partition, error) {
 	}
 	keys, runKeys := map[string]bool{}, map[string]bool{}
 	for i := range scenarios {
-		key := scenarios[i].simKey()
-		p.Keys[i] = key
-		p.RunKeys[i] = scenarios[i].runKey()
+		run := scenarios[i].runKey()
+		key := scenarios[i].simKeyOf(run)
+		p.Keys[i], p.RunKeys[i] = key, run
 		if !keys[key] {
 			keys[key] = true
 			p.GroupOrder = append(p.GroupOrder, key)
 		}
-		runKeys[p.RunKeys[i]] = true
+		runKeys[run] = true
 	}
 	p.Simulations = len(runKeys)
 	return p, nil

@@ -473,9 +473,9 @@ func (r *Runner) Execute(ctx context.Context, part Partition, indices []int, slo
 	// hit refreshes the entry's recency, so a server's steadily re-run
 	// sweeps stay warm while one-off configs age out. A hit whose entry
 	// holds every member's account is landed from it: no trace is drawn
-	// and no power series walked for it.
-	var hits, pending []int
-	draw := false // some group still has to be accounted
+	// and no power series walked for it. The other hits (unheld) are
+	// accounted here, and their entries keep the accounts afterwards.
+	var hits, pending, unheld []int
 	r.mu.Lock()
 	if r.memo == nil {
 		r.memo = newMemoLRU(r.memoCap(), r.memoBudget())
@@ -485,17 +485,16 @@ func (r *Runner) Execute(ctx context.Context, part Partition, indices []int, slo
 		if e, ok := r.memo.get(gr.key); ok {
 			gr.entry, gr.res, gr.digest = e, e.res, e.digest
 			if gr.accts = e.accounted(gr.means); gr.accts == nil {
-				draw = true
+				unheld = append(unheld, g)
 			}
 			hits = append(hits, g)
 			continue
 		}
 		pending = append(pending, g)
-		draw = true
 	}
 	r.mu.Unlock()
 	var traces []*timeseries.Series
-	if draw {
+	if len(pending)+len(unheld) > 0 {
 		models := make([]grid.IntensityModel, len(gridMeans))
 		for i, m := range gridMeans {
 			models[i] = gridModel(m)
@@ -718,7 +717,7 @@ func (r *Runner) Execute(ctx context.Context, part Partition, indices []int, slo
 			r.memo.put(e)
 		}
 	}
-	for _, g := range hits {
+	for _, g := range unheld {
 		if gr := &groups[g]; gr.accts != nil {
 			r.memo.account(gr.entry, gr.means, gr.accts)
 		}

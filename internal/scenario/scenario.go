@@ -950,6 +950,10 @@ func (sc *Scenario) midActive() bool {
 	return sc.MidFrequency != "" && sc.MidFrequency != MidNone
 }
 
+// midTerm joins a diverging scenario's simKey to its mid value in its
+// runKey.
+const midTerm = " mid="
+
 // runKey identifies the scenario's simulation *results*: simKey plus the
 // mid-sweep divergence. Scenarios sharing a runKey produce byte-identical
 // simulations; scenarios sharing only a simKey share their seed and
@@ -958,7 +962,16 @@ func (sc *Scenario) runKey() string {
 	if !sc.midActive() {
 		return sc.simKey()
 	}
-	return sc.simKey() + " mid=" + sc.MidFrequency
+	return sc.simKey() + midTerm + sc.MidFrequency
+}
+
+// simKeyOf returns the simKey that run, the scenario's runKey, begins
+// with, without building it again.
+func (sc *Scenario) simKeyOf(run string) string {
+	if !sc.midActive() {
+		return run
+	}
+	return run[:len(run)-len(midTerm)-len(sc.MidFrequency)]
 }
 
 // counterpartKey labels the scenario by every axis except carbon_policy:
