@@ -2,11 +2,12 @@ package scenario
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"runtime"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,7 +86,7 @@ type SweepResults struct {
 
 // Runner executes a sweep's scenarios on a worker pool, memoizing
 // completed simulations across Run calls: a scenario whose memo key
-// (its spec seed, run key and config-shaping spec fields) matches an
+// (its run key and the encoded canonical spec, see memoKeys) matches an
 // earlier simulation reuses its results instead of re-simulating. Within one sweep this is how fcfs
 // counterparts on the carbon axis cost one simulation instead of one per
 // scenario; across sweeps on the same Runner (a tool exploring several
@@ -131,11 +132,11 @@ type Runner struct {
 	runCfg func(context.Context, core.Config) (*core.Results, error)
 
 	// memo caches completed simulations by memo key (memoKeys) — the
-	// spec seed and the scenario's run key plus a hash of every
-	// config-shaping spec field, so scenarios differing in any
-	// simulation-affecting axis (-nodes, -freq, days, oversubscription,
-	// carbon tunables, ...) can never collide. LRU-bounded at MemoCap
-	// entries; guarded by mu together with the hit/miss counters.
+	// scenario's run key hashed after every spec field that can shape
+	// a simulation, so scenarios differing in any simulation-affecting
+	// axis (-nodes, -freq, days, oversubscription, carbon tunables, ...)
+	// can never collide. LRU-bounded at MemoCap entries; guarded by mu
+	// together with the hit/miss counters.
 	mu     sync.Mutex
 	memo   *memoLRU
 	hits   int
@@ -207,48 +208,42 @@ func (r *Runner) memoBudget() int64 {
 
 // memoKeys builds the memo keys of one sweep's simulations. A key is the
 // cache identity of one simulation, known without building its config:
-// the spec seed and the run key (which fix the derived seed) plus an
-// FNV-1a hash over every remaining config-shaping spec field. Each field
-// is written explicitly under a stable label — never via struct
-// formatting verbs, whose output shifts whenever a field is added,
-// renamed or reordered (silently invalidating or, worse, colliding every
-// key) and which would fold a pointer address into the identity the
-// moment a non-scalar field appears. The fields are equal across a
-// sweep, so they are formatted once per sweep.
+// an FNV-1a hash of the canonical spec's JSON encoding, then of the run
+// key (which carries the scenario's axis values) and the diverge value.
+// The spec is encoded once per sweep with only the fields that cannot
+// shape a simulation cleared, so a field added to Spec or CarbonSpec
+// joins every key unless it is cleared here on purpose: a forgotten
+// field costs a memo miss, never a wrong hit.
 type memoKeys struct {
-	seed         uint64
-	head, fields string // hashed before and after the run key
-	cut          int    // where fields leaves the diverge value out
-	// day is the diverge value of an active mid-sweep branch ("0" for the
-	// rest): the branch keeps its family's seed, so its key carries the
-	// run key (simKey plus the mid value) and the day its timeline changes.
+	seed uint64
+	spec uint64 // the hash state after the encoded spec
+	// day is "|", which parts it from a mid value's digits, and the diverge
+	// value of an active mid-sweep branch ("|0" for the rest): the branch keeps
+	// its family's seed, so its key carries its run key and divergence day.
 	day string
 }
 
-// newMemoKeys formats the per-sweep parts of the memo keys of the
-// canonical spec.
+// newMemoKeys encodes the per-sweep part of the canonical spec's memo keys.
 func newMemoKeys(spec *Spec) memoKeys {
-	c := spec.Carbon
-	fields := fmt.Sprintf("|days=%d|warmup=%d|oversub=%g|diverge="+
-		"|prio.aging=%g"+
-		"|carbon.threshold=%g|carbon.maxdelay=%g|carbon.flexshare=%g"+
-		"|carbon.budgetfrac=%g|carbon.fsigma=%g|carbon.fgrowth=%g",
-		spec.Days, spec.warmupDays(), spec.OverSubscription,
-		spec.PriorityAgingHours,
-		c.ThresholdGrams, c.MaxDelayHours, c.FlexibleShare,
-		c.BudgetFraction, c.ForecastSigma, c.ForecastGrowth)
-	return memoKeys{seed: spec.Seed, head: "seed=" + strconv.FormatUint(spec.Seed, 10) + "|sim=",
-		fields: fields, cut: strings.Index(fields, "|prio.aging="), day: strconv.Itoa(spec.DivergeDay)}
+	keyed := *spec
+	// Name, Mode and MaxScenarios shape no simulation; the axes reach the
+	// key through the run key, and DivergeDay through the diverge value.
+	keyed.Name, keyed.Mode, keyed.MaxScenarios, keyed.Axes, keyed.DivergeDay = "", "", 0, Axes{}, 0
+	h := fnv.New64a() // its Sum64 is the hash state key goes on from
+	if err := json.NewEncoder(h).Encode(&keyed); err != nil {
+		panic(fmt.Sprintf("scenario: encoding spec: %v", err)) // Validate admits only finite floats
+	}
+	return memoKeys{seed: spec.Seed, spec: h.Sum64(), day: "|" + strconv.Itoa(spec.DivergeDay)}
 }
 
 // key is the memo key of scenario sc, whose run key is runKey.
 func (m *memoKeys) key(sc *Scenario, runKey string) string {
-	day := "0"
+	day := "|0"
 	if sc.midActive() {
 		day = m.day
 	}
-	h := uint64(14695981039346656037) // FNV-1a, 64-bit (hash/fnv's New64a)
-	for _, s := range [...]string{m.head, runKey, m.fields[:m.cut], day, m.fields[m.cut:]} {
+	h := m.spec // FNV-1a, 64-bit, as hash/fnv's New64a
+	for _, s := range [...]string{runKey, day} {
 		for i := 0; i < len(s); i++ {
 			h = (h ^ uint64(s[i])) * 1099511628211
 		}

@@ -306,24 +306,28 @@ func (s Spec) Validate() error {
 	if s.Mode != ModeGrid && s.Mode != ModeList {
 		return fmt.Errorf("scenario: unknown mode %q (want %q or %q)", s.Mode, ModeGrid, ModeList)
 	}
-	if s.OverSubscription < 0 {
-		return fmt.Errorf("scenario: oversubscription %v must not be negative", s.OverSubscription)
+	if !finiteNonNegative(s.OverSubscription) {
+		return fmt.Errorf("scenario: oversubscription %v must be finite and not negative", s.OverSubscription)
 	}
 	if len(s.Axes.MidFrequency) > 0 && (s.DivergeDay < 1 || s.DivergeDay >= s.Days) {
 		return fmt.Errorf("scenario: diverge day %d not strictly inside the %d-day sweep",
 			s.DivergeDay, s.Days)
 	}
-	if s.PriorityAgingHours < 0 {
-		return fmt.Errorf("scenario: priority aging hours %v must not be negative", s.PriorityAgingHours)
+	if !finiteNonNegative(s.PriorityAgingHours) {
+		return fmt.Errorf("scenario: priority aging hours %v must be finite and not negative", s.PriorityAgingHours)
 	}
 	c := s.Carbon
-	if c.ThresholdGrams < 0 || c.MaxDelayHours < 0 || c.BudgetFraction < 0 ||
-		c.FlexibleShare < 0 || c.FlexibleShare > 1 ||
-		c.ForecastSigma < 0 || c.ForecastGrowth < 0 {
+	if !finiteNonNegative(c.ThresholdGrams) || !finiteNonNegative(c.MaxDelayHours) ||
+		!finiteNonNegative(c.BudgetFraction) || !finiteNonNegative(c.FlexibleShare) || c.FlexibleShare > 1 ||
+		!finiteNonNegative(c.ForecastSigma) || !finiteNonNegative(c.ForecastGrowth) {
 		return fmt.Errorf("scenario: invalid carbon tunables %+v", c)
 	}
 	return nil
 }
+
+// finiteNonNegative reports whether v is finite and not negative: NaN
+// and the infinities shape no simulation and have no JSON encoding.
+func finiteNonNegative(v float64) bool { return v >= 0 && v <= math.MaxFloat64 }
 
 // Scenario is one concrete point of an expanded sweep.
 type Scenario struct {
@@ -474,7 +478,7 @@ type axisDef struct {
 
 // axisTable declares every sweep axis, in expansion order. Adding an axis
 // takes its Axes field, its Scenario field and one entry here.
-var axisTable = []axisDef{
+var axisTable = [...]axisDef{
 	{
 		key: "freq", base: "stock", seed: seedAlways,
 		values: func(a *Axes) any { return &a.Frequency },
@@ -501,7 +505,7 @@ var axisTable = []axisDef{
 		field:  func(sc *Scenario) any { return &sc.GridMean },
 		// The grid mean shapes the intensity model BuildConfig returns.
 		parse: func(_ *build, v string) error {
-			if gm, err := strconv.ParseFloat(v, 64); err != nil || gm <= 0 {
+			if gm, err := strconv.ParseFloat(v, 64); err != nil || gm <= 0 || !finiteNonNegative(gm) {
 				return fmt.Errorf("scenario: invalid grid mean %q", v)
 			}
 			return nil
@@ -739,8 +743,7 @@ type axis struct {
 }
 
 // axes reads every axis of the defaulted spec, in axisTable order.
-func (s *Spec) axes() []axis {
-	ax := make([]axis, len(axisTable))
+func (s *Spec) axes() (ax [len(axisTable)]axis) {
 	for i := range axisTable {
 		d := &axisTable[i]
 		var vs []string

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -183,6 +184,32 @@ func TestSpecValidate(t *testing.T) {
 	}
 	if err := (Spec{}).Validate(); err != nil {
 		t.Errorf("zero spec (all defaults) rejected: %v", err)
+	}
+}
+
+// NaN and the infinities are rejected wherever a spec carries a float:
+// they shape no simulation, and encoding/json (the service's spec key,
+// the memo key) cannot encode them.
+func TestSpecRejectsNonFiniteFloats(t *testing.T) {
+	fields := map[string]func(*Spec, float64){
+		"oversubscription":     func(s *Spec, v float64) { s.OverSubscription = v },
+		"priority aging hours": func(s *Spec, v float64) { s.PriorityAgingHours = v },
+		"threshold":            func(s *Spec, v float64) { s.Carbon.ThresholdGrams = v },
+		"max delay":            func(s *Spec, v float64) { s.Carbon.MaxDelayHours = v },
+		"flexible share":       func(s *Spec, v float64) { s.Carbon.FlexibleShare = v },
+		"budget fraction":      func(s *Spec, v float64) { s.Carbon.BudgetFraction = v },
+		"forecast sigma":       func(s *Spec, v float64) { s.Carbon.ForecastSigma = v },
+		"forecast growth":      func(s *Spec, v float64) { s.Carbon.ForecastGrowth = v },
+		"grid mean axis":       func(s *Spec, v float64) { s.Axes.GridMean = []float64{200, v} },
+	}
+	for name, set := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			spec := DefaultSpec()
+			set(&spec, v)
+			if _, err := spec.Partition(); err == nil {
+				t.Errorf("%s %v accepted", name, v)
+			}
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -19,6 +20,17 @@ import (
 // well under a second.
 func smallSpec() scenario.Spec {
 	return scenario.Spec{Name: "e2e", Nodes: 32, Days: 2, WarmupDays: 1, Seed: 7}
+}
+
+// A spec carrying NaN fails its submission with an error: its spec key
+// cannot be encoded, so it must never reach api.SpecKey.
+func TestSubmitRejectsNonFiniteSpec(t *testing.T) {
+	svc, _ := newTestServer(t, Config{Runner: &scenario.Runner{}})
+	spec := scenario.DefaultSpec()
+	spec.Carbon.ThresholdGrams = math.NaN()
+	if _, _, err := svc.Submit(context.Background(), spec, false); err == nil {
+		t.Fatal("a NaN carbon threshold was submitted")
+	}
 }
 
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
